@@ -278,7 +278,8 @@ def _parse_mu(spec: str) -> walks.StepDistribution:
     return walks.StepDistribution(weights)
 
 
-def cmd_walk(args) -> int:
+def _walk_inputs(args):
+    """The step law, kernel family and hypergroup named by walk arguments."""
     mu = _parse_mu(args.mu)
     if args.dtgraph:
         vals = [float(v) for v in args.dtgraph.split(",")]
@@ -287,27 +288,28 @@ def cmd_walk(args) -> int:
         params = dtgraph.DTParams(a, b)
         ball = dtgraph.build_ball(params, radius)
         if c is None:
-            kernels = walks.KernelFamily.from_ball(ball)
-            hgroup = dtgraph.PolyHypergroup(params)
-        else:
-            ray = dtgraph.BoundaryRay(ball)
-            dk = dtgraph.deform_ball_kernels(ball, ray, c)
-            kernels = walks.KernelFamily.from_deformed(dk)
-            hgroup = dtgraph.PolyHypergroup(params, x0=dk.x_c)
-        start = 0
-    else:
-        if not args.scheme_file:
-            raise ValueError("either a scheme file or --dtgraph is required")
-        gs = io.scheme_from_dict(io.load(args.scheme_file))
-        if not isinstance(gs, scheme.GeneralizedScheme):
-            sch = scheme.verify_scheme(gs)
-            gs = scheme.canonical_generalized(sch)
-        scheme.verify_generalized(gs)
-        kernels = walks.KernelFamily.from_generalized(gs)
-        sch = scheme.verify_scheme(gs.partition)
-        hgroup = hg.from_scheme(sch)
-        start = 0
+            return (mu, walks.KernelFamily.from_ball(ball),
+                    dtgraph.PolyHypergroup(params))
+        ray = dtgraph.BoundaryRay(ball)
+        dk = dtgraph.deform_ball_kernels(ball, ray, c)
+        return (mu, walks.KernelFamily.from_deformed(dk),
+                dtgraph.PolyHypergroup(params, x0=dk.x_c))
+    if not args.scheme_file:
+        raise ValueError("either a scheme file or --dtgraph is required")
+    gs = io.scheme_from_dict(io.load(args.scheme_file))
+    if not isinstance(gs, scheme.GeneralizedScheme):
+        sch = scheme.verify_scheme(gs)
+        gs = scheme.canonical_generalized(sch)
+    scheme.verify_generalized(gs)
+    kernels = walks.KernelFamily.from_generalized(gs)
+    sch = scheme.verify_scheme(gs.partition)
+    return mu, kernels, hg.from_scheme(sch)
+
+
+def cmd_walk(args) -> int:
+    start = 0
     try:
+        mu, kernels, hgroup = _walk_inputs(args)
         exact = walks.convolution_power(hgroup, mu, args.steps)
         exact_f = {int(k): float(v) for k, v in exact.items()}
         if args.exact:
@@ -326,6 +328,10 @@ def cmd_walk(args) -> int:
                 "exact_projection": {str(k): v for k, v in sorted(exact_f.items())},
                 "tv": tv,
             }
+    except (ValueError, dtgraph.DomainError, dtgraph.BallTooLarge) as exc:
+        _emit(args, _report(args, "walk", "error", {"message": str(exc)},
+                            seed=args.seed))
+        return EXIT_USAGE
     except (walks.WalkWouldExitBall, walks.SupportCap,
             walks.ParameterMismatch) as exc:
         _emit(args, _report(args, "walk", "fail", {"message": str(exc)},

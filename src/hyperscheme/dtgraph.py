@@ -240,9 +240,9 @@ def ball_size(params: DTParams, R: int) -> int:
 class Ball:
     """Radius-R ball of Graph(a, b) rooted at the empty word.
 
-    Vertices are step-words: the first step picks (clique, slot) from
-    {1..a} x {1..b-1}, later steps from {1..a-1} x {1..b-1} (the arrival
-    clique is excluded and re-indexed away).
+    Vertices are step-words, listed by depth: the first step picks
+    (clique, slot) from {1..a} x {1..b-1}, later steps from
+    {1..a-1} x {1..b-1} (the arrival clique is excluded and re-indexed away).
     """
 
     params: DTParams
@@ -267,14 +267,32 @@ class Ball:
 
     @property
     def dist_matrix(self) -> np.ndarray:
+        """All-pairs distances from prefix ids:
+        d(u, v) = |u| + |v| - sum_k ([anc_k(u) = anc_k(v)] + [clq_k(u) = clq_k(v)])
+        over the depths k both words reach, where anc_k is the length-k prefix
+        and clq_k the clique of step k.  Equal prefixes share the step's clique,
+        so each common step counts 2 and a first divergent step inside one
+        clique counts 1, as in the word distance."""
         if self._dist is None:
-            n = self.n
             words = self.vertices
-            D = np.zeros((n, n), dtype=np.int32)
-            for i in range(n):
-                wi = words[i]
-                for j in range(i + 1, n):
-                    D[i, j] = D[j, i] = _word_distance(wi, words[j])
+            depth = np.array([len(w) for w in words], dtype=np.int32)
+            if (np.diff(depth) < 0).any():
+                raise ValueError("ball vertices must be listed by depth")
+            parent = np.array([self.index[w[:-1]] if w else 0 for w in words])
+            clique = parent * (self.params.a + 1) + np.array(
+                [w[-1][0] if w else 0 for w in words])
+            D = depth[:, None] + depth[None, :]
+            # anc[v] is v's ancestor at depth min(depth(v), k)
+            anc = np.arange(self.n)
+            eq = np.empty((self.n - 1) ** 2, dtype=bool)
+            for k in range(self.radius, 0, -1):
+                s = int(np.searchsorted(depth, k))  # first vertex of depth >= k
+                m = self.n - s
+                block, cmp = D[s:, s:], eq[:m * m].reshape(m, m)
+                for ids in (anc[s:], clique[anc[s:]]):
+                    np.equal(ids[:, None], ids[None, :], out=cmp)
+                    np.subtract(block, cmp, out=block)
+                anc[s:] = parent[anc[s:]]
             self._dist = D
         return self._dist
 

@@ -2,8 +2,11 @@
 hypergroups, Monte Carlo walks driven by kernel families, and verification
 that projecting a kernel walk yields the hypergroup walk.
 
-Randomness comes from counter-based Philox streams; trial t uses the stream
-seeded by seed + t, so results are reproducible and order-independent.
+Randomness comes from one counter-based Philox stream keyed by the seed
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A
+walk of s steps gives trial t the uniforms 2st .. 2s(t+1) - 1 of that
+stream, so results are reproducible, and a run with more trials extends a
+run with fewer without changing its first trials.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import numpy as np
 from .dtgraph import Ball, DeformedKernels, PolyHypergroup
 from .hypergroup import FiniteHypergroup
 from .scheme import GeneralizedScheme
+
+# simulate_walk draws its uniforms in blocks of about this many
+_BLOCK_UNIFORMS = 1 << 18
 
 
 class SupportCap(Exception):
@@ -163,27 +169,53 @@ def _check_reachable(fam: KernelFamily, mu: StepDistribution, start: int,
         reach = nxt
 
 
+def _row_table(fam: KernelFamily, h: int):
+    """Sampling table of K_h's valid rows in CSR form: column of each nonzero
+    entry, cumulative row weight plus the row (state) id, so the weights
+    increase across the whole table, and row pointers."""
+    rows, cols = np.nonzero(fam.matrices[h])
+    keep = fam.valid[h][rows]
+    rows, cols = rows[keep], cols[keep]
+    cw = np.cumsum(fam.matrices[h][rows, cols])
+    indptr = np.searchsorted(rows, np.arange(fam.labels.shape[0] + 1))
+    before = np.concatenate(([0.0], cw))[indptr[:-1]]
+    return cols, rows + (cw - before[rows]), indptr
+
+
 def simulate_walk(kernels, mu: StepDistribution, steps: int, trials: int,
                   seed: int, start: int = 0) -> WalkResult:
     """Monte Carlo walk: per step sample a label h ~ mu, then a successor
-    from the h-kernel row at the current state."""
+    from the h-kernel row at the current state.
+
+    All trials advance together, in blocks of about 2**18 uniforms, so
+    memory does not grow with trials.  Step s of trial t uses uniforms
+    2st + 2s (label) and 2st + 2s + 1 (successor) of the Philox stream
+    keyed by seed; counts from more trials are elementwise at least those
+    from fewer.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     fam = _as_family(kernels)
     _check_reachable(fam, mu, start, steps)
     labels = fam.support_labels(mu)
     mu_cum = np.cumsum([float(mu.weights[h]) for h in labels])
-    row_cum = {h: np.cumsum(fam.matrices[h], axis=1) for h in labels}
-    counts: dict = {}
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(seed + trial))
-        u = rng.random(2 * steps)
-        x = start
+    tables = [_row_table(fam, h) for h in labels]
+    counts = np.zeros(fam.labels.shape[0], dtype=np.int64)
+    rng = np.random.Generator(np.random.Philox(seed))
+    block = max(1, _BLOCK_UNIFORMS // max(1, 2 * steps))
+    for lo in range(0, trials, block):
+        u = rng.random((min(block, trials - lo), 2 * steps))
+        x = np.full(u.shape[0], start, dtype=np.int64)
         for s in range(steps):
-            h = labels[min(int(np.searchsorted(mu_cum, u[2 * s])),
-                           len(labels) - 1)] if len(labels) > 1 else labels[0]
-            row = row_cum[h][x]
-            x = min(int(np.searchsorted(row, u[2 * s + 1])), row.size - 1)
-        counts[x] = counts.get(x, 0) + 1
-    empirical = {x: c / trials for x, c in counts.items()}
+            pick = np.searchsorted(mu_cum, u[:, 2 * s])
+            np.minimum(pick, len(labels) - 1, out=pick)
+            for i, (cols, cum, indptr) in enumerate(tables):
+                sel = pick == i
+                xs = x[sel]
+                p = np.searchsorted(cum, xs + u[sel, 2 * s + 1])
+                x[sel] = cols[np.clip(p, indptr[xs], indptr[xs + 1] - 1)]
+        counts += np.bincount(x, minlength=counts.size)
+    empirical = {x: c / trials for x, c in enumerate(counts.tolist()) if c}
     return WalkResult(empirical=empirical, trials=trials, steps=steps,
                       seed=seed, start=start)
 

@@ -170,6 +170,19 @@ def test_metric_matches_bfs():
             assert np.array_equal(ball.bfs_distances(start), D[start])
 
 
+@pytest.mark.parametrize("a,b,R", [(2, 2, 6), (3, 2, 5), (2, 3, 5),
+                                   (3, 3, 4), (4, 3, 3), (4, 2, 4)])
+def test_dist_matrix_matches_word_distance(a, b, R):
+    """The prefix-id matrix equals the pairwise word distance: b = 2 trees
+    and b >= 3 clique trees, with a = 2 and a >= 3."""
+    ball = hs.build_ball(hs.DTParams(a, b), R)
+    D = ball.dist_matrix
+    pairwise = np.array([[ball.dist(i, j) for j in range(ball.n)]
+                         for i in range(ball.n)], dtype=np.int32)
+    assert D.dtype == np.int32
+    assert np.array_equal(D, pairwise)
+
+
 def test_gram_inside_interval():
     for params in (P32, P24):
         ball = hs.build_ball(params, 4)

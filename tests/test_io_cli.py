@@ -140,8 +140,10 @@ def test_product_and_join_cmds(files, tmp_path, capsys):
 
 
 def test_walk_cmd(files, capsys):
+    # Hoeffding with a union bound over the 2^K subsets of a K = 2 point law:
+    # P(TV >= 0.02) <= 2^K exp(-2 N 0.02^2) <= 1e-9 needs N >= 27 633
     assert main(["walk", files["k3gs"], "--mu", "1:1", "--steps", "2",
-                 "--trials", "2000", "--seed", "5", "--json"]) == 0
+                 "--trials", "30000", "--seed", "5", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["tv"] <= 0.02
     assert report["results"]["exact_projection"]["0"] == pytest.approx(0.5)
@@ -158,6 +160,20 @@ def test_walk_exact_cmd(files, capsys):
 def test_walk_exit_guard_cmd(capsys):
     assert main(["walk", "--dtgraph", "3,2,3", "--mu", "1:1", "--steps", "5",
                  "--trials", "10", "--seed", "1"]) == 1
+
+
+@pytest.mark.parametrize("extra", [
+    ["--dtgraph", "1,2,4"],                    # DomainError: a < 2
+    ["--dtgraph", "3,2,30"],                   # BallTooLarge
+    ["--dtgraph", "3,2,3", "--trials", "0"],
+    ["--dtgraph", "3,2,3", "--trials", "-5"],
+])
+def test_walk_input_error_cmd(extra, capsys):
+    assert main(["walk", *extra, "--mu", "1:1", "--steps", "2",
+                 "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert report["results"]["message"]
 
 
 def test_usage_error():

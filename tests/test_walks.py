@@ -1,11 +1,14 @@
 """Convolution powers, Monte Carlo walks, and the projection property."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hyperscheme as hs
+from hyperscheme import walks
 
 
 def test_step_distribution_validation():
@@ -134,3 +137,70 @@ def test_ball_projection_small():
     projected = hs.propagate_and_project(fam, mu, 5)
     exact = {k: float(v) for k, v in hs.convolution_power(hg, mu, 5).items()}
     assert hs.tv_distance(projected, exact) < 1e-12
+
+
+def _hoeffding_trials(support: int, tv: float = 0.02,
+                      delta: float = 1e-9) -> int:
+    """Trials N with 2^K exp(-2 N tv^2) <= delta: the empirical law of a
+    K-point law is then within tv with probability at least 1 - delta."""
+    return math.ceil((support * math.log(2) + math.log(1 / delta))
+                     / (2 * tv ** 2))
+
+
+def test_simulate_walk_rejects_no_trials(k3_scheme):
+    gs = hs.canonical_generalized(k3_scheme)
+    mu = hs.StepDistribution({1: 1})
+    for trials in (0, -5):
+        with pytest.raises(ValueError):
+            hs.simulate_walk(gs, mu, steps=2, trials=trials, seed=1)
+
+
+def test_two_label_projection_ball_and_deformed():
+    """A two-label step law on a ball family and a deformed family."""
+    params = hs.DTParams(3, 2)
+    ball = hs.build_ball(params, 6)
+    mu = hs.StepDistribution({1: Fraction(3, 7), 2: Fraction(4, 7)})
+    steps = 3
+    dk = hs.deform_ball_kernels(ball, hs.BoundaryRay(ball), 0.3)
+    trials = _hoeffding_trials(2 * steps + 1)
+    for family, hgroup in (
+            (hs.KernelFamily.from_ball(ball), hs.PolyHypergroup(params)),
+            (hs.KernelFamily.from_deformed(dk),
+             hs.PolyHypergroup(params, x0=dk.x_c))):
+        walk = hs.simulate_walk(family, mu, steps, trials, seed=11)
+        assert hs.projection_check(walk, family, hgroup, mu, steps) <= 0.02
+
+
+def test_simulate_walk_prefix_property():
+    """More trials extend the same stream: counts from N trials are
+    elementwise at least those from k < N, with k below one block of
+    trials and N above it."""
+    ball = hs.build_ball(hs.DTParams(3, 2), 4)
+    fam = hs.KernelFamily.from_ball(ball)
+    mu = hs.StepDistribution({1: Fraction(1, 2), 2: Fraction(1, 2)})
+    steps = 2
+    block = walks._BLOCK_UNIFORMS // (2 * steps)
+    k, N = block // 8, block + block // 8
+
+    def counts(trials):
+        walk = hs.simulate_walk(fam, mu, steps, trials, seed=3)
+        return {x: round(m * trials) for x, m in walk.empirical.items()}
+
+    few, many = counts(k), counts(N)
+    assert sum(few.values()) == k and sum(many.values()) == N
+    assert all(many.get(x, 0) >= c for x, c in few.items())
+
+
+def test_simulate_walk_memory_bounded_by_block(k3_scheme):
+    """Peak traced memory at 10^6 trials stays within a few blocks of
+    uniforms (2 MiB each), below the 32 MiB all trials' uniforms would take."""
+    gs = hs.canonical_generalized(k3_scheme)
+    mu = hs.StepDistribution({1: 1})
+    tracemalloc.start()
+    try:
+        walk = hs.simulate_walk(gs, mu, steps=2, trials=10 ** 6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk.trials == 10 ** 6
+    assert peak < 12 * 2 ** 20
