@@ -283,27 +283,37 @@ def _walk_inputs(args):
     mu = _parse_mu(args.mu)
     if args.dtgraph:
         vals = [float(v) for v in args.dtgraph.split(",")]
+        if len(vals) < 3:
+            raise ValueError(f"--dtgraph needs a,b,R[,c], got {args.dtgraph!r}")
         a, b, radius = int(vals[0]), int(vals[1]), int(vals[2])
         c = vals[3] if len(vals) > 3 else None
         params = dtgraph.DTParams(a, b)
         ball = dtgraph.build_ball(params, radius)
         if c is None:
-            return (mu, walks.KernelFamily.from_ball(ball),
-                    dtgraph.PolyHypergroup(params))
-        ray = dtgraph.BoundaryRay(ball)
-        dk = dtgraph.deform_ball_kernels(ball, ray, c)
-        return (mu, walks.KernelFamily.from_deformed(dk),
-                dtgraph.PolyHypergroup(params, x0=dk.x_c))
-    if not args.scheme_file:
-        raise ValueError("either a scheme file or --dtgraph is required")
-    gs = io.scheme_from_dict(io.load(args.scheme_file))
-    if not isinstance(gs, scheme.GeneralizedScheme):
-        sch = scheme.verify_scheme(gs)
-        gs = scheme.canonical_generalized(sch)
-    scheme.verify_generalized(gs)
-    kernels = walks.KernelFamily.from_generalized(gs)
-    sch = scheme.verify_scheme(gs.partition)
-    return mu, kernels, hg.from_scheme(sch)
+            kernels = walks.KernelFamily.from_ball(ball)
+            hgroup = dtgraph.PolyHypergroup(params)
+        else:
+            ray = dtgraph.BoundaryRay(ball)
+            dk = dtgraph.deform_ball_kernels(ball, ray, c)
+            kernels = walks.KernelFamily.from_deformed(dk)
+            hgroup = dtgraph.PolyHypergroup(params, x0=dk.x_c)
+    else:
+        if not args.scheme_file:
+            raise ValueError("either a scheme file or --dtgraph is required")
+        gs = io.scheme_from_dict(io.load(args.scheme_file))
+        if isinstance(gs, scheme.GeneralizedScheme):
+            sch = scheme.verify_scheme(gs.partition)
+        else:
+            sch = scheme.verify_scheme(gs)
+            gs = scheme.canonical_generalized(sch)
+        scheme.verify_generalized(gs)
+        kernels = walks.KernelFamily.from_generalized(gs)
+        hgroup = hg.from_scheme(sch)
+    missing = sorted(set(mu.weights) - set(kernels.matrices))
+    if missing:
+        raise ValueError(f"step law labels {missing} have no kernel; the family "
+                         f"has labels {min(kernels.matrices)}..{max(kernels.matrices)}")
+    return mu, kernels, hgroup
 
 
 def cmd_walk(args) -> int:
@@ -332,8 +342,8 @@ def cmd_walk(args) -> int:
         _emit(args, _report(args, "walk", "error", {"message": str(exc)},
                             seed=args.seed))
         return EXIT_USAGE
-    except (walks.WalkWouldExitBall, walks.SupportCap,
-            walks.ParameterMismatch) as exc:
+    except (walks.WalkWouldExitBall, walks.SupportCap, walks.ParameterMismatch,
+            scheme.AxiomViolation, scheme.NotUnimodular) as exc:
         _emit(args, _report(args, "walk", "fail", {"message": str(exc)},
                             seed=args.seed))
         return EXIT_FAIL

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .scheme import AssociationScheme, AxiomViolation, GeneralizedScheme, verify_generalized
+from .scheme import (AssociationScheme, AxiomViolation, GeneralizedScheme,
+                     _recover_involution, verify_generalized)
 
 TOL = 1e-9
 PSD_FLOOR = 1e-8
@@ -117,14 +118,12 @@ def from_scheme(scheme: AssociationScheme) -> FiniteHypergroup:
 def from_generalized(gs: GeneralizedScheme) -> FiniteHypergroup:
     """Hypergroup with conv = the deformed tensor p~ of a generalized scheme."""
     ptilde = verify_generalized(gs)
-    from .scheme import verify_scheme
-    scheme = verify_scheme(gs.partition)
     conv = [[[float(ptilde[i, j, k]) for k in range(gs.partition.n_relations)]
              for j in range(gs.partition.n_relations)]
             for i in range(gs.partition.n_relations)]
     return FiniteHypergroup(n=gs.partition.n_relations, conv=_freeze(conv),
                             identity=gs.partition.identity_relation,
-                            involution=scheme.involution.copy(),
+                            involution=_recover_involution(gs.partition),
                             scheme_derived=True)
 
 
@@ -152,31 +151,32 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = TOL,
         i, j = map(int, np.argwhere(np.abs(sums - 1.0) > 1e-8)[0])
         failures.append(AxiomViolation("normalization", (i, j)))
 
-    for x in range(n):
-        want = np.zeros(n)
-        want[x] = 1.0
-        if np.abs(c[x, e] - want).max() > tol or np.abs(c[e, x] - want).max() > tol:
-            failures.append(AxiomViolation("identity", (x,)))
+    eye = np.eye(n)
+    bad_ident = ((np.abs(c[:, e] - eye).max(axis=1) > tol)
+                 | (np.abs(c[e] - eye).max(axis=1) > tol))
+    for x in np.flatnonzero(bad_ident):
+        failures.append(AxiomViolation("identity", (int(x),)))
 
-    for x in range(n):
-        for y in range(n):
-            has_e = c[x, y, e] > tol
-            if has_e != (y == inv[x]):
-                failures.append(AxiomViolation("support-of-identity", (x, y)))
+    wants_e = np.arange(n)[None, :] == inv[:, None]
+    for x, y in np.argwhere((c[:, :, e] > tol) != wants_e):
+        failures.append(AxiomViolation("support-of-identity", (int(x), int(y))))
 
-    for x in range(n):
-        for y in range(n):
-            lhs = c[x, y]
-            rhs = c[inv[y], inv[x]][inv]
-            if np.abs(lhs - rhs).max() > tol:
-                failures.append(AxiomViolation("involution-compat", (x, y)))
+    # c[inv[y], inv[x], inv[k]] at [x, y, k]
+    c_bar = c[np.ix_(inv, inv, inv)].transpose(1, 0, 2)
+    for x, y in np.argwhere(np.abs(c - c_bar).max(axis=2) > tol):
+        failures.append(AxiomViolation("involution-compat", (int(x), int(y))))
 
-    # associativity: (delta_i * delta_j) * delta_l == delta_i * (delta_j * delta_l)
-    assoc_lhs = np.einsum("ijm,mlk->ijlk", c, c)
-    assoc_rhs = np.einsum("jlm,imk->ijlk", c, c)
-    if np.abs(assoc_lhs - assoc_rhs).max() > 1e-8:
-        i, j, l, k = map(int, np.argwhere(np.abs(assoc_lhs - assoc_rhs) > 1e-8)[0])
-        failures.append(AxiomViolation("associativity", (i, j, l, k)))
+    # associativity: (delta_i * delta_j) * delta_l == delta_i * (delta_j * delta_l),
+    # one slice i at a time so memory stays O(n^3)
+    rows, cols = c.reshape(n, n * n), c.reshape(n * n, n)
+    for i in range(n):
+        lhs = c[i] @ rows                        # [j, (l, k)]
+        rhs = cols @ c[i]                        # [(j, l), k]
+        bad = np.abs(lhs.reshape(n, n, n) - rhs.reshape(n, n, n)) > 1e-8
+        if bad.any():
+            j, l, k = map(int, np.argwhere(bad)[0])
+            failures.append(AxiomViolation("associativity", (i, j, l, k)))
+            break
 
     if failures and raise_on_failure:
         raise failures[0]

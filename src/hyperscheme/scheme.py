@@ -125,17 +125,24 @@ class GeneralizedScheme:
         object.__setattr__(self, "omega_x", w)
 
 
+def _representatives(partition: RelationPartition) -> tuple[np.ndarray, np.ndarray]:
+    """(rx, ry): the first row-major cell of each relation."""
+    flat = partition.label.ravel()
+    labels, first = np.unique(flat, return_index=True)
+    if labels.size < partition.n_relations:
+        missing = np.setdiff1d(np.arange(partition.n_relations), labels)
+        i = int(missing[0])
+        raise AxiomViolation("relation-empty", (i,), f"relation {i} never occurs")
+    return np.divmod(first, partition.n_points)
+
+
 def _recover_involution(partition: RelationPartition) -> np.ndarray:
     """Derive i -> bar(i) from label(y,x) at one representative per relation,
     then verify it holds globally."""
     lab = partition.label
     d = partition.n_relations
-    inv = np.full(d, -1, dtype=np.int64)
-    for i in range(d):
-        xs, ys = np.nonzero(lab == i)
-        if xs.size == 0:
-            raise AxiomViolation("relation-empty", (i,), f"relation {i} never occurs")
-        inv[i] = lab[ys[0], xs[0]]
+    rx, ry = _representatives(partition)
+    inv = lab[ry, rx]
     if not np.array_equal(lab.T, inv[lab]):
         bad = np.argwhere(lab.T != inv[lab])[0]
         raise AxiomViolation("involution", tuple(int(v) for v in bad),
@@ -145,15 +152,24 @@ def _recover_involution(partition: RelationPartition) -> np.ndarray:
     return inv
 
 
+# float64 holds every integer below 2**53 exactly, and an entry of A_i A_j
+# counts at most n points, so the BLAS products below are exact counts.
+_EXACT_FLOAT_COUNT = 2 ** 53
+
+
 def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     """Check the association scheme axioms and compute p-tensor and valencies.
 
-    Raises AxiomViolation (with axiom id and witness) if the partition is not
-    a scheme.
+    One float64 BLAS product per relation i gives every A_i A_j at once; the
+    counting axiom then compares each product with the value at the first
+    row-major cell of every relation.  Raises AxiomViolation (with axiom id
+    and witness) if the partition is not a scheme.
     """
     lab = partition.label
     n, d = partition.n_points, partition.n_relations
     e = partition.identity_relation
+    if n >= _EXACT_FLOAT_COUNT:
+        raise ValueError(f"{n} points: float64 counts are exact only below 2**53")
 
     diag = np.diag(lab)
     if not np.all(diag == e):
@@ -166,52 +182,71 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
         raise AxiomViolation("diagonal", (x, y), "identity relation off the diagonal")
 
     inv = _recover_involution(partition)
+    rx, ry = _representatives(partition)
 
-    adj = np.stack([partition.adjacency(i) for i in range(d)])
-    p = np.zeros((d, d, d), dtype=np.int64)
+    # onehot[z, j, y] = [label(z, y) = j]; row x of A_i @ onehot is then
+    # (A_i A_j)[x, y] laid out as (j, y)
+    onehot = np.zeros((n, d, n))
+    z, y = np.indices((n, n))
+    onehot[z, lab, y] = 1.0
+    onehot = onehot.reshape(n, d * n)
+    p = np.empty((d, d, d), dtype=np.int64)
     for i in range(d):
-        for j in range(d):
-            prod = adj[i] @ adj[j]
-            for k in range(d):
-                mask = lab == k
-                vals = prod[mask]
-                v0 = vals[0]
-                if not np.all(vals == v0):
-                    xs, ys = np.nonzero(mask)
-                    bad = int(np.nonzero(vals != v0)[0][0])
-                    witness = (i, j, k, int(xs[0]), int(ys[0]),
-                               int(xs[bad]), int(ys[bad]))
-                    raise AxiomViolation(
-                        "counting", witness,
-                        f"p_({i},{j})^{k} is not constant: "
-                        f"{int(v0)} at ({xs[0]},{ys[0]}) vs {int(vals[bad])} "
-                        f"at ({xs[bad]},{ys[bad]})")
-                p[i, j, k] = v0
+        prod = ((lab == i).astype(float) @ onehot).reshape(n, d, n).transpose(1, 0, 2)
+        P = prod[:, rx, ry]                      # P[j, k] = p_ij^k, read at k's rep
+        bad = prod != P[:, lab]
+        if bad.any():
+            j = int(np.argmax(bad.any(axis=(1, 2))))
+            k = int(lab[bad[j]].min())
+            xb, yb = map(int, np.argwhere(bad[j] & (lab == k))[0])
+            x0, y0 = int(rx[k]), int(ry[k])
+            raise AxiomViolation(
+                "counting", (i, j, k, x0, y0, xb, yb),
+                f"p_({i},{j})^{k} is not constant: "
+                f"{int(P[j, k])} at ({x0},{y0}) vs {int(prod[j, xb, yb])} "
+                f"at ({xb},{yb})")
+        p[i] = P
 
-    valency = np.array([p[i, inv[i], e] for i in range(d)], dtype=np.int64)
+    valency = p[np.arange(d), inv, e]
     return AssociationScheme(partition=partition, involution=inv, p=p, valency=valency)
 
 
 def _verify_group_table(cayley: np.ndarray) -> int:
-    """Check a multiplication table is a group; return the identity index."""
+    """Check a multiplication table is a group; return the identity index.
+
+    Associativity is Light's test over a greedy generating set: an element a
+    passes when (x a) y = x (a y) for all x, y.  Elements that pass are
+    closed under the product, so when every generator passes, every element
+    does.  Each new generator at least doubles the subgroup reached, so a
+    group costs O(n^2 log n) rather than n^3.
+    """
     t = np.asarray(cayley, dtype=np.int64)
     n = t.shape[0]
     if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
         raise NotAGroup("table is not square over valid indices")
-    ident = None
-    for g in range(n):
-        if np.array_equal(t[g], np.arange(n)) and np.array_equal(t[:, g], np.arange(n)):
-            ident = g
-            break
-    if ident is None:
+    ar = np.arange(n)
+    is_ident = (t == ar).all(axis=1) & (t.T == ar).all(axis=1)
+    if not is_ident.any():
         raise NotAGroup("no identity element")
-    for g in range(n):
-        if ident not in t[g]:
-            raise NotAGroup(f"element {g} has no inverse")
-    # exhaustive associativity scan; fine at desk scale
-    for g in range(n):
-        if not np.array_equal(t[t[g]], t[g][t]):
-            raise NotAGroup(f"associativity fails involving element {g}")
+    ident = int(np.argmax(is_ident))
+    has_inv = (t == ident).any(axis=1)
+    if not has_inv.all():
+        raise NotAGroup(f"element {int(np.argmin(has_inv))} has no inverse")
+
+    reached = np.zeros(n, dtype=bool)
+    gens = []
+    while not reached.all():
+        a = int(np.argmin(reached))
+        if not np.array_equal(t[t[:, a]], t[:, t[a]]):
+            raise NotAGroup(f"associativity fails involving element {a}")
+        gens.append(a)
+        # close the reached set under right multiplication by the generators
+        reached[a] = True
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            nxt = np.unique(t[np.ix_(frontier, gens)])
+            frontier = nxt[~reached[nxt]]
+            reached[frontier] = True
     return ident
 
 
@@ -221,47 +256,34 @@ def from_double_cosets(cayley: np.ndarray, subgroup) -> tuple[np.ndarray, Associ
     Returns (coset_of: array mapping group elements to coset indices, scheme).
     """
     t = np.asarray(cayley, dtype=np.int64)
-    n = t.shape[0]
     ident = _verify_group_table(t)
-    H = sorted(set(int(h) for h in subgroup))
+    H = np.array(sorted(set(int(h) for h in subgroup)), dtype=np.int64)
     if ident not in H:
         raise NotASubgroup("identity not in subgroup")
-    inverse = np.empty(n, dtype=np.int64)
-    for g in range(n):
-        inverse[g] = int(np.nonzero(t[g] == ident)[0][0])
-    for h1 in H:
-        if inverse[h1] not in H:
-            raise NotASubgroup(f"{h1} has inverse outside the subset")
-        for h2 in H:
-            if t[h1, h2] not in H:
-                raise NotASubgroup(f"{h1}*{h2} leaves the subset")
+    inverse = np.argmax(t == ident, axis=1)
+    inv_out = ~np.isin(inverse[H], H)
+    prod_out = ~np.isin(t[np.ix_(H, H)], H)
+    bad = inv_out | prod_out.any(axis=1)
+    if bad.any():
+        a = int(np.argmax(bad))
+        if inv_out[a]:
+            raise NotASubgroup(f"{H[a]} has inverse outside the subset")
+        raise NotASubgroup(f"{H[a]}*{H[np.argmax(prod_out[a])]} leaves the subset")
 
-    # left cosets gH
-    coset_of = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if coset_of[g] < 0:
-            idx = len(reps)
-            reps.append(g)
-            for h in H:
-                coset_of[t[g, h]] = idx
-    n_cosets = len(reps)
+    # left cosets gH, numbered by their smallest element
+    coset_min = t[:, H].min(axis=1)
+    reps, coset_of = np.unique(coset_min, return_inverse=True)
+    n_cosets = reps.size
 
-    # double cosets HgH, relabeled so the coset of the identity gets index 0
-    dcoset_of = np.full(n, -1, dtype=np.int64)
-    n_dcosets = 0
-    for g in [ident] + [g for g in range(n) if g != ident]:
-        if dcoset_of[g] < 0:
-            idx = n_dcosets
-            n_dcosets += 1
-            for h1 in H:
-                for h2 in H:
-                    dcoset_of[t[t[h1, g], h2]] = idx
+    # double cosets HgH, numbered by their smallest element except that H
+    # itself gets index 0
+    dmin = coset_min[t[H]].min(axis=0)
+    firsts, rank = np.unique(dmin, return_inverse=True)
+    h_rank = rank[ident]
+    dcoset_of = np.where(rank == h_rank, 0, rank + (rank < h_rank))
+    n_dcosets = firsts.size
 
-    lab = np.empty((n_cosets, n_cosets), dtype=np.int64)
-    for x, gx in enumerate(reps):
-        for y, gy in enumerate(reps):
-            lab[x, y] = dcoset_of[t[inverse[gx], gy]]
+    lab = dcoset_of[t[np.ix_(inverse[reps], reps)]]
     partition = RelationPartition(n_points=n_cosets, n_relations=n_dcosets, label=lab)
     return coset_of, verify_scheme(partition)
 
@@ -326,28 +348,26 @@ def verify_generalized(gs: GeneralizedScheme, tol: float = KERNEL_TOL) -> np.nda
             y, x = map(int, np.argwhere(np.abs(lhs - rhs) > tol * max(1.0, w.max()))[0])
             raise AxiomViolation("5", (i, x, y), "adjoint relation fails")
 
-    # (3) span closure: read each coefficient off one representative entry,
-    # then verify the whole matrix identity
+    # (3) span closure: read each coefficient off one representative entry
+    # (the largest S_k entry of relation k), then verify the whole matrix
+    # identity against coeff[label] * S[label]
+    rx, ry = np.unravel_index(
+        [np.argmax(np.where(lab == k, S[k], -np.inf)) for k in range(d)], (n, n))
+    s_rep = S[np.arange(d), rx, ry]
+    s_lab = np.take_along_axis(S, lab[None], axis=0)[0]
     ptilde = np.zeros((d, d, d))
     for i in range(d):
         for j in range(d):
             prod = S[i] @ S[j]
-            recon = np.zeros((n, n))
-            for k in range(d):
-                mask = lab == k
-                sk = np.where(mask, S[k], 0.0)
-                if not mask.any():
-                    continue
-                flat = np.argmax(np.where(mask, S[k], -np.inf))
-                x, y = np.unravel_index(flat, (n, n))
-                coeff = prod[x, y] / S[k][x, y]
-                if coeff < -tol:
-                    raise AxiomViolation("3", (i, j, k), "negative span coefficient")
-                coeff = max(coeff, 0.0)
-                ptilde[i, j, k] = coeff
-                recon += coeff * sk
-            if np.abs(prod - recon).max() > 1e-8:
-                x, y = map(int, np.argwhere(np.abs(prod - recon) > 1e-8)[0])
+            coeff = prod[rx, ry] / s_rep
+            if (coeff < -tol).any():
+                k = int(np.argmax(coeff < -tol))
+                raise AxiomViolation("3", (i, j, k), "negative span coefficient")
+            coeff = np.where(0.0 > coeff, 0.0, coeff)   # max(coeff, 0.0), -0.0 kept
+            ptilde[i, j] = coeff
+            resid = np.abs(prod - coeff[lab] * s_lab)
+            if resid.max() > 1e-8:
+                x, y = map(int, np.argwhere(resid > 1e-8)[0])
                 raise AxiomViolation("3", (i, j, int(lab[x, y]), x, y),
                                      "kernel product leaves the span of the family")
     return ptilde

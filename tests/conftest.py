@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import hyperscheme as hs
+
+# Property tests draw the same examples on every run and never time out on a
+# slow or shared machine.
+settings.register_profile("hyperscheme", derandomize=True, deadline=None)
+settings.load_profile("hyperscheme")
 
 
 @pytest.fixture(scope="session")

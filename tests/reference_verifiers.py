@@ -1,0 +1,239 @@
+"""Reference oracle: the scalar-loop verifiers the array kernels replaced.
+
+The loops are kept as they were, without type hints and exception messages,
+so the differential tests can assert that the array kernels return the same
+tensors, the same first failure and the same witness.  Not part of the
+library; d^3 masked scans, d^4 tensors and an n^3 group-table scan.
+"""
+
+import numpy as np
+
+from hyperscheme.hypergroup import HypergroupReport
+from hyperscheme.scheme import (AssociationScheme, AxiomViolation, NotAGroup,
+                                NotASubgroup, RelationPartition)
+
+
+def recover_involution(partition):
+    lab = partition.label
+    d = partition.n_relations
+    inv = np.full(d, -1, dtype=np.int64)
+    for i in range(d):
+        xs, ys = np.nonzero(lab == i)
+        if xs.size == 0:
+            raise AxiomViolation("relation-empty", (i,), f"relation {i} never occurs")
+        inv[i] = lab[ys[0], xs[0]]
+    if not np.array_equal(lab.T, inv[lab]):
+        bad = np.argwhere(lab.T != inv[lab])[0]
+        raise AxiomViolation("involution", tuple(int(v) for v in bad),
+                             "transpose labeling is not a relabeling by an involution")
+    if not np.array_equal(inv[inv], np.arange(d)):
+        raise AxiomViolation("involution", None, "relation map is not an involution")
+    return inv
+
+
+def verify_scheme(partition):
+    lab = partition.label
+    n, d = partition.n_points, partition.n_relations
+    e = partition.identity_relation
+
+    diag = np.diag(lab)
+    if not np.all(diag == e):
+        x = int(np.nonzero(diag != e)[0][0])
+        raise AxiomViolation("diagonal", (x, x), "label(x,x) != identity relation")
+    off = lab == e
+    np.fill_diagonal(off, False)
+    if off.any():
+        x, y = map(int, np.argwhere(off)[0])
+        raise AxiomViolation("diagonal", (x, y), "identity relation off the diagonal")
+
+    inv = recover_involution(partition)
+
+    adj = np.stack([partition.adjacency(i) for i in range(d)])
+    p = np.zeros((d, d, d), dtype=np.int64)
+    for i in range(d):
+        for j in range(d):
+            prod = adj[i] @ adj[j]
+            for k in range(d):
+                mask = lab == k
+                vals = prod[mask]
+                v0 = vals[0]
+                if not np.all(vals == v0):
+                    xs, ys = np.nonzero(mask)
+                    bad = int(np.nonzero(vals != v0)[0][0])
+                    witness = (i, j, k, int(xs[0]), int(ys[0]),
+                               int(xs[bad]), int(ys[bad]))
+                    raise AxiomViolation("counting", witness)
+                p[i, j, k] = v0
+
+    valency = np.array([p[i, inv[i], e] for i in range(d)], dtype=np.int64)
+    return AssociationScheme(partition=partition, involution=inv, p=p, valency=valency)
+
+
+def verify_group_table(cayley):
+    t = np.asarray(cayley, dtype=np.int64)
+    n = t.shape[0]
+    if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
+        raise NotAGroup("table is not square over valid indices")
+    ident = None
+    for g in range(n):
+        if np.array_equal(t[g], np.arange(n)) and np.array_equal(t[:, g], np.arange(n)):
+            ident = g
+            break
+    if ident is None:
+        raise NotAGroup("no identity element")
+    for g in range(n):
+        if ident not in t[g]:
+            raise NotAGroup(f"element {g} has no inverse")
+    for g in range(n):
+        if not np.array_equal(t[t[g]], t[g][t]):
+            raise NotAGroup(f"associativity fails involving element {g}")
+    return ident
+
+
+def from_double_cosets(cayley, subgroup):
+    t = np.asarray(cayley, dtype=np.int64)
+    n = t.shape[0]
+    ident = verify_group_table(t)
+    H = sorted(set(int(h) for h in subgroup))
+    if ident not in H:
+        raise NotASubgroup("identity not in subgroup")
+    inverse = np.empty(n, dtype=np.int64)
+    for g in range(n):
+        inverse[g] = int(np.nonzero(t[g] == ident)[0][0])
+    for h1 in H:
+        if inverse[h1] not in H:
+            raise NotASubgroup(f"{h1} has inverse outside the subset")
+        for h2 in H:
+            if t[h1, h2] not in H:
+                raise NotASubgroup(f"{h1}*{h2} leaves the subset")
+
+    coset_of = np.full(n, -1, dtype=np.int64)
+    reps = []
+    for g in range(n):
+        if coset_of[g] < 0:
+            idx = len(reps)
+            reps.append(g)
+            for h in H:
+                coset_of[t[g, h]] = idx
+    n_cosets = len(reps)
+
+    dcoset_of = np.full(n, -1, dtype=np.int64)
+    n_dcosets = 0
+    for g in [ident] + [g for g in range(n) if g != ident]:
+        if dcoset_of[g] < 0:
+            idx = n_dcosets
+            n_dcosets += 1
+            for h1 in H:
+                for h2 in H:
+                    dcoset_of[t[t[h1, g], h2]] = idx
+
+    lab = np.empty((n_cosets, n_cosets), dtype=np.int64)
+    for x, gx in enumerate(reps):
+        for y, gy in enumerate(reps):
+            lab[x, y] = dcoset_of[t[inverse[gx], gy]]
+    partition = RelationPartition(n_points=n_cosets, n_relations=n_dcosets, label=lab)
+    return coset_of, verify_scheme(partition)
+
+
+def verify_generalized(gs, tol=1e-9):
+    part = gs.partition
+    n, d = part.n_points, part.n_relations
+    e = part.identity_relation
+    lab = part.label
+    S = gs.kernels
+
+    scheme = verify_scheme(part)
+
+    for i in range(d):
+        pos = S[i] > tol
+        want = lab == i
+        if not np.array_equal(pos, want):
+            x, y = map(int, np.argwhere(pos != want)[0])
+            raise AxiomViolation("2", (i, x, y))
+        rows = S[i].sum(axis=1)
+        if np.abs(rows - 1.0).max() > 1e-8:
+            x = int(np.argmax(np.abs(rows - 1.0)))
+            raise AxiomViolation("2", (i, x))
+        if S[i].min() < -tol:
+            x, y = map(int, np.argwhere(S[i] < -tol)[0])
+            raise AxiomViolation("2", (i, x, y))
+
+    if np.abs(S[e] - np.eye(n)).max() > tol:
+        raise AxiomViolation("4", (e,))
+
+    inv = scheme.involution
+    w = gs.omega_x
+    if w.min() <= 0:
+        raise AxiomViolation("5", None)
+    for i in range(d):
+        lhs = w[:, None] * S[inv[i]]
+        rhs = (w[:, None] * S[i]).T
+        if np.abs(lhs - rhs).max() > tol * max(1.0, w.max()):
+            y, x = map(int, np.argwhere(np.abs(lhs - rhs) > tol * max(1.0, w.max()))[0])
+            raise AxiomViolation("5", (i, x, y))
+
+    ptilde = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(d):
+            prod = S[i] @ S[j]
+            recon = np.zeros((n, n))
+            for k in range(d):
+                mask = lab == k
+                sk = np.where(mask, S[k], 0.0)
+                if not mask.any():
+                    continue
+                flat = np.argmax(np.where(mask, S[k], -np.inf))
+                x, y = np.unravel_index(flat, (n, n))
+                coeff = prod[x, y] / S[k][x, y]
+                if coeff < -tol:
+                    raise AxiomViolation("3", (i, j, k))
+                coeff = max(coeff, 0.0)
+                ptilde[i, j, k] = coeff
+                recon += coeff * sk
+            if np.abs(prod - recon).max() > 1e-8:
+                x, y = map(int, np.argwhere(np.abs(prod - recon) > 1e-8)[0])
+                raise AxiomViolation("3", (i, j, int(lab[x, y]), x, y))
+    return ptilde
+
+
+def verify_hypergroup(h, tol=1e-9):
+    """Never raises; returns the report with every failure."""
+    c = h.conv_f
+    n, e, inv = h.n, h.identity, h.involution
+    failures = []
+
+    if c.min() < -tol:
+        i, j, k = map(int, np.argwhere(c < -tol)[0])
+        failures.append(AxiomViolation("nonnegative", (i, j, k)))
+    sums = c.sum(axis=2)
+    if np.abs(sums - 1.0).max() > 1e-8:
+        i, j = map(int, np.argwhere(np.abs(sums - 1.0) > 1e-8)[0])
+        failures.append(AxiomViolation("normalization", (i, j)))
+
+    for x in range(n):
+        want = np.zeros(n)
+        want[x] = 1.0
+        if np.abs(c[x, e] - want).max() > tol or np.abs(c[e, x] - want).max() > tol:
+            failures.append(AxiomViolation("identity", (x,)))
+
+    for x in range(n):
+        for y in range(n):
+            has_e = c[x, y, e] > tol
+            if has_e != (y == inv[x]):
+                failures.append(AxiomViolation("support-of-identity", (x, y)))
+
+    for x in range(n):
+        for y in range(n):
+            lhs = c[x, y]
+            rhs = c[inv[y], inv[x]][inv]
+            if np.abs(lhs - rhs).max() > tol:
+                failures.append(AxiomViolation("involution-compat", (x, y)))
+
+    assoc_lhs = np.einsum("ijm,mlk->ijlk", c, c)
+    assoc_rhs = np.einsum("jlm,imk->ijlk", c, c)
+    if np.abs(assoc_lhs - assoc_rhs).max() > 1e-8:
+        i, j, l, k = map(int, np.argwhere(np.abs(assoc_lhs - assoc_rhs) > 1e-8)[0])
+        failures.append(AxiomViolation("associativity", (i, j, l, k)))
+
+    return HypergroupReport(ok=not failures, commutative=h.is_commutative(),
+                            symmetric=h.is_symmetric(), failures=failures)

@@ -176,6 +176,26 @@ def test_walk_input_error_cmd(extra, capsys):
     assert report["results"]["message"]
 
 
+@pytest.mark.parametrize("source, mu, named", [
+    (["--dtgraph", "3,2"], "1:1", "--dtgraph"),     # too few fields
+    (["--dtgraph", "3,2,4"], "9:1", "[9]"),         # radius 4 has labels 0..4
+    (["k3gs"], "1:1/2,5:1/2", "[5]"),               # K_3 has relations 0, 1
+])
+def test_walk_malformed_input_cmd(files, source, mu, named, capsys):
+    source = [files.get(s, s) for s in source]
+    assert main(["walk", *source, "--mu", mu, "--steps", "2", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert named in report["results"]["message"]
+
+
+def test_walk_not_a_scheme_cmd(files, capsys):
+    assert main(["walk", files["broken"], "--mu", "1:1", "--steps", "2",
+                 "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+
+
 def test_usage_error():
     assert main(["bogus"]) == 2
 

@@ -36,6 +36,14 @@ def test_diagonal_violation():
     assert exc.value.axiom_id == "diagonal"
 
 
+def test_float_count_bound_guarded(k3_partition, monkeypatch):
+    # counts are BLAS float64 products, exact only while n < 2**53; a lowered
+    # bound shows the guard refuses rather than returning rounded counts
+    monkeypatch.setattr(hs.scheme, "_EXACT_FLOAT_COUNT", 3)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        hs.verify_scheme(k3_partition)
+
+
 def test_bose_mesner_products(k3_scheme, z4_scheme):
     for scheme in (k3_scheme, z4_scheme):
         d = scheme.n_relations

@@ -1,0 +1,305 @@
+"""Differential tests: the array-kernel verifiers against the scalar-loop
+reference in reference_verifiers.py, on fixtures, double-coset schemes of
+D_m and S_k, and hypothesis-corrupted inputs."""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import hyperscheme as hs
+import reference_verifiers as ref
+from hyperscheme.scheme import _verify_group_table
+
+
+def dihedral_table(m):
+    """D_m of order 2m; element k + m e stands for r^k s^e."""
+    idx = np.arange(2 * m)
+    k, e = idx % m, idx // m
+    kk = (k[:, None] + np.where(e[:, None] == 1, -k[None, :], k[None, :])) % m
+    return kk + m * (e[:, None] ^ e[None, :])
+
+
+def symmetric_table(k):
+    """(perms, table) of S_k; table[a, b] = perm a after perm b."""
+    perms = [tuple(p) for p in itertools.permutations(range(k))]
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.array([[index[tuple(a[b[x]] for x in range(k))] for b in perms]
+                      for a in perms])
+    return np.array(perms), table
+
+
+def young_subgroup(perms, part):
+    """Permutations fixing {0, ..., part-1} setwise."""
+    want = set(range(part))
+    return [i for i, p in enumerate(perms) if set(p[:part].tolist()) == want]
+
+
+def cycle_partition(m):
+    x = np.arange(m)
+    dist = np.abs(x[:, None] - x[None, :])
+    return hs.RelationPartition(m, m // 2 + 1, np.minimum(dist, m - dist))
+
+
+def relabel(table, sub, seed):
+    """An isomorphic copy under a seeded renaming of the elements, so the
+    identity and the subgroup's smallest element are no longer 0."""
+    pi = np.random.default_rng(seed).permutation(table.shape[0])
+    out = np.empty_like(table)
+    out[pi[:, None], pi[None, :]] = pi[table]
+    return out, sorted(int(pi[h]) for h in sub)
+
+
+def _group_cases():
+    s4_perms, s4 = symmetric_table(4)
+    cases = [(dihedral_table(m), [0, m + 1]) for m in (3, 5, 6, 8, 9)]
+    cases += [(dihedral_table(6), [0, 3]), (dihedral_table(4), list(range(8)))]
+    cases += [(s4, young_subgroup(s4_perms, part)) for part in (1, 2)]
+    cases.append((np.array([[(i + j) % 7 for j in range(7)] for i in range(7)]), [0]))
+    cases += [relabel(t, h, seed) for seed, (t, h) in enumerate(cases[2:9:2])]
+    return cases
+
+
+GROUP_CASES = _group_cases()
+
+
+def _base_partitions():
+    parts = [hs.RelationPartition(3, 2, np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])),
+             hs.RelationPartition(1, 1, np.zeros((1, 1), dtype=int))]
+    parts += [cycle_partition(m) for m in (4, 7, 10)]
+    parts += [ref.from_double_cosets(t, h)[1].partition for t, h in GROUP_CASES]
+    return parts
+
+
+BASE_PARTITIONS = _base_partitions()
+
+
+def outcome(fn, *args):
+    """Result or failure of a verifier, in a form that compares by value."""
+    try:
+        res = fn(*args)
+    except hs.AxiomViolation as exc:
+        return ("fail", exc.axiom_id, exc.witness)
+    if isinstance(res, hs.AssociationScheme):
+        return ("ok", res.p.tolist(), res.valency.tolist(), res.involution.tolist())
+    return ("ok", res.tobytes())
+
+
+@pytest.mark.parametrize("idx", range(len(GROUP_CASES)))
+def test_double_cosets_match_reference(idx):
+    table, sub = GROUP_CASES[idx]
+    coset_of, sch = hs.from_double_cosets(table, sub)
+    ref_coset_of, ref_sch = ref.from_double_cosets(table, sub)
+    assert np.array_equal(coset_of, ref_coset_of)
+    assert np.array_equal(sch.partition.label, ref_sch.partition.label)
+    assert np.array_equal(sch.p, ref_sch.p)
+    assert np.array_equal(sch.valency, ref_sch.valency)
+    assert np.array_equal(sch.involution, ref_sch.involution)
+
+
+def test_fixture_schemes_match_reference(k3_partition, trivial_scheme, z4_scheme,
+                                         s3_table):
+    parts = [k3_partition, trivial_scheme.partition, z4_scheme.partition]
+    parts += [hs.from_double_cosets(s3_table, h)[1].partition
+              for h in ([0], [0, 1], list(range(6)))]
+    for part in parts + BASE_PARTITIONS:
+        assert outcome(hs.verify_scheme, part) == outcome(ref.verify_scheme, part)
+
+
+@st.composite
+def corrupted_partitions(draw):
+    """Swap two off-diagonal labels or relabel one cell.  With `mirror` the
+    transposed cells change with them (to the paired relation), so the
+    involution survives and the counting axiom is what fails."""
+    base = draw(st.sampled_from(BASE_PARTITIONS))
+    n, d = base.n_points, base.n_relations
+    inv = ref.recover_involution(base)
+    lab = base.label.copy()
+    mirror = draw(st.booleans())
+    if draw(st.booleans()) and n > 2:
+        cells = [(x, y) for x in range(n) for y in range(n) if x != y]
+        a, b = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2,
+                             unique=True))
+        lab[a], lab[b] = lab[b], lab[a]
+        if mirror:
+            lab[a[::-1]], lab[b[::-1]] = inv[lab[a]], inv[lab[b]]
+    else:
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        lab[x, y] = draw(st.integers(0, d - 1))
+        if mirror:
+            lab[y, x] = inv[lab[x, y]]
+    return hs.RelationPartition(n, d, lab)
+
+
+@given(corrupted_partitions())
+def test_corrupted_labelings_match_reference(part):
+    assert outcome(hs.verify_scheme, part) == outcome(ref.verify_scheme, part)
+
+
+def _report_key(rep):
+    return (rep.ok, rep.commutative, rep.symmetric,
+            [(f.axiom_id, f.witness) for f in rep.failures])
+
+
+BASE_HYPERGROUPS = [hs.from_scheme(hs.verify_scheme(p)) for p in BASE_PARTITIONS]
+
+
+@st.composite
+def perturbed_hypergroups(draw):
+    h = draw(st.sampled_from(BASE_HYPERGROUPS))
+    n = h.n
+    c = h.conv_f.copy()
+    inv = h.involution.copy()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["bump", "swap", "involution"]))
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if kind == "bump":
+            c[i, j, k] += draw(st.sampled_from([-0.5, -1e-3, 1e-3, 0.25]))
+        elif kind == "swap":
+            c[i, j, [k, (k + 1) % n]] = c[i, j, [(k + 1) % n, k]]
+        else:
+            inv[[i, j]] = inv[[j, i]]
+    conv = tuple(tuple(tuple(row) for row in plane) for plane in c.tolist())
+    return hs.FiniteHypergroup(n=n, conv=conv, identity=h.identity, involution=inv)
+
+
+@given(perturbed_hypergroups())
+def test_hypergroup_failures_match_reference(h):
+    rep = hs.verify_hypergroup(h, raise_on_failure=False)
+    assert _report_key(rep) == _report_key(ref.verify_hypergroup(h))
+
+
+def test_exact_hypergroups_match_reference():
+    for h in BASE_HYPERGROUPS + [hs.direct_product(BASE_HYPERGROUPS[0], BASE_HYPERGROUPS[3])]:
+        rep = hs.verify_hypergroup(h)
+        assert rep.ok
+        assert _report_key(rep) == _report_key(ref.verify_hypergroup(h))
+
+
+def _group_verdict(fn, table):
+    try:
+        return ("group", fn(table))
+    except hs.NotAGroup:
+        return ("not a group",)
+
+
+GROUP_TABLES = [t for t, _ in GROUP_CASES] + [symmetric_table(3)[1]]
+
+
+@st.composite
+def perturbed_tables(draw):
+    t = draw(st.sampled_from(GROUP_TABLES)).copy()
+    n = t.shape[0]
+    out, _ = relabel(t, [], draw(st.integers(0, 2 ** 16)))
+    for _ in range(draw(st.integers(0, 2))):
+        x, y, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+        out[x, y] = v
+    return out
+
+
+@given(perturbed_tables())
+def test_group_verdict_matches_reference(table):
+    assert _group_verdict(_verify_group_table, table) == \
+        _group_verdict(ref.verify_group_table, table)
+
+
+def test_order5_loop_rejected():
+    # a Latin square with identity 0 and every element its own inverse, but
+    # (1*2)*3 = 4 != 1*(2*3) = 0
+    loop = np.array([[0, 1, 2, 3, 4],
+                     [1, 0, 3, 4, 2],
+                     [2, 4, 0, 1, 3],
+                     [3, 2, 4, 0, 1],
+                     [4, 3, 1, 2, 0]])
+    assert _group_verdict(ref.verify_group_table, loop) == ("not a group",)
+    with pytest.raises(hs.NotAGroup):
+        _verify_group_table(loop)
+    with pytest.raises(hs.NotAGroup):
+        hs.from_double_cosets(loop, [0])
+
+
+def _generalized_cases():
+    cases = [hs.canonical_generalized(hs.verify_scheme(part))
+             for part in BASE_PARTITIONS[:6]]
+    k3, c4, c7 = cases[0], cases[2], cases[3]
+    return cases + [hs.direct_product_scheme(k3, c4), hs.join_scheme(c7, k3)]
+
+
+GENERALIZED = _generalized_cases()
+
+
+def test_generalized_ptilde_bit_identical():
+    for gs in GENERALIZED:
+        got = hs.verify_generalized(gs)
+        want = ref.verify_generalized(gs)
+        assert got.tobytes() == want.tobytes()
+
+
+def _rectangles(gs, limit=40):
+    """Cells x, x' and y, y' with all four (x|x', y|y') in one relation i."""
+    lab = gs.partition.label
+    n = gs.partition.n_points
+    out = []
+    for x, x2 in itertools.combinations(range(n), 2):
+        for i in range(1, gs.partition.n_relations):
+            ys = np.flatnonzero((lab[x] == i) & (lab[x2] == i))
+            if ys.size >= 2:
+                out.append((i, x, x2, int(ys[0]), int(ys[-1])))
+    return out[:: max(1, len(out) // limit)]
+
+
+RECTANGLES = [(g, r) for g, gs in enumerate(GENERALIZED) for r in _rectangles(gs)]
+
+
+@st.composite
+def perturbed_generalized(draw):
+    """Either random noise on one kernel (failing the support, stochastic or
+    adjoint axioms) or a +t/-t rectangle Q with zero row and column sums
+    added to S_i, and Q^T to S_bar(i): the adjoint relation then still holds,
+    so span closure (3) decides."""
+    if draw(st.booleans()):
+        g, (i, x, x2, y, y2) = draw(st.sampled_from(RECTANGLES))
+        gs = GENERALIZED[g]
+        kernels = gs.kernels.copy()
+        t = draw(st.sampled_from([1e-12, 1e-6, 1e-3]))
+        Q = np.zeros_like(kernels[0])
+        Q[[x, x, x2, x2], [y, y2, y, y2]] = [t, -t, -t, t]
+        inv = ref.recover_involution(gs.partition)
+        kernels[i] += Q
+        kernels[inv[i]] += Q.T
+    else:
+        gs = draw(st.sampled_from(GENERALIZED))
+        kernels = gs.kernels.copy()
+        n, d = gs.partition.n_points, gs.partition.n_relations
+        i = draw(st.integers(0, d - 1))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        noise = rng.uniform(0, draw(st.sampled_from([1e-3, 0.1, 0.5])), size=(n, n))
+        pert = kernels[i] + noise * (kernels[i] > 0)
+        if draw(st.booleans()):
+            pert = pert / pert.sum(axis=1, keepdims=True)
+        kernels[i] = pert
+    return hs.GeneralizedScheme(partition=gs.partition, kernels=kernels,
+                                omega_x=gs.omega_x)
+
+
+@given(perturbed_generalized())
+def test_generalized_outcome_matches_reference(gs):
+    assert outcome(hs.verify_generalized, gs) == outcome(ref.verify_generalized, gs)
+
+
+def test_verify_hypergroup_memory_is_cubic():
+    """d = 56 product of D_12 and D_14 hypergroups: the d^4 associativity
+    tensors needed about 300 MiB; per-slice checks stay below 16 MiB."""
+    h1, h2 = (hs.from_scheme(hs.from_double_cosets(dihedral_table(m), [0, m])[1])
+              for m in (12, 14))
+    prod = hs.direct_product(h1, h2)
+    assert prod.n == 56
+    tracemalloc.start()
+    try:
+        assert hs.verify_hypergroup(prod).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
