@@ -94,9 +94,12 @@ def cmd_verify(args) -> int:
 def cmd_cosets(args) -> int:
     data = io.load(args.group_file)
     table = io.group_from_dict(data)
-    subgroup = [int(s) for s in args.subgroup.split(",")]
     try:
+        subgroup = [int(s) for s in args.subgroup.split(",")]
         coset_of, sch = scheme.from_double_cosets(table, subgroup)
+    except ValueError as exc:
+        _emit(args, _report(args, "cosets", "error", {"message": str(exc)}))
+        return EXIT_USAGE
     except (scheme.NotAGroup, scheme.NotASubgroup, scheme.AxiomViolation) as exc:
         _emit(args, _report(args, "cosets", "fail", {"message": str(exc)}))
         return EXIT_FAIL

@@ -9,11 +9,9 @@ identity e1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
-from .hypergroup import FiniteHypergroup, _freeze, haar
+from .hypergroup import FiniteHypergroup, _absmax, _int_dtype, _ratios, haar
 from .scheme import GeneralizedScheme, RelationPartition
 
 
@@ -64,31 +62,18 @@ class JoinIndex:
 
 
 def direct_product(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergroup:
-    """Tensor-product convolution c[(i1,i2)][(j1,j2)][(k1,k2)] = c1 c2."""
+    """Tensor-product convolution c[(i1,i2)][(j1,j2)][(k1,k2)] = c1 c2, over
+    the denominator den1 den2 when both factors are exact."""
     pi = ProductIndex(h1.n, h2.n)
-    n = pi.size
-    exact = h1.is_exact and h2.is_exact
-    zero = Fraction(0) if exact else 0.0
-    conv = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i1 in range(h1.n):
-        for j1 in range(h1.n):
-            for k1 in range(h1.n):
-                c1 = h1.conv[i1][j1][k1]
-                if not c1:
-                    continue
-                for i2 in range(h2.n):
-                    for j2 in range(h2.n):
-                        for k2 in range(h2.n):
-                            c2 = h2.conv[i2][j2][k2]
-                            if c2:
-                                conv[pi.flat(i1, i2)][pi.flat(j1, j2)][
-                                    pi.flat(k1, k2)] = c1 * c2
-    involution = np.array([pi.flat(int(h1.involution[i1]), int(h2.involution[i2]))
-                           for i1 in range(h1.n) for i2 in range(h2.n)])
-    return FiniteHypergroup(
-        n=n, conv=_freeze(conv), identity=pi.flat(h1.identity, h2.identity),
-        involution=involution,
-        scheme_derived=h1.scheme_derived and h2.scheme_derived)
+    if h1.is_exact and h2.is_exact:
+        dt = _int_dtype(_absmax(h1.num) * _absmax(h2.num))
+        t1, t2, den = h1.num.astype(dt), h2.num.astype(dt), h1.den * h2.den
+    else:
+        t1, t2, den = h1.conv_f, h2.conv_f, 1
+    num = np.einsum("ijk,abc->iajbkc", t1, t2).reshape((pi.size,) * 3)
+    involution = (h1.involution[:, None] * pi.n2 + h2.involution[None, :]).ravel()
+    return FiniteHypergroup._of(num, den, pi.flat(h1.identity, h2.identity),
+                                involution, h1.scheme_derived and h2.scheme_derived)
 
 
 def direct_product_scheme(gs1: GeneralizedScheme,
@@ -113,51 +98,38 @@ def join(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergroup:
 
     Identity is e2; within the D2 block convolution is *2, within the D1
     block it is *1 with the e1-mass spread over the normalized Haar weights
-    of h2, and mixed pairs collapse onto the D1 element.
+    of h2, and mixed pairs collapse onto the D1 element.  Exact factors are
+    joined over the common denominator den1 den2 (sum of h2's Haar weights).
     """
     ji = JoinIndex(h1.n, h2.n, h1.identity)
-    n = ji.size
+    n, n2, e1 = ji.size, h2.n, h1.identity
+    rest = np.delete(np.arange(h1.n), e1)        # D1 - {e1} in flat order
     left2, _, _ = haar(h2)
-    exact = h1.is_exact and h2.is_exact
-    total2 = sum(left2)
-    omega2 = [w / total2 for w in left2] if exact else \
-        [float(w) / float(total2) for w in left2]
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    conv = [[[zero] * n for _ in range(n)] for _ in range(n)]
-
-    for x in range(n):
-        tx, ix = ji.decompose(x)
-        for y in range(n):
-            ty, iy = ji.decompose(y)
-            row = conv[x][y]
-            if tx == "second" and ty == "second":
-                for k2 in range(h2.n):
-                    row[ji.from_second(k2)] = h2.conv[ix][iy][k2]
-            elif tx == "first" and ty == "first":
-                masses = h1.conv[ix][iy]
-                for k1 in range(h1.n):
-                    if k1 != h1.identity and masses[k1]:
-                        row[ji.from_first(k1)] = masses[k1]
-                e_mass = masses[h1.identity]
-                if e_mass:
-                    for k2 in range(h2.n):
-                        row[ji.from_second(k2)] = e_mass * omega2[k2]
-            elif tx == "first":
-                row[x] = one
-            else:
-                row[y] = one
-
-    involution = np.empty(n, dtype=np.int64)
-    for k2 in range(h2.n):
-        involution[ji.from_second(k2)] = ji.from_second(int(h2.involution[k2]))
-    for k1 in range(h1.n):
-        if k1 != h1.identity:
-            involution[ji.from_first(k1)] = ji.from_first(int(h1.involution[k1]))
-    return FiniteHypergroup(
-        n=n, conv=_freeze(conv), identity=ji.from_second(h2.identity),
-        involution=involution,
-        scheme_derived=h1.scheme_derived and h2.scheme_derived)
+    at_e1 = np.ix_(rest, rest, [e1])             # e1-masses of D1 - {e1} pairs
+    ratios = _ratios(left2) if h1.is_exact and h2.is_exact else None
+    if ratios is None:
+        c1, c2, one, den = h1.conv_f, h2.conv_f, 1.0, 1
+        spread = c1[at_e1] * (np.array(left2, dtype=float) / float(sum(left2)))
+    else:   # omega2 = o / total
+        o, total = ratios[0], sum(ratios[0])
+        den = h1.den * h2.den * total
+        dt = _int_dtype(max(_absmax(h1.num) * h2.den, _absmax(h2.num) * h1.den,
+                            h1.den * h2.den) * total)
+        c1 = h1.num.astype(dt) * (h2.den * total)
+        c2 = h2.num.astype(dt) * (h1.den * total)
+        spread = h1.num[at_e1].astype(dt) * h2.den * np.array(o, dtype=dt)
+        one = den
+    num = np.zeros((n, n, n), dtype=c1.dtype)
+    first, second = np.arange(n2, n), np.arange(n2)
+    num[:n2, :n2, :n2] = c2
+    num[n2:, n2:, n2:] = c1[np.ix_(rest, rest, rest)]
+    num[n2:, n2:, :n2] = spread
+    num[first[:, None], second, first[:, None]] = one     # first * second
+    num[second[:, None], first, first] = one              # second * first
+    flat1 = np.insert(first, e1, 0)
+    involution = np.concatenate([h2.involution, flat1[h1.involution[rest]]])
+    return FiniteHypergroup._of(num, den, h2.identity, involution,
+                                h1.scheme_derived and h2.scheme_derived)
 
 
 def join_scheme(gs1: GeneralizedScheme, gs2: GeneralizedScheme) -> GeneralizedScheme:
@@ -174,13 +146,9 @@ def join_scheme(gs1: GeneralizedScheme, gs2: GeneralizedScheme) -> GeneralizedSc
     wx2 = gs2.omega_x / gs2.omega_x.sum()
 
     same1 = np.eye(p1.n_points, dtype=bool)
-    lab2_mapped = np.vectorize(ji.from_second)(p2.label)
-    lab1_mapped = np.where(p1.label == e1, 0,
-                           np.vectorize(lambda i: ji.from_first(i)
-                                        if i != e1 else 0)(p1.label))
-    label = np.where(same1[:, None, :, None],
-                     lab2_mapped[None, :, None, :],
-                     lab1_mapped[:, None, :, None])
+    flat1 = np.insert(np.arange(ji.n2, ji.size), e1, 0)  # e1 only on same1
+    label = np.where(same1[:, None, :, None], p2.label[None, :, None, :],
+                     flat1[p1.label][:, None, :, None])
     label = np.broadcast_to(
         label, (p1.n_points, p2.n_points, p1.n_points, p2.n_points))
     label = label.reshape(px.size, px.size)

@@ -18,6 +18,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
+from .hypergroup import _ratios
+
 DEFAULT_BALL_CAP = 200_000
 
 
@@ -57,30 +59,34 @@ def haar_weight(n: int, params: DTParams) -> int:
     return 1 if n == 0 else a * (a - 1) ** (n - 1) * (b - 1) ** n
 
 
+def intersection_numbers(m: int, n: int, params: DTParams) -> dict:
+    """p_{m,n}^k = g_{m,n,k} h(m) h(n) / h(k): for vertices x, y at distance
+    k, the number of vertices at distance m from x and n from y, an integer
+    (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 1989).  Keys run
+    m+n, |m-n|, then the odd and the even steps from |m-n| upwards."""
+    a, b = params.a, params.b
+    if m == 0 or n == 0:
+        return {m + n: 1}
+    mn, lo, q = min(m, n), abs(m - n), (a - 1) * (b - 1)
+    p = {m + n: 1, lo: q ** mn if lo else haar_weight(mn, params)}
+    if b > 2:
+        for k in range(mn):
+            p[lo + 2 * k + 1] = (b - 2) * q ** (mn - k - 1)
+    if a > 2:
+        for k in range(mn - 1):
+            p[lo + 2 * k + 2] = (a - 2) * (b - 1) * q ** (mn - k - 2)
+    return p
+
+
 def g_coeffs(m: int, n: int, params: DTParams) -> dict:
     """Exact linearization coefficients of delta_m * delta_n.
 
     Supported on [|m-n|, m+n] with the same parity pattern as the distance
     distribution of two spheres; nonnegative rationals summing to 1.
     """
-    a, b = params.a, params.b
-    if m == 0 or n == 0:
-        return {m + n: Fraction(1)}
-    mn = min(m, n)
-    lo = abs(m - n)
-    g = {
-        m + n: Fraction(a - 1, a),
-        lo: Fraction(1, a * (a - 1) ** (mn - 1) * (b - 1) ** mn),
-    }
-    if b > 2:
-        for k in range(mn):
-            g[lo + 2 * k + 1] = Fraction(
-                b - 2, a * (a - 1) ** (mn - k - 1) * (b - 1) ** (mn - k))
-    if a > 2:
-        for k in range(mn - 1):
-            g[lo + 2 * k + 2] = Fraction(
-                a - 2, a * (a - 1) ** (mn - k - 1) * (b - 1) ** (mn - k - 1))
-    return g
+    hmn = haar_weight(m, params) * haar_weight(n, params)
+    return {k: Fraction(p * haar_weight(k, params), hmn)
+            for k, p in intersection_numbers(m, n, params).items()}
 
 
 def poly_eval(n: int, x, params: DTParams):
@@ -165,14 +171,17 @@ class PolyHypergroup:
     """The polynomial hypergroup on N_0 attached to Graph(a, b), with lazy
     exact coefficients, plus its positive-semicharacter deformations.
 
-    Undeformed instances carry exact Fractions; a deformation at x0 >= 1
-    rescales by alpha0(h) = P_h(x0) and works in doubles.
+    Undeformed instances are exact: they convolve over the integers with
+    the intersection numbers; a deformation at x0 >= 1 rescales by
+    alpha0(h) = P_h(x0) and works in doubles.
     """
 
     def __init__(self, params: DTParams, x0: float | None = None):
         self.params = params
         self.x0 = x0
         self._g_cache: dict = {}
+        self._p = lru_cache(maxsize=None)(
+            lambda m, n: intersection_numbers(m, n, params))
         if x0 is not None:
             self._alpha = lru_cache(maxsize=None)(
                 lambda h: poly_eval(h, x0, params))
@@ -198,13 +207,49 @@ class PolyHypergroup:
             self._g_cache[(m, n)] = base
         return self._g_cache[(m, n)]
 
-    def convolve(self, mu: dict, nu: dict) -> dict:
+    def _scaled(self, masses: dict):
+        """(v, den) with masses[m] / h(m) = v[m] / den over the integers, or
+        None when the instance is deformed or a mass is not rational."""
+        r = None if self.x0 is not None else _ratios(list(masses.values()))
+        if r is None:
+            return None
+        lcm = math.lcm(*(haar_weight(m, self.params) for m in masses))
+        return {m: a * (lcm // haar_weight(m, self.params))
+                for m, a in zip(masses, r[0])}, r[1] * lcm
+
+    def _unscaled(self, v: dict, den: int) -> dict:
+        return {k: Fraction(haar_weight(k, self.params) * c, den)
+                for k, c in v.items() if c != 0}
+
+    @staticmethod
+    def _combine(u: dict, v: dict, coeffs) -> dict:
+        """sum_{m,n} u[m] v[n] coeffs(m, n)[k] for every k, zeros kept."""
         out: dict = {}
-        for m, cm in mu.items():
-            for n, cn in nu.items():
-                for k, g in self.g(m, n).items():
-                    out[k] = out.get(k, 0) + cm * cn * g
-        return {k: v for k, v in out.items() if v != 0}
+        for m, x in u.items():
+            for n, y in v.items():
+                for k, c in coeffs(m, n).items():
+                    out[k] = out.get(k, 0) + x * y * c
+        return out
+
+    def convolve(self, mu: dict, nu: dict) -> dict:
+        """mu * nu.  Undeformed instances with rational masses convolve the
+        masses mu(m)/h(m) over the integers with the intersection numbers
+        and return Fractions; others sum with the coefficients g."""
+        su, sv = self._scaled(mu), self._scaled(nu)
+        if su and sv:
+            return self._unscaled(self._combine(su[0], sv[0], self._p), su[1] * sv[1])
+        return {k: v for k, v in self._combine(mu, nu, self.g).items() if v != 0}
+
+    def power(self, mu: dict, t: int) -> dict:
+        """t-fold convolution power of the law mu from delta_0, with the keys
+        in the order of repeated convolve calls.  Exact powers stay over the
+        integers and reduce to Fractions once."""
+        scaled = self._scaled(mu)
+        law, coeffs = (mu, self.g) if scaled is None else (scaled[0], self._p)
+        v = {self.identity: 1}
+        for _ in range(t):
+            v = {k: c for k, c in self._combine(v, law, coeffs).items() if c != 0}
+        return v if scaled is None else self._unscaled(v, scaled[1] ** t)
 
     def deform(self, x0: float) -> "PolyHypergroup":
         if self.x0 is not None:

@@ -2,15 +2,18 @@
 character tables, Fourier/Plancherel analysis, positive definiteness, dual
 convolution, and semicharacter deformations.
 
-Convolution tensors built from counting data are exact Fractions; everything
-spectral runs in double precision with an absolute tolerance of 1e-9 and a
-PSD eigenvalue floor of -1e-8.
+Convolution tensors built from counting data are exact: integer numerators
+over one common denominator.  Everything spectral runs in double precision
+with an absolute tolerance of 1e-9 and a PSD eigenvalue floor of -1e-8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -37,58 +40,120 @@ class DegenerateSpectrum(Exception):
     pass
 
 
-def _to_float_tensor(conv) -> np.ndarray:
-    return np.asarray(
-        [[[float(c) for c in row] for row in plane] for plane in conv], dtype=float)
+def _ratios(values):
+    """(integer numerators, common denominator) of rational values, or None
+    when any value is not rational."""
+    if not all(isinstance(v, numbers.Rational) for v in values):
+        return None
+    den = math.lcm(*(int(v.denominator) for v in values))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in values], den
 
 
-@dataclass(frozen=True)
+def _int_dtype(bound: int):
+    """int64 when integers of absolute value up to bound fit, else Python ints."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _absmax(a: np.ndarray) -> int:
+    return int(np.abs(a).max(initial=0))
+
+
 class FiniteHypergroup:
-    """Convolution tensor c[i][j][k] = (delta_i * delta_j)({k}).
+    """Convolution tensor c[i][j][k] = (delta_i * delta_j)({k}), stored once
+    as c = num / den.
 
-    conv entries are Fractions for counting-derived hypergroups and floats
-    otherwise; conv_f is the float view used by the spectral routines.
+    An exact hypergroup (is_exact) holds integer numerators num, int64 where
+    they fit and Python ints otherwise, over one common denominator den in
+    lowest terms; otherwise num is the float64 tensor and den = 1.  conv_f
+    is the float view used by the spectral routines; conv (nested tuples of
+    Fraction or float) and c(i, j, k) are read-only views built on demand.
     scheme_derived records whether the hypergroup came from a (generalized)
     scheme, which is what licenses the dual-convolution nonnegativity test.
+    The constructor takes conv as nested [i][j][k] rationals or floats.
     """
 
-    n: int
-    conv: tuple  # nested tuple [i][j][k] of Fraction or float
-    identity: int
-    involution: np.ndarray
-    scheme_derived: bool = False
-    conv_f: np.ndarray = field(default=None, compare=False)
+    def __init__(self, n: int, conv, identity: int, involution,
+                 scheme_derived: bool = False):
+        flat = [v for plane in conv for row in plane for v in row]
+        ratios = _ratios(flat)
+        if ratios is None:
+            num, den = np.asarray(flat, dtype=float), 1
+        else:
+            num, den = np.array(ratios[0], dtype=object), ratios[1]
+        self._set(num.reshape(n, n, n), den, identity, involution, scheme_derived)
 
-    def __post_init__(self):
-        object.__setattr__(self, "conv_f", _to_float_tensor(self.conv))
-        object.__setattr__(self, "involution",
-                           np.asarray(self.involution, dtype=np.int64))
+    @classmethod
+    def _of(cls, num, den, identity, involution, scheme_derived) -> "FiniteHypergroup":
+        h = cls.__new__(cls)
+        h._set(num, den, identity, involution, scheme_derived)
+        return h
 
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.conv[0][0][0], Fraction)
+    def _set(self, num, den, identity, involution, scheme_derived):
+        self.is_exact = num.dtype != float
+        if self.is_exact:
+            g = math.gcd(int(np.gcd.reduce(num.ravel())), den)
+            num, den = num // g, den // g
+            num = num.astype(_int_dtype(max(_absmax(num), den)))
+        num.setflags(write=False)
+        self.n, self.num, self.den = int(num.shape[0]), num, int(den)
+        self.identity = int(identity)
+        self.involution = np.asarray(involution, dtype=np.int64)
+        self.scheme_derived = bool(scheme_derived)
+
+    @cached_property
+    def conv_f(self) -> np.ndarray:
+        if not self.is_exact:
+            return self.num
+        if max(_absmax(self.num), self.den) < 2 ** 53:
+            return self.num / self.den      # both exact in float64: correctly rounded
+        return (self.num.astype(object) / self.den).astype(float)
+
+    @cached_property
+    def conv(self) -> tuple:
+        vals = self.num.tolist()
+        if self.is_exact:
+            vals = [[[Fraction(v, self.den) for v in row] for row in plane]
+                    for plane in vals]
+        return tuple(tuple(map(tuple, plane)) for plane in vals)
 
     def c(self, i: int, j: int, k: int):
-        return self.conv[i][j][k]
+        v = self.num[i, j, k]
+        return Fraction(int(v), self.den) if self.is_exact else float(v)
+
+    def _operator(self, w) -> tuple:
+        """(T, den): x -> x @ T / den is the right convolution by the weights
+        w, over Python integers when the tensor and w are exact, else in
+        floats with den = 1."""
+        nz = [j for j, v in enumerate(w) if v]
+        r = _ratios(w) if self.is_exact else None
+        if r is None:
+            return np.tensordot(np.asarray(w, dtype=float)[nz],
+                                self.conv_f[:, nz], axes=(0, 1)), 1
+        return np.tensordot(np.array(r[0], dtype=object)[nz],
+                            self.num[:, nz], axes=(0, 1)), r[1] * self.den
 
     def convolve(self, mu, nu):
         """Convolution of two weight vectors over D (exact if all inputs are)."""
-        exact = self.is_exact and not any(
-            isinstance(v, float) for v in list(mu) + list(nu))
-        zero = Fraction(0) if exact else 0.0
-        out = [zero] * self.n
-        for i, a in enumerate(mu):
-            if a == 0:
-                continue
-            for j, b in enumerate(nu):
-                if b == 0:
-                    continue
-                row = self.conv[i][j]
-                ab = a * b
-                for k in range(self.n):
-                    if row[k]:
-                        out[k] += ab * row[k]
-        return out
+        a = _ratios(list(mu))
+        T, den = self._operator(list(nu) if a else [float(v) for v in nu])
+        if T.dtype != object:
+            return (np.asarray(mu, dtype=float) @ T).tolist()
+        return [Fraction(v, den * a[1])
+                for v in (np.array(a[0], dtype=object) @ T).tolist()]
+
+    def power(self, mu: dict, t: int) -> dict:
+        """t-fold convolution power of the law mu (element -> mass), as a
+        dict of the nonzero masses; exact when the tensor and mu are.  Exact
+        powers run over Python integers and reduce to Fractions once."""
+        T, den = self._operator([mu.get(i, 0) for i in range(self.n)])
+        x = np.zeros(self.n, dtype=T.dtype)
+        x[self.identity] = 1
+        for _ in range(t):
+            x = x @ T
+        vals = x.tolist()
+        if T.dtype == object:
+            vals = [Fraction(v, den ** t) for v in vals]
+        return {i: v for i, v in enumerate(vals) if v != 0}
 
     def is_commutative(self, tol: float = TOL) -> bool:
         return bool(np.abs(self.conv_f - self.conv_f.transpose(1, 0, 2)).max() <= tol)
@@ -97,34 +162,32 @@ class FiniteHypergroup:
         return bool(np.array_equal(self.involution, np.arange(self.n)))
 
 
-def _freeze(tensor) -> tuple:
-    return tuple(tuple(tuple(row) for row in plane) for plane in tensor)
+def _rescaled(num, den, s, scale=1):
+    """(num', den') with num'/den' = scale * num[i,j,k]/den * s[k]/(s[i] s[j])
+    for positive integers s, in int64 when the values fit."""
+    s = [int(v) for v in s]
+    lcm = math.lcm(*s)
+    dt = _int_dtype(max(1, _absmax(num)) * scale * max(s) * lcm * lcm)
+    q = np.array([lcm // v for v in s], dtype=dt)
+    s = np.array(s, dtype=dt)
+    out = num.astype(dt) * scale * s[None, None, :]
+    return out * q[:, None, None] * q[None, :, None], den * lcm * lcm
 
 
 def from_scheme(scheme: AssociationScheme) -> FiniteHypergroup:
     """Bose-Mesner convolution c[i][j][k] = (w_k / (w_i w_j)) p_{i,j}^k,
     exact rationals."""
-    d = scheme.n_relations
-    w = scheme.valency
-    p = scheme.p
-    conv = [[[Fraction(int(w[k]) * int(p[i, j, k]), int(w[i]) * int(w[j]))
-              for k in range(d)] for j in range(d)] for i in range(d)]
-    return FiniteHypergroup(n=d, conv=_freeze(conv),
-                            identity=scheme.partition.identity_relation,
-                            involution=scheme.involution.copy(),
-                            scheme_derived=True)
+    num, den = _rescaled(scheme.p, 1, scheme.valency)
+    return FiniteHypergroup._of(num, den, scheme.partition.identity_relation,
+                                scheme.involution.copy(), scheme_derived=True)
 
 
 def from_generalized(gs: GeneralizedScheme) -> FiniteHypergroup:
     """Hypergroup with conv = the deformed tensor p~ of a generalized scheme."""
-    ptilde = verify_generalized(gs)
-    conv = [[[float(ptilde[i, j, k]) for k in range(gs.partition.n_relations)]
-             for j in range(gs.partition.n_relations)]
-            for i in range(gs.partition.n_relations)]
-    return FiniteHypergroup(n=gs.partition.n_relations, conv=_freeze(conv),
-                            identity=gs.partition.identity_relation,
-                            involution=_recover_involution(gs.partition),
-                            scheme_derived=True)
+    return FiniteHypergroup._of(verify_generalized(gs), 1,
+                                gs.partition.identity_relation,
+                                _recover_involution(gs.partition),
+                                scheme_derived=True)
 
 
 @dataclass
@@ -137,12 +200,17 @@ class HypergroupReport:
 
 def verify_hypergroup(h: FiniteHypergroup, tol: float = TOL,
                       raise_on_failure: bool = True) -> HypergroupReport:
-    """Check identity, support-of-identity, involution compatibility,
-    associativity, nonnegativity and normalization of the tensor."""
+    """Check finiteness, identity, support-of-identity, involution
+    compatibility, associativity, nonnegativity and normalization of the
+    tensor."""
     c = h.conv_f
     n, e, inv = h.n, h.identity, h.involution
     failures = []
 
+    # NaN compares false with every tolerance below, so it gets its own check
+    if not np.isfinite(c).all():
+        i, j, k = map(int, np.argwhere(~np.isfinite(c))[0])
+        failures.append(AxiomViolation("finite", (i, j, k)))
     if c.min() < -tol:
         i, j, k = map(int, np.argwhere(c < -tol)[0])
         failures.append(AxiomViolation("nonnegative", (i, j, k)))
@@ -190,8 +258,9 @@ def haar(h: FiniteHypergroup):
     Returns (left, right, unimodular); exact Fractions when the tensor is.
     """
     inv = h.involution
-    left = [1 / h.c(int(inv[x]), x, h.identity) if h.is_exact
-            else 1.0 / h.c(int(inv[x]), x, h.identity) for x in range(h.n)]
+    e_mass = h.num[inv, np.arange(h.n), h.identity].tolist()
+    left = ([Fraction(h.den, v) for v in e_mass] if h.is_exact
+            else [1.0 / v for v in e_mass])
     right = [left[int(inv[x])] for x in range(h.n)]
     unimodular = all(
         abs(float(a) - float(b)) <= TOL for a, b in zip(left, right))
@@ -229,40 +298,33 @@ def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED,
     if not h.is_commutative():
         raise NotCommutative("character theory requires a commutative hypergroup")
     n, e = h.n, h.identity
-    c = h.conv_f
-    B = [c[i] for i in range(n)]  # B[i][j, k] = c[i][j][k]
+    c = h.conv_f  # B_i = c[i], (B_i)_{jk} = c[i][j][k]
 
     rng = np.random.Generator(np.random.Philox(seed))
     last_err = None
     for _ in range(max_retries):
         wts = rng.dirichlet(np.ones(n))
-        M = sum(wt * Bi for wt, Bi in zip(wts, B))
+        M = sum(wt * Bi for wt, Bi in zip(wts, c))
         vals, vecs = scipy.linalg.eig(M)
         order = np.argsort(-vals.real)
         gaps = np.abs(np.diff(np.sort_complex(vals)))
         if gaps.size and gaps.min() < 1e-8:
             last_err = DegenerateSpectrum("eigenvalue gap below 1e-8")
             continue
-        rows = []
-        ok = True
-        for idx in order:
-            v = vecs[:, idx]
-            if abs(v[e]) < 1e-12:
-                ok = False
-                break
-            alpha = v / v[e]
-            # refine alpha(i) against each B_i and check multiplicativity
-            avals = np.array([(Bi @ alpha)[e] for Bi in B])
-            resid = max(np.abs(Bi @ alpha - avals[i] * alpha).max()
-                        for i, Bi in enumerate(B))
-            if resid > TOL:
-                ok = False
-                break
-            rows.append(avals)
-        if not ok:
+        V = vecs[:, order]
+        if (np.abs(V[e]) < 1e-12).any():
             last_err = DegenerateSpectrum("eigenvector refinement failed")
             continue
-        chars = np.array(sorted(rows, key=_char_sort_key))
+        alphas = V / V[e]
+        # refine alpha(i) against each B_i and check multiplicativity, for
+        # every eigenvector at once: BA[i, j, m] = (B_i alpha_m)_j
+        BA = c @ alphas
+        avals = BA[:, e, :].T                    # avals[m, i] = alpha_m(i)
+        resid = np.abs(BA - avals.T[:, None, :] * alphas[None, :, :]).max()
+        if resid > TOL:
+            last_err = DegenerateSpectrum("eigenvector refinement failed")
+            continue
+        chars = np.array(sorted(avals, key=_char_sort_key))
         left, _, _ = haar(h)
         omega = np.array([float(v) for v in left])
         omega = omega / omega[e]
@@ -323,10 +385,7 @@ def positive_definite_check(h: FiniteHypergroup, f, table: CharacterTable | None
     mu = table.plancherel * fourier(f, table)
     is_pd = bool(mu.real.min() >= -TOL and np.abs(mu.imag).max() <= TOL)
 
-    gram = np.empty((h.n, h.n), dtype=complex)
-    for k in range(h.n):
-        for l in range(h.n):
-            gram[k, l] = h.conv_f[k, int(h.involution[l])] @ f
+    gram = h.conv_f[:, h.involution] @ f
     herm = (gram + np.conj(gram.T)) / 2
     min_eig = float(np.linalg.eigvalsh(herm).min())
     gram_pd = min_eig >= -PSD_FLOOR
@@ -379,10 +438,10 @@ def semicharacter_deform(h: FiniteHypergroup, alpha0) -> FiniteHypergroup:
     if resid > TOL:
         raise NotASemicharacter(resid)
 
-    exact = h.is_exact and all(isinstance(v, (Fraction, int)) for v in a)
-    vals = [Fraction(v) for v in a] if exact else [float(v) for v in af]
-    conv = [[[vals[k] / (vals[i] * vals[j]) * h.conv[i][j][k]
-              for k in range(h.n)] for j in range(h.n)] for i in range(h.n)]
-    return FiniteHypergroup(n=h.n, conv=_freeze(conv), identity=h.identity,
-                            involution=h.involution.copy(),
-                            scheme_derived=False)
+    ratios = _ratios(a) if h.is_exact else None
+    if ratios is None:
+        num, den = af / (af[:, None, None] * af[None, :, None]) * h.conv_f, 1
+    else:   # alpha0 = s / S: c~ = S c s_k / (s_i s_j)
+        num, den = _rescaled(h.num, h.den, ratios[0], scale=ratios[1])
+    return FiniteHypergroup._of(num, den, h.identity, h.involution.copy(),
+                                scheme_derived=False)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypergroup import FiniteHypergroup, _freeze
+from .hypergroup import FiniteHypergroup, _ratios
 from .scheme import GeneralizedScheme, RelationPartition
 
 
@@ -66,26 +66,39 @@ def scheme_from_dict(data: dict):
 
 
 def hypergroup_to_dict(h: FiniteHypergroup) -> dict:
+    if h.is_exact:      # each distinct numerator is encoded once
+        vals = np.unique(h.num)
+        text = [encode_number(Fraction(v, h.den)) for v in vals.tolist()]
+        conv = np.array(text, dtype=object)[np.searchsorted(vals, h.num)]
+    else:
+        conv = np.array([encode_number(v) for v in h.num.ravel().tolist()],
+                        dtype=object).reshape(h.num.shape)
     return {
         "n": h.n,
         "identity": h.identity,
         "involution": h.involution.tolist(),
-        "conv": [[[encode_number(c) for c in row] for row in plane]
-                 for plane in h.conv],
+        "conv": conv.tolist(),
     }
 
 
 def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
-    conv = [[[decode_number(c) for c in row] for row in plane]
-            for plane in data["conv"]]
-    exact = all(isinstance(c, Fraction) for plane in conv for row in plane
-                for c in row)
-    if not exact:
-        conv = [[[float(c) for c in row] for row in plane] for plane in conv]
-    return FiniteHypergroup(
-        n=int(data["n"]), conv=_freeze(conv), identity=int(data["identity"]),
-        involution=np.asarray(data["involution"], dtype=np.int64),
-        scheme_derived=bool(data.get("scheme_derived", False)))
+    """Each distinct entry is decoded once; rational entries go straight
+    into integer numerators over their least common denominator, and any
+    float entry makes the tensor float."""
+    n = int(data["n"])
+    flat = [v for plane in data["conv"] for row in plane for v in row]
+    distinct = list(set(flat))
+    values = [decode_number(v) for v in distinct]
+    ratios = None if float in set(map(type, flat)) else _ratios(values)
+    if ratios is None:
+        value, den = dict(zip(distinct, map(float, values))), 1
+    else:
+        value, den = dict(zip(distinct, ratios[0])), ratios[1]
+    num = np.array([value[v] for v in flat], dtype=float if ratios is None else object)
+    return FiniteHypergroup._of(
+        num.reshape(n, n, n), den, int(data["identity"]),
+        np.asarray(data["involution"], dtype=np.int64),
+        bool(data.get("scheme_derived", False)))
 
 
 def group_from_dict(data: dict) -> np.ndarray:

@@ -12,7 +12,6 @@ run with fewer without changing its first trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -76,23 +75,9 @@ def convolution_power(hg, mu: StepDistribution, t: int,
     if isinstance(hg, PolyHypergroup):
         if t * mu.max_support > support_cap:
             raise SupportCap(f"support would exceed {support_cap}")
-        convolve = hg.convolve
-        identity = hg.identity
-    elif isinstance(hg, FiniteHypergroup):
-        def convolve(p, q):
-            pv = [p.get(i, 0) for i in range(hg.n)]
-            qv = [q.get(i, 0) for i in range(hg.n)]
-            out = hg.convolve(pv, qv)
-            return {i: v for i, v in enumerate(out) if v != 0}
-        identity = hg.identity
-    else:
+    elif not isinstance(hg, FiniteHypergroup):
         raise TypeError("unsupported hypergroup type")
-    one = Fraction(1) if all(
-        isinstance(v, (Fraction, int)) for v in mu.weights.values()) else 1.0
-    dist = {identity: one}
-    for _ in range(t):
-        dist = convolve(dist, mu.weights)
-    return dist
+    return hg.power(mu.weights, t)
 
 
 @dataclass

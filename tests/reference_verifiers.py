@@ -3,12 +3,16 @@
 The loops are kept as they were, without type hints and exception messages,
 so the differential tests can assert that the array kernels return the same
 tensors, the same first failure and the same witness.  Not part of the
-library; d^3 masked scans, d^4 tensors and an n^3 group-table scan.
+library; d^3 masked scans, d^4 tensors, an n^3 group-table scan and one
+character refinement matvec per eigenvector and operator.
 """
 
 import numpy as np
+import scipy.linalg
 
-from hyperscheme.hypergroup import HypergroupReport
+from hyperscheme.hypergroup import (DEFAULT_SEED, CharacterTable,
+                                    DegenerateSpectrum, HypergroupReport,
+                                    NotCommutative, _char_sort_key, haar)
 from hyperscheme.scheme import (AssociationScheme, AxiomViolation, NotAGroup,
                                 NotASubgroup, RelationPartition)
 
@@ -237,3 +241,60 @@ def verify_hypergroup(h, tol=1e-9):
 
     return HypergroupReport(ok=not failures, commutative=h.is_commutative(),
                             symmetric=h.is_symmetric(), failures=failures)
+
+
+def characters(h, seed=DEFAULT_SEED, max_retries=5):
+    """One refinement matvec per (eigenvector, B_i), as before the batched
+    product."""
+    if not h.is_commutative():
+        raise NotCommutative("character theory requires a commutative hypergroup")
+    n, e = h.n, h.identity
+    c = h.conv_f
+    B = [c[i] for i in range(n)]
+    rng = np.random.Generator(np.random.Philox(seed))
+    last_err = None
+    for _ in range(max_retries):
+        wts = rng.dirichlet(np.ones(n))
+        M = sum(wt * Bi for wt, Bi in zip(wts, B))
+        vals, vecs = scipy.linalg.eig(M)
+        order = np.argsort(-vals.real)
+        gaps = np.abs(np.diff(np.sort_complex(vals)))
+        if gaps.size and gaps.min() < 1e-8:
+            last_err = DegenerateSpectrum("eigenvalue gap below 1e-8")
+            continue
+        rows = []
+        ok = True
+        for idx in order:
+            v = vecs[:, idx]
+            if abs(v[e]) < 1e-12:
+                ok = False
+                break
+            alpha = v / v[e]
+            avals = np.array([(Bi @ alpha)[e] for Bi in B])
+            resid = max(np.abs(Bi @ alpha - avals[i] * alpha).max()
+                        for i, Bi in enumerate(B))
+            if resid > 1e-9:
+                ok = False
+                break
+            rows.append(avals)
+        if not ok:
+            last_err = DegenerateSpectrum("eigenvector refinement failed")
+            continue
+        chars = np.array(sorted(rows, key=_char_sort_key))
+        left, _, _ = haar(h)
+        omega = np.array([float(v) for v in left])
+        omega = omega / omega[e]
+        norms = (omega[None, :] * np.abs(chars) ** 2).sum(axis=1)
+        return CharacterTable(chars=chars, haar=omega, plancherel=1.0 / norms,
+                              seed=seed)
+    raise last_err or DegenerateSpectrum("joint diagonalization failed")
+
+
+def finite_rigidity_check(gs):
+    """Renormalized adjacency from a second verify_scheme, as before."""
+    scheme = verify_scheme(gs.partition)
+    for i in range(gs.partition.n_relations):
+        adj = gs.partition.adjacency(i)
+        if np.abs(gs.kernels[i] - adj / float(scheme.valency[i])).max() > 1e-8:
+            return False
+    return True

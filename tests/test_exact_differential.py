@@ -1,0 +1,292 @@
+"""Differential tests: the integer numerator tensors against the nested
+Fraction algebra in reference_exact.py (equal Fraction tensors, equal
+convolution powers, byte-identical "p/q" JSON), plus property tests of
+double-coset hypergroups of random subgroups."""
+
+import json
+from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import hyperscheme as hs
+import reference_exact as ref
+import reference_verifiers as refv
+from hyperscheme import io as hio
+from test_verifiers_differential import (dihedral_table, symmetric_table,
+                                         young_subgroup)
+
+
+def _schemes():
+    out = {"k3": hs.verify_scheme(hs.RelationPartition(
+        3, 2, np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])))}
+    for m in (3, 4, 5, 6, 8, 9, 12):
+        out[f"D{m}"] = hs.from_double_cosets(dihedral_table(m), [0, m + 1])[1]
+    out["D6/rot"] = hs.from_double_cosets(dihedral_table(6), [0, 3])[1]
+    for k, part in ((4, 1), (4, 2), (5, 2)):
+        perms, table = symmetric_table(k)
+        out[f"S{k}/{part}"] = hs.from_double_cosets(table, young_subgroup(perms, part))[1]
+    return out
+
+
+SCHEMES = _schemes()
+NAMES = sorted(SCHEMES)
+HYPERGROUPS = {name: hs.from_scheme(s) for name, s in SCHEMES.items()}
+# the same hypergroups as reference_exact sees them, built by the old code
+REFS = {name: SimpleNamespace(n=h.n, conv=ref.from_scheme(SCHEMES[name]),
+                              identity=h.identity, involution=h.involution)
+        for name, h in HYPERGROUPS.items()}
+SMALL = [name for name in NAMES if HYPERGROUPS[name].n <= 5]
+
+
+def _as_floats(conv):
+    return np.array([[[float(v) for v in row] for row in plane] for plane in conv])
+
+
+def _json(d):
+    return json.dumps(d, indent=1)
+
+
+def _ref_json(h, conv):
+    return _json(ref.hypergroup_to_dict(h.n, conv, h.identity, h.involution.tolist()))
+
+
+def test_from_scheme_matches_reference():
+    for name in NAMES:
+        h, want = HYPERGROUPS[name], REFS[name].conv
+        assert h.is_exact and h.conv == want, name
+        assert h.conv_f.tobytes() == _as_floats(want).tobytes(), name
+        assert all(h.c(i, j, k) == want[i][j][k]
+                   for i in range(h.n) for j in range(h.n) for k in range(h.n))
+        assert _json(hio.hypergroup_to_dict(h)) == _ref_json(h, want), name
+
+
+@given(st.sampled_from(SMALL), st.sampled_from(SMALL))
+def test_product_and_join_match_reference(n1, n2):
+    h1, h2, r1, r2 = HYPERGROUPS[n1], HYPERGROUPS[n2], REFS[n1], REFS[n2]
+    for new, want, inv in ((hs.direct_product(h1, h2), ref.direct_product(r1, r2),
+                            ref.product_involution(r1, r2)),
+                           (hs.join(h1, h2), ref.join(r1, r2),
+                            ref.join_involution(r1, r2))):
+        assert new.conv == want
+        assert new.involution.tolist() == inv
+        assert _json(hio.hypergroup_to_dict(new)) == _ref_json(new, want)
+        assert hs.verify_hypergroup(new).ok
+
+
+def test_library_paths_never_build_conv(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the nested conv view was built")
+
+    monkeypatch.setattr(hs.FiniteHypergroup, "conv", property(forbidden))
+    h = hs.from_scheme(SCHEMES["D8"])
+    law = hs.StepDistribution({1: Fraction(1, 3), 2: Fraction(2, 3)})
+    for x in (h, hs.direct_product(h, h), hs.join(h, HYPERGROUPS["k3"])):
+        x = hio.hypergroup_from_dict(hio.hypergroup_to_dict(x))
+        assert hs.verify_hypergroup(x).ok
+        hs.haar(x)
+        hs.characters(x)
+        hs.convolution_power(x, law, 4)
+        hs.semicharacter_deform(x, [1] * x.n)
+
+
+def _law(draw, support):
+    """A random exact probability law on support (element -> Fraction)."""
+    ks = [draw(st.integers(1, 9)) for _ in support]
+    den = draw(st.sampled_from([sum(ks), 7 * sum(ks), 2 ** 40 + 15]))
+    weights = {s: Fraction(k, den) for s, k in zip(support, ks)}
+    weights[support[0]] += 1 - sum(weights.values())
+    return weights
+
+
+@st.composite
+def finite_walks(draw):
+    name = draw(st.sampled_from(NAMES))
+    n = HYPERGROUPS[name].n
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    return name, _law(draw, support), draw(st.integers(0, 8))
+
+
+@given(finite_walks())
+def test_finite_power_matches_reference(case):
+    name, law, t = case
+    h, r = HYPERGROUPS[name], REFS[name]
+    got = hs.convolution_power(h, hs.StepDistribution(law), t)
+    assert got == ref.finite_power(r.conv, r.identity, law, t)
+    assert all(isinstance(v, Fraction) for v in got.values())
+    mu = [got.get(i, 0) for i in range(h.n)]
+    nu = [law.get(i, 0) for i in range(h.n)]
+    assert h.convolve(mu, nu) == ref.convolve(r.conv, mu, nu)
+
+
+@st.composite
+def poly_walks(draw):
+    a, b = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    support = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    return a, b, _law(draw, support), draw(st.integers(0, 12))
+
+
+@given(poly_walks())
+def test_poly_power_matches_reference(case):
+    a, b, law, t = case
+    hg = hs.PolyHypergroup(hs.DTParams(a, b))
+    got = hs.convolution_power(hg, hs.StepDistribution(law), t)
+    want = ref.poly_power(a, b, law, t)
+    assert list(got.items()) == list(want.items())      # same values, same order
+    assert list(hg.convolve(got, law).items()) == \
+        list(ref.poly_convolve(a, b, got, law).items())
+
+
+@given(st.sampled_from(NAMES), st.integers(0, 3), st.integers(0, 2 ** 16))
+def test_translation_t1_matches_reference(name, bumps, seed):
+    sch = SCHEMES[name]
+    rng = np.random.default_rng(seed)
+    p = sch.p.copy()
+    for _ in range(bumps):
+        p[tuple(rng.integers(0, sch.n_relations, 3))] += 1
+    bumped = hs.AssociationScheme(sch.partition, sch.involution, p, sch.valency)
+    assert hs.translation_property_check(bumped)[0] == ref.translation_t1(bumped)
+
+
+def test_intersection_numbers_count_ball_vertices():
+    """p_{m,n}^k counts the vertices at distance m from the root and n from
+    a vertex at distance k, all of which lie in the ball."""
+    for a, b in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        params = hs.DTParams(a, b)
+        ball = hs.build_ball(params, 4)
+        D = ball.dist_matrix
+        for k in range(5):
+            y = int(np.argmax(D[0] == k))
+            for m in range(5):
+                for n in range(5):
+                    count = int(((D[0] == m) & (D[y] == n)).sum())
+                    assert hs.intersection_numbers(m, n, params).get(k, 0) == count
+
+
+# denominators whose least common multiple passes 2**63
+BIG_PRIMES = [2 ** 61 - 1, 2 ** 31 - 1, 1_000_003]
+
+
+@st.composite
+def exact_tensors(draw):
+    """JSON exact tensors: "p/q" strings (unreduced, signed), integer
+    strings and ints, positive in the plane c[e] and at every c[x][y][e],
+    so the Haar weights of the join exist."""
+    n = draw(st.integers(1, 3))
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 10] + BIG_PRIMES),
+                         min_size=1, max_size=4))
+    entries = []
+    for i in range(n ** 3):
+        q = draw(st.sampled_from(dens))
+        p = draw(st.integers(1 if i < n * n or i % n == 0 else -3, 20))
+        form = draw(st.sampled_from(["frac", "frac", "str", "int"]))
+        entries.append(f"{p * q}/{q * q}" if form == "frac" else
+                       str(p) if form == "str" else p)
+    conv = np.array(entries, dtype=object).reshape(n, n, n).tolist()
+    return {"n": n, "identity": 0, "involution": list(range(n)), "conv": conv}
+
+
+def _check_exact(h, want):
+    assert h.is_exact and h.conv == want
+    assert h.conv_f.tobytes() == _as_floats(want).tobytes()
+    assert _json(hio.hypergroup_to_dict(h)) == _ref_json(h, want)
+
+
+@given(exact_tensors())
+def test_exact_json_tensors_match_reference(data):
+    h = hio.hypergroup_from_dict(data)
+    want = ref.decode_conv(data)
+    _check_exact(h, want)
+    r = SimpleNamespace(n=h.n, conv=want, identity=0, involution=h.involution)
+    _check_exact(hs.direct_product(h, h), ref.direct_product(r, r))
+    _check_exact(hs.join(h, h), ref.join(r, r))
+    vec = [want[0][0][k] for k in range(h.n)]
+    assert h.convolve(vec, vec[::-1]) == ref.convolve(want, vec, vec[::-1])
+    law = {k: Fraction(1, h.n) for k in range(h.n)}
+    assert h.power(law, 3) == ref.finite_power(want, 0, law, 3)
+
+
+def test_json_tensor_with_integral_floats_stays_float():
+    # 1 == 1.0 and 0 == 0.0 share a hash, so decoding each distinct entry
+    # once must still see the float entries
+    conv = [[[1, 0], [0, 1]], [[0, 1.0], [1, 0.0]]]
+    data = {"n": 2, "identity": 0, "involution": [0, 1], "conv": conv}
+    h = hio.hypergroup_from_dict(data)
+    assert not h.is_exact and h.conv == ref.decode_conv(data)
+    assert _json(hio.hypergroup_to_dict(h)) == _ref_json(h, ref.decode_conv(data))
+
+
+def test_tensor_with_denominator_past_int64():
+    q = BIG_PRIMES
+    conv = [[[f"1/{q[0]}", f"{q[0] - 1}/{q[0]}"], [f"2/{q[1]}", f"{q[1] - 2}/{q[1]}"]],
+            [[f"3/{q[2]}", f"{q[2] - 3}/{q[2]}"], ["1/2", "1/2"]]]
+    data = {"n": 2, "identity": 0, "involution": [0, 1], "conv": conv}
+    h = hio.hypergroup_from_dict(data)
+    assert h.den == q[0] * q[1] * q[2] * 2 >= 2 ** 63 and h.num.dtype == object
+    want = ref.decode_conv(data)
+    _check_exact(h, want)
+    r = SimpleNamespace(n=2, conv=want, identity=0, involution=h.involution)
+    prod = hs.direct_product(h, h)
+    assert prod.den >= 2 ** 126
+    _check_exact(prod, ref.direct_product(r, r))
+    _check_exact(hs.join(h, h), ref.join(r, r))
+    law = {0: Fraction(1, 3), 1: Fraction(2, 3)}
+    assert h.power(law, 5) == ref.finite_power(want, 0, law, 5)
+
+
+def _subgroup(table, gens):
+    """The subgroup generated by gens (identity 0)."""
+    H = {0}
+    frontier = set(gens) | {0}
+    while frontier:
+        H |= frontier
+        frontier = {int(table[a, b]) for a in H for b in H} - H
+    return sorted(H)
+
+
+GROUPS = [symmetric_table(3)[1], symmetric_table(4)[1]] + \
+    [dihedral_table(m) for m in (4, 5, 6)]
+
+
+@given(st.sampled_from(range(len(GROUPS))), st.lists(st.integers(0, 23), max_size=2))
+def test_double_coset_hypergroups_of_random_subgroups(g, gens):
+    table = GROUPS[g]
+    H = _subgroup(table, [x % len(table) for x in gens])
+    _, sch = hs.from_double_cosets(table, H)
+    h = hs.from_scheme(sch)
+    assert hs.verify_hypergroup(h).ok
+    left, right, unimodular = hs.haar(h)
+    assert left == [Fraction(int(v)) for v in sch.valency] and unimodular
+    if h.is_commutative():
+        chars = hs.characters(h)
+        assert abs(chars.plancherel.sum() - 1) <= 1e-8
+        assert np.allclose(chars.haar, [float(v) for v in left])
+
+
+def _character_cases():
+    hgs = [HYPERGROUPS[name] for name in NAMES]
+    hgs += [hs.direct_product(HYPERGROUPS["k3"], HYPERGROUPS["D5"]),
+            hs.join(HYPERGROUPS["D4"], HYPERGROUPS["S4/1"]),
+            hs.from_generalized(hs.canonical_generalized(SCHEMES["D8"]))]
+    return hgs
+
+
+def _table_or_error(fn, h):
+    try:
+        return fn(h)
+    except (hs.NotCommutative, hs.DegenerateSpectrum) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("h", _character_cases())
+def test_characters_match_reference(h):
+    got, want = _table_or_error(hs.characters, h), _table_or_error(refv.characters, h)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.chars.shape == want.chars.shape
+    assert np.abs(got.chars - want.chars).max() <= 1e-12
+    assert np.abs(got.plancherel - want.plancherel).max() <= 1e-12
+    assert np.array_equal(got.haar, want.haar)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import hyperscheme as hs
-from hyperscheme.hypergroup import _freeze
 
 
 def test_from_scheme_k3(k3_hypergroup):
@@ -43,12 +42,24 @@ def test_verify_rejects_broken_support(k3_hypergroup):
     assert exc.value.axiom_id == "support-of-identity"
 
 
+def test_verify_rejects_nan(k3_hypergroup):
+    conv = [[list(row) for row in plane] for plane in k3_hypergroup.conv]
+    conv[1][1][1] = float("nan")
+    h = hs.FiniteHypergroup(n=2, conv=conv, identity=0, involution=[0, 1])
+    report = hs.verify_hypergroup(h, raise_on_failure=False)
+    assert not report.ok
+    assert (report.failures[0].axiom_id, report.failures[0].witness) == ("finite", (1, 1, 1))
+    with pytest.raises(hs.AxiomViolation) as exc:
+        hs.verify_hypergroup(h)
+    assert exc.value.axiom_id == "finite"
+
+
 def test_verify_rejects_random_tensor():
     rng = np.random.default_rng(5)
     conv = rng.dirichlet(np.ones(3), size=(3, 3))
     conv[0] = np.eye(3)
     conv[:, 0] = np.eye(3)
-    h = hs.FiniteHypergroup(n=3, conv=_freeze(conv.tolist()), identity=0,
+    h = hs.FiniteHypergroup(n=3, conv=conv.tolist(), identity=0,
                             involution=np.array([0, 1, 2]))
     report = hs.verify_hypergroup(h, raise_on_failure=False)
     assert not report.ok
@@ -118,7 +129,7 @@ def test_characters_require_commutative():
         for j in range(6):
             conv[i, j, table[i, j]] = 1.0
     inv = np.array([int(np.nonzero(table[g] == 0)[0][0]) for g in range(6)])
-    h = hs.FiniteHypergroup(n=6, conv=_freeze(conv.tolist()), identity=0,
+    h = hs.FiniteHypergroup(n=6, conv=conv.tolist(), identity=0,
                             involution=inv)
     with pytest.raises(hs.NotCommutative):
         hs.characters(h)

@@ -7,6 +7,7 @@ import pytest
 
 import hyperscheme as hs
 from hyperscheme import io as hio
+from hyperscheme import scheme
 from hyperscheme.cli import main
 
 
@@ -85,6 +86,42 @@ def test_cosets(files, capsys):
 
 def test_cosets_bad_subgroup(files, capsys):
     assert main(["cosets", files["s3"], "0,4"]) == 1
+
+
+@pytest.mark.parametrize("subgroup", ["0,9", "0,-1"])
+def test_cosets_index_out_of_range_cmd(files, subgroup, capsys):
+    assert main(["cosets", files["s3"], subgroup, "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert "0..5" in report["results"]["message"]
+
+
+def test_verify_generalized_runs_verify_scheme_once(files, monkeypatch, capsys):
+    assert main(["verify", files["k3gs"], "--json"]) == 0
+    before = capsys.readouterr().out
+    calls = []
+
+    def counted(partition):
+        calls.append(partition)
+        return verify_scheme(partition)
+
+    verify_scheme = scheme.verify_scheme
+    monkeypatch.setattr(scheme, "verify_scheme", counted)
+    assert main(["verify", files["k3gs"], "--json"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == before
+
+
+def test_product_nan_cmd(files, tmp_path, capsys):
+    data = hio.load(files["k3hg"])
+    data["conv"][1][1][1] = float("nan")
+    path = str(tmp_path / "nan.json")
+    hio.save(path, data)
+    out = str(tmp_path / "prod.json")
+    assert main(["product", path, path, "--out", out, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    assert "finite" in report["results"]["message"]
 
 
 def test_characters_cmd(files, capsys):

@@ -237,6 +237,16 @@ def test_generalized_ptilde_bit_identical():
         assert got.tobytes() == want.tobytes()
 
 
+def test_rigidity_verdicts_match_reference():
+    rng = np.random.default_rng(9)
+    for gs in GENERALIZED:
+        noisy = gs.kernels + rng.uniform(0, 0.1, gs.kernels.shape) * (gs.kernels > 0)
+        noisy /= noisy.sum(axis=2, keepdims=True)
+        for kernels in (gs.kernels, noisy):
+            cand = hs.GeneralizedScheme(gs.partition, kernels, gs.omega_x)
+            assert hs.finite_rigidity_check(cand) == ref.finite_rigidity_check(cand)
+
+
 def _rectangles(gs, limit=40):
     """Cells x, x' and y, y' with all four (x|x', y|y') in one relation i."""
     lab = gs.partition.label
