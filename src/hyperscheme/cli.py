@@ -2,7 +2,7 @@
 tables, dual convolutions, deformations, clique-tree graph reports,
 products/joins, and random walks.
 
-Exit codes: 0 pass, 1 failed check or axiom violation, 2 usage or I/O error.
+Exit codes: 0 pass, 1 failed check or axiom violation, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -17,27 +17,29 @@ from . import constructions, dtgraph, io, scheme, walks
 from . import hypergroup as hg
 from .hypergroup import TOL, PSD_FLOOR
 
-EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT = {"pass": 0, "fail": 1, "error": 2}
+
+# exceptions that mean the input is unusable: status "error", exit 2
+INPUT_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError,
+                dtgraph.DomainError, dtgraph.BallTooLarge,
+                dtgraph.UnsupportedParams, dtgraph.NonUniqueMinimizer)
+# exceptions that mean a check ran and failed: status "fail", exit 1
+CHECK_FAILURES = (scheme.AxiomViolation, scheme.NotAGroup, scheme.NotASubgroup,
+                  scheme.NotUnimodular, hg.NotCommutative, hg.DegenerateSpectrum,
+                  hg.NotASemicharacter, walks.WalkWouldExitBall,
+                  walks.SupportCap, walks.ParameterMismatch,
+                  dtgraph.QuadratureFailure)
 
 
-def _report(args, command: str, status: str, results: dict, seed=None) -> dict:
-    rep = {
-        "command": command,
-        "status": status,
-        "results": results,
-        "tolerances": {"abs": TOL, "psd_floor": -PSD_FLOOR},
-    }
-    if seed is not None:
-        rep["seed"] = seed
-    return rep
-
-
-def _emit(args, rep: dict):
-    if args.json:
-        print(json.dumps(rep, indent=1, default=io.encode_number))
-    else:
-        print(f"[{rep['status']}] {rep['command']}")
-        _print_human(rep["results"], indent="  ")
+def _failure(exc: Exception) -> dict:
+    """Results of a failed check: its message, plus the axiom and witness of
+    an axiom violation or the residual of a failed semicharacter."""
+    if isinstance(exc, scheme.AxiomViolation):
+        return {"axiom": exc.axiom_id, "witness": list(exc.witness or []),
+                "message": str(exc)}
+    if isinstance(exc, hg.NotASemicharacter):
+        return {"message": str(exc), "residual": repr(exc.residual)}
+    return {"message": str(exc)}
 
 
 def _print_human(obj, indent=""):
@@ -61,48 +63,30 @@ def _complex_to_jsonable(z):
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def cmd_verify(args) -> int:
-    data = io.load(args.file)
-    obj = io.scheme_from_dict(data)
-    try:
-        if isinstance(obj, scheme.GeneralizedScheme):
-            ptilde = scheme.verify_generalized(obj)
-            rigid = scheme.finite_rigidity_check(obj)
-            results = {"kind": "generalized", "p_tilde": ptilde.tolist(),
-                       "rigidity": rigid}
-        else:
-            sch = scheme.verify_scheme(obj)
-            results = {
-                "kind": "scheme",
-                "n_relations": sch.n_relations,
-                "involution": sch.involution.tolist(),
-                "valency": sch.valency.tolist(),
-                "p": sch.p.tolist(),
-                "commutative": sch.is_commutative(),
-                "symmetric": sch.is_symmetric(),
-                "unimodular": sch.is_unimodular(),
-            }
-    except scheme.AxiomViolation as exc:
-        _emit(args, _report(args, "verify", "fail", {
-            "axiom": exc.axiom_id, "witness": list(exc.witness or []),
-            "message": str(exc)}))
-        return EXIT_FAIL
-    _emit(args, _report(args, "verify", "pass", results))
-    return EXIT_PASS
+def cmd_verify(args):
+    obj = io.scheme_from_dict(io.load(args.file))
+    if isinstance(obj, scheme.GeneralizedScheme):
+        ptilde = scheme.verify_generalized(obj)
+        rigid = scheme.finite_rigidity_check(obj)
+        return "pass", {"kind": "generalized", "p_tilde": ptilde.tolist(),
+                        "rigidity": rigid}
+    sch = scheme.verify_scheme(obj)
+    return "pass", {
+        "kind": "scheme",
+        "n_relations": sch.n_relations,
+        "involution": sch.involution.tolist(),
+        "valency": sch.valency.tolist(),
+        "p": sch.p.tolist(),
+        "commutative": sch.is_commutative(),
+        "symmetric": sch.is_symmetric(),
+        "unimodular": sch.is_unimodular(),
+    }
 
 
-def cmd_cosets(args) -> int:
-    data = io.load(args.group_file)
-    table = io.group_from_dict(data)
-    try:
-        subgroup = [int(s) for s in args.subgroup.split(",")]
-        coset_of, sch = scheme.from_double_cosets(table, subgroup)
-    except ValueError as exc:
-        _emit(args, _report(args, "cosets", "error", {"message": str(exc)}))
-        return EXIT_USAGE
-    except (scheme.NotAGroup, scheme.NotASubgroup, scheme.AxiomViolation) as exc:
-        _emit(args, _report(args, "cosets", "fail", {"message": str(exc)}))
-        return EXIT_FAIL
+def cmd_cosets(args):
+    table = io.group_from_dict(io.load(args.group_file))
+    subgroup = [int(s) for s in args.subgroup.split(",")]
+    coset_of, sch = scheme.from_double_cosets(table, subgroup)
     results = {
         "n_cosets": sch.n_points,
         "n_double_cosets": sch.n_relations,
@@ -111,59 +95,43 @@ def cmd_cosets(args) -> int:
         "scheme": io.scheme_to_dict(sch),
     }
     if args.out:
-        io.save(args.out, io.scheme_to_dict(sch))
-    _emit(args, _report(args, "cosets", "pass", results))
-    return EXIT_PASS
+        io.save(args.out, results["scheme"])
+    return "pass", results
 
 
-def cmd_characters(args) -> int:
-    h = io.hypergroup_from_dict(io.load(args.file))
-    try:
-        table = hg.characters(h, seed=args.seed)
-    except (hg.NotCommutative, hg.DegenerateSpectrum) as exc:
-        _emit(args, _report(args, "characters", "fail",
-                            {"message": str(exc)}, seed=args.seed))
-        return EXIT_FAIL
-    results = {
+def _load_hypergroup(path: str) -> hg.FiniteHypergroup:
+    """A hypergroup file, verified against the hypergroup axioms."""
+    h = io.hypergroup_from_dict(io.load(path))
+    hg.verify_hypergroup(h)
+    return h
+
+
+def cmd_characters(args):
+    table = hg.characters(_load_hypergroup(args.file), seed=args.seed)
+    return "pass", {
         "chars": [[_complex_to_jsonable(z) for z in row] for row in table.chars],
         "haar": table.haar.tolist(),
         "plancherel": table.plancherel.tolist(),
     }
-    _emit(args, _report(args, "characters", "pass", results, seed=args.seed))
-    return EXIT_PASS
 
 
-def cmd_dual(args) -> int:
-    h = io.hypergroup_from_dict(io.load(args.file))
-    try:
-        table = hg.characters(h, seed=args.seed)
-        coeffs = hg.dual_convolution(h, table, args.i, args.j)
-    except (hg.NotCommutative, hg.DegenerateSpectrum) as exc:
-        _emit(args, _report(args, "dual", "fail", {"message": str(exc)},
-                            seed=args.seed))
-        return EXIT_FAIL
+def cmd_dual(args):
+    h = _load_hypergroup(args.file)
+    table = hg.characters(h, seed=args.seed)
+    coeffs = hg.dual_convolution(h, table, args.i, args.j)
     nonneg = bool(coeffs.real.min() >= -1e-9)
     results = {"coefficients": [_complex_to_jsonable(z) for z in coeffs],
                "sum": float(coeffs.real.sum()), "nonnegative": nonneg}
-    status = "pass" if (not h.scheme_derived or nonneg) else "fail"
-    _emit(args, _report(args, "dual", status, results, seed=args.seed))
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
+    return ("pass" if (not h.scheme_derived or nonneg) else "fail"), results
 
 
-def cmd_deform(args) -> int:
-    h = io.hypergroup_from_dict(io.load(args.file))
+def cmd_deform(args):
+    h = _load_hypergroup(args.file)
     alpha = [io.decode_number(v) for v in args.alpha.split(",")]
-    try:
-        deformed = hg.semicharacter_deform(h, alpha)
-    except hg.NotASemicharacter as exc:
-        _emit(args, _report(args, "deform", "fail",
-                            {"message": str(exc), "residual": repr(exc.residual)}))
-        return EXIT_FAIL
-    out = io.hypergroup_to_dict(deformed)
+    out = io.hypergroup_to_dict(hg.semicharacter_deform(h, alpha))
     if args.out:
         io.save(args.out, out)
-    _emit(args, _report(args, "deform", "pass", {"hypergroup": out}))
-    return EXIT_PASS
+    return "pass", {"hypergroup": out}
 
 
 def _parse_grid(spec: str):
@@ -171,7 +139,7 @@ def _parse_grid(spec: str):
     return np.linspace(float(lo), float(hi), int(n))
 
 
-def cmd_dtgraph(args) -> int:
+def cmd_dtgraph(args):
     params = dtgraph.DTParams(args.a, args.b)
     s0, s1 = dtgraph.special_points(params)
     results = {"params": {"a": args.a, "b": args.b}, "s0": s0, "s1": s1}
@@ -224,53 +192,34 @@ def cmd_dtgraph(args) -> int:
             results["values"] = [
                 {"x": x, "P": [dtgraph.poly_eval(n, x, params)
                                for n in range(args.radius + 1)]} for x in xs]
-    _emit(args, _report(args, "dtgraph", status, results))
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
+    return status, results
 
 
-def _load_pair(f1: str, f2: str):
-    d1, d2 = io.load(f1), io.load(f2)
-    kind = "hypergroup" if "conv" in d1 else "scheme"
-    if ("conv" in d2) != (kind == "hypergroup"):
+def cmd_construction(args):
+    """product or join, after args.command, of two hypergroup files or two
+    kernel-family scheme files; only the result is verified."""
+    d1, d2 = io.load(args.file1), io.load(args.file2)
+    if ("conv" in d1) != ("conv" in d2):
         raise ValueError("both inputs must be the same kind of file")
-    return kind, d1, d2
-
-
-def _binary_construction(args, op_name: str) -> int:
-    try:
-        kind, d1, d2 = _load_pair(args.file1, args.file2)
-        if kind == "hypergroup":
-            h1, h2 = io.hypergroup_from_dict(d1), io.hypergroup_from_dict(d2)
-            fn = constructions.direct_product if op_name == "product" \
-                else constructions.join
-            result = fn(h1, h2)
-            hg.verify_hypergroup(result)
-            out = io.hypergroup_to_dict(result)
-        else:
-            g1, g2 = io.scheme_from_dict(d1), io.scheme_from_dict(d2)
-            for g in (g1, g2):
-                if not isinstance(g, scheme.GeneralizedScheme):
-                    raise ValueError("scheme files need kernels for constructions")
-            fn = constructions.direct_product_scheme if op_name == "product" \
-                else constructions.join_scheme
-            result = fn(g1, g2)
-            scheme.verify_generalized(result)
-            out = io.scheme_to_dict(result)
-    except (scheme.AxiomViolation, ValueError) as exc:
-        _emit(args, _report(args, op_name, "fail", {"message": str(exc)}))
-        return EXIT_FAIL
+    kind = "hypergroup" if "conv" in d1 else "scheme"
+    product = args.command == "product"
+    if kind == "hypergroup":
+        h1, h2 = io.hypergroup_from_dict(d1), io.hypergroup_from_dict(d2)
+        result = (constructions.direct_product if product else constructions.join)(h1, h2)
+        hg.verify_hypergroup(result)
+        out = io.hypergroup_to_dict(result)
+    else:
+        g1, g2 = io.scheme_from_dict(d1), io.scheme_from_dict(d2)
+        for g in (g1, g2):
+            if not isinstance(g, scheme.GeneralizedScheme):
+                raise ValueError("scheme files need kernels for constructions")
+        result = (constructions.direct_product_scheme if product
+                  else constructions.join_scheme)(g1, g2)
+        scheme.verify_generalized(result)
+        out = io.scheme_to_dict(result)
     if args.out:
         io.save(args.out, out)
-    _emit(args, _report(args, op_name, "pass", {kind: out}))
-    return EXIT_PASS
-
-
-def cmd_product(args) -> int:
-    return _binary_construction(args, "product")
-
-
-def cmd_join(args) -> int:
-    return _binary_construction(args, "join")
+    return "pass", {kind: out}
 
 
 def _parse_mu(spec: str) -> walks.StepDistribution:
@@ -319,42 +268,24 @@ def _walk_inputs(args):
     return mu, kernels, hgroup
 
 
-def cmd_walk(args) -> int:
-    start = 0
-    try:
-        mu, kernels, hgroup = _walk_inputs(args)
+def cmd_walk(args):
+    mu, kernels, hgroup = _walk_inputs(args)
+    if args.exact:
         exact = walks.convolution_power(hgroup, mu, args.steps)
-        exact_f = {int(k): float(v) for k, v in exact.items()}
-        if args.exact:
-            results = {"exact_projection": exact_f}
-            tv = 0.0
-        else:
-            walk = walks.simulate_walk(kernels, mu, args.steps, args.trials,
-                                       args.seed, start=start)
-            tv = walks.projection_check(walk, kernels, hgroup, mu, args.steps)
-            projected: dict = {}
-            for x, m in walk.empirical.items():
-                k = int(kernels.labels[start, x])
-                projected[k] = projected.get(k, 0.0) + m
-            results = {
-                "empirical": {str(k): v for k, v in sorted(projected.items())},
-                "exact_projection": {str(k): v for k, v in sorted(exact_f.items())},
-                "tv": tv,
-            }
-    except (ValueError, dtgraph.DomainError, dtgraph.BallTooLarge) as exc:
-        _emit(args, _report(args, "walk", "error", {"message": str(exc)},
-                            seed=args.seed))
-        return EXIT_USAGE
-    except (walks.WalkWouldExitBall, walks.SupportCap, walks.ParameterMismatch,
-            scheme.AxiomViolation, scheme.NotUnimodular) as exc:
-        _emit(args, _report(args, "walk", "fail", {"message": str(exc)},
-                            seed=args.seed))
-        return EXIT_FAIL
+        results = {"exact_projection": {int(k): float(v) for k, v in exact.items()}}
+        tv = 0.0
+    else:
+        walk = walks.simulate_walk(kernels, mu, args.steps, args.trials, args.seed)
+        exact, projected = walks._projected_laws(walk, kernels, hgroup, mu)
+        tv = walks.tv_distance(projected, exact)
+        results = {
+            "empirical": {str(k): v for k, v in sorted(projected.items())},
+            "exact_projection": {str(k): v for k, v in sorted(exact.items())},
+            "tv": tv,
+        }
     results["params"] = {"mu": args.mu, "steps": args.steps,
                          "trials": args.trials}
-    status = "pass" if tv <= 0.02 else "fail"
-    _emit(args, _report(args, "walk", status, results, seed=args.seed))
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
+    return ("pass" if tv <= 0.02 else "fail"), results
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,43 +295,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "graph deformations, and random walks.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help, seed=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable JSON report")
-        p.add_argument("--seed", type=int, default=hg.DEFAULT_SEED)
+        if seed:
+            p.add_argument("--seed", type=int, default=hg.DEFAULT_SEED)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("verify", help="verify a scheme or kernel-family file")
+    p = command("verify", cmd_verify, "verify a scheme or kernel-family file")
     p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("cosets", help="double-coset scheme of a group")
+    p = command("cosets", cmd_cosets, "double-coset scheme of a group")
     p.add_argument("group_file")
     p.add_argument("subgroup", help="comma-separated element indices")
     p.add_argument("--out")
-    common(p)
-    p.set_defaults(fn=cmd_cosets)
 
-    p = sub.add_parser("characters", help="character table of a hypergroup")
+    p = command("characters", cmd_characters, "character table of a hypergroup",
+                seed=True)
     p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_characters)
 
-    p = sub.add_parser("dual", help="dual convolution of two characters")
+    p = command("dual", cmd_dual, "dual convolution of two characters", seed=True)
     p.add_argument("file")
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
-    common(p)
-    p.set_defaults(fn=cmd_dual)
 
-    p = sub.add_parser("deform", help="semicharacter deformation")
+    p = command("deform", cmd_deform, "semicharacter deformation")
     p.add_argument("file")
     p.add_argument("--alpha", required=True, help="comma-separated values")
     p.add_argument("--out")
-    common(p)
-    p.set_defaults(fn=cmd_deform)
 
-    p = sub.add_parser("dtgraph", help="clique-tree graph family reports")
+    p = command("dtgraph", cmd_dtgraph, "clique-tree graph family reports")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--radius", type=int, default=4)
@@ -408,18 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="lo:hi:n")
     p.add_argument("--deform-c", type=float, default=0.0)
     p.add_argument("--report", choices=["psd", "ortho", "deform", "pushforward"])
-    common(p)
-    p.set_defaults(fn=cmd_dtgraph)
 
-    for name, fn in (("product", cmd_product), ("join", cmd_join)):
-        p = sub.add_parser(name, help=f"{name} of two hypergroups or schemes")
+    for name in ("product", "join"):
+        p = command(name, cmd_construction, f"{name} of two hypergroups or schemes")
         p.add_argument("file1")
         p.add_argument("file2")
         p.add_argument("--out")
-        common(p)
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("walk", help="random walk with projection check")
+    p = command("walk", cmd_walk, "random walk with projection check", seed=True)
     p.add_argument("scheme_file", nargs="?")
     p.add_argument("--dtgraph", help="a,b,R[,c]")
     p.add_argument("--mu", required=True, help="index:mass,... step law")
@@ -427,22 +349,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--exact", action="store_true",
                    help="skip simulation, report the exact projection only")
-    common(p)
-    p.set_defaults(fn=cmd_walk)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    """Run one subcommand and print its one report.  Every command returns
+    (status, results) or raises; main maps INPUT_ERRORS to "error" and
+    CHECK_FAILURES to "fail", and the status to the exit code."""
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
+        return EXIT["pass"] if exc.code == 0 else EXIT["error"]
     try:
-        return args.fn(args)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        status, results = args.fn(args)
+    except INPUT_ERRORS as exc:
+        status, results = "error", {"message": str(exc)}
+    except CHECK_FAILURES as exc:
+        status, results = "fail", _failure(exc)
+    rep = {"command": args.command, "status": status, "results": results,
+           "tolerances": {"abs": TOL, "psd_floor": -PSD_FLOOR}}
+    if "seed" in args:
+        rep["seed"] = args.seed
+    if args.json:
+        print(json.dumps(rep, indent=1, default=io.encode_number))
+    else:
+        print(f"[{status}] {args.command}")
+        _print_human(results, indent="  ")
+    return EXIT[status]
 
 
 if __name__ == "__main__":

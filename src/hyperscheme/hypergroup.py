@@ -402,6 +402,10 @@ def dual_convolution(h: FiniteHypergroup, table: CharacterTable,
     n_gamma = pi(gamma) sum_x omega(x) alpha(x) beta(x) conj(gamma(x))."""
     if not h.is_commutative():
         raise NotCommutative("dual convolution requires commutativity")
+    m = len(table.chars)
+    if not (0 <= alpha_idx < m and 0 <= beta_idx < m):
+        raise ValueError(f"character indices must be in 0..{m - 1}, "
+                         f"got {alpha_idx} and {beta_idx}")
     prod = table.chars[alpha_idx] * table.chars[beta_idx]
     return table.plancherel * fourier(prod, table)
 
@@ -427,6 +431,8 @@ def semicharacter_deform(h: FiniteHypergroup, alpha0) -> FiniteHypergroup:
     result are alpha0^2 times the original ones.
     """
     a = list(alpha0)
+    if len(a) != h.n:
+        raise ValueError(f"alpha0 needs {h.n} values, got {len(a)}")
     af = np.array([float(v) for v in a])
     if af.min() <= 0:
         raise NotASemicharacter("alpha0 not strictly positive")

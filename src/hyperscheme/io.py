@@ -7,6 +7,7 @@ written with 17 significant digits so they round-trip.
 from __future__ import annotations
 
 import json
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -25,14 +26,18 @@ def encode_number(v):
 
 
 def decode_number(v):
+    """An int or "p/q" string as a Fraction, a float as a float; anything
+    else, or a zero denominator, raises ValueError."""
     if isinstance(v, str):
-        if "/" in v:
-            p, q = v.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(v))
+        p, q = v.split("/") if "/" in v else (v, 1)
+        if int(q) == 0:
+            raise ValueError(f"zero denominator in {v!r}")
+        return Fraction(int(p), int(q))
     if isinstance(v, int):
         return Fraction(v)
-    return float(v)
+    if isinstance(v, numbers.Real):
+        return float(v)
+    raise ValueError(f"not a number: {v!r}")
 
 
 def scheme_to_dict(obj) -> dict:
@@ -84,9 +89,19 @@ def hypergroup_to_dict(h: FiniteHypergroup) -> dict:
 def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
     """Each distinct entry is decoded once; rational entries go straight
     into integer numerators over their least common denominator, and any
-    float entry makes the tensor float."""
+    float entry makes the tensor float.  A tensor that is not n x n x n, or
+    an identity or involution outside 0..n-1, raises ValueError."""
     n = int(data["n"])
-    flat = [v for plane in data["conv"] for row in plane for v in row]
+    cells = np.array(data["conv"], dtype=object)
+    if cells.shape != (n, n, n):
+        raise ValueError(f"conv must be {n} x {n} x {n}, got shape {cells.shape}")
+    identity = int(data["identity"])
+    involution = np.asarray(data["involution"], dtype=np.int64)
+    if not 0 <= identity < n:
+        raise ValueError(f"identity {identity} is outside 0..{n - 1}")
+    if involution.shape != (n,) or not ((0 <= involution) & (involution < n)).all():
+        raise ValueError(f"involution must be {n} indices in 0..{n - 1}")
+    flat = cells.ravel().tolist()
     distinct = list(set(flat))
     values = [decode_number(v) for v in distinct]
     ratios = None if float in set(map(type, flat)) else _ratios(values)
@@ -95,20 +110,25 @@ def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
     else:
         value, den = dict(zip(distinct, ratios[0])), ratios[1]
     num = np.array([value[v] for v in flat], dtype=float if ratios is None else object)
-    return FiniteHypergroup._of(
-        num.reshape(n, n, n), den, int(data["identity"]),
-        np.asarray(data["involution"], dtype=np.int64),
-        bool(data.get("scheme_derived", False)))
+    return FiniteHypergroup._of(num.reshape(n, n, n), den, identity, involution,
+                                bool(data.get("scheme_derived", False)))
 
 
 def group_from_dict(data: dict) -> np.ndarray:
-    """Group file: {"n": int, "table": [[int,...],...]} multiplication table."""
-    return np.asarray(data["table"], dtype=np.int64)
+    """Group file: {"n": int, "table": [[int,...],...]} multiplication table;
+    a table that is not n x n raises ValueError."""
+    n, table = int(data["n"]), np.asarray(data["table"], dtype=np.int64)
+    if table.shape != (n, n):
+        raise ValueError(f"group table must be {n} x {n}, got shape {table.shape}")
+    return table
 
 
 def load(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
 
 
 def save(path: str, data: dict):

@@ -244,15 +244,23 @@ def projection_check(walk: WalkResult, kernels, hg, mu: StepDistribution,
         start = walk.start
     if steps != walk.steps or start != walk.start:
         raise ParameterMismatch("walk was generated with different parameters")
+    exact, projected_emp = _projected_laws(walk, kernels, hg, mu)
+    return tv_distance(projected_emp, exact)
+
+
+def _projected_laws(walk: WalkResult, kernels, hg, mu: StepDistribution):
+    """(exact law, projected empirical law) of a walk on the hypergroup's
+    labels, after checking matrix propagation against the convolution power."""
     fam = _as_family(kernels)
-    exact = {k: float(v) for k, v in convolution_power(hg, mu, steps).items()}
-    propagated = propagate_and_project(fam, mu, steps, start)
+    exact = {k: float(v) for k, v in
+             convolution_power(hg, mu, walk.steps).items()}
+    propagated = propagate_and_project(fam, mu, walk.steps, walk.start)
     if tv_distance(exact, propagated) > 1e-10:
         raise ParameterMismatch(
             "matrix propagation disagrees with the convolution power: "
             f"TV = {tv_distance(exact, propagated):.3e}")
     projected_emp: dict = {}
     for x, m in walk.empirical.items():
-        k = int(fam.labels[start, x])
+        k = int(fam.labels[walk.start, x])
         projected_emp[k] = projected_emp.get(k, 0.0) + m
-    return tv_distance(projected_emp, exact)
+    return exact, projected_emp

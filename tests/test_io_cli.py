@@ -1,14 +1,23 @@
 """File round-trips and CLI subcommand behavior (exit codes, JSON reports)."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import hyperscheme as hs
 from hyperscheme import io as hio
-from hyperscheme import scheme
-from hyperscheme.cli import main
+from hyperscheme import scheme, walks
+from hyperscheme.cli import EXIT, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -26,6 +35,22 @@ def files(tmp_path, k3_scheme, k3_hypergroup, s3_table):
              hio.scheme_to_dict(hs.canonical_generalized(k3_scheme)))
     paths["s3"] = tmp_path / "s3.json"
     hio.save(paths["s3"], {"n": 6, "table": s3_table.tolist()})
+    k3hg = hio.hypergroup_to_dict(k3_hypergroup)
+    malformed = {
+        "zero_den": {**k3hg, "conv": [[["1", "0"], ["0", "1"]],
+                                      [["0", "1"], ["1/2", "1/0"]]]},
+        "identity5": {**k3hg, "identity": 5},
+        "short_inv": {**k3hg, "involution": [0]},
+        "wrong_inv": {**k3hg, "involution": [1, 0]},
+        "rows_2_3": {**k3hg, "conv": [[["1", "0"], ["0", "1"]],
+                                      [["0", "1"], ["1/3", "1/3"]]]},
+        "n3": {**k3hg, "n": 3},
+        "group_n3": {"n": 3, "table": [[0, 1], [1, 0]]},
+        "list": [],
+    }
+    for name, data in malformed.items():
+        paths[name] = tmp_path / f"{name}.json"
+        hio.save(paths[name], data)
     return {k: str(v) for k, v in paths.items()}
 
 
@@ -55,6 +80,9 @@ def test_rational_encoding():
     assert hio.decode_number("2/7") == Fraction(2, 7)
     x = 0.1234567890123456789
     assert hio.decode_number(hio.encode_number(x)) == x
+    for bad in ("1/0", "0/0", "1/2/3", None, [1]):
+        with pytest.raises(ValueError):
+            hio.decode_number(bad)
 
 
 def test_verify_pass(files, capsys):
@@ -239,3 +267,126 @@ def test_usage_error():
 
 def test_missing_file():
     assert main(["verify", "/nonexistent/path.json"]) == 2
+
+
+def test_walk_runs_convolution_power_once(files, monkeypatch, capsys):
+    argv = ["walk", files["k3gs"], "--mu", "1:1", "--steps", "2",
+            "--trials", "1000", "--seed", "5", "--json"]
+    main(argv)
+    before = capsys.readouterr().out
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return convolution_power(*args, **kwargs)
+
+    convolution_power = walks.convolution_power
+    monkeypatch.setattr(walks, "convolution_power", counted)
+    main(argv)
+    assert len(calls) == 1
+    assert capsys.readouterr().out == before
+
+
+CONTRACT_CASES = [
+    (["dtgraph", "--a", "1", "--b", "2"], 2),                       # DomainError
+    (["dtgraph", "--a", "3", "--b", "2", "--radius", "30", "--report", "psd"], 2),
+    (["dtgraph", "--a", "3", "--b", "3", "--report", "pushforward"], 2),
+    (["dtgraph", "--a", "3", "--b", "3", "--report", "deform"], 2),  # NonUniqueMinimizer
+    (["characters", "zero_den"], 2),
+    (["characters", "identity5"], 2),
+    (["characters", "short_inv"], 2),
+    (["characters", "n3"], 2),
+    (["characters", "list"], 2),
+    (["characters", "rows_2_3"], 1),
+    (["characters", "wrong_inv"], 1),
+    (["dual", "k3hg", "0", "9"], 2),
+    (["dual", "rows_2_3", "0", "0"], 1),
+    (["deform", "k3hg", "--alpha", "1"], 2),
+    (["deform", "short_inv", "--alpha", "1,1"], 2),
+    (["deform", "wrong_inv", "--alpha", "1,1"], 1),
+    (["walk", "--dtgraph", "3,2,4", "--mu", "1:1/0", "--steps", "2"], 2),
+    (["walk", "broken", "--mu", "1:1", "--steps", "2"], 1),
+    (["cosets", "group_n3", "0"], 2),
+    (["product", "k3hg", "k3gs"], 2),                               # mixed kinds
+    (["product", "k3", "k3"], 2),                                   # no kernels
+    (["verify", "/nonexistent/path.json"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", CONTRACT_CASES,
+                         ids=[" ".join(a) for a, _ in CONTRACT_CASES])
+def test_exit_code_contract(files, argv, code, capsys):
+    argv = [files.get(a, a) for a in argv]
+    assert main([*argv, "--json"]) == code
+    out = capsys.readouterr()
+    assert out.err == ""
+    report = json.loads(out.out)           # exactly one JSON document
+    assert report["status"] == {1: "fail", 2: "error"}[code]
+    assert report["results"]["message"]
+    if code == 1:                          # every failure here is an axiom's
+        assert report["results"]["axiom"] and report["results"]["witness"]
+    assert ("seed" in report) == (argv[0] in ("characters", "dual", "walk"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "k3"], ["cosets", "s3", "0,1"], ["deform", "k3hg", "--alpha", "1,1"],
+    ["dtgraph", "--a", "3", "--b", "2"], ["product", "k3hg", "k3hg"],
+    ["join", "k3hg", "k3hg"],
+])
+def test_seed_only_where_randomness_is_involved(files, argv, capsys):
+    argv = [files.get(a, a) for a in argv]
+    assert main([*argv, "--json"]) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)
+    assert main([*argv, "--seed", "1"]) == 2
+
+
+def _entry():
+    return st.one_of(
+        st.integers(-1, 2),
+        st.builds("{}/{}".format, st.integers(-1, 3), st.integers(0, 3)))
+
+
+@st.composite
+def hypergroup_files(draw):
+    """The group algebra of Z_n with up to two entries replaced, or else a
+    random tensor of a random shape; a random or valid identity and
+    involution."""
+    n = draw(st.integers(1, 3))
+    conv = np.zeros((n, n, n), dtype=object)
+    for i, j in np.ndindex(n, n):
+        conv[i, j, (i + j) % n] = 1
+    for _ in range(draw(st.integers(0, 2))):
+        conv[draw(st.tuples(*[st.integers(0, n - 1)] * 3))] = draw(_entry())
+    if draw(st.integers(0, 3)) == 0:
+        shape = draw(st.tuples(*[st.integers(0, 3)] * 3))
+        size = int(np.prod(shape))
+        conv = np.array(draw(st.lists(_entry(), min_size=size, max_size=size)),
+                        dtype=object).reshape(shape)
+    identity = draw(st.one_of(st.just(0), st.integers(-1, n)))
+    involution = draw(st.one_of(st.just([-i % n for i in range(n)]),
+                                st.permutations(range(n)),
+                                st.lists(st.integers(-1, n), max_size=n + 1)))
+    return {"n": n, "identity": identity, "involution": list(involution),
+            "conv": conv.tolist()}
+
+
+@given(hypergroup_files())
+def test_characters_contract_on_generated_files(tmp_path_factory, data):
+    path = str(tmp_path_factory.getbasetemp() / "generated.json")
+    hio.save(path, data)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["characters", path, "--json"])
+    assert code == EXIT[json.loads(out.getvalue())["status"]]
+
+
+def test_module_entry_point_has_no_traceback(files):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperscheme.cli", "characters", files["zero_den"]],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("[error] characters")
