@@ -252,13 +252,14 @@ def _walk_inputs(args):
     else:
         if not args.scheme_file:
             raise ValueError("either a scheme file or --dtgraph is required")
+        # one verify_scheme; canonical kernels are valid by construction
         gs = io.scheme_from_dict(io.load(args.scheme_file))
         if isinstance(gs, scheme.GeneralizedScheme):
             sch = scheme.verify_scheme(gs.partition)
+            scheme._verify_kernels(gs, sch)
         else:
             sch = scheme.verify_scheme(gs)
             gs = scheme.canonical_generalized(sch)
-        scheme.verify_generalized(gs)
         kernels = walks.KernelFamily.from_generalized(gs)
         hgroup = hg.from_scheme(sch)
     missing = sorted(set(mu.weights) - set(kernels.matrices))

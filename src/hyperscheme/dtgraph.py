@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -257,9 +258,24 @@ class PolyHypergroup:
         return PolyHypergroup(self.params, x0=x0)
 
 
+# e^x and e^-x are finite nonzero doubles exactly when |x| <= _EXP_LIMIT
+_EXP_LIMIT = math.log(sys.float_info.max)
+
+
+def _check_exponent(x: float, what: str):
+    """DomainError unless e^x and e^-x are finite nonzero doubles: a
+    deformation parameter c out of double range."""
+    if not abs(x) <= _EXP_LIMIT:
+        raise DomainError(f"{what} leaves double range (exponent {abs(x):.6g}); "
+                          "use a smaller |c|")
+
+
 def deformation_point(c: float, params: DTParams) -> float:
-    """x_c = (e^c sqrt((a-1)(b-1)) + e^{-c}/sqrt((a-1)(b-1)))/2, in [1, inf)."""
-    q = math.exp(c) * math.sqrt((params.a - 1) * (params.b - 1))
+    """x_c = (e^c r + e^{-c}/r)/2 = cosh(c + log r) with r = sqrt((a-1)(b-1)),
+    in [1, inf)."""
+    r = math.sqrt((params.a - 1) * (params.b - 1))
+    _check_exponent(c + math.log(r), "x_c")
+    q = math.exp(c) * r
     return 0.5 * (q + 1.0 / q)
 
 
@@ -288,12 +304,17 @@ class Ball:
     Vertices are step-words, listed by depth: the first step picks
     (clique, slot) from {1..a} x {1..b-1}, later steps from
     {1..a-1} x {1..b-1} (the arrival clique is excluded and re-indexed away).
+    depths, parents and cliques give each vertex's word length, prefix id
+    and last-step clique (0, 0 and 0 at the root).
     """
 
     params: DTParams
     radius: int
     vertices: list
     index: dict = field(repr=False)
+    depths: np.ndarray = field(repr=False)
+    parents: np.ndarray = field(repr=False)
+    cliques: np.ndarray = field(repr=False)
     _dist: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -305,7 +326,7 @@ class Ball:
         return 0
 
     def depth(self, i: int) -> int:
-        return len(self.vertices[i])
+        return int(self.depths[i])
 
     def dist(self, i: int, j: int) -> int:
         return _word_distance(self.vertices[i], self.vertices[j])
@@ -319,13 +340,8 @@ class Ball:
         so each common step counts 2 and a first divergent step inside one
         clique counts 1, as in the word distance."""
         if self._dist is None:
-            words = self.vertices
-            depth = np.array([len(w) for w in words], dtype=np.int32)
-            if (np.diff(depth) < 0).any():
-                raise ValueError("ball vertices must be listed by depth")
-            parent = np.array([self.index[w[:-1]] if w else 0 for w in words])
-            clique = parent * (self.params.a + 1) + np.array(
-                [w[-1][0] if w else 0 for w in words])
+            depth, parent = self.depths, self.parents
+            clique = parent * (self.params.a + 1) + self.cliques
             D = depth[:, None] + depth[None, :]
             # anc[v] is v's ancestor at depth min(depth(v), k)
             anc = np.arange(self.n)
@@ -346,10 +362,23 @@ class Ball:
         return (self.dist_matrix == 1)
 
     def sphere_sizes(self) -> list:
-        counts = [0] * (self.radius + 1)
-        for w in self.vertices:
-            counts[len(w)] += 1
-        return counts
+        return np.bincount(self.depths, minlength=self.radius + 1).tolist()
+
+    def sphere_kernels(self, weight) -> tuple[dict, dict]:
+        """(kernels, valid) for h = 0..R: row x is valid for h while its
+        distance-h sphere lies inside the ball, depth(x) <= R - h.  K_0 = I;
+        K_h[x, y] = weight(h, rows)[x, y] (a scalar or a (rows, n) array) on
+        valid rows at distance h, else 0.  Vertices are listed by depth, so
+        the valid rows are a leading slice, passed to weight as rows."""
+        n, D = self.n, self.dist_matrix
+        kernels, valid = {0: np.eye(n)}, {}
+        for h in range(self.radius + 1):
+            valid[h] = self.depths <= self.radius - h
+            if h:
+                rows = slice(0, int(np.count_nonzero(valid[h])))
+                kernels[h] = np.zeros((n, n))
+                np.copyto(kernels[h][rows], weight(h, rows), where=D[rows] == h)
+        return kernels, valid
 
     def bfs_distances(self, start: int) -> np.ndarray:
         """Shortest-path distances from start over the ball's edges."""
@@ -369,7 +398,8 @@ class Ball:
 
 def build_ball(params: DTParams, R: int, cap: int | None = None) -> Ball:
     """Enumerate all step-words of length <= R; errors above the vertex cap
-    (default 200000, override with HYPERSCHEME_BALL_CAP)."""
+    (default 200000, override with HYPERSCHEME_BALL_CAP).  The children of
+    each layer are listed in the order of their parents."""
     if R < 0:
         raise DomainError("radius must be nonnegative")
     if cap is None:
@@ -380,14 +410,19 @@ def build_ball(params: DTParams, R: int, cap: int | None = None) -> Ball:
     a, b = params.a, params.b
     first = [(i, j) for i in range(1, a + 1) for j in range(1, b)]
     later = [(i, j) for i in range(1, a) for j in range(1, b)]
-    vertices = [()]
-    layer = [()]
+    vertices, layer = [()], [()]
+    parents, cliques = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
     for h in range(1, R + 1):
         steps = first if h == 1 else later
+        parents.append(np.repeat(np.arange(len(vertices) - len(layer), len(vertices)),
+                                 len(steps)))
+        cliques.append(np.tile([i for i, _ in steps], len(layer)))
         layer = [w + (s,) for w in layer for s in steps]
         vertices.extend(layer)
+    depths = np.repeat(np.arange(R + 1, dtype=np.int32), [p.size for p in parents])
     return Ball(params=params, radius=R, vertices=vertices,
-                index={w: i for i, w in enumerate(vertices)})
+                index={w: i for i, w in enumerate(vertices)}, depths=depths,
+                parents=np.concatenate(parents), cliques=np.concatenate(cliques))
 
 
 def gram_min_eig(x: float, ball: Ball) -> float:
@@ -449,50 +484,40 @@ class DeformedKernels:
     x_c: float
     kernels: dict
     valid: dict
-    skipped: dict
     max_row_sum_error: float
+
+    @property
+    def skipped(self) -> dict:
+        return {h: int(np.count_nonzero(~ok)) for h, ok in self.valid.items()}
 
     def composition_residual(self, i: int, j: int) -> float:
         """Max row error of K_i K_j - sum_k gtilde_{i,j,k} K_k over rows
         whose radius-(i+j) sphere lies inside the ball."""
-        R = self.ball.radius
-        if i + j > R:
+        if i + j > self.ball.radius:
             raise DomainError("i + j exceeds the ball radius")
-        depths = np.array([self.ball.depth(v) for v in range(self.ball.n)])
-        rows = depths <= R - (i + j)
         hg = PolyHypergroup(self.ball.params, x0=self.x_c)
         lhs = self.kernels[i] @ self.kernels[j]
         rhs = sum(g * self.kernels[k] for k, g in hg.g(i, j).items())
-        return float(np.abs((lhs - rhs)[rows]).max())
+        return float(np.abs((lhs - rhs)[self.valid[i + j]]).max())
 
 
 def deform_ball_kernels(ball: Ball, ray: BoundaryRay, c: float) -> DeformedKernels:
     """Deformed kernel family K_h for h = 0..R on interior-valid rows."""
     params = ball.params
     x_c = deformation_point(c, params)
-    n, R = ball.n, ball.radius
-    D = ball.dist_matrix
     dB = ray.horocycle.astype(float)
-    depths = np.array([ball.depth(v) for v in range(n)])
+    _check_exponent(c * (dB.max() - dB.min()), "the boundary tilt")
     phi = np.exp(c * dB)
 
-    kernels = {0: np.eye(n)}
-    valid = {0: np.ones(n, dtype=bool)}
-    skipped = {0: 0}
-    worst = 0.0
-    for h in range(1, R + 1):
-        ok = depths <= R - h
+    def tilt(h, rows):
         norm = poly_eval(h, x_c, params) * haar_weight(h, params)
-        K = np.where(D == h, np.outer(1.0 / phi, phi) / norm, 0.0)
-        K[~ok] = 0.0
-        sums = K[ok].sum(axis=1)
-        worst = max(worst, float(np.abs(sums - 1.0).max()) if ok.any() else 0.0)
-        kernels[h] = K
-        valid[h] = ok
-        skipped[h] = int((~ok).sum())
+        return np.outer(1.0 / phi[rows], phi) / norm
+
+    kernels, valid = ball.sphere_kernels(tilt)
+    worst = max((float(np.abs(kernels[h][valid[h]].sum(axis=1) - 1.0).max())
+                 for h in range(1, ball.radius + 1)), default=0.0)
     return DeformedKernels(ball=ball, ray=ray, c=c, x_c=x_c, kernels=kernels,
-                           valid=valid, skipped=skipped,
-                           max_row_sum_error=worst)
+                           valid=valid, max_row_sum_error=worst)
 
 
 def pushforward_vs_haar(params: DTParams, c: float):
@@ -506,6 +531,8 @@ def pushforward_vs_haar(params: DTParams, c: float):
     if params.b != 2:
         raise UnsupportedParams("closed forms are stated for the tree case b = 2")
     a = params.a
+    # haar1's numerator is at most (a e^{2c})^2
+    _check_exponent(4 * c + 2 * math.log(a), "haar_1")
     pf1 = math.exp(-2 * c) + (a - 1) * math.exp(2 * c)
     haar1 = ((a - 1) * math.exp(2 * c) + 1) ** 2 / (a * math.exp(2 * c))
 
@@ -513,12 +540,10 @@ def pushforward_vs_haar(params: DTParams, c: float):
     # hypergroup's Haar weight
     ball = build_ball(params, 2)
     ray = BoundaryRay(ball)
-    dB = ray.horocycle
-    pf1_ball = sum(math.exp(2 * c * dB[v]) for v in range(ball.n)
-                   if ball.depth(v) == 1)
+    pf1_ball = sum(math.exp(2 * c * d) for d in ray.horocycle[ball.depths == 1])
     x_c = deformation_point(c, params)
     hg = PolyHypergroup(params, x0=x_c)
     haar1_hg = 1.0 / hg.g(1, 1)[0]
-    if abs(pf1_ball - pf1) > 1e-10 or abs(haar1_hg - haar1) > 1e-10:
+    if abs(pf1_ball - pf1) > 1e-10 * pf1 or abs(haar1_hg - haar1) > 1e-10 * haar1:
         raise AssertionError("closed forms disagree with direct recomputation")
     return pf1, haar1

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .scheme import (AssociationScheme, AxiomViolation, GeneralizedScheme,
-                     _recover_involution, verify_generalized)
+                     _verify_kernels, verify_scheme)
 
 TOL = 1e-9
 PSD_FLOOR = 1e-8
@@ -156,6 +156,9 @@ class FiniteHypergroup:
         return {i: v for i, v in enumerate(vals) if v != 0}
 
     def is_commutative(self, tol: float = TOL) -> bool:
+        """Exact on exact tensors; within tol otherwise."""
+        if self.is_exact:
+            return bool(np.array_equal(self.num, self.num.transpose(1, 0, 2)))
         return bool(np.abs(self.conv_f - self.conv_f.transpose(1, 0, 2)).max() <= tol)
 
     def is_symmetric(self) -> bool:
@@ -183,11 +186,12 @@ def from_scheme(scheme: AssociationScheme) -> FiniteHypergroup:
 
 
 def from_generalized(gs: GeneralizedScheme) -> FiniteHypergroup:
-    """Hypergroup with conv = the deformed tensor p~ of a generalized scheme."""
-    return FiniteHypergroup._of(verify_generalized(gs), 1,
+    """Hypergroup with conv = the deformed tensor p~ of a generalized scheme,
+    verified as in verify_generalized."""
+    scheme = verify_scheme(gs.partition)
+    return FiniteHypergroup._of(_verify_kernels(gs, scheme), 1,
                                 gs.partition.identity_relation,
-                                _recover_involution(gs.partition),
-                                scheme_derived=True)
+                                scheme.involution.copy(), scheme_derived=True)
 
 
 @dataclass
@@ -202,45 +206,61 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = TOL,
                       raise_on_failure: bool = True) -> HypergroupReport:
     """Check finiteness, identity, support-of-identity, involution
     compatibility, associativity, nonnegativity and normalization of the
-    tensor."""
-    c = h.conv_f
+    tensor.
+
+    Exact tensors are checked on the integers num, against den in place of
+    1; associativity is exact too while d * max|num|^2 < 2^53, where the
+    float64 products of num are exact integers, and within 1e-8 on conv_f
+    beyond that.  Float tensors are compared with tol, and with 1e-8 for
+    normalization and associativity.
+    """
+    exact = h.is_exact
+    c, one = (h.num, h.den) if exact else (h.conv_f, 1.0)
     n, e, inv = h.n, h.identity, h.involution
     failures = []
 
+    def far(x, y, limit):
+        return x != y if exact else np.abs(x - y) > limit
+
     # NaN compares false with every tolerance below, so it gets its own check
-    if not np.isfinite(c).all():
+    if not exact and not np.isfinite(c).all():
         i, j, k = map(int, np.argwhere(~np.isfinite(c))[0])
         failures.append(AxiomViolation("finite", (i, j, k)))
-    if c.min() < -tol:
-        i, j, k = map(int, np.argwhere(c < -tol)[0])
+    eps = 0 if exact else tol
+    if c.min() < -eps:
+        i, j, k = map(int, np.argwhere(c < -eps)[0])
         failures.append(AxiomViolation("nonnegative", (i, j, k)))
-    sums = c.sum(axis=2)
-    if np.abs(sums - 1.0).max() > 1e-8:
-        i, j = map(int, np.argwhere(np.abs(sums - 1.0) > 1e-8)[0])
+    # exact row sums in a dtype that cannot wrap
+    sums = c.sum(axis=2, dtype=_int_dtype(n * _absmax(c)) if exact else None)
+    bad_sums = far(sums, one, 1e-8)
+    if bad_sums.any():
+        i, j = map(int, np.argwhere(bad_sums)[0])
         failures.append(AxiomViolation("normalization", (i, j)))
 
-    eye = np.eye(n)
-    bad_ident = ((np.abs(c[:, e] - eye).max(axis=1) > tol)
-                 | (np.abs(c[e] - eye).max(axis=1) > tol))
+    eye = np.eye(n, dtype=c.dtype) * one
+    bad_ident = far(c[:, e], eye, tol).any(axis=1) | far(c[e], eye, tol).any(axis=1)
     for x in np.flatnonzero(bad_ident):
         failures.append(AxiomViolation("identity", (int(x),)))
 
     wants_e = np.arange(n)[None, :] == inv[:, None]
-    for x, y in np.argwhere((c[:, :, e] > tol) != wants_e):
+    for x, y in np.argwhere((c[:, :, e] > eps) != wants_e):
         failures.append(AxiomViolation("support-of-identity", (int(x), int(y))))
 
     # c[inv[y], inv[x], inv[k]] at [x, y, k]
     c_bar = c[np.ix_(inv, inv, inv)].transpose(1, 0, 2)
-    for x, y in np.argwhere(np.abs(c - c_bar).max(axis=2) > tol):
+    for x, y in np.argwhere(far(c, c_bar, tol).any(axis=2)):
         failures.append(AxiomViolation("involution-compat", (int(x), int(y))))
 
     # associativity: (delta_i * delta_j) * delta_l == delta_i * (delta_j * delta_l),
-    # one slice i at a time so memory stays O(n^3)
-    rows, cols = c.reshape(n, n * n), c.reshape(n * n, n)
+    # one slice i at a time so memory stays O(n^3); every partial sum of an
+    # exact slice product is an integer below n * max|num|^2
+    exact_gemm = exact and n * _absmax(h.num) ** 2 < 2 ** 53
+    a = h.num.astype(float) if exact_gemm else h.conv_f
+    rows, cols = a.reshape(n, n * n), a.reshape(n * n, n)
     for i in range(n):
-        lhs = c[i] @ rows                        # [j, (l, k)]
-        rhs = cols @ c[i]                        # [(j, l), k]
-        bad = np.abs(lhs.reshape(n, n, n) - rhs.reshape(n, n, n)) > 1e-8
+        lhs = (a[i] @ rows).reshape(n, n, n)     # [j, (l, k)]
+        rhs = (cols @ a[i]).reshape(n, n, n)     # [(j, l), k]
+        bad = lhs != rhs if exact_gemm else np.abs(lhs - rhs) > 1e-8
         if bad.any():
             j, l, k = map(int, np.argwhere(bad)[0])
             failures.append(AxiomViolation("associativity", (i, j, l, k)))

@@ -110,7 +110,6 @@ class GeneralizedScheme:
     partition: RelationPartition
     kernels: np.ndarray  # shape (n_relations, n_points, n_points)
     omega_x: np.ndarray  # shape (n_points,)
-    involution: np.ndarray | None = None
 
     def __post_init__(self):
         k = np.asarray(self.kernels, dtype=float)
@@ -296,8 +295,7 @@ def canonical_generalized(scheme: AssociationScheme) -> GeneralizedScheme:
     kernels = np.stack([scheme.stochastic_matrix(i)
                         for i in range(scheme.n_relations)])
     return GeneralizedScheme(partition=scheme.partition, kernels=kernels,
-                             omega_x=np.ones(scheme.n_points),
-                             involution=scheme.involution.copy())
+                             omega_x=np.ones(scheme.n_points))
 
 
 def verify_generalized(gs: GeneralizedScheme, tol: float = KERNEL_TOL) -> np.ndarray:
@@ -307,15 +305,20 @@ def verify_generalized(gs: GeneralizedScheme, tol: float = KERNEL_TOL) -> np.nda
     counting on the partition, (2) support matching, (3) nonnegative span
     closure, (4) identity kernel, (5) adjoint relation.
     """
+    # (1) underlying partition is a scheme (checked explicitly; see Remark 4.6
+    # style open question -- never assumed)
+    return _verify_kernels(gs, verify_scheme(gs.partition), tol)
+
+
+def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme,
+                    tol: float = KERNEL_TOL) -> np.ndarray:
+    """Axioms (2)-(5) of verify_generalized for kernels on a partition that
+    verify_scheme already turned into scheme; returns p~."""
     part = gs.partition
     n, d = part.n_points, part.n_relations
     e = part.identity_relation
     lab = part.label
     S = gs.kernels
-
-    # (1) underlying partition is a scheme (checked explicitly; see Remark 4.6
-    # style open question -- never assumed)
-    scheme = verify_scheme(part)
 
     # (2) support condition and row-stochasticity
     for i in range(d):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtgraph import Ball, DeformedKernels, PolyHypergroup
+from .dtgraph import Ball, DeformedKernels, PolyHypergroup, haar_weight
 from .hypergroup import FiniteHypergroup
 from .scheme import GeneralizedScheme
 
@@ -99,18 +99,10 @@ class KernelFamily:
 
     @classmethod
     def from_ball(cls, ball: Ball) -> "KernelFamily":
-        """Uniform sphere kernels on a ball; rows are valid while the full
-        sphere stays inside the ball."""
-        D = ball.dist_matrix
-        depths = np.array([ball.depth(v) for v in range(ball.n)])
-        mats, valid = {}, {}
-        for h in range(ball.radius + 1):
-            K = (D == h).astype(float)
-            sums = K.sum(axis=1, keepdims=True)
-            mats[h] = np.divide(K, sums, out=np.zeros_like(K), where=sums > 0)
-            valid[h] = depths <= ball.radius - h
-        mats[0] = np.eye(ball.n)
-        return cls(matrices=mats, labels=D, valid=valid)
+        """Uniform sphere kernels on a ball, 1 / w_h on each sphere."""
+        mats, valid = ball.sphere_kernels(
+            lambda h, rows: 1.0 / haar_weight(h, ball.params))
+        return cls(matrices=mats, labels=ball.dist_matrix, valid=valid)
 
     @classmethod
     def from_deformed(cls, dk: DeformedKernels) -> "KernelFamily":

@@ -1,0 +1,117 @@
+"""Differential tests of the ball sphere kernels against the builders they
+replaced (tests/reference_ball.py), on every ball of Graph(a, b) with
+a, b in {2, 3, 4} and at most 1100 vertices.  The path graph (2, 2) stops
+at R = 20: its balls grow linearly, and the dense kernels hold (R+1) n^2
+entries.  Deformed kernels need a unique boundary ray, so they run for
+b = 2 only."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import hyperscheme as hs
+from reference_ball import ball_kernels, deformed_kernels
+
+MAX_VERTICES = 1100
+
+
+def _cases():
+    for a in (2, 3, 4):
+        for b in (2, 3, 4):
+            params = hs.DTParams(a, b)
+            R = 0
+            while R <= 20 and hs.dtgraph.ball_size(params, R) <= MAX_VERTICES:
+                yield a, b, R
+                R += 1
+
+
+CASES = list(_cases())
+
+
+def _same_walks(new, old, radius, start=0):
+    """Seeded Monte Carlo walks and propagated laws agree exactly."""
+    labels = list(range(1, min(radius, 2) + 1)) or [0]
+    mu = hs.StepDistribution({h: Fraction(1, len(labels)) for h in labels})
+    steps = max(1, radius // max(max(labels), 1))
+    for seed in (0, 7):
+        a = hs.simulate_walk(new, mu, steps, 2000, seed, start)
+        b = hs.simulate_walk(old, mu, steps, 2000, seed, start)
+        assert a.empirical == b.empirical
+    assert (hs.propagate_and_project(new, mu, steps, start)
+            == hs.propagate_and_project(old, mu, steps, start))
+
+
+def _same_kernels(new, new_valid, old, old_valid):
+    assert new.keys() == old.keys() and new_valid.keys() == old_valid.keys()
+    assert np.array_equal(new[0], np.eye(new[0].shape[0]))
+    for h in new:
+        ok = new_valid[h]
+        assert np.array_equal(ok, old_valid[h])
+        assert np.array_equal(new[h][ok], old[h][ok])   # bit-equal valid rows
+        assert not new[h][~ok].any()                    # invalid rows are zero
+
+
+@pytest.mark.parametrize("a, b, R", CASES, ids=[f"{a}-{b}-{R}" for a, b, R in CASES])
+def test_ball_arrays_match_words(a, b, R):
+    ball = hs.build_ball(hs.DTParams(a, b), R)
+    words = ball.vertices
+    assert ball.depths.tolist() == [len(w) for w in words]
+    assert ball.parents.tolist() == [ball.index[w[:-1]] if w else 0 for w in words]
+    assert ball.cliques.tolist() == [w[-1][0] if w else 0 for w in words]
+    assert ball.sphere_sizes() == [hs.haar_weight(h, ball.params) for h in range(R + 1)]
+
+
+@pytest.mark.parametrize("a, b, R", CASES, ids=[f"{a}-{b}-{R}" for a, b, R in CASES])
+def test_sphere_kernels_match_reference(a, b, R):
+    ball = hs.build_ball(hs.DTParams(a, b), R)
+    fam = hs.KernelFamily.from_ball(ball)
+    mats, valid = ball_kernels(ball)
+    _same_kernels(fam.matrices, fam.valid, mats, valid)
+    old = hs.KernelFamily(matrices=mats, labels=ball.dist_matrix, valid=valid)
+    _same_walks(fam, old, R)
+
+    if b != 2:
+        return
+    ray = hs.BoundaryRay(ball)
+    for c in (0.0, 0.3, -0.35):
+        dk = hs.deform_ball_kernels(ball, ray, c)
+        ref = deformed_kernels(ball, ray, c)
+        _same_kernels(dk.kernels, dk.valid, ref["kernels"], ref["valid"])
+        assert dk.x_c == ref["x_c"]
+        assert dk.skipped == ref["skipped"]
+        assert dk.max_row_sum_error == ref["max_row_sum_error"]
+        old = hs.KernelFamily(matrices=ref["kernels"], labels=ball.dist_matrix,
+                              valid=ref["valid"])
+        _same_walks(hs.KernelFamily.from_deformed(dk), old, R)
+
+
+def test_invalid_rows_of_the_reference_hold_partial_spheres():
+    """The one intended change: a uniform kernel row whose sphere leaves the
+    ball was a renormalized partial sphere, and is now zero."""
+    ball = hs.build_ball(hs.DTParams(3, 2), 3)
+    fam = hs.KernelFamily.from_ball(ball)
+    mats, _ = ball_kernels(ball)
+    x = ball.n - 1                                   # a vertex at depth R
+    assert not fam.valid[1][x]
+    assert mats[1][x].sum() == pytest.approx(1.0)
+    assert not fam.matrices[1][x].any()
+
+
+def test_sphere_kernels_weight_sees_valid_rows():
+    """weight gets the valid rows as a leading slice of the vertices."""
+    ball = hs.build_ball(hs.DTParams(3, 2), 4)
+    seen = {}
+
+    def weight(h, rows):
+        seen[h] = rows
+        return float(h)
+
+    kernels, valid = ball.sphere_kernels(weight)
+    assert sorted(seen) == [1, 2, 3, 4]
+    for h, rows in seen.items():
+        assert rows == slice(0, hs.dtgraph.ball_size(ball.params, 4 - h))
+        assert valid[h].sum() == rows.stop
+        support = (ball.dist_matrix == h) & valid[h][:, None]
+        assert np.array_equal(kernels[h] != 0, support)
+        assert set(np.unique(kernels[h])) == {0.0, float(h)}

@@ -230,6 +230,26 @@ def test_deformation_point():
     assert hs.deformation_point(c_star, P32) == pytest.approx(1.0)
 
 
+def test_out_of_range_deformation_is_a_domain_error():
+    """Each place that forms e^{+-c ...} refuses a c whose exponential is not
+    a finite nonzero double, and returns finite values up to that edge."""
+    ball = hs.build_ball(P32, 3)
+    ray = hs.BoundaryRay(ball)
+    for c in (800.0, -800.0, 1e308, float("nan")):
+        for call in (lambda: hs.deformation_point(c, P32),
+                     lambda: hs.pushforward_vs_haar(P32, c),
+                     lambda: hs.deform_ball_kernels(ball, ray, c)):
+            with pytest.raises(hs.DomainError):
+                call()
+    # x_c = cosh(300.3) is finite, the tilt e^{300 * 6} across the ball is not
+    assert math.isfinite(hs.deformation_point(300.0, P32))
+    with pytest.raises(hs.DomainError):
+        hs.deform_ball_kernels(ball, ray, 300.0)
+    assert math.isfinite(hs.deformation_point(709.0, P32))
+    assert all(math.isfinite(v) for v in hs.pushforward_vs_haar(P32, 150.0))
+    assert math.isfinite(hs.deform_ball_kernels(ball, ray, 100.0).max_row_sum_error)
+
+
 def test_eigenvalue_identity_rowsums():
     ball = hs.build_ball(P32, 6)
     ray = hs.BoundaryRay(ball)

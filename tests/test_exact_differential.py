@@ -3,6 +3,7 @@ Fraction algebra in reference_exact.py (equal Fraction tensors, equal
 convolution powers, byte-identical "p/q" JSON), plus property tests of
 double-coset hypergroups of random subgroups."""
 
+import itertools
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -290,3 +291,89 @@ def test_characters_match_reference(h):
     assert np.abs(got.chars - want.chars).max() <= 1e-12
     assert np.abs(got.plancherel - want.plancherel).max() <= 1e-12
     assert np.array_equal(got.haar, want.haar)
+
+
+def _double_coset_hypergroups(max_n=6):
+    """The double-coset hypergroups with at most max_n elements of every
+    subgroup of GROUPS generated by at most two elements."""
+    out = {}
+    for g, table in enumerate(GROUPS):
+        for gens in itertools.combinations_with_replacement(range(len(table)), 2):
+            H = tuple(_subgroup(table, gens))
+            if (g, H) not in out:
+                out[g, H] = hs.from_scheme(hs.from_double_cosets(table, H)[1])
+    return [h for h in out.values() if h.n <= max_n]
+
+
+SMALL_COSET_HGS = _double_coset_hypergroups()
+
+
+@given(st.sampled_from(SMALL_COSET_HGS), st.sampled_from(SMALL_COSET_HGS))
+def test_products_and_joins_of_double_coset_hypergroups(h1, h2):
+    """Products and joins pass the axioms; product Haar weights are the
+    products of the factors' weights, and join weights are h2's on the D2
+    block and h1's times h2's total mass on D1 - {e1}; commutative results
+    have Plancherel weights summing to 1."""
+    left1, left2 = hs.haar(h1)[0], hs.haar(h2)[0]
+    prod, joined = hs.direct_product(h1, h2), hs.join(h1, h2)
+    for h in (prod, joined):
+        assert hs.verify_hypergroup(h).ok
+    assert hs.haar(prod)[0] == [a * b for a in left1 for b in left2]
+    rest = [x for i, x in enumerate(left1) if i != h1.identity]
+    assert hs.haar(joined)[0] == left2 + [x * sum(left2) for x in rest]
+    for h in (prod, joined):
+        if h.is_commutative():
+            assert abs(hs.characters(h).plancherel.sum() - 1) <= 1e-8
+
+
+@given(st.sampled_from(SMALL_COSET_HGS), st.sampled_from(SMALL_COSET_HGS))
+def test_characters_of_a_product_are_products(h1, h2):
+    if not (h1.is_commutative() and h2.is_commutative()):
+        return
+    c1, c2 = hs.characters(h1), hs.characters(h2)
+    got = hs.characters(hs.direct_product(h1, h2))
+    want = np.array([np.outer(a, b).ravel() for a in c1.chars for b in c2.chars])
+    pl = np.outer(c1.plancherel, c2.plancherel).ravel()
+    # each character of the product is exactly one product of characters
+    close = np.abs(got.chars[:, None, :] - want[None, :, :]).max(axis=2) <= 1e-8
+    assert (close.sum(axis=1) == 1).all() and (close.sum(axis=0) == 1).all()
+    assert np.abs(got.plancherel - pl[close.argmax(axis=1)]).max() <= 1e-10
+
+
+@st.composite
+def multiplicative_tensors(draw):
+    """(exact tensor, alpha): a normalized tensor for which a random
+    positive alpha with alpha(e) = 1 is multiplicative.  A nonnegative
+    normalized tensor has only alpha = 1 (max alpha^2 <= max alpha), so
+    entries may be negative: each row (i, j) off the identity draws its
+    entries at k >= 2 and solves for k = 0, 1 from sum_k c = 1 and
+    sum_k c alpha_k = alpha_i alpha_j."""
+    n = draw(st.integers(2, 4))
+    den = draw(st.sampled_from([1, 3, 10, 2 ** 61 - 1]))
+    alpha = [Fraction(1)] + [Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 9)))
+                             for _ in range(n - 1)]
+    if alpha[1] == 1:
+        alpha[1] = Fraction(2)
+    conv = [[[Fraction(int(k == (i or j))) for k in range(n)] for j in range(n)]
+            for i in range(n)]
+    for i in range(1, n):
+        for j in range(1, n):
+            row = [0, 0] + [Fraction(draw(st.integers(-20, 20)), den)
+                            for _ in range(n - 2)]
+            mass = 1 - sum(row)
+            moment = alpha[i] * alpha[j] - sum(c * a for c, a in zip(row, alpha))
+            row[1] = (moment - mass) / (alpha[1] - 1)
+            row[0] = mass - row[1]
+            conv[i][j] = row
+    return hs.FiniteHypergroup(n, conv, 0, list(range(n))), alpha
+
+
+@given(multiplicative_tensors())
+def test_exact_semicharacter_deform_round_trip(case):
+    h, alpha = case
+    d1 = hs.semicharacter_deform(h, alpha)
+    back = hs.semicharacter_deform(d1, [1 / a for a in alpha])
+    assert d1.is_exact and back.is_exact
+    assert back.den == h.den and back.num.tolist() == h.num.tolist()
+    assert d1.num.sum(axis=2).tolist() == [[d1.den] * h.n] * h.n
+

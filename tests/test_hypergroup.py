@@ -65,6 +65,79 @@ def test_verify_rejects_random_tensor():
     assert not report.ok
 
 
+def test_exact_tensor_off_by_1e10_fails_normalization():
+    """Row (1, 1) sums to 1 + 1e-10: within the float tolerance, but the
+    exact check sees it."""
+    eps = Fraction(1, 10 ** 10)
+    conv = [[[1, 0], [0, 1]], [[0, 1], [1 - eps, 2 * eps]]]
+    h = hs.FiniteHypergroup(n=2, conv=conv, identity=0, involution=[0, 1])
+    assert h.is_exact
+    report = hs.verify_hypergroup(h, raise_on_failure=False)
+    assert not report.ok
+    first = report.failures[0]
+    assert (first.axiom_id, first.witness) == ("normalization", (1, 1))
+
+
+SCALE = 10 ** 12
+
+
+def _move(num, x, y, src, dst):
+    """Move one numerator unit of c(x, y, .) from src to dst."""
+    num[x, y, src] -= 1
+    num[x, y, dst] += 1
+
+
+@pytest.mark.parametrize("perturb, axiom, witness", [
+    (lambda t: t.__setitem__((1, 1, 1), t[1, 1, 1] + 1), "normalization", (1, 1)),
+    (lambda t: _move(t, 1, 0, 0, 1), "nonnegative", (1, 0, 0)),
+    (lambda t: _move(t, 0, 1, 1, 0), "identity", (1,)),
+    (lambda t: _move(t, 1, 2, 3, 0), "support-of-identity", (1, 2)),
+    (lambda t: _move(t, 1, 2, 3, 1), "involution-compat", (1, 2)),
+])
+def test_exact_axioms_see_one_part_in_1e12(k3_hypergroup, perturb, axiom, witness):
+    """K3 x K3 over the denominator 4e12 with one numerator moved by 1 fails
+    the exact check, while the same tensor in floats passes the tolerance."""
+    base = hs.direct_product(k3_hypergroup, k3_hypergroup)
+    num = base.num * SCALE
+    perturb(num)
+    h = hs.FiniteHypergroup._of(num, base.den * SCALE, base.identity,
+                                base.involution, True)
+    report = hs.verify_hypergroup(h, raise_on_failure=False)
+    assert (axiom, witness) in [(f.axiom_id, f.witness) for f in report.failures]
+    floats = hs.FiniteHypergroup._of(h.conv_f.copy(), 1, base.identity,
+                                     base.involution, True)
+    assert hs.verify_hypergroup(floats).ok
+    if axiom == "involution-compat":      # K3 x K3 is symmetric
+        assert not h.is_commutative() and floats.is_commutative()
+
+
+def test_exact_row_sum_past_int64_fails_normalization():
+    """int64 numerators whose row sum 2^64 + 1 would wrap to den = 1."""
+    big = 2 ** 63 - 1
+    conv = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [big, big, 3], [0, 0, 1]],
+            [[0, 0, 1], [0, 0, 1], [1, 0, 0]]]
+    h = hs.FiniteHypergroup(n=3, conv=conv, identity=0, involution=[0, 1, 2])
+    assert h.num.dtype == np.int64 and h.den == 1
+    report = hs.verify_hypergroup(h, raise_on_failure=False)
+    first = report.failures[0]
+    assert (first.axiom_id, first.witness) == ("normalization", (1, 1))
+
+
+def test_exact_associativity_on_integer_products(k3_hypergroup):
+    """Below d * max|num|^2 = 2^53 the float64 products of the numerators
+    are exact, and a commuting pair of moved units breaks associativity."""
+    base = hs.direct_product(k3_hypergroup, k3_hypergroup)
+    num = base.num * 10 ** 7
+    for x, y in ((1, 3), (3, 1)):
+        _move(num, x, y, 3, 2)
+    h = hs.FiniteHypergroup._of(num, base.den * 10 ** 7, base.identity,
+                                base.involution, True)
+    assert 4 * int(num.max()) ** 2 < 2 ** 53
+    report = hs.verify_hypergroup(h, raise_on_failure=False)
+    assert [(f.axiom_id, f.witness) for f in report.failures] == [
+        ("associativity", (1, 1, 2, 2))]
+
+
 def test_haar(k3_hypergroup, trivial_scheme, z4_scheme):
     left, right, uni = hs.haar(k3_hypergroup)
     assert left == [1, 2] and right == [1, 2] and uni

@@ -44,6 +44,9 @@ def files(tmp_path, k3_scheme, k3_hypergroup, s3_table):
         "wrong_inv": {**k3hg, "involution": [1, 0]},
         "rows_2_3": {**k3hg, "conv": [[["1", "0"], ["0", "1"]],
                                       [["0", "1"], ["1/3", "1/3"]]]},
+        # row (1, 1) sums to 1 + 1e-10: inside a float tolerance, not exact
+        "rows_near_1": {**k3hg, "conv": [
+            [["1", "0"], ["0", "1"]], [["0", "1"], ["1/2", "5000000001/10000000000"]]]},
         "n3": {**k3hg, "n": 3},
         "group_n3": {"n": 3, "table": [[0, 1], [1, 0]]},
         "list": [],
@@ -287,6 +290,30 @@ def test_walk_runs_convolution_power_once(files, monkeypatch, capsys):
     assert capsys.readouterr().out == before
 
 
+@pytest.mark.parametrize("source", ["k3", "k3gs"])
+def test_walk_verifies_scheme_once(files, source, monkeypatch, capsys):
+    """A walk on a plain scheme file or a kernel-family file verifies the
+    partition once, and the canonical kernels of a plain scheme not at all."""
+    argv = ["walk", files[source], "--mu", "1:1", "--steps", "2",
+            "--trials", "1000", "--json"]
+    main(argv)
+    before = capsys.readouterr().out
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("verify_scheme", "verify_generalized", "_verify_kernels"):
+        monkeypatch.setattr(scheme, name, counted(name, getattr(scheme, name)))
+    assert main(argv) == 0
+    assert calls == (["verify_scheme"] if source == "k3"
+                     else ["verify_scheme", "_verify_kernels"])
+    assert capsys.readouterr().out == before
+
+
 CONTRACT_CASES = [
     (["dtgraph", "--a", "1", "--b", "2"], 2),                       # DomainError
     (["dtgraph", "--a", "3", "--b", "2", "--radius", "30", "--report", "psd"], 2),
@@ -310,6 +337,20 @@ CONTRACT_CASES = [
     (["product", "k3hg", "k3gs"], 2),                               # mixed kinds
     (["product", "k3", "k3"], 2),                                   # no kernels
     (["verify", "/nonexistent/path.json"], 2),
+    (["characters", "rows_near_1"], 1),
+    # deformation parameters whose exponentials leave double range
+    (["dtgraph", "--a", "3", "--b", "2", "--report", "pushforward",
+      "--deform-c", "1e308"], 2),
+    (["dtgraph", "--a", "3", "--b", "2", "--report", "pushforward",
+      "--deform-c=-800"], 2),
+    (["dtgraph", "--a", "3", "--b", "2", "--radius", "2", "--report", "deform",
+      "--deform-c", "800"], 2),
+    (["dtgraph", "--a", "3", "--b", "2", "--radius", "2", "--report", "deform",
+      "--deform-c=-800"], 2),
+    (["dtgraph", "--a", "3", "--b", "2", "--radius", "3", "--report", "deform",
+      "--deform-c", "300"], 2),
+    (["walk", "--dtgraph", "3,2,3,800", "--mu", "1:1", "--steps", "1"], 2),
+    (["walk", "--dtgraph", "3,2,3,-800", "--mu", "1:1", "--steps", "1"], 2),
 ]
 
 
