@@ -20,8 +20,8 @@ ray = hs.BoundaryRay(ball)
 # neighbors that leave the ray, and 1-Lipschitz along every edge.
 print("horocycle at root:", ray.horocycle[ball.root])
 print("along the ray:",
-      [int(ray.horocycle[ball.index[((1, 1),) * k]]) for k in range(1, 7)])
-print("off-ray neighbor (2,1):", int(ray.horocycle[ball.index[((2, 1),)]]))
+      [int(ray.horocycle[ball.find(((1, 1),) * k)]) for k in range(1, 7)])
+print("off-ray neighbor (2,1):", int(ray.horocycle[ball.find(((2, 1),))]))
 
 # Deform with c = 0.3.  Rows remain stochastic and the family still
 # composes: K_i K_j = sum_h g~(i, j; h) K_h with the deformed coefficients.

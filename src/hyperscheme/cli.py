@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,8 +39,17 @@ def _failure(exc: Exception) -> dict:
         return {"axiom": exc.axiom_id, "witness": list(exc.witness or []),
                 "message": str(exc)}
     if isinstance(exc, hg.NotASemicharacter):
-        return {"message": str(exc), "residual": repr(exc.residual)}
+        return {"message": str(exc), "residual": float(exc.residual)}
     return {"message": str(exc)}
+
+
+def _number(text: str) -> Fraction:
+    """A command-line number as an exact rational: 3, 1/2, 0.5 or 1e-3.
+    nan, inf and a zero denominator raise ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _print_human(obj, indent=""):
@@ -127,7 +137,7 @@ def cmd_dual(args):
 
 def cmd_deform(args):
     h = _load_hypergroup(args.file)
-    alpha = [io.decode_number(v) for v in args.alpha.split(",")]
+    alpha = [_number(v) for v in args.alpha.split(",")]
     out = io.hypergroup_to_dict(hg.semicharacter_deform(h, alpha))
     if args.out:
         io.save(args.out, out)
@@ -226,7 +236,7 @@ def _parse_mu(spec: str) -> walks.StepDistribution:
     weights = {}
     for part in spec.split(","):
         k, v = part.split(":")
-        weights[int(k)] = io.decode_number(v)
+        weights[int(k)] = _number(v)
     return walks.StepDistribution(weights)
 
 

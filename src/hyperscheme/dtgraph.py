@@ -279,20 +279,6 @@ def deformation_point(c: float, params: DTParams) -> float:
     return 0.5 * (q + 1.0 / q)
 
 
-def _word_distance(u: tuple, v: tuple) -> int:
-    """Graph distance of two step-words: residual lengths after the common
-    prefix, minus 1 when the first divergent steps land in the same clique."""
-    l = 0
-    top = min(len(u), len(v))
-    while l < top and u[l] == v[l]:
-        l += 1
-    ru, rv = len(u) - l, len(v) - l
-    d = ru + rv
-    if ru and rv and u[l][0] == v[l][0]:
-        d -= 1
-    return d
-
-
 def ball_size(params: DTParams, R: int) -> int:
     return 1 + sum(haar_weight(h, params) for h in range(1, R + 1))
 
@@ -301,17 +287,20 @@ def ball_size(params: DTParams, R: int) -> int:
 class Ball:
     """Radius-R ball of Graph(a, b) rooted at the empty word.
 
-    Vertices are step-words, listed by depth: the first step picks
-    (clique, slot) from {1..a} x {1..b-1}, later steps from
-    {1..a-1} x {1..b-1} (the arrival clique is excluded and re-indexed away).
-    depths, parents and cliques give each vertex's word length, prefix id
-    and last-step clique (0, 0 and 0 at the root).
+    A vertex is a step-word: the first step picks (clique, slot) from
+    {1..a} x {1..b-1}, later steps from {1..a-1} x {1..b-1} (the arrival
+    clique is excluded and re-indexed away).  depths, parents and cliques
+    give each vertex's word length, prefix id and last-step clique (0, 0 and
+    0 at the root); they are the ball's only record of its vertices.
+
+    Layout: vertices are listed by depth, and the children of a vertex are
+    contiguous, in step order.  With start[h] the first id of depth h and
+    k_1 = a, k_h = a - 1, the child of v at depth h by step (clique, slot) is
+    start[h] + (v - start[h-1]) k_h (b-1) + (clique-1)(b-1) + (slot-1).
     """
 
     params: DTParams
     radius: int
-    vertices: list
-    index: dict = field(repr=False)
     depths: np.ndarray = field(repr=False)
     parents: np.ndarray = field(repr=False)
     cliques: np.ndarray = field(repr=False)
@@ -319,17 +308,44 @@ class Ball:
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return self.depths.size
 
     @property
     def root(self) -> int:
         return 0
 
+    @property
+    def starts(self) -> np.ndarray:
+        """start[h], the first id of depth h, for h = 0..R+1 (start[R+1] = n)."""
+        return np.searchsorted(self.depths, np.arange(self.radius + 2))
+
     def depth(self, i: int) -> int:
         return int(self.depths[i])
 
-    def dist(self, i: int, j: int) -> int:
-        return _word_distance(self.vertices[i], self.vertices[j])
+    def word(self, v: int) -> tuple:
+        """The step-word of vertex v, read off the layout."""
+        start, b = self.starts, self.params.b
+        steps = []
+        while v:
+            slot = (v - start[self.depth(v)]) % (b - 1) + 1
+            steps.append((int(self.cliques[v]), int(slot)))
+            v = int(self.parents[v])
+        return tuple(reversed(steps))
+
+    def find(self, word) -> int:
+        """The id of a step-word; ValueError for a step out of range or a
+        word longer than the radius."""
+        if len(word) > self.radius:
+            raise ValueError(f"word {word} is longer than the radius {self.radius}")
+        start, a, b = self.starts, self.params.a, self.params.b
+        v = 0
+        for h, (clique, slot) in enumerate(word, 1):
+            k = a if h == 1 else a - 1
+            if not (1 <= clique <= k and 1 <= slot <= b - 1):
+                raise ValueError(f"step {h} of {word} is out of range")
+            v = (start[h] + (v - start[h - 1]) * k * (b - 1)
+                 + (clique - 1) * (b - 1) + slot - 1)
+        return int(v)
 
     @property
     def dist_matrix(self) -> np.ndarray:
@@ -338,7 +354,9 @@ class Ball:
         over the depths k both words reach, where anc_k is the length-k prefix
         and clq_k the clique of step k.  Equal prefixes share the step's clique,
         so each common step counts 2 and a first divergent step inside one
-        clique counts 1, as in the word distance."""
+        clique counts 1: the distance of two words is their residual lengths
+        after the common prefix, minus 1 when the first divergent steps land
+        in the same clique."""
         if self._dist is None:
             depth, parent = self.depths, self.parents
             clique = parent * (self.params.a + 1) + self.cliques
@@ -356,10 +374,6 @@ class Ball:
                 anc[s:] = parent[anc[s:]]
             self._dist = D
         return self._dist
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        return (self.dist_matrix == 1)
 
     def sphere_sizes(self) -> list:
         return np.bincount(self.depths, minlength=self.radius + 1).tolist()
@@ -380,26 +394,11 @@ class Ball:
                 np.copyto(kernels[h][rows], weight(h, rows), where=D[rows] == h)
         return kernels, valid
 
-    def bfs_distances(self, start: int) -> np.ndarray:
-        """Shortest-path distances from start over the ball's edges."""
-        n = self.n
-        adj = self.adjacency
-        dist = np.full(n, -1, dtype=np.int32)
-        dist[start] = 0
-        frontier = [start]
-        d = 0
-        while frontier:
-            d += 1
-            mask = adj[frontier].any(axis=0) & (dist < 0)
-            frontier = np.flatnonzero(mask).tolist()
-            dist[frontier] = d
-        return dist
-
 
 def build_ball(params: DTParams, R: int, cap: int | None = None) -> Ball:
-    """Enumerate all step-words of length <= R; errors above the vertex cap
-    (default 200000, override with HYPERSCHEME_BALL_CAP).  The children of
-    each layer are listed in the order of their parents."""
+    """The arrays of all step-words of length <= R, in the Ball layout;
+    errors above the vertex cap (default 200000, override with
+    HYPERSCHEME_BALL_CAP)."""
     if R < 0:
         raise DomainError("radius must be nonnegative")
     if cap is None:
@@ -408,20 +407,15 @@ def build_ball(params: DTParams, R: int, cap: int | None = None) -> Ball:
     if size > cap:
         raise BallTooLarge(f"ball has {size} vertices, cap is {cap}")
     a, b = params.a, params.b
-    first = [(i, j) for i in range(1, a + 1) for j in range(1, b)]
-    later = [(i, j) for i in range(1, a) for j in range(1, b)]
-    vertices, layer = [()], [()]
     parents, cliques = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+    n = 1
     for h in range(1, R + 1):
-        steps = first if h == 1 else later
-        parents.append(np.repeat(np.arange(len(vertices) - len(layer), len(vertices)),
-                                 len(steps)))
-        cliques.append(np.tile([i for i, _ in steps], len(layer)))
-        layer = [w + (s,) for w in layer for s in steps]
-        vertices.extend(layer)
+        k, layer = (a if h == 1 else a - 1), parents[-1].size
+        parents.append(np.repeat(np.arange(n - layer, n), k * (b - 1)))
+        cliques.append(np.tile(np.repeat(np.arange(1, k + 1), b - 1), layer))
+        n += parents[-1].size
     depths = np.repeat(np.arange(R + 1, dtype=np.int32), [p.size for p in parents])
-    return Ball(params=params, radius=R, vertices=vertices,
-                index={w: i for i, w in enumerate(vertices)}, depths=depths,
+    return Ball(params=params, radius=R, depths=depths,
                 parents=np.concatenate(parents), cliques=np.concatenate(cliques))
 
 
@@ -438,10 +432,14 @@ def gram_min_eig(x: float, ball: Ball) -> float:
 @dataclass
 class BoundaryRay:
     """The boundary ray through the all-(1,1) words, with the horocycle index
-    d(v, B) = min_n d(v, v_n) - n precomputed for every ball vertex.
+    d(v, B) = d(v, v_n) - n at the ray index n nearest to v, precomputed for
+    every ball vertex.
 
-    The minimizing ray index must be unique; a tie (possible for b > 2)
-    raises NonUniqueMinimizer instead of guessing a tie-break.
+    The ray's vertex at depth n is the first vertex of that depth.  With p
+    the depth of v's deepest ancestor on the ray, the nearest ray index is p
+    and d(v, B) = |v| - 2p, unless v leaves the ray through clique 1 by a
+    slot other than 1 (b > 2): then indices p and p + 1 tie, which raises
+    NonUniqueMinimizer instead of guessing a tie-break.
     """
 
     ball: Ball
@@ -449,23 +447,18 @@ class BoundaryRay:
 
     def __post_init__(self):
         if self.horocycle is None:
-            self.horocycle = np.array(
-                [self._scan(w) for w in self.ball.vertices], dtype=np.int64)
-
-    @staticmethod
-    def ray_vertex(n: int) -> tuple:
-        return ((1, 1),) * n
-
-    def _scan(self, w: tuple) -> int:
-        hi = self.ball.radius + len(w) + 1
-        dists = [_word_distance(w, self.ray_vertex(n)) for n in range(hi + 1)]
-        best = min(dists)
-        hits = [n for n, d in enumerate(dists) if d == best]
-        if len(hits) != 1:
-            raise NonUniqueMinimizer(
-                f"vertex {w}: ray indices {hits} all realize d = {best}")
-        n0 = hits[0]
-        return dists[n0] - n0
+            ball, start = self.ball, self.ball.starts
+            if ball.params.b > 2 and ball.radius > 0:
+                # the first vertex that ties, in id order, is the root's
+                # child by step (1, 2), with p = 0
+                raise NonUniqueMinimizer(
+                    "vertex ((1, 2),): ray indices [0, 1] all realize d = 1")
+            p = np.zeros(ball.n, dtype=np.int64)
+            for h in range(1, ball.radius + 1):
+                layer = slice(start[h], start[h + 1])
+                p[layer] = p[ball.parents[layer]]
+                p[start[h]] = h
+            self.horocycle = ball.depths - 2 * p
 
 
 @dataclass

@@ -31,9 +31,12 @@ class NotCommutative(Exception):
 
 
 class NotASemicharacter(Exception):
-    def __init__(self, residual):
+    """residual is how far alpha0 misses: below zero at its least value, or
+    off the semicharacter equation."""
+
+    def __init__(self, residual, message=None):
         self.residual = residual
-        super().__init__(f"semicharacter equation residual {residual}")
+        super().__init__(message or f"semicharacter equation residual {residual}")
 
 
 class DegenerateSpectrum(Exception):
@@ -448,14 +451,17 @@ def semicharacter_deform(h: FiniteHypergroup, alpha0) -> FiniteHypergroup:
     """Deformed convolution c~[i][j][k] = alpha0(k)/(alpha0(i) alpha0(j)) c[i][j][k].
 
     alpha0 must be a strictly positive semicharacter; the Haar weights of the
-    result are alpha0^2 times the original ones.
+    result are alpha0^2 times the original ones.  On a hypergroup with
+    nonnegative coefficients that leaves only alpha0 = 1: at the argmax,
+    alpha_max^2 = sum_k c_ijk alpha_k <= alpha_max, and at the argmin
+    alpha_min^2 >= alpha_min.
     """
     a = list(alpha0)
     if len(a) != h.n:
         raise ValueError(f"alpha0 needs {h.n} values, got {len(a)}")
     af = np.array([float(v) for v in a])
     if af.min() <= 0:
-        raise NotASemicharacter("alpha0 not strictly positive")
+        raise NotASemicharacter(-af.min(), "alpha0 not strictly positive")
     if abs(af[h.identity] - 1.0) > TOL:
         raise NotASemicharacter(abs(af[h.identity] - 1.0))
     if np.abs(af[h.involution] - af).max() > TOL:

@@ -377,7 +377,7 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme,
     return ptilde
 
 
-def finite_rigidity_check(gs: GeneralizedScheme, tol: float = KERNEL_TOL) -> bool:
+def finite_rigidity_check(gs: GeneralizedScheme) -> bool:
     """True iff every kernel equals the renormalized adjacency of its relation.
 
     The finite rigidity theorem predicts this holds for every input accepted

@@ -1,6 +1,10 @@
-"""The ball sphere-kernel builders as they were before `Ball` held depths,
-parents and row validity, kept as oracles for the differential tests in
-test_ball_differential.py.
+"""The ball code as it was when a `Ball` listed its vertices as step-words,
+kept as oracles for the differential tests in test_ball_differential.py.
+
+`ball_words` is the old word enumeration of `build_ball`, `word_distance`
+the old graph metric of two words, `bfs_distances` the old breadth-first
+search over the edges of the ball, and `ray_scan` the old horocycle index of
+`BoundaryRay`, which scans the ray for the nearest index.
 
 `ball_kernels` is the old `KernelFamily.from_ball`: each kernel row is the
 indicator of the distance-h sphere divided by its count, so rows whose
@@ -13,11 +17,69 @@ import math
 
 import numpy as np
 
-from hyperscheme.dtgraph import haar_weight, poly_eval
+from hyperscheme.dtgraph import NonUniqueMinimizer, haar_weight, poly_eval
+
+
+def ball_words(params, R: int) -> list:
+    """All step-words of length <= R, listed by depth, with the children of
+    each layer in the order of their parents."""
+    a, b = params.a, params.b
+    first = [(i, j) for i in range(1, a + 1) for j in range(1, b)]
+    later = [(i, j) for i in range(1, a) for j in range(1, b)]
+    vertices, layer = [()], [()]
+    for h in range(1, R + 1):
+        steps = first if h == 1 else later
+        layer = [w + (s,) for w in layer for s in steps]
+        vertices.extend(layer)
+    return vertices
+
+
+def word_distance(u: tuple, v: tuple) -> int:
+    """Graph distance of two step-words: residual lengths after the common
+    prefix, minus 1 when the first divergent steps land in the same clique."""
+    l = 0
+    top = min(len(u), len(v))
+    while l < top and u[l] == v[l]:
+        l += 1
+    ru, rv = len(u) - l, len(v) - l
+    d = ru + rv
+    if ru and rv and u[l][0] == v[l][0]:
+        d -= 1
+    return d
+
+
+def bfs_distances(adj: np.ndarray, start: int) -> np.ndarray:
+    """Shortest-path distances from start over the edges of the ball, given
+    as a boolean adjacency matrix."""
+    dist = np.full(len(adj), -1, dtype=np.int32)
+    dist[start] = 0
+    frontier = [start]
+    d = 0
+    while frontier:
+        d += 1
+        mask = adj[frontier].any(axis=0) & (dist < 0)
+        frontier = np.flatnonzero(mask).tolist()
+        dist[frontier] = d
+    return dist
+
+
+def ray_scan(words: list, R: int) -> np.ndarray:
+    """The horocycle index d(w, v_n) - n at the unique nearest index n of
+    the all-(1,1) ray, by scanning n = 0..R+|w|+1 for every word."""
+    def scan(w):
+        dists = [word_distance(w, ((1, 1),) * n) for n in range(R + len(w) + 2)]
+        best = min(dists)
+        hits = [n for n, d in enumerate(dists) if d == best]
+        if len(hits) != 1:
+            raise NonUniqueMinimizer(
+                f"vertex {w}: ray indices {hits} all realize d = {best}")
+        return dists[hits[0]] - hits[0]
+
+    return np.array([scan(w) for w in words], dtype=np.int64)
 
 
 def word_depths(ball) -> np.ndarray:
-    return np.array([len(w) for w in ball.vertices])
+    return np.array([len(w) for w in ball_words(ball.params, ball.radius)])
 
 
 def ball_kernels(ball):

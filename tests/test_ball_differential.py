@@ -1,9 +1,9 @@
-"""Differential tests of the ball sphere kernels against the builders they
-replaced (tests/reference_ball.py), on every ball of Graph(a, b) with
-a, b in {2, 3, 4} and at most 1100 vertices.  The path graph (2, 2) stops
-at R = 20: its balls grow linearly, and the dense kernels hold (R+1) n^2
-entries.  Deformed kernels need a unique boundary ray, so they run for
-b = 2 only."""
+"""Differential tests of the ball arrays, metric, boundary ray and sphere
+kernels against the word-based code they replaced (tests/reference_ball.py),
+on every ball of Graph(a, b) with a, b in {2, 3, 4} and at most 1100
+vertices.  The path graph (2, 2) stops at R = 20: its balls grow linearly,
+and the dense kernels hold (R+1) n^2 entries.  Deformed kernels need a
+unique boundary ray, so they run for b = 2 only."""
 
 from fractions import Fraction
 
@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import hyperscheme as hs
-from reference_ball import ball_kernels, deformed_kernels
+from reference_ball import (ball_kernels, ball_words, bfs_distances,
+                            deformed_kernels, ray_scan, word_distance)
 
 MAX_VERTICES = 1100
 
@@ -55,11 +56,52 @@ def _same_kernels(new, new_valid, old, old_valid):
 @pytest.mark.parametrize("a, b, R", CASES, ids=[f"{a}-{b}-{R}" for a, b, R in CASES])
 def test_ball_arrays_match_words(a, b, R):
     ball = hs.build_ball(hs.DTParams(a, b), R)
-    words = ball.vertices
+    words = ball_words(ball.params, R)
+    index = {w: i for i, w in enumerate(words)}
+    assert ball.n == len(words)
     assert ball.depths.tolist() == [len(w) for w in words]
-    assert ball.parents.tolist() == [ball.index[w[:-1]] if w else 0 for w in words]
+    assert ball.parents.tolist() == [index[w[:-1]] if w else 0 for w in words]
     assert ball.cliques.tolist() == [w[-1][0] if w else 0 for w in words]
     assert ball.sphere_sizes() == [hs.haar_weight(h, ball.params) for h in range(R + 1)]
+    assert [ball.word(v) for v in range(ball.n)] == words
+    assert [ball.find(w) for w in words] == list(range(ball.n))
+
+
+@pytest.mark.parametrize("a, b, R", CASES, ids=[f"{a}-{b}-{R}" for a, b, R in CASES])
+def test_metric_and_ray_match_words(a, b, R):
+    """dist_matrix is the pairwise word distance and the breadth-first
+    distance from every start; the horocycle, or the tie that refuses it,
+    is the one the ray scan finds."""
+    ball = hs.build_ball(hs.DTParams(a, b), R)
+    words = ball_words(ball.params, R)
+    pairwise = np.array([[word_distance(u, v) for v in words] for u in words])
+    D = ball.dist_matrix
+    assert np.array_equal(D, pairwise)
+    adj = pairwise == 1
+    for start in range(ball.n):
+        assert np.array_equal(bfs_distances(adj, start), D[start])
+
+    try:
+        want = ray_scan(words, R)
+    except hs.NonUniqueMinimizer as exc:
+        assert b > 2
+        with pytest.raises(hs.NonUniqueMinimizer) as got:
+            hs.BoundaryRay(ball)
+        assert str(got.value) == str(exc)
+    else:
+        assert b == 2 or R == 0
+        horocycle = hs.BoundaryRay(ball).horocycle
+        assert horocycle.dtype == want.dtype
+        assert np.array_equal(horocycle, want)
+
+
+def test_find_rejects_steps_out_of_range():
+    ball = hs.build_ball(hs.DTParams(3, 3), 2)
+    assert ball.find(()) == ball.root
+    for word in (((4, 1),), ((0, 1),), ((1, 3),), ((1, 1), (3, 1)),
+                 ((1, 1),) * 3):
+        with pytest.raises(ValueError):
+            ball.find(word)
 
 
 @pytest.mark.parametrize("a, b, R", CASES, ids=[f"{a}-{b}-{R}" for a, b, R in CASES])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hyperscheme as hs
+from reference_ball import ball_words, bfs_distances, word_distance
 
 P22 = hs.DTParams(2, 2)
 P32 = hs.DTParams(3, 2)
@@ -136,6 +137,12 @@ def test_ortho_measure_norms():
                 assert pp(m, n, params) == pytest.approx(want, abs=1e-6)
 
 
+def test_ortho_measure_jump_is_a_quadrature_failure():
+    """A jump inside [-1, 1] keeps Gauss-Legendre sums from settling."""
+    with pytest.raises(hs.QuadratureFailure):
+        hs.ortho_measure_integrate(lambda x: np.sign(x - 0.3), P32, max_nodes=256)
+
+
 def test_ball_shapes():
     ball = hs.build_ball(P32, 2)
     assert ball.n == 10
@@ -167,7 +174,7 @@ def test_metric_matches_bfs():
         ball = hs.build_ball(params, R)
         D = ball.dist_matrix
         for start in range(ball.n):
-            assert np.array_equal(ball.bfs_distances(start), D[start])
+            assert np.array_equal(bfs_distances(D == 1, start), D[start])
 
 
 @pytest.mark.parametrize("a,b,R", [(2, 2, 6), (3, 2, 5), (2, 3, 5),
@@ -177,8 +184,9 @@ def test_dist_matrix_matches_word_distance(a, b, R):
     and b >= 3 clique trees, with a = 2 and a >= 3."""
     ball = hs.build_ball(hs.DTParams(a, b), R)
     D = ball.dist_matrix
-    pairwise = np.array([[ball.dist(i, j) for j in range(ball.n)]
-                         for i in range(ball.n)], dtype=np.int32)
+    words = ball_words(ball.params, R)
+    pairwise = np.array([[word_distance(u, v) for v in words] for u in words],
+                        dtype=np.int32)
     assert D.dtype == np.int32
     assert np.array_equal(D, pairwise)
 
@@ -206,12 +214,12 @@ def test_boundary_distance_tree():
     ray = hs.BoundaryRay(ball)
     assert ray.horocycle[ball.root] == 0
     for k in range(1, 5):
-        assert ray.horocycle[ball.index[((1, 1),) * k]] == -k
+        assert ray.horocycle[ball.find(((1, 1),) * k)] == -k
     # neighbors of the root off the ray's first clique sit one level out
-    assert ray.horocycle[ball.index[((2, 1),)]] == 1
-    assert ray.horocycle[ball.index[((3, 1),)]] == 1
+    assert ray.horocycle[ball.find(((2, 1),))] == 1
+    assert ray.horocycle[ball.find(((3, 1),))] == 1
     # horocycle index is 1-Lipschitz along edges
-    adj = ball.adjacency
+    adj = ball.dist_matrix == 1
     hh = ray.horocycle
     for i, j in zip(*np.nonzero(adj)):
         assert abs(hh[i] - hh[j]) <= 1

@@ -179,6 +179,38 @@ def test_deform_cmd(files, tmp_path, capsys):
     assert main(["deform", files["k3hg"], "--alpha", "1,2"]) == 1
 
 
+@pytest.mark.parametrize("alpha, residual, message", [
+    ("1,1/2", 0.5, "semicharacter equation residual 0.5"),
+    ("1,-1", 1.0, "alpha0 not strictly positive"),
+])
+def test_deform_residual_is_a_number(files, alpha, residual, message, capsys):
+    assert main(["deform", files["k3hg"], "--alpha", alpha, "--json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results == {"message": message, "residual": residual}
+    assert main(["deform", files["k3hg"], "--alpha", alpha]) == 1
+    assert f"residual: {residual}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, decimal, rational", [
+    (["walk", "--dtgraph", "3,2,4", "--steps", "2", "--exact"],
+     ["--mu", "1:0.5,2:0.5"], ["--mu", "1:1/2,2:1/2"]),
+    (["walk", "--dtgraph", "3,2,4", "--steps", "2", "--exact"],
+     ["--mu", "1:5e-1,2:.5"], ["--mu", "1:1/2,2:1/2"]),
+    (["deform", "k3hg"], ["--alpha", "1.0,1e0"], ["--alpha", "1,1"]),
+])
+def test_cli_decimals_are_exact_rationals(files, argv, decimal, rational, capsys):
+    """A decimal on the command line reads as the rational it names: the
+    report equals the one for the rational, apart from the echoed --mu."""
+    argv = [files.get(a, a) for a in argv]
+    reports = []
+    for extra in (decimal, rational):
+        assert main([*argv, *extra, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report["results"].get("params", {}).pop("mu", None)
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_dtgraph_psd_cmd(capsys):
     assert main(["dtgraph", "--a", "3", "--b", "2", "--report", "psd",
                  "--x", "1.3", "--radius", "6", "--json"]) == 1
@@ -332,6 +364,9 @@ CONTRACT_CASES = [
     (["deform", "short_inv", "--alpha", "1,1"], 2),
     (["deform", "wrong_inv", "--alpha", "1,1"], 1),
     (["walk", "--dtgraph", "3,2,4", "--mu", "1:1/0", "--steps", "2"], 2),
+    (["walk", "--dtgraph", "3,2,4", "--mu", "1:nan", "--steps", "2"], 2),
+    (["walk", "--dtgraph", "3,2,4", "--mu", "1:inf", "--steps", "2"], 2),
+    (["deform", "k3hg", "--alpha", "1,1/0"], 2),
     (["walk", "broken", "--mu", "1:1", "--steps", "2"], 1),
     (["cosets", "group_n3", "0"], 2),
     (["product", "k3hg", "k3gs"], 2),                               # mixed kinds
