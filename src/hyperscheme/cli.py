@@ -244,11 +244,12 @@ def _walk_inputs(args):
     """The step law, kernel family and hypergroup named by walk arguments."""
     mu = _parse_mu(args.mu)
     if args.dtgraph:
-        vals = [float(v) for v in args.dtgraph.split(",")]
-        if len(vals) < 3:
+        fields = args.dtgraph.split(",")
+        if len(fields) not in (3, 4):
             raise ValueError(f"--dtgraph needs a,b,R[,c], got {args.dtgraph!r}")
-        a, b, radius = int(vals[0]), int(vals[1]), int(vals[2])
-        c = vals[3] if len(vals) > 3 else None
+        # int, not float: a non-integer a, b or R is an input error
+        a, b, radius = (int(v) for v in fields[:3])
+        c = float(fields[3]) if len(fields) == 4 else None
         params = dtgraph.DTParams(a, b)
         ball = dtgraph.build_ball(params, radius)
         if c is None:

@@ -15,9 +15,9 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
-import scipy.linalg
 
 from .hypergroup import _ratios
 
@@ -90,22 +90,25 @@ def g_coeffs(m: int, n: int, params: DTParams) -> dict:
             for k, p in intersection_numbers(m, n, params).items()}
 
 
+def _poly_sequence(x, params: DTParams):
+    """P_0(x), P_1(x), ... by the three-term recurrence, without end."""
+    a, b = params.a, params.b
+    p1 = (2.0 / a) * math.sqrt((a - 1) / (b - 1)) * x + (b - 2) / (a * (b - 1))
+    prev, cur = 1.0, p1
+    yield prev
+    # P_1 P_k = P_{k-1}/(a(b-1)) + (b-2)/(a(b-1)) P_k + (a-1)/a P_{k+1}
+    while True:
+        yield cur
+        prev, cur = cur, (a / (a - 1)) * (
+            p1 * cur - (b - 2) / (a * (b - 1)) * cur - prev / (a * (b - 1)))
+
+
 def poly_eval(n: int, x, params: DTParams):
     """P_n(x) by the three-term recurrence; P_0 = 1 and
     P_1(x) = (2/a) sqrt((a-1)/(b-1)) x + (b-2)/(a(b-1))."""
-    a, b = params.a, params.b
     if n < 0:
         raise DomainError("n must be nonnegative")
-    p1 = (2.0 / a) * math.sqrt((a - 1) / (b - 1)) * x + (b - 2) / (a * (b - 1))
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, p1
-    # P_1 P_k = P_{k-1}/(a(b-1)) + (b-2)/(a(b-1)) P_k + (a-1)/a P_{k+1}
-    for _ in range(n - 1):
-        nxt = (a / (a - 1)) * (
-            p1 * cur - (b - 2) / (a * (b - 1)) * cur - prev / (a * (b - 1)))
-        prev, cur = cur, nxt
-    return cur
+    return next(islice(_poly_sequence(x, params), n, None))
 
 
 def closed_form_eval(n: int, z: complex, params: DTParams) -> complex:
@@ -142,29 +145,37 @@ def ortho_measure_integrate(f, params: DTParams, tol: float = 1e-10,
     """Integral of f against the normalized orthogonality measure.
 
     Absolutely continuous part (a/2pi) sqrt(1-x^2)/((s1-x)(x-s0)) dx on
-    [-1,1], evaluated with Gauss-Legendre after x = cos(theta) (which
-    removes the inverse-square-root endpoint behavior), plus an atom of
-    mass (b-a)/b at s0 when b > a.
+    [-1,1], plus an atom of mass (b-a)/b at s0 when b > a.  After
+    x = cos(theta) the integrand is analytic and periodic in theta
+    (sin^2 theta = (1-x)(1+x) cancels a pole at s0 = -1 or s1 = 1, and the
+    others lie off [-1, 1]), so the midpoint rule with nodes
+    (i + 1/2) pi / n converges geometrically.  n starts at 27 and triples;
+    the old nodes are the middle nodes of the new triples, so each round
+    calls f (on an array) only at the 2n new nodes, until two sums agree to
+    tol or 3n would pass max_nodes.
     """
     a, b = params.a, params.b
     s0, s1 = special_points(params)
 
-    def integrand(theta):
+    def integrand_sum(theta):
         x = np.cos(theta)
-        return f(x) * (a / (2 * np.pi)) * np.sin(theta) ** 2 / ((s1 - x) * (x - s0))
+        return float(np.sum(f(x) * (a / (2 * np.pi)) * np.sin(theta) ** 2
+                            / ((s1 - x) * (x - s0))))
 
-    prev = None
-    n = 64
-    while n <= max_nodes:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        theta = (nodes + 1) * (np.pi / 2)
-        val = float(np.sum(weights * integrand(theta)) * (np.pi / 2))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+    n = 27
+    total = integrand_sum((np.arange(n) + 0.5) * (np.pi / n))
+    prev = total * np.pi / n
+    while 3 * n <= max_nodes:
+        i = np.arange(n)
+        total += integrand_sum(np.concatenate((3 * i + 0.5, 3 * i + 2.5))
+                               * (np.pi / (3 * n)))
+        n *= 3
+        val = total * np.pi / n
+        if abs(val - prev) <= tol * max(1.0, abs(val)):
             if b > a:
                 val += (b - a) / b * f(s0)
             return val
         prev = val
-        n *= 2
     raise QuadratureFailure(f"no convergence with up to {max_nodes} nodes")
 
 
@@ -419,14 +430,91 @@ def build_ball(params: DTParams, R: int, cap: int | None = None) -> Ball:
                 parents=np.concatenate(parents), cliques=np.concatenate(cliques))
 
 
+def _symmetry_blocks(x: float, params: DTParams, R: int) -> tuple:
+    """The depth-0 symmetry blocks of the radius-R Gram kernel
+    M_uv = P_{d(u,v)}(x): (radial, clique) and, when b >= 3, slot.
+
+    M commutes with the automorphisms of the rooted ball, which split the
+    functions on it into the radial ones (indexed by depth 0..R) and, for
+    each vertex v at depth k < R, the functions psi(child of v on u's path)
+    g(|u|) on v's descendants u with psi orthogonal to constants on v's
+    children: "clique" psi are constant on each clique and sum to zero
+    across them, "slot" psi sum to zero within each clique.  M acts on g by
+    an (R-k) x (R-k) block that depends on the type alone, and that block is
+    the leading corner of the depth-0 block of its type.
+
+    Entries count common prefixes.  For w at depth j and u at depth m with
+    last common ancestor z at depth p, an ancestor pair lies at distance
+    |j - m|; otherwise, of the other children of z, b - 2 share the clique of
+    w's branch and lie at distance j + m - 2p - 1, and (K_p - 1)(b - 1) lie
+    at distance j + m - 2p, where z has K_0 = a or K_p = a - 1 cliques.  In
+    the basis normed by sphere sizes every block entry is a sum of
+    u_d = q^{d/2} P_d, q = (a-1)(b-1), over distances d read off
+    s = j + m and the depth gap; the sums over p become differences of one
+    cumulative table.
+    """
+    a, b = params.a, params.b
+    q = (a - 1) * (b - 1)
+    rq = math.sqrt(q)
+    P = np.fromiter(islice(_poly_sequence(x, params), 2 * R + 1), float, 2 * R + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = rq ** np.arange(2 * R + 1) * P
+        # an off-ancestor pair with common ancestor at depth p adds
+        # g_p(s - 2p), g_p(d) = (b-2) u_{d-1}/sqrt(q) + (K_p - 1)(b-1) u_d/q
+        g = np.zeros(2 * R + 1)  # below the root, K_p - 1 = a - 2
+        g[1:] = (b - 2) * u[:-1] / rq + (a - 2) * (b - 1) * u[1:] / q
+        g0 = g + (b - 1) * u / q  # at the root, K_0 - 1 = a - 1
+        # G[d] = g(d) + g(d - 2) + ...: sum_{p=1}^{lo-1} g(s - 2p) = G[s-2] - G[gap]
+        G = np.empty_like(g)
+        G[0::2], G[1::2] = np.cumsum(g[0::2]), np.cumsum(g[1::2])
+        j = np.arange(R + 1)
+        lo, hi = np.minimum.outer(j, j), np.maximum.outer(j, j)
+        s, gap = lo + hi, hi - lo
+        # an ancestor pair adds sqrt(|S_hi| / |S_lo|) P_gap = u_gap, times
+        # sqrt(a / (a-1)) at the root: |S_0| = 1, |S_j| = a(b-1) q^{j-1}
+        radial = u[gap] * np.where((lo == 0) & (hi > 0), math.sqrt(a / (a - 1)), 1.0)
+        radial += np.where(lo > 0, g0[s] + G[np.maximum(s - 2, 0)] - G[gap], 0.0)
+        # A, the sum inside one child's subtree, is radial[1:, 1:] minus the
+        # root's other branches (b-2) B + (a-1)(b-1) C, where a sibling
+        # branch in the same clique adds B = u_{t+1}/sqrt(q) and one in
+        # another clique C = u_{t+2}/q, t = j + m - 2 (k + 1).  The clique
+        # block is A + (b-2) B - (b-1) C and the slot block A - B.
+        inner, t = radial[1:, 1:], s[:R, :R]
+        C = u[t + 2] / q
+        blocks = (radial, inner - a * (b - 1) * C)
+        if b > 2:
+            blocks += (inner - (b - 1) * u[t + 1] / rq - (a - 1) * (b - 1) * C,)
+    if not all(np.isfinite(B).all() for B in blocks):
+        raise DomainError(f"Gram blocks at x = {x!r}, radius {R} leave double "
+                          "range: x is NaN or too far outside [s0, s1]")
+    return blocks
+
+
+def gram_blocks(x: float, params: DTParams, R: int) -> list:
+    """Every symmetry block of the radius-R Gram kernel M_uv = P_{d(u,v)}(x)
+    as (multiplicity, block): the radial block once, then for each depth
+    k < R the clique block |S_k| (K_k - 1) times and the slot block
+    |S_k| K_k (b - 2) times, blocks of multiplicity 0 left out.  The spectrum
+    of M is the union of the block spectra, counted with multiplicity, so
+    sum(multiplicity * size) is the ball's vertex count."""
+    radial, *types = _symmetry_blocks(float(x), params, R)
+    out = [(1, radial)]
+    for k in range(R):
+        cliques = params.a if k == 0 else params.a - 1
+        for mult, block in zip((cliques - 1, cliques * (params.b - 2)), types):
+            if mult:
+                out.append((haar_weight(k, params) * mult, block[:R - k, :R - k]))
+    return out
+
+
 def gram_min_eig(x: float, ball: Ball) -> float:
-    """Minimum eigenvalue of the kernel matrix M_{uv} = P_{d(u,v)}(x)."""
-    D = ball.dist_matrix
-    pvals = np.array([poly_eval(h, x, ball.params)
-                      for h in range(int(D.max()) + 1)])
-    M = pvals[D]
-    return float(scipy.linalg.eigh(M, eigvals_only=True,
-                                   subset_by_index=[0, 0])[0])
+    """Minimum eigenvalue of the kernel matrix M_{uv} = P_{d(u,v)}(x), from
+    the ball's parameters and radius alone: the minimum over the symmetry
+    blocks of gram_blocks.  Each depth-k block is a leading corner of the
+    depth-0 block of its type, so by Cauchy interlacing only the radial and
+    the depth-0 blocks are solved.  DomainError where a block overflows."""
+    blocks = _symmetry_blocks(float(x), ball.params, ball.radius)
+    return min(float(np.linalg.eigvalsh(B)[0]) for B in blocks if B.size)
 
 
 @dataclass

@@ -349,6 +349,7 @@ def test_walk_verifies_scheme_once(files, source, monkeypatch, capsys):
 CONTRACT_CASES = [
     (["dtgraph", "--a", "1", "--b", "2"], 2),                       # DomainError
     (["dtgraph", "--a", "3", "--b", "2", "--radius", "30", "--report", "psd"], 2),
+    (["dtgraph", "--a", "3", "--b", "2", "--radius", "16", "--report", "psd"], 0),
     (["dtgraph", "--a", "3", "--b", "3", "--report", "pushforward"], 2),
     (["dtgraph", "--a", "3", "--b", "3", "--report", "deform"], 2),  # NonUniqueMinimizer
     (["characters", "zero_den"], 2),
@@ -386,6 +387,10 @@ CONTRACT_CASES = [
       "--deform-c", "300"], 2),
     (["walk", "--dtgraph", "3,2,3,800", "--mu", "1:1", "--steps", "1"], 2),
     (["walk", "--dtgraph", "3,2,3,-800", "--mu", "1:1", "--steps", "1"], 2),
+    # a, b and R are integers, not truncated decimals
+    (["walk", "--dtgraph", "3.9,2.5,4.7", "--mu", "1:1", "--steps", "2", "--exact"], 2),
+    (["walk", "--dtgraph", "3,2,4.0", "--mu", "1:1", "--steps", "2", "--exact"], 2),
+    (["walk", "--dtgraph", "3,2,4,0.1,5", "--mu", "1:1", "--steps", "2", "--exact"], 2),
 ]
 
 
@@ -397,8 +402,9 @@ def test_exit_code_contract(files, argv, code, capsys):
     out = capsys.readouterr()
     assert out.err == ""
     report = json.loads(out.out)           # exactly one JSON document
-    assert report["status"] == {1: "fail", 2: "error"}[code]
-    assert report["results"]["message"]
+    assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code]
+    if code:
+        assert report["results"]["message"]
     if code == 1:                          # every failure here is an axiom's
         assert report["results"]["axiom"] and report["results"]["witness"]
     assert ("seed" in report) == (argv[0] in ("characters", "dual", "walk"))
