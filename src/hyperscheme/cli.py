@@ -146,6 +146,8 @@ def cmd_deform(args):
 
 def _parse_grid(spec: str):
     lo, hi, n = spec.split(":")
+    if int(n) < 1:
+        raise ValueError(f"--grid needs at least one point, got {spec!r}")
     return np.linspace(float(lo), float(hi), int(n))
 
 

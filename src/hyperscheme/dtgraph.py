@@ -389,21 +389,28 @@ class Ball:
     def sphere_sizes(self) -> list:
         return np.bincount(self.depths, minlength=self.radius + 1).tolist()
 
-    def sphere_kernels(self, weight) -> tuple[dict, dict]:
-        """(kernels, valid) for h = 0..R: row x is valid for h while its
-        distance-h sphere lies inside the ball, depth(x) <= R - h.  K_0 = I;
-        K_h[x, y] = weight(h, rows)[x, y] (a scalar or a (rows, n) array) on
-        valid rows at distance h, else 0.  Vertices are listed by depth, so
-        the valid rows are a leading slice, passed to weight as rows."""
-        n, D = self.n, self.dist_matrix
-        kernels, valid = {0: np.eye(n)}, {}
-        for h in range(self.radius + 1):
-            valid[h] = self.depths <= self.radius - h
-            if h:
-                rows = slice(0, int(np.count_nonzero(valid[h])))
-                kernels[h] = np.zeros((n, n))
-                np.copyto(kernels[h][rows], weight(h, rows), where=D[rows] == h)
-        return kernels, valid
+    def sphere_kernels(self, weight) -> dict:
+        """The sphere kernels K_h, h = 0..R.  K_0 = I; row x of K_h is
+        weight(h, rows)[x, y] (a scalar or a (rows, n) array) at distance h
+        while x's distance-h sphere lies inside the ball, depth(x) <= R - h,
+        and zero otherwise.  Vertices are listed by depth, so those rows are
+        the leading ball_size(R - h) rows, passed to weight as a slice.
+        BallTooLarge, before any allocation, when the R + 1 dense float64
+        kernels would exceed the physical memory."""
+        n, R = self.n, self.radius
+        need = (R + 1) * n * n * 8
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise BallTooLarge(f"{R + 1} dense {n} x {n} kernels need "
+                               f"{need / 2**30:.1f} GiB, more than the "
+                               f"{have / 2**30:.1f} GiB of memory")
+        D = self.dist_matrix
+        kernels = {0: np.eye(n)}
+        for h in range(1, R + 1):
+            rows = slice(0, ball_size(self.params, R - h))
+            kernels[h] = np.zeros((n, n))
+            np.copyto(kernels[h][rows], weight(h, rows), where=D[rows] == h)
+        return kernels
 
 
 def build_ball(params: DTParams, R: int, cap: int | None = None) -> Ball:
@@ -554,9 +561,9 @@ class DeformedKernels:
     """Boundary-deformed sphere kernels on a ball.
 
     kernels[h] is an n x n matrix whose row x is
-    e^{c (d(y,B) - d(x,B))} / (P_h(x_c) w_h) on the distance-h pairs; only
-    rows flagged in valid[h] (full sphere inside the ball) are meaningful,
-    the rest are zero and counted in skipped[h].
+    e^{c (d(y,B) - d(x,B))} / (P_h(x_c) w_h) on the distance-h pairs while
+    x's distance-h sphere lies inside the ball (valid[h]), and zero
+    otherwise; skipped[h] counts the zero rows.
     """
 
     ball: Ball
@@ -564,8 +571,12 @@ class DeformedKernels:
     c: float
     x_c: float
     kernels: dict
-    valid: dict
     max_row_sum_error: float
+
+    @property
+    def valid(self) -> dict:
+        ball = self.ball
+        return {h: ball.depths <= ball.radius - h for h in self.kernels}
 
     @property
     def skipped(self) -> dict:
@@ -577,14 +588,15 @@ class DeformedKernels:
         if i + j > self.ball.radius:
             raise DomainError("i + j exceeds the ball radius")
         hg = PolyHypergroup(self.ball.params, x0=self.x_c)
-        lhs = self.kernels[i] @ self.kernels[j]
-        rhs = sum(g * self.kernels[k] for k, g in hg.g(i, j).items())
-        return float(np.abs((lhs - rhs)[self.valid[i + j]]).max())
+        rows = ball_size(self.ball.params, self.ball.radius - i - j)
+        lhs = self.kernels[i][:rows] @ self.kernels[j]
+        rhs = sum(g * self.kernels[k][:rows] for k, g in hg.g(i, j).items())
+        return float(np.abs(lhs - rhs).max())
 
 
 def deform_ball_kernels(ball: Ball, ray: BoundaryRay, c: float) -> DeformedKernels:
     """Deformed kernel family K_h for h = 0..R on interior-valid rows."""
-    params = ball.params
+    params, R = ball.params, ball.radius
     x_c = deformation_point(c, params)
     dB = ray.horocycle.astype(float)
     _check_exponent(c * (dB.max() - dB.min()), "the boundary tilt")
@@ -594,11 +606,11 @@ def deform_ball_kernels(ball: Ball, ray: BoundaryRay, c: float) -> DeformedKerne
         norm = poly_eval(h, x_c, params) * haar_weight(h, params)
         return np.outer(1.0 / phi[rows], phi) / norm
 
-    kernels, valid = ball.sphere_kernels(tilt)
-    worst = max((float(np.abs(kernels[h][valid[h]].sum(axis=1) - 1.0).max())
-                 for h in range(1, ball.radius + 1)), default=0.0)
+    kernels = ball.sphere_kernels(tilt)
+    worst = max((float(np.abs(kernels[h][:ball_size(params, R - h)].sum(axis=1)
+                              - 1.0).max()) for h in range(1, R + 1)), default=0.0)
     return DeformedKernels(ball=ball, ray=ray, c=c, x_c=x_c, kernels=kernels,
-                           valid=valid, max_row_sum_error=worst)
+                           max_row_sum_error=worst)
 
 
 def pushforward_vs_haar(params: DTParams, c: float):

@@ -82,84 +82,69 @@ def convolution_power(hg, mu: StepDistribution, t: int,
 
 @dataclass
 class KernelFamily:
-    """Uniform view of the walk drivers: stochastic matrices indexed by
-    labels, a point-to-label projection from a start point, and validity
-    masks for rows that may be stepped from."""
+    """The kernels a walk steps through: stochastic matrices indexed by
+    labels, and the relation labels that project a state to a label from a
+    start point.  A zero row of K_h is a state the walk may not step from
+    with h: on a ball, one whose distance-h sphere leaves the ball."""
 
     matrices: dict           # label -> (n, n) ndarray
     labels: np.ndarray       # (n, n) relation labels
-    valid: dict              # label -> boolean row mask
+
+    @property
+    def valid(self) -> dict:
+        """label -> boolean mask of the nonzero rows."""
+        return {h: K.any(axis=1) for h, K in self.matrices.items()}
 
     @classmethod
     def from_generalized(cls, gs: GeneralizedScheme) -> "KernelFamily":
-        n = gs.partition.n_points
         mats = {i: gs.kernels[i] for i in range(gs.partition.n_relations)}
-        valid = {i: np.ones(n, dtype=bool) for i in mats}
-        return cls(matrices=mats, labels=gs.partition.label, valid=valid)
+        return cls(matrices=mats, labels=gs.partition.label)
 
     @classmethod
     def from_ball(cls, ball: Ball) -> "KernelFamily":
         """Uniform sphere kernels on a ball, 1 / w_h on each sphere."""
-        mats, valid = ball.sphere_kernels(
-            lambda h, rows: 1.0 / haar_weight(h, ball.params))
-        return cls(matrices=mats, labels=ball.dist_matrix, valid=valid)
+        mats = ball.sphere_kernels(lambda h, rows: 1.0 / haar_weight(h, ball.params))
+        return cls(matrices=mats, labels=ball.dist_matrix)
 
     @classmethod
     def from_deformed(cls, dk: DeformedKernels) -> "KernelFamily":
-        return cls(matrices=dict(dk.kernels), labels=dk.ball.dist_matrix,
-                   valid=dict(dk.valid))
+        return cls(matrices=dk.kernels, labels=dk.ball.dist_matrix)
 
     def support_labels(self, mu: StepDistribution) -> list:
         return sorted(h for h, m in mu.weights.items() if float(m) > 0)
 
 
-def _as_family(kernels) -> KernelFamily:
-    if isinstance(kernels, KernelFamily):
-        return kernels
-    if isinstance(kernels, GeneralizedScheme):
-        return KernelFamily.from_generalized(kernels)
-    if isinstance(kernels, Ball):
-        return KernelFamily.from_ball(kernels)
-    if isinstance(kernels, DeformedKernels):
-        return KernelFamily.from_deformed(kernels)
-    raise TypeError("unsupported kernel source")
-
-
 def _check_reachable(fam: KernelFamily, mu: StepDistribution, start: int,
                      steps: int):
-    """Refuse configurations whose walk could step from an invalid row."""
-    if all(fam.valid[h].all() for h in fam.valid):
-        return
-    # on a ball: reachable depth grows by at most max_support per step
+    """Refuse a walk that could reach a state whose row is zero in a kernel
+    it steps with."""
+    used = [fam.matrices[h] for h in fam.support_labels(mu)]
     reach = np.zeros(fam.labels.shape[0], dtype=bool)
     reach[start] = True
     for _ in range(steps):
-        for h, m in mu.weights.items():
-            if float(m) > 0 and not fam.valid[h][reach].all():
+        nxt = reach.copy()
+        for K in used:
+            rows = K[reach]
+            if not rows.any(axis=1).all():
                 raise WalkWouldExitBall(
                     "a reachable state lacks a full kernel row; enlarge the "
                     "ball or shorten the walk")
-        nxt = reach.copy()
-        for h, m in mu.weights.items():
-            if float(m) > 0:
-                nxt |= (fam.matrices[h][reach] > 0).any(axis=0)
+            nxt |= (rows > 0).any(axis=0)
         reach = nxt
 
 
-def _row_table(fam: KernelFamily, h: int):
-    """Sampling table of K_h's valid rows in CSR form: column of each nonzero
+def _row_table(K: np.ndarray):
+    """Sampling table of K's nonzero rows in CSR form: column of each nonzero
     entry, cumulative row weight plus the row (state) id, so the weights
     increase across the whole table, and row pointers."""
-    rows, cols = np.nonzero(fam.matrices[h])
-    keep = fam.valid[h][rows]
-    rows, cols = rows[keep], cols[keep]
-    cw = np.cumsum(fam.matrices[h][rows, cols])
-    indptr = np.searchsorted(rows, np.arange(fam.labels.shape[0] + 1))
+    rows, cols = np.nonzero(K)
+    cw = np.cumsum(K[rows, cols])
+    indptr = np.searchsorted(rows, np.arange(K.shape[0] + 1))
     before = np.concatenate(([0.0], cw))[indptr[:-1]]
     return cols, rows + (cw - before[rows]), indptr
 
 
-def simulate_walk(kernels, mu: StepDistribution, steps: int, trials: int,
+def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: int,
                   seed: int, start: int = 0) -> WalkResult:
     """Monte Carlo walk: per step sample a label h ~ mu, then a successor
     from the h-kernel row at the current state.
@@ -172,11 +157,10 @@ def simulate_walk(kernels, mu: StepDistribution, steps: int, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    fam = _as_family(kernels)
     _check_reachable(fam, mu, start, steps)
     labels = fam.support_labels(mu)
     mu_cum = np.cumsum([float(mu.weights[h]) for h in labels])
-    tables = [_row_table(fam, h) for h in labels]
+    tables = [_row_table(fam.matrices[h]) for h in labels]
     counts = np.zeros(fam.labels.shape[0], dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(seed))
     block = max(1, _BLOCK_UNIFORMS // max(1, 2 * steps))
@@ -197,11 +181,10 @@ def simulate_walk(kernels, mu: StepDistribution, steps: int, trials: int,
                       seed=seed, start=start)
 
 
-def propagate_and_project(kernels, mu: StepDistribution, steps: int,
+def propagate_and_project(fam: KernelFamily, mu: StepDistribution, steps: int,
                           start: int = 0) -> dict:
     """Deterministic form of the projection: push the point mass at start
     through the mu-mixture of kernels, then project states to labels."""
-    fam = _as_family(kernels)
     _check_reachable(fam, mu, start, steps)
     n = fam.labels.shape[0]
     step_matrix = sum(float(m) * fam.matrices[h]
@@ -223,7 +206,7 @@ def tv_distance(p: dict, q: dict) -> float:
     return 0.5 * sum(abs(float(p.get(k, 0)) - float(q.get(k, 0))) for k in keys)
 
 
-def projection_check(walk: WalkResult, kernels, hg, mu: StepDistribution,
+def projection_check(walk: WalkResult, fam: KernelFamily, hg, mu: StepDistribution,
                      steps: int, start: int | None = None) -> float:
     """Compare the projected walk with the hypergroup convolution power.
 
@@ -236,14 +219,13 @@ def projection_check(walk: WalkResult, kernels, hg, mu: StepDistribution,
         start = walk.start
     if steps != walk.steps or start != walk.start:
         raise ParameterMismatch("walk was generated with different parameters")
-    exact, projected_emp = _projected_laws(walk, kernels, hg, mu)
+    exact, projected_emp = _projected_laws(walk, fam, hg, mu)
     return tv_distance(projected_emp, exact)
 
 
-def _projected_laws(walk: WalkResult, kernels, hg, mu: StepDistribution):
+def _projected_laws(walk: WalkResult, fam: KernelFamily, hg, mu: StepDistribution):
     """(exact law, projected empirical law) of a walk on the hypergroup's
     labels, after checking matrix propagation against the convolution power."""
-    fam = _as_family(kernels)
     exact = {k: float(v) for k, v in
              convolution_power(hg, mu, walk.steps).items()}
     propagated = propagate_and_project(fam, mu, walk.steps, walk.start)

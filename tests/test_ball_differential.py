@@ -110,7 +110,10 @@ def test_sphere_kernels_match_reference(a, b, R):
     fam = hs.KernelFamily.from_ball(ball)
     mats, valid = ball_kernels(ball)
     _same_kernels(fam.matrices, fam.valid, mats, valid)
-    old = hs.KernelFamily(matrices=mats, labels=ball.dist_matrix, valid=valid)
+    # the reference's invalid rows hold renormalized partial spheres; a
+    # family marks a row it may not step from by zeros
+    zeroed = {h: np.where(valid[h][:, None], K, 0.0) for h, K in mats.items()}
+    old = hs.KernelFamily(matrices=zeroed, labels=ball.dist_matrix)
     _same_walks(fam, old, R)
 
     if b != 2:
@@ -123,8 +126,7 @@ def test_sphere_kernels_match_reference(a, b, R):
         assert dk.x_c == ref["x_c"]
         assert dk.skipped == ref["skipped"]
         assert dk.max_row_sum_error == ref["max_row_sum_error"]
-        old = hs.KernelFamily(matrices=ref["kernels"], labels=ball.dist_matrix,
-                              valid=ref["valid"])
+        old = hs.KernelFamily(matrices=ref["kernels"], labels=ball.dist_matrix)
         _same_walks(hs.KernelFamily.from_deformed(dk), old, R)
 
 
@@ -149,11 +151,12 @@ def test_sphere_kernels_weight_sees_valid_rows():
         seen[h] = rows
         return float(h)
 
-    kernels, valid = ball.sphere_kernels(weight)
+    kernels = ball.sphere_kernels(weight)
     assert sorted(seen) == [1, 2, 3, 4]
     for h, rows in seen.items():
         assert rows == slice(0, hs.dtgraph.ball_size(ball.params, 4 - h))
-        assert valid[h].sum() == rows.stop
-        support = (ball.dist_matrix == h) & valid[h][:, None]
+        inside = ball.depths <= 4 - h
+        assert inside.sum() == rows.stop
+        support = (ball.dist_matrix == h) & inside[:, None]
         assert np.array_equal(kernels[h] != 0, support)
         assert set(np.unique(kernels[h])) == {0.0, float(h)}

@@ -169,6 +169,18 @@ def test_ball_cap(monkeypatch):
         hs.build_ball(P32, 8)
 
 
+def test_sphere_kernels_refuse_beyond_physical_memory():
+    """(3, 2, 16) passes the vertex cap, but its 17 dense kernels on 196 606
+    vertices need about 4.9 TiB: both kernel builders refuse before the
+    distance matrix is allocated."""
+    ball = hs.build_ball(P32, 16)
+    with pytest.raises(hs.BallTooLarge, match="GiB"):
+        hs.KernelFamily.from_ball(ball)
+    with pytest.raises(hs.BallTooLarge, match="GiB"):
+        hs.deform_ball_kernels(ball, hs.BoundaryRay(ball), 0.0)
+    assert ball._dist is None
+
+
 def test_metric_matches_bfs():
     for params, R in ((P32, 4), (P24, 3)):
         ball = hs.build_ball(params, R)

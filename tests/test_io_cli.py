@@ -391,6 +391,11 @@ CONTRACT_CASES = [
     (["walk", "--dtgraph", "3.9,2.5,4.7", "--mu", "1:1", "--steps", "2", "--exact"], 2),
     (["walk", "--dtgraph", "3,2,4.0", "--mu", "1:1", "--steps", "2", "--exact"], 2),
     (["walk", "--dtgraph", "3,2,4,0.1,5", "--mu", "1:1", "--steps", "2", "--exact"], 2),
+    # a grid with no points
+    (["dtgraph", "--a", "3", "--b", "2", "--report", "psd", "--grid", "0:1:0"], 2),
+    # dense kernels beyond physical memory are refused before allocation
+    (["dtgraph", "--a", "3", "--b", "2", "--radius", "16", "--report", "deform"], 2),
+    (["walk", "--dtgraph", "3,2,16", "--mu", "1:1", "--steps", "2", "--exact"], 2),
 ]
 
 

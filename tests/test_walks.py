@@ -61,24 +61,24 @@ def test_support_cap():
 
 
 def test_simulate_walk_zero_steps(k3_scheme):
-    gs = hs.canonical_generalized(k3_scheme)
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
     mu = hs.StepDistribution({1: 1})
-    walk = hs.simulate_walk(gs, mu, steps=0, trials=100, seed=1)
+    walk = hs.simulate_walk(fam, mu, steps=0, trials=100, seed=1)
     assert walk.empirical == {0: 1.0}
 
 
 def test_simulate_walk_deterministic_seed(k3_scheme):
-    gs = hs.canonical_generalized(k3_scheme)
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
     mu = hs.StepDistribution({1: 1})
-    w1 = hs.simulate_walk(gs, mu, steps=2, trials=500, seed=7)
-    w2 = hs.simulate_walk(gs, mu, steps=2, trials=500, seed=7)
+    w1 = hs.simulate_walk(fam, mu, steps=2, trials=500, seed=7)
+    w2 = hs.simulate_walk(fam, mu, steps=2, trials=500, seed=7)
     assert w1.empirical == w2.empirical
 
 
 def test_simulate_walk_k3_one_step(k3_scheme):
-    gs = hs.canonical_generalized(k3_scheme)
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
     mu = hs.StepDistribution({1: 1})
-    walk = hs.simulate_walk(gs, mu, steps=1, trials=100_000, seed=42)
+    walk = hs.simulate_walk(fam, mu, steps=1, trials=100_000, seed=42)
     assert abs(walk.empirical.get(1, 0) - 0.5) < 0.01
     assert abs(walk.empirical.get(2, 0) - 0.5) < 0.01
     assert walk.empirical.get(0, 0) == 0
@@ -95,18 +95,18 @@ def test_projection_matrix_propagation_k3(k3_scheme, k3_hypergroup):
 
 
 def test_projection_check_zero_steps(k3_scheme, k3_hypergroup):
-    gs = hs.canonical_generalized(k3_scheme)
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
     mu = hs.StepDistribution({1: 1})
-    walk = hs.simulate_walk(gs, mu, steps=0, trials=100, seed=1)
-    assert hs.projection_check(walk, gs, k3_hypergroup, mu, 0) == 0.0
+    walk = hs.simulate_walk(fam, mu, steps=0, trials=100, seed=1)
+    assert hs.projection_check(walk, fam, k3_hypergroup, mu, 0) == 0.0
 
 
 def test_projection_check_mismatch(k3_scheme, k3_hypergroup):
-    gs = hs.canonical_generalized(k3_scheme)
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
     mu = hs.StepDistribution({1: 1})
-    walk = hs.simulate_walk(gs, mu, steps=2, trials=100, seed=1)
+    walk = hs.simulate_walk(fam, mu, steps=2, trials=100, seed=1)
     with pytest.raises(hs.ParameterMismatch):
-        hs.projection_check(walk, gs, k3_hypergroup, mu, 3)
+        hs.projection_check(walk, fam, k3_hypergroup, mu, 3)
 
 
 def test_walk_would_exit_ball():
@@ -117,6 +117,29 @@ def test_walk_would_exit_ball():
         hs.simulate_walk(fam, mu, steps=5, trials=10, seed=0)
     # steps within the radius are fine
     hs.simulate_walk(fam, mu, steps=4, trials=10, seed=0)
+
+
+def test_zero_row_of_a_generalized_family_is_not_stepped_from(z4_scheme):
+    """A zero kernel row marks a state the walk may not step from, in any
+    family: a walk that can reach it is refused, one that cannot runs."""
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(z4_scheme))
+    label = z4_scheme.partition.label
+    one, two = int(label[0, 1]), int(label[0, 2])
+    fam.matrices[two] = fam.matrices[two].copy()
+    fam.matrices[two][1] = 0.0
+    assert fam.valid[two].tolist() == [True, False, True, True]
+
+    reaching = hs.StepDistribution({one: Fraction(1, 2), two: Fraction(1, 2)})
+    with pytest.raises(hs.WalkWouldExitBall):
+        hs.simulate_walk(fam, reaching, steps=2, trials=10, seed=0)
+    with pytest.raises(hs.WalkWouldExitBall):
+        hs.propagate_and_project(fam, reaching, steps=2)
+
+    # relation `two` alone pairs 0 with 2 and never reaches state 1
+    mu = hs.StepDistribution({two: 1})
+    walk = hs.simulate_walk(fam, mu, steps=5, trials=1000, seed=0)
+    assert walk.empirical == {2: 1.0}
+    assert hs.propagate_and_project(fam, mu, steps=5) == {two: 1.0}
 
 
 def test_omega_invariance(k3_scheme, z4_scheme):
@@ -148,11 +171,11 @@ def _hoeffding_trials(support: int, tv: float = 0.02,
 
 
 def test_simulate_walk_rejects_no_trials(k3_scheme):
-    gs = hs.canonical_generalized(k3_scheme)
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
     mu = hs.StepDistribution({1: 1})
     for trials in (0, -5):
         with pytest.raises(ValueError):
-            hs.simulate_walk(gs, mu, steps=2, trials=trials, seed=1)
+            hs.simulate_walk(fam, mu, steps=2, trials=trials, seed=1)
 
 
 def test_two_label_projection_ball_and_deformed():
@@ -194,11 +217,11 @@ def test_simulate_walk_prefix_property():
 def test_simulate_walk_memory_bounded_by_block(k3_scheme):
     """Peak traced memory at 10^6 trials stays within a few blocks of
     uniforms (2 MiB each), below the 32 MiB all trials' uniforms would take."""
-    gs = hs.canonical_generalized(k3_scheme)
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
     mu = hs.StepDistribution({1: 1})
     tracemalloc.start()
     try:
-        walk = hs.simulate_walk(gs, mu, steps=2, trials=10 ** 6, seed=1)
+        walk = hs.simulate_walk(fam, mu, steps=2, trials=10 ** 6, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
