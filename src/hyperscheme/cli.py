@@ -243,7 +243,8 @@ def _parse_mu(spec: str) -> walks.StepDistribution:
 
 
 def _walk_inputs(args):
-    """The step law, kernel family and hypergroup named by walk arguments."""
+    """The step law and hypergroup named by walk arguments, and the kernel
+    family of a simulated walk (None with --exact, which needs no kernels)."""
     mu = _parse_mu(args.mu)
     if args.dtgraph:
         fields = args.dtgraph.split(",")
@@ -253,15 +254,20 @@ def _walk_inputs(args):
         a, b, radius = (int(v) for v in fields[:3])
         c = float(fields[3]) if len(fields) == 4 else None
         params = dtgraph.DTParams(a, b)
-        ball = dtgraph.build_ball(params, radius)
-        if c is None:
-            kernels = walks.KernelFamily.from_ball(ball)
-            hgroup = dtgraph.PolyHypergroup(params)
-        else:
-            ray = dtgraph.BoundaryRay(ball)
-            dk = dtgraph.deform_ball_kernels(ball, ray, c)
-            kernels = walks.KernelFamily.from_deformed(dk)
-            hgroup = dtgraph.PolyHypergroup(params, x0=dk.x_c)
+        if radius < 0:
+            raise dtgraph.DomainError("radius must be nonnegative")
+        labels = range(radius + 1)
+        hgroup = dtgraph.PolyHypergroup(
+            params, x0=None if c is None else dtgraph.deformation_point(c, params))
+        for h in labels:    # checks s(h) = P_h(x_c) h(h), the norm of K_h
+            hgroup.haar(h)
+
+        def family():
+            ball = dtgraph.build_ball(params, radius)
+            if c is None:
+                return walks.KernelFamily.from_ball(ball)
+            return walks.KernelFamily.from_deformed(
+                dtgraph.deform_ball_kernels(ball, dtgraph.BoundaryRay(ball), c))
     else:
         if not args.scheme_file:
             raise ValueError("either a scheme file or --dtgraph is required")
@@ -272,14 +278,18 @@ def _walk_inputs(args):
             scheme._verify_kernels(gs, sch)
         else:
             sch = scheme.verify_scheme(gs)
-            gs = scheme.canonical_generalized(sch)
-        kernels = walks.KernelFamily.from_generalized(gs)
+        labels = range(sch.n_relations)
         hgroup = hg.from_scheme(sch)
-    missing = sorted(set(mu.weights) - set(kernels.matrices))
+
+        def family():
+            return walks.KernelFamily.from_generalized(
+                gs if isinstance(gs, scheme.GeneralizedScheme)
+                else scheme.canonical_generalized(sch))
+    missing = sorted(set(mu.weights) - set(labels))
     if missing:
         raise ValueError(f"step law labels {missing} have no kernel; the family "
-                         f"has labels {min(kernels.matrices)}..{max(kernels.matrices)}")
-    return mu, kernels, hgroup
+                         f"has labels {labels[0]}..{labels[-1]}")
+    return mu, None if args.exact else family(), hgroup
 
 
 def cmd_walk(args):

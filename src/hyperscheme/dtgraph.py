@@ -22,6 +22,7 @@ import numpy as np
 from .hypergroup import _ratios
 
 DEFAULT_BALL_CAP = 200_000
+QUAD_TOL = 1e-10
 
 
 class DomainError(Exception):
@@ -85,9 +86,7 @@ def g_coeffs(m: int, n: int, params: DTParams) -> dict:
     Supported on [|m-n|, m+n] with the same parity pattern as the distance
     distribution of two spheres; nonnegative rationals summing to 1.
     """
-    hmn = haar_weight(m, params) * haar_weight(n, params)
-    return {k: Fraction(p * haar_weight(k, params), hmn)
-            for k, p in intersection_numbers(m, n, params).items()}
+    return PolyHypergroup(params).g(m, n)
 
 
 def _poly_sequence(x, params: DTParams):
@@ -140,8 +139,7 @@ def product_formula_residual(m: int, n: int, x: float, params: DTParams) -> floa
     return abs(lhs - rhs)
 
 
-def ortho_measure_integrate(f, params: DTParams, tol: float = 1e-10,
-                            max_nodes: int = 1 << 14) -> float:
+def ortho_measure_integrate(f, params: DTParams, max_nodes: int = 1 << 14) -> float:
     """Integral of f against the normalized orthogonality measure.
 
     Absolutely continuous part (a/2pi) sqrt(1-x^2)/((s1-x)(x-s0)) dx on
@@ -152,7 +150,7 @@ def ortho_measure_integrate(f, params: DTParams, tol: float = 1e-10,
     (i + 1/2) pi / n converges geometrically.  n starts at 27 and triples;
     the old nodes are the middle nodes of the new triples, so each round
     calls f (on an array) only at the 2n new nodes, until two sums agree to
-    tol or 3n would pass max_nodes.
+    QUAD_TOL or 3n would pass max_nodes.
     """
     a, b = params.a, params.b
     s0, s1 = special_points(params)
@@ -171,7 +169,7 @@ def ortho_measure_integrate(f, params: DTParams, tol: float = 1e-10,
                                * (np.pi / (3 * n)))
         n *= 3
         val = total * np.pi / n
-        if abs(val - prev) <= tol * max(1.0, abs(val)):
+        if abs(val - prev) <= QUAD_TOL * max(1.0, abs(val)):
             if b > a:
                 val += (b - a) / b * f(s0)
             return val
@@ -183,85 +181,84 @@ class PolyHypergroup:
     """The polynomial hypergroup on N_0 attached to Graph(a, b), with lazy
     exact coefficients, plus its positive-semicharacter deformations.
 
-    Undeformed instances are exact: they convolve over the integers with
-    the intersection numbers; a deformation at x0 >= 1 rescales by
-    alpha0(h) = P_h(x0) and works in doubles.
+    A deformation at x0 rescales g(m, n, k) by alpha0(k) / (alpha0(m)
+    alpha0(n)), alpha0(h) = P_h(x0).  So every convolution divides a mass at
+    m by s(m) = alpha0(m) h(m), sums over the intersection numbers
+    p_{m,n}^k and multiplies back by s(k): on integers over one denominator
+    when undeformed with rational masses, in doubles otherwise.
     """
 
     def __init__(self, params: DTParams, x0: float | None = None):
         self.params = params
         self.x0 = x0
-        self._g_cache: dict = {}
+        self._alpha = (lambda h: 1) if x0 is None else (
+            lambda h: poly_eval(h, x0, params))
         self._p = lru_cache(maxsize=None)(
             lambda m, n: intersection_numbers(m, n, params))
-        if x0 is not None:
-            self._alpha = lru_cache(maxsize=None)(
-                lambda h: poly_eval(h, x0, params))
+        self._s = lru_cache(maxsize=None)(self._scale)
 
     @property
     def identity(self) -> int:
         return 0
 
     def alpha0(self, h: int) -> float:
-        return 1.0 if self.x0 is None else self._alpha(h)
+        return float(self._alpha(h))
+
+    def _scale(self, h: int):
+        """s(h), an int when undeformed; DomainError unless it is a finite
+        positive double."""
+        try:
+            s = self._alpha(h) * haar_weight(h, self.params)
+        except OverflowError:       # h(h) leaves double range
+            s = math.inf
+        if not 0 < s < math.inf:
+            raise DomainError(f"s({h}) = P_{h}(x0) h({h}) at x0 = {self.x0!r} "
+                              f"is {s!r}, not a finite positive double")
+        return s
 
     def haar(self, n: int):
-        w = haar_weight(n, self.params)
-        return w if self.x0 is None else self.alpha0(n) ** 2 * w
+        return self._alpha(n) * self._s(n)
 
     def g(self, m: int, n: int) -> dict:
-        if (m, n) not in self._g_cache:
-            base = g_coeffs(m, n, self.params)
-            if self.x0 is not None:
-                am, an = self.alpha0(m), self.alpha0(n)
-                base = {k: self.alpha0(k) / (am * an) * float(c)
-                        for k, c in base.items()}
-            self._g_cache[(m, n)] = base
-        return self._g_cache[(m, n)]
+        return self._unscaled(self._p(m, n), self._s(m) * self._s(n))
 
-    def _scaled(self, masses: dict):
-        """(v, den) with masses[m] / h(m) = v[m] / den over the integers, or
-        None when the instance is deformed or a mass is not rational."""
-        r = None if self.x0 is not None else _ratios(list(masses.values()))
-        if r is None:
-            return None
-        lcm = math.lcm(*(haar_weight(m, self.params) for m in masses))
-        return {m: a * (lcm // haar_weight(m, self.params))
-                for m, a in zip(masses, r[0])}, r[1] * lcm
+    def _scaled(self, law: dict) -> tuple:
+        """(v, den) with law[m] / s(m) = v[m] / den: integers when undeformed
+        and every mass is rational, else doubles over den = 1.0."""
+        r = self.x0 is None and _ratios(list(law.values()))
+        if not r:
+            return {m: float(c) / self._s(m) for m, c in law.items()}, 1.0
+        lcm = math.lcm(*map(self._s, law))
+        return {m: c * (lcm // self._s(m)) for m, c in zip(law, r[0])}, r[1] * lcm
 
-    def _unscaled(self, v: dict, den: int) -> dict:
-        return {k: Fraction(haar_weight(k, self.params) * c, den)
-                for k, c in v.items() if c != 0}
+    def _unscaled(self, v: dict, den) -> dict:
+        """s(k) v[k] / den: Fractions over an int den, doubles over a float."""
+        div = Fraction if isinstance(den, int) else (lambda x, d: x / d)
+        return {k: div(self._s(k) * c, den) for k, c in v.items()}
 
-    @staticmethod
-    def _combine(u: dict, v: dict, coeffs) -> dict:
-        """sum_{m,n} u[m] v[n] coeffs(m, n)[k] for every k, zeros kept."""
+    def _combine(self, u: dict, v: dict) -> dict:
+        """sum_{m,n} u[m] v[n] p_{m,n}^k, zeros dropped only after s(k) is
+        checked at every k reached (a double underflows to 0 where s(k) overflows)."""
         out: dict = {}
         for m, x in u.items():
             for n, y in v.items():
-                for k, c in coeffs(m, n).items():
-                    out[k] = out.get(k, 0) + x * y * c
-        return out
+                xy = x * y
+                for k, p in self._p(m, n).items():
+                    out[k] = out.get(k, 0) + xy * p
+        return {k: c for k, c in out.items() if self._s(k) and c != 0}
 
     def convolve(self, mu: dict, nu: dict) -> dict:
-        """mu * nu.  Undeformed instances with rational masses convolve the
-        masses mu(m)/h(m) over the integers with the intersection numbers
-        and return Fractions; others sum with the coefficients g."""
-        su, sv = self._scaled(mu), self._scaled(nu)
-        if su and sv:
-            return self._unscaled(self._combine(su[0], sv[0], self._p), su[1] * sv[1])
-        return {k: v for k, v in self._combine(mu, nu, self.g).items() if v != 0}
+        (u, du), (v, dv) = self._scaled(mu), self._scaled(nu)
+        return self._unscaled(self._combine(u, v), du * dv)
 
     def power(self, mu: dict, t: int) -> dict:
         """t-fold convolution power of the law mu from delta_0, with the keys
-        in the order of repeated convolve calls.  Exact powers stay over the
-        integers and reduce to Fractions once."""
-        scaled = self._scaled(mu)
-        law, coeffs = (mu, self.g) if scaled is None else (scaled[0], self._p)
+        in the order of repeated convolve calls."""
+        law, den = self._scaled(mu)
         v = {self.identity: 1}
         for _ in range(t):
-            v = {k: c for k, c in self._combine(v, law, coeffs).items() if c != 0}
-        return v if scaled is None else self._unscaled(v, scaled[1] ** t)
+            v = self._combine(v, law)
+        return self._unscaled(v, den ** t)
 
     def deform(self, x0: float) -> "PolyHypergroup":
         if self.x0 is not None:
@@ -601,12 +598,8 @@ def deform_ball_kernels(ball: Ball, ray: BoundaryRay, c: float) -> DeformedKerne
     dB = ray.horocycle.astype(float)
     _check_exponent(c * (dB.max() - dB.min()), "the boundary tilt")
     phi = np.exp(c * dB)
-
-    def tilt(h, rows):
-        norm = poly_eval(h, x_c, params) * haar_weight(h, params)
-        return np.outer(1.0 / phi[rows], phi) / norm
-
-    kernels = ball.sphere_kernels(tilt)
+    s = PolyHypergroup(params, x0=x_c)._s      # row norm P_h(x_c) w_h
+    kernels = ball.sphere_kernels(lambda h, rows: np.outer(1.0 / phi[rows], phi) / s(h))
     worst = max((float(np.abs(kernels[h][:ball_size(params, R - h)].sum(axis=1)
                               - 1.0).max()) for h in range(1, R + 1)), default=0.0)
     return DeformedKernels(ball=ball, ray=ray, c=c, x_c=x_c, kernels=kernels,
@@ -634,9 +627,7 @@ def pushforward_vs_haar(params: DTParams, c: float):
     ball = build_ball(params, 2)
     ray = BoundaryRay(ball)
     pf1_ball = sum(math.exp(2 * c * d) for d in ray.horocycle[ball.depths == 1])
-    x_c = deformation_point(c, params)
-    hg = PolyHypergroup(params, x0=x_c)
-    haar1_hg = 1.0 / hg.g(1, 1)[0]
+    haar1_hg = PolyHypergroup(params, x0=deformation_point(c, params)).haar(1)
     if abs(pf1_ball - pf1) > 1e-10 * pf1 or abs(haar1_hg - haar1) > 1e-10 * haar1:
         raise AssertionError("closed forms disagree with direct recomputation")
     return pf1, haar1

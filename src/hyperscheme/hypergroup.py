@@ -23,6 +23,7 @@ from .scheme import (AssociationScheme, AxiomViolation, GeneralizedScheme,
 
 TOL = 1e-9
 PSD_FLOOR = 1e-8
+CHARACTER_RETRIES = 5
 DEFAULT_SEED = 0x5EED
 
 
@@ -158,11 +159,11 @@ class FiniteHypergroup:
             vals = [Fraction(v, den ** t) for v in vals]
         return {i: v for i, v in enumerate(vals) if v != 0}
 
-    def is_commutative(self, tol: float = TOL) -> bool:
-        """Exact on exact tensors; within tol otherwise."""
+    def is_commutative(self) -> bool:
+        """Exact on exact tensors; within TOL otherwise."""
         if self.is_exact:
             return bool(np.array_equal(self.num, self.num.transpose(1, 0, 2)))
-        return bool(np.abs(self.conv_f - self.conv_f.transpose(1, 0, 2)).max() <= tol)
+        return bool(np.abs(self.conv_f - self.conv_f.transpose(1, 0, 2)).max() <= TOL)
 
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.involution, np.arange(self.n)))
@@ -205,7 +206,7 @@ class HypergroupReport:
     failures: list
 
 
-def verify_hypergroup(h: FiniteHypergroup, tol: float = TOL,
+def verify_hypergroup(h: FiniteHypergroup,
                       raise_on_failure: bool = True) -> HypergroupReport:
     """Check finiteness, identity, support-of-identity, involution
     compatibility, associativity, nonnegativity and normalization of the
@@ -214,7 +215,7 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = TOL,
     Exact tensors are checked on the integers num, against den in place of
     1; associativity is exact too while d * max|num|^2 < 2^53, where the
     float64 products of num are exact integers, and within 1e-8 on conv_f
-    beyond that.  Float tensors are compared with tol, and with 1e-8 for
+    beyond that.  Float tensors are compared with TOL, and with 1e-8 for
     normalization and associativity.
     """
     exact = h.is_exact
@@ -229,7 +230,7 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = TOL,
     if not exact and not np.isfinite(c).all():
         i, j, k = map(int, np.argwhere(~np.isfinite(c))[0])
         failures.append(AxiomViolation("finite", (i, j, k)))
-    eps = 0 if exact else tol
+    eps = 0 if exact else TOL
     if c.min() < -eps:
         i, j, k = map(int, np.argwhere(c < -eps)[0])
         failures.append(AxiomViolation("nonnegative", (i, j, k)))
@@ -241,7 +242,7 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = TOL,
         failures.append(AxiomViolation("normalization", (i, j)))
 
     eye = np.eye(n, dtype=c.dtype) * one
-    bad_ident = far(c[:, e], eye, tol).any(axis=1) | far(c[e], eye, tol).any(axis=1)
+    bad_ident = far(c[:, e], eye, TOL).any(axis=1) | far(c[e], eye, TOL).any(axis=1)
     for x in np.flatnonzero(bad_ident):
         failures.append(AxiomViolation("identity", (int(x),)))
 
@@ -251,7 +252,7 @@ def verify_hypergroup(h: FiniteHypergroup, tol: float = TOL,
 
     # c[inv[y], inv[x], inv[k]] at [x, y, k]
     c_bar = c[np.ix_(inv, inv, inv)].transpose(1, 0, 2)
-    for x, y in np.argwhere(far(c, c_bar, tol).any(axis=2)):
+    for x, y in np.argwhere(far(c, c_bar, TOL).any(axis=2)):
         failures.append(AxiomViolation("involution-compat", (int(x), int(y))))
 
     # associativity: (delta_i * delta_j) * delta_l == delta_i * (delta_j * delta_l),
@@ -309,8 +310,7 @@ def _char_sort_key(row: np.ndarray):
     return tuple(key)
 
 
-def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED,
-               max_retries: int = 5) -> CharacterTable:
+def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> CharacterTable:
     """Characters of a commutative finite hypergroup via joint
     diagonalization of the convolution operators.
 
@@ -325,7 +325,7 @@ def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED,
 
     rng = np.random.Generator(np.random.Philox(seed))
     last_err = None
-    for _ in range(max_retries):
+    for _ in range(CHARACTER_RETRIES):
         wts = rng.dirichlet(np.ones(n))
         M = sum(wt * Bi for wt, Bi in zip(wts, c))
         vals, vecs = scipy.linalg.eig(M)

@@ -298,7 +298,7 @@ def canonical_generalized(scheme: AssociationScheme) -> GeneralizedScheme:
                              omega_x=np.ones(scheme.n_points))
 
 
-def verify_generalized(gs: GeneralizedScheme, tol: float = KERNEL_TOL) -> np.ndarray:
+def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
     """Check the generalized-scheme axioms; return the deformed tensor p~.
 
     Axiom ids follow the five conditions of the definition: (1) constant
@@ -307,11 +307,10 @@ def verify_generalized(gs: GeneralizedScheme, tol: float = KERNEL_TOL) -> np.nda
     """
     # (1) underlying partition is a scheme (checked explicitly; see Remark 4.6
     # style open question -- never assumed)
-    return _verify_kernels(gs, verify_scheme(gs.partition), tol)
+    return _verify_kernels(gs, verify_scheme(gs.partition))
 
 
-def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme,
-                    tol: float = KERNEL_TOL) -> np.ndarray:
+def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndarray:
     """Axioms (2)-(5) of verify_generalized for kernels on a partition that
     verify_scheme already turned into scheme; returns p~."""
     part = gs.partition
@@ -322,7 +321,7 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme,
 
     # (2) support condition and row-stochasticity
     for i in range(d):
-        pos = S[i] > tol
+        pos = S[i] > KERNEL_TOL
         want = lab == i
         if not np.array_equal(pos, want):
             x, y = map(int, np.argwhere(pos != want)[0])
@@ -332,12 +331,12 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme,
         if np.abs(rows - 1.0).max() > 1e-8:
             x = int(np.argmax(np.abs(rows - 1.0)))
             raise AxiomViolation("2", (i, x), f"kernel {i} row {x} not stochastic")
-        if S[i].min() < -tol:
-            x, y = map(int, np.argwhere(S[i] < -tol)[0])
+        if S[i].min() < -KERNEL_TOL:
+            x, y = map(int, np.argwhere(S[i] < -KERNEL_TOL)[0])
             raise AxiomViolation("2", (i, x, y), "negative kernel entry")
 
     # (4) identity kernel
-    if np.abs(S[e] - np.eye(n)).max() > tol:
+    if np.abs(S[e] - np.eye(n)).max() > KERNEL_TOL:
         raise AxiomViolation("4", (e,), "identity kernel is not the identity matrix")
 
     # (5) adjoint relation, recovering the involution from the partition
@@ -348,8 +347,9 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme,
     for i in range(d):
         lhs = w[:, None] * S[inv[i]]            # omega(y) * S_bar(i)(y, x)
         rhs = (w[:, None] * S[i]).T             # omega(x) * S_i(x, y), transposed
-        if np.abs(lhs - rhs).max() > tol * max(1.0, w.max()):
-            y, x = map(int, np.argwhere(np.abs(lhs - rhs) > tol * max(1.0, w.max()))[0])
+        bad = np.abs(lhs - rhs) > KERNEL_TOL * max(1.0, w.max())
+        if bad.any():
+            y, x = map(int, np.argwhere(bad)[0])
             raise AxiomViolation("5", (i, x, y), "adjoint relation fails")
 
     # (3) span closure: read each coefficient off one representative entry
@@ -364,8 +364,8 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme,
         for j in range(d):
             prod = S[i] @ S[j]
             coeff = prod[rx, ry] / s_rep
-            if (coeff < -tol).any():
-                k = int(np.argmax(coeff < -tol))
+            if (coeff < -KERNEL_TOL).any():
+                k = int(np.argmax(coeff < -KERNEL_TOL))
                 raise AxiomViolation("3", (i, j, k), "negative span coefficient")
             coeff = np.where(0.0 > coeff, 0.0, coeff)   # max(coeff, 0.0), -0.0 kept
             ptilde[i, j] = coeff

@@ -21,6 +21,7 @@ from .scheme import GeneralizedScheme
 
 # simulate_walk draws its uniforms in blocks of about this many
 _BLOCK_UNIFORMS = 1 << 18
+SUPPORT_CAP = 10_000
 
 
 class SupportCap(Exception):
@@ -63,8 +64,7 @@ class WalkResult:
     start: int
 
 
-def convolution_power(hg, mu: StepDistribution, t: int,
-                      support_cap: int = 10_000) -> dict:
+def convolution_power(hg, mu: StepDistribution, t: int) -> dict:
     """t-fold convolution power of mu; exact when mu and hg are exact.
 
     hg is a FiniteHypergroup or a PolyHypergroup; the result is a dict
@@ -73,8 +73,8 @@ def convolution_power(hg, mu: StepDistribution, t: int,
     if t < 0:
         raise ValueError("t must be nonnegative")
     if isinstance(hg, PolyHypergroup):
-        if t * mu.max_support > support_cap:
-            raise SupportCap(f"support would exceed {support_cap}")
+        if t * mu.max_support > SUPPORT_CAP:
+            raise SupportCap(f"support would exceed {SUPPORT_CAP}")
     elif not isinstance(hg, FiniteHypergroup):
         raise TypeError("unsupported hypergroup type")
     return hg.power(mu.weights, t)
@@ -207,7 +207,7 @@ def tv_distance(p: dict, q: dict) -> float:
 
 
 def projection_check(walk: WalkResult, fam: KernelFamily, hg, mu: StepDistribution,
-                     steps: int, start: int | None = None) -> float:
+                     steps: int) -> float:
     """Compare the projected walk with the hypergroup convolution power.
 
     Returns the TV distance between the projected empirical law and
@@ -215,9 +215,7 @@ def projection_check(walk: WalkResult, fam: KernelFamily, hg, mu: StepDistributi
     propagation must agree with the convolution power to within 1e-10 (the
     deterministic form of the projection theorem); a mismatch raises.
     """
-    if start is None:
-        start = walk.start
-    if steps != walk.steps or start != walk.start:
+    if steps != walk.steps:
         raise ParameterMismatch("walk was generated with different parameters")
     exact, projected_emp = _projected_laws(walk, fam, hg, mu)
     return tv_distance(projected_emp, exact)

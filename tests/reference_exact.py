@@ -1,5 +1,6 @@
 """Reference oracle: the nested-Fraction exact algebra the integer
-numerator tensors replaced.
+numerator tensors replaced, and the g-coefficient path of deformed and
+float-mass polynomial hypergroups.
 
 The old code is kept as it was, operating on nested [i][j][k] tuples of
 Fraction (or float), so the differential tests can assert that the new
@@ -142,11 +143,23 @@ def g_coeffs(m, n, a, b):
     return g
 
 
-def poly_convolve(a, b, mu, nu):
+def poly_g(a, b, m, n, alpha=None):
+    """The coefficients g(m, n, .) of the polynomial hypergroup, deformed by
+    alpha(k) / (alpha(m) alpha(n)) in doubles when alpha is given: the
+    g-coefficient path PolyHypergroup used for deformed instances and float
+    masses before every convolution ran over the intersection numbers."""
+    g = g_coeffs(m, n, a, b)
+    if alpha is None:
+        return g
+    am, an = alpha(m), alpha(n)
+    return {k: alpha(k) / (am * an) * float(c) for k, c in g.items()}
+
+
+def poly_convolve(a, b, mu, nu, alpha=None):
     out = {}
     for m, cm in mu.items():
         for n, cn in nu.items():
-            for k, g in g_coeffs(m, n, a, b).items():
+            for k, g in poly_g(a, b, m, n, alpha).items():
                 out[k] = out.get(k, 0) + cm * cn * g
     return {k: v for k, v in out.items() if v != 0}
 
@@ -161,10 +174,10 @@ def finite_power(conv, identity, mu, t):
     return dist
 
 
-def poly_power(a, b, mu, t):
+def poly_power(a, b, mu, t, alpha=None):
     dist = {0: Fraction(1)}
     for _ in range(t):
-        dist = poly_convolve(a, b, dist, mu)
+        dist = poly_convolve(a, b, dist, mu, alpha)
     return dist
 
 

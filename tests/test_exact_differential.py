@@ -140,6 +140,56 @@ def test_poly_power_matches_reference(case):
         list(ref.poly_convolve(a, b, got, law).items())
 
 
+@st.composite
+def deformed_poly_walks(draw):
+    """A poly walk on a hypergroup deformed at x_c, c in {-0.35, 0, 0.3, 1},
+    or left undeformed (None) with float masses; deformed laws keep their
+    Fractions or become floats."""
+    a, b, law, t = draw(poly_walks())
+    c = draw(st.sampled_from([None, -0.35, 0.0, 0.3, 1.0]))
+    if c is None or draw(st.booleans()):
+        law = {k: float(v) for k, v in law.items()}
+    return a, b, law, t, c, draw(st.integers(0, 12)), draw(st.integers(0, 12))
+
+
+def _assert_close(got, want):
+    assert list(got) == list(want)                      # same keys, same order
+    for k, v in want.items():
+        assert abs(got[k] - v) <= 1e-12 * abs(v), (k, got[k], v)
+
+
+@given(deformed_poly_walks())
+def test_deformed_and_float_poly_match_g_path(case):
+    a, b, law, t, c, m, n = case
+    params = hs.DTParams(a, b)
+    hg, alpha = hs.PolyHypergroup(params), None
+    if c is not None:
+        hg = hg.deform(hs.deformation_point(c, params))
+        alpha = hg.alpha0
+    got = hs.convolution_power(hg, hs.StepDistribution(law), t)
+    _assert_close(got, ref.poly_power(a, b, law, t, alpha))
+    _assert_close(hg.convolve(got, law), ref.poly_convolve(a, b, got, law, alpha))
+    _assert_close(hg.g(m, n), ref.poly_g(a, b, m, n, alpha))
+
+
+def test_poly_exact_surface():
+    hg = hs.PolyHypergroup(hs.DTParams(3, 2))
+    assert hg.alpha0(4) == 1.0 and type(hg.alpha0(4)) is float
+    assert hg.haar(4) == 24 and type(hg.haar(4)) is int
+    assert hg.g(2, 3) == ref.poly_g(3, 2, 2, 3)
+    assert all(type(v) is Fraction for v in hg.g(2, 3).values())
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.5, float("nan"), float("inf"), 1e200])
+def test_deformation_refuses_alpha0_out_of_range(x0):
+    # P_h(x0) is 0 at h = 1 (x0 = 0), negative at h = 2 (x0 = 0.5), NaN or
+    # infinite; without the check these gave ZeroDivisionError or negative or
+    # NaN masses
+    hg = hs.PolyHypergroup(hs.DTParams(3, 2), x0=x0)
+    with pytest.raises(hs.DomainError, match="not a finite positive double"):
+        hg.power({1: 1.0}, 3)
+
+
 @given(st.sampled_from(NAMES), st.integers(0, 3), st.integers(0, 2 ** 16))
 def test_translation_t1_matches_reference(name, bumps, seed):
     sch = SCHEMES[name]

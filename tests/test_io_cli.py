@@ -395,7 +395,11 @@ CONTRACT_CASES = [
     (["dtgraph", "--a", "3", "--b", "2", "--report", "psd", "--grid", "0:1:0"], 2),
     # dense kernels beyond physical memory are refused before allocation
     (["dtgraph", "--a", "3", "--b", "2", "--radius", "16", "--report", "deform"], 2),
-    (["walk", "--dtgraph", "3,2,16", "--mu", "1:1", "--steps", "2", "--exact"], 2),
+    (["walk", "--dtgraph", "3,2,16", "--mu", "1:1", "--steps", "2", "--trials", "10"], 2),
+    # an exact walk builds no kernels, so only a simulated one needs the memory
+    (["walk", "--dtgraph", "3,2,16", "--mu", "1:1", "--steps", "2", "--exact"], 0),
+    # s(3) = P_3(x_c) h(3) of the deformed family leaves double range
+    (["walk", "--dtgraph", "3,2,3,300", "--mu", "1:1", "--steps", "2", "--exact"], 2),
 ]
 
 
