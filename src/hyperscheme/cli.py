@@ -243,8 +243,7 @@ def _parse_mu(spec: str) -> walks.StepDistribution:
 
 
 def _walk_inputs(args):
-    """The step law and hypergroup named by walk arguments, and the kernel
-    family of a simulated walk (None with --exact, which needs no kernels)."""
+    """The step law, kernel family (None with --exact) and hypergroup."""
     mu = _parse_mu(args.mu)
     if args.dtgraph:
         fields = args.dtgraph.split(",")
@@ -254,20 +253,15 @@ def _walk_inputs(args):
         a, b, radius = (int(v) for v in fields[:3])
         c = float(fields[3]) if len(fields) == 4 else None
         params = dtgraph.DTParams(a, b)
-        if radius < 0:
-            raise dtgraph.DomainError("radius must be nonnegative")
-        labels = range(radius + 1)
-        hgroup = dtgraph.PolyHypergroup(
-            params, x0=None if c is None else dtgraph.deformation_point(c, params))
-        for h in labels:    # checks s(h) = P_h(x_c) h(h), the norm of K_h
-            hgroup.haar(h)
-
-        def family():
+        x_c = None if c is None else dtgraph.deformation_point(c, params)
+        labels = dtgraph.sphere_labels(radius)
+        hgroup = dtgraph.PolyHypergroup(params, x0=x_c)
+        hgroup.alpha0(radius)   # K_R's scale; a power checks each alpha0 it uses
+        if not args.exact:
             ball = dtgraph.build_ball(params, radius)
-            if c is None:
-                return walks.KernelFamily.from_ball(ball)
-            return walks.KernelFamily.from_deformed(
-                dtgraph.deform_ball_kernels(ball, dtgraph.BoundaryRay(ball), c))
+            kernels = walks.KernelFamily.from_ball(ball) if c is None else \
+                walks.KernelFamily.from_deformed(
+                    dtgraph.deform_ball_kernels(ball, dtgraph.BoundaryRay(ball), c))
     else:
         if not args.scheme_file:
             raise ValueError("either a scheme file or --dtgraph is required")
@@ -278,18 +272,16 @@ def _walk_inputs(args):
             scheme._verify_kernels(gs, sch)
         else:
             sch = scheme.verify_scheme(gs)
+            gs = None if args.exact else scheme.canonical_generalized(sch)
         labels = range(sch.n_relations)
         hgroup = hg.from_scheme(sch)
-
-        def family():
-            return walks.KernelFamily.from_generalized(
-                gs if isinstance(gs, scheme.GeneralizedScheme)
-                else scheme.canonical_generalized(sch))
-    missing = sorted(set(mu.weights) - set(labels))
+        if not args.exact:
+            kernels = walks.KernelFamily.from_generalized(gs)
+    missing = sorted(h for h in mu.weights if h not in labels)
     if missing:
         raise ValueError(f"step law labels {missing} have no kernel; the family "
                          f"has labels {labels[0]}..{labels[-1]}")
-    return mu, None if args.exact else family(), hgroup
+    return mu, None if args.exact else kernels, hgroup
 
 
 def cmd_walk(args):

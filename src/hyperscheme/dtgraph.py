@@ -86,7 +86,9 @@ def g_coeffs(m: int, n: int, params: DTParams) -> dict:
     Supported on [|m-n|, m+n] with the same parity pattern as the distance
     distribution of two spheres; nonnegative rationals summing to 1.
     """
-    return PolyHypergroup(params).g(m, n)
+    hmn = haar_weight(m, params) * haar_weight(n, params)
+    return {k: Fraction(p * haar_weight(k, params), hmn)
+            for k, p in intersection_numbers(m, n, params).items()}
 
 
 def _poly_sequence(x, params: DTParams):
@@ -181,84 +183,83 @@ class PolyHypergroup:
     """The polynomial hypergroup on N_0 attached to Graph(a, b), with lazy
     exact coefficients, plus its positive-semicharacter deformations.
 
-    A deformation at x0 rescales g(m, n, k) by alpha0(k) / (alpha0(m)
-    alpha0(n)), alpha0(h) = P_h(x0).  So every convolution divides a mass at
-    m by s(m) = alpha0(m) h(m), sums over the intersection numbers
-    p_{m,n}^k and multiplies back by s(k): on integers over one denominator
-    when undeformed with rational masses, in doubles otherwise.
+    g(m, n, k) = p_{m,n}^k s(k) / (s(m) s(n)), s(h) = alpha0(h) h(h).  Exact
+    laws over h(m) convolve as integers with p; deformed or float ones with
+    g in doubles, as masses over s(m) would leave double range.
     """
 
     def __init__(self, params: DTParams, x0: float | None = None):
         self.params = params
         self.x0 = x0
-        self._alpha = (lambda h: 1) if x0 is None else (
-            lambda h: poly_eval(h, x0, params))
         self._p = lru_cache(maxsize=None)(
             lambda m, n: intersection_numbers(m, n, params))
-        self._s = lru_cache(maxsize=None)(self._scale)
+        self._g = lru_cache(maxsize=None)(lambda m, n: {   # g in doubles
+            k: self.alpha0(k) / (self.alpha0(m) * self.alpha0(n)) * float(c)
+            for k, c in g_coeffs(m, n, params).items()})
+        if x0 is not None:
+            self._alpha = lru_cache(maxsize=None)(
+                lambda h: poly_eval(h, x0, params))
 
     @property
     def identity(self) -> int:
         return 0
 
     def alpha0(self, h: int) -> float:
-        return float(self._alpha(h))
-
-    def _scale(self, h: int):
-        """s(h), an int when undeformed; DomainError unless it is a finite
-        positive double."""
-        try:
-            s = self._alpha(h) * haar_weight(h, self.params)
-        except OverflowError:       # h(h) leaves double range
-            s = math.inf
-        if not 0 < s < math.inf:
-            raise DomainError(f"s({h}) = P_{h}(x0) h({h}) at x0 = {self.x0!r} "
-                              f"is {s!r}, not a finite positive double")
-        return s
+        """P_h(x0), 1.0 undeformed; DomainError unless finite and positive."""
+        value = 1.0 if self.x0 is None else self._alpha(h)
+        if not 0 < value < math.inf:
+            raise DomainError(f"alpha0({h}) = P_{h}(x0) at x0 = {self.x0!r} is "
+                              f"{value!r}, not a finite positive double")
+        return value
 
     def haar(self, n: int):
-        return self._alpha(n) * self._s(n)
+        w = haar_weight(n, self.params)
+        return w if self.x0 is None else self.alpha0(n) ** 2 * w
 
     def g(self, m: int, n: int) -> dict:
-        return self._unscaled(self._p(m, n), self._s(m) * self._s(n))
+        """g(m, n, .): Fractions undeformed, doubles deformed."""
+        return g_coeffs(m, n, self.params) if self.x0 is None else self._g(m, n)
 
-    def _scaled(self, law: dict) -> tuple:
-        """(v, den) with law[m] / s(m) = v[m] / den: integers when undeformed
-        and every mass is rational, else doubles over den = 1.0."""
-        r = self.x0 is None and _ratios(list(law.values()))
-        if not r:
-            return {m: float(c) / self._s(m) for m, c in law.items()}, 1.0
-        lcm = math.lcm(*map(self._s, law))
-        return {m: c * (lcm // self._s(m)) for m, c in zip(law, r[0])}, r[1] * lcm
+    def _scaled(self, masses: dict):
+        """(v, den) with masses[m] / h(m) = v[m] / den over the integers, or
+        None when the instance is deformed or a mass is not rational."""
+        r = None if self.x0 is not None else _ratios(list(masses.values()))
+        if r is None:
+            return None
+        lcm = math.lcm(*(haar_weight(m, self.params) for m in masses))
+        return {m: a * (lcm // haar_weight(m, self.params))
+                for m, a in zip(masses, r[0])}, r[1] * lcm
 
-    def _unscaled(self, v: dict, den) -> dict:
-        """s(k) v[k] / den: Fractions over an int den, doubles over a float."""
-        div = Fraction if isinstance(den, int) else (lambda x, d: x / d)
-        return {k: div(self._s(k) * c, den) for k, c in v.items()}
+    def _unscaled(self, v: dict, den: int) -> dict:
+        return {k: Fraction(haar_weight(k, self.params) * c, den) for k, c in v.items()}
 
-    def _combine(self, u: dict, v: dict) -> dict:
-        """sum_{m,n} u[m] v[n] p_{m,n}^k, zeros dropped only after s(k) is
-        checked at every k reached (a double underflows to 0 where s(k) overflows)."""
+    @staticmethod
+    def _combine(u: dict, v: dict, coeffs) -> dict:
+        """sum_{m,n} u[m] v[n] coeffs(m, n)[k] for every k, zeros dropped."""
         out: dict = {}
         for m, x in u.items():
             for n, y in v.items():
                 xy = x * y
-                for k, p in self._p(m, n).items():
-                    out[k] = out.get(k, 0) + xy * p
-        return {k: c for k, c in out.items() if self._s(k) and c != 0}
+                for k, c in coeffs(m, n).items():
+                    out[k] = out.get(k, 0) + xy * c
+        return {k: c for k, c in out.items() if c != 0}
 
     def convolve(self, mu: dict, nu: dict) -> dict:
-        (u, du), (v, dv) = self._scaled(mu), self._scaled(nu)
-        return self._unscaled(self._combine(u, v), du * dv)
+        """mu * nu, in Fractions when undeformed with rational masses."""
+        su, sv = self._scaled(mu), self._scaled(nu)
+        if su and sv:
+            return self._unscaled(self._combine(su[0], sv[0], self._p), su[1] * sv[1])
+        return self._combine(mu, nu, self._g)
 
     def power(self, mu: dict, t: int) -> dict:
         """t-fold convolution power of the law mu from delta_0, with the keys
         in the order of repeated convolve calls."""
-        law, den = self._scaled(mu)
+        scaled = self._scaled(mu)
+        law, coeffs = (mu, self._g) if scaled is None else (scaled[0], self._p)
         v = {self.identity: 1}
         for _ in range(t):
-            v = self._combine(v, law)
-        return self._unscaled(v, den ** t)
+            v = self._combine(v, law, coeffs)
+        return v if scaled is None else self._unscaled(v, scaled[1] ** t)
 
     def deform(self, x0: float) -> "PolyHypergroup":
         if self.x0 is not None:
@@ -410,12 +411,18 @@ class Ball:
         return kernels
 
 
+def sphere_labels(R: int) -> range:
+    """0..R, the labels of the sphere kernels of a radius-R ball."""
+    if R < 0:
+        raise DomainError("radius must be nonnegative")
+    return range(R + 1)
+
+
 def build_ball(params: DTParams, R: int, cap: int | None = None) -> Ball:
     """The arrays of all step-words of length <= R, in the Ball layout;
     errors above the vertex cap (default 200000, override with
     HYPERSCHEME_BALL_CAP)."""
-    if R < 0:
-        raise DomainError("radius must be nonnegative")
+    sphere_labels(R)
     if cap is None:
         cap = int(os.environ.get("HYPERSCHEME_BALL_CAP", DEFAULT_BALL_CAP))
     size = ball_size(params, R)
@@ -598,8 +605,9 @@ def deform_ball_kernels(ball: Ball, ray: BoundaryRay, c: float) -> DeformedKerne
     dB = ray.horocycle.astype(float)
     _check_exponent(c * (dB.max() - dB.min()), "the boundary tilt")
     phi = np.exp(c * dB)
-    s = PolyHypergroup(params, x0=x_c)._s      # row norm P_h(x_c) w_h
-    kernels = ball.sphere_kernels(lambda h, rows: np.outer(1.0 / phi[rows], phi) / s(h))
+    alpha0 = PolyHypergroup(params, x0=x_c).alpha0
+    kernels = ball.sphere_kernels(lambda h, rows: np.outer(1.0 / phi[rows], phi)
+                                  / (alpha0(h) * haar_weight(h, params)))
     worst = max((float(np.abs(kernels[h][:ball_size(params, R - h)].sum(axis=1)
                               - 1.0).max()) for h in range(1, R + 1)), default=0.0)
     return DeformedKernels(ball=ball, ray=ray, c=c, x_c=x_c, kernels=kernels,

@@ -4,6 +4,7 @@ convolution powers, byte-identical "p/q" JSON), plus property tests of
 double-coset hypergroups of random subgroups."""
 
 import itertools
+import math
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ import hyperscheme as hs
 import reference_exact as ref
 import reference_verifiers as refv
 from hyperscheme import io as hio
+from hyperscheme.dtgraph import sphere_labels
 from test_verifiers_differential import (dihedral_table, symmetric_table,
                                          young_subgroup)
 
@@ -172,6 +174,19 @@ def test_deformed_and_float_poly_match_g_path(case):
     _assert_close(hg.g(m, n), ref.poly_g(a, b, m, n, alpha))
 
 
+@pytest.mark.parametrize("c, t", [(0.1, 1100), (None, 1030)])
+def test_long_float_powers_match_g_path(c, t):
+    # keys pass 1024, where h(k) ~ 2^k leaves double range and the masses
+    # at one step span more than it: only O(1) coefficients keep every atom
+    params = hs.DTParams(3, 2)
+    hg, alpha = hs.PolyHypergroup(params), None
+    if c is not None:
+        hg = hg.deform(hs.deformation_point(c, params))
+        alpha = hg.alpha0
+    _assert_close(hg.power({1: 1.0}, t), ref.poly_power(3, 2, {1: 1.0}, t, alpha))
+    assert hg.power({1100: 1.0}, 1) == {1100: 1.0}
+
+
 def test_poly_exact_surface():
     hg = hs.PolyHypergroup(hs.DTParams(3, 2))
     assert hg.alpha0(4) == 1.0 and type(hg.alpha0(4)) is float
@@ -188,6 +203,18 @@ def test_deformation_refuses_alpha0_out_of_range(x0):
     hg = hs.PolyHypergroup(hs.DTParams(3, 2), x0=x0)
     with pytest.raises(hs.DomainError, match="not a finite positive double"):
         hg.power({1: 1.0}, 3)
+
+
+def test_alpha0_past_double_range_and_sphere_labels():
+    params = hs.DTParams(3, 2)
+    hg = hs.PolyHypergroup(params, hs.deformation_point(300.0, params))
+    assert math.isfinite(hg.alpha0(2))          # P_3(x0) = inf, later NaN
+    for h in (3, 4, 1000):
+        with pytest.raises(hs.DomainError, match="not a finite positive double"):
+            hg.alpha0(h)
+    with pytest.raises(hs.DomainError, match="radius must be nonnegative"):
+        sphere_labels(-1)
+    assert sphere_labels(10 ** 12) == range(10 ** 12 + 1)
 
 
 @given(st.sampled_from(NAMES), st.integers(0, 3), st.integers(0, 2 ** 16))

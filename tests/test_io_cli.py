@@ -398,7 +398,9 @@ CONTRACT_CASES = [
     (["walk", "--dtgraph", "3,2,16", "--mu", "1:1", "--steps", "2", "--trials", "10"], 2),
     # an exact walk builds no kernels, so only a simulated one needs the memory
     (["walk", "--dtgraph", "3,2,16", "--mu", "1:1", "--steps", "2", "--exact"], 0),
-    # s(3) = P_3(x_c) h(3) of the deformed family leaves double range
+    # nor does it hold anything per label, so R is not bounded by memory
+    (["walk", "--dtgraph", "3,2,1000000", "--mu", "1:1", "--steps", "2", "--exact"], 0),
+    # alpha0(3) = P_3(x_c) of the deformed family leaves double range
     (["walk", "--dtgraph", "3,2,3,300", "--mu", "1:1", "--steps", "2", "--exact"], 2),
 ]
 
