@@ -21,8 +21,11 @@ import numpy as np
 
 from .hypergroup import _ratios
 
-DEFAULT_BALL_CAP = 200_000
+# build_ball refuses larger balls: beyond them the float Gram verdicts of
+# --report psd no longer hold, and dense kernels outgrow memory long before
+BALL_CAP = 200_000
 QUAD_TOL = 1e-10
+QUAD_MAX_NODES = 1 << 14
 
 
 class DomainError(Exception):
@@ -43,6 +46,14 @@ class NonUniqueMinimizer(Exception):
 
 class UnsupportedParams(Exception):
     pass
+
+
+def _normal(value: float, what: str) -> float:
+    """value, or DomainError unless it is a finite positive normal double."""
+    if not sys.float_info.min <= value < math.inf:
+        raise DomainError(f"{what} is {value!r}, not a finite positive double "
+                          f">= {sys.float_info.min!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -141,7 +152,7 @@ def product_formula_residual(m: int, n: int, x: float, params: DTParams) -> floa
     return abs(lhs - rhs)
 
 
-def ortho_measure_integrate(f, params: DTParams, max_nodes: int = 1 << 14) -> float:
+def ortho_measure_integrate(f, params: DTParams) -> float:
     """Integral of f against the normalized orthogonality measure.
 
     Absolutely continuous part (a/2pi) sqrt(1-x^2)/((s1-x)(x-s0)) dx on
@@ -152,7 +163,7 @@ def ortho_measure_integrate(f, params: DTParams, max_nodes: int = 1 << 14) -> fl
     (i + 1/2) pi / n converges geometrically.  n starts at 27 and triples;
     the old nodes are the middle nodes of the new triples, so each round
     calls f (on an array) only at the 2n new nodes, until two sums agree to
-    QUAD_TOL or 3n would pass max_nodes.
+    QUAD_TOL or 3n would pass QUAD_MAX_NODES.
     """
     a, b = params.a, params.b
     s0, s1 = special_points(params)
@@ -165,7 +176,7 @@ def ortho_measure_integrate(f, params: DTParams, max_nodes: int = 1 << 14) -> fl
     n = 27
     total = integrand_sum((np.arange(n) + 0.5) * (np.pi / n))
     prev = total * np.pi / n
-    while 3 * n <= max_nodes:
+    while 3 * n <= QUAD_MAX_NODES:
         i = np.arange(n)
         total += integrand_sum(np.concatenate((3 * i + 0.5, 3 * i + 2.5))
                                * (np.pi / (3 * n)))
@@ -176,7 +187,7 @@ def ortho_measure_integrate(f, params: DTParams, max_nodes: int = 1 << 14) -> fl
                 val += (b - a) / b * f(s0)
             return val
         prev = val
-    raise QuadratureFailure(f"no convergence with up to {max_nodes} nodes")
+    raise QuadratureFailure(f"no convergence with up to {QUAD_MAX_NODES} nodes")
 
 
 class PolyHypergroup:
@@ -185,7 +196,8 @@ class PolyHypergroup:
 
     g(m, n, k) = p_{m,n}^k s(k) / (s(m) s(n)), s(h) = alpha0(h) h(h).  Exact
     laws over h(m) convolve as integers with p; deformed or float ones with
-    g in doubles, as masses over s(m) would leave double range.
+    g in doubles, as masses over s(m) would leave double range.  A deformed
+    value that leaves the normal double range raises DomainError.
     """
 
     def __init__(self, params: DTParams, x0: float | None = None):
@@ -193,9 +205,7 @@ class PolyHypergroup:
         self.x0 = x0
         self._p = lru_cache(maxsize=None)(
             lambda m, n: intersection_numbers(m, n, params))
-        self._g = lru_cache(maxsize=None)(lambda m, n: {   # g in doubles
-            k: self.alpha0(k) / (self.alpha0(m) * self.alpha0(n)) * float(c)
-            for k, c in g_coeffs(m, n, params).items()})
+        self._g = lru_cache(maxsize=None)(self._g_doubles)
         if x0 is not None:
             self._alpha = lru_cache(maxsize=None)(
                 lambda h: poly_eval(h, x0, params))
@@ -205,16 +215,29 @@ class PolyHypergroup:
         return 0
 
     def alpha0(self, h: int) -> float:
-        """P_h(x0), 1.0 undeformed; DomainError unless finite and positive."""
-        value = 1.0 if self.x0 is None else self._alpha(h)
-        if not 0 < value < math.inf:
-            raise DomainError(f"alpha0({h}) = P_{h}(x0) at x0 = {self.x0!r} is "
-                              f"{value!r}, not a finite positive double")
-        return value
+        """P_h(x0), 1.0 undeformed; DomainError unless a normal double."""
+        return 1.0 if self.x0 is None else _normal(
+            self._alpha(h), f"alpha0({h}) = P_{h}(x0) at x0 = {self.x0!r}")
 
     def haar(self, n: int):
         w = haar_weight(n, self.params)
-        return w if self.x0 is None else self.alpha0(n) ** 2 * w
+        if self.x0 is None:
+            return w
+        what = f"haar({n}) = alpha0({n})^2 h({n}) at x0 = {self.x0!r}"
+        a2 = _normal(self.alpha0(n) ** 2, what)
+        try:
+            return _normal(a2 * w, what)
+        except OverflowError:       # h(n) itself is past the double range
+            raise DomainError(f"{what} leaves double range") from None
+
+    def _g_doubles(self, m: int, n: int) -> dict:
+        """g(m, n, .) in doubles, alpha0(k) / (alpha0(m) alpha0(n)) times
+        g_coeffs; DomainError where that factor or its denominator is not a
+        normal double."""
+        what = f"alpha0({m}) alpha0({n}) at x0 = {self.x0!r}"
+        den = _normal(self.alpha0(m) * self.alpha0(n), what)
+        return {k: _normal(self.alpha0(k) / den, f"alpha0({k}) / ({what})") * float(c)
+                for k, c in g_coeffs(m, n, self.params).items()}
 
     def g(self, m: int, n: int) -> dict:
         """g(m, n, .): Fractions undeformed, doubles deformed."""
@@ -313,7 +336,7 @@ class Ball:
     depths: np.ndarray = field(repr=False)
     parents: np.ndarray = field(repr=False)
     cliques: np.ndarray = field(repr=False)
-    _dist: np.ndarray = field(default=None, repr=False)
+    _dist: np.ndarray = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -418,16 +441,13 @@ def sphere_labels(R: int) -> range:
     return range(R + 1)
 
 
-def build_ball(params: DTParams, R: int, cap: int | None = None) -> Ball:
+def build_ball(params: DTParams, R: int) -> Ball:
     """The arrays of all step-words of length <= R, in the Ball layout;
-    errors above the vertex cap (default 200000, override with
-    HYPERSCHEME_BALL_CAP)."""
+    BallTooLarge, before any allocation, above BALL_CAP vertices."""
     sphere_labels(R)
-    if cap is None:
-        cap = int(os.environ.get("HYPERSCHEME_BALL_CAP", DEFAULT_BALL_CAP))
     size = ball_size(params, R)
-    if size > cap:
-        raise BallTooLarge(f"ball has {size} vertices, cap is {cap}")
+    if size > BALL_CAP:
+        raise BallTooLarge(f"ball has {size} vertices, cap is {BALL_CAP}")
     a, b = params.a, params.b
     parents, cliques = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
     n = 1
@@ -542,22 +562,21 @@ class BoundaryRay:
     """
 
     ball: Ball
-    horocycle: np.ndarray = field(default=None)
+    horocycle: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.horocycle is None:
-            ball, start = self.ball, self.ball.starts
-            if ball.params.b > 2 and ball.radius > 0:
-                # the first vertex that ties, in id order, is the root's
-                # child by step (1, 2), with p = 0
-                raise NonUniqueMinimizer(
-                    "vertex ((1, 2),): ray indices [0, 1] all realize d = 1")
-            p = np.zeros(ball.n, dtype=np.int64)
-            for h in range(1, ball.radius + 1):
-                layer = slice(start[h], start[h + 1])
-                p[layer] = p[ball.parents[layer]]
-                p[start[h]] = h
-            self.horocycle = ball.depths - 2 * p
+        ball, start = self.ball, self.ball.starts
+        if ball.params.b > 2 and ball.radius > 0:
+            # the first vertex that ties, in id order, is the root's child
+            # by step (1, 2), with p = 0
+            raise NonUniqueMinimizer(
+                "vertex ((1, 2),): ray indices [0, 1] all realize d = 1")
+        p = np.zeros(ball.n, dtype=np.int64)
+        for h in range(1, ball.radius + 1):
+            layer = slice(start[h], start[h + 1])
+            p[layer] = p[ball.parents[layer]]
+            p[start[h]] = h
+        self.horocycle = ball.depths - 2 * p
 
 
 @dataclass

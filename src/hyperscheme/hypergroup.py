@@ -455,25 +455,34 @@ def semicharacter_deform(h: FiniteHypergroup, alpha0) -> FiniteHypergroup:
     nonnegative coefficients that leaves only alpha0 = 1: at the argmax,
     alpha_max^2 = sum_k c_ijk alpha_k <= alpha_max, and at the argmin
     alpha_min^2 >= alpha_min.
+
+    On an exact tensor with rational alpha0 the semicharacter equations
+    are checked exactly, over the integers; otherwise within TOL.
     """
     a = list(alpha0)
     if len(a) != h.n:
         raise ValueError(f"alpha0 needs {h.n} values, got {len(a)}")
-    af = np.array([float(v) for v in a])
-    if af.min() <= 0:
-        raise NotASemicharacter(-af.min(), "alpha0 not strictly positive")
-    if abs(af[h.identity] - 1.0) > TOL:
-        raise NotASemicharacter(abs(af[h.identity] - 1.0))
-    if np.abs(af[h.involution] - af).max() > TOL:
-        raise NotASemicharacter(np.abs(af[h.involution] - af).max())
-    resid = np.abs(np.einsum("ijk,k->ij", h.conv_f, af) - np.outer(af, af)).max()
-    if resid > TOL:
-        raise NotASemicharacter(resid)
-
     ratios = _ratios(a) if h.is_exact else None
+    if ratios is None:      # alpha0 = s / S and c = num / den, in doubles
+        s, S, num, den, eps = np.array([float(v) for v in a]), 1, h.conv_f, 1, TOL
+    else:                   # ... and over the integers
+        s, S, eps = np.array(ratios[0], dtype=object), ratios[1], 0
+        num, den = h.num.astype(object), h.den
+    if s.min() <= 0:
+        raise NotASemicharacter(-s.min() / S, "alpha0 not strictly positive")
+    # alpha0(e) = 1, alpha0(x bar) = alpha0(x) and
+    # sum_k c_ijk alpha0(k) = alpha0(i) alpha0(j), each residual as top / bottom
+    for top, bottom in (
+            (abs(s[h.identity] - S), S),
+            (np.abs(s[h.involution] - s).max(), S),
+            (np.abs(S * np.einsum("ijk,k->ij", num, s) - den * np.outer(s, s)).max(),
+             den * S * S)):
+        if top > eps * bottom:
+            raise NotASemicharacter(top / bottom)
+
     if ratios is None:
-        num, den = af / (af[:, None, None] * af[None, :, None]) * h.conv_f, 1
-    else:   # alpha0 = s / S: c~ = S c s_k / (s_i s_j)
+        num, den = s / (s[:, None, None] * s[None, :, None]) * h.conv_f, 1
+    else:   # c~ = S c s_k / (s_i s_j)
         num, den = _rescaled(h.num, h.den, ratios[0], scale=ratios[1])
     return FiniteHypergroup._of(num, den, h.identity, h.involution.copy(),
                                 scheme_derived=False)

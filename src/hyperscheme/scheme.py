@@ -52,7 +52,7 @@ class RelationPartition:
     n_points: int
     n_relations: int
     label: np.ndarray
-    identity_relation: int = 0
+    identity_relation: int = field(default=0, init=False)
 
     def __post_init__(self):
         lab = np.asarray(self.label, dtype=np.int64)

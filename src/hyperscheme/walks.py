@@ -11,6 +11,7 @@ run with fewer without changing its first trials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ class StepDistribution:
 
     def __post_init__(self):
         w = dict(self.weights)
+        # NaN passes both comparisons below, so it is refused first
+        if not all(math.isfinite(float(v)) for v in w.values()):
+            raise ValueError("step probabilities must be finite")
         if any(float(v) < 0 for v in w.values()):
             raise ValueError("negative step probability")
         if abs(float(sum(w.values())) - 1.0) > 1e-12:
@@ -61,34 +65,41 @@ class WalkResult:
     trials: int
     steps: int
     seed: int
-    start: int
 
 
 def convolution_power(hg, mu: StepDistribution, t: int) -> dict:
     """t-fold convolution power of mu; exact when mu and hg are exact.
 
     hg is a FiniteHypergroup or a PolyHypergroup; the result is a dict
-    element -> mass.
+    element -> mass.  ValueError for a label of mu that is not an element:
+    outside 0..n-1 on a finite hypergroup, negative on a polynomial one.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if isinstance(hg, PolyHypergroup):
         if t * mu.max_support > SUPPORT_CAP:
             raise SupportCap(f"support would exceed {SUPPORT_CAP}")
-    elif not isinstance(hg, FiniteHypergroup):
+        n = math.inf
+    elif isinstance(hg, FiniteHypergroup):
+        n = hg.n
+    else:
         raise TypeError("unsupported hypergroup type")
+    outside = sorted(h for h in mu.weights if not 0 <= h < n)
+    if outside:
+        raise ValueError(f"step law labels {outside} are not hypergroup elements")
     return hg.power(mu.weights, t)
 
 
 @dataclass
 class KernelFamily:
     """The kernels a walk steps through: stochastic matrices indexed by
-    labels, and the relation labels that project a state to a label from a
-    start point.  A zero row of K_h is a state the walk may not step from
-    with h: on a ball, one whose distance-h sphere leaves the ball."""
+    labels, and the label of each state seen from state 0, where every walk
+    starts (the root of a ball, point 0 of a scheme).  A zero row of K_h is
+    a state the walk may not step from with h: on a ball, one whose
+    distance-h sphere leaves the ball."""
 
     matrices: dict           # label -> (n, n) ndarray
-    labels: np.ndarray       # (n, n) relation labels
+    labels: np.ndarray       # (n,) relation label of (0, y) for each state y
 
     @property
     def valid(self) -> dict:
@@ -98,29 +109,28 @@ class KernelFamily:
     @classmethod
     def from_generalized(cls, gs: GeneralizedScheme) -> "KernelFamily":
         mats = {i: gs.kernels[i] for i in range(gs.partition.n_relations)}
-        return cls(matrices=mats, labels=gs.partition.label)
+        return cls(matrices=mats, labels=gs.partition.label[0])
 
     @classmethod
     def from_ball(cls, ball: Ball) -> "KernelFamily":
         """Uniform sphere kernels on a ball, 1 / w_h on each sphere."""
         mats = ball.sphere_kernels(lambda h, rows: 1.0 / haar_weight(h, ball.params))
-        return cls(matrices=mats, labels=ball.dist_matrix)
+        return cls(matrices=mats, labels=ball.depths)   # d(root, y) = depth(y)
 
     @classmethod
     def from_deformed(cls, dk: DeformedKernels) -> "KernelFamily":
-        return cls(matrices=dk.kernels, labels=dk.ball.dist_matrix)
+        return cls(matrices=dk.kernels, labels=dk.ball.depths)
 
     def support_labels(self, mu: StepDistribution) -> list:
         return sorted(h for h, m in mu.weights.items() if float(m) > 0)
 
 
-def _check_reachable(fam: KernelFamily, mu: StepDistribution, start: int,
-                     steps: int):
-    """Refuse a walk that could reach a state whose row is zero in a kernel
-    it steps with."""
+def _check_reachable(fam: KernelFamily, mu: StepDistribution, steps: int):
+    """Refuse a walk from state 0 that could reach a state whose row is
+    zero in a kernel it steps with."""
     used = [fam.matrices[h] for h in fam.support_labels(mu)]
     reach = np.zeros(fam.labels.shape[0], dtype=bool)
-    reach[start] = True
+    reach[0] = True
     for _ in range(steps):
         nxt = reach.copy()
         for K in used:
@@ -144,10 +154,17 @@ def _row_table(K: np.ndarray):
     return cols, rows + (cw - before[rows]), indptr
 
 
+def _project(labels: np.ndarray, mass) -> dict:
+    """label -> total mass of the states with that label, added in state
+    order; labels without mass left out."""
+    total = np.bincount(labels, weights=mass)
+    return {int(k): float(total[k]) for k in np.flatnonzero(total)}
+
+
 def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: int,
-                  seed: int, start: int = 0) -> WalkResult:
-    """Monte Carlo walk: per step sample a label h ~ mu, then a successor
-    from the h-kernel row at the current state.
+                  seed: int) -> WalkResult:
+    """Monte Carlo walk from state 0: per step sample a label h ~ mu, then a
+    successor from the h-kernel row at the current state.
 
     All trials advance together, in blocks of about 2**18 uniforms, so
     memory does not grow with trials.  Step s of trial t uses uniforms
@@ -157,7 +174,7 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _check_reachable(fam, mu, start, steps)
+    _check_reachable(fam, mu, steps)
     labels = fam.support_labels(mu)
     mu_cum = np.cumsum([float(mu.weights[h]) for h in labels])
     tables = [_row_table(fam.matrices[h]) for h in labels]
@@ -166,7 +183,7 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
     block = max(1, _BLOCK_UNIFORMS // max(1, 2 * steps))
     for lo in range(0, trials, block):
         u = rng.random((min(block, trials - lo), 2 * steps))
-        x = np.full(u.shape[0], start, dtype=np.int64)
+        x = np.zeros(u.shape[0], dtype=np.int64)
         for s in range(steps):
             pick = np.searchsorted(mu_cum, u[:, 2 * s])
             np.minimum(pick, len(labels) - 1, out=pick)
@@ -177,28 +194,20 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
                 x[sel] = cols[np.clip(p, indptr[xs], indptr[xs + 1] - 1)]
         counts += np.bincount(x, minlength=counts.size)
     empirical = {x: c / trials for x, c in enumerate(counts.tolist()) if c}
-    return WalkResult(empirical=empirical, trials=trials, steps=steps,
-                      seed=seed, start=start)
+    return WalkResult(empirical=empirical, trials=trials, steps=steps, seed=seed)
 
 
-def propagate_and_project(fam: KernelFamily, mu: StepDistribution, steps: int,
-                          start: int = 0) -> dict:
-    """Deterministic form of the projection: push the point mass at start
+def propagate_and_project(fam: KernelFamily, mu: StepDistribution, steps: int) -> dict:
+    """Deterministic form of the projection: push the point mass at state 0
     through the mu-mixture of kernels, then project states to labels."""
-    _check_reachable(fam, mu, start, steps)
-    n = fam.labels.shape[0]
+    _check_reachable(fam, mu, steps)
     step_matrix = sum(float(m) * fam.matrices[h]
                       for h, m in mu.weights.items() if float(m) > 0)
-    dist = np.zeros(n)
-    dist[start] = 1.0
+    dist = np.zeros(fam.labels.shape[0])
+    dist[0] = 1.0
     for _ in range(steps):
         dist = dist @ step_matrix
-    projected: dict = {}
-    for y in range(n):
-        if dist[y] > 0:
-            k = int(fam.labels[start, y])
-            projected[k] = projected.get(k, 0.0) + dist[y]
-    return projected
+    return _project(fam.labels, dist)
 
 
 def tv_distance(p: dict, q: dict) -> float:
@@ -226,13 +235,10 @@ def _projected_laws(walk: WalkResult, fam: KernelFamily, hg, mu: StepDistributio
     labels, after checking matrix propagation against the convolution power."""
     exact = {k: float(v) for k, v in
              convolution_power(hg, mu, walk.steps).items()}
-    propagated = propagate_and_project(fam, mu, walk.steps, walk.start)
+    propagated = propagate_and_project(fam, mu, walk.steps)
     if tv_distance(exact, propagated) > 1e-10:
         raise ParameterMismatch(
             "matrix propagation disagrees with the convolution power: "
             f"TV = {tv_distance(exact, propagated):.3e}")
-    projected_emp: dict = {}
-    for x, m in walk.empirical.items():
-        k = int(fam.labels[walk.start, x])
-        projected_emp[k] = projected_emp.get(k, 0.0) + m
-    return exact, projected_emp
+    states = list(walk.empirical)
+    return exact, _project(fam.labels[states], list(walk.empirical.values()))

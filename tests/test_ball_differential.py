@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hyperscheme as hs
+import hyperscheme.io as hio
 from reference_ball import (ball_kernels, ball_words, bfs_distances,
                             deformed_kernels, ray_scan, word_distance)
 
@@ -30,17 +31,27 @@ def _cases():
 CASES = list(_cases())
 
 
-def _same_walks(new, old, radius, start=0):
-    """Seeded Monte Carlo walks and propagated laws agree exactly."""
+def _same_walks(new, old, radius, hg):
+    """Seeded Monte Carlo walks, propagated laws and projected laws agree
+    exactly: old reads its labels off row 0 of the full label matrix, new
+    off the family's own row, and the projection of the empirical law is the
+    sum in state order that the bincount projection replaced."""
     labels = list(range(1, min(radius, 2) + 1)) or [0]
     mu = hs.StepDistribution({h: Fraction(1, len(labels)) for h in labels})
     steps = max(1, radius // max(max(labels), 1))
     for seed in (0, 7):
-        a = hs.simulate_walk(new, mu, steps, 2000, seed, start)
-        b = hs.simulate_walk(old, mu, steps, 2000, seed, start)
+        a = hs.simulate_walk(new, mu, steps, 2000, seed)
+        b = hs.simulate_walk(old, mu, steps, 2000, seed)
         assert a.empirical == b.empirical
-    assert (hs.propagate_and_project(new, mu, steps, start)
-            == hs.propagate_and_project(old, mu, steps, start))
+        laws = hs.walks._projected_laws(a, new, hg, mu)
+        assert laws == hs.walks._projected_laws(b, old, hg, mu)
+        summed: dict = {}
+        for x, m in b.empirical.items():
+            k = int(old.labels[x])
+            summed[k] = summed.get(k, 0.0) + m
+        assert laws[1] == summed
+    assert (hs.propagate_and_project(new, mu, steps)
+            == hs.propagate_and_project(old, mu, steps))
 
 
 def _same_kernels(new, new_valid, old, old_valid):
@@ -113,8 +124,8 @@ def test_sphere_kernels_match_reference(a, b, R):
     # the reference's invalid rows hold renormalized partial spheres; a
     # family marks a row it may not step from by zeros
     zeroed = {h: np.where(valid[h][:, None], K, 0.0) for h, K in mats.items()}
-    old = hs.KernelFamily(matrices=zeroed, labels=ball.dist_matrix)
-    _same_walks(fam, old, R)
+    old = hs.KernelFamily(matrices=zeroed, labels=ball.dist_matrix[0])
+    _same_walks(fam, old, R, hs.PolyHypergroup(ball.params))
 
     if b != 2:
         return
@@ -126,8 +137,9 @@ def test_sphere_kernels_match_reference(a, b, R):
         assert dk.x_c == ref["x_c"]
         assert dk.skipped == ref["skipped"]
         assert dk.max_row_sum_error == ref["max_row_sum_error"]
-        old = hs.KernelFamily(matrices=ref["kernels"], labels=ball.dist_matrix)
-        _same_walks(hs.KernelFamily.from_deformed(dk), old, R)
+        old = hs.KernelFamily(matrices=ref["kernels"], labels=ball.dist_matrix[0])
+        _same_walks(hs.KernelFamily.from_deformed(dk), old, R,
+                    hs.PolyHypergroup(ball.params, x0=dk.x_c))
 
 
 def test_invalid_rows_of_the_reference_hold_partial_spheres():
@@ -160,3 +172,29 @@ def test_sphere_kernels_weight_sees_valid_rows():
         support = (ball.dist_matrix == h) & inside[:, None]
         assert np.array_equal(kernels[h] != 0, support)
         assert set(np.unique(kernels[h])) == {0.0, float(h)}
+
+
+def test_scheme_file_walk_reads_row_zero(tmp_path):
+    """A scheme-file family labels each state by row 0 of the partition.
+    With the relation ids of a 9-cycle permuted that row is not ascending,
+    and the projected laws still equal the state-order sums over
+    label[0, x] that the full label matrix gave."""
+    m = 9
+    dist = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    relabel = np.array([0, 3, 1, 4, 2])
+    path = tmp_path / "c9.json"
+    relations = relabel[np.minimum(dist, m - dist)]
+    hio.save(path, {"n_points": m, "relations": relations.tolist()})
+    sch = hs.verify_scheme(hio.scheme_from_dict(hio.load(path)))
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(sch))
+    label = sch.partition.label
+    assert fam.labels.shape == (m,) and np.array_equal(fam.labels, label[0])
+
+    mu = hs.StepDistribution({3: Fraction(1, 2), 4: Fraction(1, 2)})
+    walk = hs.simulate_walk(fam, mu, 4, 3000, 11)
+    exact, projected = hs.walks._projected_laws(walk, fam, hs.from_scheme(sch), mu)
+    summed: dict = {}
+    for x, p in walk.empirical.items():
+        summed[int(label[0, x])] = summed.get(int(label[0, x]), 0.0) + p
+    assert projected == summed
+    assert set(exact) <= set(range(5)) and hs.walks.tv_distance(projected, exact) < 0.05

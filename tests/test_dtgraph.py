@@ -2,6 +2,7 @@
 positive definiteness, boundary deformation."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -137,12 +138,6 @@ def test_ortho_measure_norms():
                 assert pp(m, n, params) == pytest.approx(want, abs=1e-6)
 
 
-def test_ortho_measure_jump_is_a_quadrature_failure():
-    """A jump inside [-1, 1] keeps Gauss-Legendre sums from settling."""
-    with pytest.raises(hs.QuadratureFailure):
-        hs.ortho_measure_integrate(lambda x: np.sign(x - 0.3), P32, max_nodes=256)
-
-
 def test_ball_shapes():
     ball = hs.build_ball(P32, 2)
     assert ball.n == 10
@@ -161,12 +156,18 @@ def test_ball_sphere_invariant():
             assert sizes[h] == hs.haar_weight(h, params)
 
 
-def test_ball_cap(monkeypatch):
-    with pytest.raises(hs.BallTooLarge):
-        hs.build_ball(P32, 8, cap=100)
-    monkeypatch.setenv("HYPERSCHEME_BALL_CAP", "100")
-    with pytest.raises(hs.BallTooLarge):
-        hs.build_ball(P32, 8)
+def test_ball_cap():
+    """(3, 2, 17) has 393 214 vertices, past BALL_CAP: refused before any
+    of its arrays is allocated."""
+    assert hs.dtgraph.ball_size(P32, 17) == 393_214 > hs.dtgraph.BALL_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(hs.BallTooLarge, match="393214 vertices"):
+            hs.build_ball(P32, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_sphere_kernels_refuse_beyond_physical_memory():

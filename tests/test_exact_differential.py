@@ -217,6 +217,25 @@ def test_alpha0_past_double_range_and_sphere_labels():
     assert sphere_labels(10 ** 12) == range(10 ** 12 + 1)
 
 
+def test_alpha0_below_the_normal_doubles_is_a_domain_error():
+    """At x0 = 1 = deformation_point(-log sqrt 2) on Gamma(3, 2), alpha0
+    decays out of the normal doubles: alpha0(2300) was the subnormal
+    1.5e-323, g(1200, 1200) divided by alpha0(1200)^2 = 0, and a deformed
+    haar(1100) overflowed converting h(1100) to a double."""
+    params = hs.DTParams(3, 2)
+    assert hs.deformation_point(-math.log(math.sqrt(2)), params) == 1.0
+    hg = hs.PolyHypergroup(params, x0=1.0)
+    grown = hs.PolyHypergroup(params, hs.deformation_point(0.1, params))
+    for call in (lambda: hg.alpha0(2300), lambda: hg.g(1200, 1200),
+                 lambda: hg.haar(1100), lambda: grown.haar(1100)):
+        with pytest.raises(hs.DomainError,
+                           match="not a finite positive double|leaves double range"):
+            call()
+    assert hg.alpha0(1200) > 0
+    assert sum(hg.g(600, 600).values()) == pytest.approx(1.0, abs=1e-12)
+    assert grown.haar(100) == grown.alpha0(100) ** 2 * hs.haar_weight(100, params)
+
+
 @given(st.sampled_from(NAMES), st.integers(0, 3), st.integers(0, 2 ** 16))
 def test_translation_t1_matches_reference(name, bumps, seed):
     sch = SCHEMES[name]

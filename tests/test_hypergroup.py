@@ -314,6 +314,23 @@ def test_semicharacter_deform_rejections(k3_hypergroup):
         hs.semicharacter_deform(k3_hypergroup, [1, 2])  # not multiplicative
 
 
+def test_semicharacter_check_is_exact_on_exact_inputs(k3_hypergroup):
+    """alpha = (1, 1 + 1e-10) misses the semicharacter equation of K3 by
+    3/2 1e-10 + 1e-20, inside TOL: on the exact tensor with rational alpha
+    it is refused with that residual, while float inputs keep TOL."""
+    eps = Fraction(1, 10 ** 10)
+    with pytest.raises(hs.NotASemicharacter) as exc:
+        hs.semicharacter_deform(k3_hypergroup, [1, 1 + eps])
+    assert exc.value.residual == float(3 * eps / 2 + eps ** 2)
+    with pytest.raises(hs.NotASemicharacter) as exc:
+        hs.semicharacter_deform(k3_hypergroup, [1 + eps, 1 + eps])
+    assert exc.value.residual == float(eps)                     # alpha(e) = 1
+    floats = hs.FiniteHypergroup(2, k3_hypergroup.conv_f.tolist(), 0, [0, 1])
+    assert not floats.is_exact
+    for h, alpha in ((floats, [1, 1 + eps]), (k3_hypergroup, [1.0, 1 + 1e-10])):
+        assert not hs.semicharacter_deform(h, alpha).is_exact
+
+
 def test_semicharacter_deform_roundtrip(z4_scheme):
     # Z2 x Z2-like positive semicharacter on the product of two K3s is
     # trivial; use the polynomial-hypergroup route instead: any positive

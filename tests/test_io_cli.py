@@ -169,6 +169,18 @@ def test_dual_cmd(files, capsys):
     assert report["results"]["nonnegative"] is True
 
 
+def test_deform_near_a_semicharacter_writes_no_file(files, tmp_path, capsys):
+    """Within TOL of alpha = 1 on an exact file, deform used to write a
+    tensor whose rows missed 1 and whose own load failed; now the check is
+    exact, and nothing is written."""
+    out = tmp_path / "d.json"
+    assert main(["deform", files["k3hg"], "--alpha", "1,1.0000000001",
+                 "--out", str(out), "--json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["residual"] == pytest.approx(1.5e-10)
+    assert not out.exists()
+
+
 def test_deform_cmd(files, tmp_path, capsys):
     out = str(tmp_path / "deformed.json")
     assert main(["deform", files["k3hg"], "--alpha", "1,1",
@@ -402,6 +414,9 @@ CONTRACT_CASES = [
     (["walk", "--dtgraph", "3,2,1000000", "--mu", "1:1", "--steps", "2", "--exact"], 0),
     # alpha0(3) = P_3(x_c) of the deformed family leaves double range
     (["walk", "--dtgraph", "3,2,3,300", "--mu", "1:1", "--steps", "2", "--exact"], 2),
+    # at x_c = 1, alpha0(1200)^2 in the coefficient g(1200, 1200) underflows
+    (["walk", "--dtgraph", "3,2,1200,-0.34657359027997264", "--mu", "1200:1",
+      "--steps", "2", "--exact"], 2),
 ]
 
 

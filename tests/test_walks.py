@@ -18,6 +18,22 @@ def test_step_distribution_validation():
         hs.StepDistribution({0: -0.1, 1: 1.1})
 
 
+def test_step_law_is_finite_and_inside_the_hypergroup(k3_hypergroup):
+    """NaN passed both the sign and the sum check, an atom outside K3 was
+    dropped from the power, and a negative label on a polynomial hypergroup
+    raised TypeError."""
+    for weights in ({1: float("nan")}, {0: float("nan"), 1: 1.0}, {1: float("inf")}):
+        with pytest.raises(ValueError, match="finite"):
+            hs.StepDistribution(weights)
+    with pytest.raises(ValueError, match=r"labels \[5\]"):
+        hs.convolution_power(k3_hypergroup, hs.StepDistribution({5: 1}), 2)
+    with pytest.raises(ValueError, match=r"labels \[-1\]"):
+        hs.convolution_power(hs.PolyHypergroup(hs.DTParams(3, 2)),
+                             hs.StepDistribution({-1: 1}), 2)
+    assert hs.convolution_power(hs.PolyHypergroup(hs.DTParams(3, 2)),
+                                hs.StepDistribution({5: 1}), 1) == {5: 1}
+
+
 def test_convolution_power_identity(k3_hypergroup):
     mu = hs.StepDistribution({1: Fraction(1)})
     assert hs.convolution_power(k3_hypergroup, mu, 0) == {0: Fraction(1)}
