@@ -381,43 +381,85 @@ class Ball:
 
     @property
     def dist_matrix(self) -> np.ndarray:
-        """All-pairs distances from prefix ids:
-        d(u, v) = |u| + |v| - sum_k ([anc_k(u) = anc_k(v)] + [clq_k(u) = clq_k(v)])
-        over the depths k both words reach, where anc_k is the length-k prefix
-        and clq_k the clique of step k.  Equal prefixes share the step's clique,
-        so each common step counts 2 and a first divergent step inside one
-        clique counts 1: the distance of two words is their residual lengths
-        after the common prefix, minus 1 when the first divergent steps land
-        in the same clique."""
+        """All-pairs distances (int32), filled from _sphere_pairs; no
+        library path reads it."""
         if self._dist is None:
-            depth, parent = self.depths, self.parents
-            clique = parent * (self.params.a + 1) + self.cliques
-            D = depth[:, None] + depth[None, :]
-            # anc[v] is v's ancestor at depth min(depth(v), k)
-            anc = np.arange(self.n)
-            eq = np.empty((self.n - 1) ** 2, dtype=bool)
-            for k in range(self.radius, 0, -1):
-                s = int(np.searchsorted(depth, k))  # first vertex of depth >= k
-                m = self.n - s
-                block, cmp = D[s:, s:], eq[:m * m].reshape(m, m)
-                for ids in (anc[s:], clique[anc[s:]]):
-                    np.equal(ids[:, None], ids[None, :], out=cmp)
-                    np.subtract(block, cmp, out=block)
-                anc[s:] = parent[anc[s:]]
+            R = self.radius
+            D = np.zeros((self.n, self.n), dtype=np.int32)
+            h, rows, cols = self._sphere_pairs(np.full(2 * R + 1, R))
+            D[rows, cols] = h
             self._dist = D
         return self._dist
+
+    def _sphere_pairs(self, tops: np.ndarray) -> tuple:
+        """(h, rows, cols), ascending in h, of every pair at distance h with
+        depth(row) <= tops[h] <= R, for h = 0..len(tops) - 1; columns deeper
+        than R are left out.
+
+        For x at depth d, go j = 0..min(h, d) steps up to the ancestor z at
+        depth p = d - j, and let c be x's ancestor at depth p + 1.  The
+        distance-h sphere of x is the union of x's descendants at depth
+        d + h (j = 0), z itself (j = h), the descendants at depth
+        p + 1 + h - j of z's other children in c's clique, and, for j < h,
+        the descendants at depth p + h - j of z's children in other cliques.
+        The descendants at depth D of an id range at depth q are the range
+        start[D] + (v - start[q]) w_D / w_q, with w the sphere sizes.
+        """
+        a, b, R = self.params.a, self.params.b, self.radius
+        start = self.starts
+        w = np.diff(start)
+        h, d = _expand(np.zeros_like(tops), tops + 1)
+        if (a - 1) * (b - 1) == 1:
+            # the path: below the root c is z's only child, so only j = 0,
+            # j = d (z the root) and j = h give a vertex
+            root, pos = (0 < d) & (d < h), h > 0
+            h, d, j = (np.concatenate(v) for v in (
+                (h, h[root], h[pos]), (d, d[root], d[pos]),
+                (np.zeros_like(d), d[root], h[pos])))
+        else:
+            which, j = _expand(np.zeros_like(d), np.minimum(h, d) + 1)
+            h, d = h[which], d[which]
+        # the nearest part, in another clique, lies at depth d + h - 2j
+        keep = (d + h - R <= 2 * j) & (j <= d)
+        which, x = _expand(start[d[keep]], start[d[keep] + 1])
+        h, d, j = h[keep][which], d[keep][which], j[keep][which]
+        down = j == 0
+        ranges = [(h[down], x[down], x[down], x[down] + 1, d[down], d[down] + h[down])]
+        h, x, d, j = h[~down], x[~down], d[~down], j[~down]
+        p = d - j
+        z = start[p] + (x - start[d]) // (w[d] // w[p])
+        c = start[p + 1] + (x - start[d]) // (w[d] // w[p + 1])
+        k = w[p + 1] // w[p]                # children of z
+        first = start[p + 1] + (z - start[p]) * k
+        cs = c - (c - start[p + 1]) % (b - 1)
+        same = p + 1 + h - j
+        at, off = j == h, j < h
+        ranges += [  # (h, rows, lo, hi, depth q of lo..hi, depth of the part)
+            (h[at], x[at], z[at], z[at] + 1, p[at], p[at]),
+            (h, x, cs, c, p + 1, same),
+            (h, x, c + 1, cs + b - 1, p + 1, same),
+            (h[off], x[off], first[off], cs[off], p[off] + 1, same[off] - 1),
+            (h[off], x[off], cs[off] + b - 1, first[off] + k[off], p[off] + 1,
+             same[off] - 1)]
+        h, rows, lo, hi, q, D = (np.concatenate(col) for col in zip(*ranges))
+        keep = np.flatnonzero((lo < hi) & (D <= R))
+        keep = keep[np.argsort(h[keep], kind="stable")]
+        h, rows, lo, hi, q, D = (v[keep] for v in (h, rows, lo, hi, q, D))
+        f = w[D] // w[q]
+        which, cols = _expand(start[D] + (lo - start[q]) * f,
+                              start[D] + (hi - start[q]) * f)
+        return h[which], rows[which], cols
 
     def sphere_sizes(self) -> list:
         return np.bincount(self.depths, minlength=self.radius + 1).tolist()
 
     def sphere_kernels(self, weight) -> dict:
-        """The sphere kernels K_h, h = 0..R.  K_0 = I; row x of K_h is
-        weight(h, rows)[x, y] (a scalar or a (rows, n) array) at distance h
-        while x's distance-h sphere lies inside the ball, depth(x) <= R - h,
-        and zero otherwise.  Vertices are listed by depth, so those rows are
-        the leading ball_size(R - h) rows, passed to weight as a slice.
-        BallTooLarge, before any allocation, when the R + 1 dense float64
-        kernels would exceed the physical memory."""
+        """The sphere kernels K_h, h = 0..R.  K_0 = I; K_h is
+        weight(h, rows, cols) (a scalar or one value per pair) at the pairs
+        (rows, cols) at distance h whose row's distance-h sphere lies inside
+        the ball, depth(row) <= R - h, and zero elsewhere.  BallTooLarge,
+        before any allocation, when the R + 1 dense float64 kernels would
+        exceed the physical memory."""
         n, R = self.n, self.radius
         need = (R + 1) * n * n * 8
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -425,13 +467,22 @@ class Ball:
             raise BallTooLarge(f"{R + 1} dense {n} x {n} kernels need "
                                f"{need / 2**30:.1f} GiB, more than the "
                                f"{have / 2**30:.1f} GiB of memory")
-        D = self.dist_matrix
+        h, rows, cols = self._sphere_pairs(R - np.arange(R + 1))
+        bounds = np.searchsorted(h, np.arange(R + 2))
         kernels = {0: np.eye(n)}
-        for h in range(1, R + 1):
-            rows = slice(0, ball_size(self.params, R - h))
-            kernels[h] = np.zeros((n, n))
-            np.copyto(kernels[h][rows], weight(h, rows), where=D[rows] == h)
+        for k in range(1, R + 1):
+            pairs = slice(bounds[k], bounds[k + 1])
+            kernels[k] = np.zeros((n, n))
+            kernels[k][rows[pairs], cols[pairs]] = weight(k, rows[pairs], cols[pairs])
         return kernels
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(which, values): the integers of the ranges [lo[i], hi[i]) in turn,
+    each with the index i of its range."""
+    size = np.maximum(hi - lo, 0)
+    which = np.repeat(np.arange(size.size), size)
+    return which, np.arange(which.size) - np.repeat(np.cumsum(size) - size - lo, size)
 
 
 def sphere_labels(R: int) -> range:
@@ -625,7 +676,7 @@ def deform_ball_kernels(ball: Ball, ray: BoundaryRay, c: float) -> DeformedKerne
     _check_exponent(c * (dB.max() - dB.min()), "the boundary tilt")
     phi = np.exp(c * dB)
     alpha0 = PolyHypergroup(params, x0=x_c).alpha0
-    kernels = ball.sphere_kernels(lambda h, rows: np.outer(1.0 / phi[rows], phi)
+    kernels = ball.sphere_kernels(lambda h, rows, cols: (1.0 / phi[rows]) * phi[cols]
                                   / (alpha0(h) * haar_weight(h, params)))
     worst = max((float(np.abs(kernels[h][:ball_size(params, R - h)].sum(axis=1)
                               - 1.0).max()) for h in range(1, R + 1)), default=0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +39,20 @@ class NotASemicharacter(Exception):
     def __init__(self, residual, message=None):
         self.residual = residual
         super().__init__(message or f"semicharacter equation residual {residual}")
+
+
+def _not_a_semicharacter(top, bottom, message=None) -> NotASemicharacter:
+    """NotASemicharacter with residual top / bottom, or with the largest
+    double, and a message saying so, where that ratio leaves double range."""
+    try:
+        residual = float(top / bottom)
+    except OverflowError:       # an integer ratio past the doubles
+        residual = math.inf
+    if math.isfinite(residual):
+        return NotASemicharacter(residual, message)
+    return NotASemicharacter(sys.float_info.max, (
+        f"{message or 'semicharacter equation'}: residual exceeds the double "
+        f"range; reported as {sys.float_info.max!r}"))
 
 
 class DegenerateSpectrum(Exception):
@@ -447,6 +462,17 @@ def semicharacters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> list[np.nda
     return out
 
 
+def _double(v) -> float:
+    """float(v), or ValueError for a value that is not a finite double."""
+    try:
+        x = float(v)
+    except OverflowError:       # a rational past the double range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError("alpha0 entries must be finite doubles")
+    return x
+
+
 def semicharacter_deform(h: FiniteHypergroup, alpha0) -> FiniteHypergroup:
     """Deformed convolution c~[i][j][k] = alpha0(k)/(alpha0(i) alpha0(j)) c[i][j][k].
 
@@ -457,28 +483,31 @@ def semicharacter_deform(h: FiniteHypergroup, alpha0) -> FiniteHypergroup:
     alpha_min^2 >= alpha_min.
 
     On an exact tensor with rational alpha0 the semicharacter equations
-    are checked exactly, over the integers; otherwise within TOL.
+    are checked exactly, over the integers; otherwise within TOL, and an
+    alpha0 entry outside the finite doubles raises ValueError.
     """
     a = list(alpha0)
     if len(a) != h.n:
         raise ValueError(f"alpha0 needs {h.n} values, got {len(a)}")
     ratios = _ratios(a) if h.is_exact else None
     if ratios is None:      # alpha0 = s / S and c = num / den, in doubles
-        s, S, num, den, eps = np.array([float(v) for v in a]), 1, h.conv_f, 1, TOL
+        s, S, num, den, eps = np.array([_double(v) for v in a]), 1, h.conv_f, 1, TOL
     else:                   # ... and over the integers
         s, S, eps = np.array(ratios[0], dtype=object), ratios[1], 0
         num, den = h.num.astype(object), h.den
     if s.min() <= 0:
-        raise NotASemicharacter(-s.min() / S, "alpha0 not strictly positive")
+        raise _not_a_semicharacter(-s.min(), S, "alpha0 not strictly positive")
     # alpha0(e) = 1, alpha0(x bar) = alpha0(x) and
-    # sum_k c_ijk alpha0(k) = alpha0(i) alpha0(j), each residual as top / bottom
-    for top, bottom in (
-            (abs(s[h.identity] - S), S),
-            (np.abs(s[h.involution] - s).max(), S),
-            (np.abs(S * np.einsum("ijk,k->ij", num, s) - den * np.outer(s, s)).max(),
-             den * S * S)):
-        if top > eps * bottom:
-            raise NotASemicharacter(top / bottom)
+    # sum_k c_ijk alpha0(k) = alpha0(i) alpha0(j), each residual as top / bottom;
+    # doubles may overflow to inf or inf - inf = NaN, and both fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        for top, bottom in (
+                (abs(s[h.identity] - S), S),
+                (np.abs(s[h.involution] - s).max(), S),
+                (np.abs(S * np.einsum("ijk,k->ij", num, s) - den * np.outer(s, s)).max(),
+                 den * S * S)):
+            if not top <= eps * bottom:
+                raise _not_a_semicharacter(top, bottom)
 
     if ratios is None:
         num, den = s / (s[:, None, None] * s[None, :, None]) * h.conv_f, 1

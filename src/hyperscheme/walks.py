@@ -114,7 +114,7 @@ class KernelFamily:
     @classmethod
     def from_ball(cls, ball: Ball) -> "KernelFamily":
         """Uniform sphere kernels on a ball, 1 / w_h on each sphere."""
-        mats = ball.sphere_kernels(lambda h, rows: 1.0 / haar_weight(h, ball.params))
+        mats = ball.sphere_kernels(lambda h, rows, cols: 1.0 / haar_weight(h, ball.params))
         return cls(matrices=mats, labels=ball.depths)   # d(root, y) = depth(y)
 
     @classmethod
@@ -125,30 +125,36 @@ class KernelFamily:
         return sorted(h for h, m in mu.weights.items() if float(m) > 0)
 
 
-def _check_reachable(fam: KernelFamily, mu: StepDistribution, steps: int):
-    """Refuse a walk from state 0 that could reach a state whose row is
-    zero in a kernel it steps with."""
+def _check_reachable(fam: KernelFamily, mu: StepDistribution, steps: int) -> np.ndarray:
+    """The ascending states a walk from state 0 can occupy before some step;
+    refuse the walk when one of them has a zero row in a kernel it steps
+    with.  Only the rows of those states are read."""
     used = [fam.matrices[h] for h in fam.support_labels(mu)]
-    reach = np.zeros(fam.labels.shape[0], dtype=bool)
-    reach[0] = True
+    seen = np.zeros(fam.labels.shape[0], dtype=bool)
+    frontier = np.zeros(1, dtype=np.int64)
     for _ in range(steps):
-        nxt = reach.copy()
+        seen[frontier] = True
+        nxt = np.zeros_like(seen)
         for K in used:
-            rows = K[reach]
+            rows = K[frontier]
             if not rows.any(axis=1).all():
                 raise WalkWouldExitBall(
                     "a reachable state lacks a full kernel row; enlarge the "
                     "ball or shorten the walk")
             nxt |= (rows > 0).any(axis=0)
-        reach = nxt
+        frontier = np.flatnonzero(nxt & ~seen)
+    return np.flatnonzero(seen)
 
 
-def _row_table(K: np.ndarray):
-    """Sampling table of K's nonzero rows in CSR form: column of each nonzero
-    entry, cumulative row weight plus the row (state) id, so the weights
-    increase across the whole table, and row pointers."""
-    rows, cols = np.nonzero(K)
-    cw = np.cumsum(K[rows, cols])
+def _row_table(K: np.ndarray, states: np.ndarray):
+    """Sampling table of K's rows at the ascending states in CSR form:
+    column of each nonzero entry, cumulative row weight plus the row (state)
+    id, so the weights increase across the whole table, and row pointers
+    over all states."""
+    sub = K[states]
+    rows, cols = np.nonzero(sub)
+    cw = np.cumsum(sub[rows, cols])
+    rows = states[rows]
     indptr = np.searchsorted(rows, np.arange(K.shape[0] + 1))
     before = np.concatenate(([0.0], cw))[indptr[:-1]]
     return cols, rows + (cw - before[rows]), indptr
@@ -174,10 +180,10 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _check_reachable(fam, mu, steps)
+    states = _check_reachable(fam, mu, steps)
     labels = fam.support_labels(mu)
     mu_cum = np.cumsum([float(mu.weights[h]) for h in labels])
-    tables = [_row_table(fam.matrices[h]) for h in labels]
+    tables = [_row_table(fam.matrices[h], states) for h in labels]
     counts = np.zeros(fam.labels.shape[0], dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(seed))
     block = max(1, _BLOCK_UNIFORMS // max(1, 2 * steps))
@@ -199,14 +205,17 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
 
 def propagate_and_project(fam: KernelFamily, mu: StepDistribution, steps: int) -> dict:
     """Deterministic form of the projection: push the point mass at state 0
-    through the mu-mixture of kernels, then project states to labels."""
-    _check_reachable(fam, mu, steps)
-    step_matrix = sum(float(m) * fam.matrices[h]
-                      for h, m in mu.weights.items() if float(m) > 0)
+    through the mu-mixture of kernels, then project states to labels.  Only
+    the mixture's rows at the states the walk can occupy are built, and each
+    step multiplies the rows of the current support."""
+    states = _check_reachable(fam, mu, steps)
+    step_rows = sum(float(m) * fam.matrices[h][states]
+                    for h, m in mu.weights.items() if float(m) > 0)
     dist = np.zeros(fam.labels.shape[0])
     dist[0] = 1.0
     for _ in range(steps):
-        dist = dist @ step_matrix
+        support = np.flatnonzero(dist)
+        dist = dist[support] @ step_rows[np.searchsorted(states, support)]
     return _project(fam.labels, dist)
 
 

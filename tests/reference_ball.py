@@ -6,6 +6,9 @@ the old graph metric of two words, `bfs_distances` the old breadth-first
 search over the edges of the ball, and `ray_scan` the old horocycle index of
 `BoundaryRay`, which scans the ray for the nearest index.
 
+`prefix_dist_matrix` is the old `Ball.dist_matrix`, which compares the
+prefix ids of every pair of vertices at every depth.
+
 `ball_kernels` is the old `KernelFamily.from_ball`: each kernel row is the
 indicator of the distance-h sphere divided by its count, so rows whose
 sphere leaves the ball hold a partial sphere.  `deformed_kernels` is the old
@@ -76,6 +79,32 @@ def ray_scan(words: list, R: int) -> np.ndarray:
         return dists[hits[0]] - hits[0]
 
     return np.array([scan(w) for w in words], dtype=np.int64)
+
+
+def prefix_dist_matrix(ball) -> np.ndarray:
+    """All-pairs distances from prefix ids:
+    d(u, v) = |u| + |v| - sum_k ([anc_k(u) = anc_k(v)] + [clq_k(u) = clq_k(v)])
+    over the depths k both words reach, where anc_k is the length-k prefix
+    and clq_k the clique of step k.  Equal prefixes share the step's clique,
+    so each common step counts 2 and a first divergent step inside one
+    clique counts 1: the distance of two words is their residual lengths
+    after the common prefix, minus 1 when the first divergent steps land
+    in the same clique."""
+    depth, parent, n = ball.depths, ball.parents, ball.n
+    clique = parent * (ball.params.a + 1) + ball.cliques
+    D = depth[:, None] + depth[None, :]
+    # anc[v] is v's ancestor at depth min(depth(v), k)
+    anc = np.arange(n)
+    eq = np.empty((n - 1) ** 2, dtype=bool)
+    for k in range(ball.radius, 0, -1):
+        s = int(np.searchsorted(depth, k))  # first vertex of depth >= k
+        m = n - s
+        block, cmp = D[s:, s:], eq[:m * m].reshape(m, m)
+        for ids in (anc[s:], clique[anc[s:]]):
+            np.equal(ids[:, None], ids[None, :], out=cmp)
+            np.subtract(block, cmp, out=block)
+        anc[s:] = parent[anc[s:]]
+    return D
 
 
 def word_depths(ball) -> np.ndarray:

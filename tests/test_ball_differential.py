@@ -1,6 +1,7 @@
 """Differential tests of the ball arrays, metric, boundary ray and sphere
 kernels against the word-based code they replaced (tests/reference_ball.py),
-on every ball of Graph(a, b) with a, b in {2, 3, 4} and at most 1100
+and of the walk functions against the dense code they replaced
+(tests/reference_walks.py), on every ball of Graph(a, b) with a, b in {2, 3, 4} and at most 1100
 vertices.  The path graph (2, 2) stops at R = 20: its balls grow linearly,
 and the dense kernels hold (R+1) n^2 entries.  Deformed kernels need a
 unique boundary ray, so they run for b = 2 only."""
@@ -12,8 +13,10 @@ import pytest
 
 import hyperscheme as hs
 import hyperscheme.io as hio
+import reference_walks
 from reference_ball import (ball_kernels, ball_words, bfs_distances,
-                            deformed_kernels, ray_scan, word_distance)
+                            deformed_kernels, prefix_dist_matrix, ray_scan,
+                            word_distance)
 
 MAX_VERTICES = 1100
 
@@ -155,23 +158,85 @@ def test_invalid_rows_of_the_reference_hold_partial_spheres():
 
 
 def test_sphere_kernels_weight_sees_valid_rows():
-    """weight gets the valid rows as a leading slice of the vertices."""
+    """weight gets the pairs of the valid rows, the depth <= R - h vertices."""
     ball = hs.build_ball(hs.DTParams(3, 2), 4)
     seen = {}
 
-    def weight(h, rows):
-        seen[h] = rows
+    def weight(h, rows, cols):
+        seen[h] = rows, cols
         return float(h)
 
     kernels = ball.sphere_kernels(weight)
     assert sorted(seen) == [1, 2, 3, 4]
-    for h, rows in seen.items():
-        assert rows == slice(0, hs.dtgraph.ball_size(ball.params, 4 - h))
+    for h, (rows, cols) in seen.items():
         inside = ball.depths <= 4 - h
-        assert inside.sum() == rows.stop
+        assert np.array_equal(np.unique(rows), np.flatnonzero(inside))
         support = (ball.dist_matrix == h) & inside[:, None]
         assert np.array_equal(kernels[h] != 0, support)
         assert set(np.unique(kernels[h])) == {0.0, float(h)}
+
+
+@pytest.mark.parametrize("a, b, R", CASES, ids=[f"{a}-{b}-{R}" for a, b, R in CASES])
+def test_sphere_pairs_match_prefix_distances(a, b, R):
+    """_sphere_pairs lists each pair at distance h with depth(row) <= top
+    once, ascending in h, for every h <= 2R and every top, and dist_matrix
+    built from them is the prefix-comparison matrix."""
+    ball = hs.build_ball(hs.DTParams(a, b), R)
+    D = prefix_dist_matrix(ball)
+    assert ball.dist_matrix.dtype == D.dtype and np.array_equal(ball.dist_matrix, D)
+    for top in range(R + 1):
+        h, rows, cols = ball._sphere_pairs(np.full(2 * R + 1, top))
+        assert np.all(np.diff(h) >= 0)
+        inside = ball.depths <= top
+        got = np.full(D.shape, -1, dtype=D.dtype)
+        got[rows, cols] = h
+        assert rows.size == inside.sum() * ball.n           # each pair once
+        assert np.array_equal(got[inside], D[inside])
+        assert (got[~inside] == -1).all()
+
+
+def _ball_families(ball):
+    """(family, hypergroup) of the uniform kernels and, for b = 2, of the
+    deformed kernels at c = 0.3 and c = -0.35."""
+    yield hs.KernelFamily.from_ball(ball), hs.PolyHypergroup(ball.params)
+    if ball.params.b == 2:
+        ray = hs.BoundaryRay(ball)
+        for c in (0.3, -0.35):
+            dk = hs.deform_ball_kernels(ball, ray, c)
+            yield (hs.KernelFamily.from_deformed(dk),
+                   hs.PolyHypergroup(ball.params, x0=dk.x_c))
+
+
+@pytest.mark.parametrize("a, b, R", CASES, ids=[f"{a}-{b}-{R}" for a, b, R in CASES])
+def test_walks_match_dense_reference(a, b, R):
+    """Walks that read only the reached rows give the seeded empirical laws
+    of the whole-kernel code exactly, and its propagated laws to 1e-15 per
+    label, for step laws on {1}, {2} and {1, 2}."""
+    ball = hs.build_ball(hs.DTParams(a, b), R)
+    laws = [s for s in ([1], [2], [1, 2]) if max(s) <= R] or [[0]]
+    for fam, _ in _ball_families(ball):
+        for support in laws:
+            mu = hs.StepDistribution({h: Fraction(1, len(support)) for h in support})
+            steps = max(1, R // max(max(support), 1))
+            for seed in (0, 7):
+                assert (hs.simulate_walk(fam, mu, steps, 2000, seed).empirical
+                        == reference_walks.simulate_walk(fam, mu, steps, 2000,
+                                                         seed).empirical)
+            new = hs.propagate_and_project(fam, mu, steps)
+            old = reference_walks.propagate_and_project(fam, mu, steps)
+            assert new.keys() == old.keys()
+            assert all(abs(new[k] - old[k]) <= 1e-15 for k in old)
+
+
+def test_walk_path_builds_no_distance_matrix():
+    """from_ball, deform_ball_kernels, a walk and its projection check never
+    fill dist_matrix."""
+    ball = hs.build_ball(hs.DTParams(3, 2), 5)
+    mu = hs.StepDistribution({1: Fraction(3, 7), 2: Fraction(4, 7)})
+    for fam, hg in _ball_families(ball):
+        walk = hs.simulate_walk(fam, mu, 2, 3000, 1)
+        assert hs.projection_check(walk, fam, hg, mu, 2) < 0.1
+    assert ball._dist is None
 
 
 def test_scheme_file_walk_reads_row_zero(tmp_path):

@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,8 @@ def files(tmp_path, k3_scheme, k3_hypergroup, s3_table):
         "rows_near_1": {**k3hg, "conv": [
             [["1", "0"], ["0", "1"]], [["0", "1"], ["1/2", "5000000001/10000000000"]]]},
         "n3": {**k3hg, "n": 3},
+        "k3hg_float": {**k3hg, "conv": [[[float(Fraction(v)) for v in row] for row in m]
+                                        for m in k3hg["conv"]]},
         "group_n3": {"n": 3, "table": [[0, 1], [1, 0]]},
         "list": [],
     }
@@ -194,6 +198,8 @@ def test_deform_cmd(files, tmp_path, capsys):
 @pytest.mark.parametrize("alpha, residual, message", [
     ("1,1/2", 0.5, "semicharacter equation residual 0.5"),
     ("1,-1", 1.0, "alpha0 not strictly positive"),
+    ("1,1e400", 1.7976931348623157e+308, "semicharacter equation: residual "
+     "exceeds the double range; reported as 1.7976931348623157e+308"),
 ])
 def test_deform_residual_is_a_number(files, alpha, residual, message, capsys):
     assert main(["deform", files["k3hg"], "--alpha", alpha, "--json"]) == 1
@@ -417,6 +423,15 @@ CONTRACT_CASES = [
     # at x_c = 1, alpha0(1200)^2 in the coefficient g(1200, 1200) underflows
     (["walk", "--dtgraph", "3,2,1200,-0.34657359027997264", "--mu", "1200:1",
       "--steps", "2", "--exact"], 2),
+    # alpha entries past the double range: an exact file fails with the
+    # largest double as its residual, a float file refuses the entry
+    (["deform", "k3hg", "--alpha", "1,1e400"], 1),
+    (["deform", "k3hg", "--alpha", "1,1e300"], 1),
+    (["deform", "k3hg", "--alpha", "1,1e200"], 1),
+    (["deform", "k3hg", "--alpha", "1,-1e400"], 1),
+    (["deform", "k3hg_float", "--alpha", "1,1e400"], 2),
+    (["deform", "k3hg_float", "--alpha", "1,-1e400"], 2),
+    (["deform", "k3hg_float", "--alpha", "1,1e200"], 1),
 ]
 
 
@@ -431,8 +446,12 @@ def test_exit_code_contract(files, argv, code, capsys):
     assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code]
     if code:
         assert report["results"]["message"]
-    if code == 1:                          # every failure here is an axiom's
-        assert report["results"]["axiom"] and report["results"]["witness"]
+    if code == 1:   # every failure here is an axiom's or a semicharacter's
+        results = report["results"]
+        if argv[0] == "deform" and "residual" in results:
+            assert math.isfinite(results["residual"])
+        else:
+            assert results["axiom"] and results["witness"]
     assert ("seed" in report) == (argv[0] in ("characters", "dual", "walk"))
 
 
