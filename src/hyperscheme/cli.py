@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     if "seed" in args:
         rep["seed"] = args.seed
     if args.json:
-        print(json.dumps(rep, indent=1, default=io.encode_number))
+        print(io.dumps(rep))
     else:
         print(f"[{status}] {args.command}")
         _print_human(results, indent="  ")

@@ -213,6 +213,41 @@ def from_generalized(gs: GeneralizedScheme) -> FiniteHypergroup:
                                 scheme.involution.copy(), scheme_derived=True)
 
 
+def _generators(num: np.ndarray):
+    """Yield, in increasing order, the elements whose associativity slices
+    must be checked; the caller stops at the first that fails.
+
+    Slice x passes iff delta_x lies in the left nucleus, a subalgebra
+    (Teichmueller identity), so once the yielded slices pass, so does that
+    of every x whose delta they generate.  Those x are found by closure: x
+    is generated when it is the one support point of delta_y * delta_z,
+    for generated y and z, that is not yet generated.
+    """
+    n = num.shape[0]
+    support = num.reshape(n * n, n) != 0       # [(y, z), x]
+    # score[(y, z)] + 1 counts the support points of delta_y * delta_z not
+    # yet generated, plus n + 1 for each of y, z not yet generated.  So 0
+    # marks a pair that generates one more element, and a pair with nothing
+    # left to generate wraps to the top of uint32.  Generating x lowers
+    # score by gain[x]
+    gain = support.T.astype(np.uint32, order="C")
+    score = gain.sum(axis=0, dtype=np.uint32) + 2 * n + 1
+    at = np.arange(n)
+    gain.reshape(n, n, n)[at, at, :] += n + 1      # the pairs (x, z)
+    gain.reshape(n, n, n)[at, :, at] += n + 1      # the pairs (y, x)
+    fresh = np.ones(n, dtype=bool)             # not yet generated
+    for i in range(n):
+        if not fresh[i]:
+            continue
+        yield i
+        x = i
+        while x is not None:
+            fresh[x] = False
+            score -= gain[x]
+            pair = score.argmin()
+            x = int((support[pair] & fresh).argmax()) if score[pair] == 0 else None
+
+
 @dataclass
 class HypergroupReport:
     ok: bool
@@ -229,9 +264,10 @@ def verify_hypergroup(h: FiniteHypergroup,
 
     Exact tensors are checked on the integers num, against den in place of
     1; associativity is exact too while d * max|num|^2 < 2^53, where the
-    float64 products of num are exact integers, and within 1e-8 on conv_f
-    beyond that.  Float tensors are compared with TOL, and with 1e-8 for
-    normalization and associativity.
+    float64 products of num are exact integers, and then needs only the
+    slices of a generating set (see _generators); beyond that it is checked
+    within 1e-8 on conv_f, slice by slice.  Float tensors are compared with
+    TOL, and with 1e-8 for normalization and associativity.
     """
     exact = h.is_exact
     c, one = (h.num, h.den) if exact else (h.conv_f, 1.0)
@@ -272,11 +308,13 @@ def verify_hypergroup(h: FiniteHypergroup,
 
     # associativity: (delta_i * delta_j) * delta_l == delta_i * (delta_j * delta_l),
     # one slice i at a time so memory stays O(n^3); every partial sum of an
-    # exact slice product is an integer below n * max|num|^2
+    # exact slice product is an integer below n * max|num|^2.  Exact slices
+    # are checked only on a generating set, whose passing proves the rest,
+    # so the first failure found is still the row-major first
     exact_gemm = exact and n * _absmax(h.num) ** 2 < 2 ** 53
     a = h.num.astype(float) if exact_gemm else h.conv_f
     rows, cols = a.reshape(n, n * n), a.reshape(n * n, n)
-    for i in range(n):
+    for i in _generators(h.num) if exact_gemm else range(n):
         lhs = (a[i] @ rows).reshape(n, n, n)     # [j, (l, k)]
         rhs = (cols @ a[i]).reshape(n, n, n)     # [(j, l), k]
         bad = lhs != rhs if exact_gemm else np.abs(lhs - rhs) > 1e-8
@@ -318,11 +356,15 @@ class CharacterTable:
     seed: int = DEFAULT_SEED
 
 
-def _char_sort_key(row: np.ndarray):
-    key = [-row[1].real] if row.size > 1 else [0.0]
-    for v in row:
-        key.extend((-round(v.real, 9), -round(v.imag, 9)))
-    return tuple(key)
+def _char_order(rows: np.ndarray) -> np.ndarray:
+    """Stable order of the rows by -Re row[1], then by -Re, -Im of each
+    entry rounded to 9 decimals, entry by entry."""
+    m, n = rows.shape
+    keys = np.empty((2 * n + 1, m))
+    keys[0] = -rows[:, 1].real if n > 1 else 0.0
+    keys[1::2] = -np.round(rows.real, 9).T
+    keys[2::2] = -np.round(rows.imag, 9).T
+    return np.lexsort(keys[::-1])
 
 
 def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> CharacterTable:
@@ -362,7 +404,7 @@ def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> CharacterTable:
         if resid > TOL:
             last_err = DegenerateSpectrum("eigenvector refinement failed")
             continue
-        chars = np.array(sorted(avals, key=_char_sort_key))
+        chars = avals[_char_order(avals)]
         left, _, _ = haar(h)
         omega = np.array([float(v) for v in left])
         omega = omega / omega[e]

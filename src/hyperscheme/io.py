@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import numbers
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -23,6 +24,61 @@ def encode_number(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     return float(format(float(v), ".17g"))
+
+
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dumps(obj) -> str:
+    """json.dumps(obj, indent=1, default=encode_number), byte for byte.
+    json indents in Python, item by item; here a list of only str, or only
+    int and float, is encoded and joined at C speed."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, newline: str) -> str:
+    """obj as dumps writes it, nested after newline (a newline and the
+    indent of the line obj starts on)."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_NAMES.get(text, text)
+    inner = newline + " "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types == {str}:
+            items = map(encode_basestring_ascii, obj)
+        elif types <= {int, float}:
+            items = list(map(repr, obj))
+            if not _FLOAT_NAMES.keys().isdisjoint(items):
+                items = [_FLOAT_NAMES.get(t, t) for t in items]
+        else:
+            items = (_encode(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (_key(k) + ": " + _encode(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return _encode(encode_number(obj), newline)
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: quoted, numbers, bools and None as
+    their JSON text."""
+    if not (isinstance(k, (str, int, float)) or k is None):   # bool is an int
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return encode_basestring_ascii(k if isinstance(k, str) else _encode(k, ""))
 
 
 def decode_number(v):
@@ -133,5 +189,4 @@ def load(path: str) -> dict:
 
 def save(path: str, data: dict):
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+        fh.write(dumps(data) + "\n")

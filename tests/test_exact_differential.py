@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 import hyperscheme as hs
 import reference_exact as ref
 import reference_verifiers as refv
+from hyperscheme import hypergroup as hg
 from hyperscheme import io as hio
 from hyperscheme.dtgraph import sphere_labels
 from test_verifiers_differential import (dihedral_table, symmetric_table,
@@ -387,6 +388,62 @@ def test_characters_match_reference(h):
     assert np.abs(got.chars - want.chars).max() <= 1e-12
     assert np.abs(got.plancherel - want.plancherel).max() <= 1e-12
     assert np.array_equal(got.haar, want.haar)
+
+
+def _order_cases():
+    pairs = (("k3", "D5"), ("D4", "D6/rot"), ("D3", "D12"))
+    hgs = [HYPERGROUPS[name] for name in NAMES]
+    hgs += [hs.direct_product(HYPERGROUPS[a], HYPERGROUPS[b]) for a, b in pairs]
+    hgs += [hs.join(HYPERGROUPS[a], HYPERGROUPS[b]) for a, b in pairs]
+    gen = {name: hs.canonical_generalized(SCHEMES[name]) for name in ("k3", "D5", "D8", "S5/2")}
+    hgs += [hs.from_generalized(gs) for gs in gen.values()]
+    hgs += [hs.from_generalized(hs.direct_product_scheme(gen["k3"], gen["D5"])),
+            hs.from_generalized(hs.join_scheme(gen["D5"], gen["k3"]))]
+    return [h for h in hgs if h.is_commutative()]
+
+
+@pytest.mark.parametrize("h", _order_cases())
+def test_character_order_matches_reference(h, monkeypatch):
+    """The rows characters() sorts, sorted by the per-row key of the
+    reference, give its table bit for bit."""
+    seen = []
+
+    def spy(rows):
+        seen.append(rows.copy())
+        return order(rows)
+
+    order = hg._char_order
+    monkeypatch.setattr(hg, "_char_order", spy)
+    chars = hs.characters(h).chars
+    want = np.array(sorted(seen[-1], key=refv._char_sort_key))
+    assert chars.dtype == want.dtype and chars.tobytes() == want.tobytes()
+
+
+# entries a + b 5e-10 + c 1e-10 straddle the 1e-9 rounding of the sort key
+_NEAR = st.builds(lambda a, b, c: a + b * 5e-10 + c * 1e-10,
+                  st.sampled_from([-1.0, -0.5, -0.0, 0.0, 1 / 3, 0.5, 1.0]),
+                  st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
+
+
+@st.composite
+def tied_rows(draw):
+    """Rows drawn from a small pool, so whole rows tie, each with at most
+    one entry moved by 1e-10, so keys tie after rounding."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.builds(complex, _NEAR, _NEAR), min_size=n, max_size=n)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    rows = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+    for r in range(len(rows)):
+        if draw(st.booleans()):
+            rows[r, draw(st.integers(0, n - 1))] += draw(
+                st.sampled_from([1e-10, -1e-10, 1e-10j, -1e-10j]))
+    return rows
+
+
+@given(tied_rows())
+def test_character_order_on_tied_rows(rows):
+    want = np.array(sorted(rows, key=refv._char_sort_key))
+    assert rows[hg._char_order(rows)].tobytes() == want.tobytes()
 
 
 def _double_coset_hypergroups(max_n=6):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import hyperscheme as hs
 from hyperscheme import io as hio
@@ -90,6 +90,74 @@ def test_rational_encoding():
     for bad in ("1/0", "0/0", "1/2/3", None, [1]):
         with pytest.raises(ValueError):
             hio.decode_number(bad)
+
+
+# leaves of every kind json.dumps takes or hands to encode_number, and lists
+# of only str or only numbers, which dumps joins in one go
+_JSON_LEAVES = st.one_of(
+    st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.fractions(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats().map(np.float64))
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(),
+                       st.none())
+
+
+def _json_containers(children):
+    return st.one_of(st.lists(children), st.lists(children).map(tuple),
+                     st.dictionaries(_JSON_KEYS, children), st.lists(st.text()),
+                     st.lists(st.one_of(st.integers(), st.floats())))
+
+
+@given(st.recursive(_JSON_LEAVES, _json_containers, max_leaves=40))
+@example([math.nan, 1, -math.inf, -0.0, math.inf])
+@example({math.nan: ["\u00e9", "\ud83d"], 2: (), 1.5: {}, None: [True, 2 ** 70]})
+def test_dumps_is_the_json_module_output(obj):
+    assert hio.dumps(obj) == json.dumps(obj, indent=1, default=hio.encode_number)
+
+
+# one run of every subcommand, passing, failing and refused; OUT is a file
+JSON_CASES = [
+    ["verify", "k3"], ["verify", "k3gs"], ["verify", "broken"],
+    ["cosets", "s3", "0,1", "--out", "OUT"], ["cosets", "s3", "0,7"],
+    ["characters", "k3hg"], ["characters", "k3hg_float"], ["dual", "k3hg", "1", "1"],
+    ["deform", "k3hg", "--alpha", "1,1", "--out", "OUT"],
+    ["deform", "k3hg_float", "--alpha", "1,1", "--out", "OUT"],
+    ["deform", "k3hg", "--alpha", "1,1e400"],
+    ["dtgraph", "--a", "3", "--b", "2", "--grid=-1:1:5"],
+    ["dtgraph", "--a", "3", "--b", "2", "--radius", "4", "--report", "psd"],
+    ["dtgraph", "--a", "3", "--b", "2", "--report", "ortho"],
+    ["dtgraph", "--a", "3", "--b", "2", "--radius", "3", "--report", "deform"],
+    ["dtgraph", "--a", "3", "--b", "2", "--report", "pushforward"],
+    ["product", "k3hg", "k3hg", "--out", "OUT"], ["join", "k3hg", "k3hg_float"],
+    ["join", "k3gs", "k3gs", "--out", "OUT"], ["product", "k3", "k3"],
+    ["walk", "k3gs", "--mu", "1:1", "--steps", "2", "--trials", "1000"],
+    ["walk", "--dtgraph", "3,2,6,0.2", "--mu", "1:1", "--steps", "2", "--exact"],
+    ["walk", "broken", "--mu", "1:1", "--steps", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_CASES, ids=[" ".join(a) for a in JSON_CASES])
+def test_json_output_is_the_json_module_output(files, argv, tmp_path, monkeypatch,
+                                               capsys):
+    """--json stdout is what json.dumps(report, indent=1,
+    default=encode_number) printed, and an --out file what json.dump(data,
+    indent=1) and a newline wrote."""
+    written = []
+
+    def spy(obj):
+        written.append(obj)
+        return dumps(obj)
+
+    dumps = hio.dumps
+    monkeypatch.setattr(hio, "dumps", spy)
+    out = tmp_path / "out.json"
+    main([str(out) if a == "OUT" else files.get(a, a) for a in argv] + ["--json"])
+    *saved, report = written
+    assert capsys.readouterr().out == \
+        json.dumps(report, indent=1, default=hio.encode_number) + "\n"
+    assert len(saved) == argv.count("OUT")
+    if saved:
+        assert out.read_bytes() == (json.dumps(saved[0], indent=1) + "\n").encode()
 
 
 def test_verify_pass(files, capsys):

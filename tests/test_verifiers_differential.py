@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import hyperscheme as hs
 import reference_verifiers as ref
+from hyperscheme.hypergroup import _generators
 from hyperscheme.scheme import _verify_group_table
 
 
@@ -176,6 +177,151 @@ def test_exact_hypergroups_match_reference():
         rep = hs.verify_hypergroup(h)
         assert rep.ok
         assert _report_key(rep) == _report_key(ref.verify_hypergroup(h))
+
+
+def dihedral_hypergroup(m, seed=None):
+    """Hypergroup of the D_m double cosets of a reflection subgroup; with a
+    seed, of {1, s r^j} for a seeded j in a seeded renaming of D_m."""
+    table, sub = dihedral_table(m), [0, m]
+    if seed is not None:
+        j = int(np.random.default_rng(seed).integers(m))
+        table, sub = relabel(table, [0, m + j], seed)
+    return hs.from_scheme(hs.from_double_cosets(table, sub)[1])
+
+
+def _exact_bases():
+    perms, s5 = symmetric_table(5)
+    johnson = hs.from_scheme(hs.from_double_cosets(s5, young_subgroup(perms, 2))[1])
+    return BASE_HYPERGROUPS + [
+        hs.direct_product(dihedral_hypergroup(12), dihedral_hypergroup(14)),
+        hs.join(BASE_HYPERGROUPS[4], BASE_HYPERGROUPS[0]), johnson]
+
+
+EXACT_BASES = _exact_bases()
+
+
+@st.composite
+def corrupted_exact_hypergroups(draw):
+    """One to three corruptions of an exact tensor: a numerator unit moved
+    between two k of a row, two planes swapped, or two involution entries
+    swapped."""
+    h = draw(st.sampled_from(EXACT_BASES))
+    n, num, inv = h.n, h.num.copy(), h.involution.copy()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["move", "planes", "involution"]))
+        i, j, k, k2 = (draw(st.integers(0, n - 1)) for _ in range(4))
+        if kind == "move":
+            num[i, j, k] -= 1
+            num[i, j, k2] += 1
+        elif kind == "planes":
+            num[[i, j]] = num[[j, i]]
+        else:
+            inv[[i, j]] = inv[[j, i]]
+    return hs.FiniteHypergroup._of(num, h.den, h.identity, inv, False)
+
+
+@given(corrupted_exact_hypergroups())
+def test_exact_failures_match_full_scan(h):
+    """Associativity proved on a generating set gives the verdict and the
+    witnesses of the full d^4 scan."""
+    rep = hs.verify_hypergroup(h, raise_on_failure=False)
+    assert _report_key(rep) == _report_key(ref.verify_hypergroup(h)) == \
+        _report_key(ref.verify_hypergroup_slices(h))
+
+
+@st.composite
+def sparse_tensors(draw):
+    """Small tensors of mostly zeros, ones and twos: no hypergroups, but
+    their supports close in many ways, so a closure step that generated an
+    element too many would skip a failing slice."""
+    n = draw(st.integers(2, 5))
+    cells = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=n ** 3,
+                          max_size=n ** 3))
+    return hs.FiniteHypergroup._of(np.array(cells).reshape(n, n, n), 1, 0,
+                                   np.arange(n), False)
+
+
+@given(sparse_tensors())
+def test_sparse_tensor_failures_match_full_scan(h):
+    rep = hs.verify_hypergroup(h, raise_on_failure=False)
+    assert _report_key(rep) == _report_key(ref.verify_hypergroup_slices(h))
+
+
+def generated_dimension(num, elements):
+    """Dimension of the algebra that the deltas of elements generate under
+    the product with structure constants num."""
+    n = num.shape[0]
+    basis = np.eye(n)[elements]
+    while True:
+        products = np.einsum("ai,bj,ijk->abk", basis, basis, num).reshape(-1, n)
+        _, s, vt = np.linalg.svd(np.vstack([basis, products]), full_matrices=False)
+        rank = int((s > 1e-9 * s[0]).sum())
+        if rank == len(basis):
+            return rank
+        basis = vt[:rank]
+
+
+@given(sparse_tensors())
+def test_generators_generate_the_algebra(h):
+    assert generated_dimension(h.num.astype(float), list(_generators(h.num))) == h.n
+
+
+def test_a_product_with_two_new_points_generates_neither():
+    """delta_1 * delta_1 = delta_2 + delta_3, and the deltas of 0 and 1
+    generate only span(delta_0, delta_1, delta_2 + delta_3): 2 must be
+    checked, not derived."""
+    num = np.zeros((4, 4, 4), dtype=np.int64)
+    for x in range(4):
+        num[0, x, x] = num[x, 0, x] = 1
+    num[1, 1, [2, 3]] = 1
+    num[1, [2, 3], 1] = num[[2, 3], 1, 1] = 1
+    num[2, 2, 2] = num[3, 3, 3] = 1
+    assert generated_dimension(num.astype(float), [0, 1]) == 3
+    assert list(_generators(num)) == [0, 1, 2]
+
+
+def test_defects_off_the_generating_set_are_found():
+    """A unit of delta_1 * delta_0 moved from 1 to 3 in D_4 x D_5 breaks
+    slices 1 to 8.  Only slice 1 of them is checked, as one of the
+    generating set [0, 1] of the corrupted tensor; it is the first failing
+    slice in row-major order, as the first failing slice always is, since
+    the slices skipped before it were proved by those that passed.  So the
+    witness is that of the full scan."""
+    base = hs.direct_product(dihedral_hypergroup(4), dihedral_hypergroup(5))
+    num = base.num.copy()
+    num[1, 0, 1] -= 1
+    num[1, 0, 3] += 1
+    h = hs.FiniteHypergroup._of(num, base.den, base.identity, base.involution, False)
+    c = h.conv_f
+    defect = np.abs(np.einsum("ijm,mlk->ijlk", c, c) - np.einsum("jlm,imk->ijlk", c, c))
+    assert np.flatnonzero((defect > 1e-8).any(axis=(1, 2, 3))).tolist() == list(range(1, 9))
+    assert list(_generators(h.num)) == [0, 1]
+    rep = hs.verify_hypergroup(h, raise_on_failure=False)
+    assert (rep.failures[-1].axiom_id, rep.failures[-1].witness) == ("associativity",
+                                                                     (1, 0, 0, 1))
+    assert _report_key(rep) == _report_key(ref.verify_hypergroup(h))
+
+
+@pytest.mark.parametrize("m", range(3, 61))
+def test_dihedral_generating_sets_stay_small(m):
+    """Associativity checks |G| slices instead of d: at most 6 for the D_m
+    double-coset hypergroups (d = m // 2 + 1), over five renamings, with
+    the report of the check of all d slices."""
+    for seed in range(5):
+        h = dihedral_hypergroup(m, seed)
+        assert len(list(_generators(h.num))) <= 6
+        assert _report_key(hs.verify_hypergroup(h)) == \
+            _report_key(ref.verify_hypergroup_slices(h))
+
+
+@pytest.mark.parametrize("m1, m2", [(8, 10), (10, 12), (12, 14)])
+def test_product_generating_sets_stay_small(m1, m2):
+    for seed in range(5):
+        h = hs.direct_product(dihedral_hypergroup(m1, seed),
+                              dihedral_hypergroup(m2, seed + 5))
+        assert len(list(_generators(h.num))) <= 8
+        assert _report_key(hs.verify_hypergroup(h)) == \
+            _report_key(ref.verify_hypergroup_slices(h))
 
 
 def _group_verdict(fn, table):
