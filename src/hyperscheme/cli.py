@@ -157,6 +157,8 @@ def cmd_dtgraph(args):
     results = {"params": {"a": args.a, "b": args.b}, "s0": s0, "s1": s1}
     status = "pass"
     xs = None
+    if args.x is not None and args.grid is not None:
+        raise ValueError("give --x or --grid, not both")
     if args.x is not None:
         xs = [args.x]
     elif args.grid is not None:
@@ -237,14 +239,19 @@ def cmd_construction(args):
 def _parse_mu(spec: str) -> walks.StepDistribution:
     weights = {}
     for part in spec.split(","):
-        k, v = part.split(":")
-        weights[int(k)] = _number(v)
+        label, v = part.split(":")
+        k = int(label)
+        if k in weights:
+            raise ValueError(f"step law label {k} appears twice in {spec!r}")
+        weights[k] = _number(v)
     return walks.StepDistribution(weights)
 
 
 def _walk_inputs(args):
     """The step law, kernel family (None with --exact) and hypergroup."""
     mu = _parse_mu(args.mu)
+    if args.dtgraph and args.scheme_file:
+        raise ValueError("give a scheme file or --dtgraph, not both")
     if args.dtgraph:
         fields = args.dtgraph.split(",")
         if len(fields) not in (3, 4):

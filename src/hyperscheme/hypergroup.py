@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .scheme import (AssociationScheme, AxiomViolation, GeneralizedScheme,
                      _verify_kernels, verify_scheme)
@@ -385,7 +384,7 @@ def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> CharacterTable:
     for _ in range(CHARACTER_RETRIES):
         wts = rng.dirichlet(np.ones(n))
         M = sum(wt * Bi for wt, Bi in zip(wts, c))
-        vals, vecs = scipy.linalg.eig(M)
+        vals, vecs = np.linalg.eig(M)
         order = np.argsort(-vals.real)
         gaps = np.abs(np.diff(np.sort_complex(vals)))
         if gaps.size and gaps.min() < 1e-8:

@@ -134,12 +134,12 @@ def _representatives(partition: RelationPartition) -> tuple[np.ndarray, np.ndarr
     return np.divmod(first, partition.n_points)
 
 
-def _recover_involution(partition: RelationPartition) -> np.ndarray:
-    """Derive i -> bar(i) from label(y,x) at one representative per relation,
-    then verify it holds globally."""
+def _recover_involution(partition: RelationPartition, rx: np.ndarray,
+                        ry: np.ndarray) -> np.ndarray:
+    """Derive i -> bar(i) from label(y,x) at the representatives (rx, ry) of
+    the relations, then verify it holds globally."""
     lab = partition.label
     d = partition.n_relations
-    rx, ry = _representatives(partition)
     inv = lab[ry, rx]
     if not np.array_equal(lab.T, inv[lab]):
         bad = np.argwhere(lab.T != inv[lab])[0]
@@ -179,8 +179,8 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
         x, y = map(int, np.argwhere(off)[0])
         raise AxiomViolation("diagonal", (x, y), "identity relation off the diagonal")
 
-    inv = _recover_involution(partition)
     rx, ry = _representatives(partition)
+    inv = _recover_involution(partition, rx, ry)
 
     # onehot[z, j, y] = [label(z, y) = j]; row x of A_i @ onehot is then
     # (A_i A_j)[x, y] laid out as (j, y)

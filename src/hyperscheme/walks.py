@@ -128,7 +128,10 @@ class KernelFamily:
 def _check_reachable(fam: KernelFamily, mu: StepDistribution, steps: int) -> np.ndarray:
     """The ascending states a walk from state 0 can occupy before some step;
     refuse the walk when one of them has a zero row in a kernel it steps
-    with.  Only the rows of those states are read."""
+    with.  Only the rows of those states are read.  ValueError for a
+    negative step count."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     used = [fam.matrices[h] for h in fam.support_labels(mu)]
     seen = np.zeros(fam.labels.shape[0], dtype=bool)
     frontier = np.zeros(1, dtype=np.int64)

@@ -384,10 +384,11 @@ def test_characters_match_reference(h):
     if isinstance(want, str):
         assert got == want
         return
-    assert got.chars.shape == want.chars.shape
-    assert np.abs(got.chars - want.chars).max() <= 1e-12
-    assert np.abs(got.plancherel - want.plancherel).max() <= 1e-12
-    assert np.array_equal(got.haar, want.haar)
+    # numpy's eig against the reference's scipy eig: both call LAPACK geev
+    assert got.chars.dtype == want.chars.dtype
+    assert got.chars.tobytes() == want.chars.tobytes()
+    assert got.plancherel.tobytes() == want.plancherel.tobytes()
+    assert got.haar.tobytes() == want.haar.tobytes()
 
 
 def _order_cases():

@@ -500,12 +500,23 @@ CONTRACT_CASES = [
     (["deform", "k3hg_float", "--alpha", "1,1e400"], 2),
     (["deform", "k3hg_float", "--alpha", "1,-1e400"], 2),
     (["deform", "k3hg_float", "--alpha", "1,1e200"], 1),
+    # inputs that contradict or repeat each other, and a negative step count;
+    # a third entry is a text the error message must contain
+    (["walk", "k3", "--dtgraph", "3,2,4", "--mu", "1:1", "--steps", "2"], 2,
+     "scheme file or --dtgraph, not both"),
+    (["dtgraph", "--a", "3", "--b", "2", "--report", "psd", "--x", "0.5",
+      "--grid", "0:1:3"], 2, "--x or --grid, not both"),
+    (["walk", "--dtgraph", "3,2,4", "--mu", "1:1", "--steps", "-1"], 2,
+     "steps must be nonnegative"),
+    (["walk", "--dtgraph", "3,2,4", "--mu", "1:1/2,1:1/2", "--steps", "2"], 2,
+     "label 1 appears twice"),
 ]
 
 
-@pytest.mark.parametrize("argv, code", CONTRACT_CASES,
-                         ids=[" ".join(a) for a, _ in CONTRACT_CASES])
-def test_exit_code_contract(files, argv, code, capsys):
+@pytest.mark.parametrize("argv, code, message",
+                         [(*row, "")[:3] for row in CONTRACT_CASES],
+                         ids=[" ".join(a) for a, *_ in CONTRACT_CASES])
+def test_exit_code_contract(files, argv, code, message, capsys):
     argv = [files.get(a, a) for a in argv]
     assert main([*argv, "--json"]) == code
     out = capsys.readouterr()
@@ -514,6 +525,7 @@ def test_exit_code_contract(files, argv, code, capsys):
     assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code]
     if code:
         assert report["results"]["message"]
+        assert message in report["results"]["message"]
     if code == 1:   # every failure here is an axiom's or a semicharacter's
         results = report["results"]
         if argv[0] == "deform" and "residual" in results:
@@ -573,6 +585,47 @@ def test_characters_contract_on_generated_files(tmp_path_factory, data):
     with contextlib.redirect_stdout(out):
         code = main(["characters", path, "--json"])
     assert code == EXIT[json.loads(out.getvalue())["status"]]
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+import hyperscheme
+from hyperscheme.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_library_and_cli_run_without_scipy(files):
+    """numpy is the only third-party runtime dependency: importing the
+    package and running every subcommand loads no scipy module.  The test
+    process imports scipy for its oracles, so this runs in a fresh one."""
+    runs = [
+        ["verify", "k3"], ["verify", "k3gs"], ["cosets", "s3", "0,1"],
+        ["characters", "k3hg"], ["dual", "k3hg", "1", "1"],
+        ["deform", "k3hg", "--alpha", "1,1"],
+        ["dtgraph", "--a", "3", "--b", "2", "--report", "psd"],
+        ["dtgraph", "--a", "3", "--b", "2", "--report", "ortho"],
+        ["dtgraph", "--a", "3", "--b", "2", "--report", "deform"],
+        ["product", "k3hg", "k3hg"], ["join", "k3hg", "k3hg"],
+        ["product", "k3gs", "k3gs"],
+        ["walk", "k3gs", "--mu", "1:1", "--steps", "2", "--trials", "1000"],
+        ["walk", "--dtgraph", "3,2,4", "--mu", "1:1", "--steps", "2",
+         "--trials", "1000"],
+        ["walk", "k3", "--mu", "1:1", "--steps", "2", "--exact"],
+    ]
+    runs = [[files.get(a, a) for a in argv] for argv in runs]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0] * len(runs)
+    assert report["scipy"] == []
 
 
 def test_module_entry_point_has_no_traceback(files):

@@ -83,6 +83,17 @@ def test_simulate_walk_zero_steps(k3_scheme):
     assert walk.empirical == {0: 1.0}
 
 
+def test_negative_steps_are_refused(k3_scheme):
+    """A negative step count was read as 0 steps by propagation and reached
+    numpy's shape check in the simulation."""
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
+    mu = hs.StepDistribution({1: 1})
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        hs.propagate_and_project(fam, mu, -1)
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        hs.simulate_walk(fam, mu, steps=-1, trials=100, seed=1)
+
+
 def test_simulate_walk_deterministic_seed(k3_scheme):
     fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
     mu = hs.StepDistribution({1: 1})
