@@ -8,7 +8,7 @@ Exit codes: 0 pass, 1 failed check or axiom violation, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from fractions import Fraction
 
@@ -19,28 +19,6 @@ from . import hypergroup as hg
 from .hypergroup import TOL, PSD_FLOOR
 
 EXIT = {"pass": 0, "fail": 1, "error": 2}
-
-# exceptions that mean the input is unusable: status "error", exit 2
-INPUT_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError,
-                dtgraph.DomainError, dtgraph.BallTooLarge,
-                dtgraph.UnsupportedParams, dtgraph.NonUniqueMinimizer)
-# exceptions that mean a check ran and failed: status "fail", exit 1
-CHECK_FAILURES = (scheme.AxiomViolation, scheme.NotAGroup, scheme.NotASubgroup,
-                  scheme.NotUnimodular, hg.NotCommutative, hg.DegenerateSpectrum,
-                  hg.NotASemicharacter, walks.WalkWouldExitBall,
-                  walks.SupportCap, walks.ParameterMismatch,
-                  dtgraph.QuadratureFailure)
-
-
-def _failure(exc: Exception) -> dict:
-    """Results of a failed check: its message, plus the axiom and witness of
-    an axiom violation or the residual of a failed semicharacter."""
-    if isinstance(exc, scheme.AxiomViolation):
-        return {"axiom": exc.axiom_id, "witness": list(exc.witness or []),
-                "message": str(exc)}
-    if isinstance(exc, hg.NotASemicharacter):
-        return {"message": str(exc), "residual": float(exc.residual)}
-    return {"message": str(exc)}
 
 
 def _number(text: str) -> Fraction:
@@ -153,6 +131,7 @@ def _parse_grid(spec: str):
 
 def cmd_dtgraph(args):
     params = dtgraph.DTParams(args.a, args.b)
+    dtgraph.sphere_labels(args.radius)
     s0, s1 = dtgraph.special_points(params)
     results = {"params": {"a": args.a, "b": args.b}, "s0": s0, "s1": s1}
     status = "pass"
@@ -163,6 +142,8 @@ def cmd_dtgraph(args):
         xs = [args.x]
     elif args.grid is not None:
         xs = _parse_grid(args.grid).tolist()
+    if xs is not None and not all(map(math.isfinite, xs)):
+        raise ValueError("--x and --grid need finite values")
 
     if args.report == "psd":
         ball = dtgraph.build_ball(params, args.radius)
@@ -203,15 +184,21 @@ def cmd_dtgraph(args):
     else:
         # default: evaluate the polynomials on the requested points
         if xs:
-            results["values"] = [
-                {"x": x, "P": [dtgraph.poly_eval(n, x, params)
-                               for n in range(args.radius + 1)]} for x in xs]
+            results["values"] = []
+            for x in xs:
+                P = dtgraph.poly_values(args.radius, x, params)
+                if not np.isfinite(P).all():
+                    raise dtgraph.DomainError(
+                        f"P_n({x!r}) leaves double range for n <= {args.radius}")
+                results["values"].append({"x": x, "P": P.tolist()})
     return status, results
 
 
 def cmd_construction(args):
     """product or join, after args.command, of two hypergroup files or two
-    kernel-family scheme files; only the result is verified."""
+    kernel-family scheme files.  Both inputs are read before either is
+    verified, so a malformed file is an input error even beside a failing
+    one; then the result is verified too."""
     d1, d2 = io.load(args.file1), io.load(args.file2)
     if ("conv" in d1) != ("conv" in d2):
         raise ValueError("both inputs must be the same kind of file")
@@ -219,14 +206,17 @@ def cmd_construction(args):
     product = args.command == "product"
     if kind == "hypergroup":
         h1, h2 = io.hypergroup_from_dict(d1), io.hypergroup_from_dict(d2)
+        for h in (h1, h2):
+            hg.verify_hypergroup(h)
         result = (constructions.direct_product if product else constructions.join)(h1, h2)
         hg.verify_hypergroup(result)
         out = io.hypergroup_to_dict(result)
     else:
         g1, g2 = io.scheme_from_dict(d1), io.scheme_from_dict(d2)
+        if not all(isinstance(g, scheme.GeneralizedScheme) for g in (g1, g2)):
+            raise ValueError("scheme files need kernels for constructions")
         for g in (g1, g2):
-            if not isinstance(g, scheme.GeneralizedScheme):
-                raise ValueError("scheme files need kernels for constructions")
+            scheme.verify_generalized(g)
         result = (constructions.direct_product_scheme if product
                   else constructions.join_scheme)(g1, g2)
         scheme.verify_generalized(result)
@@ -377,18 +367,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand and print its one report.  Every command returns
-    (status, results) or raises; main maps INPUT_ERRORS to "error" and
-    CHECK_FAILURES to "fail", and the status to the exit code."""
+    (status, results) or raises; main maps an unreadable or malformed input
+    (OSError, KeyError, ValueError) to "error" and a CheckFailure to "fail",
+    and the status to the exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT["pass"] if exc.code == 0 else EXIT["error"]
     try:
         status, results = args.fn(args)
-    except INPUT_ERRORS as exc:
+    except (OSError, KeyError, ValueError) as exc:
         status, results = "error", {"message": str(exc)}
-    except CHECK_FAILURES as exc:
-        status, results = "fail", _failure(exc)
+    except scheme.CheckFailure as exc:
+        status, results = "fail", exc.results()
     rep = {"command": args.command, "status": status, "results": results,
            "tolerances": {"abs": TOL, "psd_floor": -PSD_FLOOR}}
     if "seed" in args:

@@ -20,6 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .hypergroup import _ratios
+from .scheme import CheckFailure
 
 # build_ball refuses larger balls: beyond them the float Gram verdicts of
 # --report psd no longer hold, and dense kernels outgrow memory long before
@@ -28,23 +29,23 @@ QUAD_TOL = 1e-10
 QUAD_MAX_NODES = 1 << 14
 
 
-class DomainError(Exception):
+class DomainError(ValueError):
     pass
 
 
-class QuadratureFailure(Exception):
+class QuadratureFailure(CheckFailure):
     pass
 
 
-class BallTooLarge(Exception):
+class BallTooLarge(ValueError):
     pass
 
 
-class NonUniqueMinimizer(Exception):
+class NonUniqueMinimizer(ValueError):
     pass
 
 
-class UnsupportedParams(Exception):
+class UnsupportedParams(ValueError):
     pass
 
 
@@ -115,6 +116,11 @@ def _poly_sequence(x, params: DTParams):
             p1 * cur - (b - 2) / (a * (b - 1)) * cur - prev / (a * (b - 1)))
 
 
+def poly_values(n: int, x, params: DTParams) -> np.ndarray:
+    """P_0(x), ..., P_n(x) in float64, from one pass of the recurrence."""
+    return np.fromiter(islice(_poly_sequence(x, params), n + 1), float, n + 1)
+
+
 def poly_eval(n: int, x, params: DTParams):
     """P_n(x) by the three-term recurrence; P_0 = 1 and
     P_1(x) = (2/a) sqrt((a-1)/(b-1)) x + (b-2)/(a(b-1))."""
@@ -146,9 +152,9 @@ def special_points(params: DTParams):
 
 def product_formula_residual(m: int, n: int, x: float, params: DTParams) -> float:
     """|P_m(x) P_n(x) - sum_k g_{m,n,k} P_k(x)|."""
-    lhs = poly_eval(m, x, params) * poly_eval(n, x, params)
-    rhs = sum(float(c) * poly_eval(k, x, params)
-              for k, c in g_coeffs(m, n, params).items())
+    P = poly_values(m + n, x, params).tolist()
+    lhs = P[m] * P[n]
+    rhs = sum(float(c) * P[k] for k, c in g_coeffs(m, n, params).items())
     return abs(lhs - rhs)
 
 
@@ -206,9 +212,7 @@ class PolyHypergroup:
         self._p = lru_cache(maxsize=None)(
             lambda m, n: intersection_numbers(m, n, params))
         self._g = lru_cache(maxsize=None)(self._g_doubles)
-        if x0 is not None:
-            self._alpha = lru_cache(maxsize=None)(
-                lambda h: poly_eval(h, x0, params))
+        self._alphas = np.empty(0)     # P_0(x0), P_1(x0), ...; grows by doubling
 
     @property
     def identity(self) -> int:
@@ -216,8 +220,13 @@ class PolyHypergroup:
 
     def alpha0(self, h: int) -> float:
         """P_h(x0), 1.0 undeformed; DomainError unless a normal double."""
-        return 1.0 if self.x0 is None else _normal(
-            self._alpha(h), f"alpha0({h}) = P_{h}(x0) at x0 = {self.x0!r}")
+        if self.x0 is None:
+            return 1.0
+        if h >= self._alphas.size:
+            self._alphas = poly_values(max(h, 2 * self._alphas.size), self.x0,
+                                       self.params)
+        return _normal(float(self._alphas[h]),
+                       f"alpha0({h}) = P_{h}(x0) at x0 = {self.x0!r}")
 
     def haar(self, n: int):
         w = haar_weight(n, self.params)
@@ -278,7 +287,10 @@ class PolyHypergroup:
         """t-fold convolution power of the law mu from delta_0, with the keys
         in the order of repeated convolve calls."""
         scaled = self._scaled(mu)
-        law, coeffs = (mu, self._g) if scaled is None else (scaled[0], self._p)
+        # a double times a Fraction is the double times float(Fraction), so
+        # a law converted once convolves to the same doubles, faster
+        law, coeffs = ({m: float(a) for m, a in mu.items()}, self._g) \
+            if scaled is None else (scaled[0], self._p)
         v = {self.identity: 1}
         for _ in range(t):
             v = self._combine(v, law, coeffs)
@@ -538,7 +550,7 @@ def _symmetry_blocks(x: float, params: DTParams, R: int) -> tuple:
     a, b = params.a, params.b
     q = (a - 1) * (b - 1)
     rq = math.sqrt(q)
-    P = np.fromiter(islice(_poly_sequence(x, params), 2 * R + 1), float, 2 * R + 1)
+    P = poly_values(2 * R, x, params)
     with np.errstate(over="ignore", invalid="ignore"):
         u = rq ** np.arange(2 * R + 1) * P
         # an off-ancestor pair with common ancestor at depth p adds
@@ -700,9 +712,10 @@ def pushforward_vs_haar(params: DTParams, c: float):
     pf1 = math.exp(-2 * c) + (a - 1) * math.exp(2 * c)
     haar1 = ((a - 1) * math.exp(2 * c) + 1) ** 2 / (a * math.exp(2 * c))
 
-    # independent recomputations: from a small ball, and from the deformed
+    # independent recomputations: from the radius-1 ball, whose depth-1
+    # horocycles are those of every larger ball, and from the deformed
     # hypergroup's Haar weight
-    ball = build_ball(params, 2)
+    ball = build_ball(params, 1)
     ray = BoundaryRay(ball)
     pf1_ball = sum(math.exp(2 * c * d) for d in ray.horocycle[ball.depths == 1])
     haar1_hg = PolyHypergroup(params, x0=deformation_point(c, params)).haar(1)

@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .scheme import (AssociationScheme, AxiomViolation, GeneralizedScheme,
-                     _verify_kernels, verify_scheme)
+from .scheme import (AssociationScheme, AxiomViolation, CheckFailure,
+                     GeneralizedScheme, _verify_kernels, verify_scheme)
 
 TOL = 1e-9
 PSD_FLOOR = 1e-8
@@ -27,17 +27,20 @@ CHARACTER_RETRIES = 5
 DEFAULT_SEED = 0x5EED
 
 
-class NotCommutative(Exception):
+class NotCommutative(CheckFailure):
     pass
 
 
-class NotASemicharacter(Exception):
+class NotASemicharacter(CheckFailure):
     """residual is how far alpha0 misses: below zero at its least value, or
     off the semicharacter equation."""
 
     def __init__(self, residual, message=None):
         self.residual = residual
         super().__init__(message or f"semicharacter equation residual {residual}")
+
+    def results(self) -> dict:
+        return {"message": str(self), "residual": float(self.residual)}
 
 
 def _not_a_semicharacter(top, bottom, message=None) -> NotASemicharacter:
@@ -54,7 +57,7 @@ def _not_a_semicharacter(top, bottom, message=None) -> NotASemicharacter:
         f"range; reported as {sys.float_info.max!r}"))
 
 
-class DegenerateSpectrum(Exception):
+class DegenerateSpectrum(CheckFailure):
     pass
 
 

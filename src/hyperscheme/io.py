@@ -96,6 +96,28 @@ def decode_number(v):
     raise ValueError(f"not a number: {v!r}")
 
 
+def _ints(value, what: str) -> np.ndarray:
+    """A JSON integer, or nested lists of them, as int64; ValueError where
+    numpy would truncate or overflow: for a float, string, null or bool
+    entry (a bool beside integers reads as 0 or 1) and for an integer
+    outside int64."""
+    a = np.asarray(value)
+    if a.dtype.kind == "i":
+        return a.astype(np.int64, copy=False)
+    flat = np.array(value, dtype=object).ravel().tolist()
+    bad = next((v for v in flat if type(v) is not int or not -2 ** 63 <= v < 2 ** 63),
+               value)
+    raise ValueError(f"{what} must hold JSON integers in int64, not {bad!r}")
+
+
+def _int(value, what: str) -> int:
+    """A single JSON integer field; ValueError as for _ints."""
+    a = _ints(value, what)
+    if a.ndim:
+        raise ValueError(f"{what} must be one integer")
+    return int(a)
+
+
 def scheme_to_dict(obj) -> dict:
     """Serialize a RelationPartition or GeneralizedScheme."""
     if isinstance(obj, GeneralizedScheme):
@@ -113,8 +135,8 @@ def scheme_to_dict(obj) -> dict:
 def scheme_from_dict(data: dict):
     """Returns a RelationPartition, or a GeneralizedScheme when kernels are
     present."""
-    label = np.asarray(data["relations"], dtype=np.int64)
-    n = int(data["n_points"])
+    label = _ints(data["relations"], "relations")
+    n = _int(data["n_points"], "n_points")
     partition = RelationPartition(n_points=n,
                                   n_relations=int(label.max()) + 1,
                                   label=label)
@@ -147,12 +169,12 @@ def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
     into integer numerators over their least common denominator, and any
     float entry makes the tensor float.  A tensor that is not n x n x n, or
     an identity or involution outside 0..n-1, raises ValueError."""
-    n = int(data["n"])
+    n = _int(data["n"], "n")
     cells = np.array(data["conv"], dtype=object)
     if cells.shape != (n, n, n):
         raise ValueError(f"conv must be {n} x {n} x {n}, got shape {cells.shape}")
-    identity = int(data["identity"])
-    involution = np.asarray(data["involution"], dtype=np.int64)
+    identity = _int(data["identity"], "identity")
+    involution = _ints(data["involution"], "involution")
     if not 0 <= identity < n:
         raise ValueError(f"identity {identity} is outside 0..{n - 1}")
     if involution.shape != (n,) or not ((0 <= involution) & (involution < n)).all():
@@ -173,7 +195,7 @@ def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
 def group_from_dict(data: dict) -> np.ndarray:
     """Group file: {"n": int, "table": [[int,...],...]} multiplication table;
     a table that is not n x n raises ValueError."""
-    n, table = int(data["n"]), np.asarray(data["table"], dtype=np.int64)
+    n, table = _int(data["n"], "n"), _ints(data["table"], "table")
     if table.shape != (n, n):
         raise ValueError(f"group table must be {n} x {n}, got shape {table.shape}")
     return table

@@ -15,7 +15,16 @@ import numpy as np
 KERNEL_TOL = 1e-9
 
 
-class AxiomViolation(Exception):
+class CheckFailure(Exception):
+    """A check ran on well-formed input and failed.  Every check failure of
+    the library derives from it, and every input error from ValueError."""
+
+    def results(self) -> dict:
+        """What a report says about the failure."""
+        return {"message": str(self)}
+
+
+class AxiomViolation(CheckFailure):
     """A partition / kernel family fails one of the scheme axioms.
 
     axiom_id identifies the failed axiom; witness holds the indices that
@@ -27,16 +36,20 @@ class AxiomViolation(Exception):
         self.witness = witness
         super().__init__(message or f"axiom {axiom_id} violated, witness {witness}")
 
+    def results(self) -> dict:
+        return {"axiom": self.axiom_id, "witness": list(self.witness or []),
+                "message": str(self)}
 
-class NotAGroup(Exception):
+
+class NotAGroup(CheckFailure):
     pass
 
 
-class NotASubgroup(Exception):
+class NotASubgroup(CheckFailure):
     pass
 
 
-class NotUnimodular(Exception):
+class NotUnimodular(CheckFailure):
     pass
 
 
@@ -319,16 +332,17 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     lab = part.label
     S = gs.kernels
 
-    # (2) support condition and row-stochasticity
+    # (2) support condition and row-stochasticity; each test is written so
+    # that NaN fails it, which leaves every kernel finite after this loop
     for i in range(d):
-        pos = S[i] > KERNEL_TOL
+        pos = ~(S[i] <= KERNEL_TOL)
         want = lab == i
         if not np.array_equal(pos, want):
             x, y = map(int, np.argwhere(pos != want)[0])
             raise AxiomViolation("2", (i, x, y),
                                  f"support of kernel {i} does not match relation {i}")
         rows = S[i].sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-8:
+        if not np.abs(rows - 1.0).max() <= 1e-8:
             x = int(np.argmax(np.abs(rows - 1.0)))
             raise AxiomViolation("2", (i, x), f"kernel {i} row {x} not stochastic")
         if S[i].min() < -KERNEL_TOL:
@@ -342,8 +356,8 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     # (5) adjoint relation, recovering the involution from the partition
     inv = scheme.involution
     w = gs.omega_x
-    if w.min() <= 0:
-        raise AxiomViolation("5", None, "omega_x must be strictly positive")
+    if not ((w > 0) & (w < np.inf)).all():
+        raise AxiomViolation("5", None, "omega_x must be finite and strictly positive")
     for i in range(d):
         lhs = w[:, None] * S[inv[i]]            # omega(y) * S_bar(i)(y, x)
         rhs = (w[:, None] * S[i]).T             # omega(x) * S_i(x, y), transposed
@@ -388,7 +402,7 @@ def finite_rigidity_check(gs: GeneralizedScheme) -> bool:
     lab = gs.partition.label
     adj = lab[None] == np.arange(gs.partition.n_relations)[:, None, None]
     stochastic = adj / np.maximum(adj.sum(axis=2, keepdims=True), 1)
-    return not (np.abs(gs.kernels - stochastic).max(axis=(1, 2)) > 1e-8).any()
+    return bool((np.abs(gs.kernels - stochastic).max(axis=(1, 2)) <= 1e-8).all())
 
 
 def translation_property_check(scheme: AssociationScheme) -> tuple[bool, bool]:

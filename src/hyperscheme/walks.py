@@ -18,22 +18,22 @@ import numpy as np
 
 from .dtgraph import Ball, DeformedKernels, PolyHypergroup, haar_weight
 from .hypergroup import FiniteHypergroup
-from .scheme import GeneralizedScheme
+from .scheme import CheckFailure, GeneralizedScheme
 
 # simulate_walk draws its uniforms in blocks of about this many
 _BLOCK_UNIFORMS = 1 << 18
 SUPPORT_CAP = 10_000
 
 
-class SupportCap(Exception):
+class SupportCap(CheckFailure):
     pass
 
 
-class WalkWouldExitBall(Exception):
+class WalkWouldExitBall(CheckFailure):
     pass
 
 
-class ParameterMismatch(Exception):
+class ParameterMismatch(CheckFailure):
     pass
 
 

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import hyperscheme as hs
+from hyperscheme import dtgraph
+from hyperscheme.cli import main
 from reference_ball import ball_words, bfs_distances, word_distance
 
 P22 = hs.DTParams(2, 2)
@@ -103,6 +105,39 @@ def test_poly_bounded_on_dual_interval():
         for x in np.linspace(-s1, s1, 15):
             for n in range(25):
                 assert abs(hs.poly_eval(n, x, params)) <= 1.0 + 1e-9
+
+
+def test_poly_values_are_the_recurrence_values():
+    """One pass gives what poly_eval gives for each n, bit for bit, also
+    where the values overflow to inf and then NaN."""
+    for params in (P32, P24):
+        for x in (-0.7, 0.5, 1.3, 1e200):
+            values = hs.poly_values(40, x, params)
+            assert values.dtype == np.float64
+            want = [hs.poly_eval(n, x, params) for n in range(41)]
+            assert np.array_equal(values, want, equal_nan=True)
+
+
+def test_each_polynomial_sequence_is_evaluated_once(monkeypatch):
+    """A deformed exact walk of t steps reads alpha0 up to 2t, and dtgraph
+    --x reads P_0..P_R: both cost a number of recurrence steps linear in
+    that length, not its square."""
+    steps = []
+
+    def counted(x, params):
+        for v in sequence(x, params):
+            steps.append(v)
+            yield v
+
+    sequence = dtgraph._poly_sequence
+    monkeypatch.setattr(dtgraph, "_poly_sequence", counted)
+    assert main(["walk", "--dtgraph", "3,2,3,0.1", "--mu", "1:1/3,2:2/3",
+                 "--steps", "200", "--exact"]) == 0
+    assert len(steps) <= 4 * (2 * 200 + 1)
+    steps.clear()
+    assert main(["dtgraph", "--a", "3", "--b", "2", "--x", "0.5",
+                 "--radius", "500"]) == 0
+    assert len(steps) == 501
 
 
 def test_product_formula():

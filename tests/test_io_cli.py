@@ -54,6 +54,17 @@ def files(tmp_path, k3_scheme, k3_hypergroup, s3_table):
                                         for m in k3hg["conv"]]},
         "group_n3": {"n": 3, "table": [[0, 1], [1, 0]]},
         "list": [],
+        # integer fields that numpy would truncate or overflow on
+        "label_half": {"n_points": 3, "relations": [[0, 1.5, 1], [1, 0, 1], [1, 1, 0]]},
+        "label_huge": {"n_points": 3, "relations": [[0, 2 ** 70, 1], [1, 0, 1], [1, 1, 0]]},
+        "identity_half": {**k3hg, "identity": 0.5},
+        "involution_half": {**k3hg, "involution": [0, 1.5]},
+        "table_huge": {"n": 6, "table": [[2 ** 70, *row[1:]] if i == 0 else row
+                                         for i, row in enumerate(s3_table.tolist())]},
+        # row (1, 1) misses 1 by 1/(10^400 - 1): a join spreads that e-mass
+        # over a Haar weight of 10^400, past the doubles
+        "tiny_mass": {**k3hg, "conv": [[["1", "0"], ["0", "1"]],
+                                       [["0", "1"], [f"1/{10 ** 400 - 1}", "1/2"]]]},
     }
     for name, data in malformed.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -227,6 +238,35 @@ def test_product_nan_cmd(files, tmp_path, capsys):
     assert "finite" in report["results"]["message"]
 
 
+def _set(data, path, value):
+    """Set the entry of nested data that the keys and indices in path name."""
+    *keys, last = path
+    for key in keys:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize("cell, value, axiom, witness", [
+    (("kernels", 1, 0, 0), math.nan, "2", [1, 0, 0]),   # off relation 1: support
+    (("kernels", 1, 0, 1), math.nan, "2", [1, 0]),      # on relation 1: row sum
+    (("omega_x", 0), math.nan, "5", []),
+    (("omega_x", 0), math.inf, "5", []),
+])
+def test_non_finite_kernel_family_fails(files, tmp_path, cell, value, axiom,
+                                        witness, capsys):
+    """NaN passes no comparison, so each test of a kernel family is one that
+    NaN fails; a construction fails on its input, with the input's witness."""
+    data = hio.load(files["k3gs"])
+    _set(data, cell, value)
+    path = str(tmp_path / "bad.json")
+    hio.save(path, data)
+    for argv in (["verify", path], ["product", path, files["k3gs"]],
+                 ["join", files["k3gs"], path]):
+        assert main([*argv, "--json"]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert (results["axiom"], results["witness"]) == (axiom, witness)
+
+
 def test_characters_cmd(files, capsys):
     assert main(["characters", files["k3hg"], "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -382,6 +422,18 @@ def test_walk_not_a_scheme_cmd(files, capsys):
     assert report["status"] == "fail"
 
 
+def test_every_library_exception_has_one_outcome():
+    """The CLI maps exceptions by their base alone: a ValueError is an input
+    error (exit 2), a CheckFailure a failed check (exit 1), and no class of
+    the package may be both or neither."""
+    classes = [v for v in vars(hs).values()
+               if isinstance(v, type) and issubclass(v, BaseException)]
+    assert hs.CheckFailure in classes and hs.AxiomViolation in classes
+    for cls in classes:
+        if cls is not hs.CheckFailure:
+            assert issubclass(cls, ValueError) != issubclass(cls, hs.CheckFailure), cls
+
+
 def test_usage_error():
     assert main(["bogus"]) == 2
 
@@ -510,6 +562,27 @@ CONTRACT_CASES = [
      "steps must be nonnegative"),
     (["walk", "--dtgraph", "3,2,4", "--mu", "1:1/2,1:1/2", "--steps", "2"], 2,
      "label 1 appears twice"),
+    # integer fields hold JSON integers in int64, never truncated or overflowed
+    (["verify", "label_half"], 2, "relations must hold JSON integers in int64, not 1.5"),
+    (["verify", "label_huge"], 2,
+     "relations must hold JSON integers in int64, not 1180591620717411303424"),
+    (["characters", "identity_half"], 2,
+     "identity must hold JSON integers in int64, not 0.5"),
+    (["characters", "involution_half"], 2,
+     "involution must hold JSON integers in int64, not 1.5"),
+    (["cosets", "table_huge", "0,1"], 2,
+     "table must hold JSON integers in int64, not 1180591620717411303424"),
+    # the inputs of a construction are verified, not only its result
+    (["join", "k3hg", "tiny_mass"], 1, "axiom normalization violated, witness (1, 1)"),
+    # dtgraph reports finite values on a valid radius, and nothing else
+    (["dtgraph", "--a", "3", "--b", "2", "--x", "nan"], 2, "need finite values"),
+    (["dtgraph", "--a", "3", "--b", "2", "--x", "inf"], 2, "need finite values"),
+    (["dtgraph", "--a", "3", "--b", "2", "--grid", "nan:1:3"], 2, "need finite values"),
+    (["dtgraph", "--a", "3", "--b", "2", "--x", "1e200"], 2, "leaves double range"),
+    (["dtgraph", "--a", "3", "--b", "2", "--x", "0.5", "--radius", "-1"], 2,
+     "radius must be nonnegative"),
+    # the pushforward reads depth 1 only, so a needs no ball beyond radius 1
+    (["dtgraph", "--a", "1000", "--b", "2", "--report", "pushforward"], 0),
 ]
 
 
@@ -533,6 +606,48 @@ def test_exit_code_contract(files, argv, code, message, capsys):
         else:
             assert results["axiom"] and results["witness"]
     assert ("seed" in report) == (argv[0] in ("characters", "dual", "walk"))
+
+
+# every integer field of each file kind, as a path into the file's data
+INTEGER_FIELDS = {
+    "k3": [("n_points",), ("relations", 0, 1)],
+    "k3gs": [("n_points",), ("relations", 0, 1)],
+    "k3hg": [("n",), ("identity",), ("involution", 1)],
+    "s3": [("n",), ("table", 0, 1)],
+}
+# every subcommand that reads a file of each kind; FILE stands for it
+_SCHEME_READERS = [
+    ["verify", "FILE"], ["walk", "FILE", "--mu", "1:1", "--steps", "2", "--trials", "10"],
+    ["walk", "FILE", "--mu", "1:1", "--steps", "2", "--exact"],
+    ["product", "FILE", "k3gs"], ["join", "k3gs", "FILE"],
+]
+FILE_READERS = {
+    "k3": _SCHEME_READERS, "k3gs": _SCHEME_READERS,
+    "k3hg": [["characters", "FILE"], ["dual", "FILE", "1", "1"],
+             ["deform", "FILE", "--alpha", "1,1"],
+             ["product", "FILE", "k3hg"], ["join", "k3hg", "FILE"]],
+    "s3": [["cosets", "FILE", "0,1"]],
+}
+
+
+def test_bad_integer_fields_are_refused(files, tmp_path, capsys):
+    """Each bad value in each integer field of each file kind, read by every
+    subcommand that reads the file: a refusal or a failed check with one
+    JSON report, never a traceback, a truncated value or a pass."""
+    for kind, fields in INTEGER_FIELDS.items():
+        for field in fields:
+            for value in (1.5, 2 ** 70, math.nan, math.inf, -1, "x", None):
+                data = hio.load(files[kind])
+                _set(data, field, value)
+                path = str(tmp_path / "bad.json")
+                hio.save(path, data)
+                for argv in FILE_READERS[kind]:
+                    argv = [path if a == "FILE" else files.get(a, a) for a in argv]
+                    code = main([*argv, "--json"])
+                    out = capsys.readouterr()
+                    assert code in (1, 2), (kind, field, value, argv)
+                    assert out.err == ""
+                    assert json.loads(out.out)["status"] == {1: "fail", 2: "error"}[code]
 
 
 @pytest.mark.parametrize("argv", [

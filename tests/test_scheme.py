@@ -97,6 +97,16 @@ def test_canonical_generalized_accepted(k3_scheme):
     assert hs.finite_rigidity_check(gs)
 
 
+def test_rigidity_fails_on_nan(k3_scheme):
+    """A NaN kernel entry is no renormalized adjacency."""
+    gs = hs.canonical_generalized(k3_scheme)
+    kernels = gs.kernels.copy()
+    kernels[1, 0, 0] = np.nan
+    cand = hs.GeneralizedScheme(partition=gs.partition, kernels=kernels,
+                                omega_x=gs.omega_x)
+    assert hs.finite_rigidity_check(cand) is False
+
+
 def test_generalized_identity_axiom(k3_scheme):
     gs = hs.canonical_generalized(k3_scheme)
     kernels = gs.kernels.copy()
