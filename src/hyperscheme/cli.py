@@ -30,19 +30,19 @@ def _number(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _print_human(obj, indent=""):
+def _human_lines(obj, indent=""):
     if isinstance(obj, dict):
         for k, v in obj.items():
             if isinstance(v, (dict, list)):
-                print(f"{indent}{k}:")
-                _print_human(v, indent + "  ")
+                yield f"{indent}{k}:"
+                yield from _human_lines(v, indent + "  ")
             else:
-                print(f"{indent}{k}: {v}")
+                yield f"{indent}{k}: {v}"
     elif isinstance(obj, list):
         for v in obj:
-            _print_human(v, indent)
+            yield from _human_lines(v, indent)
     else:
-        print(f"{indent}{obj}")
+        yield f"{indent}{obj}"
 
 
 def _complex_to_jsonable(z):
@@ -365,30 +365,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _report(args, status: str, results: dict) -> str:
+    """The text of the one report: a JSON document under --json, else the
+    status line and the results."""
+    if not args.json:
+        return "\n".join([f"[{status}] {args.command}",
+                          *_human_lines(results, indent="  ")])
+    rep = {"command": args.command, "status": status, "results": results,
+           "tolerances": {"abs": TOL, "psd_floor": -PSD_FLOOR}}
+    if "seed" in args:
+        rep["seed"] = args.seed
+    return io.dumps(rep)
+
+
 def main(argv=None) -> int:
     """Run one subcommand and print its one report.  Every command returns
     (status, results) or raises; main maps an unreadable or malformed input
-    (OSError, KeyError, ValueError) to "error" and a CheckFailure to "fail",
-    and the status to the exit code."""
+    (OSError, KeyError, ValueError), or a command or report too large for
+    memory (MemoryError), to "error" and a CheckFailure to "fail", and the
+    status to the exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT["pass"] if exc.code == 0 else EXIT["error"]
     try:
         status, results = args.fn(args)
-    except (OSError, KeyError, ValueError) as exc:
-        status, results = "error", {"message": str(exc)}
+        text = _report(args, status, results)
+    except (OSError, KeyError, ValueError, MemoryError) as exc:
+        status = "error"
+        text = _report(args, status, {"message": str(exc) or type(exc).__name__})
     except scheme.CheckFailure as exc:
-        status, results = "fail", exc.results()
-    rep = {"command": args.command, "status": status, "results": results,
-           "tolerances": {"abs": TOL, "psd_floor": -PSD_FLOOR}}
-    if "seed" in args:
-        rep["seed"] = args.seed
-    if args.json:
-        print(io.dumps(rep))
-    else:
-        print(f"[{status}] {args.command}")
-        _print_human(results, indent="  ")
+        status = "fail"
+        text = _report(args, status, exc.results())
+    print(text)
     return EXIT[status]
 
 

@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .scheme import (AssociationScheme, AxiomViolation, CheckFailure,
-                     GeneralizedScheme, _verify_kernels, verify_scheme)
+                     GeneralizedScheme, _generators, _verify_kernels,
+                     verify_scheme)
 
 TOL = 1e-9
 PSD_FLOOR = 1e-8
@@ -213,41 +214,6 @@ def from_generalized(gs: GeneralizedScheme) -> FiniteHypergroup:
     return FiniteHypergroup._of(_verify_kernels(gs, scheme), 1,
                                 gs.partition.identity_relation,
                                 scheme.involution.copy(), scheme_derived=True)
-
-
-def _generators(num: np.ndarray):
-    """Yield, in increasing order, the elements whose associativity slices
-    must be checked; the caller stops at the first that fails.
-
-    Slice x passes iff delta_x lies in the left nucleus, a subalgebra
-    (Teichmueller identity), so once the yielded slices pass, so does that
-    of every x whose delta they generate.  Those x are found by closure: x
-    is generated when it is the one support point of delta_y * delta_z,
-    for generated y and z, that is not yet generated.
-    """
-    n = num.shape[0]
-    support = num.reshape(n * n, n) != 0       # [(y, z), x]
-    # score[(y, z)] + 1 counts the support points of delta_y * delta_z not
-    # yet generated, plus n + 1 for each of y, z not yet generated.  So 0
-    # marks a pair that generates one more element, and a pair with nothing
-    # left to generate wraps to the top of uint32.  Generating x lowers
-    # score by gain[x]
-    gain = support.T.astype(np.uint32, order="C")
-    score = gain.sum(axis=0, dtype=np.uint32) + 2 * n + 1
-    at = np.arange(n)
-    gain.reshape(n, n, n)[at, at, :] += n + 1      # the pairs (x, z)
-    gain.reshape(n, n, n)[at, :, at] += n + 1      # the pairs (y, x)
-    fresh = np.ones(n, dtype=bool)             # not yet generated
-    for i in range(n):
-        if not fresh[i]:
-            continue
-        yield i
-        x = i
-        while x is not None:
-            fresh[x] = False
-            score -= gain[x]
-            pair = score.argmin()
-            x = int((support[pair] & fresh).argmax()) if score[pair] == 0 else None
 
 
 @dataclass

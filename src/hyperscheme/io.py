@@ -110,6 +110,27 @@ def _ints(value, what: str) -> np.ndarray:
     raise ValueError(f"{what} must hold JSON integers in int64, not {bad!r}")
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """JSON numbers, or nested lists of them, as float64, NaN and Infinity
+    included; ValueError for a string, null, object or ragged entry, where
+    numpy would parse the string or raise TypeError, and for an integer
+    past the doubles.  As in _ints, a bool among numbers reads as 0 or 1."""
+    try:
+        a = np.asarray(value)
+    except ValueError:          # ragged nesting
+        raise ValueError(f"{what} must be a rectangular array of JSON numbers") from None
+    if a.dtype.kind in "iuf":
+        return a.astype(float)
+    flat = np.array(value, dtype=object).ravel().tolist()
+    bad = [v for v in flat if type(v) not in (int, float)]
+    if bad:
+        raise ValueError(f"{what} must hold JSON numbers, not {bad[0]!r}")
+    try:                        # integers past int64, kept as objects
+        return np.array(flat, dtype=float).reshape(a.shape)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer past the doubles") from None
+
+
 def _int(value, what: str) -> int:
     """A single JSON integer field; ValueError as for _ints."""
     a = _ints(value, what)
@@ -141,9 +162,9 @@ def scheme_from_dict(data: dict):
                                   n_relations=int(label.max()) + 1,
                                   label=label)
     if "kernels" in data:
-        omega_x = np.asarray(data.get("omega_x", np.ones(n)), dtype=float)
+        omega_x = _floats(data["omega_x"], "omega_x") if "omega_x" in data else np.ones(n)
         return GeneralizedScheme(partition=partition,
-                                 kernels=np.asarray(data["kernels"], dtype=float),
+                                 kernels=_floats(data["kernels"], "kernels"),
                                  omega_x=omega_x)
     return partition
 

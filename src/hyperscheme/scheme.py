@@ -68,7 +68,7 @@ class RelationPartition:
     identity_relation: int = field(default=0, init=False)
 
     def __post_init__(self):
-        lab = np.asarray(self.label, dtype=np.int64)
+        lab = np.array(self.label, dtype=np.int64)      # a copy no caller holds
         if lab.shape != (self.n_points, self.n_points):
             raise ValueError(f"label matrix must be {self.n_points}x{self.n_points}")
         if lab.min() < 0 or lab.max() >= self.n_relations:
@@ -168,13 +168,50 @@ def _recover_involution(partition: RelationPartition, rx: np.ndarray,
 _EXACT_FLOAT_COUNT = 2 ** 53
 
 
+def _generators(num: np.ndarray):
+    """Yield, in increasing order, the i whose slices num[i] must be checked;
+    the caller stops at the first that fails.
+
+    num is a hypergroup tensor or a scheme's p.  Slice x passes iff delta_x
+    lies in the left nucleus (Teichmueller identity), or A_x maps the
+    Bose-Mesner span into itself: a subalgebra either way, so once the
+    yielded slices pass, so does that of every x their deltas or A_x
+    generate.  Those x are found by closure: x is generated when it is the
+    one support point of num[y, z], for generated y and z, not yet generated.
+    """
+    n = num.shape[0]
+    support = num.reshape(n * n, n) != 0       # [(y, z), x]
+    # score[(y, z)] + 1 counts the support points of num[y, z] not yet
+    # generated, plus n + 1 for each of y, z not yet generated.  So 0 marks
+    # a pair that generates one more element, and a pair with nothing left to
+    # generate wraps to the top of uint32.  Generating x lowers score by gain[x]
+    gain = support.T.astype(np.uint32, order="C")
+    score = gain.sum(axis=0, dtype=np.uint32) + 2 * n + 1
+    at = np.arange(n)
+    gain.reshape(n, n, n)[at, at, :] += n + 1      # the pairs (x, z)
+    gain.reshape(n, n, n)[at, :, at] += n + 1      # the pairs (y, x)
+    fresh = np.ones(n, dtype=bool)             # not yet generated
+    for i in range(n):
+        if not fresh[i]:
+            continue
+        yield i
+        x = i
+        while x is not None:
+            fresh[x] = False
+            score -= gain[x]
+            pair = score.argmin()
+            x = int((support[pair] & fresh).argmax()) if score[pair] == 0 else None
+
+
 def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     """Check the association scheme axioms and compute p-tensor and valencies.
 
-    One float64 BLAS product per relation i gives every A_i A_j at once; the
-    counting axiom then compares each product with the value at the first
-    row-major cell of every relation.  Raises AxiomViolation (with axiom id
-    and witness) if the partition is not a scheme.
+    p[i, j, k] = #{z : label(rx_k, z) = i, label(z, ry_k) = j} is read at the
+    first row-major cell (rx_k, ry_k) of each relation k.  The counting axiom
+    A_i A_j = sum_k p[i, j, k] A_k is checked, one float64 BLAS product per
+    j, only on the slices i != e that _generators(p) yields (A_e = I); they
+    prove the rest.  Memory is O(n^2 + d^3).  Raises AxiomViolation (with
+    axiom id and witness) if the partition is not a scheme.
     """
     lab = partition.label
     n, d = partition.n_points, partition.n_relations
@@ -195,28 +232,24 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     rx, ry = _representatives(partition)
     inv = _recover_involution(partition, rx, ry)
 
-    # onehot[z, j, y] = [label(z, y) = j]; row x of A_i @ onehot is then
-    # (A_i A_j)[x, y] laid out as (j, y)
-    onehot = np.zeros((n, d, n))
-    z, y = np.indices((n, n))
-    onehot[z, lab, y] = 1.0
-    onehot = onehot.reshape(n, d * n)
-    p = np.empty((d, d, d), dtype=np.int64)
-    for i in range(d):
-        prod = ((lab == i).astype(float) @ onehot).reshape(n, d, n).transpose(1, 0, 2)
-        P = prod[:, rx, ry]                      # P[j, k] = p_ij^k, read at k's rep
-        bad = prod != P[:, lab]
-        if bad.any():
-            j = int(np.argmax(bad.any(axis=(1, 2))))
-            k = int(lab[bad[j]].min())
-            xb, yb = map(int, np.argwhere(bad[j] & (lab == k))[0])
-            x0, y0 = int(rx[k]), int(ry[k])
-            raise AxiomViolation(
-                "counting", (i, j, k, x0, y0, xb, yb),
-                f"p_({i},{j})^{k} is not constant: "
-                f"{int(P[j, k])} at ({x0},{y0}) vs {int(prod[j, xb, yb])} "
-                f"at ({xb},{yb})")
-        p[i] = P
+    p = np.zeros((d, d, d), dtype=np.int64)
+    np.add.at(p, (lab[rx], lab[:, ry].T, np.arange(d)[:, None]), 1)
+    for i in _generators(p):
+        if i == e:
+            continue
+        a_i = (lab == i).astype(float)
+        for j in range(d):
+            prod = a_i @ (lab == j).astype(float)
+            bad = prod != p[i, j][lab]
+            if bad.any():
+                k = int(lab[bad].min())
+                xb, yb = map(int, np.argwhere(bad & (lab == k))[0])
+                x0, y0 = int(rx[k]), int(ry[k])
+                raise AxiomViolation(
+                    "counting", (i, j, k, x0, y0, xb, yb),
+                    f"p_({i},{j})^{k} is not constant: "
+                    f"{int(p[i, j, k])} at ({x0},{y0}) vs {int(prod[xb, yb])} "
+                    f"at ({xb},{yb})")
 
     valency = p[np.arange(d), inv, e]
     return AssociationScheme(partition=partition, involution=inv, p=p, valency=valency)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -66,6 +67,15 @@ def files(tmp_path, k3_scheme, k3_hypergroup, s3_table):
         "tiny_mass": {**k3hg, "conv": [[["1", "0"], ["0", "1"]],
                                        [["0", "1"], [f"1/{10 ** 400 - 1}", "1/2"]]]},
     }
+    # kernel-family fields hold JSON numbers: a string is not parsed, and an
+    # object or a ragged row is an input error rather than a TypeError
+    for name, cell, value in [("omega_str", ("omega_x",), ["1", "1", "1"]),
+                              ("omega_null", ("omega_x", 1), None),
+                              ("kernel_str", ("kernels", 1, 0, 1), "0.5"),
+                              ("kernel_object", ("kernels", 1, 0, 1), {"p": 0.5}),
+                              ("kernel_ragged", ("kernels", 1, 0), [0, 0.5])]:
+        malformed[name] = hio.load(paths["k3gs"])
+        _set(malformed[name], cell, value)
     for name, data in malformed.items():
         paths[name] = tmp_path / f"{name}.json"
         hio.save(paths[name], data)
@@ -572,6 +582,15 @@ CONTRACT_CASES = [
      "involution must hold JSON integers in int64, not 1.5"),
     (["cosets", "table_huge", "0,1"], 2,
      "table must hold JSON integers in int64, not 1180591620717411303424"),
+    (["verify", "omega_str"], 2, "omega_x must hold JSON numbers, not '1'"),
+    (["verify", "omega_null"], 2, "omega_x must hold JSON numbers, not None"),
+    (["verify", "kernel_str"], 2, "kernels must hold JSON numbers, not '0.5'"),
+    (["verify", "kernel_object"], 2, "kernels must hold JSON numbers, not {'p': 0.5}"),
+    (["verify", "kernel_ragged"], 2,
+     "kernels must be a rectangular array of JSON numbers"),
+    (["walk", "kernel_object", "--mu", "1:1", "--steps", "2", "--exact"], 2,
+     "kernels must hold JSON numbers"),
+    (["product", "k3gs", "omega_str"], 2, "omega_x must hold JSON numbers"),
     # the inputs of a construction are verified, not only its result
     (["join", "k3hg", "tiny_mass"], 1, "axiom normalization violated, witness (1, 1)"),
     # dtgraph reports finite values on a valid radius, and nothing else
@@ -741,6 +760,29 @@ def test_library_and_cli_run_without_scipy(files):
     report = json.loads(proc.stdout)
     assert report["codes"] == [0] * len(runs)
     assert report["scipy"] == []
+
+
+def test_memory_error_is_an_input_error(tmp_path):
+    """The 1200-cycle's p alone is 601^3 int64, 1.7 GB, past a 1 GiB address
+    space: verify ends in one error report and exit 2, not a traceback."""
+    x = np.arange(1200)
+    dist = np.abs(x[:, None] - x[None, :])
+    path = tmp_path / "c1200.json"
+    hio.save(path, {"n_points": 1200,
+                    "relations": np.minimum(dist, 1200 - dist).tolist()})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperscheme.cli", "verify", str(path), "--json"],
+        env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)       # exactly one JSON document
+    assert report["status"] == "error"
+    assert "Unable to allocate" in report["results"]["message"]
 
 
 def test_module_entry_point_has_no_traceback(files):

@@ -36,6 +36,23 @@ def test_diagonal_violation():
     assert exc.value.axiom_id == "diagonal"
 
 
+def test_partition_owns_its_labels():
+    """The partition freezes a copy: the caller's array stays writable, and
+    writing through the base of a view passed in leaves a verified
+    partition as it was."""
+    lab = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    part = hs.RelationPartition(3, 2, lab)
+    lab[0, 1] = 0
+    base = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    view = hs.RelationPartition(3, 2, base[:])
+    sch = hs.verify_scheme(view)
+    base[0, 1] = 0
+    for p in (part, view):
+        assert p.label[0, 1] == 1
+        assert not p.label.flags.writeable
+    assert sch.partition.label[0, 1] == 1
+
+
 def test_float_count_bound_guarded(k3_partition, monkeypatch):
     # counts are BLAS float64 products, exact only while n < 2**53; a lowered
     # bound shows the guard refuses rather than returning rounded counts

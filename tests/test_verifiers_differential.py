@@ -44,6 +44,14 @@ def cycle_partition(m):
     return hs.RelationPartition(m, m // 2 + 1, np.minimum(dist, m - dist))
 
 
+def product_partition(p1, p2):
+    """The partition of X1 x X2 by pairs of relations, (i1, i2) numbered
+    i1 * d2 + i2."""
+    n, d2 = p1.n_points * p2.n_points, p2.n_relations
+    lab = p1.label[:, None, :, None] * d2 + p2.label[None, :, None, :]
+    return hs.RelationPartition(n, p1.n_relations * d2, lab.reshape(n, n))
+
+
 def relabel(table, sub, seed):
     """An isomorphic copy under a seeded renaming of the elements, so the
     identity and the subgroup's smallest element are no longer 0."""
@@ -110,11 +118,11 @@ def test_fixture_schemes_match_reference(k3_partition, trivial_scheme, z4_scheme
 
 
 @st.composite
-def corrupted_partitions(draw):
+def corrupted_partitions(draw, bases=BASE_PARTITIONS):
     """Swap two off-diagonal labels or relabel one cell.  With `mirror` the
     transposed cells change with them (to the paired relation), so the
     involution survives and the counting axiom is what fails."""
-    base = draw(st.sampled_from(BASE_PARTITIONS))
+    base = draw(st.sampled_from(bases))
     n, d = base.n_points, base.n_relations
     inv = ref.recover_involution(base)
     lab = base.label.copy()
@@ -137,6 +145,79 @@ def corrupted_partitions(draw):
 @given(corrupted_partitions())
 def test_corrupted_labelings_match_reference(part):
     assert outcome(hs.verify_scheme, part) == outcome(ref.verify_scheme, part)
+
+
+# bases whose p is proved on fewer slices than d: C5 x C6 (d = 12) and the
+# D_20 double cosets (d = 11)
+SMALL_GENERATING_SETS = [
+    product_partition(cycle_partition(5), cycle_partition(6)),
+    ref.from_double_cosets(dihedral_table(20), [0, 20])[1].partition]
+
+
+def fuse(base, r, t):
+    """base with relation t merged into relation r and the relations above
+    t renumbered down by one."""
+    lab = np.where(base.label == t, r, base.label)
+    return hs.RelationPartition(base.n_points, base.n_relations - 1,
+                                np.where(lab > t, lab - 1, lab))
+
+
+@st.composite
+def fused_partitions(draw, bases):
+    base = draw(st.sampled_from(bases))
+    r, t = sorted(draw(st.lists(st.integers(1, base.n_relations - 1), min_size=2,
+                                max_size=2, unique=True)))
+    return fuse(base, r, t)
+
+
+def test_small_generating_sets_are_small():
+    for base, gens in zip(SMALL_GENERATING_SETS, ([0, 1, 4], [0, 1])):
+        assert list(_generators(hs.verify_scheme(base).p)) == gens
+
+
+@given(st.one_of(corrupted_partitions(SMALL_GENERATING_SETS),
+                 fused_partitions(SMALL_GENERATING_SETS)))
+def test_corruptions_of_small_generating_sets_match_reference(part):
+    """The counting axiom checked on |G| < d slices gives the verdict and
+    the witness of the scan of all d slices."""
+    assert outcome(hs.verify_scheme, part) == outcome(ref.verify_scheme, part)
+
+
+def test_scheme_defect_off_the_generating_set_is_found():
+    """Merging relations 1 and 9 of the D_20 double-coset scheme keeps A_1
+    (now distances 1 and 9 on the 20-cycle) mapping the Bose-Mesner span
+    into itself, but breaks slices 2, 3, 4, 6, 7 and 8.  Slice 2 was
+    derived, not checked, on the intact scheme (generating set [0, 1]).
+    On the merged one slice 1 passes and does not generate it, so 2 is
+    checked and is the first failure, with the witness and the message of
+    a check of all d slices."""
+    part = fuse(SMALL_GENERATING_SETS[1], 1, 9)
+    lab = part.label
+    adj = [(lab == i).astype(int) for i in range(part.n_relations)]
+    failing = [i for i in range(part.n_relations)
+               if any(len({*(adj[i] @ a)[lab == k].tolist()}) > 1
+                      for a in adj for k in range(part.n_relations))]
+    assert failing == [2, 3, 4, 6, 7, 8]
+    with pytest.raises(hs.AxiomViolation) as exc:
+        hs.verify_scheme(part)
+    assert str(exc.value) == "p_(2,3)^1 is not constant: 1 at (0,1) vs 0 at (0,9)"
+    assert outcome(hs.verify_scheme, part) == outcome(ref.verify_scheme, part) == \
+        ("fail", "counting", (2, 3, 1, 0, 1, 0, 9))
+
+
+def test_verify_scheme_memory_is_quadratic_plus_p():
+    """The 400-cycle (d = 201): p (65 MB), its generating-set closure and
+    the n x n slices stay below 150 MiB; one n x d x n float64 array would
+    take 257 MB."""
+    part = cycle_partition(400)
+    tracemalloc.start()
+    try:
+        sch = hs.verify_scheme(part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sch.valency.tolist() == [1] + [2] * 199 + [1]
+    assert peak < 150 * 2 ** 20
 
 
 def _report_key(rep):

@@ -1,5 +1,8 @@
 """Time and memory of the exact-algebra kernels against their size.
 
+- verify_scheme on the m-cycles and the D_m double-coset schemes (both
+  d = m // 2 + 1) for m in 50, 100, 200, 400, with d, |G| (the slices of
+  the generating set, the identity's included) and the tracemalloc peak.
 - verify_hypergroup on exact hypergroups: the D_m double-coset hypergroups
   (d = m // 2 + 1) up to m = 200, direct products of two of them up to
   d = 120, and iterated joins of Z_2, whose greedy generating set is all of
@@ -40,6 +43,7 @@ import reference_verifiers as ref  # noqa: E402
 from hyperscheme import io as hio  # noqa: E402
 from hyperscheme.hypergroup import _char_order, _generators  # noqa: E402
 
+SCHEME_SIZES = (50, 100, 200, 400)
 DIHEDRAL = (6, 20, 40, 60, 100, 140, 200)
 PRODUCTS = ((8, 10), (12, 14), (12, 22), (14, 28))
 JOIN_CHAIN = (10, 18, 26)      # 27 leaves the exact float64 products
@@ -68,12 +72,30 @@ def timed(*fns):
     return out
 
 
-def dihedral(m):
+def dihedral_scheme(m):
     idx = np.arange(2 * m)
     k, e = idx % m, idx // m
     kk = (k[:, None] + np.where(e[:, None] == 1, -k[None, :], k[None, :])) % m
     table = kk + m * (e[:, None] ^ e[None, :])
-    return hs.from_scheme(hs.from_double_cosets(table, [0, m])[1])
+    return hs.from_double_cosets(table, [0, m])[1]
+
+
+def dihedral(m):
+    return hs.from_scheme(dihedral_scheme(m))
+
+
+def cycle_partition(m):
+    x = np.arange(m)
+    dist = np.abs(x[:, None] - x[None, :])
+    return hs.RelationPartition(m, m // 2 + 1, np.minimum(dist, m - dist))
+
+
+def scheme_row(family, m, partition):
+    ((s, peak),) = timed(lambda: hs.verify_scheme(partition))
+    return {"family": family, "case": f"{family[0].upper()}{m}",
+            "n": partition.n_points, "d": partition.n_relations,
+            "generators": len(list(_generators(hs.verify_scheme(partition).p))),
+            "s": s, "peak_mib": peak}
 
 
 def join_chain(d):
@@ -117,6 +139,11 @@ def dumps_row(h, case):
 
 
 def main():
+    schemes = [scheme_row("cycle", m, cycle_partition(m)) for m in SCHEME_SIZES]
+    schemes += [scheme_row("dihedral", m, dihedral_scheme(m).partition)
+                for m in SCHEME_SIZES]
+    for row in schemes:
+        print(row, file=sys.stderr)
     verify = [verify_row("dihedral", f"D{m}", dihedral(m)) for m in DIHEDRAL]
     verify += [verify_row("product", f"D{m1}xD{m2}",
                           hs.direct_product(dihedral(m1), dihedral(m2)))
@@ -129,8 +156,8 @@ def main():
     dumps = [dumps_row(dihedral(m), f"D{m}") for m in DIHEDRAL[:5]]
     dumps += [dumps_row(hs.direct_product(dihedral(m1), dihedral(m2)), f"D{m1}xD{m2}")
               for m1, m2 in PRODUCTS[:2]]
-    print(json.dumps({"verify_hypergroup": verify, "characters": chars,
-                      "dumps": dumps}, indent=1))
+    print(json.dumps({"verify_scheme": schemes, "verify_hypergroup": verify,
+                      "characters": chars, "dumps": dumps}, indent=1))
 
 
 if __name__ == "__main__":
