@@ -8,6 +8,7 @@ Exit codes: 0 pass, 1 failed check or axiom violation, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -301,7 +302,10 @@ def cmd_walk(args):
     return ("pass" if tv <= 0.02 else "fail"), results
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main call shares it."""
     ap = argparse.ArgumentParser(
         prog="hyperscheme",
         description="Finite association schemes, hypergroups, clique-tree "

@@ -20,8 +20,9 @@ from .dtgraph import Ball, DeformedKernels, PolyHypergroup, haar_weight
 from .hypergroup import FiniteHypergroup
 from .scheme import CheckFailure, GeneralizedScheme
 
-# simulate_walk draws its uniforms in blocks of about this many
-_BLOCK_UNIFORMS = 1 << 18
+# simulate_walk draws its uniforms in blocks of about this many; the block
+# size bounds the per-step temporaries, and does not change the stream
+_BLOCK_UNIFORMS = 1 << 16
 SUPPORT_CAP = 10_000
 
 
@@ -149,18 +150,47 @@ def _check_reachable(fam: KernelFamily, mu: StepDistribution, steps: int) -> np.
     return np.flatnonzero(seen)
 
 
-def _row_table(K: np.ndarray, states: np.ndarray):
-    """Sampling table of K's rows at the ascending states in CSR form:
-    column of each nonzero entry, cumulative row weight plus the row (state)
-    id, so the weights increase across the whole table, and row pointers
-    over all states."""
-    sub = K[states]
-    rows, cols = np.nonzero(sub)
-    cw = np.cumsum(sub[rows, cols])
-    rows = states[rows]
-    indptr = np.searchsorted(rows, np.arange(K.shape[0] + 1))
-    before = np.concatenate(([0.0], cw))[indptr[:-1]]
-    return cols, rows + (cw - before[rows]), indptr
+def _row_table(fam: KernelFamily, labels: list, states: np.ndarray):
+    """Sampling table of the kernels of the given labels at the ascending
+    states, as one CSR triple: the column of each nonzero entry, its key,
+    and row pointers.  Row i * n + x holds the entries of K_h at state x for
+    the i-th label h, and its key is x plus the cumulative row weight, so
+    the keys increase along each row.  Rows of unreached states are empty.
+    Each label's weights are summed in one cumsum over its table, so a key
+    is the same double whatever other labels the table holds."""
+    n = fam.labels.shape[0]
+    cols, keys, starts = [], [], []
+    offset = 0
+    for h in labels:
+        sub = fam.matrices[h][states]
+        flat = np.flatnonzero(sub)
+        cw = np.cumsum(sub.ravel()[flat])
+        del sub
+        rows, c = np.divmod(flat, n)
+        rows = states[rows]
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        cw -= np.concatenate(([0.0], cw))[indptr[:-1]][rows]
+        cw += rows
+        cols.append(c)
+        keys.append(cw)
+        starts.append(indptr[:-1] + offset)
+        offset += c.size
+    starts.append([offset])
+    return np.concatenate(cols), np.concatenate(keys), np.concatenate(starts)
+
+
+def _lower_bound(keys: np.ndarray, pos: np.ndarray, last, q: np.ndarray,
+                 width: int) -> np.ndarray:
+    """For rows pos .. last of keys, each ascending and at most width long,
+    the position of the first key >= q, or last when every key is below q:
+    np.searchsorted clipped to the row, making the same comparisons.  A
+    branchless binary lifting over all rows at once, ceil(log2 width)
+    rounds; pos is overwritten."""
+    for k in reversed(range((width - 1).bit_length())):
+        probe = pos + ((1 << k) - 1)
+        np.minimum(probe, last, out=probe)
+        pos += (keys[probe] < q) << k
+    return np.minimum(pos, last, out=pos)
 
 
 def _project(labels: np.ndarray, mass) -> dict:
@@ -175,33 +205,37 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
     """Monte Carlo walk from state 0: per step sample a label h ~ mu, then a
     successor from the h-kernel row at the current state.
 
-    All trials advance together, in blocks of about 2**18 uniforms, so
+    All trials advance together, in blocks of about 2**16 uniforms, so
     memory does not grow with trials.  Step s of trial t uses uniforms
     2st + 2s (label) and 2st + 2s + 1 (successor) of the Philox stream
     keyed by seed; counts from more trials are elementwise at least those
-    from fewer.
+    from fewer.  Each step is two bounded searches: the label over mu's
+    cumulative weights, then the successor inside the (label, state) row
+    of one table over the kernels of mu's support.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     states = _check_reachable(fam, mu, steps)
     labels = fam.support_labels(mu)
     mu_cum = np.cumsum([float(mu.weights[h]) for h in labels])
-    tables = [_row_table(fam.matrices[h], states) for h in labels]
-    counts = np.zeros(fam.labels.shape[0], dtype=np.int64)
+    cols, keys, indptr = _row_table(fam, labels, states)
+    first, last = indptr[:-1], indptr[1:] - 1
+    width = max(1, int(np.diff(indptr).max()))
+    n = fam.labels.shape[0]
+    counts = np.zeros(n, dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(seed))
     block = max(1, _BLOCK_UNIFORMS // max(1, 2 * steps))
     for lo in range(0, trials, block):
         u = rng.random((min(block, trials - lo), 2 * steps))
         x = np.zeros(u.shape[0], dtype=np.int64)
         for s in range(steps):
-            pick = np.searchsorted(mu_cum, u[:, 2 * s])
-            np.minimum(pick, len(labels) - 1, out=pick)
-            for i, (cols, cum, indptr) in enumerate(tables):
-                sel = pick == i
-                xs = x[sel]
-                p = np.searchsorted(cum, xs + u[sel, 2 * s + 1])
-                x[sel] = cols[np.clip(p, indptr[xs], indptr[xs + 1] - 1)]
-        counts += np.bincount(x, minlength=counts.size)
+            row = _lower_bound(mu_cum, np.zeros_like(x), len(labels) - 1,
+                               u[:, 2 * s], len(labels))
+            row *= n
+            row += x
+            x = cols[_lower_bound(keys, first[row], last[row],
+                                  x + u[:, 2 * s + 1], width)]
+        counts += np.bincount(x, minlength=n)
     empirical = {x: c / trials for x, c in enumerate(counts.tolist()) if c}
     return WalkResult(empirical=empirical, trials=trials, steps=steps, seed=seed)
 

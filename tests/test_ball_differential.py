@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperscheme as hs
 import hyperscheme.io as hio
@@ -226,6 +227,59 @@ def test_walks_match_dense_reference(a, b, R):
             old = reference_walks.propagate_and_project(fam, mu, steps)
             assert new.keys() == old.keys()
             assert all(abs(new[k] - old[k]) <= 1e-15 for k in old)
+
+
+@st.composite
+def kernel_walks(draw):
+    """A random stochastic kernel family on n states with 1-5 support labels
+    and one zero-mass label whose kernel is all zero, so a walk that read it
+    would be refused.  Each (label, state) row has its own width in 1..70
+    and its own weights: equal, uniform, or log-uniform down to 1e-12.  The
+    trial count falls on either side of a block of uniforms."""
+    n = draw(st.one_of(st.integers(2, 16), st.integers(71, 90)))
+    support = draw(st.integers(1, 5))
+    idle = draw(st.integers(0, support))
+    masses = draw(st.lists(st.integers(1, 7), min_size=support, max_size=support))
+    steps = draw(st.integers(1, 4))
+    block = hs.walks._BLOCK_UNIFORMS // (2 * steps)
+    trials = draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    matrices, mu = {}, {}
+    labels = [h for h in range(support + 1) if h != idle]
+    for h, m in zip(labels, masses):
+        K = np.zeros((n, n))
+        for x in range(n):
+            k = int(rng.integers(1, min(n, 70) + 1))
+            w = (np.ones(k), rng.random(k) + 1e-3,
+                 10.0 ** rng.uniform(-12, 0, k))[rng.integers(3)]
+            K[x, rng.choice(n, k, replace=False)] = w / w.sum()
+        matrices[h] = K
+        mu[h] = Fraction(m, sum(masses))
+    matrices[idle], mu[idle] = np.zeros((n, n)), Fraction(0)
+    fam = hs.KernelFamily(matrices=matrices, labels=rng.integers(0, 4, n))
+    return fam, hs.StepDistribution(mu), steps, trials
+
+
+@settings(max_examples=60)
+@given(kernel_walks(), st.integers(0, 2 ** 31))
+def test_random_kernel_walks_match_dense_reference(walk, seed):
+    """On random kernel families with rows of mixed widths and weights, the
+    table search draws every successor the dense searchsorted code draws."""
+    fam, mu, steps, trials = walk
+    assert (hs.simulate_walk(fam, mu, steps, trials, seed).empirical
+            == reference_walks.simulate_walk(fam, mu, steps, trials, seed).empirical)
+
+
+def test_complete_graph_walk_matches_dense_reference():
+    """K_300: rows of width 299 beside the width-1 identity rows."""
+    m = 300
+    label = (np.arange(m)[:, None] != np.arange(m)[None, :]).astype(int)
+    sch = hs.verify_scheme(hs.RelationPartition(n_points=m, n_relations=2, label=label))
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(sch))
+    mu = hs.StepDistribution({0: Fraction(1, 3), 1: Fraction(2, 3)})
+    for seed in (0, 7):
+        assert (hs.simulate_walk(fam, mu, 3, 20_000, seed).empirical
+                == reference_walks.simulate_walk(fam, mu, 3, 20_000, seed).empirical)
 
 
 def test_walk_path_builds_no_distance_matrix():

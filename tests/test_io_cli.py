@@ -18,7 +18,7 @@ from hypothesis import example, given, strategies as st
 import hyperscheme as hs
 from hyperscheme import io as hio
 from hyperscheme import scheme, walks
-from hyperscheme.cli import EXIT, main
+from hyperscheme.cli import EXIT, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -452,6 +452,24 @@ def test_missing_file():
     assert main(["verify", "/nonexistent/path.json"]) == 2
 
 
+def test_one_parser_serves_every_main_call(files, capsys):
+    """main builds its parser once per process: a failed parse, then a walk,
+    then a verify in one process print what fresh processes print, with the
+    same exit codes."""
+    runs = [["walk", "--steps", "two"],
+            ["walk", files["k3gs"], "--mu", "1:1", "--steps", "2",
+             "--trials", "30000", "--seed", "5", "--json"],
+            ["verify", files["k3"], "--json"]]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv, code in zip(runs, (2, 0, 0)):
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "hyperscheme.cli", *argv],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert (fresh.returncode, fresh.stdout) == (code, out)
+    assert build_parser() is build_parser()
+
+
 def test_walk_runs_convolution_power_once(files, monkeypatch, capsys):
     argv = ["walk", files["k3gs"], "--mu", "1:1", "--steps", "2",
             "--trials", "1000", "--seed", "5", "--json"]
@@ -762,6 +780,25 @@ def test_library_and_cli_run_without_scipy(files):
     assert report["scipy"] == []
 
 
+def _error_report_under_address_limit(argv, limit):
+    """Run the CLI with argv in a fresh process whose address space is
+    capped at limit bytes; it must print one JSON error report, exit 2 and
+    write no traceback.  Returns the report's message."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperscheme.cli", *argv, "--json"],
+        env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)       # exactly one JSON document
+    assert report["status"] == "error"
+    return report["results"]["message"]
+
+
 def test_memory_error_is_an_input_error(tmp_path):
     """The 1200-cycle's p alone is 601^3 int64, 1.7 GB, past a 1 GiB address
     space: verify ends in one error report and exit 2, not a traceback."""
@@ -770,19 +807,17 @@ def test_memory_error_is_an_input_error(tmp_path):
     path = tmp_path / "c1200.json"
     hio.save(path, {"n_points": 1200,
                     "relations": np.minimum(dist, 1200 - dist).tolist()})
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    assert "Unable to allocate" in _error_report_under_address_limit(
+        ["verify", str(path)], 2 ** 30)
 
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "hyperscheme.cli", "verify", str(path), "--json"],
-        env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == ""
-    report = json.loads(proc.stdout)       # exactly one JSON document
-    assert report["status"] == "error"
-    assert "Unable to allocate" in report["results"]["message"]
+def test_walk_memory_error_is_an_input_error():
+    """The (3, 2, 11) ball has 6142 vertices, and its 12 dense sphere
+    kernels take 3.6 GB, past a 1.5 GiB address space: walk ends in one
+    error report and exit 2, not a traceback."""
+    assert "Unable to allocate" in _error_report_under_address_limit(
+        ["walk", "--dtgraph", "3,2,11", "--mu", "1:1", "--steps", "2",
+         "--trials", "10"], 3 * 2 ** 29)
 
 
 def test_module_entry_point_has_no_traceback(files):
