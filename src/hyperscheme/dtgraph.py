@@ -10,7 +10,6 @@ graphs of size b, glued in a tree-like fashion; a, b >= 2.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,14 +18,15 @@ from itertools import islice
 
 import numpy as np
 
-from .hypergroup import _ratios
-from .scheme import CheckFailure
+from .hypergroup import _check_law, _ratios
+from .scheme import CheckFailure, _physical_memory
 
 # build_ball refuses larger balls: beyond them the float Gram verdicts of
 # --report psd no longer hold, and dense kernels outgrow memory long before
 BALL_CAP = 200_000
 QUAD_TOL = 1e-10
 QUAD_MAX_NODES = 1 << 14
+SUPPORT_CAP = 10_000     # atoms a PolyHypergroup.power may reach
 
 
 class DomainError(ValueError):
@@ -35,6 +35,13 @@ class DomainError(ValueError):
 
 class QuadratureFailure(CheckFailure):
     pass
+
+
+class SupportCap(CheckFailure):
+    @classmethod
+    def check(cls, top: int):
+        if top > SUPPORT_CAP:
+            raise cls(f"support would exceed {SUPPORT_CAP}")
 
 
 class BallTooLarge(ValueError):
@@ -277,7 +284,8 @@ class PolyHypergroup:
         return {k: c for k, c in out.items() if c != 0}
 
     def convolve(self, mu: dict, nu: dict) -> dict:
-        """mu * nu, in Fractions when undeformed with rational masses."""
+        """mu * nu, in Fractions when undeformed with rational masses (labels >= 0)."""
+        _check_law(mu.keys() | nu.keys())
         su, sv = self._scaled(mu), self._scaled(nu)
         if su and sv:
             return self._unscaled(self._combine(su[0], sv[0], self._p), su[1] * sv[1])
@@ -285,7 +293,9 @@ class PolyHypergroup:
 
     def power(self, mu: dict, t: int) -> dict:
         """t-fold convolution power of the law mu from delta_0, with the keys
-        in the order of repeated convolve calls."""
+        in the order of repeated convolve calls; _check_law, run first, caps
+        t * max(mu) at SUPPORT_CAP."""
+        _check_law(mu, t, cap=SupportCap.check)
         scaled = self._scaled(mu)
         # a double times a Fraction is the double times float(Fraction), so
         # a law converted once convolves to the same doubles, faster
@@ -474,7 +484,7 @@ class Ball:
         exceed the physical memory."""
         n, R = self.n, self.radius
         need = (R + 1) * n * n * 8
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        have = _physical_memory()
         if need > have:
             raise BallTooLarge(f"{R + 1} dense {n} x {n} kernels need "
                                f"{need / 2**30:.1f} GiB, more than the "

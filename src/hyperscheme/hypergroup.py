@@ -80,6 +80,19 @@ def _absmax(a: np.ndarray) -> int:
     return int(np.abs(a).max(initial=0))
 
 
+def _check_law(labels, t: int = 1, n=math.inf, cap=None):
+    """Refuse a t-fold power of a law with these labels on 0..n-1: ValueError
+    for t < 0, then cap(t * max label), then ValueError for a non-element."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if cap:
+        cap(t * max(labels, default=0))
+    outside = sorted(h for h in labels
+                     if not (isinstance(h, numbers.Integral) and 0 <= h < n))
+    if outside:
+        raise ValueError(f"step law labels {outside} are not hypergroup elements")
+
+
 class FiniteHypergroup:
     """Convolution tensor c[i][j][k] = (delta_i * delta_j)({k}), stored once
     as c = num / den.
@@ -166,7 +179,8 @@ class FiniteHypergroup:
     def power(self, mu: dict, t: int) -> dict:
         """t-fold convolution power of the law mu (element -> mass), as a
         dict of the nonzero masses; exact when the tensor and mu are.  Exact
-        powers run over Python integers and reduce to Fractions once."""
+        powers run over Python integers and reduce to Fractions once; see _check_law."""
+        _check_law(mu, t, self.n)
         T, den = self._operator([mu.get(i, 0) for i in range(self.n)])
         x = np.zeros(self.n, dtype=T.dtype)
         x[self.identity] = 1
@@ -300,15 +314,16 @@ def verify_hypergroup(h: FiniteHypergroup,
 def haar(h: FiniteHypergroup):
     """Left/right Haar weights from the e-mass of delta_xbar * delta_x.
 
-    Returns (left, right, unimodular); exact Fractions when the tensor is.
+    Returns (left, right, unimodular); exact Fractions when the tensor is,
+    and then unimodular compares them exactly, else within TOL.
     """
     inv = h.involution
     e_mass = h.num[inv, np.arange(h.n), h.identity].tolist()
     left = ([Fraction(h.den, v) for v in e_mass] if h.is_exact
             else [1.0 / v for v in e_mass])
     right = [left[int(inv[x])] for x in range(h.n)]
-    unimodular = all(
-        abs(float(a) - float(b)) <= TOL for a, b in zip(left, right))
+    unimodular = left == right if h.is_exact else all(
+        abs(a - b) <= TOL for a, b in zip(left, right))
     return left, right, unimodular
 
 
@@ -342,6 +357,7 @@ def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> CharacterTable:
     A character alpha solves B_i alpha = alpha(i) alpha where
     (B_i)_{jk} = c[i][j][k]; generic random convex combinations of the B_i
     separate the joint eigenspaces.  Deterministic for a fixed seed.
+    ValueError for an exact Haar weight past the doubles.
     """
     if not h.is_commutative():
         raise NotCommutative("character theory requires a commutative hypergroup")
@@ -374,7 +390,7 @@ def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> CharacterTable:
             continue
         chars = avals[_char_order(avals)]
         left, _, _ = haar(h)
-        omega = np.array([float(v) for v in left])
+        omega = np.array([_double(v, "Haar weights") for v in left])
         omega = omega / omega[e]
         norms = (omega[None, :] * np.abs(chars) ** 2).sum(axis=1)
         plancherel = 1.0 / norms
@@ -472,14 +488,15 @@ def semicharacters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> list[np.nda
     return out
 
 
-def _double(v) -> float:
-    """float(v), or ValueError for a value that is not a finite double."""
+def _double(v, what: str) -> float:
+    """float(v), or ValueError, naming what v is, for a value that is not a
+    finite double."""
     try:
         x = float(v)
     except OverflowError:       # a rational past the double range
         x = math.inf
     if not math.isfinite(x):
-        raise ValueError("alpha0 entries must be finite doubles")
+        raise ValueError(f"{what} must be finite doubles")
     return x
 
 
@@ -501,7 +518,8 @@ def semicharacter_deform(h: FiniteHypergroup, alpha0) -> FiniteHypergroup:
         raise ValueError(f"alpha0 needs {h.n} values, got {len(a)}")
     ratios = _ratios(a) if h.is_exact else None
     if ratios is None:      # alpha0 = s / S and c = num / den, in doubles
-        s, S, num, den, eps = np.array([_double(v) for v in a]), 1, h.conv_f, 1, TOL
+        s = np.array([_double(v, "alpha0 entries") for v in a])
+        S, num, den, eps = 1, h.conv_f, 1, TOL
     else:                   # ... and over the integers
         s, S, eps = np.array(ratios[0], dtype=object), ratios[1], 0
         num, den = h.num.astype(object), h.den

@@ -1,7 +1,7 @@
 """JSON file formats for schemes, kernel families, hypergroups, and groups.
 
 Rationals are serialized as "p/q" strings to preserve exactness; floats are
-written with 17 significant digits so they round-trip.
+written by repr, the shortest text that reads back as the same double.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ def encode_number(v):
             else str(v.numerator)
     if isinstance(v, (int, np.integer)):
         return int(v)
-    return float(format(float(v), ".17g"))
+    return float(v)
 
 
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -173,15 +173,14 @@ def hypergroup_to_dict(h: FiniteHypergroup) -> dict:
     if h.is_exact:      # each distinct numerator is encoded once
         vals = np.unique(h.num)
         text = [encode_number(Fraction(v, h.den)) for v in vals.tolist()]
-        conv = np.array(text, dtype=object)[np.searchsorted(vals, h.num)]
+        conv = np.array(text, dtype=object)[np.searchsorted(vals, h.num)].tolist()
     else:
-        conv = np.array([encode_number(v) for v in h.num.ravel().tolist()],
-                        dtype=object).reshape(h.num.shape)
+        conv = h.num.tolist()
     return {
         "n": h.n,
         "identity": h.identity,
         "involution": h.involution.tolist(),
-        "conv": conv.tolist(),
+        "conv": conv,
     }
 
 
@@ -189,7 +188,8 @@ def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
     """Each distinct entry is decoded once; rational entries go straight
     into integer numerators over their least common denominator, and any
     float entry makes the tensor float.  A tensor that is not n x n x n, or
-    an identity or involution outside 0..n-1, raises ValueError."""
+    an identity or involution outside 0..n-1, raises ValueError, and so
+    does a cell that is a JSON list or object."""
     n = _int(data["n"], "n")
     cells = np.array(data["conv"], dtype=object)
     if cells.shape != (n, n, n):
@@ -201,8 +201,13 @@ def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
     if involution.shape != (n,) or not ((0 <= involution) & (involution < n)).all():
         raise ValueError(f"involution must be {n} indices in 0..{n - 1}")
     flat = cells.ravel().tolist()
-    distinct = list(set(flat))
+    try:
+        distinct = list(set(flat))
+    except TypeError:           # a list or object cell is unhashable
+        raise ValueError("conv must hold numbers or \"p/q\" strings, not JSON "
+                         "lists or objects") from None
     values = [decode_number(v) for v in distinct]
+    # a set keeps one of 1 and 1.0, so a float entry is looked for in flat
     ratios = None if float in set(map(type, flat)) else _ratios(values)
     if ratios is None:
         value, den = dict(zip(distinct, map(float, values))), 1
@@ -224,7 +229,10 @@ def group_from_dict(data: dict) -> np.ndarray:
 
 def load(path: str) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return data

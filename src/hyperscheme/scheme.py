@@ -8,11 +8,17 @@ absolute tolerance of 1e-9.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 KERNEL_TOL = 1e-9
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, which the size guards compare against."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class CheckFailure(Exception):
@@ -150,16 +156,14 @@ def _representatives(partition: RelationPartition) -> tuple[np.ndarray, np.ndarr
 def _recover_involution(partition: RelationPartition, rx: np.ndarray,
                         ry: np.ndarray) -> np.ndarray:
     """Derive i -> bar(i) from label(y,x) at the representatives (rx, ry) of
-    the relations, then verify it holds globally."""
+    the relations, then verify it holds globally.  As every relation occurs,
+    lab.T == inv[lab] makes inv an involution: inv[inv[lab]] = inv[lab.T] = lab."""
     lab = partition.label
-    d = partition.n_relations
     inv = lab[ry, rx]
     if not np.array_equal(lab.T, inv[lab]):
         bad = np.argwhere(lab.T != inv[lab])[0]
         raise AxiomViolation("involution", tuple(int(v) for v in bad),
                              "transpose labeling is not a relabeling by an involution")
-    if not np.array_equal(inv[inv], np.arange(d)):
-        raise AxiomViolation("involution", None, "relation map is not an involution")
     return inv
 
 
@@ -210,8 +214,10 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     first row-major cell (rx_k, ry_k) of each relation k.  The counting axiom
     A_i A_j = sum_k p[i, j, k] A_k is checked, one float64 BLAS product per
     j, only on the slices i != e that _generators(p) yields (A_e = I); they
-    prove the rest.  Memory is O(n^2 + d^3).  Raises AxiomViolation (with
-    axiom id and witness) if the partition is not a scheme.
+    prove the rest.  Memory is O(n^2 + d^3): ValueError, before p is
+    allocated, when its 13 d^3 bytes with _generators exceed the physical
+    memory.  Raises AxiomViolation (with axiom id and witness) if the
+    partition is not a scheme.
     """
     lab = partition.label
     n, d = partition.n_points, partition.n_relations
@@ -232,6 +238,10 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     rx, ry = _representatives(partition)
     inv = _recover_involution(partition, rx, ry)
 
+    need, have = 13 * d ** 3, _physical_memory()   # 8 bytes p, 5 _generators
+    if need > have:
+        raise ValueError(f"{d} relations: p needs {need / 2**30:.3g} GiB with its "
+                         f"check, more than the {have / 2**30:.3g} GiB of memory")
     p = np.zeros((d, d, d), dtype=np.int64)
     np.add.at(p, (lab[rx], lab[:, ry].T, np.arange(d)[:, None]), 1)
     for i in _generators(p):

@@ -16,18 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtgraph import Ball, DeformedKernels, PolyHypergroup, haar_weight
-from .hypergroup import FiniteHypergroup
+from .dtgraph import Ball, DeformedKernels, haar_weight
 from .scheme import CheckFailure, GeneralizedScheme
 
 # simulate_walk draws its uniforms in blocks of about this many; the block
 # size bounds the per-step temporaries, and does not change the stream
 _BLOCK_UNIFORMS = 1 << 16
-SUPPORT_CAP = 10_000
-
-
-class SupportCap(CheckFailure):
-    pass
 
 
 class WalkWouldExitBall(CheckFailure):
@@ -55,10 +49,6 @@ class StepDistribution:
             raise ValueError("step probabilities must sum to 1")
         object.__setattr__(self, "weights", w)
 
-    @property
-    def max_support(self) -> int:
-        return max(self.weights)
-
 
 @dataclass(frozen=True)
 class WalkResult:
@@ -69,25 +59,8 @@ class WalkResult:
 
 
 def convolution_power(hg, mu: StepDistribution, t: int) -> dict:
-    """t-fold convolution power of mu; exact when mu and hg are exact.
-
-    hg is a FiniteHypergroup or a PolyHypergroup; the result is a dict
-    element -> mass.  ValueError for a label of mu that is not an element:
-    outside 0..n-1 on a finite hypergroup, negative on a polynomial one.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if isinstance(hg, PolyHypergroup):
-        if t * mu.max_support > SUPPORT_CAP:
-            raise SupportCap(f"support would exceed {SUPPORT_CAP}")
-        n = math.inf
-    elif isinstance(hg, FiniteHypergroup):
-        n = hg.n
-    else:
-        raise TypeError("unsupported hypergroup type")
-    outside = sorted(h for h in mu.weights if not 0 <= h < n)
-    if outside:
-        raise ValueError(f"step law labels {outside} are not hypergroup elements")
+    """hg.power(mu.weights, t): the t-fold power of mu, checked, on a
+    FiniteHypergroup or a PolyHypergroup; exact when mu and hg are."""
     return hg.power(mu.weights, t)
 
 

@@ -27,6 +27,7 @@ def test_join_index_layout():
     assert [ji.from_second(j) for j in range(2)] == [0, 1]
     assert [ji.from_first(i) for i in (1, 2)] == [2, 3]
     assert ji.decompose(3) == ("first", 2)
+    assert [ji.decompose(j) for j in range(2)] == [("second", 0), ("second", 1)]
     with pytest.raises(ValueError):
         ji.from_first(0)
 
@@ -34,6 +35,15 @@ def test_join_index_layout():
 def test_product_with_trivial(k3_hypergroup, trivial_hg):
     prod = hs.direct_product(trivial_hg, k3_hypergroup)
     assert np.abs(prod.conv_f - k3_hypergroup.conv_f).max() == 0
+
+
+def test_float_product_is_the_exact_one_in_doubles(k3_hypergroup):
+    hf = hs.FiniteHypergroup(2, k3_hypergroup.conv_f.tolist(), 0, [0, 1])
+    exact = hs.direct_product(k3_hypergroup, k3_hypergroup)
+    for prod in (hs.direct_product(hf, k3_hypergroup), hs.direct_product(k3_hypergroup, hf)):
+        assert not prod.is_exact
+        assert np.array_equal(prod.conv_f, exact.conv_f)
+        assert np.array_equal(prod.involution, exact.involution)
 
 
 def test_product_k3_squared(k3_hypergroup):

@@ -306,6 +306,19 @@ def test_out_of_range_deformation_is_a_domain_error():
     assert math.isfinite(hs.deform_ball_kernels(ball, ray, 100.0).max_row_sum_error)
 
 
+def test_domain_errors_name_the_fault():
+    ball = hs.build_ball(P32, 3)
+    deformed = hs.PolyHypergroup(P32).deform(1.5)
+    dk = hs.deform_ball_kernels(ball, hs.BoundaryRay(ball), 0.3)
+    for call, message in ((lambda: hs.poly_eval(-1, 0.5, P32), "n must be nonnegative"),
+                          (lambda: deformed.deform(1.5), "already deformed"),
+                          (lambda: dk.composition_residual(2, 2),
+                           "i + j exceeds the ball radius")):
+        with pytest.raises(hs.DomainError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_eigenvalue_identity_rowsums():
     ball = hs.build_ball(P32, 6)
     ray = hs.BoundaryRay(ball)

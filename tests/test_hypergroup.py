@@ -147,6 +147,30 @@ def test_haar(k3_hypergroup, trivial_scheme, z4_scheme):
     assert left == [1, 1, 1, 1] and uni
 
 
+def test_haar_weight_past_the_doubles():
+    """delta_1 * delta_1 = 10^-400 delta_0 + (1 - 10^-400) delta_1 passes the
+    axioms, and its Haar weight 10^400 overflowed a float comparison in
+    haar; characters refuses that weight, which no double holds."""
+    tiny = Fraction(1, 10 ** 400)
+    h = hs.FiniteHypergroup(2, [[[1, 0], [0, 1]], [[0, 1], [tiny, 1 - tiny]]], 0, [0, 1])
+    assert hs.verify_hypergroup(h).ok
+    assert hs.haar(h) == ([1, 10 ** 400], [1, 10 ** 400], True)
+    with pytest.raises(ValueError, match="^Haar weights must be finite doubles$"):
+        hs.characters(h)
+
+
+def test_float_convolve_matches_exact(k3_hypergroup):
+    """A float tensor, or float weights on an exact one, convolve in doubles."""
+    hf = hs.FiniteHypergroup(2, k3_hypergroup.conv_f.tolist(), 0, [0, 1])
+    exact = k3_hypergroup.convolve([Fraction(1, 3), Fraction(2, 3)], [0, 1])
+    assert exact == [Fraction(1, 3), Fraction(2, 3)]
+    for h, mu in ((hf, [1 / 3, 2 / 3]), (k3_hypergroup, [1 / 3, 2 / 3]),
+                  (hf, [Fraction(1, 3), Fraction(2, 3)])):
+        got = h.convolve(mu, [0, 1])
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx([float(v) for v in exact], abs=1e-15)
+
+
 def test_haar_invariance(k3_hypergroup):
     """sum_y w(y) (delta_x * delta_y)({k}) = w(k) for all x, k."""
     h = k3_hypergroup
@@ -188,7 +212,7 @@ def test_characters_deterministic(k3_hypergroup):
     assert np.array_equal(t1.chars, t2.chars)
 
 
-def test_characters_require_commutative():
+def test_characters_require_commutative(k3_hypergroup):
     # the smallest noncommutative hypergroup-like tensor: use S3 group algebra
     perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
 
@@ -206,6 +230,9 @@ def test_characters_require_commutative():
                             involution=inv)
     with pytest.raises(hs.NotCommutative):
         hs.characters(h)
+    table = hs.characters(k3_hypergroup)
+    with pytest.raises(hs.NotCommutative, match="^dual convolution requires commutativity$"):
+        hs.dual_convolution(h, table, 0, 0)
 
 
 def test_fourier_oracles(k3_hypergroup):
@@ -238,6 +265,9 @@ def test_positive_definite(k3_hypergroup):
     assert not ok
     assert mu.real.min() == pytest.approx(-1 / 3 * table.plancherel[0] * 3,
                                           abs=1e-9)
+    # without a table, the check builds the default one
+    ok_default, mu_default = hs.positive_definite_check(k3_hypergroup, [1, -1])
+    assert not ok_default and np.array_equal(mu_default, mu)
 
 
 def test_schur_product_positive_definite(k3_hypergroup, z4_scheme):

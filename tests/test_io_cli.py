@@ -66,19 +66,33 @@ def files(tmp_path, k3_scheme, k3_hypergroup, s3_table):
         # over a Haar weight of 10^400, past the doubles
         "tiny_mass": {**k3hg, "conv": [[["1", "0"], ["0", "1"]],
                                        [["0", "1"], [f"1/{10 ** 400 - 1}", "1/2"]]]},
+        # delta_1 * delta_1 = 10^-400 delta_0 + (1 - 10^-400) delta_1 is a
+        # hypergroup whose Haar weight 10^400 no double holds
+        "huge_haar": {**k3hg, "conv": [[["1", "0"], ["0", "1"]], [
+            ["0", "1"], [f"1/{10 ** 400}", f"{10 ** 400 - 1}/{10 ** 400}"]]]},
+        "n_list": {**k3hg, "n": [2]},
     }
+    # a conv cell that is a JSON list or object, which no set can hold
+    for name, cell in [("conv_empty", []), ("conv_list", ["1/2"]),
+                       ("conv_object", {"x": 1})]:
+        malformed[name] = hio.hypergroup_to_dict(k3_hypergroup)
+        malformed[name]["conv"][1][1][0] = cell
     # kernel-family fields hold JSON numbers: a string is not parsed, and an
     # object or a ragged row is an input error rather than a TypeError
     for name, cell, value in [("omega_str", ("omega_x",), ["1", "1", "1"]),
                               ("omega_null", ("omega_x", 1), None),
                               ("kernel_str", ("kernels", 1, 0, 1), "0.5"),
                               ("kernel_object", ("kernels", 1, 0, 1), {"p": 0.5}),
-                              ("kernel_ragged", ("kernels", 1, 0), [0, 0.5])]:
+                              ("kernel_ragged", ("kernels", 1, 0), [0, 0.5]),
+                              ("kernel_huge", ("kernels", 1, 0, 1), 10 ** 400)]:
         malformed[name] = hio.load(paths["k3gs"])
         _set(malformed[name], cell, value)
     for name, data in malformed.items():
         paths[name] = tmp_path / f"{name}.json"
         hio.save(paths[name], data)
+    # nested deeper than json can parse
+    paths["deep"] = tmp_path / "deep.json"
+    paths["deep"].write_text("[" * 10 ** 5 + "]" * 10 ** 5)
     return {k: str(v) for k, v in paths.items()}
 
 
@@ -90,6 +104,26 @@ def test_scheme_roundtrip(k3_scheme, tmp_path):
     assert isinstance(back, hs.GeneralizedScheme)
     assert np.array_equal(back.partition.label, gs.partition.label)
     assert np.abs(back.kernels - gs.kernels).max() == 0
+
+
+def test_a_float_entry_makes_the_tensor_float():
+    """A set of the cells keeps one of 0 and 0.0: a file whose only floats
+    equal integer cells before them still reads as a float tensor."""
+    data = {"n": 2, "identity": 0, "involution": [0, 1],
+            "conv": [[[1, 0], [0, 1]], [[0, 1], [1.0, 0.0]]]}
+    h = hio.hypergroup_from_dict(data)
+    assert not h.is_exact
+    assert hio.hypergroup_to_dict(h)["conv"] == [[[1.0, 0.0], [0.0, 1.0]],
+                                                 [[0.0, 1.0], [1.0, 0.0]]]
+
+
+def test_dumps_refuses_the_keys_json_refuses():
+    for key in ((1, 2), Fraction(1, 2)):
+        with pytest.raises(TypeError) as want:
+            json.dumps({key: 0}, indent=1, default=hio.encode_number)
+        with pytest.raises(TypeError) as got:
+            hio.dumps({"a": {key: 0}})
+        assert str(got.value) == str(want.value)
 
 
 def test_hypergroup_roundtrip(k3_hypergroup, tmp_path):
@@ -108,6 +142,10 @@ def test_rational_encoding():
     assert hio.decode_number("2/7") == Fraction(2, 7)
     x = 0.1234567890123456789
     assert hio.decode_number(hio.encode_number(x)) == x
+    # a double is written as itself: subnormal, signed zero, largest, numpy
+    for x in (5e-324, -0.0, 1.7976931348623157e308, np.float64(0.1)):
+        y = hio.encode_number(x)
+        assert type(y) is float and y == x and math.copysign(1, y) == math.copysign(1, x)
     for bad in ("1/0", "0/0", "1/2/3", None, [1]):
         with pytest.raises(ValueError):
             hio.decode_number(bad)
@@ -611,6 +649,17 @@ CONTRACT_CASES = [
     (["product", "k3gs", "omega_str"], 2, "omega_x must hold JSON numbers"),
     # the inputs of a construction are verified, not only its result
     (["join", "k3hg", "tiny_mass"], 1, "axiom normalization violated, witness (1, 1)"),
+    # cells, nesting and Haar weights that no reader or double can hold
+    (["characters", "conv_empty"], 2, "conv must hold numbers or \"p/q\" strings"),
+    (["characters", "conv_list"], 2, "conv must hold numbers or \"p/q\" strings"),
+    (["product", "k3hg", "conv_object"], 2, "conv must hold numbers or \"p/q\" strings"),
+    (["verify", "deep"], 2, "JSON nested too deeply"),
+    (["characters", "huge_haar"], 2, "Haar weights must be finite doubles"),
+    (["dual", "huge_haar", "0", "1"], 2, "Haar weights must be finite doubles"),
+    (["verify", "kernel_huge"], 2, "kernels holds an integer past the doubles"),
+    (["characters", "n_list"], 2, "n must be one integer"),
+    (["walk", "--mu", "1:1", "--steps", "2"], 2,
+     "either a scheme file or --dtgraph is required"),
     # dtgraph reports finite values on a valid radius, and nothing else
     (["dtgraph", "--a", "3", "--b", "2", "--x", "nan"], 2, "need finite values"),
     (["dtgraph", "--a", "3", "--b", "2", "--x", "inf"], 2, "need finite values"),

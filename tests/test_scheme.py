@@ -1,5 +1,6 @@
 """Scheme verification, double cosets, generalized schemes, rigidity."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,50 @@ def test_float_count_bound_guarded(k3_partition, monkeypatch):
         hs.verify_scheme(k3_partition)
 
 
+def test_p_beyond_physical_memory_is_refused(monkeypatch):
+    """12 points whose off-diagonal pairs each form a relation of their own
+    (d = 133) fail the counting axiom; with 1 MiB of memory reported, the
+    13 d^3 bytes of p and _generators are refused before p is allocated."""
+    n = 12
+    lab = np.zeros((n, n), dtype=np.int64)
+    upper = np.triu_indices(n, 1)
+    lab[upper] = 2 * np.arange(upper[0].size) + 1
+    lab.T[upper] = lab[upper] + 1
+    part = hs.RelationPartition(n, n * (n - 1) + 1, lab)
+    with pytest.raises(hs.AxiomViolation) as exc:
+        hs.verify_scheme(part)
+    assert exc.value.axiom_id == "counting"
+    monkeypatch.setattr(hs.scheme, "_physical_memory", lambda: 1 << 20)
+    with pytest.raises(ValueError, match="^133 relations: p needs 0.0285 GiB with its "
+                                         "check, more than the 0.000977 GiB of memory$"):
+        hs.verify_scheme(part)
+
+
+def test_empty_relation_is_refused(k3_partition):
+    part = hs.RelationPartition(3, 3, k3_partition.label)
+    with pytest.raises(hs.AxiomViolation, match="^relation 2 never occurs$") as exc:
+        hs.verify_scheme(part)
+    assert (exc.value.axiom_id, exc.value.witness) == ("relation-empty", (2,))
+
+
+def test_kernel_family_shapes_are_checked(k3_partition):
+    with pytest.raises(ValueError, match=r"^kernels must have shape \(2, 3, 3\)$"):
+        hs.GeneralizedScheme(k3_partition, np.zeros((2, 3, 2)), np.ones(3))
+    with pytest.raises(ValueError, match=r"^omega_x must have shape \(3,\)$"):
+        hs.GeneralizedScheme(k3_partition, np.zeros((2, 3, 3)), np.ones(2))
+
+
+def test_unimodular_only_checks(z4_scheme):
+    """verify_scheme never yields a scheme with valency(i) != valency(bar i),
+    as |R_i| = n valency(i) = |R_bar i|; a raw instance is refused."""
+    raw = dataclasses.replace(z4_scheme, valency=np.array([1, 1, 1, 2]))
+    with pytest.raises(hs.NotUnimodular, match="^canonical kernels need a unimodular scheme$"):
+        hs.canonical_generalized(raw)
+    with pytest.raises(hs.NotUnimodular, match="^translation properties are defined "
+                                               "for unimodular schemes$"):
+        hs.translation_property_check(raw)
+
+
 def test_bose_mesner_products(k3_scheme, z4_scheme):
     for scheme in (k3_scheme, z4_scheme):
         d = scheme.n_relations
@@ -106,6 +151,16 @@ def test_bad_subgroup_rejected(s3_table):
         hs.from_double_cosets(s3_table, [0, 4])  # not closed: 4*4 = 5
 
 
+@pytest.mark.parametrize("subgroup, message", [
+    ([1], "identity not in subgroup"),
+    ([0, 1, 2], "1*2 leaves the subset"),       # two transpositions
+])
+def test_subgroup_refusals_name_the_fault(s3_table, subgroup, message):
+    with pytest.raises(hs.NotASubgroup) as exc:
+        hs.from_double_cosets(s3_table, subgroup)
+    assert str(exc.value) == message
+
+
 def test_canonical_generalized_accepted(k3_scheme):
     gs = hs.canonical_generalized(k3_scheme)
     ptilde = hs.verify_generalized(gs)
@@ -133,6 +188,28 @@ def test_generalized_identity_axiom(k3_scheme):
     with pytest.raises(hs.AxiomViolation) as exc:
         hs.verify_generalized(bad)
     assert exc.value.axiom_id in ("2", "4")
+
+
+def _negative_off_its_relation(k):
+    k[1, 0] = [-0.1, 0.55, 0.55]     # row 0 of K_1 still sums to 1
+
+
+def _identity_off_by_5e9(k):
+    k[0, 0, 0] += 5e-9                  # inside the row-sum tolerance 1e-8
+
+
+@pytest.mark.parametrize("edit, axiom, witness, message", [
+    (_negative_off_its_relation, "2", (1, 0, 0), "negative kernel entry"),
+    (_identity_off_by_5e9, "4", (0,), "identity kernel is not the identity matrix"),
+])
+def test_generalized_kernel_axioms(k3_scheme, edit, axiom, witness, message):
+    gs = hs.canonical_generalized(k3_scheme)
+    kernels = gs.kernels.copy()
+    edit(kernels)
+    bad = hs.GeneralizedScheme(gs.partition, kernels, gs.omega_x)
+    with pytest.raises(hs.AxiomViolation) as exc:
+        hs.verify_generalized(bad)
+    assert (exc.value.axiom_id, exc.value.witness, str(exc.value)) == (axiom, witness, message)
 
 
 def test_generalized_adjoint_axiom(k3_scheme):

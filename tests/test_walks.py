@@ -34,6 +34,46 @@ def test_step_law_is_finite_and_inside_the_hypergroup(k3_hypergroup):
                                 hs.StepDistribution({5: 1}), 1) == {5: 1}
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_finite_power_checks_its_law(k3_hypergroup, exact):
+    """power refused what convolution_power refused: a label outside K3 was
+    dropped, leaving a law of mass 1/4, and a float tensor returned delta_e
+    for t < 0.  A label between elements was dropped by both."""
+    h = k3_hypergroup if exact else hs.FiniteHypergroup(
+        2, k3_hypergroup.conv_f.tolist(), 0, [0, 1])
+    assert h.is_exact == exact
+    half = Fraction(1, 2) if exact else 0.5
+    with pytest.raises(ValueError, match=r"^step law labels \[5\] are not "
+                                         r"hypergroup elements$"):
+        h.power({1: half, 5: half}, 2)
+    with pytest.raises(ValueError, match=r"^step law labels \[0.5\] are not"):
+        hs.convolution_power(h, hs.StepDistribution({0.5: 2 * half}), 2)
+    with pytest.raises(ValueError, match="^t must be nonnegative$"):
+        h.power({1: 2 * half}, -3)
+
+
+def test_poly_power_and_convolve_check_their_laws(monkeypatch):
+    """A negative label raised TypeError from the arithmetic, t < 0 returned
+    delta_0, and only convolution_power capped the support."""
+    hg = hs.PolyHypergroup(hs.DTParams(3, 2))
+    with pytest.raises(ValueError, match=r"^step law labels \[-1\] are not"):
+        hg.power({-1: Fraction(1, 2), 1: Fraction(1, 2)}, 2)
+    with pytest.raises(ValueError, match="^t must be nonnegative$"):
+        hg.power({1: Fraction(1)}, -1)
+    with pytest.raises(ValueError, match=r"^step law labels \[-2\] are not"):
+        hg.convolve({1: Fraction(1)}, {-2: Fraction(1)})
+    with pytest.raises(ValueError, match=r"^step law labels \[1.5\] are not"):
+        hg.power({1.5: Fraction(1)}, 2)
+
+    def forbidden(*args):
+        raise AssertionError("the power was computed")
+
+    monkeypatch.setattr(hg, "_scaled", forbidden)
+    monkeypatch.setattr(hg, "_combine", forbidden)
+    with pytest.raises(hs.SupportCap, match="^support would exceed 10000$"):
+        hg.power({0: Fraction(1, 2), 5: Fraction(1, 2)}, 2001)
+
+
 def test_convolution_power_identity(k3_hypergroup):
     mu = hs.StepDistribution({1: Fraction(1)})
     assert hs.convolution_power(k3_hypergroup, mu, 0) == {0: Fraction(1)}
