@@ -266,8 +266,7 @@ def _walk_inputs(args):
         # one verify_scheme; canonical kernels are valid by construction
         gs = io.scheme_from_dict(io.load(args.scheme_file))
         if isinstance(gs, scheme.GeneralizedScheme):
-            sch = scheme.verify_scheme(gs.partition)
-            scheme._verify_kernels(gs, sch)
+            sch, _ = gs.verified
         else:
             sch = scheme.verify_scheme(gs)
             gs = None if args.exact else scheme.canonical_generalized(sch)

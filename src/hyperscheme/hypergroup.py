@@ -19,8 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .scheme import (AssociationScheme, AxiomViolation, CheckFailure,
-                     GeneralizedScheme, _generators, _verify_kernels,
-                     verify_scheme)
+                     GeneralizedScheme, _generators)
 
 TOL = 1e-9
 PSD_FLOOR = 1e-8
@@ -168,9 +167,14 @@ class FiniteHypergroup:
                             self.num[:, nz], axes=(0, 1)), r[1] * self.den
 
     def convolve(self, mu, nu):
-        """Convolution of two weight vectors over D (exact if all inputs are)."""
-        a = _ratios(list(mu))
-        T, den = self._operator(list(nu) if a else [float(v) for v in nu])
+        """Convolution of two weight vectors over D (exact if all inputs are);
+        ValueError unless both have length n."""
+        mu, nu = list(mu), list(nu)
+        if len(mu) != self.n or len(nu) != self.n:
+            raise ValueError(f"convolve needs two weight vectors of length n = "
+                             f"{self.n}, got lengths {len(mu)} and {len(nu)}")
+        a = _ratios(mu)
+        T, den = self._operator(nu if a else [float(v) for v in nu])
         if T.dtype != object:
             return (np.asarray(mu, dtype=float) @ T).tolist()
         return [Fraction(v, den * a[1])
@@ -223,10 +227,9 @@ def from_scheme(scheme: AssociationScheme) -> FiniteHypergroup:
 
 def from_generalized(gs: GeneralizedScheme) -> FiniteHypergroup:
     """Hypergroup with conv = the deformed tensor p~ of a generalized scheme,
-    verified as in verify_generalized."""
-    scheme = verify_scheme(gs.partition)
-    return FiniteHypergroup._of(_verify_kernels(gs, scheme), 1,
-                                gs.partition.identity_relation,
+    verified as in verify_generalized, by the same one check (gs.verified)."""
+    scheme, ptilde = gs.verified
+    return FiniteHypergroup._of(ptilde, 1, gs.partition.identity_relation,
                                 scheme.involution.copy(), scheme_derived=True)
 
 

@@ -170,18 +170,23 @@ def scheme_from_dict(data: dict):
 
 
 def hypergroup_to_dict(h: FiniteHypergroup) -> dict:
+    """The file form of h; "scheme_derived": true is written only when h
+    carries that flag, so a file without it reads back as not derived."""
     if h.is_exact:      # each distinct numerator is encoded once
         vals = np.unique(h.num)
         text = [encode_number(Fraction(v, h.den)) for v in vals.tolist()]
         conv = np.array(text, dtype=object)[np.searchsorted(vals, h.num)].tolist()
     else:
         conv = h.num.tolist()
-    return {
+    data = {
         "n": h.n,
         "identity": h.identity,
         "involution": h.involution.tolist(),
         "conv": conv,
     }
+    if h.scheme_derived:
+        data["scheme_derived"] = True
+    return data
 
 
 def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
@@ -189,8 +194,12 @@ def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
     into integer numerators over their least common denominator, and any
     float entry makes the tensor float.  A tensor that is not n x n x n, or
     an identity or involution outside 0..n-1, raises ValueError, and so
-    does a cell that is a JSON list or object."""
+    does a cell that is a JSON list or object, and a scheme_derived that is
+    not a JSON boolean."""
     n = _int(data["n"], "n")
+    scheme_derived = data.get("scheme_derived", False)
+    if type(scheme_derived) is not bool:
+        raise ValueError(f"scheme_derived must be true or false, not {scheme_derived!r}")
     cells = np.array(data["conv"], dtype=object)
     if cells.shape != (n, n, n):
         raise ValueError(f"conv must be {n} x {n} x {n}, got shape {cells.shape}")
@@ -215,7 +224,7 @@ def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
         value, den = dict(zip(distinct, ratios[0])), ratios[1]
     num = np.array([value[v] for v in flat], dtype=float if ratios is None else object)
     return FiniteHypergroup._of(num.reshape(n, n, n), den, identity, involution,
-                                bool(data.get("scheme_derived", False)))
+                                scheme_derived)
 
 
 def group_from_dict(data: dict) -> np.ndarray:

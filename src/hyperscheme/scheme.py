@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,22 +125,37 @@ class AssociationScheme:
 @dataclass(frozen=True)
 class GeneralizedScheme:
     """A partition together with a family of stochastic kernels S_i and a
-    positive point weight omega_x satisfying the adjoint relation."""
+    positive point weight omega_x satisfying the adjoint relation.
+
+    kernels and omega_x are read-only float64 copies no caller holds, so
+    the family verifies once: verified is computed on first use and kept,
+    and a family that fails raises again on every use."""
 
     partition: RelationPartition
     kernels: np.ndarray  # shape (n_relations, n_points, n_points)
     omega_x: np.ndarray  # shape (n_points,)
 
     def __post_init__(self):
-        k = np.asarray(self.kernels, dtype=float)
-        w = np.asarray(self.omega_x, dtype=float)
+        k = np.array(self.kernels, dtype=float)
+        w = np.array(self.omega_x, dtype=float)
         n, d = self.partition.n_points, self.partition.n_relations
         if k.shape != (d, n, n):
             raise ValueError(f"kernels must have shape ({d}, {n}, {n})")
         if w.shape != (n,):
             raise ValueError(f"omega_x must have shape ({n},)")
-        object.__setattr__(self, "kernels", k)
-        object.__setattr__(self, "omega_x", w)
+        for name, a in (("kernels", k), ("omega_x", w)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @cached_property
+    def verified(self) -> tuple[AssociationScheme, np.ndarray]:
+        """(scheme, p~): the partition's scheme from verify_scheme and the
+        read-only deformed tensor of _verify_kernels; see verify_generalized."""
+        scheme = verify_scheme(self.partition)
+        ptilde = _verify_kernels(self, scheme)
+        for a in (scheme.involution, scheme.p, scheme.valency, ptilde):
+            a.setflags(write=False)
+        return scheme, ptilde
 
 
 def _representatives(partition: RelationPartition) -> tuple[np.ndarray, np.ndarray]:
@@ -359,16 +375,18 @@ def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
 
     Axiom ids follow the five conditions of the definition: (1) constant
     counting on the partition, (2) support matching, (3) nonnegative span
-    closure, (4) identity kernel, (5) adjoint relation.
+    closure, (4) identity kernel, (5) adjoint relation.  The checks run once
+    per family, in gs.verified; each call returns a copy of p~ of its own.
     """
     # (1) underlying partition is a scheme (checked explicitly; see Remark 4.6
     # style open question -- never assumed)
-    return _verify_kernels(gs, verify_scheme(gs.partition))
+    return gs.verified[1].copy()
 
 
 def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndarray:
     """Axioms (2)-(5) of verify_generalized for kernels on a partition that
-    verify_scheme already turned into scheme; returns p~."""
+    verify_scheme already turned into scheme; returns p~.  Only
+    GeneralizedScheme.verified calls it."""
     part = gs.partition
     n, d = part.n_points, part.n_relations
     e = part.identity_relation

@@ -201,14 +201,17 @@ def decode_number(v):
     return float(v)
 
 
-def hypergroup_to_dict(n, conv, identity, involution):
-    return {
+def hypergroup_to_dict(n, conv, identity, involution, scheme_derived=False):
+    data = {
         "n": n,
         "identity": identity,
         "involution": list(involution),
         "conv": [[[encode_number(c) for c in row] for row in plane]
                  for plane in conv],
     }
+    if scheme_derived:
+        data["scheme_derived"] = True
+    return data
 
 
 def decode_conv(data):

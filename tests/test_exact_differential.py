@@ -54,13 +54,14 @@ def _json(d):
 
 
 def _ref_json(h, conv):
-    return _json(ref.hypergroup_to_dict(h.n, conv, h.identity, h.involution.tolist()))
+    return _json(ref.hypergroup_to_dict(h.n, conv, h.identity, h.involution.tolist(),
+                                        h.scheme_derived))
 
 
 def test_from_scheme_matches_reference():
     for name in NAMES:
         h, want = HYPERGROUPS[name], REFS[name].conv
-        assert h.is_exact and h.conv == want, name
+        assert h.is_exact and h.conv == want and h.scheme_derived, name
         assert h.conv_f.tobytes() == _as_floats(want).tobytes(), name
         assert all(h.c(i, j, k) == want[i][j][k]
                    for i in range(h.n) for j in range(h.n) for k in range(h.n))

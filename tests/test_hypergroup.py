@@ -171,6 +171,17 @@ def test_float_convolve_matches_exact(k3_hypergroup):
         assert got == pytest.approx([float(v) for v in exact], abs=1e-15)
 
 
+@pytest.mark.parametrize("mu, nu, lengths", [([0, 1], [0, 0, 1], "2 and 3"),
+                                             ([1, 0, 0], [0, 1], "3 and 2")])
+def test_convolve_refuses_wrong_lengths(k3_hypergroup, mu, nu, lengths):
+    """A weight vector not of length n is refused before any arithmetic, on
+    exact and float tensors alike."""
+    hf = hs.FiniteHypergroup(2, k3_hypergroup.conv_f.tolist(), 0, [0, 1])
+    for h in (k3_hypergroup, hf):
+        with pytest.raises(ValueError, match=f"length n = 2, got lengths {lengths}$"):
+            h.convolve(mu, nu)
+
+
 def test_haar_invariance(k3_hypergroup):
     """sum_y w(y) (delta_x * delta_y)({k}) = w(k) for all x, k."""
     h = k3_hypergroup

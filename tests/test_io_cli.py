@@ -71,6 +71,8 @@ def files(tmp_path, k3_scheme, k3_hypergroup, s3_table):
         "huge_haar": {**k3hg, "conv": [[["1", "0"], ["0", "1"]], [
             ["0", "1"], [f"1/{10 ** 400}", f"{10 ** 400 - 1}/{10 ** 400}"]]]},
         "n_list": {**k3hg, "n": [2]},
+        "k3hg_plain": {k: v for k, v in k3hg.items() if k != "scheme_derived"},
+        "derived_str": {**k3hg, "scheme_derived": "false"},
     }
     # a conv cell that is a JSON list or object, which no set can hold
     for name, cell in [("conv_empty", []), ("conv_list", ["1/2"]),
@@ -133,6 +135,34 @@ def test_hypergroup_roundtrip(k3_hypergroup, tmp_path):
     assert back.is_exact
     assert back.conv == k3_hypergroup.conv
     assert back.identity == k3_hypergroup.identity
+
+
+def test_scheme_derived_round_trip(k3_hypergroup):
+    """The flag survives a file; a hypergroup without it writes no key, so
+    its file is as before, and only a JSON boolean reads as the flag."""
+    data = hio.hypergroup_to_dict(k3_hypergroup)
+    assert data["scheme_derived"] is True
+    assert hio.hypergroup_from_dict(data).scheme_derived
+    plain = hs.FiniteHypergroup(2, k3_hypergroup.conv, 0, [0, 1])
+    assert "scheme_derived" not in hio.hypergroup_to_dict(plain)
+    assert not hio.hypergroup_from_dict(hio.hypergroup_to_dict(plain)).scheme_derived
+    assert not hio.hypergroup_from_dict({**data, "scheme_derived": False}).scheme_derived
+    for bad in ("false", "true", 0, 1, None, [True]):
+        with pytest.raises(ValueError, match="scheme_derived must be true or false"):
+            hio.hypergroup_from_dict({**data, "scheme_derived": bad})
+
+
+def test_product_of_flagged_files_is_flagged(files, tmp_path, capsys):
+    """product of two scheme-derived files writes a scheme-derived file, so
+    dual on it still runs the nonnegativity test."""
+    out = tmp_path / "prod.json"
+    assert hio.load(files["k3hg"])["scheme_derived"] is True
+    assert main(["product", files["k3hg"], files["k3hg"], "--out", str(out)]) == 0
+    assert hio.load(out)["scheme_derived"] is True
+    assert hio.hypergroup_from_dict(hio.load(out)).scheme_derived
+    capsys.readouterr()
+    assert main(["product", files["k3hg"], files["k3hg_plain"], "--out", str(out)]) == 0
+    assert "scheme_derived" not in hio.load(out)
 
 
 def test_rational_encoding():
@@ -658,6 +688,8 @@ CONTRACT_CASES = [
     (["dual", "huge_haar", "0", "1"], 2, "Haar weights must be finite doubles"),
     (["verify", "kernel_huge"], 2, "kernels holds an integer past the doubles"),
     (["characters", "n_list"], 2, "n must be one integer"),
+    # a string is not a boolean, though bool() reads "false" as true
+    (["dual", "derived_str", "0", "1"], 2, "scheme_derived must be true or false, not 'false'"),
     (["walk", "--mu", "1:1", "--steps", "2"], 2,
      "either a scheme file or --dtgraph is required"),
     # dtgraph reports finite values on a valid radius, and nothing else

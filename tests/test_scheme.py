@@ -252,6 +252,79 @@ def test_rigidity_randomized_search(k3_scheme, z4_scheme):
         assert accepted_noncanonical == 0
 
 
+def test_generalized_scheme_verifies_once(z4_scheme, monkeypatch):
+    """verify_generalized, from_generalized and KernelFamily.from_generalized
+    on one family run verify_scheme and the kernel check once between them."""
+    from hyperscheme import scheme as mod
+    calls = []
+
+    def counted(name):
+        fn = getattr(mod, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("verify_scheme", "_verify_kernels"):
+        monkeypatch.setattr(mod, name, counted(name))
+    gs = hs.canonical_generalized(z4_scheme)
+    ptilde = hs.verify_generalized(gs)
+    h = hs.from_generalized(gs)
+    hs.KernelFamily.from_generalized(gs)
+    assert calls == ["verify_scheme", "_verify_kernels"]
+    assert h.conv_f.tobytes() == ptilde.tobytes()
+
+
+def test_failing_family_raises_the_same_on_every_call(k3_scheme):
+    """A failure is not kept: each call checks again and raises alike."""
+    gs = hs.canonical_generalized(k3_scheme)
+    kernels = gs.kernels.copy()
+    _negative_off_its_relation(kernels)
+    bad = hs.GeneralizedScheme(gs.partition, kernels, gs.omega_x)
+    seen = []
+    for fn in (hs.verify_generalized, hs.verify_generalized, hs.from_generalized):
+        with pytest.raises(hs.AxiomViolation) as exc:
+            fn(bad)
+        seen.append((exc.value.axiom_id, exc.value.witness, str(exc.value)))
+    assert seen == [("2", (1, 0, 0), "negative kernel entry")] * 3
+
+
+def test_generalized_scheme_holds_read_only_copies(k3_scheme):
+    """Writing into kernels or omega_x raises, and editing the arrays the
+    caller passed in changes neither the verdict nor p~."""
+    gs = hs.canonical_generalized(k3_scheme)
+    want = hs.verify_generalized(gs)
+    for checked_first in (False, True):
+        kernels, omega = gs.kernels.copy(), gs.omega_x.copy()
+        own = hs.GeneralizedScheme(gs.partition, kernels, omega)
+        for arr in (own.kernels, own.omega_x):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+        if checked_first:
+            hs.verify_generalized(own)
+        kernels[1] = 7.0
+        omega[:] = -1.0
+        assert np.array_equal(own.kernels, gs.kernels)
+        assert np.array_equal(own.omega_x, gs.omega_x)
+        assert hs.verify_generalized(own).tobytes() == want.tobytes()
+        assert hs.from_generalized(own).conv_f.tobytes() == want.tobytes()
+
+
+def test_returned_ptilde_is_the_callers_own(z4_scheme):
+    """Writing into the p~ that verify_generalized returns changes neither a
+    later from_generalized nor a later verify_generalized."""
+    gs = hs.canonical_generalized(z4_scheme)
+    ptilde = hs.verify_generalized(gs)
+    want = ptilde.copy()
+    ptilde[:] = -1.0
+    assert hs.from_generalized(gs).conv_f.tobytes() == want.tobytes()
+    assert hs.verify_generalized(gs).tobytes() == want.tobytes()
+    scheme, kept = gs.verified
+    for arr in (kept, scheme.p, scheme.involution, scheme.valency):
+        assert not arr.flags.writeable
+
+
 def test_translation_properties(k3_scheme, z4_scheme, trivial_scheme):
     for scheme in (k3_scheme, z4_scheme, trivial_scheme):
         assert hs.translation_property_check(scheme) == (True, True)

@@ -523,7 +523,11 @@ def perturbed_generalized(draw):
 
 @given(perturbed_generalized())
 def test_generalized_outcome_matches_reference(gs):
-    assert outcome(hs.verify_generalized, gs) == outcome(ref.verify_generalized, gs)
+    """verify_generalized, and then from_generalized on the same family, which
+    reads the kept check, agree with the reference, p~ bit for bit."""
+    want = outcome(ref.verify_generalized, gs)
+    assert outcome(hs.verify_generalized, gs) == want
+    assert outcome(lambda g: hs.from_generalized(g).conv_f, gs) == want
 
 
 def test_verify_hypergroup_memory_is_cubic():
