@@ -86,11 +86,12 @@ def direct_product_scheme(gs1: GeneralizedScheme,
     label = label.reshape(px.size, px.size)
     partition = RelationPartition(n_points=px.size, n_relations=pd.size,
                                   label=label)
-    kernels = np.stack([np.kron(gs1.kernels[h1], gs2.kernels[h2])
-                        for h1 in range(pd.n1) for h2 in range(pd.n2)])
+    kernels = np.empty((pd.size, px.size, px.size))
+    for h1 in range(pd.n1):
+        for h2 in range(pd.n2):
+            kernels[pd.flat(h1, h2)] = np.kron(gs1.kernels[h1], gs2.kernels[h2])
     omega_x = np.kron(gs1.omega_x, gs2.omega_x)
-    return GeneralizedScheme(partition=partition, kernels=kernels,
-                             omega_x=omega_x)
+    return GeneralizedScheme._adopt(partition, kernels, omega_x)
 
 
 def join(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergroup:
@@ -164,5 +165,4 @@ def join_scheme(gs1: GeneralizedScheme, gs2: GeneralizedScheme) -> GeneralizedSc
         if h1 != e1:
             kernels[ji.from_first(h1)] = np.kron(gs1.kernels[h1], spread2)
     omega_x = np.kron(gs1.omega_x, wx2)
-    return GeneralizedScheme(partition=partition, kernels=kernels,
-                             omega_x=omega_x)
+    return GeneralizedScheme._adopt(partition, kernels, omega_x)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
@@ -475,13 +476,14 @@ class Ball:
     def sphere_sizes(self) -> list:
         return np.bincount(self.depths, minlength=self.radius + 1).tolist()
 
-    def sphere_kernels(self, weight) -> dict:
-        """The sphere kernels K_h, h = 0..R.  K_0 = I; K_h is
-        weight(h, rows, cols) (a scalar or one value per pair) at the pairs
-        (rows, cols) at distance h whose row's distance-h sphere lies inside
-        the ball, depth(row) <= R - h, and zero elsewhere.  BallTooLarge,
-        before any allocation, when the R + 1 dense float64 kernels would
-        exceed the physical memory."""
+    def sphere_kernels(self, weight) -> Mapping:
+        """The sphere kernels K_h, h = 0..R, as a Mapping whose kernels are
+        built on their first read and kept.  K_0 = I; K_h is
+        weight(h, rows, cols) (a scalar or one value per pair), called when
+        K_h is first read, at the pairs (rows, cols) at distance h whose
+        row's distance-h sphere lies inside the ball, depth(row) <= R - h,
+        and zero elsewhere.  BallTooLarge, before any allocation, when the
+        R + 1 dense float64 kernels would exceed the physical memory."""
         n, R = self.n, self.radius
         need = (R + 1) * n * n * 8
         have = _physical_memory()
@@ -491,12 +493,38 @@ class Ball:
                                f"{have / 2**30:.1f} GiB of memory")
         h, rows, cols = self._sphere_pairs(R - np.arange(R + 1))
         bounds = np.searchsorted(h, np.arange(R + 2))
-        kernels = {0: np.eye(n)}
-        for k in range(1, R + 1):
+
+        def build(k: int) -> np.ndarray:
+            if k == 0:
+                return np.eye(n)
             pairs = slice(bounds[k], bounds[k + 1])
-            kernels[k] = np.zeros((n, n))
-            kernels[k][rows[pairs], cols[pairs]] = weight(k, rows[pairs], cols[pairs])
-        return kernels
+            K = np.zeros((n, n))
+            K[rows[pairs], cols[pairs]] = weight(k, rows[pairs], cols[pairs])
+            return K
+
+        return _LazyKernels(range(R + 1), build)
+
+
+class _LazyKernels(Mapping):
+    """label -> kernel over a range of labels, each kernel made by
+    build(label) on its first read and kept."""
+
+    def __init__(self, labels: range, build):
+        self._labels, self._build, self._built = labels, build, {}
+
+    def __getitem__(self, h) -> np.ndarray:
+        if h not in self._labels:
+            raise KeyError(h)
+        h = int(h)
+        if h not in self._built:
+            self._built[h] = self._build(h)
+        return self._built[h]
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -666,8 +694,15 @@ class DeformedKernels:
     ray: BoundaryRay
     c: float
     x_c: float
-    kernels: dict
-    max_row_sum_error: float
+    kernels: Mapping
+
+    @cached_property
+    def max_row_sum_error(self) -> float:
+        """Max |row sum - 1| of K_h, h = 1..R, over the rows whose
+        distance-h sphere lies inside the ball; computed on first read."""
+        params, R = self.ball.params, self.ball.radius
+        return max((float(np.abs(self.kernels[h][:ball_size(params, R - h)].sum(axis=1)
+                                 - 1.0).max()) for h in range(1, R + 1)), default=0.0)
 
     @property
     def valid(self) -> dict:
@@ -697,13 +732,13 @@ def deform_ball_kernels(ball: Ball, ray: BoundaryRay, c: float) -> DeformedKerne
     dB = ray.horocycle.astype(float)
     _check_exponent(c * (dB.max() - dB.min()), "the boundary tilt")
     phi = np.exp(c * dB)
-    alpha0 = PolyHypergroup(params, x0=x_c).alpha0
     kernels = ball.sphere_kernels(lambda h, rows, cols: (1.0 / phi[rows]) * phi[cols]
-                                  / (alpha0(h) * haar_weight(h, params)))
-    worst = max((float(np.abs(kernels[h][:ball_size(params, R - h)].sum(axis=1)
-                              - 1.0).max()) for h in range(1, R + 1)), default=0.0)
-    return DeformedKernels(ball=ball, ray=ray, c=c, x_c=x_c, kernels=kernels,
-                           max_row_sum_error=worst)
+                                  / scale[h])
+    # every scale is read now, after the memory guard, so a DomainError is
+    # raised here and not on a kernel's first read
+    alpha0 = PolyHypergroup(params, x0=x_c).alpha0
+    scale = [1.0] + [alpha0(h) * haar_weight(h, params) for h in range(1, R + 1)]
+    return DeformedKernels(ball=ball, ray=ray, c=c, x_c=x_c, kernels=kernels)
 
 
 def pushforward_vs_haar(params: DTParams, c: float):

@@ -136,8 +136,21 @@ class GeneralizedScheme:
     omega_x: np.ndarray  # shape (n_points,)
 
     def __post_init__(self):
-        k = np.array(self.kernels, dtype=float)
-        w = np.array(self.omega_x, dtype=float)
+        self._hold(np.array(self.kernels, dtype=float),
+                   np.array(self.omega_x, dtype=float))
+
+    @classmethod
+    def _adopt(cls, partition: RelationPartition, kernels: np.ndarray,
+               omega_x: np.ndarray) -> "GeneralizedScheme":
+        """The family of float64 arrays that the library has just built and
+        no one else holds, taken over without a copy."""
+        gs = object.__new__(cls)
+        object.__setattr__(gs, "partition", partition)
+        gs._hold(kernels, omega_x)
+        return gs
+
+    def _hold(self, k: np.ndarray, w: np.ndarray):
+        """Check the shapes of k and w and keep them, read-only."""
         n, d = self.partition.n_points, self.partition.n_relations
         if k.shape != (d, n, n):
             raise ValueError(f"kernels must have shape ({d}, {n}, {n})")
@@ -364,10 +377,11 @@ def canonical_generalized(scheme: AssociationScheme) -> GeneralizedScheme:
     """The canonical kernel family S_i = A_i / valency_i with counting omega_x."""
     if not scheme.is_unimodular():
         raise NotUnimodular("canonical kernels need a unimodular scheme")
-    kernels = np.stack([scheme.stochastic_matrix(i)
-                        for i in range(scheme.n_relations)])
-    return GeneralizedScheme(partition=scheme.partition, kernels=kernels,
-                             omega_x=np.ones(scheme.n_points))
+    kernels = np.empty((scheme.n_relations, scheme.n_points, scheme.n_points))
+    for i in range(scheme.n_relations):
+        kernels[i] = scheme.stochastic_matrix(i)
+    return GeneralizedScheme._adopt(scheme.partition, kernels,
+                                    np.ones(scheme.n_points))
 
 
 def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:

@@ -12,6 +12,7 @@ run with fewer without changing its first trials.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ class KernelFamily:
     a state the walk may not step from with h: on a ball, one whose
     distance-h sphere leaves the ball."""
 
-    matrices: dict           # label -> (n, n) ndarray
+    matrices: Mapping        # label -> (n, n) ndarray
     labels: np.ndarray       # (n,) relation label of (0, y) for each state y
 
     @property

@@ -159,7 +159,8 @@ def test_invalid_rows_of_the_reference_hold_partial_spheres():
 
 
 def test_sphere_kernels_weight_sees_valid_rows():
-    """weight gets the pairs of the valid rows, the depth <= R - h vertices."""
+    """weight gets the pairs of the valid rows, the depth <= R - h vertices,
+    when a kernel is first read."""
     ball = hs.build_ball(hs.DTParams(3, 2), 4)
     seen = {}
 
@@ -168,6 +169,8 @@ def test_sphere_kernels_weight_sees_valid_rows():
         return float(h)
 
     kernels = ball.sphere_kernels(weight)
+    assert seen == {}
+    kernels = {h: kernels[h] for h in kernels}
     assert sorted(seen) == [1, 2, 3, 4]
     for h, (rows, cols) in seen.items():
         inside = ball.depths <= 4 - h
@@ -175,6 +178,57 @@ def test_sphere_kernels_weight_sees_valid_rows():
         support = (ball.dist_matrix == h) & inside[:, None]
         assert np.array_equal(kernels[h] != 0, support)
         assert set(np.unique(kernels[h])) == {0.0, float(h)}
+
+
+@pytest.mark.parametrize("a, b, R", [(3, 2, 7), (2, 3, 6), (4, 2, 4), (2, 2, 20)])
+def test_kernels_read_in_any_order_are_the_reference_kernels(a, b, R):
+    """A kernel is the same array whichever kernels were read before it,
+    it is kept once built, and its rows are those of the reference; the
+    deformed max_row_sum_error, computed on first read, is the reference's
+    exactly."""
+    ball = hs.build_ball(hs.DTParams(a, b), R)
+    mats, valid = ball_kernels(ball)
+    forward = hs.KernelFamily.from_ball(ball).matrices
+    backward = hs.KernelFamily.from_ball(ball).matrices
+    for h in reversed(range(R + 1)):
+        assert backward[h] is backward[h]
+    for h in forward:
+        assert forward[h].tobytes() == backward[h].tobytes()
+    _same_kernels(forward, {h: K.any(axis=1) for h, K in forward.items()},
+                  mats, valid)
+
+    if b != 2:
+        return
+    ray = hs.BoundaryRay(ball)
+    ref = deformed_kernels(ball, ray, -0.35)
+    dk = hs.deform_ball_kernels(ball, ray, -0.35)
+    kernels = {h: dk.kernels[h] for h in reversed(range(R + 1))}
+    _same_kernels(kernels, dk.valid, ref["kernels"], ref["valid"])
+    assert dk.max_row_sum_error == ref["max_row_sum_error"]
+
+
+def test_deform_refuses_an_alpha0_out_of_range_when_called(monkeypatch):
+    """deform_ball_kernels reads every scale alpha0(h) w_h itself, so an
+    alpha0 out of double range raises alpha0's DomainError from the call,
+    before any kernel is read."""
+    ball = hs.build_ball(hs.DTParams(3, 2), 3)
+    ray = hs.BoundaryRay(ball)
+    poly_values = hs.dtgraph.poly_values
+
+    def overflowing(n, x, params):
+        values = poly_values(n, x, params)
+        values[2:] = np.inf
+        return values
+
+    monkeypatch.setattr(hs.dtgraph, "poly_values", overflowing)
+    x_c = hs.deformation_point(0.3, ball.params)
+    with pytest.raises(hs.DomainError) as want:
+        hs.PolyHypergroup(ball.params, x0=x_c).alpha0(2)
+    assert str(want.value) == (f"alpha0(2) = P_2(x0) at x0 = {x_c!r} is inf, "
+                               "not a finite positive double >= 2.2250738585072014e-308")
+    with pytest.raises(hs.DomainError) as got:
+        hs.deform_ball_kernels(ball, ray, 0.3)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("a, b, R", CASES, ids=[f"{a}-{b}-{R}" for a, b, R in CASES])

@@ -1,5 +1,6 @@
 """Direct products and joins of hypergroups and kernel families."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -139,3 +140,39 @@ def test_join_haar(k3_hypergroup):
     # with omega(e2) = 1: the D2 block carries (1, 2), the D1 block
     # sum(omega_2) * omega_1 = 3 * 2
     assert left == [1, 2, 6]
+
+
+def _cycle_family(m):
+    x = np.arange(m)
+    dist = np.abs(x[:, None] - x[None, :])
+    part = hs.RelationPartition(m, m // 2 + 1, np.minimum(dist, m - dist))
+    return hs.canonical_generalized(hs.verify_scheme(part))
+
+
+def test_constructions_keep_one_read_only_kernel_array():
+    """join_scheme, direct_product_scheme and canonical_generalized build
+    their kernels once and hand them over without a copy: the tracemalloc
+    peak stays below 1.5 times the kernel bytes (a second copy made it
+    twice), and the kept arrays are read-only and share no memory with the
+    factors' arrays."""
+    c8, c12 = _cycle_family(8), _cycle_family(12)
+    x = np.arange(40)
+    dist = np.abs(x[:, None] - x[None, :])
+    c40 = hs.verify_scheme(hs.RelationPartition(40, 21, np.minimum(dist, 40 - dist)))
+    for build in (lambda: hs.join_scheme(c8, c12),
+                  lambda: hs.direct_product_scheme(c8, c12),
+                  lambda: hs.canonical_generalized(c40)):
+        tracemalloc.start()
+        try:
+            gs = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * gs.kernels.nbytes
+        for arr in (gs.kernels, gs.omega_x):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+            for factor in (c8, c12):
+                assert not np.shares_memory(arr, factor.kernels)
+                assert not np.shares_memory(arr, factor.omega_x)
+        assert hs.verify_generalized(gs).shape == (gs.partition.n_relations,) * 3

@@ -861,18 +861,23 @@ def test_library_and_cli_run_without_scipy(files):
     assert report["scipy"] == []
 
 
-def _error_report_under_address_limit(argv, limit):
-    """Run the CLI with argv in a fresh process whose address space is
-    capped at limit bytes; it must print one JSON error report, exit 2 and
-    write no traceback.  Returns the report's message."""
+def _run_under_address_limit(argv, limit):
+    """Run the CLI with argv and --json in a fresh process whose address
+    space is capped at limit bytes."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "hyperscheme.cli", *argv, "--json"],
         env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=300)
+
+
+def _error_report_under_address_limit(argv, limit):
+    """Run the CLI under an address limit; it must print one JSON error
+    report, exit 2 and write no traceback.  Returns the report's message."""
+    proc = _run_under_address_limit(argv, limit)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ""
     report = json.loads(proc.stdout)       # exactly one JSON document
@@ -893,12 +898,23 @@ def test_memory_error_is_an_input_error(tmp_path):
 
 
 def test_walk_memory_error_is_an_input_error():
-    """The (3, 2, 11) ball has 6142 vertices, and its 12 dense sphere
-    kernels take 3.6 GB, past a 1.5 GiB address space: walk ends in one
-    error report and exit 2, not a traceback."""
-    assert "Unable to allocate" in _error_report_under_address_limit(
+    """The (3, 2, 11) ball has 6142 vertices, and each dense sphere kernel
+    takes 288 MiB.  A walk builds the kernels of its step law only, and
+    five of them do not fit a 1.5 GiB address space: walk ends in one error
+    report and exit 2, not a traceback."""
+    assert "Unable to allocate 288. MiB" in _error_report_under_address_limit(
+        ["walk", "--dtgraph", "3,2,11", "--mu", "1:1/5,2:1/5,3:1/5,4:1/5,5:1/5",
+         "--steps", "2", "--trials", "10"], 3 * 2 ** 29)
+
+
+def test_walk_builds_only_its_step_laws_kernels_under_an_address_limit():
+    """The same ball with mu = delta_1 builds K_1 alone, which fits the same
+    1.5 GiB address space, and the walk passes."""
+    proc = _run_under_address_limit(
         ["walk", "--dtgraph", "3,2,11", "--mu", "1:1", "--steps", "2",
-         "--trials", "10"], 3 * 2 ** 29)
+         "--trials", "30000"], 3 * 2 ** 29)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
 
 
 def test_module_entry_point_has_no_traceback(files):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hyperscheme as hs
+import reference_walks
 from hyperscheme import walks
 
 
@@ -259,6 +260,47 @@ def test_two_label_projection_ball_and_deformed():
              hs.PolyHypergroup(params, x0=dk.x_c))):
         walk = hs.simulate_walk(family, mu, steps, trials, seed=11)
         assert hs.projection_check(walk, family, hgroup, mu, steps) <= 0.02
+
+
+def test_ball_walk_builds_only_its_step_laws_kernels(monkeypatch):
+    """A seeded walk, its propagated law and its projection check on
+    (3, 2, 8) with mu on {1, 2} build K_1 and K_2, once each, of the nine
+    uniform or deformed sphere kernels, and give the results of the dense
+    reference code."""
+    built = []
+    sphere_kernels = hs.Ball.sphere_kernels
+
+    def counted(ball, weight):
+        def count(h, rows, cols):
+            built.append(h)
+            return weight(h, rows, cols)
+        return sphere_kernels(ball, count)
+
+    monkeypatch.setattr(hs.Ball, "sphere_kernels", counted)
+    params = hs.DTParams(3, 2)
+    ball = hs.build_ball(params, 8)
+    mu = hs.StepDistribution({1: Fraction(3, 7), 2: Fraction(4, 7)})
+    steps = 3
+    dk = hs.deform_ball_kernels(ball, hs.BoundaryRay(ball), 0.3)
+    assert built == []
+    for fam, hgroup in ((hs.KernelFamily.from_ball(ball), hs.PolyHypergroup(params)),
+                        (hs.KernelFamily.from_deformed(dk),
+                         hs.PolyHypergroup(params, x0=dk.x_c))):
+        assert len(fam.matrices) == 9 and built == []
+        walk = hs.simulate_walk(fam, mu, steps, 30_000, seed=5)
+        law = hs.propagate_and_project(fam, mu, steps)
+        tv = hs.projection_check(walk, fam, hgroup, mu, steps)
+        assert sorted(built) == [1, 2]
+
+        assert walk.empirical == reference_walks.simulate_walk(
+            fam, mu, steps, 30_000, seed=5).empirical
+        old = reference_walks.propagate_and_project(fam, mu, steps)
+        assert law.keys() == old.keys()
+        assert all(abs(law[k] - old[k]) <= 1e-15 for k in old)
+        eager = hs.KernelFamily(matrices=dict(fam.matrices), labels=fam.labels)
+        assert hs.projection_check(walk, eager, hgroup, mu, steps) == tv
+        assert sorted(built) == list(range(1, 9))
+        built.clear()
 
 
 def test_simulate_walk_prefix_property():
