@@ -150,13 +150,13 @@ def verify_generalized(gs, tol=1e-9):
     scheme = verify_scheme(part)
 
     for i in range(d):
-        pos = S[i] > tol
+        pos = ~(S[i] <= tol)            # a NaN entry is in no support
         want = lab == i
         if not np.array_equal(pos, want):
             x, y = map(int, np.argwhere(pos != want)[0])
             raise AxiomViolation("2", (i, x, y))
         rows = S[i].sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-8:
+        if not np.abs(rows - 1.0).max() <= 1e-8:
             x = int(np.argmax(np.abs(rows - 1.0)))
             raise AxiomViolation("2", (i, x))
         if S[i].min() < -tol:

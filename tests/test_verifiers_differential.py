@@ -4,6 +4,7 @@ D_m and S_k, and hypothesis-corrupted inputs."""
 
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, strategies as st
 import hyperscheme as hs
 import reference_verifiers as ref
 from hyperscheme.hypergroup import _generators
-from hyperscheme.scheme import _verify_group_table
+from hyperscheme.scheme import KERNEL_TOL, _verify_group_table
 
 
 def dihedral_table(m):
@@ -492,10 +493,12 @@ RECTANGLES = [(g, r) for g, gs in enumerate(GENERALIZED) for r in _rectangles(gs
 
 @st.composite
 def perturbed_generalized(draw):
-    """Either random noise on one kernel (failing the support, stochastic or
-    adjoint axioms) or a +t/-t rectangle Q with zero row and column sums
-    added to S_i, and Q^T to S_bar(i): the adjoint relation then still holds,
-    so span closure (3) decides."""
+    """The raw arrays of a family: either random noise on one kernel (failing
+    the support, stochastic or adjoint axioms) or a +t/-t rectangle Q with
+    zero row and column sums added to S_i, and Q^T to S_bar(i): the adjoint
+    relation then still holds, so span closure (3) decides.  Then, in some
+    draws, one cell of a kernel off its relation is set to NaN, +-2
+    KERNEL_TOL or 0.5, which only the arrays as given carry."""
     if draw(st.booleans()):
         g, (i, x, x2, y, y2) = draw(st.sampled_from(RECTANGLES))
         gs = GENERALIZED[g]
@@ -517,15 +520,23 @@ def perturbed_generalized(draw):
         if draw(st.booleans()):
             pert = pert / pert.sum(axis=1, keepdims=True)
         kernels[i] = pert
-    return hs.GeneralizedScheme(partition=gs.partition, kernels=kernels,
-                                omega_x=gs.omega_x)
+    value = draw(st.sampled_from([None, np.nan, 2 * KERNEL_TOL, -2 * KERNEL_TOL, 0.5]))
+    if value is not None and gs.partition.n_relations > 1:
+        i = draw(st.integers(0, gs.partition.n_relations - 1))
+        off = np.argwhere(gs.partition.label != i)
+        x, y = off[draw(st.integers(0, len(off) - 1))]
+        kernels[i, x, y] = value
+    return SimpleNamespace(partition=gs.partition, kernels=kernels,
+                           omega_x=gs.omega_x)
 
 
 @given(perturbed_generalized())
-def test_generalized_outcome_matches_reference(gs):
+def test_generalized_outcome_matches_reference(raw):
     """verify_generalized, and then from_generalized on the same family, which
-    reads the kept check, agree with the reference, p~ bit for bit."""
-    want = outcome(ref.verify_generalized, gs)
+    reads the kept check, agree with the reference run on the arrays as
+    given, p~ bit for bit."""
+    want = outcome(ref.verify_generalized, raw)
+    gs = hs.GeneralizedScheme(raw.partition, raw.kernels, raw.omega_x)
     assert outcome(hs.verify_generalized, gs) == want
     assert outcome(lambda g: hs.from_generalized(g).conv_f, gs) == want
 
