@@ -76,6 +76,13 @@ def direct_product(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergro
                                 involution, h1.scheme_derived and h2.scheme_derived)
 
 
+def _weights(gs: GeneralizedScheme) -> np.ndarray:
+    """gs.W; a family with a kept kernel raises its axiom (2) failure."""
+    if gs._kept:
+        gs.verified
+    return gs.W
+
+
 def direct_product_scheme(gs1: GeneralizedScheme,
                           gs2: GeneralizedScheme) -> GeneralizedScheme:
     """Kernels K_{(h1,h2)} = K_{h1} (x) K_{h2} on X1 x X2."""
@@ -86,12 +93,8 @@ def direct_product_scheme(gs1: GeneralizedScheme,
     label = label.reshape(px.size, px.size)
     partition = RelationPartition(n_points=px.size, n_relations=pd.size,
                                   label=label)
-    kernels = np.empty((pd.size, px.size, px.size))
-    for h1 in range(pd.n1):
-        for h2 in range(pd.n2):
-            kernels[pd.flat(h1, h2)] = np.kron(gs1.kernels[h1], gs2.kernels[h2])
-    omega_x = np.kron(gs1.omega_x, gs2.omega_x)
-    return GeneralizedScheme._adopt(partition, kernels, omega_x)
+    return GeneralizedScheme._adopt(partition, np.kron(_weights(gs1), _weights(gs2)),
+                                    np.kron(gs1.omega_x, gs2.omega_x))
 
 
 def join(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergroup:
@@ -149,20 +152,9 @@ def join_scheme(gs1: GeneralizedScheme, gs2: GeneralizedScheme) -> GeneralizedSc
     same1 = np.eye(p1.n_points, dtype=bool)
     flat1 = np.insert(np.arange(ji.n2, ji.size), e1, 0)  # e1 only on same1
     label = np.where(same1[:, None, :, None], p2.label[None, :, None, :],
-                     flat1[p1.label][:, None, :, None])
-    label = np.broadcast_to(
-        label, (p1.n_points, p2.n_points, p1.n_points, p2.n_points))
-    label = label.reshape(px.size, px.size)
+                     flat1[p1.label][:, None, :, None]).reshape(px.size, px.size)
     partition = RelationPartition(n_points=px.size, n_relations=ji.size,
                                   label=label)
-
-    eye1 = np.eye(p1.n_points)
-    spread2 = np.tile(wx2, (p2.n_points, 1))
-    kernels = np.empty((ji.size, px.size, px.size))
-    for h2 in range(p2.n_relations):
-        kernels[ji.from_second(h2)] = np.kron(eye1, gs2.kernels[h2])
-    for h1 in range(p1.n_relations):
-        if h1 != e1:
-            kernels[ji.from_first(h1)] = np.kron(gs1.kernels[h1], spread2)
-    omega_x = np.kron(gs1.omega_x, wx2)
-    return GeneralizedScheme._adopt(partition, kernels, omega_x)
+    W = np.where(same1[:, None, :, None], _weights(gs2)[None, :, None, :],
+                 _weights(gs1)[:, None, :, None] * wx2).reshape(px.size, px.size)
+    return GeneralizedScheme._adopt(partition, W, np.kron(gs1.omega_x, wx2))

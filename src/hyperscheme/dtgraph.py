@@ -14,7 +14,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
@@ -482,24 +482,28 @@ class Ball:
         weight(h, rows, cols) (a scalar or one value per pair), called when
         K_h is first read, at the pairs (rows, cols) at distance h whose
         row's distance-h sphere lies inside the ball, depth(row) <= R - h,
-        and zero elsewhere.  BallTooLarge, before any allocation, when the
-        R + 1 dense float64 kernels would exceed the physical memory."""
+        and zero elsewhere.  BallTooLarge, before a read allocates, when the
+        dense kernels built so far and the new one exceed physical memory."""
         n, R = self.n, self.radius
-        need = (R + 1) * n * n * 8
-        have = _physical_memory()
-        if need > have:
-            raise BallTooLarge(f"{R + 1} dense {n} x {n} kernels need "
-                               f"{need / 2**30:.1f} GiB, more than the "
-                               f"{have / 2**30:.1f} GiB of memory")
-        h, rows, cols = self._sphere_pairs(R - np.arange(R + 1))
-        bounds = np.searchsorted(h, np.arange(R + 2))
+        pairs = cache(lambda: self._sphere_pairs(R - np.arange(R + 1)))
+        # kernels built so far, counted here: reading them off the mapping
+        # would make a cycle that keeps every kernel until a cyclic collection
+        built = 0
 
         def build(k: int) -> np.ndarray:
+            nonlocal built
+            need, have = (built + 1) * n * n * 8, _physical_memory()
+            if need > have:
+                raise BallTooLarge(f"{built + 1} dense {n} x {n} kernels need "
+                                   f"{need / 2**30:.1f} GiB, more than the "
+                                   f"{have / 2**30:.1f} GiB of memory")
+            built += 1
             if k == 0:
                 return np.eye(n)
-            pairs = slice(bounds[k], bounds[k + 1])
+            h, rows, cols = pairs()
+            at = slice(*np.searchsorted(h, [k, k + 1]))
             K = np.zeros((n, n))
-            K[rows[pairs], cols[pairs]] = weight(k, rows[pairs], cols[pairs])
+            K[rows[at], cols[at]] = weight(k, rows[at], cols[at])
             return K
 
         return _LazyKernels(range(R + 1), build)
@@ -734,8 +738,8 @@ def deform_ball_kernels(ball: Ball, ray: BoundaryRay, c: float) -> DeformedKerne
     phi = np.exp(c * dB)
     kernels = ball.sphere_kernels(lambda h, rows, cols: (1.0 / phi[rows]) * phi[cols]
                                   / scale[h])
-    # every scale is read now, after the memory guard, so a DomainError is
-    # raised here and not on a kernel's first read
+    # every scale is read now, so a DomainError is raised here, before the
+    # memory guard of a kernel's first read can raise BallTooLarge
     alpha0 = PolyHypergroup(params, x0=x_c).alpha0
     scale = [1.0] + [alpha0(h) * haar_weight(h, params) for h in range(1, R + 1)]
     return DeformedKernels(ball=ball, ray=ray, c=c, x_c=x_c, kernels=kernels)

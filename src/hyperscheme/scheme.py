@@ -117,48 +117,64 @@ class AssociationScheme:
     def is_unimodular(self) -> bool:
         return bool(np.array_equal(self.valency, self.valency[self.involution]))
 
-    def stochastic_matrix(self, i: int) -> np.ndarray:
-        """Renormalized adjacency A_i / valency_i (float)."""
-        return self.partition.adjacency(i) / float(self.valency[i])
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneralizedScheme:
-    """A partition together with a family of stochastic kernels S_i and a
-    positive point weight omega_x satisfying the adjoint relation.
-
-    kernels and omega_x are read-only float64 copies no caller holds, so
+    """A partition with stochastic kernels S_i and a positive point weight
+    omega_x satisfying the adjoint relation, held as read-only float64
+    copies no caller holds: omega_x and W(x, y) = S_label(x,y)(x, y).  So
     the family verifies once: verified is computed on first use and kept,
     and a family that fails raises again on every use."""
 
     partition: RelationPartition
-    kernels: np.ndarray  # shape (n_relations, n_points, n_points)
+    W: np.ndarray        # shape (n_points, n_points)
     omega_x: np.ndarray  # shape (n_points,)
+    # the constructor drops the entries of S_i off relation i within
+    # +-KERNEL_TOL; the first S_i with one outside, or NaN, is kept as
+    # given, {i: S_i}, and fails axiom (2)
+    _kept: dict = field(repr=False)
 
-    def __post_init__(self):
-        self._hold(np.array(self.kernels, dtype=float),
-                   np.array(self.omega_x, dtype=float))
+    def __init__(self, partition: RelationPartition, kernels, omega_x):
+        k = np.asarray(kernels, dtype=float)
+        n, d, lab = partition.n_points, partition.n_relations, partition.label
+        if k.shape != (d, n, n):
+            raise ValueError(f"kernels must have shape ({d}, {n}, {n})")
+        stray = [i for i in range(d) if (~(np.abs(k[i]) <= KERNEL_TOL) & (lab != i)).any()]
+        kept = {i: k[i].copy() for i in stray[:1]}
+        self._hold(partition, np.take_along_axis(k, lab[None], axis=0)[0],
+                   np.array(omega_x, dtype=float), kept)
 
     @classmethod
-    def _adopt(cls, partition: RelationPartition, kernels: np.ndarray,
+    def _adopt(cls, partition: RelationPartition, W: np.ndarray,
                omega_x: np.ndarray) -> "GeneralizedScheme":
         """The family of float64 arrays that the library has just built and
         no one else holds, taken over without a copy."""
         gs = object.__new__(cls)
-        object.__setattr__(gs, "partition", partition)
-        gs._hold(kernels, omega_x)
+        gs._hold(partition, W, omega_x, {})
         return gs
 
-    def _hold(self, k: np.ndarray, w: np.ndarray):
-        """Check the shapes of k and w and keep them, read-only."""
-        n, d = self.partition.n_points, self.partition.n_relations
-        if k.shape != (d, n, n):
-            raise ValueError(f"kernels must have shape ({d}, {n}, {n})")
-        if w.shape != (n,):
-            raise ValueError(f"omega_x must have shape ({n},)")
-        for name, a in (("kernels", k), ("omega_x", w)):
+    def _hold(self, partition: RelationPartition, W: np.ndarray, w: np.ndarray, kept):
+        """Check the shape of w and keep the arrays, read-only."""
+        if w.shape != (partition.n_points,):
+            raise ValueError(f"omega_x must have shape ({partition.n_points},)")
+        for a in (W, w, *kept.values()):
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        vars(self).update(partition=partition, W=W, omega_x=w, _kept=kept)
+
+    def _kernel(self, i: int) -> np.ndarray:
+        """S_i, built from W on each call unless kept."""
+        return self._kept[i] if i in self._kept else \
+            np.where(self.partition.label == i, self.W, 0.0)
+
+    @property
+    def kernels(self) -> np.ndarray:
+        """A new read-only (n_relations, n, n) stack of the S_i, from W."""
+        S = np.zeros((self.partition.n_relations, *self.W.shape))
+        np.put_along_axis(S, self.partition.label[None], self.W[None], axis=0)
+        for i, s in self._kept.items():
+            S[i] = s
+        S.setflags(write=False)
+        return S
 
     @cached_property
     def verified(self) -> tuple[AssociationScheme, np.ndarray]:
@@ -377,10 +393,8 @@ def canonical_generalized(scheme: AssociationScheme) -> GeneralizedScheme:
     """The canonical kernel family S_i = A_i / valency_i with counting omega_x."""
     if not scheme.is_unimodular():
         raise NotUnimodular("canonical kernels need a unimodular scheme")
-    kernels = np.empty((scheme.n_relations, scheme.n_points, scheme.n_points))
-    for i in range(scheme.n_relations):
-        kernels[i] = scheme.stochastic_matrix(i)
-    return GeneralizedScheme._adopt(scheme.partition, kernels,
+    return GeneralizedScheme._adopt(scheme.partition,
+                                    1.0 / scheme.valency[scheme.partition.label],
                                     np.ones(scheme.n_points))
 
 
@@ -392,8 +406,6 @@ def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
     closure, (4) identity kernel, (5) adjoint relation.  The checks run once
     per family, in gs.verified; each call returns a copy of p~ of its own.
     """
-    # (1) underlying partition is a scheme (checked explicitly; see Remark 4.6
-    # style open question -- never assumed)
     return gs.verified[1].copy()
 
 
@@ -403,12 +415,11 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     GeneralizedScheme.verified calls it."""
     part = gs.partition
     n, d = part.n_points, part.n_relations
-    e = part.identity_relation
-    lab = part.label
-    S = gs.kernels
+    lab, W, S = part.label, gs.W, gs.kernels    # the stack lives for this call only
 
     # (2) support condition and row-stochasticity; each test is written so
-    # that NaN fails it, which leaves every kernel finite after this loop
+    # that NaN fails it, which leaves every kernel finite after this loop.
+    # A kept slice fails here, so after it every entry off its relation is 0
     for i in range(d):
         pos = ~(S[i] <= KERNEL_TOL)
         want = lab == i
@@ -424,41 +435,40 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
             x, y = map(int, np.argwhere(S[i] < -KERNEL_TOL)[0])
             raise AxiomViolation("2", (i, x, y), "negative kernel entry")
 
-    # (4) identity kernel
-    if np.abs(S[e] - np.eye(n)).max() > KERNEL_TOL:
+    # (4) identity kernel, the diagonal of W
+    e = part.identity_relation
+    if np.abs(np.diag(W) - 1.0).max() > KERNEL_TOL:
         raise AxiomViolation("4", (e,), "identity kernel is not the identity matrix")
 
-    # (5) adjoint relation, recovering the involution from the partition
-    inv = scheme.involution
+    # (5) adjoint relation omega(y) W(y, x) = omega(x) W(x, y) at all pairs;
+    # the witness (i, x, y) is the first of kernel i = label(x, y), the
+    # smallest i that fails
     w = gs.omega_x
     if not ((w > 0) & (w < np.inf)).all():
         raise AxiomViolation("5", None, "omega_x must be finite and strictly positive")
-    for i in range(d):
-        lhs = w[:, None] * S[inv[i]]            # omega(y) * S_bar(i)(y, x)
-        rhs = (w[:, None] * S[i]).T             # omega(x) * S_i(x, y), transposed
-        bad = np.abs(lhs - rhs) > KERNEL_TOL * max(1.0, w.max())
-        if bad.any():
-            y, x = map(int, np.argwhere(bad)[0])
-            raise AxiomViolation("5", (i, x, y), "adjoint relation fails")
+    flow = w[:, None] * W
+    bad = np.abs(flow - flow.T) > KERNEL_TOL * max(1.0, w.max())
+    if bad.any():
+        i = int(lab.T[bad].min())
+        y, x = map(int, np.argwhere(bad & (lab.T == i))[0])
+        raise AxiomViolation("5", (i, x, y), "adjoint relation fails")
 
     # (3) span closure: read each coefficient off one representative entry
-    # (the largest S_k entry of relation k), then verify the whole matrix
-    # identity against coeff[label] * S[label]
+    # (the largest W entry of relation k), then verify the whole matrix
+    # identity against coeff[label] * W
     rx, ry = np.unravel_index(
-        [np.argmax(np.where(lab == k, S[k], -np.inf)) for k in range(d)], (n, n))
-    s_rep = S[np.arange(d), rx, ry]
-    s_lab = np.take_along_axis(S, lab[None], axis=0)[0]
+        [np.argmax(np.where(lab == k, W, -np.inf)) for k in range(d)], (n, n))
     ptilde = np.zeros((d, d, d))
     for i in range(d):
         for j in range(d):
             prod = S[i] @ S[j]
-            coeff = prod[rx, ry] / s_rep
+            coeff = prod[rx, ry] / W[rx, ry]
             if (coeff < -KERNEL_TOL).any():
                 k = int(np.argmax(coeff < -KERNEL_TOL))
                 raise AxiomViolation("3", (i, j, k), "negative span coefficient")
             coeff = np.where(0.0 > coeff, 0.0, coeff)   # max(coeff, 0.0), -0.0 kept
             ptilde[i, j] = coeff
-            resid = np.abs(prod - coeff[lab] * s_lab)
+            resid = np.abs(prod - coeff[lab] * W)
             if resid.max() > 1e-8:
                 x, y = map(int, np.argwhere(resid > 1e-8)[0])
                 raise AxiomViolation("3", (i, j, int(lab[x, y]), x, y),
@@ -470,14 +480,14 @@ def finite_rigidity_check(gs: GeneralizedScheme) -> bool:
     """True iff every kernel equals the renormalized adjacency of its relation.
 
     The finite rigidity theorem predicts this holds for every input accepted
-    by verify_generalized, which verifies the partition; the adjacency of
-    relation i is renormalized here by its row counts, the valency on a
-    scheme.
+    by verify_generalized, which verifies the partition.  W(x, y) is compared
+    with 1 / #{z : label(x, z) = label(x, y)}, the valency on a scheme, in
+    O(n^2) as d <= n there; a family with a kept kernel fails.
     """
     lab = gs.partition.label
-    adj = lab[None] == np.arange(gs.partition.n_relations)[:, None, None]
-    stochastic = adj / np.maximum(adj.sum(axis=2, keepdims=True), 1)
-    return bool((np.abs(gs.kernels - stochastic).max(axis=(1, 2)) <= 1e-8).all())
+    key = np.arange(lab.shape[0])[:, None] * gs.partition.n_relations + lab
+    count = np.bincount(key.ravel())[key]
+    return not gs._kept and bool((np.abs(gs.W - 1.0 / count) <= 1e-8).all())
 
 
 def translation_property_check(scheme: AssociationScheme) -> tuple[bool, bool]:

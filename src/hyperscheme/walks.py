@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtgraph import Ball, DeformedKernels, haar_weight
+from .dtgraph import Ball, DeformedKernels, _LazyKernels, haar_weight
 from .scheme import CheckFailure, GeneralizedScheme
 
 # simulate_walk draws its uniforms in blocks of about this many; the block
@@ -83,7 +83,8 @@ class KernelFamily:
 
     @classmethod
     def from_generalized(cls, gs: GeneralizedScheme) -> "KernelFamily":
-        mats = {i: gs.kernels[i] for i in range(gs.partition.n_relations)}
+        """The kernels of gs, each built from its W on first read."""
+        mats = _LazyKernels(range(gs.partition.n_relations), gs._kernel)
         return cls(matrices=mats, labels=gs.partition.label[0])
 
     @classmethod

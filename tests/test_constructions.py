@@ -151,10 +151,12 @@ def _cycle_family(m):
 
 def test_constructions_keep_one_read_only_kernel_array():
     """join_scheme, direct_product_scheme and canonical_generalized build
-    their kernels once and hand them over without a copy: the tracemalloc
-    peak stays below 1.5 times the kernel bytes (a second copy made it
-    twice), and the kept arrays are read-only and share no memory with the
-    factors' arrays."""
+    the one n x n weight matrix W of their family and hand it over without
+    a copy: the tracemalloc peak stays below 5.5 times the bytes of W (5.0
+    and 4.8 were measured for the join and the product, most of it the
+    int64 label matrix and its copy; their 11 and 35 dense kernels alone
+    took 11 and 35 times), and W and omega_x are read-only and share no
+    memory with the factors' arrays."""
     c8, c12 = _cycle_family(8), _cycle_family(12)
     x = np.arange(40)
     dist = np.abs(x[:, None] - x[None, :])
@@ -168,11 +170,42 @@ def test_constructions_keep_one_read_only_kernel_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * gs.kernels.nbytes
-        for arr in (gs.kernels, gs.omega_x):
+        assert peak < 5.5 * gs.W.nbytes
+        for arr in (gs.W, gs.omega_x):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.5
             for factor in (c8, c12):
-                assert not np.shares_memory(arr, factor.kernels)
+                assert not np.shares_memory(arr, factor.W)
                 assert not np.shares_memory(arr, factor.omega_x)
         assert hs.verify_generalized(gs).shape == (gs.partition.n_relations,) * 3
+
+
+def test_a_verified_join_holds_no_kernel_stack():
+    """After the join of C8 and C12 (d = 11) is built and verified, less than
+    4 times the bytes of W stays traced: W, the label matrix and the kept
+    check, and not the 11 n x n kernels that the check reads."""
+    tracemalloc.start()
+    try:
+        gs = hs.join_scheme(_cycle_family(8), _cycle_family(12))
+        hs.verify_generalized(gs)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert gs.partition.n_relations == 11
+    assert held < 4 * gs.W.nbytes
+
+
+def test_constructions_refuse_a_factor_with_a_kept_kernel():
+    """A factor whose kernel 1 has an entry off its relation keeps W of the
+    canonical family, but fails axiom (2): the constructions raise that
+    failure instead of building on W."""
+    c8 = _cycle_family(8)
+    kernels = c8.kernels.copy()
+    kernels[1, 0, 0] = 0.5
+    bad = hs.GeneralizedScheme(c8.partition, kernels, c8.omega_x)
+    assert np.array_equal(bad.W, c8.W)
+    for build in (hs.join_scheme, hs.direct_product_scheme):
+        for pair in ((bad, c8), (c8, bad)):
+            with pytest.raises(hs.AxiomViolation) as exc:
+                build(*pair)
+            assert (exc.value.axiom_id, exc.value.witness) == ("2", (1, 0, 0))

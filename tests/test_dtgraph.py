@@ -206,15 +206,43 @@ def test_ball_cap():
 
 
 def test_sphere_kernels_refuse_beyond_physical_memory():
-    """(3, 2, 16) passes the vertex cap, but its 17 dense kernels on 196 606
-    vertices need about 4.9 TiB: both kernel builders refuse before the
-    distance matrix is allocated."""
+    """(3, 2, 16) passes the vertex cap, but one dense kernel on 196 606
+    vertices needs about 288 GiB: the first read of a kernel of either
+    builder refuses before the kernel or the sphere pairs are allocated,
+    and the distance matrix is never built."""
     ball = hs.build_ball(P32, 16)
-    with pytest.raises(hs.BallTooLarge, match="GiB"):
-        hs.KernelFamily.from_ball(ball)
-    with pytest.raises(hs.BallTooLarge, match="GiB"):
-        hs.deform_ball_kernels(ball, hs.BoundaryRay(ball), 0.0)
+    fam = hs.KernelFamily.from_ball(ball)
+    dk = hs.deform_ball_kernels(ball, hs.BoundaryRay(ball), 0.0)
+    for kernels in (fam.matrices, dk.kernels):
+        tracemalloc.start()
+        try:
+            with pytest.raises(hs.BallTooLarge, match="^1 dense 196606 x 196606 "):
+                kernels[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
     assert ball._dist is None
+
+
+def test_ball_memory_guard_counts_the_kernels_built(monkeypatch):
+    """With memory for two dense kernels, a walk that steps with K_1 alone
+    runs, from the library and from the CLI; a second kernel may be read
+    and the third is refused."""
+    ball = hs.build_ball(P32, 3)
+    monkeypatch.setattr(dtgraph, "_physical_memory", lambda: 2 * ball.n ** 2 * 8)
+    fam = hs.KernelFamily.from_ball(ball)
+    walk = hs.simulate_walk(fam, hs.StepDistribution({1: 1}), steps=2, trials=100,
+                            seed=0)
+    assert sum(walk.empirical.values()) == pytest.approx(1.0)
+    assert np.array_equal(fam.matrices[0], np.eye(ball.n))
+    with pytest.raises(hs.BallTooLarge, match=f"^3 dense {ball.n} x {ball.n} "):
+        fam.matrices[2]
+    assert main(["walk", "--dtgraph", "3,2,3", "--mu", "1:1", "--steps", "2",
+                 "--trials", "20000", "--seed", "0"]) == 0
+    monkeypatch.setattr(dtgraph, "_physical_memory", lambda: ball.n ** 2 * 8 - 1)
+    assert main(["walk", "--dtgraph", "3,2,3", "--mu", "1:1", "--steps", "2",
+                 "--trials", "100", "--seed", "0"]) == 2
 
 
 def test_metric_matches_bfs():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hyperscheme as hs
+from hyperscheme.scheme import KERNEL_TOL
 
 
 def test_k3_counting(k3_scheme):
@@ -298,7 +299,7 @@ def test_generalized_scheme_holds_read_only_copies(k3_scheme):
     for checked_first in (False, True):
         kernels, omega = gs.kernels.copy(), gs.omega_x.copy()
         own = hs.GeneralizedScheme(gs.partition, kernels, omega)
-        for arr in (own.kernels, own.omega_x):
+        for arr in (own.W, own.kernels, own.omega_x):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.5
         if checked_first:
@@ -346,3 +347,39 @@ def test_stochastic_linearization_exact(k3_scheme):
                          int(w[i]) * int(w[j])) * S[k]
                 for k in range(d))
             assert (prod == recon).all()
+
+
+def test_kernels_are_built_from_w_on_each_read(z4_scheme):
+    """A family holds W, the kernel of each pair's relation at that pair;
+    kernels is a new read-only stack on each read."""
+    gs = hs.canonical_generalized(z4_scheme)
+    lab = gs.partition.label
+    assert gs.W.shape == lab.shape
+    assert gs.kernels is not gs.kernels
+    assert np.array_equal(np.take_along_axis(gs.kernels, lab[None], axis=0)[0], gs.W)
+    assert np.array_equal(gs.kernels.sum(axis=0), gs.W)
+
+
+def test_entries_off_their_relation(z4_scheme):
+    """An entry of a kernel off its relation within +-KERNEL_TOL is dropped:
+    the family reads back with 0 there, verifies and is rigid.  The first
+    kernel with one outside, or a NaN, is kept as given, and fails axiom (2)
+    and rigidity; a later such kernel is dropped to W."""
+    gs = hs.canonical_generalized(z4_scheme)
+    want = hs.verify_generalized(gs)
+    kernels = gs.kernels.copy()
+    kernels[1, 0, 0] = kernels[2, 0, 0] = 0.5 * KERNEL_TOL
+    small = hs.GeneralizedScheme(gs.partition, kernels, gs.omega_x)
+    assert np.array_equal(small.kernels, gs.kernels)
+    assert hs.verify_generalized(small).tobytes() == want.tobytes()
+    assert hs.finite_rigidity_check(small)
+    for value in (2 * KERNEL_TOL, np.nan):
+        kernels[1, 0, 0] = kernels[2, 0, 0] = value
+        bad = hs.GeneralizedScheme(gs.partition, kernels, gs.omega_x)
+        assert np.array_equal(bad.kernels[1], kernels[1], equal_nan=True)
+        assert np.array_equal(bad.kernels[2], gs.kernels[2])
+        with pytest.raises(hs.AxiomViolation) as exc:
+            hs.verify_generalized(bad)
+        assert (exc.value.axiom_id, exc.value.witness, str(exc.value)) == \
+            ("2", (1, 0, 0), "support of kernel 1 does not match relation 1")
+        assert hs.finite_rigidity_check(bad) is False

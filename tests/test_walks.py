@@ -1,7 +1,9 @@
 """Convolution powers, Monte Carlo walks, and the projection property."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -190,11 +192,12 @@ def test_walk_would_exit_ball():
 def test_zero_row_of_a_generalized_family_is_not_stepped_from(z4_scheme):
     """A zero kernel row marks a state the walk may not step from, in any
     family: a walk that can reach it is refused, one that cannot runs."""
-    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(z4_scheme))
+    base = hs.KernelFamily.from_generalized(hs.canonical_generalized(z4_scheme))
     label = z4_scheme.partition.label
     one, two = int(label[0, 1]), int(label[0, 2])
-    fam.matrices[two] = fam.matrices[two].copy()
-    fam.matrices[two][1] = 0.0
+    edited = base.matrices[two].copy()
+    edited[1] = 0.0
+    fam = hs.KernelFamily(matrices={**base.matrices, two: edited}, labels=base.labels)
     assert fam.valid[two].tolist() == [True, False, True, True]
 
     reaching = hs.StepDistribution({one: Fraction(1, 2), two: Fraction(1, 2)})
@@ -354,3 +357,23 @@ def test_simulate_walk_memory_bounded_by_block(k3_scheme):
         tracemalloc.stop()
     assert walk.trials == 10 ** 6
     assert peak < 4 * 2 ** 20
+
+
+def test_lazy_kernels_are_freed_with_their_family(z4_scheme):
+    """A lazy kernel mapping is in no reference cycle, so the kernels it
+    built are freed as soon as its family is dropped, not at the next
+    cyclic collection."""
+    gc.disable()
+    try:
+        ball = hs.build_ball(hs.DTParams(3, 2), 3)
+        gs = hs.canonical_generalized(z4_scheme)
+        for build in (lambda: hs.KernelFamily.from_ball(ball),
+                      lambda: hs.KernelFamily.from_deformed(
+                          hs.deform_ball_kernels(ball, hs.BoundaryRay(ball), 0.3)),
+                      lambda: hs.KernelFamily.from_generalized(gs)):
+            fam = build()
+            kernel = weakref.ref(fam.matrices[1])
+            del fam
+            assert kernel() is None
+    finally:
+        gc.enable()

@@ -2,17 +2,19 @@
 hypergroup, against the number of points n and relations d.
 
 Each case builds the canonical kernel family of a direct product or a join
-of two cycle schemes (C_m: d = m // 2 + 1), then times a fresh family
-through `verify_generalized` followed by `from_generalized`, the way a
-caller that checks a family and then uses its hypergroup does.  Products
-have n = m1 m2 and d = d1 d2; joins have n = m1 m2 and d = d1 + d2 - 1.
+of two cycle schemes (C_m: d = m // 2 + 1), timing that construction from
+the two factor families, then times a fresh family through
+`verify_generalized` followed by `from_generalized`, the way a caller that
+checks a family and then uses its hypergroup does.  Products have
+n = m1 m2 and d = d1 d2; joins have n = m1 m2 and d = d1 + d2 - 1.
 A verification costs d^2 dense n x n products, so the products stop at
 smaller n than the joins.
 
-Times are medians of three runs; the tracemalloc peak of each of the two
-calls comes from a fourth, traced run.  Every case runs in its own process
-with BLAS on one thread, and the cases run under each SRC in turn, so two
-source trees (a parent and a change) see the same machine state.
+Times are medians of three runs; the tracemalloc peak of the construction
+and of each of the two calls comes from a fourth, traced run.  Every case
+runs in its own process with BLAS on one thread, and the cases run under
+each SRC in turn, so two source trees (a parent and a change) see the same
+machine state.
 
     python3 tools/generalized_scaling.py [SRC ...]
 
@@ -48,7 +50,18 @@ def measure(kind: str, m1: int, m2: int) -> dict:
     import hyperscheme as hs
 
     build = hs.direct_product_scheme if kind == "product" else hs.join_scheme
-    gs = build(cycle_family(hs, m1), cycle_family(hs, m2))
+    factors = cycle_family(hs, m1), cycle_family(hs, m2)
+
+    def timed_build():
+        t0 = time.perf_counter()
+        build(*factors)
+        return time.perf_counter() - t0
+
+    build_s = statistics.median(timed_build() for _ in range(3))
+    tracemalloc.start()
+    gs = build(*factors)
+    build_peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
 
     def fresh():    # a family no call has checked yet
         return hs.GeneralizedScheme(gs.partition, gs.kernels, gs.omega_x)
@@ -71,7 +84,8 @@ def measure(kind: str, m1: int, m2: int) -> dict:
         tracemalloc.stop()
     verify_s, from_s = (statistics.median(r[i] for r in runs) for i in (0, 1))
     return {"kind": kind, "m1": m1, "m2": m2, "n": gs.partition.n_points,
-            "d": gs.partition.n_relations, "verify_generalized_s": verify_s,
+            "d": gs.partition.n_relations, "build_s": build_s,
+            "build_peak_mib": build_peak, "verify_generalized_s": verify_s,
             "from_generalized_s": from_s, "total_s": verify_s + from_s,
             "verify_generalized_peak_mib": peaks[0],
             "from_generalized_peak_mib": peaks[1]}
