@@ -76,7 +76,7 @@ def _int_dtype(bound: int):
 
 
 def _absmax(a: np.ndarray) -> int:
-    return int(np.abs(a).max(initial=0))
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))     # no |a| copy
 
 
 def _check_law(labels, t: int = 1, n=math.inf, cap=None):
@@ -126,8 +126,9 @@ class FiniteHypergroup:
         self.is_exact = num.dtype != float
         if self.is_exact:
             g = math.gcd(int(np.gcd.reduce(num.ravel())), den)
-            num, den = num // g, den // g
-            num = num.astype(_int_dtype(max(_absmax(num), den)))
+            if g != 1:
+                num, den = num // g, den // g
+            num = num.astype(_int_dtype(max(_absmax(num), den)), copy=False)
         num.setflags(write=False)
         self.n, self.num, self.den = int(num.shape[0]), num, int(den)
         self.identity = int(identity)
@@ -206,15 +207,24 @@ class FiniteHypergroup:
 
 
 def _rescaled(num, den, s, scale=1):
-    """(num', den') with num'/den' = scale * num[i,j,k]/den * s[k]/(s[i] s[j])
-    for positive integers s, in int64 when the values fit."""
+    """(num', den') in lowest terms with num'/den' = scale * num[i,j,k]/den *
+    s[k]/(s[i] s[j]) for positive integers s, in int64 when the values fit.
+    num' is one new array, scaled and reduced in place."""
     s = [int(v) for v in s]
     lcm = math.lcm(*s)
     dt = _int_dtype(max(1, _absmax(num)) * scale * max(s) * lcm * lcm)
     q = np.array([lcm // v for v in s], dtype=dt)
-    s = np.array(s, dtype=dt)
-    out = num.astype(dt) * scale * s[None, None, :]
-    return out * q[:, None, None] * q[None, :, None], den * lcm * lcm
+    out = num.astype(dt)
+    if scale != 1:
+        out *= scale
+    out *= np.array(s, dtype=dt)[None, None, :]
+    out *= q[:, None, None]
+    out *= q[None, :, None]
+    den = den * lcm * lcm
+    g = math.gcd(int(np.gcd.reduce(out.ravel())), den)
+    if g != 1:
+        out //= g
+    return out, den // g
 
 
 def from_scheme(scheme: AssociationScheme) -> FiniteHypergroup:

@@ -168,13 +168,15 @@ class GeneralizedScheme:
 
     @property
     def kernels(self) -> np.ndarray:
-        """A new read-only (n_relations, n, n) stack of the S_i, from W."""
-        S = np.zeros((self.partition.n_relations, *self.W.shape))
-        np.put_along_axis(S, self.partition.label[None], self.W[None], axis=0)
+        """The S_i, from W: a read-only (n_relations, n, n) view of a new
+        (n, n_relations, n) array, whose rows [S_0(x) ... S_d-1(x)] make one
+        n x (n_relations n) matrix."""
+        S = np.zeros((self.W.shape[0], self.partition.n_relations, self.W.shape[1]))
+        np.put_along_axis(S, self.partition.label[:, None], self.W[:, None], axis=1)
         for i, s in self._kept.items():
-            S[i] = s
+            S[:, i] = s
         S.setflags(write=False)
-        return S
+        return S.transpose(1, 0, 2)
 
     @cached_property
     def verified(self) -> tuple[AssociationScheme, np.ndarray]:
@@ -217,14 +219,16 @@ def _recover_involution(partition: RelationPartition, rx: np.ndarray,
 _EXACT_FLOAT_COUNT = 2 ** 53
 
 
-def _generators(num: np.ndarray):
-    """Yield, in increasing order, the i whose slices num[i] must be checked;
-    the caller stops at the first that fails.
+def _generation(num: np.ndarray):
+    """Yield (x, pair) for every slice x of num, in the order the closure
+    below reaches them: pair is None for a slice that must be checked, and
+    (y, z) for a slice generated by two slices yielded before it.  The
+    caller may stop at any slice; _generators gives the checked ones.
 
     num is a hypergroup tensor or a scheme's p.  Slice x passes iff delta_x
     lies in the left nucleus (Teichmueller identity), or A_x maps the
     Bose-Mesner span into itself: a subalgebra either way, so once the
-    yielded slices pass, so does that of every x their deltas or A_x
+    checked slices pass, so does that of every x their deltas or A_x
     generate.  Those x are found by closure: x is generated when it is the
     one support point of num[y, z], for generated y and z, not yet generated.
     """
@@ -243,13 +247,21 @@ def _generators(num: np.ndarray):
     for i in range(n):
         if not fresh[i]:
             continue
-        yield i
-        x = i
-        while x is not None:
+        x, pair = i, None
+        while True:
+            yield x, pair
             fresh[x] = False
             score -= gain[x]
-            pair = score.argmin()
-            x = int((support[pair] & fresh).argmax()) if score[pair] == 0 else None
+            yz = int(score.argmin())
+            if score[yz] != 0:
+                break
+            x, pair = int((support[yz] & fresh).argmax()), divmod(yz, n)
+
+
+def _generators(num: np.ndarray):
+    """Yield, in increasing order, the i whose slices num[i] must be checked
+    (see _generation); the caller stops at the first that fails."""
+    return (x for x, pair in _generation(num) if pair is None)
 
 
 def verify_scheme(partition: RelationPartition) -> AssociationScheme:
@@ -405,16 +417,60 @@ def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
     counting on the partition, (2) support matching, (3) nonnegative span
     closure, (4) identity kernel, (5) adjoint relation.  The checks run once
     per family, in gs.verified; each call returns a copy of p~ of its own.
+
+    Span closure, S_i S_j = sum_k p~[i, j, k] S_k within 1e-8 at every
+    entry, is checked on full products only for a generating set.  The i
+    whose S_i maps the span of the family into itself form an algebra, so
+    once S_y and S_z pass, so does S_x = (S_y S_z - sum_{k != x} p~[y, z, k]
+    S_k) / p~[y, z, x].  In doubles, a slice x derived so is skipped only
+    when a bound carried from the residuals of y, z and the other k proves
+    each of its residuals within 1e-8 (see _verify_kernels); otherwise it is
+    checked too.  So the verdict, and on a failure the first failing (i, j)
+    with its witness, are those of the check of all d^2 products.  p~ >= 0
+    holds without a test: past (2) every kernel entry is a nonnegative
+    double, and so are their products.
     """
     return gs.verified[1].copy()
+
+
+def _gathered(S: np.ndarray, rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """[i, j, k] -> (S_i S_j)(rx_k, ry_k) for a (d, n, n) view S of an
+    (n, d, n) stack, from the row gathers S_i[rx] @ S_j: the dot products
+    of the full product S_i @ S_j, so the same doubles.  row is
+    [S_0 ... S_d-1], a view, and each product takes jb kernels, at most
+    n^2 doubles when d <= n."""
+    d, n = S.shape[:2]
+    at, row, jb = np.arange(d), S.transpose(1, 0, 2).reshape(n, d * n), max(1, n // d)
+    out = np.empty((d, d, d))
+    for i in range(d):
+        gather = S[i][rx]
+        for j in range(0, d, jb):
+            block = gather @ row[:, j * n:(j + jb) * n]
+            out[i, j:j + jb] = block.reshape(d, -1, n)[at, :, ry].T
+    return out
 
 
 def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndarray:
     """Axioms (2)-(5) of verify_generalized for kernels on a partition that
     verify_scheme already turned into scheme; returns p~.  Only
-    GeneralizedScheme.verified calls it."""
+    GeneralizedScheme.verified calls it.
+
+    (3) runs on the slices in the order of _generation(scheme.p); p~[y, z]
+    has the support of p[y, z].  r[x, j] bounds the residual |S_x S_j -
+    sum_k p~[x, j, k] S_k|: the largest one measured for a checked slice.
+    For x generated by (y, z), S_x S_j = (S_y S_z S_j - sum_{k done}
+    p~[y, z, k] S_k S_j) / p~[y, z, x] up to the error E, whose entries are
+    at most g_j = (sum_l p~[z, j, l] r[y, l] + (1 + 1e-8) r[z, j]
+    + sum_{k done} p~[y, z, k] r[k, j] + r[y, z] colmax_j) / p~[y, z, x],
+    as p~ >= 0, the rows of S_y sum to at most 1 + 1e-8 and colmax_j is the
+    largest column sum of S_j.  The coefficients read at the largest entry
+    of each relation move by at most E there, so a residual is at most
+    2 g_j, plus 8 (n + 2) 2^-52 max(1, colmax_j) for the doubles.  x is
+    skipped, with that sum as r[x, j], when it is within 1e-8 for every j.
+    The first failing checked slice runs the ordered scan of all (i, j)."""
     part = gs.partition
     n, d = part.n_points, part.n_relations
+    order = list(_generation(scheme.p))     # its d^3 bookkeeping goes before the stack
     lab, W, S = part.label, gs.W, gs.kernels    # the stack lives for this call only
 
     # (2) support condition and row-stochasticity; each test is written so
@@ -453,26 +509,56 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
         y, x = map(int, np.argwhere(bad & (lab.T == i))[0])
         raise AxiomViolation("5", (i, x, y), "adjoint relation fails")
 
-    # (3) span closure: read each coefficient off one representative entry
-    # (the largest W entry of relation k), then verify the whole matrix
-    # identity against coeff[label] * W
+    # (3) span closure.  p~[i, j, k] is read off S_i S_j at the largest W
+    # entry (rx_k, ry_k) of relation k
     rx, ry = np.unravel_index(
         [np.argmax(np.where(lab == k, W, -np.inf)) for k in range(d)], (n, n))
-    ptilde = np.zeros((d, d, d))
-    for i in range(d):
+    top = W[rx, ry]
+    ptilde = _gathered(S, rx, ry)
+    ptilde /= top
+
+    def span(i, j):
+        """p~[i, j] read off the full product S_i S_j, and |S_i S_j -
+        sum_k p~[i, j, k] S_k|."""
+        prod = S[i] @ S[j]
+        coeff = prod[rx, ry] / top
+        fit = coeff[lab]
+        fit *= W
+        prod -= fit
+        return coeff, np.abs(prod, out=prod)
+
+    def first_failure():
+        """The failure of the first (i, j), in order, whose residual
+        exceeds 1e-8."""
+        for i in range(d):
+            for j in range(d):
+                resid = span(i, j)[1]
+                if resid.max() > 1e-8:
+                    x, y = map(int, np.argwhere(resid > 1e-8)[0])
+                    return AxiomViolation("3", (i, j, int(lab[x, y]), x, y),
+                                          "kernel product leaves the span of the family")
+
+    # the generating-set check of the docstring; a slice not yet reached
+    # has r = 0 and, but for x, p~[y, z] = 0 on it
+    colmax = S.sum(axis=1).max(axis=1)
+    slack = 8 * (n + 2) * 2.0 ** -52 * np.maximum(1.0, colmax)
+    r = np.zeros((d, d))
+    for x, pair in order:
+        if pair is not None:
+            y, z = pair
+            done = ptilde[y, z].copy()
+            done[x] = 0.0
+            g = (ptilde[z] @ r[y] + (1 + 1e-8) * r[z] + done @ r
+                 + r[y, z] * colmax) / ptilde[y, z, x]
+            bound = 2 * g + slack
+            if (bound <= 1e-8).all():
+                r[x] = bound
+                continue
         for j in range(d):
-            prod = S[i] @ S[j]
-            coeff = prod[rx, ry] / W[rx, ry]
-            if (coeff < -KERNEL_TOL).any():
-                k = int(np.argmax(coeff < -KERNEL_TOL))
-                raise AxiomViolation("3", (i, j, k), "negative span coefficient")
-            coeff = np.where(0.0 > coeff, 0.0, coeff)   # max(coeff, 0.0), -0.0 kept
-            ptilde[i, j] = coeff
-            resid = np.abs(prod - coeff[lab] * W)
-            if resid.max() > 1e-8:
-                x, y = map(int, np.argwhere(resid > 1e-8)[0])
-                raise AxiomViolation("3", (i, j, int(lab[x, y]), x, y),
-                                     "kernel product leaves the span of the family")
+            ptilde[x, j], resid = span(x, j)
+            r[x, j] = resid.max()
+            if r[x, j] > 1e-8:
+                raise first_failure()
     return ptilde
 
 

@@ -1,5 +1,7 @@
 """Hypergroup axioms, Haar, characters, Fourier analysis, deformations."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,42 @@ def test_from_scheme_z4(z4_scheme):
             for k in range(4):
                 want = Fraction(1) if k == (i + j) % 4 else Fraction(0)
                 assert h.conv[i][j][k] == want
+
+
+def test_from_scheme_holds_one_copy_of_p():
+    """The 200-cycle (d = 101): from_scheme scales one copy of p in place,
+    so its tracemalloc peak stays within 1.5 p.nbytes (it was 3.0), and the
+    reduced numerators and denominator are those of the out-of-place
+    formula num = p[i, j, k] s_k q_i q_j over lcm^2, with s the valencies
+    and q = lcm / s."""
+    x = np.arange(200)
+    dist = np.abs(x[:, None] - x[None, :])
+    scheme = hs.verify_scheme(hs.RelationPartition(200, 101, np.minimum(dist, 200 - dist)))
+    p, s = scheme.p, scheme.valency
+    tracemalloc.start()
+    try:
+        h = hs.from_scheme(scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * p.nbytes
+    lcm = math.lcm(*s.tolist())
+    q = lcm // s
+    num = p * s[None, None, :] * q[:, None, None] * q[None, :, None]
+    g = math.gcd(int(np.gcd.reduce(num.ravel())), lcm * lcm)
+    assert g > 1 and h.num.dtype == np.int64
+    assert np.array_equal(h.num, num // g) and h.den == lcm * lcm // g
+    assert not h.num.flags.writeable and not np.shares_memory(h.num, p)
+
+
+def test_of_leaves_the_callers_numerators_as_given():
+    """_of reduces a tensor with a common factor into a new array."""
+    base = hs.from_scheme(hs.verify_scheme(hs.RelationPartition(
+        4, 3, np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]))))
+    num = base.num * 6
+    h = hs.FiniteHypergroup._of(num, base.den * 6, base.identity, base.involution, True)
+    assert np.array_equal(num, base.num * 6)
+    assert np.array_equal(h.num, base.num) and h.den == base.den
 
 
 def test_from_generalized_matches_from_scheme(k3_scheme, z4_scheme):

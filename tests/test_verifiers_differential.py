@@ -491,15 +491,51 @@ def _rectangles(gs, limit=40):
 RECTANGLES = [(g, r) for g, gs in enumerate(GENERALIZED) for r in _rectangles(gs)]
 
 
+def canonical_cycle(m):
+    return hs.canonical_generalized(hs.verify_scheme(cycle_partition(m)))
+
+
+def symmetric_perturbation(gs, rectangle, t):
+    """The kernels of gs with M / omega_x(x) added to S_i(x, .), where
+    M = t (Q + Q^T) for the +1/-1 rectangle Q on relation i, a self-paired
+    relation: M is symmetric with zero row sums, so S_i stays row-stochastic
+    and the adjoint relation omega(y) S_i(y, x) = omega(x) S_i(x, y) holds."""
+    i, x, x2, y, y2 = rectangle
+    Q = np.zeros((gs.partition.n_points,) * 2)
+    Q[[x, x, x2, x2], [y, y2, y, y2]] = [1, -1, -1, 1]
+    kernels = gs.kernels.copy()
+    kernels[i] += t * (Q + Q.T) / gs.omega_x[:, None]
+    return kernels
+
+
+def _off_the_generators(gs):
+    """The rectangles of gs on self-paired relations whose slices
+    _generators(p) does not yield, so that closure derives them."""
+    gens = set(_generators(hs.verify_scheme(gs.partition).p))
+    inv = ref.recover_involution(gs.partition)
+    return [r for r in _rectangles(gs) if r[0] not in gens and inv[r[0]] == r[0]]
+
+
+NON_GENERATING = [(gs, r) for gs in GENERALIZED + [canonical_cycle(8), canonical_cycle(12)]
+                  for r in _off_the_generators(gs)]
+
+
 @st.composite
 def perturbed_generalized(draw):
-    """The raw arrays of a family: either random noise on one kernel (failing
-    the support, stochastic or adjoint axioms) or a +t/-t rectangle Q with
-    zero row and column sums added to S_i, and Q^T to S_bar(i): the adjoint
-    relation then still holds, so span closure (3) decides.  Then, in some
-    draws, one cell of a kernel off its relation is set to NaN, +-2
-    KERNEL_TOL or 0.5, which only the arrays as given carry."""
-    if draw(st.booleans()):
+    """The raw arrays of a family: random noise on one kernel (failing the
+    support, stochastic or adjoint axioms); a +t/-t rectangle Q with zero row
+    and column sums added to S_i, and Q^T to S_bar(i); or a symmetric
+    perturbation of one kernel that closure derives from the generating set
+    (symmetric_perturbation).  With the last two the adjoint relation still
+    holds, so span closure (3) decides.  Then, in some draws, one cell of a
+    kernel off its relation is set to NaN, +-2 KERNEL_TOL or 0.5, which only
+    the arrays as given carry."""
+    kind = draw(st.sampled_from(["rectangle", "symmetric", "noise"]))
+    if kind == "symmetric":
+        gs, rectangle = draw(st.sampled_from(NON_GENERATING))
+        t = draw(st.sampled_from([1e-12, 2e-9, 5e-9, 1e-6, 1e-3]))
+        kernels = symmetric_perturbation(gs, rectangle, t)
+    elif kind == "rectangle":
         g, (i, x, x2, y, y2) = draw(st.sampled_from(RECTANGLES))
         gs = GENERALIZED[g]
         kernels = gs.kernels.copy()
@@ -539,6 +575,88 @@ def test_generalized_outcome_matches_reference(raw):
     gs = hs.GeneralizedScheme(raw.partition, raw.kernels, raw.omega_x)
     assert outcome(hs.verify_generalized, gs) == want
     assert outcome(lambda g: hs.from_generalized(g).conv_f, gs) == want
+
+
+def _span_residuals(gs):
+    """[i, j] -> the largest residual of S_i S_j against its span, as the
+    reference reads it, for a family that passes axioms (2), (4) and (5)."""
+    lab, S, d = gs.partition.label, gs.kernels, gs.partition.n_relations
+    W = np.take_along_axis(S, lab[None], axis=0)[0]
+    rx, ry = np.unravel_index([np.argmax(np.where(lab == k, W, -np.inf))
+                               for k in range(d)], lab.shape)
+    out = np.zeros((d, d))
+    for i, j in itertools.product(range(d), repeat=2):
+        prod = S[i] @ S[j]
+        out[i, j] = np.abs(prod - (prod[rx, ry] / W[rx, ry])[lab] * W).max()
+    return out
+
+
+def test_span_defect_off_the_generating_set_is_found():
+    """On the 8-cycle (generating set [0, 1]) a symmetric perturbation of S_2
+    of size 4e-9 keeps the residuals of slices 0 and 1 below 1e-8 and puts
+    those above it in slices 2 and 4, which closure derives.  The residuals
+    of the checked slices are too large for the carried bound to skip
+    slice 2, so it is checked, and the failure is that of the full scan."""
+    base = canonical_cycle(8)
+    assert list(_generators(hs.verify_scheme(base.partition).p)) == [0, 1]
+    gs = hs.GeneralizedScheme(base.partition,
+                              symmetric_perturbation(base, (2, 0, 4, 2, 6), 4e-9),
+                              base.omega_x)
+    resid = _span_residuals(gs)
+    assert 1e-9 < resid[:2].max() <= 1e-8
+    assert np.flatnonzero((resid > 1e-8).any(axis=1)).tolist() == [2, 4]
+    want = outcome(ref.verify_generalized, gs)
+    assert want[:2] == ("fail", "3") and want[2][:2] == (2, 4)
+    assert outcome(hs.verify_generalized, gs) == want
+
+
+@pytest.mark.parametrize("case", range(0, len(NON_GENERATING), 7))
+def test_span_residuals_near_the_tolerance_match_reference(case):
+    """Families that keep axioms (2), (4) and (5), with residuals from 1e-9
+    to 1e-8 on the checked slices, so that the carried bound cannot skip a
+    derived slice: the outcome, pass or fail, is the reference's, p~ bit
+    for bit."""
+    gs, rectangle = NON_GENERATING[case]
+    gens = list(_generators(hs.verify_scheme(gs.partition).p))
+    unit = _span_residuals(hs.GeneralizedScheme(
+        gs.partition, symmetric_perturbation(gs, rectangle, 1e-9), gs.omega_x))[gens].max()
+    for target in np.geomspace(1.1e-9, 9e-9, 6):
+        fam = hs.GeneralizedScheme(
+            gs.partition, symmetric_perturbation(gs, rectangle, 1e-9 * target / unit),
+            gs.omega_x)
+        assert 1e-9 <= _span_residuals(fam)[gens].max() <= 1e-8
+        want = outcome(ref.verify_generalized, fam)
+        assert outcome(hs.verify_generalized, fam) == want
+
+
+@given(st.sampled_from(GENERALIZED + [canonical_cycle(8)]), st.integers(0, 2 ** 16),
+       st.sampled_from([0.0, -0.0, KERNEL_TOL, -KERNEL_TOL]))
+def test_span_coefficients_past_axiom_2_are_nonnegative(base, seed, stray):
+    """Any family that passes axiom (2) has nonnegative kernels, so every
+    entry of S_i S_j, and every coefficient p~ read off one, is a
+    nonnegative double, never -0.0.  Random weights on each relation, down
+    to 1.0001 KERNEL_TOL, rows normalized within each relation, and entries
+    off the relations within +-KERNEL_TOL, which the family drops."""
+    rng = np.random.default_rng(seed)
+    part = base.partition
+    lab, n, d = part.label, part.n_points, part.n_relations
+    W = rng.choice([1.0001 * KERNEL_TOL, 1e-3, 1.0], (n, n)) * rng.uniform(1, 2, (n, n))
+    W /= np.take_along_axis(
+        np.stack([np.where(lab == i, W, 0.0).sum(axis=1) for i in range(d)], axis=1),
+        lab, axis=1)
+    raw = np.where(np.arange(d)[:, None, None] == lab[None], W[None], stray)
+    gs = hs.GeneralizedScheme(part, raw, base.omega_x)
+    if outcome(ref.verify_generalized, gs)[:2] == ("fail", "2"):
+        return
+    S = gs.kernels
+    assert (S >= 0).all() and not np.signbit(S).any()
+    rx, ry = np.unravel_index([np.argmax(np.where(lab == k, gs.W, -np.inf))
+                               for k in range(d)], (n, n))
+    for i, j in itertools.product(range(d), repeat=2):
+        prod = S[i] @ S[j]
+        coeff = prod[rx, ry] / gs.W[rx, ry]
+        assert (prod >= 0).all() and not np.signbit(prod).any()
+        assert (coeff >= 0).all() and not np.signbit(coeff).any()
 
 
 def test_verify_hypergroup_memory_is_cubic():

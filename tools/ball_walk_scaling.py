@@ -1,17 +1,23 @@
 """Time and memory of a ball walk against the ball size n, and of the
 walk sampler against the kernel row width.
 
+A walk builds the kernels of its step law on their first read, so every
+row times the family's build with its first walk, `first_walk_s`, and
+beside it `walk_s`, the median of three later walks on the same family,
+which read built kernels.
+
 Ball size: for each ball, a fresh `build_ball`, then
-`KernelFamily.from_ball`, then a 2-step `simulate_walk` (mu = 1/2 on steps
-1 and 2, 30 000 trials, seed 0) and `propagate_and_project`.  The balls
+`KernelFamily.from_ball` and a 2-step `simulate_walk` (mu = 1/2 on steps
+1 and 2, 30 000 trials, seed 0) with `propagate_and_project`.  The balls
 are Gamma(3, 2) with R = 4..10, where n doubles with R, and the path
 Gamma(2, 2) with R in {50, 100, 200, 300}, where n = 2R + 1 and a term in
 n R^2 would show.
 
-Row width: `simulate_walk` alone (30 000 trials, seed 0) with one step
-label h = 1..6 on the Gamma(3, 2) ball of radius 10, R // h steps, so
-every row read has width w_h = 3 * 2^(h-1), 3..96; then the complete
-graphs K_300 and K_1000 (mu = delta_1, 2 steps, row width m - 1).
+Row width: `KernelFamily.from_ball` of the Gamma(3, 2) ball of radius 10,
+then `simulate_walk` alone (30 000 trials, seed 0) with one step label
+h = 1..6, R // h steps, so every row read has width w_h = 3 * 2^(h-1),
+3..96; then the complete graphs K_300 and K_1000
+(`KernelFamily.from_generalized`, mu = delta_1, 2 steps, row width m - 1).
 
 Times are medians of three runs; the tracemalloc peak is that of a
 fourth, traced run.  Every case runs in its own process, so one case's
@@ -57,30 +63,42 @@ def _timed(run, row: dict) -> dict:
     return row
 
 
+def _walks(build, walk) -> dict:
+    """first_walk_s: build() and the first walk(family), which builds the
+    kernels it reads; walk_s: the median of three later walks."""
+    t0 = time.perf_counter()
+    fam = build()
+    walk(fam)
+    first = time.perf_counter() - t0
+    later = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        walk(fam)
+        later.append(time.perf_counter() - t0)
+    return {"first_walk_s": first, "walk_s": statistics.median(later)}
+
+
 def measure_ball(a: int, b: int, R: int) -> dict:
     import hyperscheme as hs
 
     params = hs.DTParams(a, b)
     mu = hs.StepDistribution({1: Fraction(1, 2), 2: Fraction(1, 2)})
 
-    def run():
-        ball = hs.build_ball(params, R)
-        t0 = time.perf_counter()
-        fam = hs.KernelFamily.from_ball(ball)
-        t1 = time.perf_counter()
+    def walk(fam):
         hs.simulate_walk(fam, mu, 2, TRIALS, 0)
         hs.propagate_and_project(fam, mu, 2)
-        return {"from_ball_s": t1 - t0, "walk_s": time.perf_counter() - t1}
+
+    def run():
+        ball = hs.build_ball(params, R)
+        return _walks(lambda: hs.KernelFamily.from_ball(ball), walk)
 
     return _timed(run, {"a": a, "b": b, "R": R,
                         "n": hs.dtgraph.ball_size(params, R)})
 
 
-def _walk_only(hs, fam, mu, steps: int, row: dict) -> dict:
+def _walk_only(hs, build, mu, steps: int, row: dict) -> dict:
     def run():
-        t0 = time.perf_counter()
-        hs.simulate_walk(fam, mu, steps, TRIALS, 0)
-        return {"walk_s": time.perf_counter() - t0}
+        return _walks(build, lambda fam: hs.simulate_walk(fam, mu, steps, TRIALS, 0))
 
     row = _timed(run, {**row, "steps": steps, "trials": TRIALS})
     row["ns_per_trial_step"] = 1e9 * row["walk_s"] / (TRIALS * steps)
@@ -91,8 +109,9 @@ def measure_width(h: int) -> dict:
     import hyperscheme as hs
 
     params = hs.DTParams(3, 2)
-    fam = hs.KernelFamily.from_ball(hs.build_ball(params, WIDTH_RADIUS))
-    return _walk_only(hs, fam, hs.StepDistribution({h: 1}), WIDTH_RADIUS // h,
+    ball = hs.build_ball(params, WIDTH_RADIUS)
+    return _walk_only(hs, lambda: hs.KernelFamily.from_ball(ball),
+                      hs.StepDistribution({h: 1}), WIDTH_RADIUS // h,
                       {"a": 3, "b": 2, "R": WIDTH_RADIUS, "h": h,
                        "width": int(hs.haar_weight(h, params))})
 
@@ -103,10 +122,10 @@ def measure_complete(m: int) -> dict:
     import hyperscheme as hs
 
     label = (np.arange(m)[:, None] != np.arange(m)[None, :]).astype(int)
-    sch = hs.verify_scheme(hs.RelationPartition(n_points=m, n_relations=2, label=label))
-    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(sch))
-    return _walk_only(hs, fam, hs.StepDistribution({1: 1}), 2,
-                      {"complete": m, "width": m - 1})
+    gs = hs.canonical_generalized(hs.verify_scheme(
+        hs.RelationPartition(n_points=m, n_relations=2, label=label)))
+    return _walk_only(hs, lambda: hs.KernelFamily.from_generalized(gs),
+                      hs.StepDistribution({1: 1}), 2, {"complete": m, "width": m - 1})
 
 
 MEASURE = {"ball": measure_ball, "width": measure_width, "complete": measure_complete}
