@@ -19,6 +19,7 @@ from itertools import islice
 
 import numpy as np
 
+from .banded import Band, g_coeffs, haar_weight
 from .hypergroup import _check_law, _ratios
 from .scheme import CheckFailure, _physical_memory
 
@@ -73,42 +74,6 @@ class DTParams:
     def __post_init__(self):
         if self.a < 2 or self.b < 2:
             raise DomainError("parameters must satisfy a, b >= 2")
-
-
-def haar_weight(n: int, params: DTParams) -> int:
-    """Haar weight: 1 at n=0, a(a-1)^{n-1}(b-1)^n for n >= 1 (= sphere size)."""
-    a, b = params.a, params.b
-    return 1 if n == 0 else a * (a - 1) ** (n - 1) * (b - 1) ** n
-
-
-def intersection_numbers(m: int, n: int, params: DTParams) -> dict:
-    """p_{m,n}^k = g_{m,n,k} h(m) h(n) / h(k): for vertices x, y at distance
-    k, the number of vertices at distance m from x and n from y, an integer
-    (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 1989).  Keys run
-    m+n, |m-n|, then the odd and the even steps from |m-n| upwards."""
-    a, b = params.a, params.b
-    if m == 0 or n == 0:
-        return {m + n: 1}
-    mn, lo, q = min(m, n), abs(m - n), (a - 1) * (b - 1)
-    p = {m + n: 1, lo: q ** mn if lo else haar_weight(mn, params)}
-    if b > 2:
-        for k in range(mn):
-            p[lo + 2 * k + 1] = (b - 2) * q ** (mn - k - 1)
-    if a > 2:
-        for k in range(mn - 1):
-            p[lo + 2 * k + 2] = (a - 2) * (b - 1) * q ** (mn - k - 2)
-    return p
-
-
-def g_coeffs(m: int, n: int, params: DTParams) -> dict:
-    """Exact linearization coefficients of delta_m * delta_n.
-
-    Supported on [|m-n|, m+n] with the same parity pattern as the distance
-    distribution of two spheres; nonnegative rationals summing to 1.
-    """
-    hmn = haar_weight(m, params) * haar_weight(n, params)
-    return {k: Fraction(p * haar_weight(k, params), hmn)
-            for k, p in intersection_numbers(m, n, params).items()}
 
 
 def _poly_sequence(x, params: DTParams):
@@ -208,17 +173,16 @@ class PolyHypergroup:
     """The polynomial hypergroup on N_0 attached to Graph(a, b), with lazy
     exact coefficients, plus its positive-semicharacter deformations.
 
-    g(m, n, k) = p_{m,n}^k s(k) / (s(m) s(n)), s(h) = alpha0(h) h(h).  Exact
-    laws over h(m) convolve as integers with p; deformed or float ones with
-    g in doubles, as masses over s(m) would leave double range.  A deformed
-    value that leaves the normal double range raises DomainError.
+    g(m, n, k) = p_{m,n}^k s(k) / (s(m) s(n)), s(h) = alpha0(h) h(h).  Every
+    convolution runs one banded right-convolution operator, banded.Band.
+    Exact laws over h(m) run it on Python integers with p; deformed or float
+    ones on float64 with g, as masses over s(m) would leave double range.  A
+    deformed value that leaves the normal double range raises DomainError.
     """
 
     def __init__(self, params: DTParams, x0: float | None = None):
         self.params = params
         self.x0 = x0
-        self._p = lru_cache(maxsize=None)(
-            lambda m, n: intersection_numbers(m, n, params))
         self._g = lru_cache(maxsize=None)(self._g_doubles)
         self._alphas = np.empty(0)     # P_0(x0), P_1(x0), ...; grows by doubling
 
@@ -226,14 +190,18 @@ class PolyHypergroup:
     def identity(self) -> int:
         return 0
 
+    def _alpha_row(self, h: int) -> np.ndarray:
+        """P_0(x0), P_1(x0), ..., at least to P_h(x0), unchecked."""
+        if h >= self._alphas.size:
+            self._alphas = poly_values(max(h, 2 * self._alphas.size), self.x0,
+                                       self.params)
+        return self._alphas
+
     def alpha0(self, h: int) -> float:
         """P_h(x0), 1.0 undeformed; DomainError unless a normal double."""
         if self.x0 is None:
             return 1.0
-        if h >= self._alphas.size:
-            self._alphas = poly_values(max(h, 2 * self._alphas.size), self.x0,
-                                       self.params)
-        return _normal(float(self._alphas[h]),
+        return _normal(float(self._alpha_row(h)[h]),
                        f"alpha0({h}) = P_{h}(x0) at x0 = {self.x0!r}")
 
     def haar(self, n: int):
@@ -270,42 +238,63 @@ class PolyHypergroup:
         return {m: a * (lcm // haar_weight(m, self.params))
                 for m, a in zip(masses, r[0])}, r[1] * lcm
 
-    def _unscaled(self, v: dict, den: int) -> dict:
-        return {k: Fraction(haar_weight(k, self.params) * c, den) for k, c in v.items()}
-
-    @staticmethod
-    def _combine(u: dict, v: dict, coeffs) -> dict:
-        """sum_{m,n} u[m] v[n] coeffs(m, n)[k] for every k, zeros dropped."""
-        out: dict = {}
-        for m, x in u.items():
-            for n, y in v.items():
-                xy = x * y
-                for k, c in coeffs(m, n).items():
-                    out[k] = out.get(k, 0) + xy * c
-        return {k: c for k, c in out.items() if c != 0}
+    def _masses(self, x: np.ndarray, lo: int, den) -> dict:
+        """{k: mass} for the nonzero x[k - lo], keys ascending: the Fractions
+        h(k) x[k - lo] / den of integer masses, or doubles when den is None."""
+        at = np.flatnonzero(x)
+        keys, vals = (at + lo).tolist(), x[at].tolist()
+        if den is None:
+            return dict(zip(keys, vals))
+        out, h, prev, q = {}, 1, 0, (self.params.a - 1) * (self.params.b - 1)
+        for k, c in zip(keys, vals):
+            # h(k) = h(prev) q^(k - prev) once prev >= 1
+            h = h * q ** (k - prev) if prev else haar_weight(k, self.params)
+            out[k], prev = Fraction(h * c, den), k
+        return out
 
     def convolve(self, mu: dict, nu: dict) -> dict:
-        """mu * nu, in Fractions when undeformed with rational masses (labels >= 0)."""
+        """mu * nu with the keys ascending, in Fractions when undeformed with
+        rational masses (labels >= 0).  The Band of nu steps once over each
+        run of the keys of mu whose gaps are at most twice the largest label
+        of nu, so the runs' images neither meet nor fill the gaps between
+        them."""
         _check_law(mu.keys() | nu.keys())
         su, sv = self._scaled(mu), self._scaled(nu)
         if su and sv:
-            return self._unscaled(self._combine(su[0], sv[0], self._p), su[1] * sv[1])
-        return self._combine(mu, nu, self._g)
+            (rows, a), (law, b) = su, sv
+            dtype, den = object, a * b
+        else:
+            rows = {m: float(v) for m, v in mu.items()}
+            law = {n: float(v) for n, v in nu.items()}
+            dtype, den = float, None
+            if self.x0 is not None:     # a zero mass still meets its coefficients
+                for m in (m for m, v in mu.items() if v == 0):
+                    for n in nu:
+                        self._g(m, n)
+        keys, band = sorted(rows), Band(self, list(law.items()), dtype is object)
+        cuts = [i for i in range(1, len(keys)) if keys[i] - keys[i - 1] > 2 * band.top]
+        bounds = [0, *cuts, len(keys)] if keys else [0]
+        out = {}
+        for i, j in zip(bounds, bounds[1:]):
+            x = np.zeros(keys[j - 1] - keys[i] + 1, dtype=dtype)
+            x[np.array(keys[i:j]) - keys[i]] = [rows[k] for k in keys[i:j]]
+            out.update(self._masses(*band.step(x, keys[i]), den))
+        return out
 
     def power(self, mu: dict, t: int) -> dict:
         """t-fold convolution power of the law mu from delta_0, with the keys
-        in the order of repeated convolve calls; _check_law, run first, caps
-        t * max(mu) at SUPPORT_CAP."""
+        ascending: t steps of the Band of mu on one vector over the support
+        range; _check_law, run first, caps t * max(mu) at SUPPORT_CAP."""
         _check_law(mu, t, cap=SupportCap.check)
         scaled = self._scaled(mu)
-        # a double times a Fraction is the double times float(Fraction), so
-        # a law converted once convolves to the same doubles, faster
-        law, coeffs = ({m: float(a) for m, a in mu.items()}, self._g) \
-            if scaled is None else (scaled[0], self._p)
-        v = {self.identity: 1}
+        if scaled is None:
+            law, x, den = [(m, float(a)) for m, a in mu.items()], np.ones(1), None
+        else:
+            law, x, den = list(scaled[0].items()), np.ones(1, dtype=object), scaled[1] ** t
+        band, lo = Band(self, law, den is not None), self.identity
         for _ in range(t):
-            v = self._combine(v, law, coeffs)
-        return v if scaled is None else self._unscaled(v, scaled[1] ** t)
+            x, lo = band.step(x, lo)
+        return self._masses(x, lo, den)
 
     def deform(self, x0: float) -> "PolyHypergroup":
         if self.x0 is not None:

@@ -114,10 +114,19 @@ class FiniteHypergroup:
             num, den = np.asarray(flat, dtype=float), 1
         else:
             num, den = np.array(ratios[0], dtype=object), ratios[1]
-        self._set(num.reshape(n, n, n), den, identity, involution, scheme_derived)
+        self._set(*_lowest(num.reshape(n, n, n), den), identity, involution,
+                  scheme_derived)
 
     @classmethod
     def _of(cls, num, den, identity, involution, scheme_derived) -> "FiniteHypergroup":
+        """The hypergroup of num / den, reduced into a new array when they
+        share a factor; the caller's num is left as given."""
+        return cls._adopt(*_lowest(num, den), identity, involution, scheme_derived)
+
+    @classmethod
+    def _adopt(cls, num, den, identity, involution, scheme_derived) -> "FiniteHypergroup":
+        """The hypergroup of num / den, already in lowest terms, holding num
+        itself."""
         h = cls.__new__(cls)
         h._set(num, den, identity, involution, scheme_derived)
         return h
@@ -125,9 +134,6 @@ class FiniteHypergroup:
     def _set(self, num, den, identity, involution, scheme_derived):
         self.is_exact = num.dtype != float
         if self.is_exact:
-            g = math.gcd(int(np.gcd.reduce(num.ravel())), den)
-            if g != 1:
-                num, den = num // g, den // g
             num = num.astype(_int_dtype(max(_absmax(num), den)), copy=False)
         num.setflags(write=False)
         self.n, self.num, self.den = int(num.shape[0]), num, int(den)
@@ -206,6 +212,13 @@ class FiniteHypergroup:
         return bool(np.array_equal(self.involution, np.arange(self.n)))
 
 
+def _lowest(num: np.ndarray, den: int) -> tuple:
+    """(num, den) in lowest terms: as given when float or already reduced,
+    else a new array."""
+    g = 1 if num.dtype == float else math.gcd(int(np.gcd.reduce(num.ravel())), den)
+    return (num, den) if g == 1 else (num // g, den // g)
+
+
 def _rescaled(num, den, s, scale=1):
     """(num', den') in lowest terms with num'/den' = scale * num[i,j,k]/den *
     s[k]/(s[i] s[j]) for positive integers s, in int64 when the values fit.
@@ -231,8 +244,8 @@ def from_scheme(scheme: AssociationScheme) -> FiniteHypergroup:
     """Bose-Mesner convolution c[i][j][k] = (w_k / (w_i w_j)) p_{i,j}^k,
     exact rationals."""
     num, den = _rescaled(scheme.p, 1, scheme.valency)
-    return FiniteHypergroup._of(num, den, scheme.partition.identity_relation,
-                                scheme.involution.copy(), scheme_derived=True)
+    return FiniteHypergroup._adopt(num, den, scheme.partition.identity_relation,
+                                   scheme.involution.copy(), scheme_derived=True)
 
 
 def from_generalized(gs: GeneralizedScheme) -> FiniteHypergroup:
@@ -554,5 +567,5 @@ def semicharacter_deform(h: FiniteHypergroup, alpha0) -> FiniteHypergroup:
         num, den = s / (s[:, None, None] * s[None, :, None]) * h.conv_f, 1
     else:   # c~ = S c s_k / (s_i s_j)
         num, den = _rescaled(h.num, h.den, ratios[0], scale=ratios[1])
-    return FiniteHypergroup._of(num, den, h.identity, h.involution.copy(),
-                                scheme_derived=False)
+    return FiniteHypergroup._adopt(num, den, h.identity, h.involution.copy(),
+                                   scheme_derived=False)

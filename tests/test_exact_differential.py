@@ -139,9 +139,9 @@ def test_poly_power_matches_reference(case):
     hg = hs.PolyHypergroup(hs.DTParams(a, b))
     got = hs.convolution_power(hg, hs.StepDistribution(law), t)
     want = ref.poly_power(a, b, law, t)
-    assert list(got.items()) == list(want.items())      # same values, same order
+    assert list(got.items()) == sorted(want.items())    # same values, keys ascending
     assert list(hg.convolve(got, law).items()) == \
-        list(ref.poly_convolve(a, b, got, law).items())
+        sorted(ref.poly_convolve(a, b, got, law).items())
 
 
 @st.composite
@@ -171,8 +171,9 @@ def test_deformed_and_float_poly_match_g_path(case):
         hg = hg.deform(hs.deformation_point(c, params))
         alpha = hg.alpha0
     got = hs.convolution_power(hg, hs.StepDistribution(law), t)
-    _assert_close(got, ref.poly_power(a, b, law, t, alpha))
-    _assert_close(hg.convolve(got, law), ref.poly_convolve(a, b, got, law, alpha))
+    _assert_close(got, dict(sorted(ref.poly_power(a, b, law, t, alpha).items())))
+    _assert_close(hg.convolve(got, law),
+                  dict(sorted(ref.poly_convolve(a, b, got, law, alpha).items())))
     _assert_close(hg.g(m, n), ref.poly_g(a, b, m, n, alpha))
 
 
@@ -185,8 +186,58 @@ def test_long_float_powers_match_g_path(c, t):
     if c is not None:
         hg = hg.deform(hs.deformation_point(c, params))
         alpha = hg.alpha0
-    _assert_close(hg.power({1: 1.0}, t), ref.poly_power(3, 2, {1: 1.0}, t, alpha))
+    _assert_close(hg.power({1: 1.0}, t),
+                  dict(sorted(ref.poly_power(3, 2, {1: 1.0}, t, alpha).items())))
     assert hg.power({1100: 1.0}, 1) == {1100: 1.0}
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (2, 3)])
+def test_long_exact_powers_match_reference(a, b):
+    # 600 rows of integers of about 2000 bits, far past the hypothesis sizes
+    law = {1: Fraction(3, 7), 2: Fraction(4, 7)}
+    got = hs.PolyHypergroup(hs.DTParams(a, b)).power(law, 300)
+    assert list(got.items()) == sorted(ref.poly_power(a, b, law, 300).items())
+    assert all(type(v) is Fraction for v in got.values())
+
+
+@pytest.mark.parametrize("half", [Fraction(1, 2), 0.5])
+def test_sparse_law_power_matches_reference(half):
+    # the square holds mass on rows 0 and 600 alone: rows 1 .. 599 of the
+    # band are empty, and row 600 is a row m <= n of the label 600
+    law = {0: half, 600: half}
+    got = hs.PolyHypergroup(hs.DTParams(3, 2)).power(law, 2)
+    want = dict(sorted(ref.poly_power(3, 2, law, 2).items()))
+    if isinstance(half, Fraction):
+        assert list(got.items()) == list(want.items())
+    else:
+        _assert_close(got, want)
+
+
+FAR_APART = [
+    # two runs of keys of mu, further apart than the band of nu is wide
+    ({0: Fraction(1, 2), 3000: Fraction(1, 2)}, {1: Fraction(1, 3), 2: Fraction(2, 3)}),
+    # mu far below the only label of nu: every row of mu is a row m <= n
+    ({1: Fraction(1, 4), 2: Fraction(3, 4)}, {2000: Fraction(1)}),
+    # one run with rows on both sides of the label 700
+    ({0: Fraction(1, 5), 900: Fraction(4, 5)}, {1: Fraction(1, 2), 700: Fraction(1, 2)}),
+]
+
+
+@pytest.mark.parametrize("mu, nu", FAR_APART)
+@pytest.mark.parametrize("c", ["exact", None, 0.1])
+def test_convolve_far_apart_supports_matches_reference(mu, nu, c):
+    params = hs.DTParams(3, 2)
+    hg, alpha = hs.PolyHypergroup(params), None
+    if c == "exact":
+        want = ref.poly_convolve(3, 2, mu, nu)
+        assert list(hg.convolve(mu, nu).items()) == sorted(want.items())
+        return
+    if c is not None:
+        hg = hg.deform(hs.deformation_point(c, params))
+        alpha = hg.alpha0
+    mu = {k: float(v) for k, v in mu.items()}
+    _assert_close(hg.convolve(mu, nu),
+                  dict(sorted(ref.poly_convolve(3, 2, mu, nu, alpha).items())))
 
 
 def test_poly_exact_surface():

@@ -433,6 +433,20 @@ def test_group_verdict_matches_reference(table):
         _group_verdict(ref.verify_group_table, table)
 
 
+S6 = symmetric_table(6)[1]
+
+
+@pytest.mark.parametrize("cell", [None, (5, 7), (700, 3)])
+def test_group_verdict_past_one_byte_matches_reference(cell):
+    """S6 (n = 720) is checked in uint16.  A corrupted cell holds its value
+    plus or minus 256, which a table cut to one byte would read as intact."""
+    table = S6.copy()
+    if cell is not None:
+        table[cell] += 256 if table[cell] < 464 else -256
+    assert _group_verdict(_verify_group_table, table) == \
+        _group_verdict(ref.verify_group_table, table)
+
+
 def test_order5_loop_rejected():
     # a Latin square with identity 0 and every element its own inverse, but
     # (1*2)*3 = 4 != 1*(2*3) = 0

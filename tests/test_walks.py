@@ -72,7 +72,7 @@ def test_poly_power_and_convolve_check_their_laws(monkeypatch):
         raise AssertionError("the power was computed")
 
     monkeypatch.setattr(hg, "_scaled", forbidden)
-    monkeypatch.setattr(hg, "_combine", forbidden)
+    monkeypatch.setattr(hs.dtgraph, "Band", forbidden)
     with pytest.raises(hs.SupportCap, match="^support would exceed 10000$"):
         hg.power({0: Fraction(1, 2), 5: Fraction(1, 2)}, 2001)
 

@@ -14,13 +14,20 @@
   one np.lexsort against the per-row sort key of the reference.
 - io.dumps against json.dumps(indent=1, default=encode_number) on the JSON
   form of hypergroups, against the number of conv entries.
+- convolution_power on Gamma(3, 2) against t: the exact law {1: 3/7, 2:
+  4/7} timed with the library and with poly_power of
+  tests/reference_exact.py (the dict loop over Fraction coefficients) up
+  to t = 200, where the results are checked equal; then the library alone
+  on longer exact, float and deformed powers and on the sparse law
+  {0: 1/2, 5000: 1/2}.
 
 Old and new run in turn; times are medians of at least five runs and
 0.3 s, peaks those of one more, traced run; BLAS runs on one thread.
 
-    python3 tools/exact_algebra_scaling.py
+    python3 tools/exact_algebra_scaling.py [SECTION ...]
 
-prints one JSON object of rows.
+prints one JSON object of rows for the named sections (default: all of
+verify_scheme, verify_hypergroup, characters, dumps, convolution_power).
 """
 
 import json
@@ -29,6 +36,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -39,6 +47,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 import hyperscheme as hs  # noqa: E402
+import reference_exact as ref_exact  # noqa: E402
 import reference_verifiers as ref  # noqa: E402
 from hyperscheme import io as hio  # noqa: E402
 from hyperscheme.hypergroup import _char_order, _generators  # noqa: E402
@@ -47,6 +56,13 @@ SCHEME_SIZES = (50, 100, 200, 400)
 DIHEDRAL = (6, 20, 40, 60, 100, 140, 200)
 PRODUCTS = ((8, 10), (12, 14), (12, 22), (14, 28))
 JOIN_CHAIN = (10, 18, 26)      # 27 leaves the exact float64 products
+POWER_LAW = {1: Fraction(3, 7), 2: Fraction(4, 7)}
+POWER_VS_REFERENCE = (25, 50, 100, 200)
+# (case, law, deformation c or None, t): the library alone
+POWERS = [("exact", POWER_LAW, None, t) for t in (75, 300, 1000)] \
+    + [("float delta_1", {1: 1.0}, None, t) for t in (1000, 3000)] \
+    + [("deformed at x_c(0.1)", {1: 1 / 3, 2: 2 / 3}, 0.1, t) for t in (300, 1000)] \
+    + [("sparse exact", {0: Fraction(1, 2), 5000: Fraction(1, 2)}, None, 2)]
 
 
 def timed(*fns):
@@ -138,26 +154,72 @@ def dumps_row(h, case):
     return {"case": case, "entries": h.n ** 3, "old_s": old_s, "new_s": new_s}
 
 
+def power_row(t):
+    """The library's exact power against the reference's, fresh
+    hypergroups on each call so that no coefficient cache carries over."""
+    params = hs.DTParams(3, 2)
+    (old_s, old_peak), (new_s, new_peak) = timed(
+        lambda: ref_exact.poly_power(3, 2, POWER_LAW, t),
+        lambda: hs.PolyHypergroup(params).power(POWER_LAW, t))
+    got = hs.PolyHypergroup(params).power(POWER_LAW, t)
+    if got != ref_exact.poly_power(3, 2, POWER_LAW, t):
+        raise SystemExit(f"convolution_power differs from poly_power at t = {t}")
+    return {"case": "exact", "t": t, "atoms": len(got), "old_s": old_s,
+            "new_s": new_s, "old_peak_mib": old_peak, "new_peak_mib": new_peak}
+
+
+def library_power_row(case, law, c, t):
+    params = hs.DTParams(3, 2)
+    x0 = None if c is None else hs.deformation_point(c, params)
+    ((s, peak),) = timed(lambda: hs.PolyHypergroup(params, x0=x0).power(law, t))
+    atoms = len(hs.PolyHypergroup(params, x0=x0).power(law, t))
+    return {"case": case, "t": t, "atoms": atoms, "s": s, "peak_mib": peak}
+
+
+def verify_scheme_rows():
+    rows = [scheme_row("cycle", m, cycle_partition(m)) for m in SCHEME_SIZES]
+    return rows + [scheme_row("dihedral", m, dihedral_scheme(m).partition)
+                   for m in SCHEME_SIZES]
+
+
+def verify_hypergroup_rows():
+    rows = [verify_row("dihedral", f"D{m}", dihedral(m)) for m in DIHEDRAL]
+    rows += [verify_row("product", f"D{m1}xD{m2}",
+                        hs.direct_product(dihedral(m1), dihedral(m2)))
+             for m1, m2 in PRODUCTS]
+    return rows + [verify_row("join-chain", f"Z2 joined {d - 1} times", join_chain(d))
+                   for d in JOIN_CHAIN]
+
+
+def dumps_rows():
+    rows = [dumps_row(dihedral(m), f"D{m}") for m in DIHEDRAL[:5]]
+    return rows + [dumps_row(hs.direct_product(dihedral(m1), dihedral(m2)),
+                             f"D{m1}xD{m2}") for m1, m2 in PRODUCTS[:2]]
+
+
+def convolution_power_rows():
+    return [power_row(t) for t in POWER_VS_REFERENCE] + \
+        [library_power_row(*case) for case in POWERS]
+
+
+SECTIONS = {"verify_scheme": verify_scheme_rows,
+            "verify_hypergroup": verify_hypergroup_rows,
+            "characters": lambda: [characters_row(m) for m in DIHEDRAL],
+            "dumps": dumps_rows,
+            "convolution_power": convolution_power_rows}
+
+
 def main():
-    schemes = [scheme_row("cycle", m, cycle_partition(m)) for m in SCHEME_SIZES]
-    schemes += [scheme_row("dihedral", m, dihedral_scheme(m).partition)
-                for m in SCHEME_SIZES]
-    for row in schemes:
-        print(row, file=sys.stderr)
-    verify = [verify_row("dihedral", f"D{m}", dihedral(m)) for m in DIHEDRAL]
-    verify += [verify_row("product", f"D{m1}xD{m2}",
-                          hs.direct_product(dihedral(m1), dihedral(m2)))
-               for m1, m2 in PRODUCTS]
-    verify += [verify_row("join-chain", f"Z2 joined {d - 1} times", join_chain(d))
-               for d in JOIN_CHAIN]
-    for row in verify:
-        print(row, file=sys.stderr)
-    chars = [characters_row(m) for m in DIHEDRAL]
-    dumps = [dumps_row(dihedral(m), f"D{m}") for m in DIHEDRAL[:5]]
-    dumps += [dumps_row(hs.direct_product(dihedral(m1), dihedral(m2)), f"D{m1}xD{m2}")
-              for m1, m2 in PRODUCTS[:2]]
-    print(json.dumps({"verify_scheme": schemes, "verify_hypergroup": verify,
-                      "characters": chars, "dumps": dumps}, indent=1))
+    names = sys.argv[1:] or list(SECTIONS)
+    unknown = [name for name in names if name not in SECTIONS]
+    if unknown:
+        raise SystemExit(f"unknown sections {unknown}; choose from {list(SECTIONS)}")
+    out = {}
+    for name in names:
+        out[name] = SECTIONS[name]()
+        for row in out[name]:
+            print(row, file=sys.stderr)
+    print(json.dumps(out, indent=1))
 
 
 if __name__ == "__main__":
