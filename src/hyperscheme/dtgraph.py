@@ -14,7 +14,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
@@ -465,53 +465,81 @@ class Ball:
     def sphere_sizes(self) -> list:
         return np.bincount(self.depths, minlength=self.radius + 1).tolist()
 
-    def sphere_kernels(self, weight) -> Mapping:
-        """The sphere kernels K_h, h = 0..R, as a Mapping whose kernels are
-        built on their first read and kept.  K_0 = I; K_h is
-        weight(h, rows, cols) (a scalar or one value per pair), called when
-        K_h is first read, at the pairs (rows, cols) at distance h whose
-        row's distance-h sphere lies inside the ball, depth(row) <= R - h,
-        and zero elsewhere.  BallTooLarge, before a read allocates, when the
-        dense kernels built so far and the new one exceed physical memory."""
+    def sphere_kernels(self, weight) -> _LazyKernels:
+        """The sphere kernels K_h, h = 0..R, as a _LazyKernels.  K_0 = I;
+        K_h holds weight(h, rows, cols) (a scalar or one value per pair) at
+        the pairs (rows, cols) at distance h whose row's distance-h sphere
+        lies inside the ball, depth(row) <= R - h, and zero elsewhere.  The
+        rows of K_h are listed from _sphere_pairs for h alone, in row-major
+        order, and weighted by one call of weight, on their first need.  A
+        dense read raises BallTooLarge, before anything of K_h is allocated,
+        when the dense kernels held and the new one exceed physical
+        memory."""
         n, R = self.n, self.radius
-        pairs = cache(lambda: self._sphere_pairs(R - np.arange(R + 1)))
-        # kernels built so far, counted here: reading them off the mapping
-        # would make a cycle that keeps every kernel until a cyclic collection
-        built = 0
 
-        def build(k: int) -> np.ndarray:
-            nonlocal built
-            need, have = (built + 1) * n * n * 8, _physical_memory()
+        def rows(k: int) -> tuple:
+            if k == 0:
+                return np.arange(n + 1), np.arange(n), np.ones(n)
+            tops = np.full(k + 1, -1)
+            tops[k] = R - k
+            _, r, c = self._sphere_pairs(tops)
+            order = np.argsort(r * n + c)
+            r, c = r[order], c[order]
+            data = np.empty(r.size)
+            data[:] = weight(k, r, c)
+            keep = np.flatnonzero(data)
+            r, c, data = r[keep], c[keep], data[keep]
+            return np.searchsorted(r, np.arange(n + 1)), c, data
+
+        def guard(count: int):
+            need, have = count * n * n * 8, _physical_memory()
             if need > have:
-                raise BallTooLarge(f"{built + 1} dense {n} x {n} kernels need "
+                raise BallTooLarge(f"{count} dense {n} x {n} kernels need "
                                    f"{need / 2**30:.1f} GiB, more than the "
                                    f"{have / 2**30:.1f} GiB of memory")
-            built += 1
-            if k == 0:
-                return np.eye(n)
-            h, rows, cols = pairs()
-            at = slice(*np.searchsorted(h, [k, k + 1]))
-            K = np.zeros((n, n))
-            K[rows[at], cols[at]] = weight(k, rows[at], cols[at])
-            return K
 
-        return _LazyKernels(range(R + 1), build)
+        return _LazyKernels(range(R + 1), n, rows, guard)
 
 
 class _LazyKernels(Mapping):
-    """label -> kernel over a range of labels, each kernel made by
-    build(label) on its first read and kept."""
+    """label -> dense n x n kernel, over a range of labels.  rows(h) is the
+    nonzero entries of K_h as one CSR triple (indptr, indices, data), the
+    columns ascending within each row, made by build(h) on first need and
+    kept.  A dense K_h is scattered from them on its first read and kept."""
 
-    def __init__(self, labels: range, build):
-        self._labels, self._build, self._built = labels, build, {}
+    def __init__(self, labels: range, n: int, build, guard=None):
+        self._labels, self._n, self._build, self._guard = labels, n, build, guard
+        self._rows, self._dense = {}, {}
 
-    def __getitem__(self, h) -> np.ndarray:
+    def _label(self, h) -> int:
         if h not in self._labels:
             raise KeyError(h)
-        h = int(h)
-        if h not in self._built:
-            self._built[h] = self._build(h)
-        return self._built[h]
+        return int(h)
+
+    def rows(self, h) -> tuple:
+        h = self._label(h)
+        if h not in self._rows:
+            self._rows[h] = self._build(h)
+        return self._rows[h]
+
+    def scatter(self, h, m: int) -> np.ndarray:
+        """The first m rows of K_h as a new dense m x n array, not kept.
+        guard, if given, is called first with the number of dense kernels
+        held, this one counted as a whole kernel."""
+        h = self._label(h)
+        if self._guard is not None:
+            self._guard(len(self._dense) + 1)
+        indptr, indices, data = self.rows(h)
+        end = indptr[m]
+        K = np.zeros((m, self._n))
+        K[np.repeat(np.arange(m), np.diff(indptr[:m + 1])), indices[:end]] = data[:end]
+        return K
+
+    def __getitem__(self, h) -> np.ndarray:
+        h = self._label(h)
+        if h not in self._dense:
+            self._dense[h] = self.scatter(h, self._n)
+        return self._dense[h]
 
     def __iter__(self):
         return iter(self._labels)
@@ -687,15 +715,18 @@ class DeformedKernels:
     ray: BoundaryRay
     c: float
     x_c: float
-    kernels: Mapping
+    kernels: _LazyKernels
 
     @cached_property
     def max_row_sum_error(self) -> float:
         """Max |row sum - 1| of K_h, h = 1..R, over the rows whose
-        distance-h sphere lies inside the ball; computed on first read."""
+        distance-h sphere lies inside the ball; computed on first read, from
+        those dense rows, scattered one K_h at a time and dropped once
+        summed."""
         params, R = self.ball.params, self.ball.radius
-        return max((float(np.abs(self.kernels[h][:ball_size(params, R - h)].sum(axis=1)
-                                 - 1.0).max()) for h in range(1, R + 1)), default=0.0)
+        return max((float(np.abs(self.kernels.scatter(h, ball_size(params, R - h))
+                                 .sum(axis=1) - 1.0).max())
+                    for h in range(1, R + 1)), default=0.0)
 
     @property
     def valid(self) -> dict:

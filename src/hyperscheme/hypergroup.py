@@ -31,6 +31,14 @@ class NotCommutative(CheckFailure):
     pass
 
 
+def _check_seed(seed) -> int:
+    """seed as an int, or ValueError unless it is a nonnegative integer: a
+    seed of None would draw OS entropy, and a run could not be repeated."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
+    return int(seed)
+
+
 class NotASemicharacter(CheckFailure):
     """residual is how far alpha0 misses: below zero at its least value, or
     off the semicharacter equation."""
@@ -383,8 +391,10 @@ def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> CharacterTable:
     A character alpha solves B_i alpha = alpha(i) alpha where
     (B_i)_{jk} = c[i][j][k]; generic random convex combinations of the B_i
     separate the joint eigenspaces.  Deterministic for a fixed seed.
-    ValueError for an exact Haar weight past the doubles.
+    ValueError for a seed that is not a nonnegative integer, and for an
+    exact Haar weight past the doubles.
     """
+    seed = _check_seed(seed)
     if not h.is_commutative():
         raise NotCommutative("character theory requires a commutative hypergroup")
     n, e = h.n, h.identity

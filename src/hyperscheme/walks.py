@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtgraph import Ball, DeformedKernels, _LazyKernels, haar_weight
+from .dtgraph import Ball, DeformedKernels, _expand, _LazyKernels, haar_weight
+from .hypergroup import _check_seed
 from .scheme import CheckFailure, GeneralizedScheme
 
 # simulate_walk draws its uniforms in blocks of about this many; the block
@@ -71,20 +72,34 @@ class KernelFamily:
     labels, and the label of each state seen from state 0, where every walk
     starts (the root of a ball, point 0 of a scheme).  A zero row of K_h is
     a state the walk may not step from with h: on a ball, one whose
-    distance-h sphere leaves the ball."""
+    distance-h sphere leaves the ball.
+
+    Walks read the kernels through rows(h) alone; matrices[h] is the dense
+    K_h, which a ball or generalized family scatters on its first read."""
 
     matrices: Mapping        # label -> (n, n) ndarray
     labels: np.ndarray       # (n,) relation label of (0, y) for each state y
 
+    def rows(self, h) -> tuple:
+        """The nonzero entries of K_h as one CSR triple (indptr, indices,
+        data), columns ascending within each row: kept by a lazy family,
+        else found in the dense K_h by np.flatnonzero."""
+        if isinstance(self.matrices, _LazyKernels):
+            return self.matrices.rows(h)
+        return _dense_rows(self.matrices[h])
+
     @property
     def valid(self) -> dict:
         """label -> boolean mask of the nonzero rows."""
-        return {h: K.any(axis=1) for h, K in self.matrices.items()}
+        return {h: np.diff(self.rows(h)[0]) > 0 for h in self.matrices}
 
     @classmethod
     def from_generalized(cls, gs: GeneralizedScheme) -> "KernelFamily":
-        """The kernels of gs, each built from its W on first read."""
-        mats = _LazyKernels(range(gs.partition.n_relations), gs._kernel)
+        """The kernels of gs, the rows of each found in its S_i, built from
+        W and the label matrix, on first need."""
+        n = gs.partition.n_points
+        mats = _LazyKernels(range(gs.partition.n_relations), n,
+                            lambda i: _dense_rows(gs._kernel(i)))
         return cls(matrices=mats, labels=gs.partition.label[0])
 
     @classmethod
@@ -101,6 +116,13 @@ class KernelFamily:
         return sorted(h for h, m in mu.weights.items() if float(m) > 0)
 
 
+def _dense_rows(K: np.ndarray) -> tuple:
+    """The nonzero entries of a dense kernel as a CSR triple, row-major."""
+    flat = np.flatnonzero(K)
+    rows, cols = np.divmod(flat, K.shape[1])
+    return np.searchsorted(rows, np.arange(K.shape[0] + 1)), cols, K.ravel()[flat]
+
+
 def _check_reachable(fam: KernelFamily, mu: StepDistribution, steps: int) -> np.ndarray:
     """The ascending states a walk from state 0 can occupy before some step;
     refuse the walk when one of them has a zero row in a kernel it steps
@@ -108,19 +130,19 @@ def _check_reachable(fam: KernelFamily, mu: StepDistribution, steps: int) -> np.
     negative step count."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    used = [fam.matrices[h] for h in fam.support_labels(mu)]
+    used = [fam.rows(h) for h in fam.support_labels(mu)]
     seen = np.zeros(fam.labels.shape[0], dtype=bool)
     frontier = np.zeros(1, dtype=np.int64)
     for _ in range(steps):
         seen[frontier] = True
         nxt = np.zeros_like(seen)
-        for K in used:
-            rows = K[frontier]
-            if not rows.any(axis=1).all():
+        for indptr, indices, data in used:
+            if (indptr[frontier] == indptr[frontier + 1]).any():
                 raise WalkWouldExitBall(
                     "a reachable state lacks a full kernel row; enlarge the "
                     "ball or shorten the walk")
-            nxt |= (rows > 0).any(axis=0)
+            _, at = _expand(indptr[frontier], indptr[frontier + 1])
+            nxt[indices[at[data[at] > 0]]] = True
         frontier = np.flatnonzero(nxt & ~seen)
     return np.flatnonzero(seen)
 
@@ -137,19 +159,17 @@ def _row_table(fam: KernelFamily, labels: list, states: np.ndarray):
     cols, keys, starts = [], [], []
     offset = 0
     for h in labels:
-        sub = fam.matrices[h][states]
-        flat = np.flatnonzero(sub)
-        cw = np.cumsum(sub.ravel()[flat])
-        del sub
-        rows, c = np.divmod(flat, n)
-        rows = states[rows]
+        kernel_ptr, indices, data = fam.rows(h)
+        which, at = _expand(kernel_ptr[states], kernel_ptr[states + 1])
+        cw = np.cumsum(data[at])
+        rows = states[which]
         indptr = np.searchsorted(rows, np.arange(n + 1))
         cw -= np.concatenate(([0.0], cw))[indptr[:-1]][rows]
         cw += rows
-        cols.append(c)
+        cols.append(indices[at])
         keys.append(cw)
         starts.append(indptr[:-1] + offset)
-        offset += c.size
+        offset += at.size
     starts.append([offset])
     return np.concatenate(cols), np.concatenate(keys), np.concatenate(starts)
 
@@ -186,8 +206,10 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
     keyed by seed; counts from more trials are elementwise at least those
     from fewer.  Each step is two bounded searches: the label over mu's
     cumulative weights, then the successor inside the (label, state) row
-    of one table over the kernels of mu's support.
+    of one table over the kernels of mu's support.  ValueError for a seed
+    that is not a nonnegative integer.
     """
+    seed = _check_seed(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     states = _check_reachable(fam, mu, steps)
@@ -217,17 +239,22 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
 
 def propagate_and_project(fam: KernelFamily, mu: StepDistribution, steps: int) -> dict:
     """Deterministic form of the projection: push the point mass at state 0
-    through the mu-mixture of kernels, then project states to labels.  Only
-    the mixture's rows at the states the walk can occupy are built, and each
-    step multiplies the rows of the current support."""
-    states = _check_reachable(fam, mu, steps)
-    step_rows = sum(float(m) * fam.matrices[h][states]
-                    for h, m in mu.weights.items() if float(m) > 0)
-    dist = np.zeros(fam.labels.shape[0])
+    through the mu-mixture of kernels, then project states to labels.  Each
+    step reads the kernel rows of the current support alone and adds
+    mu(h) dist[x] K_h[x, y] into y, label by label."""
+    _check_reachable(fam, mu, steps)
+    used = [(float(m), fam.rows(h)) for h, m in mu.weights.items() if float(m) > 0]
+    n = fam.labels.shape[0]
+    dist = np.zeros(n)
     dist[0] = 1.0
     for _ in range(steps):
         support = np.flatnonzero(dist)
-        dist = dist[support] @ step_rows[np.searchsorted(states, support)]
+        nxt = np.zeros(n)
+        for m, (indptr, indices, data) in used:
+            which, at = _expand(indptr[support], indptr[support + 1])
+            nxt += np.bincount(indices[at], weights=(m * dist[support])[which] * data[at],
+                               minlength=n)
+        dist = nxt
     return _project(fam.labels, dist)
 
 

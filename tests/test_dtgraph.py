@@ -226,9 +226,11 @@ def test_sphere_kernels_refuse_beyond_physical_memory():
 
 
 def test_ball_memory_guard_counts_the_kernels_built(monkeypatch):
-    """With memory for two dense kernels, a walk that steps with K_1 alone
-    runs, from the library and from the CLI; a second kernel may be read
-    and the third is refused."""
+    """The guard counts the dense kernels that reads of matrices hold, and
+    nothing a walk reads: with memory for two dense kernels, a walk that
+    steps with K_1 runs and holds none, two kernels may then be read and the
+    third is refused; with memory for less than one, the walk still runs,
+    from the library and from the CLI, and a dense read is refused."""
     ball = hs.build_ball(P32, 3)
     monkeypatch.setattr(dtgraph, "_physical_memory", lambda: 2 * ball.n ** 2 * 8)
     fam = hs.KernelFamily.from_ball(ball)
@@ -236,13 +238,18 @@ def test_ball_memory_guard_counts_the_kernels_built(monkeypatch):
                             seed=0)
     assert sum(walk.empirical.values()) == pytest.approx(1.0)
     assert np.array_equal(fam.matrices[0], np.eye(ball.n))
+    assert fam.matrices[1].any()
     with pytest.raises(hs.BallTooLarge, match=f"^3 dense {ball.n} x {ball.n} "):
         fam.matrices[2]
     assert main(["walk", "--dtgraph", "3,2,3", "--mu", "1:1", "--steps", "2",
                  "--trials", "20000", "--seed", "0"]) == 0
     monkeypatch.setattr(dtgraph, "_physical_memory", lambda: ball.n ** 2 * 8 - 1)
+    fam = hs.KernelFamily.from_ball(ball)
+    hs.simulate_walk(fam, hs.StepDistribution({1: 1}), steps=2, trials=100, seed=0)
+    with pytest.raises(hs.BallTooLarge, match=f"^1 dense {ball.n} x {ball.n} "):
+        fam.matrices[1]
     assert main(["walk", "--dtgraph", "3,2,3", "--mu", "1:1", "--steps", "2",
-                 "--trials", "100", "--seed", "0"]) == 2
+                 "--trials", "20000", "--seed", "0"]) == 0
 
 
 def test_metric_matches_bfs():

@@ -261,6 +261,17 @@ def test_characters_deterministic(k3_hypergroup):
     assert np.array_equal(t1.chars, t2.chars)
 
 
+@pytest.mark.parametrize("seed", [None, False, 99.0, 0.5, -1])
+def test_characters_refuse_a_seed_that_is_not_a_nonnegative_integer(
+        k3_hypergroup, seed, monkeypatch):
+    """A seed of None drew OS entropy, so two tables could differ; a bool, a
+    float or a negative number is refused as well, before any work."""
+    monkeypatch.setattr(hs.FiniteHypergroup, "is_commutative",
+                        lambda self: pytest.fail("characters ran"))
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+        hs.characters(k3_hypergroup, seed=seed)
+
+
 def test_characters_require_commutative(k3_hypergroup):
     # the smallest noncommutative hypergroup-like tensor: use S3 group algebra
     perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]

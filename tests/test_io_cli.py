@@ -629,8 +629,9 @@ CONTRACT_CASES = [
     (["dtgraph", "--a", "3", "--b", "2", "--report", "psd", "--grid", "0:1:0"], 2),
     # dense kernels beyond physical memory are refused before allocation
     (["dtgraph", "--a", "3", "--b", "2", "--radius", "16", "--report", "deform"], 2),
-    (["walk", "--dtgraph", "3,2,16", "--mu", "1:1", "--steps", "2", "--trials", "10"], 2),
-    # an exact walk builds no kernels, so only a simulated one needs the memory
+    # a walk reads sparse kernel rows, so it runs, and 10 trials fail the TV
+    (["walk", "--dtgraph", "3,2,16", "--mu", "1:1", "--steps", "2", "--trials", "10"], 1),
+    # an exact walk builds no kernels at all
     (["walk", "--dtgraph", "3,2,16", "--mu", "1:1", "--steps", "2", "--exact"], 0),
     # nor does it hold anything per label, so R is not bounded by memory
     (["walk", "--dtgraph", "3,2,1000000", "--mu", "1:1", "--steps", "2", "--exact"], 0),
@@ -658,6 +659,10 @@ CONTRACT_CASES = [
      "steps must be nonnegative"),
     (["walk", "--dtgraph", "3,2,4", "--mu", "1:1/2,1:1/2", "--steps", "2"], 2,
      "label 1 appears twice"),
+    # a negative seed, refused by the library before any work
+    (["walk", "--dtgraph", "3,2,4", "--mu", "1:1", "--steps", "2", "--seed", "-1"], 2,
+     "seed must be a nonnegative integer"),
+    (["characters", "k3hg", "--seed", "-1"], 2, "seed must be a nonnegative integer"),
     # integer fields hold JSON integers in int64, never truncated or overflowed
     (["verify", "label_half"], 2, "relations must hold JSON integers in int64, not 1.5"),
     (["verify", "label_huge"], 2,
@@ -714,15 +719,17 @@ def test_exit_code_contract(files, argv, code, message, capsys):
     assert out.err == ""
     report = json.loads(out.out)           # exactly one JSON document
     assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code]
-    if code:
-        assert report["results"]["message"]
-        assert message in report["results"]["message"]
-    if code == 1:   # every failure here is an axiom's or a semicharacter's
-        results = report["results"]
-        if argv[0] == "deform" and "residual" in results:
-            assert math.isfinite(results["residual"])
-        else:
-            assert results["axiom"] and results["witness"]
+    results = report["results"]
+    if code == 1 and "tv" in results:    # a walk that ran and missed its TV
+        assert results["tv"] > 0.02
+    elif code:
+        assert results["message"]
+        assert message in results["message"]
+        if code == 1:   # every other failure here is an axiom's or a semicharacter's
+            if argv[0] == "deform" and "residual" in results:
+                assert math.isfinite(results["residual"])
+            else:
+                assert results["axiom"] and results["witness"]
     assert ("seed" in report) == (argv[0] in ("characters", "dual", "walk"))
 
 
@@ -897,14 +904,16 @@ def test_memory_error_is_an_input_error(tmp_path):
         ["verify", str(path)], 2 ** 30)
 
 
-def test_walk_memory_error_is_an_input_error():
-    """The (3, 2, 11) ball has 6142 vertices, and each dense sphere kernel
-    takes 288 MiB.  A walk builds the kernels of its step law only, and
-    five of them do not fit a 1.5 GiB address space: walk ends in one error
-    report and exit 2, not a traceback."""
-    assert "Unable to allocate 288. MiB" in _error_report_under_address_limit(
+def test_walk_with_five_labels_fits_an_address_limit():
+    """The (3, 2, 11) ball has 6142 vertices, and a dense sphere kernel on
+    it would take 288 MiB.  A walk reads the sparse rows of the kernels of
+    its step law, so one with five labels fits a 1.5 GiB address space and
+    passes."""
+    proc = _run_under_address_limit(
         ["walk", "--dtgraph", "3,2,11", "--mu", "1:1/5,2:1/5,3:1/5,4:1/5,5:1/5",
-         "--steps", "2", "--trials", "10"], 3 * 2 ** 29)
+         "--steps", "2", "--trials", "30000"], 3 * 2 ** 29)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
 
 
 def test_walk_builds_only_its_step_laws_kernels_under_an_address_limit():
@@ -912,6 +921,17 @@ def test_walk_builds_only_its_step_laws_kernels_under_an_address_limit():
     1.5 GiB address space, and the walk passes."""
     proc = _run_under_address_limit(
         ["walk", "--dtgraph", "3,2,11", "--mu", "1:1", "--steps", "2",
+         "--trials", "30000"], 3 * 2 ** 29)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
+
+
+def test_walk_on_the_largest_ball_fits_an_address_limit():
+    """(3, 2, 16), n = 196 606, is the largest Gamma(3, 2) ball under the
+    vertex cap; one dense kernel on it would need 288 GiB.  A walk there
+    reads the rows of K_1 alone and passes in a 1.5 GiB address space."""
+    proc = _run_under_address_limit(
+        ["walk", "--dtgraph", "3,2,16", "--mu", "1:1", "--steps", "2",
          "--trials", "30000"], 3 * 2 ** 29)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "pass"

@@ -145,6 +145,20 @@ def test_simulate_walk_deterministic_seed(k3_scheme):
     assert w1.empirical == w2.empirical
 
 
+@pytest.mark.parametrize("seed", [None, True, 7.0, 1.5, -1])
+def test_simulate_walk_refuses_a_seed_that_is_not_a_nonnegative_integer(
+        k3_scheme, seed, monkeypatch):
+    """A seed of None drew OS entropy, so two walks differed and the result
+    carried no seed; a bool, a float or a negative number is refused as
+    well, before the walk reads a kernel."""
+    fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
+    monkeypatch.setattr(walks, "_check_reachable",
+                        lambda *args: pytest.fail("the walk ran"))
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+        hs.simulate_walk(fam, hs.StepDistribution({1: 1}), steps=2, trials=10,
+                         seed=seed)
+
+
 def test_simulate_walk_k3_one_step(k3_scheme):
     fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
     mu = hs.StepDistribution({1: 1})
@@ -304,6 +318,25 @@ def test_ball_walk_builds_only_its_step_laws_kernels(monkeypatch):
         assert hs.projection_check(walk, eager, hgroup, mu, steps) == tv
         assert sorted(built) == list(range(1, 9))
         built.clear()
+
+
+def test_ball_walk_builds_no_dense_kernel():
+    """A seeded walk and its projection check on the (2, 3, 8) ball
+    (n = 1021) with mu on {1, 2} read sparse kernel rows: their traced peak
+    stays far below one dense kernel, 1021^2 doubles = 8.0 MiB."""
+    params = hs.DTParams(2, 3)
+    ball = hs.build_ball(params, 8)
+    mu = hs.StepDistribution({1: Fraction(3, 7), 2: Fraction(4, 7)})
+    tracemalloc.start()
+    try:
+        fam = hs.KernelFamily.from_ball(ball)
+        walk = hs.simulate_walk(fam, mu, 3, 30_000, seed=5)
+        tv = hs.projection_check(walk, fam, hs.PolyHypergroup(params), mu, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tv <= 0.02
+    assert peak < 3 * 2 ** 20
 
 
 def test_simulate_walk_prefix_property():

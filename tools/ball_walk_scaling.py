@@ -1,15 +1,16 @@
 """Time and memory of a ball walk against the ball size n, and of the
 walk sampler against the kernel row width.
 
-A walk builds the kernels of its step law on their first read, so every
-row times the family's build with its first walk, `first_walk_s`, and
-beside it `walk_s`, the median of three later walks on the same family,
-which read built kernels.
+A walk builds the kernel rows of its step law on their first need, so
+every row times the family's build with its first walk, `first_walk_s`,
+and beside it `walk_s`, the median of three later walks on the same
+family, which read built rows.
 
 Ball size: for each ball, a fresh `build_ball`, then
 `KernelFamily.from_ball` and a 2-step `simulate_walk` (mu = 1/2 on steps
 1 and 2, 30 000 trials, seed 0) with `propagate_and_project`.  The balls
-are Gamma(3, 2) with R = 4..10, where n doubles with R, and the path
+are Gamma(3, 2) with R = 4..16, where n doubles with R up to
+n = 196 606 at R = 16, the largest ball under the vertex cap, and the path
 Gamma(2, 2) with R in {50, 100, 200, 300}, where n = 2R + 1 and a term in
 n R^2 would show.
 
@@ -21,7 +22,11 @@ h = 1..6, R // h steps, so every row read has width w_h = 3 * 2^(h-1),
 
 Times are medians of three runs; the tracemalloc peak is that of a
 fourth, traced run.  Every case runs in its own process, so one case's
-memory does not carry into the next.
+memory does not carry into the next, with its address space capped at
+ADDRESS_LIMIT.  A case that the library refuses (BallTooLarge) or that
+does not fit the cap (MemoryError) gives a row with "refused" and the
+error in place of its measurements, so code that builds dense n x n
+kernels reports its large balls as refused instead of swapping.
 
     python3 tools/ball_walk_scaling.py [SRC]
 
@@ -40,12 +45,13 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-CASES = ([("ball", 3, 2, R) for R in range(4, 11)]
+CASES = ([("ball", 3, 2, R) for R in range(4, 17)]
          + [("ball", 2, 2, R) for R in (50, 100, 200, 300)]
          + [("width", h) for h in range(1, 7)]
          + [("complete", m) for m in (300, 1000)])
 TRIALS = 30_000
 WIDTH_RADIUS = 10
+ADDRESS_LIMIT = 2 * 2**30
 
 
 def _timed(run, row: dict) -> dict:
@@ -133,7 +139,15 @@ MEASURE = {"ball": measure_ball, "width": measure_width, "complete": measure_com
 
 def main():
     if sys.argv[1:2] == ["--one"]:
-        print(json.dumps(MEASURE[sys.argv[2]](*map(int, sys.argv[3:]))))
+        from hyperscheme.dtgraph import BallTooLarge
+
+        kind, args = sys.argv[2], list(map(int, sys.argv[3:]))
+        try:
+            row = MEASURE[kind](*args)
+        except (BallTooLarge, MemoryError) as exc:
+            row = {"case": [kind, *args],
+                   "refused": f"{type(exc).__name__}: {exc}"}
+        print(json.dumps(row))
         return
     src = sys.argv[1] if len(sys.argv) > 1 else str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
@@ -141,7 +155,9 @@ def main():
     rows = []
     for case in CASES:
         out = subprocess.run([sys.executable, __file__, "--one", *map(str, case)],
-                             env=env, capture_output=True, text=True, check=True)
+                             env=env, capture_output=True, text=True, check=True,
+                             preexec_fn=lambda: resource.setrlimit(
+                                 resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT)))
         rows.append(json.loads(out.stdout))
         print(rows[-1], file=sys.stderr)
     print(json.dumps(rows, indent=1))
