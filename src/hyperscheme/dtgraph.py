@@ -23,8 +23,8 @@ from .banded import Band, g_coeffs, haar_weight
 from .hypergroup import _check_law, _ratios
 from .scheme import CheckFailure, _physical_memory
 
-# build_ball refuses larger balls: beyond them the float Gram verdicts of
-# --report psd no longer hold, and dense kernels outgrow memory long before
+# build_ball refuses larger balls; the cap's one job is to keep the float
+# Gram verdicts of --report psd at radii where they hold
 BALL_CAP = 200_000
 QUAD_TOL = 1e-10
 QUAD_MAX_NODES = 1 << 14

@@ -161,11 +161,6 @@ class GeneralizedScheme:
             a.setflags(write=False)
         vars(self).update(partition=partition, W=W, omega_x=w, _kept=kept)
 
-    def _kernel(self, i: int) -> np.ndarray:
-        """S_i, built from W on each call unless kept."""
-        return self._kept[i] if i in self._kept else \
-            np.where(self.partition.label == i, self.W, 0.0)
-
     @property
     def kernels(self) -> np.ndarray:
         """The S_i, from W: a read-only (n_relations, n, n) view of a new
@@ -320,11 +315,6 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
 
     valency = p[np.arange(d), inv, e]
     return AssociationScheme(partition=partition, involution=inv, p=p, valency=valency)
-
-
-def _verify_group_table(cayley: np.ndarray) -> int:
-    """Check a multiplication table is a group; return the identity index."""
-    return _group_table(cayley)[0]
 
 
 def _group_table(cayley: np.ndarray) -> tuple[int, np.ndarray]:

@@ -95,12 +95,24 @@ class KernelFamily:
 
     @classmethod
     def from_generalized(cls, gs: GeneralizedScheme) -> "KernelFamily":
-        """The kernels of gs, the rows of each found in its S_i, built from
-        W and the label matrix, on first need."""
-        n = gs.partition.n_points
-        mats = _LazyKernels(range(gs.partition.n_relations), n,
-                            lambda i: _dense_rows(gs._kernel(i)))
-        return cls(matrices=mats, labels=gs.partition.label[0])
+        """The kernels of gs.  The rows of S_i are found on first need as
+        the nonzero entries of W on relation i, row-major, with the columns
+        taken as flat indices mod n, so that no array of the triple is a
+        view into a larger index buffer; a kept S_i's are found in its
+        dense copy."""
+        n, label = gs.partition.n_points, gs.partition.label
+
+        def rows(i: int) -> tuple:
+            if i in gs._kept:
+                return _dense_rows(gs._kept[i])
+            on = (label == i) & (gs.W != 0)
+            indices = np.flatnonzero(on)
+            indices %= n
+            indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(on, axis=1))))
+            return indptr, indices, gs.W[on]
+
+        mats = _LazyKernels(range(gs.partition.n_relations), n, rows)
+        return cls(matrices=mats, labels=label[0])
 
     @classmethod
     def from_ball(cls, ball: Ball) -> "KernelFamily":

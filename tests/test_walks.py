@@ -12,6 +12,7 @@ import pytest
 import hyperscheme as hs
 import reference_walks
 from hyperscheme import walks
+from hyperscheme.scheme import KERNEL_TOL
 
 
 def test_step_distribution_validation():
@@ -410,3 +411,46 @@ def test_lazy_kernels_are_freed_with_their_family(z4_scheme):
             assert kernel() is None
     finally:
         gc.enable()
+
+
+def test_generalized_rows_are_those_of_the_dense_kernels(k3_scheme, z4_scheme):
+    """from_generalized finds each S_i's rows in W on relation i alone; they
+    are the rows of the dense S_i, bit for bit and dtype for dtype, on
+    canonical, product and join families, with NaN and -0.0 entries on a
+    relation, and for a kept kernel."""
+    k3, z4 = hs.canonical_generalized(k3_scheme), hs.canonical_generalized(z4_scheme)
+    lab = z4.partition.label
+    on_relation = z4.kernels.copy()
+    on_relation[1, 0, np.flatnonzero(lab[0] == 1)[0]] = np.nan
+    on_relation[2, lab == 2] = -0.0
+    families = [k3, z4, hs.direct_product_scheme(k3, z4), hs.join_scheme(z4, k3),
+                hs.GeneralizedScheme(z4.partition, on_relation, z4.omega_x)]
+    for value in (2 * KERNEL_TOL, np.nan):
+        kept = z4.kernels.copy()
+        kept[1, 0, 0] = value
+        families.append(hs.GeneralizedScheme(z4.partition, kept, z4.omega_x))
+    assert families[-1]._kept and not families[-3]._kept
+    for gs in families:
+        fam = hs.KernelFamily.from_generalized(gs)
+        for i in range(gs.partition.n_relations):
+            for got, want in zip(fam.rows(i), walks._dense_rows(gs.kernels[i])):
+                assert got.dtype == want.dtype and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+
+def test_generalized_rows_build_no_dense_kernel():
+    """The first rows(1) of the complete graph K_1000 (999 000 entries)
+    peaks below what a dense 8 MB copy of S_1 and its flat indices would
+    add, and keeps 16 B per entry: no index buffer beyond its own."""
+    m = 1000
+    label = (np.arange(m)[:, None] != np.arange(m)[None, :]).astype(int)
+    gs = hs.canonical_generalized(hs.verify_scheme(hs.RelationPartition(m, 2, label)))
+    fam = hs.KernelFamily.from_generalized(gs)
+    tracemalloc.start()
+    try:
+        fam.rows(1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2 ** 20
+    assert kept < 16 * 999_000 + 2 ** 20
