@@ -324,7 +324,11 @@ def deformation_point(c: float, params: DTParams) -> float:
 
 
 def ball_size(params: DTParams, R: int) -> int:
-    return 1 + sum(haar_weight(h, params) for h in range(1, R + 1))
+    """1 + a(b-1)(q^R - 1)/(q - 1) vertices, q = (a-1)(b-1): the sum of the
+    Haar weights of the spheres; 1 + 2R on the path, q = 1."""
+    a, b = params.a, params.b
+    q = (a - 1) * (b - 1)
+    return 1 + 2 * R if q == 1 else 1 + a * (b - 1) * (q ** R - 1) // (q - 1)
 
 
 @dataclass
@@ -567,6 +571,10 @@ def build_ball(params: DTParams, R: int) -> Ball:
     """The arrays of all step-words of length <= R, in the Ball layout;
     BallTooLarge, before any allocation, above BALL_CAP vertices."""
     sphere_labels(R)
+    # a sphere has 2 vertices or more, and q times the one before it, so
+    # past these radii the ball is over the cap without its size
+    if R > (BALL_CAP // 2 if (params.a - 1) * (params.b - 1) == 1 else 63):
+        raise BallTooLarge(f"ball has more than {BALL_CAP} vertices, cap is {BALL_CAP}")
     size = ball_size(params, R)
     if size > BALL_CAP:
         raise BallTooLarge(f"ball has {size} vertices, cap is {BALL_CAP}")

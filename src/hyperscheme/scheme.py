@@ -163,15 +163,18 @@ class GeneralizedScheme:
 
     @property
     def kernels(self) -> np.ndarray:
-        """The S_i, from W: a read-only (n_relations, n, n) view of a new
-        (n, n_relations, n) array, whose rows [S_0(x) ... S_d-1(x)] make one
-        n x (n_relations n) matrix."""
-        S = np.zeros((self.W.shape[0], self.partition.n_relations, self.W.shape[1]))
-        np.put_along_axis(S, self.partition.label[:, None], self.W[:, None], axis=1)
+        """The S_i, from W: a new read-only (n_relations, n, n) array."""
+        S = np.zeros((self.partition.n_relations, *self.W.shape))
+        np.put_along_axis(S, self.partition.label[None], self.W[None], axis=0)
         for i, s in self._kept.items():
-            S[:, i] = s
+            S[i] = s
         S.setflags(write=False)
-        return S.transpose(1, 0, 2)
+        return S
+
+    def _kernel(self, i: int) -> np.ndarray:
+        """S_i alone: the kept copy, or W on relation i and 0 elsewhere."""
+        return self._kept[i] if i in self._kept else np.where(
+            self.partition.label == i, self.W, 0.0)
 
     @cached_property
     def verified(self) -> tuple[AssociationScheme, np.ndarray]:
@@ -425,25 +428,24 @@ def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
     checked too.  So the verdict, and on a failure the first failing (i, j)
     with its witness, are those of the check of all d^2 products.  p~ >= 0
     holds without a test: past (2) every kernel entry is a nonnegative
-    double, and so are their products.
+    double, and so are their products.  The kernels are built one at a time.
     """
     return gs.verified[1].copy()
 
 
-def _gathered(S: np.ndarray, rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """[i, j, k] -> (S_i S_j)(rx_k, ry_k) for a (d, n, n) view S of an
-    (n, d, n) stack, from the row gathers S_i[rx] @ S_j: the dot products
-    of the full product S_i @ S_j, so the same doubles.  row is
-    [S_0 ... S_d-1], a view, and each product takes jb kernels, at most
-    n^2 doubles when d <= n."""
-    d, n = S.shape[:2]
-    at, row, jb = np.arange(d), S.transpose(1, 0, 2).reshape(n, d * n), max(1, n // d)
-    out = np.empty((d, d, d))
-    for i in range(d):
-        gather = S[i][rx]
-        for j in range(0, d, jb):
-            block = gather @ row[:, j * n:(j + jb) * n]
-            out[i, j:j + jb] = block.reshape(d, -1, n)[at, :, ry].T
+def _gathered(lab: np.ndarray, W: np.ndarray, rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """[i, j, k] -> (S_i S_j)(rx_k, ry_k), for the kernels S_i that W holds
+    on the partition lab, from one d x n by n x d product per relation k:
+    the rows S_i(rx_k, .) by the columns S_j(., ry_k), row rx_k and column
+    ry_k of W spread over their labels.  d^3 n flops in O(dn) memory, on the
+    terms of the full products' entries, which BLAS may sum in another order."""
+    n, d = W.shape[0], len(rx)
+    at, out = np.arange(n), np.empty((d, d, d))
+    for k, (x, y) in enumerate(zip(rx, ry)):
+        rows, cols = np.zeros((n, d)), np.zeros((n, d))
+        rows[at, lab[x]] = W[x]
+        cols[at, lab[:, y]] = W[:, y]
+        out[:, :, k] = rows.T @ cols
     return out
 
 
@@ -462,31 +464,35 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     as p~ >= 0, the rows of S_y sum to at most 1 + 1e-8 and colmax_j is the
     largest column sum of S_j.  The coefficients read at the largest entry
     of each relation move by at most E there, so a residual is at most
-    2 g_j, plus 8 (n + 2) 2^-52 max(1, colmax_j) for the doubles.  x is
+    2 g_j, plus 8 (n + 2) 2^-52 max(1, colmax_j) for the doubles, whatever
+    the order of the sums: _gathered's products round like the full ones.  x is
     skipped, with that sum as r[x, j], when it is within 1e-8 for every j.
     The first failing checked slice runs the ordered scan of all (i, j)."""
     part = gs.partition
     n, d = part.n_points, part.n_relations
-    order = list(_generation(scheme.p))     # its d^3 bookkeeping goes before the stack
-    lab, W, S = part.label, gs.W, gs.kernels    # the stack lives for this call only
+    order = list(_generation(scheme.p))     # its d^3 bookkeeping is freed here
+    lab, W = part.label, gs.W
 
     # (2) support condition and row-stochasticity; each test is written so
     # that NaN fails it, which leaves every kernel finite after this loop.
-    # A kept slice fails here, so after it every entry off its relation is 0
+    # A kept kernel fails here, so after it W holds every kernel
+    colmax = np.empty(d)
     for i in range(d):
-        pos = ~(S[i] <= KERNEL_TOL)
+        S_i = gs._kernel(i)
+        pos = ~(S_i <= KERNEL_TOL)
         want = lab == i
         if not np.array_equal(pos, want):
             x, y = map(int, np.argwhere(pos != want)[0])
             raise AxiomViolation("2", (i, x, y),
                                  f"support of kernel {i} does not match relation {i}")
-        rows = S[i].sum(axis=1)
+        rows = S_i.sum(axis=1)
         if not np.abs(rows - 1.0).max() <= 1e-8:
             x = int(np.argmax(np.abs(rows - 1.0)))
             raise AxiomViolation("2", (i, x), f"kernel {i} row {x} not stochastic")
-        if S[i].min() < -KERNEL_TOL:
-            x, y = map(int, np.argwhere(S[i] < -KERNEL_TOL)[0])
+        if S_i.min() < -KERNEL_TOL:
+            x, y = map(int, np.argwhere(S_i < -KERNEL_TOL)[0])
             raise AxiomViolation("2", (i, x, y), "negative kernel entry")
+        colmax[i] = S_i.sum(axis=0).max()
 
     # (4) identity kernel, the diagonal of W
     e = part.identity_relation
@@ -506,30 +512,26 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
         y, x = map(int, np.argwhere(bad & (lab.T == i))[0])
         raise AxiomViolation("5", (i, x, y), "adjoint relation fails")
 
-    # (3) span closure.  p~[i, j, k] is read off S_i S_j at the largest W
-    # entry (rx_k, ry_k) of relation k
+    # (3) span closure; p~ is _gathered's, at each relation's largest W entry
     rx, ry = np.unravel_index(
         [np.argmax(np.where(lab == k, W, -np.inf)) for k in range(d)], (n, n))
-    top = W[rx, ry]
-    ptilde = _gathered(S, rx, ry)
-    ptilde /= top
+    ptilde = _gathered(lab, W, rx, ry)
+    ptilde /= W[rx, ry]
 
-    def span(i, j):
-        """p~[i, j] read off the full product S_i S_j, and |S_i S_j -
-        sum_k p~[i, j, k] S_k|."""
-        prod = S[i] @ S[j]
-        coeff = prod[rx, ry] / top
-        fit = coeff[lab]
-        fit *= W
-        prod -= fit
-        return coeff, np.abs(prod, out=prod)
+    def residuals(i):
+        """|S_i S_j - sum_k p~[i, j, k] S_k| for j = 0, 1, ..., d - 1."""
+        S_i = gs._kernel(i)
+        for j in range(d):
+            prod = S_i @ gs._kernel(j)
+            fit = ptilde[i, j][lab]     # in place: one n x n temporary, not two
+            fit *= W
+            prod -= fit
+            yield np.abs(prod, out=prod)
 
     def first_failure():
-        """The failure of the first (i, j), in order, whose residual
-        exceeds 1e-8."""
+        """The failure of the first (i, j), in order, whose residual exceeds 1e-8."""
         for i in range(d):
-            for j in range(d):
-                resid = span(i, j)[1]
+            for j, resid in enumerate(residuals(i)):
                 if resid.max() > 1e-8:
                     x, y = map(int, np.argwhere(resid > 1e-8)[0])
                     return AxiomViolation("3", (i, j, int(lab[x, y]), x, y),
@@ -537,7 +539,6 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
 
     # the generating-set check of the docstring; a slice not yet reached
     # has r = 0 and, but for x, p~[y, z] = 0 on it
-    colmax = S.sum(axis=1).max(axis=1)
     slack = 8 * (n + 2) * 2.0 ** -52 * np.maximum(1.0, colmax)
     r = np.zeros((d, d))
     for x, pair in order:
@@ -551,8 +552,7 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
             if (bound <= 1e-8).all():
                 r[x] = bound
                 continue
-        for j in range(d):
-            ptilde[x, j], resid = span(x, j)
+        for j, resid in enumerate(residuals(x)):
             r[x, j] = resid.max()
             if r[x, j] > 1e-8:
                 raise first_failure()

@@ -2,6 +2,7 @@
 positive definiteness, boundary deformation."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -189,6 +190,28 @@ def test_ball_sphere_invariant():
         sizes = ball.sphere_sizes()
         for h in range(1, 5):
             assert sizes[h] == hs.haar_weight(h, params)
+
+
+@pytest.mark.parametrize("params", [P22, P32, P24, hs.DTParams(2, 3), hs.DTParams(3, 3),
+                                    hs.DTParams(5, 4)])
+def test_ball_size_closed_form_is_the_sum_of_the_spheres(params):
+    for R in range(51):
+        assert dtgraph.ball_size(params, R) == 1 + sum(
+            hs.haar_weight(h, params) for h in range(1, R + 1))
+
+
+@pytest.mark.parametrize("params, R, count", [
+    (P32, 63, "27670116110564327422"), (P32, 64, "more than 200000"),
+    (P22, 100_000, "200001"), (P22, 100_001, "more than 200000"),
+    (P32, 10 ** 5, "more than 200000"), (hs.DTParams(99, 99), 10 ** 9, "more than 200000")])
+def test_ball_cap_refuses_a_huge_radius_at_once(params, R, count):
+    """Past the radius where every ball is over the cap, the refusal says so
+    without the ball's size, whose integer would take time to build and
+    could not be printed."""
+    start = time.perf_counter()
+    with pytest.raises(hs.BallTooLarge, match=f"^ball has {count} vertices, cap is 200000$"):
+        hs.build_ball(params, R)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_ball_cap():

@@ -704,6 +704,9 @@ CONTRACT_CASES = [
     (["dtgraph", "--a", "3", "--b", "2", "--x", "1e200"], 2, "leaves double range"),
     (["dtgraph", "--a", "3", "--b", "2", "--x", "0.5", "--radius", "-1"], 2,
      "radius must be nonnegative"),
+    # a radius past the ball cap is refused unsized, however large
+    (["dtgraph", "--a", "3", "--b", "2", "--radius", "100000", "--x", "0.1",
+      "--report", "psd"], 2, "ball has more than 200000 vertices"),
     # the pushforward reads depth 1 only, so a needs no ball beyond radius 1
     (["dtgraph", "--a", "1000", "--b", "2", "--report", "pushforward"], 0),
 ]

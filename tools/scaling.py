@@ -44,7 +44,8 @@ Curves:
 - generalized: the canonical family of a product or join of two cycle
   schemes, its build from the factors, then verify_generalized and
   from_generalized on it; the first four cases are the float-spectral
-  benchmark's families.
+  benchmark's families.  The last cases are the canonical families of the
+  cycles C100 and C200 (m2 null), built from their verified schemes.
 - gram_min_eig: as `dtgraph --report psd` runs it, build_ball, then the
   minimum Gram eigenvalue at s0, 0 and s1, on Gamma(3, 2) with R = 4..16
   and the path Gamma(2, 2) up to R = 1000, where the blocks are
@@ -331,8 +332,11 @@ def generalized(kind: str, m1: int, m2: int) -> dict:
     def cycle_family(m):
         return hs.canonical_generalized(hs.verify_scheme(_cycle_partition(m)))
 
-    build = hs.direct_product_scheme if kind == "product" else hs.join_scheme
-    factors = cycle_family(m1), cycle_family(m2)
+    if kind == "cycle":
+        build, factors = hs.canonical_generalized, (hs.verify_scheme(_cycle_partition(m1)),)
+    else:
+        build = hs.direct_product_scheme if kind == "product" else hs.join_scheme
+        factors = cycle_family(m1), cycle_family(m2)
     partition = build(*factors).partition
 
     def run(clock):
@@ -390,8 +394,8 @@ CURVES = {
     "generalized": ([("product", 5, 6), ("product", 5, 8), ("join", 6, 12), ("join", 8, 10)]
                     + [("product", 3, m) for m in (10, 20, 34)]
                     + [("product", 5, m) for m in (20, 30, 40)]
-                    + [("join", *ms) for ms in ((5, 6), (10, 15), (12, 20), (16, 25))],
-                    generalized),
+                    + [("join", *ms) for ms in ((5, 6), (10, 15), (12, 20), (16, 25))]
+                    + [("cycle", m, None) for m in (100, 200)], generalized),
     "gram_min_eig": ([(3, 2, R) for R in range(4, 17)]
                      + [(2, 2, R) for R in (50, 100, 200, 500, 1000)], gram_min_eig),
     "from_double_cosets": ([(m,) for m in (50, 100, 200, 400)], from_double_cosets),
