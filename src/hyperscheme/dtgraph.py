@@ -29,6 +29,9 @@ BALL_CAP = 200_000
 QUAD_TOL = 1e-10
 QUAD_MAX_NODES = 1 << 14
 SUPPORT_CAP = 10_000     # atoms a PolyHypergroup.power may reach
+# DeformedKernels.max_row_sum_error scatters kernel rows in blocks of at most
+# this many bytes (one row at least)
+_ROW_BLOCK_BYTES = 1 << 18
 
 
 class DomainError(ValueError):
@@ -526,23 +529,27 @@ class _LazyKernels(Mapping):
             self._rows[h] = self._build(h)
         return self._rows[h]
 
-    def scatter(self, h, m: int) -> np.ndarray:
-        """The first m rows of K_h as a new dense m x n array, not kept.
-        guard, if given, is called first with the number of dense kernels
-        held, this one counted as a whole kernel."""
-        h = self._label(h)
+    def guard(self):
+        """Call guard, if given, with the number of dense kernels held and
+        one more."""
         if self._guard is not None:
             self._guard(len(self._dense) + 1)
+
+    def scatter(self, h, lo: int, hi: int) -> np.ndarray:
+        """Rows lo .. hi - 1 of K_h as a new dense (hi - lo) x n array, not
+        kept."""
         indptr, indices, data = self.rows(h)
-        end = indptr[m]
-        K = np.zeros((m, self._n))
-        K[np.repeat(np.arange(m), np.diff(indptr[:m + 1])), indices[:end]] = data[:end]
+        start, end = indptr[lo], indptr[hi]
+        K = np.zeros((hi - lo, self._n))
+        K[np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1])),
+          indices[start:end]] = data[start:end]
         return K
 
     def __getitem__(self, h) -> np.ndarray:
         h = self._label(h)
         if h not in self._dense:
-            self._dense[h] = self.scatter(h, self._n)
+            self.guard()
+            self._dense[h] = self.scatter(h, 0, self._n)
         return self._dense[h]
 
     def __iter__(self):
@@ -729,12 +736,21 @@ class DeformedKernels:
     def max_row_sum_error(self) -> float:
         """Max |row sum - 1| of K_h, h = 1..R, over the rows whose
         distance-h sphere lies inside the ball; computed on first read, from
-        those dense rows, scattered one K_h at a time and dropped once
-        summed."""
+        those dense rows, scattered in blocks of at most _ROW_BLOCK_BYTES
+        (one row at least) and dropped once summed.  The memory guard of a
+        dense read is called first, as for one dense kernel: it limits the
+        O(ball_size(R - h) n) work of the dense row sums, not their memory."""
         params, R = self.ball.params, self.ball.radius
-        return max((float(np.abs(self.kernels.scatter(h, ball_size(params, R - h))
-                                 .sum(axis=1) - 1.0).max())
-                    for h in range(1, R + 1)), default=0.0)
+        self.kernels.guard()
+        step = max(1, _ROW_BLOCK_BYTES // (8 * self.ball.n))
+
+        def error(h: int) -> float:
+            m = ball_size(params, R - h)
+            return float(np.max([np.abs(self.kernels.scatter(h, lo, min(lo + step, m))
+                                        .sum(axis=1) - 1.0).max()
+                                 for lo in range(0, m, step)]))
+
+        return max((error(h) for h in range(1, R + 1)), default=0.0)
 
     @property
     def valid(self) -> dict:

@@ -21,9 +21,10 @@ from .dtgraph import Ball, DeformedKernels, _expand, _LazyKernels, haar_weight
 from .hypergroup import _check_seed
 from .scheme import CheckFailure, GeneralizedScheme
 
-# simulate_walk draws its uniforms in blocks of about this many; the block
-# size bounds the per-step temporaries, and does not change the stream
-_BLOCK_UNIFORMS = 1 << 16
+# simulate_walk draws its uniforms in blocks of about this many (128 KiB);
+# the block size bounds the per-step temporaries, and does not change the
+# stream
+_BLOCK_UNIFORMS = 1 << 14
 
 
 class WalkWouldExitBall(CheckFailure):
@@ -138,21 +139,25 @@ def _dense_rows(K: np.ndarray) -> tuple:
 def _check_reachable(fam: KernelFamily, mu: StepDistribution, steps: int) -> np.ndarray:
     """The ascending states a walk from state 0 can occupy before some step;
     refuse the walk when one of them has a zero row in a kernel it steps
-    with.  Only the rows of those states are read.  ValueError for a
-    negative step count."""
+    with.  Only the rows of those states are read, and the states first
+    reached by the last step are not expanded, since no step leaves them.
+    ValueError for a negative step count."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     used = [fam.rows(h) for h in fam.support_labels(mu)]
     seen = np.zeros(fam.labels.shape[0], dtype=bool)
     frontier = np.zeros(1, dtype=np.int64)
-    for _ in range(steps):
+    for step in range(steps):
         seen[frontier] = True
-        nxt = np.zeros_like(seen)
-        for indptr, indices, data in used:
+        for indptr, _, _ in used:
             if (indptr[frontier] == indptr[frontier + 1]).any():
                 raise WalkWouldExitBall(
                     "a reachable state lacks a full kernel row; enlarge the "
                     "ball or shorten the walk")
+        if step + 1 == steps:
+            break
+        nxt = np.zeros_like(seen)
+        for indptr, indices, data in used:
             _, at = _expand(indptr[frontier], indptr[frontier + 1])
             nxt[indices[at[data[at] > 0]]] = True
         frontier = np.flatnonzero(nxt & ~seen)
@@ -166,24 +171,36 @@ def _row_table(fam: KernelFamily, labels: list, states: np.ndarray):
     the i-th label h, and its key is x plus the cumulative row weight, so
     the keys increase along each row.  Rows of unreached states are empty.
     Each label's weights are summed in one cumsum over its table, so a key
-    is the same double whatever other labels the table holds."""
+    is the same double whatever other labels the table holds.  The reached
+    rows' entries are picked by one mask over the rows up to the last
+    state, and written into arrays sized once, so the temporaries of a
+    label are its mask and one array of its table's length."""
     n = fam.labels.shape[0]
-    cols, keys, starts = [], [], []
-    offset = 0
-    for h in labels:
-        kernel_ptr, indices, data = fam.rows(h)
-        which, at = _expand(kernel_ptr[states], kernel_ptr[states + 1])
-        cw = np.cumsum(data[at])
-        rows = states[which]
-        indptr = np.searchsorted(rows, np.arange(n + 1))
-        cw -= np.concatenate(([0.0], cw))[indptr[:-1]][rows]
-        cw += rows
-        cols.append(indices[at])
-        keys.append(cw)
-        starts.append(indptr[:-1] + offset)
-        offset += at.size
-    starts.append([offset])
-    return np.concatenate(cols), np.concatenate(keys), np.concatenate(starts)
+    top = int(states[-1]) + 1 if states.size else 0
+    reached = np.zeros(top, dtype=bool)
+    reached[states] = True
+    kernels = [fam.rows(h) for h in labels]
+    sizes = np.zeros((len(labels), n), dtype=np.int64)
+    for size, (indptr, _, _) in zip(sizes, kernels):
+        size[states] = indptr[states + 1] - indptr[states]
+    starts = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    cols = np.empty(starts[-1], dtype=np.result_type(*(k[1] for k in kernels)))
+    keys = np.empty(starts[-1], dtype=np.result_type(*(k[2] for k in kernels)))
+    for i, (indptr, indices, data) in enumerate(kernels):
+        lo, hi, end = starts[i * n], starts[(i + 1) * n], indptr[top]
+        mask = np.repeat(reached, np.diff(indptr[:top + 1]))
+        cols[lo:hi] = indices[:end][mask]
+        cw = keys[lo:hi]
+        cw[:] = data[:end][mask]
+        np.cumsum(cw, out=cw)
+        first = starts[i * n:i * n + top] - lo
+        before = np.zeros(top)
+        inner = np.flatnonzero(first)
+        before[inner] = cw[first[inner] - 1]
+        cw -= np.repeat(before, sizes[i, :top])
+        cw += np.repeat(np.arange(top), sizes[i, :top])
+    return cols, keys, starts
 
 
 def _lower_bound(keys: np.ndarray, pos: np.ndarray, last, q: np.ndarray,
@@ -193,10 +210,12 @@ def _lower_bound(keys: np.ndarray, pos: np.ndarray, last, q: np.ndarray,
     np.searchsorted clipped to the row, making the same comparisons.  A
     branchless binary lifting over all rows at once, ceil(log2 width)
     rounds; pos is overwritten."""
-    for k in reversed(range((width - 1).bit_length())):
+    for k in reversed(range(1, (width - 1).bit_length())):
         probe = pos + ((1 << k) - 1)
         np.minimum(probe, last, out=probe)
         pos += (keys[probe] < q) << k
+    if width > 1:   # the last round, k = 0, probes pos itself
+        pos += keys[np.minimum(pos, last)] < q
     return np.minimum(pos, last, out=pos)
 
 
@@ -212,14 +231,16 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
     """Monte Carlo walk from state 0: per step sample a label h ~ mu, then a
     successor from the h-kernel row at the current state.
 
-    All trials advance together, in blocks of about 2**16 uniforms, so
-    memory does not grow with trials.  Step s of trial t uses uniforms
-    2st + 2s (label) and 2st + 2s + 1 (successor) of the Philox stream
-    keyed by seed; counts from more trials are elementwise at least those
-    from fewer.  Each step is two bounded searches: the label over mu's
-    cumulative weights, then the successor inside the (label, state) row
-    of one table over the kernels of mu's support.  ValueError for a seed
-    that is not a nonnegative integer.
+    All trials advance together, in blocks of about 2**14 uniforms (128
+    KiB), so memory does not grow with trials and each step's temporaries
+    stay cache-sized.  Step s of trial t uses uniforms 2st + 2s (label) and
+    2st + 2s + 1 (successor) of the Philox stream keyed by seed; counts
+    from more trials are elementwise at least those from fewer.  The labels
+    of every step of a block are found in one bounded search over mu's
+    cumulative weights; each step is then one bounded search for the
+    successor inside the (label, state) row of one table over the kernels
+    of mu's support.  ValueError for a seed that is not a nonnegative
+    integer.
     """
     seed = _check_seed(seed)
     if trials < 1:
@@ -236,15 +257,16 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
     block = max(1, _BLOCK_UNIFORMS // max(1, 2 * steps))
     for lo in range(0, trials, block):
         u = rng.random((min(block, trials - lo), 2 * steps))
+        label = _lower_bound(mu_cum, np.zeros((u.shape[0], steps), dtype=np.int64),
+                             len(labels) - 1, u[:, ::2], len(labels))
+        label *= n
         x = np.zeros(u.shape[0], dtype=np.int64)
         for s in range(steps):
-            row = _lower_bound(mu_cum, np.zeros_like(x), len(labels) - 1,
-                               u[:, 2 * s], len(labels))
-            row *= n
-            row += x
+            row = label[:, s] + x
             x = cols[_lower_bound(keys, first[row], last[row],
                                   x + u[:, 2 * s + 1], width)]
-        counts += np.bincount(x, minlength=n)
+        hits = np.bincount(x)     # as long as the last state hit, not n
+        counts[:hits.size] += hits
     empirical = {x: c / trials for x, c in enumerate(counts.tolist()) if c}
     return WalkResult(empirical=empirical, trials=trials, steps=steps, seed=seed)
 

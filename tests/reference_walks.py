@@ -6,6 +6,10 @@ test_ball_differential.py.
 step, `row_table` runs `np.nonzero` on a whole kernel, `simulate_walk`
 samples from those whole-kernel tables, and `propagate_and_project`
 multiplies the point mass at state 0 by the full n x n mu-mixture.
+
+`expanded_row_table` is the sparse walk's sampling table as it was first
+built from kernel rows: the entries of the reached rows listed through
+integer row and position arrays, one label at a time, and concatenated.
 """
 
 import numpy as np
@@ -68,3 +72,26 @@ def propagate_and_project(fam, mu, steps):
     for _ in range(steps):
         dist = dist @ step_matrix
     return _project(fam.labels, dist)
+
+
+def expanded_row_table(fam, labels, states):
+    n = fam.labels.shape[0]
+    cols, keys, starts = [], [], []
+    offset = 0
+    for h in labels:
+        kernel_ptr, indices, data = fam.rows(h)
+        lo, hi = kernel_ptr[states], kernel_ptr[states + 1]
+        size = np.maximum(hi - lo, 0)
+        which = np.repeat(np.arange(size.size), size)
+        at = np.arange(which.size) - np.repeat(np.cumsum(size) - size - lo, size)
+        cw = np.cumsum(data[at])
+        rows = states[which]
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        cw -= np.concatenate(([0.0], cw))[indptr[:-1]][rows]
+        cw += rows
+        cols.append(indices[at])
+        keys.append(cw)
+        starts.append(indptr[:-1] + offset)
+        offset += at.size
+    starts.append([offset])
+    return np.concatenate(cols), np.concatenate(keys), np.concatenate(starts)

@@ -324,6 +324,24 @@ def test_random_kernel_walks_match_dense_reference(walk, seed):
             == reference_walks.simulate_walk(fam, mu, steps, trials, seed).empirical)
 
 
+@settings(max_examples=60)
+@given(kernel_walks(), st.data())
+def test_row_table_is_the_expanded_construction(walk, data):
+    """The masked row table is the table built through integer row and
+    position arrays, byte for byte and dtype for dtype, at the states a walk
+    reaches and at any ascending set of states."""
+    fam, mu, steps, _ = walk
+    n = fam.labels.shape[0]
+    labels = fam.support_labels(mu)
+    subset = data.draw(st.sets(st.integers(0, n - 1)))
+    for states in (hs.walks._check_reachable(fam, mu, steps),
+                   np.array(sorted(subset), dtype=np.int64)):
+        got = hs.walks._row_table(fam, labels, states)
+        want = reference_walks.expanded_row_table(fam, labels, states)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_complete_graph_walk_matches_dense_reference():
     """K_300: rows of width 299 beside the width-1 identity rows."""
     m = 300

@@ -248,6 +248,30 @@ def test_sphere_kernels_refuse_beyond_physical_memory():
     assert ball._dist is None
 
 
+def test_deformed_row_sums_scatter_rows_in_blocks():
+    """The first read of max_row_sum_error on the (3, 2, 8) ball (n = 766)
+    scatters the leading rows of each K_h in blocks of at most 256 KiB, so
+    its peak, the kernel rows it builds included, stays below 1 MiB (2.3
+    MiB when the 382 leading rows of K_1 were scattered at once).  On
+    (3, 2, 16) the memory guard refuses it, as it refuses one dense kernel,
+    before any kernel row is built."""
+    ball = hs.build_ball(P32, 8)
+    dk = hs.deform_ball_kernels(ball, hs.BoundaryRay(ball), 0.3)
+    tracemalloc.start()
+    try:
+        error = dk.max_row_sum_error
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert error <= 1e-12
+    assert peak < 2 ** 20
+    ball = hs.build_ball(P32, 16)
+    dk = hs.deform_ball_kernels(ball, hs.BoundaryRay(ball), 0.3)
+    with pytest.raises(hs.BallTooLarge, match="^1 dense 196606 x 196606 "):
+        dk.max_row_sum_error
+    assert not dk.kernels._rows
+
+
 def test_ball_memory_guard_counts_the_kernels_built(monkeypatch):
     """The guard counts the dense kernels that reads of matrices hold, and
     nothing a walk reads: with memory for two dense kernels, a walk that

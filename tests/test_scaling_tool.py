@@ -15,6 +15,9 @@ FIELDS = {
     "ball": ["a", "b", "R", "n", *WALK],
     "width": ["a", "b", "R", "h", "width", "steps", "trials", *WALK, "ns_per_trial_step"],
     "complete": ["complete", "width", "steps", "trials", *WALK, "ns_per_trial_step"],
+    "deform": ["a", "b", "R", "n", "c", "ray_s", "deform_s", "max_row_sum_error_s", "walk_s",
+               "ray_peak_mib", "deform_peak_mib", "max_row_sum_error_peak_mib",
+               "walk_peak_mib"],
     "verify_scheme": ["family", "case", "n", "d", "generators", "s", "peak_mib"],
     "verify_hypergroup": ["family", "case", "d", "generators", *OLD_NEW],
     "characters": ["case", "d", "characters_s", "order_old_s", "order_new_s",

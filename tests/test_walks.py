@@ -379,7 +379,7 @@ def test_row_search_is_clipped_searchsorted():
 
 def test_simulate_walk_memory_bounded_by_block(k3_scheme):
     """Peak traced memory at 10^6 trials stays within a few blocks of
-    uniforms (512 KiB each) and their per-step temporaries, far below the
+    uniforms (128 KiB each) and their per-step temporaries, far below the
     32 MiB all trials' uniforms would take."""
     fam = hs.KernelFamily.from_generalized(hs.canonical_generalized(k3_scheme))
     mu = hs.StepDistribution({1: 1})
@@ -391,6 +391,57 @@ def test_simulate_walk_memory_bounded_by_block(k3_scheme):
         tracemalloc.stop()
     assert walk.trials == 10 ** 6
     assert peak < 4 * 2 ** 20
+
+
+def _traced_peak(fn) -> float:
+    """The tracemalloc peak of fn(), in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_ball_walk_temporaries_stay_cache_sized():
+    """A later 2-step walk of 30 000 trials on the (3, 2, 8) ball (n = 766),
+    its kernel rows built, peaks below 0.9 MiB: one block of uniforms and
+    the per-step arrays of its trials (1.5 MiB with blocks of 2**16)."""
+    fam = hs.KernelFamily.from_ball(hs.build_ball(hs.DTParams(3, 2), 8))
+    mu = hs.StepDistribution({1: Fraction(1, 2), 2: Fraction(1, 2)})
+    hs.simulate_walk(fam, mu, 2, 30_000, seed=0)
+    assert _traced_peak(lambda: hs.simulate_walk(fam, mu, 2, 30_000, seed=1)) < 0.9
+
+
+def _complete_family(m: int):
+    label = (np.arange(m)[:, None] != np.arange(m)[None, :]).astype(int)
+    gs = hs.canonical_generalized(hs.verify_scheme(hs.RelationPartition(m, 2, label)))
+    return hs.KernelFamily.from_generalized(gs)
+
+
+@pytest.fixture(scope="module")
+def k1000_family():
+    """K_1000, rows of width 999, with the rows of S_1 built."""
+    fam = _complete_family(1000)
+    fam.rows(1)
+    return fam
+
+
+def test_reachability_does_not_expand_the_last_frontier(k1000_family):
+    """A 2-step delta_1 walk on K_1000 steps from every state, so the check
+    tests the zero rows of the 999 states first reached by the last step
+    but expands none of their rows (30.5 MiB traced when it did)."""
+    mu = hs.StepDistribution({1: 1})
+    assert _traced_peak(lambda: walks._check_reachable(k1000_family, mu, 2)) < 1.0
+    assert np.array_equal(walks._check_reachable(k1000_family, mu, 2), np.arange(1000))
+
+
+def test_row_table_of_wide_rows_peaks_low(k1000_family):
+    """The row table of K_1000's 999 000 entries peaks at 35 MiB or less,
+    its 15.3 MiB kept included (53.4 MiB through integer row and position
+    arrays and a final concatenation)."""
+    assert _traced_peak(lambda: walks._row_table(k1000_family, [1],
+                                                 np.arange(1000))) <= 35.0
 
 
 def test_lazy_kernels_are_freed_with_their_family(z4_scheme):

@@ -30,6 +30,11 @@ Curves:
   w_h = 3 * 2^(h-1).
 - complete: the same on the complete graphs K_300 and K_1000
   (KernelFamily.from_generalized, mu = delta_1, 2 steps, width m - 1).
+- deform: on Gamma(3, 2) with R = 4..13, a built ball, BoundaryRay, then
+  deform_ball_kernels at c = DEFORM_C, the first read of its
+  max_row_sum_error (which builds the rows of K_1 .. K_R), and a 3-step
+  delta_1 walk of 30 000 trials on the deformed family, each with its
+  tracemalloc peak.
 - verify_scheme: the m-cycles and the D_m double-coset schemes (both
   d = m // 2 + 1), with |G| the slices of scheme._generators.
 - verify_hypergroup: D_m double-coset hypergroups, direct products of two,
@@ -72,6 +77,7 @@ ADDRESS_LIMIT = 2 * 2**30
 MIN_ROUNDS, MIN_SECONDS = 3, 0.3
 TRIALS = 30_000
 WIDTH_RADIUS = 10
+DEFORM_C = 0.3
 POWER_LAWS = {"exact": ({1: Fraction(3, 7), 2: Fraction(4, 7)}, None),
               "float delta_1": ({1: 1.0}, None),
               "deformed at x_c(0.1)": ({1: 1 / 3, 2: 2 / 3}, 0.1),
@@ -198,6 +204,27 @@ def complete(m: int) -> dict:
         hs.RelationPartition(n_points=m, n_relations=2, label=label)))
     return _walk_only(lambda: hs.KernelFamily.from_generalized(gs),
                       hs.StepDistribution({1: 1}), 2, {"complete": m, "width": m - 1})
+
+
+def deform(a: int, b: int, R: int) -> dict:
+    import hyperscheme as hs
+
+    params = hs.DTParams(a, b)
+    built = hs.build_ball(params, R)
+    mu = hs.StepDistribution({1: 1})
+
+    def run(clock):
+        with clock("ray_s"):
+            ray = hs.BoundaryRay(built)
+        with clock("deform_s"):
+            dk = hs.deform_ball_kernels(built, ray, DEFORM_C)
+        with clock("max_row_sum_error_s"):
+            dk.max_row_sum_error
+        with clock("walk_s"):
+            hs.simulate_walk(hs.KernelFamily.from_deformed(dk), mu, 3, TRIALS, 0)
+
+    names = ("ray_s", "deform_s", "max_row_sum_error_s", "walk_s")
+    return {"a": a, "b": b, "R": R, "n": built.n, "c": DEFORM_C, **timed(run, peaks=names)}
 
 
 # exact algebra
@@ -377,6 +404,7 @@ CURVES = {
              + [(2, 2, R) for R in (50, 100, 200, 300)], ball),
     "width": ([(h,) for h in range(1, 7)], width),
     "complete": ([(300,), (1000,)], complete),
+    "deform": ([(3, 2, R) for R in range(4, 14)], deform),
     "verify_scheme": ([(family, m) for family in ("cycle", "dihedral")
                        for m in (50, 100, 200, 400)], verify_scheme),
     "verify_hypergroup": ([("dihedral", m) for m in (6, 20, 40, 60, 100, 140, 200)]
