@@ -6,14 +6,16 @@ written by repr, the shortest text that reads back as the same double.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .hypergroup import FiniteHypergroup, _ratios
+from .hypergroup import FiniteHypergroup, _int_dtype, _ratios
 from .scheme import GeneralizedScheme, RelationPartition
 
 
@@ -31,8 +33,8 @@ _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def dumps(obj) -> str:
     """json.dumps(obj, indent=1, default=encode_number), byte for byte.
-    json indents in Python, item by item; here a list of only str, or only
-    int and float, is encoded and joined at C speed."""
+    json indents in Python, item by item; here a list of plain rows, or one
+    plain row, is written in a few C-level calls (_rows)."""
     return _encode(obj, "\n")
 
 
@@ -54,22 +56,46 @@ def _encode(obj, newline: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        types = set(map(type, obj))
-        if types == {str}:
-            items = map(encode_basestring_ascii, obj)
-        elif types <= {int, float}:
-            items = list(map(repr, obj))
-            if not _FLOAT_NAMES.keys().isdisjoint(items):
-                items = [_FLOAT_NAMES.get(t, t) for t in items]
-        else:
-            items = (_encode(v, inner) for v in obj)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        block = isinstance(obj[0], (list, tuple))
+        text = _rows(obj, inner) if block else _rows((obj,), newline)
+        if text is not None:
+            return f"[{inner}{text}{newline}]" if block else text
+        items = ("," + inner).join([_encode(v, inner) for v in obj])
+        return f"[{inner}{items}{newline}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (_key(k) + ": " + _encode(v, inner) for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        items = ("," + inner).join([_key(k) + ": " + _encode(v, inner)
+                                    for k, v in obj.items()])
+        return f"{{{inner}{items}{newline}}}"
     return _encode(encode_number(obj), newline)
+
+
+def _rows(rows, newline: str):
+    """The rows as dumps writes them, each after newline, separated by
+    commas; None unless every row is a non-empty list or tuple and the
+    cells are all str that json writes unescaped, or all int and float
+    (not bool).  A str needs no escape exactly when it is printable ASCII
+    with no quote or backslash (json.encoder.ESCAPE_ASCII)."""
+    if not set(map(type, rows)) <= {list, tuple} or not all(rows):
+        return None
+    try:                        # "".join refuses a cell that is not a str
+        plain = "".join(map("".join, rows))
+    except TypeError:
+        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            return None
+        q, rows = "", map(map, repeat(repr), rows)
+    else:
+        if not (plain.isascii() and plain.isprintable()) or '"' in plain \
+                or "\\" in plain:
+            return None
+        q = '"'
+    inner = newline + " "
+    text = f"{q}{newline}],{newline}[{inner}{q}".join(map(f"{q},{inner}{q}".join, rows))
+    text = f"[{inner}{q}{text}{q}{newline}]"
+    if not q and "n" in text:   # of number texts, only nan and inf hold an n
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def _key(k) -> str:
@@ -190,41 +216,69 @@ def hypergroup_to_dict(h: FiniteHypergroup) -> dict:
 
 
 def hypergroup_from_dict(data: dict) -> FiniteHypergroup:
-    """Each distinct entry is decoded once; rational entries go straight
-    into integer numerators over their least common denominator, and any
-    float entry makes the tensor float.  A tensor that is not n x n x n, or
-    an identity or involution outside 0..n-1, raises ValueError, and so
-    does a cell that is a JSON list or object, and a scheme_derived that is
-    not a JSON boolean."""
+    """Each distinct cell is decoded once; rational cells go straight into
+    integer numerators over their least common denominator, int64 where
+    they fit, and any float cell makes the tensor float.  A tensor that is
+    not n x n x n, or an identity or involution outside 0..n-1, raises
+    ValueError, and so does a cell that is a JSON list, object or boolean,
+    and a scheme_derived that is not a JSON boolean."""
     n = _int(data["n"], "n")
     scheme_derived = data.get("scheme_derived", False)
     if type(scheme_derived) is not bool:
         raise ValueError(f"scheme_derived must be true or false, not {scheme_derived!r}")
-    cells = np.array(data["conv"], dtype=object)
-    if cells.shape != (n, n, n):
-        raise ValueError(f"conv must be {n} x {n} x {n}, got shape {cells.shape}")
+    cells, distinct = _cells(data["conv"], n)
     identity = _int(data["identity"], "identity")
     involution = _ints(data["involution"], "involution")
     if not 0 <= identity < n:
         raise ValueError(f"identity {identity} is outside 0..{n - 1}")
     if involution.shape != (n,) or not ((0 <= involution) & (involution < n)).all():
         raise ValueError(f"involution must be {n} indices in 0..{n - 1}")
-    flat = cells.ravel().tolist()
-    try:
-        distinct = list(set(flat))
-    except TypeError:           # a list or object cell is unhashable
+    if distinct is None:
         raise ValueError("conv must hold numbers or \"p/q\" strings, not JSON "
-                         "lists or objects") from None
+                         "lists or objects")
+    # a set keeps one of 1, 1.0 and True, so number cells are typed one by one
+    types = set(map(type, distinct))
+    if types != {str}:
+        types = set(map(type, cells))
+    if bool in types:
+        raise ValueError("conv must hold numbers or \"p/q\" strings, not JSON booleans")
     values = [decode_number(v) for v in distinct]
-    # a set keeps one of 1 and 1.0, so a float entry is looked for in flat
-    ratios = None if float in set(map(type, flat)) else _ratios(values)
+    ratios = None if float in types else _ratios(values)
     if ratios is None:
-        value, den = dict(zip(distinct, map(float, values))), 1
+        table, den = np.array([float(v) for v in values]), 1
     else:
-        value, den = dict(zip(distinct, ratios[0])), ratios[1]
-    num = np.array([value[v] for v in flat], dtype=float if ratios is None else object)
-    return FiniteHypergroup._of(num.reshape(n, n, n), den, identity, involution,
-                                scheme_derived)
+        nums, den = ratios
+        table = np.array(nums, dtype=_int_dtype(max(map(abs, nums))))
+    code = dict(zip(distinct, range(len(distinct))))
+    num = table[np.fromiter(map(code.__getitem__, cells), np.intp, len(cells))]
+    # lowest terms already: a prime's highest power in den is some value's
+    # whole denominator, and that value's numerator is prime to it
+    return FiniteHypergroup._adopt(num.reshape(n, n, n), den, identity, involution,
+                                   scheme_derived)
+
+
+def _cells(conv, n: int) -> tuple:
+    """(the cells of conv in row-major order, the distinct cells, or None
+    when a cell is unhashable); ValueError unless numpy, which nests lists
+    and tuples, reads conv as n x n x n.  n lists of n lists of n numbers
+    or strings need no numpy."""
+    cells = [conv]
+    for _ in range(3):
+        if set(map(type, cells)) != {list} or set(map(len, cells)) != {n}:
+            break
+        cells = list(chain.from_iterable(cells))
+    else:
+        with contextlib.suppress(TypeError):        # an unhashable cell
+            distinct = list(set(cells))
+            if set(map(type, distinct)) <= {str, int, float}:
+                return cells, distinct
+    cells = np.array(conv, dtype=object)
+    if cells.shape != (n, n, n):
+        raise ValueError(f"conv must be {n} x {n} x {n}, got shape {cells.shape}")
+    cells = cells.ravel().tolist()
+    with contextlib.suppress(TypeError):
+        return cells, list(set(cells))
+    return cells, None
 
 
 def group_from_dict(data: dict) -> np.ndarray:

@@ -268,11 +268,12 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     p[i, j, k] = #{z : label(rx_k, z) = i, label(z, ry_k) = j} is read at the
     first row-major cell (rx_k, ry_k) of each relation k.  The counting axiom
     A_i A_j = sum_k p[i, j, k] A_k is checked, one float64 BLAS product per
-    j, only on the slices i != e that _generators(p) yields (A_e = I); they
-    prove the rest.  Memory is O(n^2 + d^3): ValueError, before p is
-    allocated, when its 13 d^3 bytes with _generators exceed the physical
-    memory.  Raises AxiomViolation (with axiom id and witness) if the
-    partition is not a scheme.
+    j != e, only on the slices i != e that _generators(p) yields (A_e = I);
+    they prove the rest.  Once the diagonal axiom holds, p[i, e, k] =
+    delta_ik, so A_i A_e = A_i = p[i, e][lab] needs no product.  Memory is
+    O(n^2 + d^3): ValueError, before p is allocated, when its 13 d^3 bytes
+    with _generators exceed the physical memory.  Raises AxiomViolation
+    (with axiom id and witness) if the partition is not a scheme.
     """
     lab = partition.label
     n, d = partition.n_points, partition.n_relations
@@ -304,6 +305,8 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
             continue
         a_i = (lab == i).astype(float)
         for j in range(d):
+            if j == e:
+                continue
             prod = a_i @ (lab == j).astype(float)
             bad = prod != p[i, j][lab]
             if bad.any():

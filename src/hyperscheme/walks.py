@@ -267,7 +267,8 @@ def simulate_walk(fam: KernelFamily, mu: StepDistribution, steps: int, trials: i
                                   x + u[:, 2 * s + 1], width)]
         hits = np.bincount(x)     # as long as the last state hit, not n
         counts[:hits.size] += hits
-    empirical = {x: c / trials for x, c in enumerate(counts.tolist()) if c}
+    hit = np.flatnonzero(counts)
+    empirical = dict(zip(hit.tolist(), [c / trials for c in counts[hit].tolist()]))
     return WalkResult(empirical=empirical, trials=trials, steps=steps, seed=seed)
 
 

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hyperscheme as hs
+import reference_io
 from hyperscheme import io as hio
 from hyperscheme import scheme, walks
 from hyperscheme.cli import EXIT, build_parser, main
@@ -74,9 +75,10 @@ def files(tmp_path, k3_scheme, k3_hypergroup, s3_table):
         "k3hg_plain": {k: v for k, v in k3hg.items() if k != "scheme_derived"},
         "derived_str": {**k3hg, "scheme_derived": "false"},
     }
-    # a conv cell that is a JSON list or object, which no set can hold
+    # a conv cell that is a JSON list or object, which no set can hold, or
+    # a JSON boolean, which is no number
     for name, cell in [("conv_empty", []), ("conv_list", ["1/2"]),
-                       ("conv_object", {"x": 1})]:
+                       ("conv_object", {"x": 1}), ("conv_bool", True)]:
         malformed[name] = hio.hypergroup_to_dict(k3_hypergroup)
         malformed[name]["conv"][1][1][0] = cell
     # kernel-family fields hold JSON numbers: a string is not parsed, and an
@@ -117,6 +119,87 @@ def test_a_float_entry_makes_the_tensor_float():
     assert not h.is_exact
     assert hio.hypergroup_to_dict(h)["conv"] == [[[1.0, 0.0], [0.0, 1.0]],
                                                  [[0.0, 1.0], [1.0, 0.0]]]
+
+
+# hypergroup cells: "p/q" strings in lowest terms or not and integers,
+# past int64 and negative; a float file adds floats, so that 1, 1.0, "1"
+# and -0.0 stand side by side
+_EXACT_CELLS = st.one_of(
+    st.sampled_from([0, 1, "0", "1", "1/2", "2/4", "-1/3", "-0"]),
+    st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.builds("{}/{}".format, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70)))
+_FLOAT_CELLS = st.one_of(_EXACT_CELLS, st.sampled_from([1.0, 0.0, -0.0, 0.5]), st.floats())
+_HG_FAULTS = ["identity", "involution", "cell", "short row", "long row", "extra plane",
+              "list cells"]
+
+
+@st.composite
+def _hypergroup_files(draw):
+    """A hypergroup file of n <= 3 with up to two faults among its cells,
+    shape, identity and involution."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from([_EXACT_CELLS, _FLOAT_CELLS]))
+    cells = iter(draw(st.lists(kind, min_size=n ** 3, max_size=n ** 3)))
+    conv = [[[next(cells) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    data = {"n": n, "identity": 0, "involution": list(range(n)), "conv": conv}
+    faults = draw(st.sampled_from([0, 0, 0, 1, 1, 2]))
+    for fault in draw(st.permutations(_HG_FAULTS))[:faults]:
+        if fault == "identity":
+            data["identity"] = n
+        elif fault == "involution":
+            data["involution"] = [n] * n
+        elif fault == "cell":
+            conv[0][0][:1] = [draw(st.sampled_from(
+                ["1/0", "x", "1/2/3", None, [], ["1/2"], {"p": 1}]))]
+        elif fault == "short row":
+            conv[-1][-1].pop()
+        elif fault == "long row":
+            conv[0][0].append("1")
+        elif fault == "extra plane":
+            conv.append(conv[0])
+        else:       # one-item lists, which numpy reads as a fourth axis
+            for row in (row for plane in conv for row in plane):
+                row[:] = [[c] for c in row]
+    return json.loads(json.dumps(data))
+
+
+def _read(reader, data):
+    """What reader makes of data: the tensor's dtype, bytes, den and fields,
+    or the message of the ValueError it raises."""
+    try:
+        h = reader(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    num = h.num.tolist() if h.num.dtype == object else h.num.tobytes()
+    return (h.num.dtype, num, h.den, h.is_exact, h.identity, h.involution.tolist(),
+            h.scheme_derived)
+
+
+@settings(max_examples=300)
+@given(_hypergroup_files(), st.booleans())
+@example({"n": 2, "identity": 0, "involution": [0, 1],
+          "conv": [[[[], []], [[], []]], [[[], []], [[], []]]]}, False)
+@example({"n": 1, "identity": 0, "involution": [0], "conv": [[[-0.0]]]}, False)
+@example({"n": 1, "identity": 0, "involution": [0], "conv": [[[(1, 0)]]]}, False)
+@example({"n": 2, "identity": 0, "involution": [0, 1],
+          "conv": [[[1, 0], [0, 1]], [[0, 1], [1.0, -0.0]]]}, True)
+@example({"n": 1, "identity": 0, "involution": [0], "conv": [[[str(2 ** 64) + "/6"]]]},
+         False)
+@example({"n": 2, "identity": 0, "involution": [0, 1],
+          "conv": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1/2", "1/0"]]]}, False)
+@example({"n": 2, "identity": 2, "involution": [0, 1],
+          "conv": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1/2/3", {"p": 1}]]]}, False)
+def test_hypergroup_reader_matches_the_object_array_reader(data, with_bool):
+    """hypergroup_from_dict reads every file as reference_io did, to the
+    dtype and bytes of num and the error message, except that a boolean
+    cell in a file it read is refused."""
+    want = _read(reference_io.hypergroup_from_dict, data)
+    assert _read(hio.hypergroup_from_dict, data) == want
+    if with_bool and not isinstance(want[0], type):
+        data["conv"][-1][-1][-1] = data["conv"][0][0][0] == 0
+        with pytest.raises(ValueError, match="conv must hold numbers or \"p/q\" "
+                                             "strings, not JSON booleans"):
+            hio.hypergroup_from_dict(data)
 
 
 def test_dumps_refuses_the_keys_json_refuses():
@@ -181,12 +264,63 @@ def test_rational_encoding():
             hio.decode_number(bad)
 
 
-# leaves of every kind json.dumps takes or hands to encode_number, and lists
-# of only str or only numbers, which dumps joins in one go
+class _Str(str):
+    """A str subclass, which json writes as its text."""
+
+
+# plain cells: "p/q"-like ASCII, or numbers with every float json names
+_PLAIN_CELLS = [
+    st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?|[ -!#-\[\]-~]{0,3}", fullmatch=True),
+    st.one_of(st.integers(), st.floats(),
+              st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))]
+# what one cell becomes, or what becomes of its row, that json writes
+# otherwise or that no plain row holds
+_PERTURBATIONS = ['"', "\\", "\x7f", "\x01", "\n", "\u00e9", _Str("1/2"), True, False,
+                  np.int64(3), np.float64(0.5), None, "empty row", "ragged row"]
+
+
+@st.composite
+def _plain_blocks(draw):
+    """A rectangular nested list of plain cells, all str or all numbers,
+    with at most one cell or row perturbed."""
+    change = draw(st.sampled_from([None, *_PERTURBATIONS]))
+    # a character json escapes goes into a block of str
+    kind = 0 if isinstance(change, str) and len(change) == 1 else draw(st.integers(0, 1))
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    cells = iter(draw(st.lists(_PLAIN_CELLS[kind], min_size=math.prod(shape),
+                               max_size=math.prod(shape))))
+
+    def nest(dims):
+        return [next(cells) for _ in range(dims[0])] if len(dims) == 1 else \
+            [nest(dims[1:]) for _ in range(dims[0])]
+
+    block = nest(shape)
+    rows = [block]
+    while isinstance(rows[0][0], list):
+        rows = [r for row in rows for r in row]
+    if change is not None:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        _perturb(row, change, draw(st.integers(0, len(row) - 1)))
+    return block
+
+
+def _perturb(row: list, change, k: int):
+    """Empty row, lengthen it, or set its cell k to change."""
+    if isinstance(change, str) and change == "empty row":
+        row.clear()
+    elif isinstance(change, str) and change == "ragged row":
+        row.append(row[0])
+    else:
+        row[k] = change
+
+
+# leaves of every kind json.dumps takes or hands to encode_number, and
+# lists of only str or only numbers, alone or in rectangular blocks, which
+# dumps writes a block at a time
 _JSON_LEAVES = st.one_of(
     st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
     st.fractions(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
-    st.floats().map(np.float64))
+    st.floats().map(np.float64), _plain_blocks())
 _JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(),
                        st.none())
 
@@ -201,6 +335,16 @@ def _json_containers(children):
 @example([math.nan, 1, -math.inf, -0.0, math.inf])
 @example({math.nan: ["\u00e9", "\ud83d"], 2: (), 1.5: {}, None: [True, 2 ** 70]})
 def test_dumps_is_the_json_module_output(obj):
+    assert hio.dumps(obj) == json.dumps(obj, indent=1, default=hio.encode_number)
+
+
+@pytest.mark.parametrize("change", _PERTURBATIONS, ids=repr)
+@pytest.mark.parametrize("cells", [["1/2", "-3", "a b"], [1, -0.0, math.nan, 2.5]],
+                         ids=["str", "number"])
+def test_dumps_writes_a_perturbed_block_as_json_does(cells, change):
+    """Every perturbation of a plain block, beside plain blocks, in turn."""
+    obj = {"block": [[list(cells) for _ in range(3)] for _ in range(2)]}
+    _perturb(obj["block"][1][1], change, 1)
     assert hio.dumps(obj) == json.dumps(obj, indent=1, default=hio.encode_number)
 
 
@@ -688,6 +832,8 @@ CONTRACT_CASES = [
     (["characters", "conv_empty"], 2, "conv must hold numbers or \"p/q\" strings"),
     (["characters", "conv_list"], 2, "conv must hold numbers or \"p/q\" strings"),
     (["product", "k3hg", "conv_object"], 2, "conv must hold numbers or \"p/q\" strings"),
+    (["characters", "conv_bool"], 2,
+     "conv must hold numbers or \"p/q\" strings, not JSON booleans"),
     (["verify", "deep"], 2, "JSON nested too deeply"),
     (["characters", "huge_haar"], 2, "Haar weights must be finite doubles"),
     (["dual", "huge_haar", "0", "1"], 2, "Haar weights must be finite doubles"),

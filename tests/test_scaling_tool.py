@@ -23,6 +23,9 @@ FIELDS = {
     "characters": ["case", "d", "characters_s", "order_old_s", "order_new_s",
                    "characters_peak_mib"],
     "dumps": ["case", "entries", "old_s", "new_s"],
+    "io": ["case", "d", "entries", "file_bytes", "to_dict_s", "dumps_s", "save_s", "load_s",
+           "from_dict_s", "to_dict_peak_mib", "dumps_peak_mib", "save_peak_mib",
+           "load_peak_mib", "from_dict_peak_mib"],
     "convolution_power": ["case", "t", "atoms", *OLD_NEW],
     "generalized": ["kind", "m1", "m2", "n", "d", "generators", "build_s",
                     "verify_generalized_s", "from_generalized_s", "build_peak_mib",

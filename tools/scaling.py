@@ -43,6 +43,10 @@ Curves:
 - characters: on the D_m hypergroups, and the character order by one
   np.lexsort against the reference's per-row sort key.
 - dumps: io.dumps against json.dumps(indent=1, default=encode_number).
+- io: the exact tensor across the JSON boundary, as `product --json --out`
+  moves it, on direct products of two cycle hypergroups, d = 12..110:
+  hypergroup_to_dict, dumps of the CLI report, save, load and
+  hypergroup_from_dict of the saved file, each with its tracemalloc peak.
 - convolution_power: on Gamma(3, 2) against t, the exact law
   {1: 3/7, 2: 4/7} against reference_exact.poly_power, results checked
   equal; then the library alone on exact, float, deformed and sparse laws.
@@ -315,6 +319,38 @@ def dumps(family: str, *ms: int) -> dict:
                      "new_s": lambda: hio.dumps(data)})}
 
 
+def io_round_trip(m1: int, m2: int) -> dict:
+    import argparse
+    import tempfile
+
+    import hyperscheme as hs
+    from hyperscheme import cli, io as hio
+
+    h1, h2 = (hs.from_scheme(hs.verify_scheme(_cycle_partition(m))) for m in (m1, m2))
+    h = hs.direct_product(h1, h2)
+    args = argparse.Namespace(command="product", json=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "product.json")
+
+        def run(clock):
+            with clock("to_dict_s"):
+                data = hio.hypergroup_to_dict(h)
+            with clock("dumps_s"):
+                cli._report(args, "pass", {"hypergroup": data})
+            with clock("save_s"):
+                hio.save(path, data)
+            with clock("load_s"):
+                back = hio.load(path)
+            with clock("from_dict_s"):
+                hio.hypergroup_from_dict(back)
+
+        names = ("to_dict_s", "dumps_s", "save_s", "load_s", "from_dict_s")
+        row = timed(run, peaks=names)
+        size = os.path.getsize(path)
+    return {"case": f"C{m1}xC{m2}", "d": h.n, "entries": h.n ** 3, "file_bytes": size,
+            **row}
+
+
 def convolution_power(case: str, t: int, vs_reference: bool) -> dict:
     """A fresh hypergroup on each call, so that no coefficient cache carries
     over."""
@@ -414,6 +450,8 @@ CURVES = {
     "characters": ([(m,) for m in (6, 20, 40, 60, 100, 140, 200)], characters),
     "dumps": ([("dihedral", m) for m in (6, 20, 40, 60, 100)]
               + [("product", 8, 10), ("product", 12, 14)], dumps),
+    # d = k (k + 1): C_2(k-1) has k relations, C_2k has k + 1
+    "io": ([(2 * k - 2, 2 * k) for k in range(3, 11)], io_round_trip),
     "convolution_power": ([("exact", t, True) for t in (25, 50, 100, 200)]
                           + [("exact", t, False) for t in (75, 300, 1000)]
                           + [("float delta_1", t, False) for t in (1000, 3000)]
