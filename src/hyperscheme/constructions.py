@@ -76,13 +76,6 @@ def direct_product(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergro
                                 involution, h1.scheme_derived and h2.scheme_derived)
 
 
-def _weights(gs: GeneralizedScheme) -> np.ndarray:
-    """gs.W; a family with a kept kernel raises its axiom (2) failure."""
-    if gs._kept:
-        gs.verified
-    return gs.W
-
-
 def direct_product_scheme(gs1: GeneralizedScheme,
                           gs2: GeneralizedScheme) -> GeneralizedScheme:
     """Kernels K_{(h1,h2)} = K_{h1} (x) K_{h2} on X1 x X2."""
@@ -93,7 +86,7 @@ def direct_product_scheme(gs1: GeneralizedScheme,
     label = label.reshape(px.size, px.size)
     partition = RelationPartition(n_points=px.size, n_relations=pd.size,
                                   label=label)
-    return GeneralizedScheme._adopt(partition, np.kron(_weights(gs1), _weights(gs2)),
+    return GeneralizedScheme._adopt(partition, np.kron(gs1._weights(), gs2._weights()),
                                     np.kron(gs1.omega_x, gs2.omega_x))
 
 
@@ -155,6 +148,6 @@ def join_scheme(gs1: GeneralizedScheme, gs2: GeneralizedScheme) -> GeneralizedSc
                      flat1[p1.label][:, None, :, None]).reshape(px.size, px.size)
     partition = RelationPartition(n_points=px.size, n_relations=ji.size,
                                   label=label)
-    W = np.where(same1[:, None, :, None], _weights(gs2)[None, :, None, :],
-                 _weights(gs1)[:, None, :, None] * wx2).reshape(px.size, px.size)
+    W = np.where(same1[:, None, :, None], gs2._weights()[None, :, None, :],
+                 gs1._weights()[:, None, :, None] * wx2).reshape(px.size, px.size)
     return GeneralizedScheme._adopt(partition, W, np.kron(gs1.omega_x, wx2))

@@ -167,16 +167,11 @@ def _int(value, what: str) -> int:
 
 def scheme_to_dict(obj) -> dict:
     """Serialize a RelationPartition or GeneralizedScheme."""
-    if isinstance(obj, GeneralizedScheme):
-        part = obj.partition
-        return {
-            "n_points": part.n_points,
-            "relations": part.label.tolist(),
-            "kernels": [k.tolist() for k in obj.kernels],
-            "omega_x": obj.omega_x.tolist(),
-        }
     part = obj.partition if hasattr(obj, "partition") else obj
-    return {"n_points": part.n_points, "relations": part.label.tolist()}
+    data = {"n_points": part.n_points, "relations": part.label.tolist()}
+    if isinstance(obj, GeneralizedScheme):
+        data.update(kernels=obj.kernels.tolist(), omega_x=obj.omega_x.tolist())
+    return data
 
 
 def scheme_from_dict(data: dict):
@@ -199,9 +194,9 @@ def hypergroup_to_dict(h: FiniteHypergroup) -> dict:
     """The file form of h; "scheme_derived": true is written only when h
     carries that flag, so a file without it reads back as not derived."""
     if h.is_exact:      # each distinct numerator is encoded once
-        vals = np.unique(h.num)
+        vals, codes = np.unique(h.num, return_inverse=True)
         text = [encode_number(Fraction(v, h.den)) for v in vals.tolist()]
-        conv = np.array(text, dtype=object)[np.searchsorted(vals, h.num)].tolist()
+        conv = np.array(text, dtype=object)[codes.reshape(h.num.shape)].tolist()
     else:
         conv = h.num.tolist()
     data = {

@@ -83,6 +83,13 @@ class RelationPartition:
         object.__setattr__(self, "label", lab)
         lab.setflags(write=False)
 
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, order): relation i's flat cells are order[starts[i]:starts[i + 1]]."""
+        flat = self.label.ravel()       # sorted stably, so each relation's cells ascend
+        starts = np.concatenate(([0], np.bincount(flat, minlength=self.n_relations).cumsum()))
+        return starts, np.argsort(flat, kind="stable")
+
     def adjacency(self, i: int) -> np.ndarray:
         return (self.label == i).astype(np.int64)
 
@@ -129,20 +136,19 @@ class GeneralizedScheme:
     partition: RelationPartition
     W: np.ndarray        # shape (n_points, n_points)
     omega_x: np.ndarray  # shape (n_points,)
-    # the constructor drops the entries of S_i off relation i within
-    # +-KERNEL_TOL; the first S_i with one outside, or NaN, is kept as
-    # given, {i: S_i}, and fails axiom (2)
-    _kept: dict = field(repr=False)
+    # W holds no entry of S_i off relation i.  For the first S_i given one
+    # outside +-KERNEL_TOL, or NaN: (i, the args of its axiom (2) AxiomViolation)
+    _stray: tuple = field(repr=False)
 
     def __init__(self, partition: RelationPartition, kernels, omega_x):
         k = np.asarray(kernels, dtype=float)
         n, d, lab = partition.n_points, partition.n_relations, partition.label
         if k.shape != (d, n, n):
             raise ValueError(f"kernels must have shape ({d}, {n}, {n})")
-        stray = [i for i in range(d) if (~(np.abs(k[i]) <= KERNEL_TOL) & (lab != i)).any()]
-        kept = {i: k[i].copy() for i in stray[:1]}
+        stray = next(((i, _support_failure(i, k[i], lab)) for i in range(d)
+                      if (~(np.abs(k[i]) <= KERNEL_TOL) & (lab != i)).any()), ())
         self._hold(partition, np.take_along_axis(k, lab[None], axis=0)[0],
-                   np.array(omega_x, dtype=float), kept)
+                   np.array(omega_x, dtype=float), stray)
 
     @classmethod
     def _adopt(cls, partition: RelationPartition, W: np.ndarray,
@@ -150,31 +156,37 @@ class GeneralizedScheme:
         """The family of float64 arrays that the library has just built and
         no one else holds, taken over without a copy."""
         gs = object.__new__(cls)
-        gs._hold(partition, W, omega_x, {})
+        gs._hold(partition, W, omega_x, ())
         return gs
 
-    def _hold(self, partition: RelationPartition, W: np.ndarray, w: np.ndarray, kept):
+    def _hold(self, partition: RelationPartition, W: np.ndarray, w: np.ndarray, stray):
         """Check the shape of w and keep the arrays, read-only."""
         if w.shape != (partition.n_points,):
             raise ValueError(f"omega_x must have shape ({partition.n_points},)")
-        for a in (W, w, *kept.values()):
+        for a in (W, w):
             a.setflags(write=False)
-        vars(self).update(partition=partition, W=W, omega_x=w, _kept=kept)
+        vars(self).update(partition=partition, W=W, omega_x=w, _stray=stray)
+
+    def _weights(self) -> np.ndarray:
+        """W; a family given a stray entry (see _stray) raises its first verified failure."""
+        if self._stray:
+            self.verified
+        return self.W
 
     @property
     def kernels(self) -> np.ndarray:
         """The S_i, from W: a new read-only (n_relations, n, n) array."""
         S = np.zeros((self.partition.n_relations, *self.W.shape))
-        np.put_along_axis(S, self.partition.label[None], self.W[None], axis=0)
-        for i, s in self._kept.items():
-            S[i] = s
+        np.put_along_axis(S, self.partition.label[None], self._weights()[None], axis=0)
         S.setflags(write=False)
         return S
 
     def _kernel(self, i: int) -> np.ndarray:
-        """S_i alone: the kept copy, or W on relation i and 0 elsewhere."""
-        return self._kept[i] if i in self._kept else np.where(
-            self.partition.label == i, self.W, 0.0)
+        """S_i alone: W's cells of relation i, scattered into zeros."""
+        starts, order = self.partition._index
+        cells, S = order[starts[i]:starts[i + 1]], np.zeros(self.W.size)
+        S[cells] = self.W.ravel()[cells]
+        return S.reshape(self.W.shape)
 
     @cached_property
     def verified(self) -> tuple[AssociationScheme, np.ndarray]:
@@ -189,13 +201,11 @@ class GeneralizedScheme:
 
 def _representatives(partition: RelationPartition) -> tuple[np.ndarray, np.ndarray]:
     """(rx, ry): the first row-major cell of each relation."""
-    flat = partition.label.ravel()
-    labels, first = np.unique(flat, return_index=True)
-    if labels.size < partition.n_relations:
-        missing = np.setdiff1d(np.arange(partition.n_relations), labels)
-        i = int(missing[0])
+    starts, order = partition._index
+    if (starts[:-1] == starts[1:]).any():
+        i = int(np.argmax(starts[:-1] == starts[1:]))
         raise AxiomViolation("relation-empty", (i,), f"relation {i} never occurs")
-    return np.divmod(first, partition.n_points)
+    return np.divmod(order[starts[:-1]], partition.n_points)
 
 
 def _recover_involution(partition: RelationPartition, rx: np.ndarray,
@@ -359,8 +369,8 @@ def _group_table(cayley: np.ndarray) -> tuple[int, np.ndarray]:
         reached[a] = True
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            nxt = np.unique(t[np.ix_(frontier, gens)])
-            frontier = nxt[~reached[nxt]]
+            nxt = np.bincount(t[np.ix_(frontier, gens)].ravel(), minlength=n) > 0
+            frontier = np.flatnonzero(nxt & ~reached)
             reached[frontier] = True
     return ident, t
 
@@ -452,6 +462,21 @@ def _gathered(lab: np.ndarray, W: np.ndarray, rx: np.ndarray, ry: np.ndarray) ->
     return out
 
 
+def _support_failure(i: int, S_i: np.ndarray, lab: np.ndarray):
+    """The AxiomViolation arguments of kernel i's first axiom (2) failure, or None."""
+    off = ~(S_i <= KERNEL_TOL) != (lab == i)
+    if off.any():
+        x, y = map(int, np.argwhere(off)[0])
+        return "2", (i, x, y), f"support of kernel {i} does not match relation {i}"
+    rows = np.abs(S_i.sum(axis=1) - 1.0)
+    if not rows.max() <= 1e-8:
+        x = int(np.argmax(rows))
+        return "2", (i, x), f"kernel {i} row {x} not stochastic"
+    if S_i.min() < -KERNEL_TOL:
+        x, y = map(int, np.argwhere(S_i < -KERNEL_TOL)[0])
+        return "2", (i, x, y), "negative kernel entry"
+
+
 def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndarray:
     """Axioms (2)-(5) of verify_generalized for kernels on a partition that
     verify_scheme already turned into scheme; returns p~.  Only
@@ -478,23 +503,13 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
 
     # (2) support condition and row-stochasticity; each test is written so
     # that NaN fails it, which leaves every kernel finite after this loop.
-    # A kept kernel fails here, so after it W holds every kernel
+    # The recorded stray kernel fails here, so after it W holds every kernel
     colmax = np.empty(d)
     for i in range(d):
         S_i = gs._kernel(i)
-        pos = ~(S_i <= KERNEL_TOL)
-        want = lab == i
-        if not np.array_equal(pos, want):
-            x, y = map(int, np.argwhere(pos != want)[0])
-            raise AxiomViolation("2", (i, x, y),
-                                 f"support of kernel {i} does not match relation {i}")
-        rows = S_i.sum(axis=1)
-        if not np.abs(rows - 1.0).max() <= 1e-8:
-            x = int(np.argmax(np.abs(rows - 1.0)))
-            raise AxiomViolation("2", (i, x), f"kernel {i} row {x} not stochastic")
-        if S_i.min() < -KERNEL_TOL:
-            x, y = map(int, np.argwhere(S_i < -KERNEL_TOL)[0])
-            raise AxiomViolation("2", (i, x, y), "negative kernel entry")
+        fail = gs._stray[1] if gs._stray[:1] == (i,) else _support_failure(i, S_i, lab)
+        if fail:
+            raise AxiomViolation(*fail)
         colmax[i] = S_i.sum(axis=0).max()
 
     # (4) identity kernel, the diagonal of W
@@ -516,8 +531,9 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
         raise AxiomViolation("5", (i, x, y), "adjoint relation fails")
 
     # (3) span closure; p~ is _gathered's, at each relation's largest W entry
-    rx, ry = np.unravel_index(
-        [np.argmax(np.where(lab == k, W, -np.inf)) for k in range(d)], (n, n))
+    starts, cells = part._index
+    vals = W.ravel()[cells]     # one pass: each relation's first largest W
+    rx, ry = np.divmod(cells[[s + np.argmax(vals[s:t]) for s, t in zip(starts, starts[1:])]], n)
     ptilde = _gathered(lab, W, rx, ry)
     ptilde /= W[rx, ry]
 
@@ -568,12 +584,12 @@ def finite_rigidity_check(gs: GeneralizedScheme) -> bool:
     The finite rigidity theorem predicts this holds for every input accepted
     by verify_generalized, which verifies the partition.  W(x, y) is compared
     with 1 / #{z : label(x, z) = label(x, y)}, the valency on a scheme, in
-    O(n^2) as d <= n there; a family with a kept kernel fails.
+    O(n^2) as d <= n there; a family given a stray entry fails.
     """
     lab = gs.partition.label
     key = np.arange(lab.shape[0])[:, None] * gs.partition.n_relations + lab
     count = np.bincount(key.ravel())[key]
-    return not gs._kept and bool((np.abs(gs.W - 1.0 / count) <= 1e-8).all())
+    return not gs._stray and bool((np.abs(gs.W - 1.0 / count) <= 1e-8).all())
 
 
 def translation_property_check(scheme: AssociationScheme) -> tuple[bool, bool]:

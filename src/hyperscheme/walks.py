@@ -96,24 +96,20 @@ class KernelFamily:
 
     @classmethod
     def from_generalized(cls, gs: GeneralizedScheme) -> "KernelFamily":
-        """The kernels of gs.  The rows of S_i are found on first need as
-        the nonzero entries of W on relation i, row-major, with the columns
-        taken as flat indices mod n, so that no array of the triple is a
-        view into a larger index buffer; a kept S_i's are found in its
-        dense copy."""
-        n, label = gs.partition.n_points, gs.partition.label
+        """The kernels of gs; a family given a stray entry raises its first
+        verified failure.  The rows of S_i, found on first need, are the nonzero
+        entries of W on relation i's cells in the partition index, in new arrays."""
+        n, (starts, order) = gs.partition.n_points, gs.partition._index
+        W = gs._weights().ravel()
 
         def rows(i: int) -> tuple:
-            if i in gs._kept:
-                return _dense_rows(gs._kept[i])
-            on = (label == i) & (gs.W != 0)
-            indices = np.flatnonzero(on)
-            indices %= n
-            indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(on, axis=1))))
-            return indptr, indices, gs.W[on]
+            cells = order[starts[i]:starts[i + 1]]
+            cells = cells[W[cells] != 0]
+            indptr, data = np.searchsorted(cells, np.arange(n + 1) * n), W[cells]
+            return indptr, np.remainder(cells, n, out=cells), data
 
         mats = _LazyKernels(range(gs.partition.n_relations), n, rows)
-        return cls(matrices=mats, labels=label[0])
+        return cls(matrices=mats, labels=gs.partition.label[0])
 
     @classmethod
     def from_ball(cls, ball: Ball) -> "KernelFamily":

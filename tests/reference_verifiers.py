@@ -18,6 +18,18 @@ from hyperscheme.scheme import (AssociationScheme, AxiomViolation, NotAGroup,
                                 NotASubgroup, RelationPartition)
 
 
+def representatives(partition):
+    """The first row-major cell of each relation, by np.unique over the
+    flat labels, as verify_scheme found them before the relation index."""
+    flat = partition.label.ravel()
+    labels, first = np.unique(flat, return_index=True)
+    if labels.size < partition.n_relations:
+        missing = np.setdiff1d(np.arange(partition.n_relations), labels)
+        i = int(missing[0])
+        raise AxiomViolation("relation-empty", (i,), f"relation {i} never occurs")
+    return np.divmod(first, partition.n_points)
+
+
 def recover_involution(partition):
     lab = partition.label
     d = partition.n_relations

@@ -1017,6 +1017,34 @@ def test_library_and_cli_run_without_scipy(files):
     assert report["scipy"] == []
 
 
+_NO_MA_SCRIPT = """
+import contextlib, io, json, sys
+from hyperscheme.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_cli_runs_do_not_import_numpy_ma(files):
+    """numpy imports numpy.ma on the first plain np.unique of a process,
+    about 8 ms of a cold CLI run; verify, cosets, product, join and deform
+    never call it, so a fresh process running them all has not loaded it."""
+    runs = [["verify", "k3", "--json"], ["verify", "k3gs", "--json"],
+            ["cosets", "s3", "0,1", "--json"],
+            ["product", "k3hg", "k3hg", "--json"], ["join", "k3hg", "k3hg", "--json"],
+            ["product", "k3gs", "k3gs", "--json"], ["join", "k3gs", "k3gs", "--json"],
+            ["deform", "k3hg", "--alpha", "1,1", "--json"]]
+    runs = [[str(files.get(a, a)) for a in argv] for argv in runs]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_MA_SCRIPT, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * len(runs), "numpy.ma": False}
+
+
 def _run_under_address_limit(argv, limit):
     """Run the CLI with argv and --json in a fresh process whose address
     space is capped at limit bytes."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hyperscheme as hs
+from hyperscheme import io as hio
 from hyperscheme.scheme import KERNEL_TOL
 
 
@@ -362,9 +363,9 @@ def test_kernels_are_built_from_w_on_each_read(z4_scheme):
 
 def test_entries_off_their_relation(z4_scheme):
     """An entry of a kernel off its relation within +-KERNEL_TOL is dropped:
-    the family reads back with 0 there, verifies and is rigid.  The first
-    kernel with one outside, or a NaN, is kept as given, and fails axiom (2)
-    and rigidity; a later such kernel is dropped to W."""
+    the family reads back with 0 there, verifies and is rigid.  A family
+    whose kernel 1 has one outside, or a NaN, keeps none of them in W, fails
+    axiom (2) and rigidity, and refuses to read its kernels back."""
     gs = hs.canonical_generalized(z4_scheme)
     want = hs.verify_generalized(gs)
     kernels = gs.kernels.copy()
@@ -376,10 +377,31 @@ def test_entries_off_their_relation(z4_scheme):
     for value in (2 * KERNEL_TOL, np.nan):
         kernels[1, 0, 0] = kernels[2, 0, 0] = value
         bad = hs.GeneralizedScheme(gs.partition, kernels, gs.omega_x)
-        assert np.array_equal(bad.kernels[1], kernels[1], equal_nan=True)
-        assert np.array_equal(bad.kernels[2], gs.kernels[2])
+        assert np.array_equal(bad.W, gs.W)
+        with pytest.raises(hs.AxiomViolation) as refused:
+            bad.kernels
+        assert (refused.value.axiom_id, refused.value.witness) == ("2", (1, 0, 0))
         with pytest.raises(hs.AxiomViolation) as exc:
             hs.verify_generalized(bad)
         assert (exc.value.axiom_id, exc.value.witness, str(exc.value)) == \
             ("2", (1, 0, 0), "support of kernel 1 does not match relation 1")
         assert hs.finite_rigidity_check(bad) is False
+
+
+def test_a_stray_entry_refuses_every_reader_of_the_kernels(z4_scheme):
+    """A family given an entry off its relation keeps no copy of that kernel:
+    kernels, io.scheme_to_dict and KernelFamily.from_generalized raise the
+    AxiomViolation of verify_generalized instead of reading W, which has
+    dropped the entry."""
+    gs = hs.canonical_generalized(z4_scheme)
+    for value in (2 * KERNEL_TOL, -2 * KERNEL_TOL, 0.5, np.nan):
+        kernels = gs.kernels.copy()
+        kernels[1, 0, 0] = value
+        bad = hs.GeneralizedScheme(gs.partition, kernels, gs.omega_x)
+        seen = []
+        for read in (hs.verify_generalized, lambda g: g.kernels,
+                     hio.scheme_to_dict, hs.KernelFamily.from_generalized):
+            with pytest.raises(hs.AxiomViolation) as exc:
+                read(bad)
+            seen.append((exc.value.axiom_id, exc.value.witness, str(exc.value)))
+        assert seen == seen[:1] * 4 and seen[0][:2] == ("2", (1, 0, 0))

@@ -13,7 +13,9 @@ from hypothesis import given, strategies as st
 import hyperscheme as hs
 import reference_verifiers as ref
 from hyperscheme.hypergroup import _generators
-from hyperscheme.scheme import KERNEL_TOL, _group_table, _verify_kernels
+from hyperscheme import scheme as scheme_module
+from hyperscheme.scheme import (KERNEL_TOL, _group_table, _representatives,
+                               _verify_kernels)
 
 
 def dihedral_table(m):
@@ -107,6 +109,25 @@ def test_double_cosets_match_reference(idx):
     assert np.array_equal(sch.p, ref_sch.p)
     assert np.array_equal(sch.valency, ref_sch.valency)
     assert np.array_equal(sch.involution, ref_sch.involution)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 8), st.lists(st.integers(0, 7), min_size=n * n,
+                                            max_size=n * n))))
+def test_relation_index_lists_each_relations_cells(case):
+    """On random label matrices, some relations empty: the relation index
+    holds each relation's flat cells in ascending order, and the first
+    cells, or the relation-empty witness, are those of np.unique."""
+    n, d, flat = case
+    part = hs.RelationPartition(n, d, np.array(flat).reshape(n, n) % d)
+    starts, order = part._index
+    assert starts.dtype == order.dtype == np.intp and starts.shape == (d + 1,)
+    for i in range(d):
+        assert np.array_equal(order[starts[i]:starts[i + 1]],
+                              np.flatnonzero(part.label.ravel() == i))
+    got, want = (outcome(lambda p: np.stack(f(p)), part)
+                 for f in (_representatives, ref.representatives))
+    assert got == want
 
 
 def test_fixture_schemes_match_reference(k3_partition, trivial_scheme, z4_scheme,
@@ -671,6 +692,43 @@ def test_span_coefficients_past_axiom_2_are_nonnegative(base, seed, stray):
         coeff = prod[rx, ry] / gs.W[rx, ry]
         assert (prod >= 0).all() and not np.signbit(prod).any()
         assert (coeff >= 0).all() and not np.signbit(coeff).any()
+
+
+SELF_PAIRED = {g: [r for gr, r in RECTANGLES if gr == g and
+                   ref.recover_involution(gs.partition)[r[0]] == r[0]]
+               for g, gs in enumerate(GENERALIZED)}
+
+
+@given(st.sampled_from([g for g, rs in SELF_PAIRED.items() if rs]).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(st.tuples(
+        st.sampled_from(SELF_PAIRED[g]), st.sampled_from([1e-4, 1e-3])), max_size=3))))
+def test_largest_entry_pick_is_the_first_row_major_maximum(case):
+    """The (rx, ry) at which span closure reads p~ are each relation's first
+    row-major largest W, as the argmax over np.where(label == k, W, -inf)
+    finds it, on families that pass axioms (2), (4) and (5): canonical
+    ones, where every relation ties, and up to three symmetric rectangle
+    perturbations of them, which move the largest entry."""
+    g, rects = case
+    gs = GENERALIZED[g]
+    for rectangle, t in rects:
+        gs = hs.GeneralizedScheme(gs.partition, symmetric_perturbation(gs, rectangle, t),
+                                  gs.omega_x)
+    lab, W, d = gs.partition.label, gs.W, gs.partition.n_relations
+    want = np.unravel_index([np.argmax(np.where(lab == k, W, -np.inf))
+                             for k in range(d)], lab.shape)
+    seen = []
+
+    def gathered(lab, W, rx, ry):
+        seen.append((rx, ry))
+        return gather(lab, W, rx, ry)
+
+    gather = scheme_module._gathered
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme_module, "_gathered", gathered)
+        outcome(_verify_kernels, gs, hs.verify_scheme(gs.partition))
+    assert len(seen) == 1
+    for got, ref_axis in zip(seen[0], want):
+        assert got.dtype == ref_axis.dtype and np.array_equal(got, ref_axis)
 
 
 def test_kernel_check_builds_no_kernel_stack():

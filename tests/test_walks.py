@@ -468,7 +468,7 @@ def test_generalized_rows_are_those_of_the_dense_kernels(k3_scheme, z4_scheme):
     """from_generalized finds each S_i's rows in W on relation i alone; they
     are the rows of the dense S_i, bit for bit and dtype for dtype, on
     canonical, product and join families, with NaN and -0.0 entries on a
-    relation, and for a kept kernel."""
+    relation; a family with an entry off its relation is refused."""
     k3, z4 = hs.canonical_generalized(k3_scheme), hs.canonical_generalized(z4_scheme)
     lab = z4.partition.label
     on_relation = z4.kernels.copy()
@@ -477,10 +477,12 @@ def test_generalized_rows_are_those_of_the_dense_kernels(k3_scheme, z4_scheme):
     families = [k3, z4, hs.direct_product_scheme(k3, z4), hs.join_scheme(z4, k3),
                 hs.GeneralizedScheme(z4.partition, on_relation, z4.omega_x)]
     for value in (2 * KERNEL_TOL, np.nan):
-        kept = z4.kernels.copy()
-        kept[1, 0, 0] = value
-        families.append(hs.GeneralizedScheme(z4.partition, kept, z4.omega_x))
-    assert families[-1]._kept and not families[-3]._kept
+        stray = z4.kernels.copy()
+        stray[1, 0, 0] = value
+        with pytest.raises(hs.AxiomViolation) as refused:
+            hs.KernelFamily.from_generalized(
+                hs.GeneralizedScheme(z4.partition, stray, z4.omega_x))
+        assert (refused.value.axiom_id, refused.value.witness) == ("2", (1, 0, 0))
     for gs in families:
         fam = hs.KernelFamily.from_generalized(gs)
         for i in range(gs.partition.n_relations):
