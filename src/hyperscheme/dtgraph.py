@@ -21,7 +21,7 @@ import numpy as np
 
 from .banded import Band, g_coeffs, haar_weight
 from .hypergroup import _check_law, _ratios
-from .scheme import CheckFailure, _physical_memory
+from .scheme import CheckFailure, GeneralizedScheme, _physical_memory
 
 # build_ball refuses larger balls; the cap's one job is to keep the float
 # Gram verdicts of --report psd at radii where they hold
@@ -472,16 +472,14 @@ class Ball:
     def sphere_sizes(self) -> list:
         return np.bincount(self.depths, minlength=self.radius + 1).tolist()
 
-    def sphere_kernels(self, weight) -> _LazyKernels:
-        """The sphere kernels K_h, h = 0..R, as a _LazyKernels.  K_0 = I;
-        K_h holds weight(h, rows, cols) (a scalar or one value per pair) at
-        the pairs (rows, cols) at distance h whose row's distance-h sphere
-        lies inside the ball, depth(row) <= R - h, and zero elsewhere.  The
-        rows of K_h are listed from _sphere_pairs for h alone, in row-major
-        order, and weighted by one call of weight, on their first need.  A
-        dense read raises BallTooLarge, before anything of K_h is allocated,
-        when the dense kernels held and the new one exceed physical
-        memory."""
+    def sphere_kernels(self, weight) -> KernelFamily:
+        """The sphere kernels K_h, h = 0..R, as a KernelFamily with labels
+        the depths.  K_0 = I; K_h holds weight(h, rows, cols) (a scalar or one
+        value per pair) at the pairs (rows, cols) at distance h whose row's
+        distance-h sphere lies inside the ball, depth(row) <= R - h, and zero
+        elsewhere.  The rows of K_h are listed from _sphere_pairs for h alone,
+        in row-major order, and weighted by one call of weight, on their
+        first need."""
         n, R = self.n, self.radius
 
         def rows(k: int) -> tuple:
@@ -498,28 +496,53 @@ class Ball:
             r, c, data = r[keep], c[keep], data[keep]
             return np.searchsorted(r, np.arange(n + 1)), c, data
 
-        def guard(count: int):
-            need, have = count * n * n * 8, _physical_memory()
-            if need > have:
-                raise BallTooLarge(f"{count} dense {n} x {n} kernels need "
-                                   f"{need / 2**30:.1f} GiB, more than the "
-                                   f"{have / 2**30:.1f} GiB of memory")
-
-        return _LazyKernels(range(R + 1), n, rows, guard)
+        return KernelFamily(range(R + 1), rows, self.depths)   # d(root, y) = depth(y)
 
 
-class _LazyKernels(Mapping):
-    """label -> dense n x n kernel, over a range of labels.  rows(h) is the
-    nonzero entries of K_h as one CSR triple (indptr, indices, data), the
-    columns ascending within each row, made by build(h) on first need and
-    kept.  A dense K_h is scattered from them on its first read and kept."""
+class KernelFamily(Mapping):
+    """The kernels a walk steps through: label -> stochastic n x n kernel K_h
+    over a range of labels, and labels, the (n,) label of each state seen
+    from state 0, where every walk starts (the root of a ball, point 0 of a
+    scheme).  A zero row of K_h is a state the walk may not step from with
+    h: on a ball, one whose distance-h sphere leaves the ball.
 
-    def __init__(self, labels: range, n: int, build, guard=None):
-        self._labels, self._n, self._build, self._guard = labels, n, build, guard
+    Walks read the kernels through rows(h) alone: the nonzero entries of K_h
+    as one CSR triple (indptr, indices, data), the columns ascending within
+    each row, made by build(h) on first need and kept.  fam[h], also read
+    as fam.matrices[h], is the dense K_h, scattered from them on its first
+    read, after the memory guard, and kept."""
+
+    def __init__(self, span: range, build, labels: np.ndarray):
+        self._span, self._build, self.labels = span, build, labels
         self._rows, self._dense = {}, {}
 
+    @classmethod
+    def from_generalized(cls, gs: GeneralizedScheme) -> KernelFamily:
+        """The kernels of gs; a family given a stray entry raises its first
+        verified failure.  The rows of S_i, found on first need, are the nonzero
+        entries of W on relation i's cells in the partition index, in new arrays."""
+        n, (starts, order) = gs.partition.n_points, gs.partition._index
+        W = gs._weights().ravel()
+
+        def rows(i: int) -> tuple:
+            cells = order[starts[i]:starts[i + 1]]
+            cells = cells[W[cells] != 0]
+            indptr, data = np.searchsorted(cells, np.arange(n + 1) * n), W[cells]
+            return indptr, np.remainder(cells, n, out=cells), data
+
+        return cls(range(gs.partition.n_relations), rows, gs.partition.label[0])
+
+    @classmethod
+    def from_ball(cls, ball: Ball) -> KernelFamily:
+        """Uniform sphere kernels on a ball, 1 / w_h on each sphere."""
+        return ball.sphere_kernels(lambda h, rows, cols: 1.0 / haar_weight(h, ball.params))
+
+    @classmethod
+    def from_deformed(cls, dk: DeformedKernels) -> KernelFamily:
+        return dk.kernels
+
     def _label(self, h) -> int:
-        if h not in self._labels:
+        if h not in self._span:
             raise KeyError(h)
         return int(h)
 
@@ -529,34 +552,54 @@ class _LazyKernels(Mapping):
             self._rows[h] = self._build(h)
         return self._rows[h]
 
+    @property
+    def valid(self) -> dict:
+        """label -> boolean mask of the nonzero rows."""
+        return {h: np.diff(self.rows(h)[0]) > 0 for h in self}
+
+    def support_labels(self, mu) -> list:
+        return sorted(h for h, m in mu.weights.items() if float(m) > 0)
+
     def guard(self):
-        """Call guard, if given, with the number of dense kernels held and
-        one more."""
-        if self._guard is not None:
-            self._guard(len(self._dense) + 1)
+        """BallTooLarge when the dense kernels held and one more exceed
+        physical memory."""
+        n, count = self.labels.shape[0], len(self._dense) + 1
+        need, have = count * n * n * 8, _physical_memory()
+        if need > have:
+            raise BallTooLarge(f"{count} dense {n} x {n} kernels need "
+                               f"{need / 2**30:.1f} GiB, more than the "
+                               f"{have / 2**30:.1f} GiB of memory")
 
     def scatter(self, h, lo: int, hi: int) -> np.ndarray:
         """Rows lo .. hi - 1 of K_h as a new dense (hi - lo) x n array, not
         kept."""
         indptr, indices, data = self.rows(h)
         start, end = indptr[lo], indptr[hi]
-        K = np.zeros((hi - lo, self._n))
+        K = np.zeros((hi - lo, self.labels.shape[0]))
         K[np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1])),
           indices[start:end]] = data[start:end]
         return K
+
+    @property
+    def matrices(self) -> KernelFamily:
+        """The family itself, read as the mapping label -> dense kernel."""
+        return self
 
     def __getitem__(self, h) -> np.ndarray:
         h = self._label(h)
         if h not in self._dense:
             self.guard()
-            self._dense[h] = self.scatter(h, 0, self._n)
+            self._dense[h] = self.scatter(h, 0, self.labels.shape[0])
         return self._dense[h]
 
+    def __contains__(self, h) -> bool:
+        return h in self._span      # Mapping's would read the dense K_h
+
     def __iter__(self):
-        return iter(self._labels)
+        return iter(self._span)
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._span)
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -722,15 +765,15 @@ class DeformedKernels:
 
     kernels[h] is an n x n matrix whose row x is
     e^{c (d(y,B) - d(x,B))} / (P_h(x_c) w_h) on the distance-h pairs while
-    x's distance-h sphere lies inside the ball (valid[h]), and zero
-    otherwise; skipped[h] counts the zero rows.
+    x's distance-h sphere lies inside the ball (valid[h], read off the row
+    pointers), and zero otherwise; skipped[h] counts the zero rows.
     """
 
     ball: Ball
     ray: BoundaryRay
     c: float
     x_c: float
-    kernels: _LazyKernels
+    kernels: KernelFamily
 
     @cached_property
     def max_row_sum_error(self) -> float:
@@ -754,8 +797,7 @@ class DeformedKernels:
 
     @property
     def valid(self) -> dict:
-        ball = self.ball
-        return {h: ball.depths <= ball.radius - h for h in self.kernels}
+        return self.kernels.valid
 
     @property
     def skipped(self) -> dict:

@@ -308,8 +308,8 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     if need > have:
         raise ValueError(f"{d} relations: p needs {need / 2**30:.3g} GiB with its "
                          f"check, more than the {have / 2**30:.3g} GiB of memory")
-    p = np.zeros((d, d, d), dtype=np.int64)
-    np.add.at(p, (lab[rx], lab[:, ry].T, np.arange(d)[:, None]), 1)
+    keys = (lab[rx] * d + lab[:, ry].T) * d + np.arange(d)[:, None]   # z's bin, per k
+    p = np.bincount(keys.ravel(), minlength=d ** 3).reshape(d, d, d)
     for i in _generators(p):
         if i == e:
             continue
@@ -607,10 +607,9 @@ def translation_property_check(scheme: AssociationScheme) -> tuple[bool, bool]:
 
     # T1 reduces to (1/w_h) p_{r, bar h}^{label(x,y)} == (delta_label * delta_h)({r})
     # == (w_r / (w_label w_h)) p_{label, h}^{r}; times w_h w_k, over the
-    # integers at [h, r, k = label(x, y)]
-    lhs = p[:, inv, :].transpose(1, 0, 2) * w[None, None, :]
-    rhs = w[None, :, None] * p.transpose(1, 2, 0)
-    t1 = bool(np.array_equal(lhs, rhs))
+    # integers at [r, k = label(x, y)], one h at a time, to the first mismatch
+    t1 = all(np.array_equal(p[:, inv[h], :] * w, w[:, None] * p[:, h, :].T)
+             for h in range(d))
 
     # T2: sum_h w_h * A_h / w_h = sum_h A_h = all-ones matrix
     t2 = bool((sum(scheme.partition.adjacency(h) for h in range(d)) == 1).all())

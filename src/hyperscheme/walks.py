@@ -12,14 +12,13 @@ run with fewer without changing its first trials.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dtgraph import Ball, DeformedKernels, _expand, _LazyKernels, haar_weight
+from .dtgraph import KernelFamily, _expand
 from .hypergroup import _check_seed
-from .scheme import CheckFailure, GeneralizedScheme
+from .scheme import CheckFailure
 
 # simulate_walk draws its uniforms in blocks of about this many (128 KiB);
 # the block size bounds the per-step temporaries, and does not change the
@@ -65,71 +64,6 @@ def convolution_power(hg, mu: StepDistribution, t: int) -> dict:
     """hg.power(mu.weights, t): the t-fold power of mu, checked, on a
     FiniteHypergroup or a PolyHypergroup; exact when mu and hg are."""
     return hg.power(mu.weights, t)
-
-
-@dataclass
-class KernelFamily:
-    """The kernels a walk steps through: stochastic matrices indexed by
-    labels, and the label of each state seen from state 0, where every walk
-    starts (the root of a ball, point 0 of a scheme).  A zero row of K_h is
-    a state the walk may not step from with h: on a ball, one whose
-    distance-h sphere leaves the ball.
-
-    Walks read the kernels through rows(h) alone; matrices[h] is the dense
-    K_h, which a ball or generalized family scatters on its first read."""
-
-    matrices: Mapping        # label -> (n, n) ndarray
-    labels: np.ndarray       # (n,) relation label of (0, y) for each state y
-
-    def rows(self, h) -> tuple:
-        """The nonzero entries of K_h as one CSR triple (indptr, indices,
-        data), columns ascending within each row: kept by a lazy family,
-        else found in the dense K_h by np.flatnonzero."""
-        if isinstance(self.matrices, _LazyKernels):
-            return self.matrices.rows(h)
-        return _dense_rows(self.matrices[h])
-
-    @property
-    def valid(self) -> dict:
-        """label -> boolean mask of the nonzero rows."""
-        return {h: np.diff(self.rows(h)[0]) > 0 for h in self.matrices}
-
-    @classmethod
-    def from_generalized(cls, gs: GeneralizedScheme) -> "KernelFamily":
-        """The kernels of gs; a family given a stray entry raises its first
-        verified failure.  The rows of S_i, found on first need, are the nonzero
-        entries of W on relation i's cells in the partition index, in new arrays."""
-        n, (starts, order) = gs.partition.n_points, gs.partition._index
-        W = gs._weights().ravel()
-
-        def rows(i: int) -> tuple:
-            cells = order[starts[i]:starts[i + 1]]
-            cells = cells[W[cells] != 0]
-            indptr, data = np.searchsorted(cells, np.arange(n + 1) * n), W[cells]
-            return indptr, np.remainder(cells, n, out=cells), data
-
-        mats = _LazyKernels(range(gs.partition.n_relations), n, rows)
-        return cls(matrices=mats, labels=gs.partition.label[0])
-
-    @classmethod
-    def from_ball(cls, ball: Ball) -> "KernelFamily":
-        """Uniform sphere kernels on a ball, 1 / w_h on each sphere."""
-        mats = ball.sphere_kernels(lambda h, rows, cols: 1.0 / haar_weight(h, ball.params))
-        return cls(matrices=mats, labels=ball.depths)   # d(root, y) = depth(y)
-
-    @classmethod
-    def from_deformed(cls, dk: DeformedKernels) -> "KernelFamily":
-        return cls(matrices=dk.kernels, labels=dk.ball.depths)
-
-    def support_labels(self, mu: StepDistribution) -> list:
-        return sorted(h for h, m in mu.weights.items() if float(m) > 0)
-
-
-def _dense_rows(K: np.ndarray) -> tuple:
-    """The nonzero entries of a dense kernel as a CSR triple, row-major."""
-    flat = np.flatnonzero(K)
-    rows, cols = np.divmod(flat, K.shape[1])
-    return np.searchsorted(rows, np.arange(K.shape[0] + 1)), cols, K.ravel()[flat]
 
 
 def _check_reachable(fam: KernelFamily, mu: StepDistribution, steps: int) -> np.ndarray:

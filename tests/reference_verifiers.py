@@ -372,3 +372,25 @@ def finite_rigidity_check(gs):
         if np.abs(gs.kernels[i] - adj / float(scheme.valency[i])).max() > 1e-8:
             return False
     return True
+
+
+def translation_property_check(scheme):
+    """T1 with its two sides built as whole d^3 int64 tensors, and T2, as
+    before T1 was compared one h at a time."""
+    d = scheme.n_relations
+    inv, p, w = scheme.involution, scheme.p, scheme.valency
+    lhs = p[:, inv, :].transpose(1, 0, 2) * w[None, None, :]
+    rhs = w[None, :, None] * p.transpose(1, 2, 0)
+    t1 = bool(np.array_equal(lhs, rhs))
+    t2 = bool((sum(scheme.partition.adjacency(h) for h in range(d)) == 1).all())
+    return t1, t2
+
+
+def add_at_p(partition):
+    """verify_scheme's p as np.add.at filled it at the first row-major cell
+    of each relation, before one bincount did."""
+    lab, d = partition.label, partition.n_relations
+    rx, ry = representatives(partition)
+    p = np.zeros((d, d, d), dtype=np.int64)
+    np.add.at(p, (lab[rx], lab[:, ry].T, np.arange(d)[:, None]), 1)
+    return p

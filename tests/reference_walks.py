@@ -10,11 +10,28 @@ multiplies the point mass at state 0 by the full n x n mu-mixture.
 `expanded_row_table` is the sparse walk's sampling table as it was first
 built from kernel rows: the entries of the reached rows listed through
 integer row and position arrays, one label at a time, and concatenated.
+
+`dense_family` is a kernel family given as a dict of dense kernels, whose
+rows `dense_rows` finds by np.flatnonzero, as the library did for such a
+family.
 """
 
 import numpy as np
 
-from hyperscheme.walks import WalkResult, WalkWouldExitBall, _BLOCK_UNIFORMS, _project
+from hyperscheme.walks import (KernelFamily, WalkResult, WalkWouldExitBall,
+                               _BLOCK_UNIFORMS, _project)
+
+
+def dense_rows(K):
+    """The nonzero entries of a dense kernel as a CSR triple, row-major."""
+    flat = np.flatnonzero(K)
+    rows, cols = np.divmod(flat, K.shape[1])
+    return np.searchsorted(rows, np.arange(K.shape[0] + 1)), cols, K.ravel()[flat]
+
+
+def dense_family(matrices, labels):
+    """The KernelFamily of the dense kernels matrices[0], matrices[1], ..."""
+    return KernelFamily(range(len(matrices)), lambda h: dense_rows(matrices[h]), labels)
 
 
 def check_reachable(fam, mu, steps):

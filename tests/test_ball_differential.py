@@ -128,7 +128,7 @@ def test_sphere_kernels_match_reference(a, b, R):
     # the reference's invalid rows hold renormalized partial spheres; a
     # family marks a row it may not step from by zeros
     zeroed = {h: np.where(valid[h][:, None], K, 0.0) for h, K in mats.items()}
-    old = hs.KernelFamily(matrices=zeroed, labels=ball.dist_matrix[0])
+    old = reference_walks.dense_family(zeroed, ball.dist_matrix[0])
     _same_walks(fam, old, R, hs.PolyHypergroup(ball.params))
 
     if b != 2:
@@ -141,7 +141,7 @@ def test_sphere_kernels_match_reference(a, b, R):
         assert dk.x_c == ref["x_c"]
         assert dk.skipped == ref["skipped"]
         assert dk.max_row_sum_error == ref["max_row_sum_error"]
-        old = hs.KernelFamily(matrices=ref["kernels"], labels=ball.dist_matrix[0])
+        old = reference_walks.dense_family(ref["kernels"], ball.dist_matrix[0])
         _same_walks(hs.KernelFamily.from_deformed(dk), old, R,
                     hs.PolyHypergroup(ball.params, x0=dk.x_c))
 
@@ -310,7 +310,7 @@ def kernel_walks(draw):
         matrices[h] = K
         mu[h] = Fraction(m, sum(masses))
     matrices[idle], mu[idle] = np.zeros((n, n)), Fraction(0)
-    fam = hs.KernelFamily(matrices=matrices, labels=rng.integers(0, 4, n))
+    fam = reference_walks.dense_family(matrices, rng.integers(0, 4, n))
     return fam, hs.StepDistribution(mu), steps, trials
 
 

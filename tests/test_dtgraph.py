@@ -248,6 +248,14 @@ def test_sphere_kernels_refuse_beyond_physical_memory():
     assert ball._dist is None
 
 
+def test_family_membership_reads_the_label_range():
+    """h in a family is h in its label range: on (3, 2, 16), where one dense
+    kernel would need about 288 GiB, it builds and refuses nothing."""
+    fam = hs.KernelFamily.from_ball(hs.build_ball(P32, 16))
+    assert 1 in fam and 16 in fam and 17 not in fam and -1 not in fam
+    assert not fam._rows and not fam._dense
+
+
 def test_deformed_row_sums_scatter_rows_in_blocks():
     """The first read of max_row_sum_error on the (3, 2, 8) ball (n = 766)
     scatters the leading rows of each K_h in blocks of at most 256 KiB, so
@@ -297,6 +305,25 @@ def test_ball_memory_guard_counts_the_kernels_built(monkeypatch):
         fam.matrices[1]
     assert main(["walk", "--dtgraph", "3,2,3", "--mu", "1:1", "--steps", "2",
                  "--trials", "20000", "--seed", "0"]) == 0
+
+
+def test_generalized_memory_guard_refuses_dense_reads(monkeypatch):
+    """Every family runs the one dense-read guard: with memory for less than
+    one dense kernel, reading S_1 of the canonical 12-cycle family is
+    refused before any row of it is built, and a walk, which reads rows
+    alone, still runs."""
+    x = np.arange(12)
+    dist = np.abs(x[:, None] - x[None, :])
+    gs = hs.canonical_generalized(hs.verify_scheme(
+        hs.RelationPartition(12, 7, np.minimum(dist, 12 - dist))))
+    monkeypatch.setattr(dtgraph, "_physical_memory", lambda: 12 * 12 * 8 - 1)
+    fam = hs.KernelFamily.from_generalized(gs)
+    with pytest.raises(hs.BallTooLarge, match="^1 dense 12 x 12 kernels "):
+        fam[1]
+    assert not fam._rows and not fam._dense
+    walk = hs.simulate_walk(fam, hs.StepDistribution({1: 1}), steps=3, trials=100,
+                            seed=0)
+    assert sum(walk.empirical.values()) == pytest.approx(1.0)
 
 
 def test_metric_matches_bfs():

@@ -242,6 +242,46 @@ def test_verify_scheme_memory_is_quadratic_plus_p():
     assert peak < 150 * 2 ** 20
 
 
+def test_p_is_the_add_at_fill():
+    """p, one bincount of the d n keys, is the np.add.at fill, entry and
+    dtype, on the base partitions, cycles up to C200 and a product."""
+    parts = BASE_PARTITIONS + [cycle_partition(m) for m in (50, 101, 200)]
+    parts.append(product_partition(cycle_partition(5), cycle_partition(8)))
+    for part in parts:
+        p, want = hs.verify_scheme(part).p, ref.add_at_p(part)
+        assert p.dtype == want.dtype == np.int64 and np.array_equal(p, want)
+
+
+UNIMODULAR = [s for s in map(hs.verify_scheme, BASE_PARTITIONS) if s.is_unimodular()]
+
+
+@given(st.sampled_from(UNIMODULAR), st.data())
+def test_translation_check_matches_whole_tensor_reference(sch, data):
+    """On raw schemes whose p has one entry moved by -1, +1 or +2, or none,
+    the check one h at a time gives the verdicts of the whole-tensor form."""
+    p = sch.p.copy()
+    if data.draw(st.booleans()):
+        cell = tuple(data.draw(st.integers(0, sch.n_relations - 1)) for _ in range(3))
+        p[cell] += data.draw(st.sampled_from([-1, 1, 2]))
+    raw = hs.AssociationScheme(sch.partition, sch.involution, p, sch.valency)
+    assert hs.translation_property_check(raw) == ref.translation_property_check(raw)
+
+
+def test_translation_check_memory_is_quadratic_in_d():
+    """The 200-cycle (d = 101): T1 compares one h at a time in d x d
+    temporaries, so the check peaks below 2 MiB past p; its two whole d^3
+    int64 sides peaked at 16.8 MiB."""
+    sch = hs.verify_scheme(cycle_partition(200))
+    tracemalloc.start()
+    try:
+        verdict = hs.translation_property_check(sch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == (True, True)
+    assert peak < 2 * 2 ** 20
+
+
 def _report_key(rep):
     return (rep.ok, rep.commutative, rep.symmetric,
             [(f.axiom_id, f.witness) for f in rep.failures])
