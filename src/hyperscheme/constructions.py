@@ -41,20 +41,10 @@ class JoinIndex:
     n2: int
     e1: int
 
-    def from_second(self, j: int) -> int:
-        return j
-
     def from_first(self, i: int) -> int:
         if i == self.e1:
             raise ValueError("e1 is merged into the compact factor")
         return self.n2 + (i if i < self.e1 else i - 1)
-
-    def decompose(self, idx: int) -> tuple:
-        """Returns ('second', j) for the D2 block, ('first', i) otherwise."""
-        if idx < self.n2:
-            return "second", idx
-        i = idx - self.n2
-        return "first", i if i < self.e1 else i + 1
 
     @property
     def size(self) -> int:

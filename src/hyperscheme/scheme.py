@@ -222,9 +222,10 @@ def _recover_involution(partition: RelationPartition, rx: np.ndarray,
     return inv
 
 
-# float64 holds every integer below 2**53 exactly, and an entry of A_i A_j
-# counts at most n points, so the BLAS products below are exact counts.
-_EXACT_FLOAT_COUNT = 2 ** 53
+# float32 holds every integer up to 2**24 exactly, and every partial sum of
+# an entry of A_i A_j counts at most n points, so the single-precision BLAS
+# products below are exact counts while n < 2**24, in any summation order.
+_EXACT_FLOAT_COUNT = 2 ** 24
 
 
 def _generation(num: np.ndarray):
@@ -266,10 +267,11 @@ def _generation(num: np.ndarray):
             x, pair = int((support[yz] & fresh).argmax()), divmod(yz, n)
 
 
-def _generators(num: np.ndarray):
-    """Yield, in increasing order, the i whose slices num[i] must be checked
-    (see _generation); the caller stops at the first that fails."""
-    return (x for x, pair in _generation(num) if pair is None)
+def _generators(num: np.ndarray) -> list:
+    """The i whose slices num[i] must be checked (see _generation), in
+    increasing order; the caller stops at the first that fails.  A list, so
+    the closure's 5 d^3 bytes are freed before any slice product is made."""
+    return [x for x, pair in _generation(num) if pair is None]
 
 
 def verify_scheme(partition: RelationPartition) -> AssociationScheme:
@@ -277,9 +279,10 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
 
     p[i, j, k] = #{z : label(rx_k, z) = i, label(z, ry_k) = j} is read at the
     first row-major cell (rx_k, ry_k) of each relation k.  The counting axiom
-    A_i A_j = sum_k p[i, j, k] A_k is checked, one float64 BLAS product per
-    j != e, only on the slices i != e that _generators(p) yields (A_e = I);
-    they prove the rest.  Once the diagonal axiom holds, p[i, e, k] =
+    A_i A_j = sum_k p[i, j, k] A_k is checked, one float32 BLAS product of
+    0/1 matrices per j != e, exact as its counts stay below n < 2^24, only
+    on the slices i != e that _generators(p) lists (A_e = I); they prove
+    the rest.  Once the diagonal axiom holds, p[i, e, k] =
     delta_ik, so A_i A_e = A_i = p[i, e][lab] needs no product.  Memory is
     O(n^2 + d^3): ValueError, before p is allocated, when its 13 d^3 bytes
     with _generators exceed the physical memory.  Raises AxiomViolation
@@ -289,7 +292,7 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     n, d = partition.n_points, partition.n_relations
     e = partition.identity_relation
     if n >= _EXACT_FLOAT_COUNT:
-        raise ValueError(f"{n} points: float64 counts are exact only below 2**53")
+        raise ValueError(f"{n} points: float32 counts are exact only below 2**24")
 
     diag = np.diag(lab)
     if not np.all(diag == e):
@@ -313,12 +316,12 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     for i in _generators(p):
         if i == e:
             continue
-        a_i = (lab == i).astype(float)
+        a_i = (lab == i).astype(np.float32)
         for j in range(d):
             if j == e:
                 continue
-            prod = a_i @ (lab == j).astype(float)
-            bad = prod != p[i, j][lab]
+            prod = a_i @ (lab == j).astype(np.float32)
+            bad = prod != p[i, j].astype(np.float32)[lab]
             if bad.any():
                 k = int(lab[bad].min())
                 xb, yb = map(int, np.argwhere(bad & (lab == k))[0])

@@ -25,10 +25,7 @@ def test_product_index_bijective():
 def test_join_index_layout():
     ji = hs.JoinIndex(n1=3, n2=2, e1=0)
     assert ji.size == 4
-    assert [ji.from_second(j) for j in range(2)] == [0, 1]
     assert [ji.from_first(i) for i in (1, 2)] == [2, 3]
-    assert ji.decompose(3) == ("first", 2)
-    assert [ji.decompose(j) for j in range(2)] == [("second", 0), ("second", 1)]
     with pytest.raises(ValueError):
         ji.from_first(0)
 

@@ -255,6 +255,20 @@ def test_characters_z4(z4_scheme):
                 assert row[i] * row[j] == pytest.approx(row[(i + j) % 4], abs=1e-8)
 
 
+def test_close_eigenvalues_apart_in_sorted_order_are_degenerate(monkeypatch):
+    """x - 1e-10 + iy and x + iy are 1e-10 apart, but x - iy sorts between
+    them, so neighbours in sort_complex order are all 2y apart; every pair
+    is compared, and each retry is refused for the gap."""
+    z3 = np.array([[(i + j) % 3 for j in range(3)] for i in range(3)])
+    h = hs.from_scheme(hs.from_double_cosets(z3, [0])[1])
+    x, y = 0.5, 0.25
+    vals = np.array([x - 1e-10 + 1j * y, x - 1j * y, x + 1j * y])
+    monkeypatch.setattr(hs.hypergroup.np.linalg, "eig",
+                        lambda M: (vals, np.eye(3, dtype=complex)))
+    with pytest.raises(hs.DegenerateSpectrum, match="^eigenvalue gap below 1e-8$"):
+        hs.characters(h)
+
+
 def test_characters_deterministic(k3_hypergroup):
     t1 = hs.characters(k3_hypergroup, seed=99)
     t2 = hs.characters(k3_hypergroup, seed=99)

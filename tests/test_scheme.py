@@ -57,10 +57,10 @@ def test_partition_owns_its_labels():
 
 
 def test_float_count_bound_guarded(k3_partition, monkeypatch):
-    # counts are BLAS float64 products, exact only while n < 2**53; a lowered
+    # counts are BLAS float32 products, exact only while n < 2**24; a lowered
     # bound shows the guard refuses rather than returning rounded counts
     monkeypatch.setattr(hs.scheme, "_EXACT_FLOAT_COUNT", 3)
-    with pytest.raises(ValueError, match="2\\*\\*53"):
+    with pytest.raises(ValueError, match="2\\*\\*24"):
         hs.verify_scheme(k3_partition)
 
 

@@ -372,6 +372,49 @@ def test_exact_failures_match_full_scan(h):
         _report_key(ref.verify_hypergroup_slices(h))
 
 
+def _off_by_one(m):
+    """A 2 x 2 x 2 integer tensor over den = 1, largest entry m, whose first
+    associativity failure is at (0, 0, 1, 0): there the two sides are
+    m^2 + (m - 1)^2 and m^2 + (m - 1)^2 - 1, as (m - 1)^2 = m (m - 2) + 1.
+    Every other of its numbers is m; it is no hypergroup, so the report
+    lists other failures too."""
+    num = np.full((2, 2, 2), m, dtype=np.int64)
+    num[0, 0, 1] = num[1, 1, 0] = m - 1
+    num[0, 1, 1] = num[1, 0, 1] = m - 2
+    return hs.FiniteHypergroup._of(num, 1, 0, np.arange(2), False)
+
+
+@pytest.mark.parametrize("m", [2896, 2897])
+def test_float32_products_stop_at_two_to_the_24(m):
+    """d max|num|^2 = 2 m^2 is just below 2^24 at m = 2896 and just above
+    at m = 2897, where the two sides of the failure, 2^24 + 2209 and
+    2^24 + 2208, round to one float32: a single precision check would pass
+    slice 0 there.  Both sides of the bound report the reference's
+    failure."""
+    h = _off_by_one(m)
+    assert (2 * m * m < 2 ** 24) == (m == 2896)
+    rep = hs.verify_hypergroup(h, raise_on_failure=False)
+    assert (rep.failures[-1].axiom_id, rep.failures[-1].witness) == \
+        ("associativity", (0, 0, 1, 0))
+    assert _report_key(rep) == _report_key(ref.verify_hypergroup(h)) == \
+        _report_key(ref.verify_hypergroup_slices(h))
+
+
+def test_identity_slice_with_a_wrong_row_is_checked():
+    """num[e] = den * I but for one unit moved in row 2, which is no
+    identity failure at e itself: slice e is checked, not skipped, and its
+    associativity failure is reported beside the identity failure."""
+    h = dihedral_hypergroup(6)
+    num = h.num.copy()
+    num[h.identity, 2, 2] -= 1
+    num[h.identity, 2, 3] += 1
+    h = hs.FiniteHypergroup._of(num, h.den, h.identity, h.involution, False)
+    rep = hs.verify_hypergroup(h, raise_on_failure=False)
+    got = [(f.axiom_id, f.witness) for f in rep.failures]
+    assert ("identity", (2,)) in got and ("associativity", (0, 0, 2, 2)) in got
+    assert _report_key(rep) == _report_key(ref.verify_hypergroup(h))
+
+
 @st.composite
 def sparse_tensors(draw):
     """Small tensors of mostly zeros, ones and twos: no hypergroups, but
@@ -839,3 +882,18 @@ def test_verify_hypergroup_memory_is_cubic():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_verify_hypergroup_memory_is_a_small_multiple_of_num():
+    """At d = 56 the float32 slice products (d * max|num|^2 = 896) and the
+    generating set listed before any product keep the peak near 2.2 times
+    num's int64 bytes; float64 products and the closure's bookkeeping held
+    through the loop took 5.8 times."""
+    prod = hs.direct_product(dihedral_hypergroup(12), dihedral_hypergroup(14))
+    tracemalloc.start()
+    try:
+        assert hs.verify_hypergroup(prod).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * prod.num.nbytes

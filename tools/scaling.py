@@ -442,8 +442,8 @@ CURVES = {
     "complete": ([(300,), (1000,)], complete),
     "deform": ([(3, 2, R) for R in range(4, 14)], deform),
     "verify_scheme": ([(family, m) for family in ("cycle", "dihedral")
-                       for m in (50, 100, 200, 400)], verify_scheme),
-    "verify_hypergroup": ([("dihedral", m) for m in (6, 20, 40, 60, 100, 140, 200)]
+                       for m in (50, 100, 200, 400)] + [("cycle", 800)], verify_scheme),
+    "verify_hypergroup": ([("dihedral", m) for m in (6, 20, 40, 60, 100, 140, 200, 400)]
                           + [("product", *ms) for ms in ((8, 10), (12, 14), (12, 22), (14, 28))]
                           # past 26, join-chain products leave exact float64
                           + [("join-chain", d) for d in (10, 18, 26)], verify_hypergroup),
