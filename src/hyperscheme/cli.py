@@ -12,6 +12,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -157,14 +158,17 @@ def cmd_dtgraph(args):
                 status = "fail"
         results["psd"] = rows
     elif args.report == "ortho":
-        errs = []
-        for m in range(0, 6):
-            for n in range(0, 6):
-                val = dtgraph.ortho_measure_integrate(
-                    lambda t: dtgraph.poly_eval(m, t, params)
-                    * dtgraph.poly_eval(n, t, params), params)
-                want = (1.0 / dtgraph.haar_weight(n, params)) if m == n else 0.0
-                errs.append(abs(val - want))
+        # the 36 products P_m P_n, m, n <= 5, integrated in one call
+        ms, ns = np.divmod(np.arange(36), 6)
+
+        def products(t):
+            P = np.array(np.broadcast_arrays(
+                *islice(dtgraph._poly_sequence(t, params), 6)))
+            return P[ms] * P[ns]
+
+        vals = dtgraph.ortho_measure_integrate(products, params)
+        errs = [abs(val - (1.0 / dtgraph.haar_weight(n, params) if m == n else 0.0))
+                for val, m, n in zip(vals.tolist(), ms.tolist(), ns.tolist())]
         results["max_orthogonality_error"] = max(errs)
         if max(errs) > 1e-6:
             status = "fail"

@@ -134,7 +134,42 @@ def product_formula_residual(m: int, n: int, x: float, params: DTParams) -> floa
     return abs(lhs - rhs)
 
 
-def ortho_measure_integrate(f, params: DTParams) -> float:
+_QUAD_START = 27
+
+
+@lru_cache(maxsize=None)
+def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cos theta, sin^2 theta) at the 2n nodes that tripling the
+    n-node midpoint rule adds, theta = (3i + 1/2) pi/3n and (3i + 5/2) pi/3n
+    for i < n; at n = _QUAD_START led by the starting nodes (i + 1/2) pi/n.
+    cos and sin run on each part alone, so every node is the same double as
+    in the uncached rule of tests/reference_spectral.py."""
+    i = np.arange(n)
+    thetas = [np.concatenate((3 * i + 0.5, 3 * i + 2.5)) * (np.pi / (3 * n))]
+    if n == _QUAD_START:
+        thetas.insert(0, (i + 0.5) * (np.pi / n))
+    x = np.concatenate([np.cos(t) for t in thetas])
+    sin2 = np.concatenate([np.sin(t) ** 2 for t in thetas])
+    x.setflags(write=False)
+    sin2.setflags(write=False)
+    return x, sin2
+
+
+def _all(flags) -> bool:
+    """flags.all(), without numpy's reduction machinery for a bool or a 0-d
+    flag."""
+    return bool(flags.all() if getattr(flags, "ndim", 0) else flags)
+
+
+def _finite(s, what: str):
+    """s, or QuadratureFailure naming its first entry that is not finite."""
+    finite = abs(s) < math.inf
+    if not _all(finite):
+        raise QuadratureFailure(f"integrand {what} is {np.asarray(s)[~finite].flat[0]}")
+    return s
+
+
+def ortho_measure_integrate(f, params: DTParams):
     """Integral of f against the normalized orthogonality measure.
 
     Absolutely continuous part (a/2pi) sqrt(1-x^2)/((s1-x)(x-s0)) dx on
@@ -143,31 +178,38 @@ def ortho_measure_integrate(f, params: DTParams) -> float:
     (sin^2 theta = (1-x)(1+x) cancels a pole at s0 = -1 or s1 = 1, and the
     others lie off [-1, 1]), so the midpoint rule with nodes
     (i + 1/2) pi / n converges geometrically.  n starts at 27 and triples;
-    the old nodes are the middle nodes of the new triples, so each round
-    calls f (on an array) only at the 2n new nodes, until two sums agree to
-    QUAD_TOL or 3n would pass QUAD_MAX_NODES.
+    the old nodes are the middle nodes of the new triples, so f is called
+    (on a read-only array from _quad_nodes) only at the 2n new nodes of each
+    round, the first call also on the 27 starting ones, until two sums agree
+    to QUAD_TOL or 3n would pass QUAD_MAX_NODES.  QuadratureFailure as soon
+    as a sum, or f at the atom, is not finite.
+
+    f may return an array with the nodes on its last axis: the result is then
+    one integral per entry, each taken at the first round where that entry
+    converged, so equal to integrating the entry alone.
     """
     a, b = params.a, params.b
     s0, s1 = special_points(params)
-
-    def integrand_sum(theta):
-        x = np.cos(theta)
-        return float(np.sum(f(x) * (a / (2 * np.pi)) * np.sin(theta) ** 2
-                            / ((s1 - x) * (x - s0))))
-
-    n = 27
-    total = integrand_sum((np.arange(n) + 0.5) * (np.pi / n))
-    prev = total * np.pi / n
+    n, total, got, done = _QUAD_START, None, 0.0, False
     while 3 * n <= QUAD_MAX_NODES:
-        i = np.arange(n)
-        total += integrand_sum(np.concatenate((3 * i + 0.5, 3 * i + 2.5))
-                               * (np.pi / (3 * n)))
+        x, sin2 = _quad_nodes(n)
+        v = f(x) * (a / (2 * np.pi)) * sin2 / ((s1 - x) * (x - s0))
+        if total is None:
+            total = v[..., :n].sum(axis=-1)
+            prev = total * np.pi / n
+            v = v[..., n:]
         n *= 3
+        total = _finite(total + v.sum(axis=-1), f"sum on the first {n} nodes")
         val = total * np.pi / n
-        if abs(val - prev) <= QUAD_TOL * max(1.0, abs(val)):
+        # |val - prev| <= QUAD_TOL * max(1, |val|), one entry or many
+        diff = abs(val - prev)
+        ok = (diff <= QUAD_TOL) | (diff <= QUAD_TOL * abs(val))
+        got = np.where(done, got, val) if val.ndim else val
+        done = done | ok
+        if _all(done):
             if b > a:
-                val += (b - a) / b * f(s0)
-            return val
+                got = got + (b - a) / b * _finite(f(s0), "value at the atom s0")
+            return float(got) if got.ndim == 0 else got
         prev = val
     raise QuadratureFailure(f"no convergence with up to {QUAD_MAX_NODES} nodes")
 

@@ -394,3 +394,32 @@ def add_at_p(partition):
     p = np.zeros((d, d, d), dtype=np.int64)
     np.add.at(p, (lab[rx], lab[:, ry].T, np.arange(d)[:, None]), 1)
     return p
+
+
+def generation(num):
+    """scheme._generation as it was with uint32 scores and gains (5 d^3
+    bytes of bookkeeping), before they became uint16 while 3d + 1 < 2^16."""
+    n = num.shape[0]
+    support = num.reshape(n * n, n) != 0       # [(y, z), x]
+    # score[(y, z)] + 1 counts the support points of num[y, z] not yet
+    # generated, plus n + 1 for each of y, z not yet generated.  So 0 marks
+    # a pair that generates one more element, and a pair with nothing left to
+    # generate wraps to the top of uint32.  Generating x lowers score by gain[x]
+    gain = support.T.astype(np.uint32, order="C")
+    score = gain.sum(axis=0, dtype=np.uint32) + 2 * n + 1
+    at = np.arange(n)
+    gain.reshape(n, n, n)[at, at, :] += n + 1      # the pairs (x, z)
+    gain.reshape(n, n, n)[at, :, at] += n + 1      # the pairs (y, x)
+    fresh = np.ones(n, dtype=bool)             # not yet generated
+    for i in range(n):
+        if not fresh[i]:
+            continue
+        x, pair = i, None
+        while True:
+            yield x, pair
+            fresh[x] = False
+            score -= gain[x]
+            yz = int(score.argmin())
+            if score[yz] != 0:
+                break
+            x, pair = int((support[yz] & fresh).argmax()), divmod(yz, n)

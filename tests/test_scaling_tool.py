@@ -35,6 +35,7 @@ FIELDS = {
     "from_double_cosets": ["group", "order", "n", "d", "from_double_cosets_s",
                            "verify_scheme_s", "from_double_cosets_peak_mib",
                            "verify_scheme_peak_mib"],
+    "ortho": ["a", "b", "m", "n", "nodes", "f_calls", "old_s", "new_s", "cli_s"],
 }
 
 
@@ -57,6 +58,20 @@ def test_first_case_gives_a_row(scaling, monkeypatch, curve):
     assert list(row) == FIELDS[curve]
     measured = [v for k, v in row.items() if k.endswith(("_s", "_mib"))]
     assert measured and all(isinstance(v, float) and v >= 0 for v in measured)
+
+
+def test_oracle_once_rows_repeat_the_first_trees_old_fields(scaling, monkeypatch):
+    """Under a later SRC a verify_hypergroup case times the library alone, and
+    its row takes the old_* fields of the first SRC's row."""
+    monkeypatch.setattr(scaling, "MIN_SECONDS", 0)
+    case = scaling.CURVES["verify_hypergroup"][0][0]
+    first = scaling.run_case("verify_hypergroup", case)
+    monkeypatch.setattr(scaling, "TIME_ORACLE", False)
+    row = scaling.run_case("verify_hypergroup", case)
+    assert not any(k.startswith("old_") for k in row)
+    merged = scaling._with_oracle(row, first)
+    assert list(merged) == FIELDS["verify_hypergroup"]
+    assert all(merged[k] == (first[k] if k.startswith("old_") else row[k]) for k in merged)
 
 
 @pytest.mark.parametrize("argv", [[], ["no-such-curve"]])

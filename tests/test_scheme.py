@@ -67,7 +67,7 @@ def test_float_count_bound_guarded(k3_partition, monkeypatch):
 def test_p_beyond_physical_memory_is_refused(monkeypatch):
     """12 points whose off-diagonal pairs each form a relation of their own
     (d = 133) fail the counting axiom; with 1 MiB of memory reported, the
-    13 d^3 bytes of p and _generators are refused before p is allocated."""
+    11 d^3 bytes of p and _generators are refused before p is allocated."""
     n = 12
     lab = np.zeros((n, n), dtype=np.int64)
     upper = np.triu_indices(n, 1)
@@ -78,7 +78,7 @@ def test_p_beyond_physical_memory_is_refused(monkeypatch):
         hs.verify_scheme(part)
     assert exc.value.axiom_id == "counting"
     monkeypatch.setattr(hs.scheme, "_physical_memory", lambda: 1 << 20)
-    with pytest.raises(ValueError, match="^133 relations: p needs 0.0285 GiB with its "
+    with pytest.raises(ValueError, match="^133 relations: p needs 0.0241 GiB with its "
                                          "check, more than the 0.000977 GiB of memory$"):
         hs.verify_scheme(part)
 

@@ -1,12 +1,17 @@
 """Differential tests of the symmetry-block Gram spectrum and the nested
-midpoint quadrature against the dense code they replaced
-(tests/reference_spectral.py), plus a Golub-Welsch cross-check of the
+midpoint quadrature against the code they replaced
+(tests/reference_spectral.py): the dense Gram spectrum, Gauss-Legendre, and
+the midpoint rule before its nodes were cached, which the library must equal
+bit for bit; plus a Golub-Welsch cross-check of the
 orthogonality measure built from the three-term recurrence alone.
 
 The Gram oracle runs on every ball of Graph(a, b) with a, b in {2, 3, 4} and
 at most 3000 vertices; the path graph (2, 2) grows linearly, so it runs on a
 spread of radii up to 500 instead."""
 
+import contextlib
+import io
+import json
 import math
 from types import SimpleNamespace
 
@@ -16,7 +21,9 @@ import scipy.linalg
 
 import hyperscheme as hs
 from hyperscheme.dtgraph import ball_size
-from reference_spectral import dense_gram_min_eig, gauss_legendre_integrate
+from hyperscheme import cli
+from reference_spectral import (dense_gram_min_eig, gauss_legendre_integrate,
+                                nested_midpoint_integrate)
 
 MAX_VERTICES = 3000
 PATH_RADII = (0, 1, 2, 3, 5, 8, 13, 30, 60, 120, 250, 500)
@@ -143,19 +150,109 @@ def test_quadrature_matches_gauss_legendre(a, b):
             assert abs(new - want) <= 1e-13, (m, n, new, want)
 
 
+def _counted(f):
+    """(f with a log of the sizes of its calls, the log)."""
+    seen = []
+
+    def g(x):
+        seen.append(np.size(x))
+        return f(x)
+
+    return g, seen
+
+
 def test_quadrature_reuses_nodes():
-    """f is called on arrays, and only at new nodes: the points it sees add
-    up to the final node count 27 * 3^k (no atom for a >= b)."""
+    """f is called on read-only arrays, and only at new nodes: 27 + 54 in the
+    first call, then 2n per tripling of n, so the points it sees add up to
+    the final node count 27 * 3^k (no atom for a >= b)."""
     params = hs.DTParams(3, 2)
     seen = []
 
     def f(x):
+        assert not x.flags.writeable
         seen.append(np.size(x))
         return np.exp(x)
 
     hs.ortho_measure_integrate(f, params)
     assert len(seen) >= 2
-    assert seen == [27] + [54 * 3 ** i for i in range(len(seen) - 1)]
+    assert seen == [81] + [162 * 3 ** i for i in range(len(seen) - 1)]
+    assert sum(seen) == 27 * 3 ** len(seen)
+
+
+ORACLE_INTEGRANDS = {"exp": np.exp, "1/(3-x)": lambda x: 1.0 / (3.0 - x),
+                     "cos 4x": lambda x: np.cos(4 * x), "1": lambda x: np.ones_like(x)}
+
+
+@pytest.mark.parametrize("a,b", GRID)
+def test_quadrature_equals_nested_midpoint_oracle(a, b):
+    """Cached nodes and a first call on 81 nodes change no bit: the library
+    equals the uncached rule with ==, and f sees as many points in all."""
+    params = hs.DTParams(a, b)
+    fs = {**{f"P{m}P{n}": _poly_pair(m, n, params) for m in range(7) for n in range(m, 7)},
+          **ORACLE_INTEGRANDS}
+    for name, f in fs.items():
+        new_f, new_seen = _counted(f)
+        old_f, old_seen = _counted(f)
+        new, old = hs.ortho_measure_integrate(new_f, params), nested_midpoint_integrate(old_f, params)
+        assert new == old, (name, new, old)
+        assert sum(new_seen) == sum(old_seen), (name, new_seen, old_seen)
+
+
+@pytest.mark.parametrize("a,b", GRID)
+def test_vector_integrand_equals_its_scalar_calls(a, b):
+    """An array-valued f gives one integral per entry, each from the round
+    where that entry converged: here P_1^2 converges rounds before cos 200x,
+    and each entry equals its own scalar call."""
+    params = hs.DTParams(a, b)
+    entries = [lambda x: hs.poly_eval(1, x, params) ** 2, lambda x: np.cos(200 * x)]
+    vals = hs.ortho_measure_integrate(lambda x: np.array([g(x) for g in entries]), params)
+    assert vals.shape == (2,)
+    calls = []
+    for g, val in zip(entries, vals):
+        counted, seen = _counted(g)
+        assert val == hs.ortho_measure_integrate(counted, params)
+        calls.append(len(seen) - (b > a))     # the atom at s0 is one call more
+    assert calls[0] < calls[1]
+
+
+@pytest.mark.parametrize("a,b", GRID)
+def test_cli_ortho_report_equals_pairwise_oracle(a, b):
+    """`dtgraph --report ortho` integrates its 36 products in one call and
+    reports the error of the 36 separate oracle integrals, bit for bit."""
+    params = hs.DTParams(a, b)
+    want = max(abs(nested_midpoint_integrate(_poly_pair(m, n, params), params)
+                   - (1.0 / hs.haar_weight(n, params) if m == n else 0.0))
+               for m in range(6) for n in range(6))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["dtgraph", "--a", str(a), "--b", str(b), "--report", "ortho",
+                         "--json"]) == 0
+    assert json.loads(out.getvalue())["results"]["max_orthogonality_error"] == want
+
+
+def test_non_finite_integrand_fails_at_once():
+    """np.log is NaN on half the nodes: the first call's sum is NaN and
+    raises at once, where the rule used to run out to its node cap."""
+    log, seen = _counted(np.log)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(hs.QuadratureFailure, match="^integrand sum on the first 81 nodes is nan$"):
+        hs.ortho_measure_integrate(log, hs.DTParams(3, 2))
+    assert seen == [81]
+
+
+def test_any_non_finite_entry_fails():
+    with np.errstate(divide="ignore"), \
+            pytest.raises(hs.QuadratureFailure, match="^integrand sum on the first 81 nodes is inf$"):
+        hs.ortho_measure_integrate(lambda x: np.array([x, 1.0 / (x - x), x * x]),
+                                   hs.DTParams(3, 2))
+
+
+def test_non_finite_atom_fails():
+    """sqrt(x + 1) is finite on [-1, 1] but NaN at the atom s0 < -1 of
+    Gamma(2, 3), which used to make the integral NaN."""
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(hs.QuadratureFailure, match="^integrand value at the atom s0 is nan$"):
+        hs.ortho_measure_integrate(lambda x: np.sqrt(x + 1), hs.DTParams(2, 3))
 
 
 def test_quadrature_jump_fails_at_the_default_cap():

@@ -447,6 +447,26 @@ def generated_dimension(num, elements):
         basis = vt[:rank]
 
 
+def test_generation_matches_uint32_reference():
+    """uint16 scores and gains reach the slices in the order, and with the
+    pairs, of the uint32 closure, on the test schemes and hypergroups."""
+    tensors = [hs.verify_scheme(part).p for part in BASE_PARTITIONS]
+    tensors += [h.num for h in EXACT_BASES]
+    tensors += [dihedral_hypergroup(m, seed).num for m in (20, 41) for seed in range(3)]
+    for num in tensors:
+        assert list(scheme_module._generation(num)) == list(ref.generation(num))
+
+
+@given(sparse_tensors())
+def test_generation_of_sparse_tensors_matches_uint32_reference(h):
+    assert list(scheme_module._generation(h.num)) == list(ref.generation(h.num))
+
+
+def test_generation_scores_fit_uint16_below_3d_plus_1():
+    assert scheme_module._generation_dtype(21844) is np.uint16
+    assert scheme_module._generation_dtype(21845) is np.uint32
+
+
 @given(sparse_tensors())
 def test_generators_generate_the_algebra(h):
     assert generated_dimension(h.num.astype(float), list(_generators(h.num))) == h.n

@@ -39,7 +39,9 @@ Curves:
   d = m // 2 + 1), with |G| the slices of scheme._generators.
 - verify_hypergroup: D_m double-coset hypergroups, direct products of two,
   and iterated joins of Z_2 (whose greedy generating set is all of D),
-  against verify_hypergroup_slices, the check of all d slices.
+  against verify_hypergroup_slices, the check of all d slices.  That oracle
+  is timed under the first SRC only (ORACLE_ONCE); the other trees' rows
+  repeat its old_* fields.
 - characters: on the D_m hypergroups, and the character order by one
   np.lexsort against the reference's per-row sort key.
 - dumps: io.dumps against json.dumps(indent=1, default=encode_number).
@@ -61,8 +63,15 @@ Curves:
   (R + 1) x (R + 1).
 - from_double_cosets: the D_m schemes on the cosets of {e, s} against
   |G| = 2m, with the verify_scheme inside it timed apart on its partition.
+- ortho: ortho_measure_integrate of P_m P_m on Gamma(a, b), a, b in
+  {2, 3, 4}, 2m in {0, 4, 8, 12}, against reference_spectral's
+  nested_midpoint_integrate (results checked equal), with the final node
+  count and the calls to f; cli_s is an in-process `dtgraph --report ortho`
+  on the same (a, b).
 """
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -77,6 +86,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+# curves whose old_* fields time a test oracle that no SRC changes: main
+# times it under the first SRC only and copies its fields to the other rows
+ORACLE_ONCE = ("verify_hypergroup",)
+TIME_ORACLE = True      # False in a --one run for a later SRC of ORACLE_ONCE
 ADDRESS_LIMIT = 2 * 2**30
 MIN_ROUNDS, MIN_SECONDS = 3, 0.3
 TRIALS = 30_000
@@ -285,12 +298,13 @@ def verify_hypergroup(family: str, *ms: int) -> dict:
     from hyperscheme.scheme import _generators
 
     case, h = _hypergroup(family, *ms)
-    if not (hs.verify_hypergroup(h).ok and ref.verify_hypergroup_slices(h).ok):
+    fns = {"new_s": lambda: hs.verify_hypergroup(h)}
+    if TIME_ORACLE:
+        fns = {"old_s": lambda: ref.verify_hypergroup_slices(h), **fns}
+    if not all(fn().ok for fn in fns.values()):
         raise SystemExit(f"{case} fails the hypergroup axioms")
     return {"family": family, "case": case, "d": h.n,
-            "generators": len(list(_generators(h.num))),
-            **_each({"old_s": lambda: ref.verify_hypergroup_slices(h),
-                     "new_s": lambda: hs.verify_hypergroup(h)}, peaks=("old_s", "new_s"))}
+            "generators": len(list(_generators(h.num))), **_each(fns, peaks=tuple(fns))}
 
 
 def characters(m: int) -> dict:
@@ -435,6 +449,34 @@ def gram_min_eig(a: int, b: int, R: int) -> dict:
             **row, "min_eig": dict(zip(("s0", "0", "s1"), eigs))}
 
 
+def ortho(a: int, b: int, degree: int) -> dict:
+    import hyperscheme as hs
+    from hyperscheme import cli
+    from reference_spectral import nested_midpoint_integrate
+
+    params = hs.DTParams(a, b)
+    m = degree // 2
+
+    def f(x):
+        return hs.poly_eval(m, x, params) * hs.poly_eval(m, x, params)
+
+    seen = []
+    new = hs.ortho_measure_integrate(lambda x: seen.append(np.size(x)) or f(x), params)
+    if new != nested_midpoint_integrate(f, params):
+        raise SystemExit(f"ortho_measure_integrate differs from the oracle on {a, b, m}")
+    argv = ["dtgraph", "--a", str(a), "--b", str(b), "--report", "ortho", "--json"]
+
+    def report():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+
+    return {"a": a, "b": b, "m": m, "n": m, "nodes": sum(seen) - (b > a),
+            "f_calls": len(seen),
+            **_each({"old_s": lambda: nested_midpoint_integrate(f, params),
+                     "new_s": lambda: hs.ortho_measure_integrate(f, params),
+                     "cli_s": report})}
+
+
 CURVES = {
     "ball": ([(3, 2, R) for R in range(4, 17)]
              + [(2, 2, R) for R in (50, 100, 200, 300)], ball),
@@ -465,6 +507,8 @@ CURVES = {
     "gram_min_eig": ([(3, 2, R) for R in range(4, 17)]
                      + [(2, 2, R) for R in (50, 100, 200, 500, 1000)], gram_min_eig),
     "from_double_cosets": ([(m,) for m in (50, 100, 200, 400)], from_double_cosets),
+    "ortho": ([(a, b, degree) for a in (2, 3, 4) for b in (2, 3, 4)
+               for degree in (0, 4, 8, 12)], ortho),
 }
 
 
@@ -482,8 +526,17 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT))
 
 
+def _with_oracle(row: dict, first: dict) -> dict:
+    """row with the old_* fields of first, in first's field order."""
+    if "refused" in row or "refused" in first:
+        return row
+    return {k: first[k] if k.startswith("old_") else row[k] for k in first}
+
+
 def main(argv: list) -> None:
+    global TIME_ORACLE
     if argv[:1] == ["--one"]:
+        TIME_ORACLE = argv[3:] != ["--no-oracle"]
         print(json.dumps(run_case(argv[1], json.loads(argv[2]))))
         return
     if not argv or argv[0] not in CURVES:
@@ -493,14 +546,17 @@ def main(argv: list) -> None:
     curve, srcs = argv[0], argv[1:] or [str(ROOT / "src")]
     out = {src: [] for src in srcs}
     for case in CURVES[curve][0]:
-        for src in srcs:
+        for k, src in enumerate(srcs):
+            once = curve in ORACLE_ONCE and k > 0
             env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(ROOT / "tests")]),
                    "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                    "MKL_NUM_THREADS": "1"}
-            res = subprocess.run([sys.executable, __file__, "--one", curve, json.dumps(case)],
+            res = subprocess.run([sys.executable, __file__, "--one", curve, json.dumps(case)]
+                                 + ["--no-oracle"] * once,
                                  env=env, stdout=subprocess.PIPE, text=True, check=True,
                                  preexec_fn=_limit_address_space)
-            out[src].append(json.loads(res.stdout))
+            row = json.loads(res.stdout)
+            out[src].append(_with_oracle(row, out[srcs[0]][-1]) if once else row)
             print(src, out[src][-1], file=sys.stderr)
     print(json.dumps(out, indent=1))
 
