@@ -12,7 +12,6 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -162,8 +161,7 @@ def cmd_dtgraph(args):
         ms, ns = np.divmod(np.arange(36), 6)
 
         def products(t):
-            P = np.array(np.broadcast_arrays(
-                *islice(dtgraph._poly_sequence(t, params), 6)))
+            P = dtgraph.poly_values(5, t, params)
             return P[ms] * P[ns]
 
         vals = dtgraph.ortho_measure_integrate(products, params)

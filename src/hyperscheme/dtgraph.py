@@ -93,8 +93,15 @@ def _poly_sequence(x, params: DTParams):
 
 
 def poly_values(n: int, x, params: DTParams) -> np.ndarray:
-    """P_0(x), ..., P_n(x) in float64, from one pass of the recurrence."""
-    return np.fromiter(islice(_poly_sequence(x, params), n + 1), float, n + 1)
+    """P_0(x), ..., P_n(x) in float64, from one pass of the recurrence; for
+    an array x, P_k(x) is row k of an array of shape (n + 1, *x.shape)."""
+    terms = islice(_poly_sequence(x, params), n + 1)
+    if np.ndim(x) == 0:
+        return np.fromiter(terms, float, n + 1)
+    P = np.empty((n + 1, *np.shape(x)))
+    for k, term in enumerate(terms):
+        P[k] = term
+    return P
 
 
 def poly_eval(n: int, x, params: DTParams):
@@ -163,9 +170,9 @@ def _all(flags) -> bool:
 
 def _finite(s, what: str):
     """s, or QuadratureFailure naming its first entry that is not finite."""
-    finite = abs(s) < math.inf
-    if not _all(finite):
-        raise QuadratureFailure(f"integrand {what} is {np.asarray(s)[~finite].flat[0]}")
+    if not _all(abs(s) < math.inf):
+        s = np.asarray(s)
+        raise QuadratureFailure(f"integrand {what} is {s[~np.isfinite(s)].flat[0]}")
     return s
 
 

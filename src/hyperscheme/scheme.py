@@ -228,12 +228,6 @@ def _recover_involution(partition: RelationPartition, rx: np.ndarray,
 _EXACT_FLOAT_COUNT = 2 ** 24
 
 
-def _generation_dtype(d: int) -> type:
-    """The unsigned type of _generation's scores on d slices: uint16 while
-    3d + 1 < 2^16, else uint32."""
-    return np.uint16 if 3 * d + 1 < 2 ** 16 else np.uint32
-
-
 def _generation(num: np.ndarray):
     """Yield (x, pair) for every slice x of num, in the order the closure
     below reaches them: pair is None for a slice that must be checked, and
@@ -253,10 +247,10 @@ def _generation(num: np.ndarray):
     # generated, plus n + 1 for each of y, z not yet generated.  So 0 marks
     # a pair that generates one more element, and a pair with nothing left to
     # generate wraps to the top of the type.  Generating x lowers score by
-    # gain[x].  Scores stay at most 3n + 1 (gains 2n + 3) until they wrap
-    dtype = _generation_dtype(n)
-    gain = support.T.astype(dtype, order="C")
-    score = gain.sum(axis=0, dtype=dtype) + 2 * n + 1
+    # gain[x].  Scores stay at most 3n + 1 (gains 2n + 3) until they wrap,
+    # within uint16 for every d that verify_scheme admits
+    gain = support.T.astype(np.uint16, order="C")
+    score = gain.sum(axis=0, dtype=np.uint16) + 2 * n + 1
     at = np.arange(n)
     gain.reshape(n, n, n)[at, at, :] += n + 1      # the pairs (x, z)
     gain.reshape(n, n, n)[at, :, at] += n + 1      # the pairs (y, x)
@@ -278,8 +272,7 @@ def _generation(num: np.ndarray):
 def _generators(num: np.ndarray) -> list:
     """The i whose slices num[i] must be checked (see _generation), in
     increasing order; the caller stops at the first that fails.  A list, so
-    the closure's 3 d^3 bytes (5 d^3 from d = 21845) are freed before any
-    slice product is made."""
+    the closure's 3 d^3 bytes are freed before any slice product is made."""
     return [x for x, pair in _generation(num) if pair is None]
 
 
@@ -294,15 +287,18 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     the rest.  Once the diagonal axiom holds, p[i, e, k] =
     delta_ik, so A_i A_e = A_i = p[i, e][lab] needs no product.  Memory is
     O(n^2 + d^3): ValueError, before p is allocated, when its 8 d^3 bytes
-    and the 3 d^3 of _generators (5 d^3 from d = 21845) exceed the physical
-    memory.  Raises AxiomViolation (with axiom id and witness) if the
-    partition is not a scheme.
+    and the 3 d^3 of _generators exceed the physical memory, or when
+    3d + 1 >= 2^16 would overflow _generators' uint16 scores.  Raises
+    AxiomViolation (with axiom id and witness) if the partition is not a
+    scheme.
     """
     lab = partition.label
     n, d = partition.n_points, partition.n_relations
     e = partition.identity_relation
     if n >= _EXACT_FLOAT_COUNT:
         raise ValueError(f"{n} points: float32 counts are exact only below 2**24")
+    if 3 * d + 1 >= 2 ** 16:
+        raise ValueError(f"{d} relations: _generators' uint16 scores need 3d + 1 < 2**16")
 
     diag = np.diag(lab)
     if not np.all(diag == e):
@@ -317,9 +313,7 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
     rx, ry = _representatives(partition)
     inv = _recover_involution(partition, rx, ry)
 
-    # 8 bytes p; _generators 1 support and 2 or 4 gain
-    need = (9 + np.dtype(_generation_dtype(d)).itemsize) * d ** 3
-    have = _physical_memory()
+    need, have = 11 * d ** 3, _physical_memory()   # 8 bytes p, 3 _generators
     if need > have:
         raise ValueError(f"{d} relations: p needs {need / 2**30:.3g} GiB with its "
                          f"check, more than the {have / 2**30:.3g} GiB of memory")

@@ -398,7 +398,7 @@ def add_at_p(partition):
 
 def generation(num):
     """scheme._generation as it was with uint32 scores and gains (5 d^3
-    bytes of bookkeeping), before they became uint16 while 3d + 1 < 2^16."""
+    bytes of bookkeeping), before they became uint16."""
     n = num.shape[0]
     support = num.reshape(n * n, n) != 0       # [(y, z), x]
     # score[(y, z)] + 1 counts the support points of num[y, z] not yet

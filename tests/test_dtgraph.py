@@ -119,6 +119,19 @@ def test_poly_values_are_the_recurrence_values():
             assert np.array_equal(values, want, equal_nan=True)
 
 
+def test_poly_values_of_an_array_are_its_entries_values():
+    """Row k of poly_values at an array x is P_k at each entry of x, bit for
+    bit the scalar call's value."""
+    x = np.array([[-0.7, 0.5, 1.3], [1e200, 0.0, -1.0]])
+    for params in (P32, P24):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = hs.poly_values(40, x, params)
+        assert values.shape == (41, *x.shape) and values.dtype == np.float64
+        for idx in np.ndindex(x.shape):
+            assert np.array_equal(values[(slice(None), *idx)],
+                                  hs.poly_values(40, float(x[idx]), params), equal_nan=True)
+
+
 def test_each_polynomial_sequence_is_evaluated_once(monkeypatch):
     """A deformed exact walk of t steps reads alpha0 up to 2t, and dtgraph
     --x reads P_0..P_R: both cost a number of recurrence steps linear in

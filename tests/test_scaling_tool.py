@@ -35,7 +35,7 @@ FIELDS = {
     "from_double_cosets": ["group", "order", "n", "d", "from_double_cosets_s",
                            "verify_scheme_s", "from_double_cosets_peak_mib",
                            "verify_scheme_peak_mib"],
-    "ortho": ["a", "b", "m", "n", "nodes", "f_calls", "old_s", "new_s", "cli_s"],
+    "ortho": ["a", "b", "m", "nodes", "f_calls", "old_s", "new_s", "cli_s"],
 }
 
 
@@ -66,8 +66,7 @@ def test_oracle_once_rows_repeat_the_first_trees_old_fields(scaling, monkeypatch
     monkeypatch.setattr(scaling, "MIN_SECONDS", 0)
     case = scaling.CURVES["verify_hypergroup"][0][0]
     first = scaling.run_case("verify_hypergroup", case)
-    monkeypatch.setattr(scaling, "TIME_ORACLE", False)
-    row = scaling.run_case("verify_hypergroup", case)
+    row = scaling.run_case("verify_hypergroup", case, time_oracle=False)
     assert not any(k.startswith("old_") for k in row)
     merged = scaling._with_oracle(row, first)
     assert list(merged) == FIELDS["verify_hypergroup"]

@@ -64,6 +64,18 @@ def test_float_count_bound_guarded(k3_partition, monkeypatch):
         hs.verify_scheme(k3_partition)
 
 
+def test_uint16_scores_bound_the_relations():
+    """_generators keeps uint16 scores, which hold 3d + 1 only below 2**16:
+    d = 21845 is refused before any d^3 array exists, d = 21844 passes that
+    guard and fails on its first empty relation."""
+    lab = np.array([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match=r"^21845 relations: _generators' uint16 scores "
+                                         r"need 3d \+ 1 < 2\*\*16$"):
+        hs.verify_scheme(hs.RelationPartition(2, 21845, lab))
+    with pytest.raises(hs.AxiomViolation, match="^relation 2 never occurs$"):
+        hs.verify_scheme(hs.RelationPartition(2, 21844, lab))
+
+
 def test_p_beyond_physical_memory_is_refused(monkeypatch):
     """12 points whose off-diagonal pairs each form a relation of their own
     (d = 133) fail the counting axiom; with 1 MiB of memory reported, the

@@ -255,6 +255,18 @@ def test_non_finite_atom_fails():
         hs.ortho_measure_integrate(lambda x: np.sqrt(x + 1), hs.DTParams(2, 3))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_python_float_at_the_atom_fails(value):
+    """An integrand that returns a Python float for the scalar s0 (as
+    poly_eval-built ones do) is refused the same way."""
+    def f(x):
+        return value if np.ndim(x) == 0 else np.ones_like(x)
+
+    with pytest.raises(hs.QuadratureFailure,
+                       match=f"^integrand value at the atom s0 is {value}$"):
+        hs.ortho_measure_integrate(f, hs.DTParams(2, 3))
+
+
 def test_quadrature_jump_fails_at_the_default_cap():
     with pytest.raises(hs.QuadratureFailure):
         hs.ortho_measure_integrate(lambda x: np.sign(x - 0.3), hs.DTParams(3, 2))

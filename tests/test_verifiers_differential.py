@@ -462,11 +462,6 @@ def test_generation_of_sparse_tensors_matches_uint32_reference(h):
     assert list(scheme_module._generation(h.num)) == list(ref.generation(h.num))
 
 
-def test_generation_scores_fit_uint16_below_3d_plus_1():
-    assert scheme_module._generation_dtype(21844) is np.uint16
-    assert scheme_module._generation_dtype(21845) is np.uint32
-
-
 @given(sparse_tensors())
 def test_generators_generate_the_algebra(h):
     assert generated_dimension(h.num.astype(float), list(_generators(h.num))) == h.n

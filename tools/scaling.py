@@ -40,8 +40,8 @@ Curves:
 - verify_hypergroup: D_m double-coset hypergroups, direct products of two,
   and iterated joins of Z_2 (whose greedy generating set is all of D),
   against verify_hypergroup_slices, the check of all d slices.  That oracle
-  is timed under the first SRC only (ORACLE_ONCE); the other trees' rows
-  repeat its old_* fields.
+  is timed under the first SRC only; the other trees' rows repeat its old_*
+  fields.
 - characters: on the D_m hypergroups, and the character order by one
   np.lexsort against the reference's per-row sort key.
 - dumps: io.dumps against json.dumps(indent=1, default=encode_number).
@@ -86,10 +86,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-# curves whose old_* fields time a test oracle that no SRC changes: main
-# times it under the first SRC only and copies its fields to the other rows
-ORACLE_ONCE = ("verify_hypergroup",)
-TIME_ORACLE = True      # False in a --one run for a later SRC of ORACLE_ONCE
 ADDRESS_LIMIT = 2 * 2**30
 MIN_ROUNDS, MIN_SECONDS = 3, 0.3
 TRIALS = 30_000
@@ -292,14 +288,16 @@ def verify_scheme(family: str, m: int) -> dict:
             **_each({"s": lambda: hs.verify_scheme(partition)}, peaks=("s",))}
 
 
-def verify_hypergroup(family: str, *ms: int) -> dict:
+def verify_hypergroup(family: str, *ms: int, time_oracle: bool = True) -> dict:
+    """old_* fields only with time_oracle: the oracle is the same under
+    every SRC."""
     import hyperscheme as hs
     import reference_verifiers as ref
     from hyperscheme.scheme import _generators
 
     case, h = _hypergroup(family, *ms)
     fns = {"new_s": lambda: hs.verify_hypergroup(h)}
-    if TIME_ORACLE:
+    if time_oracle:
         fns = {"old_s": lambda: ref.verify_hypergroup_slices(h), **fns}
     if not all(fn().ok for fn in fns.values()):
         raise SystemExit(f"{case} fails the hypergroup axioms")
@@ -470,7 +468,7 @@ def ortho(a: int, b: int, degree: int) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(argv)
 
-    return {"a": a, "b": b, "m": m, "n": m, "nodes": sum(seen) - (b > a),
+    return {"a": a, "b": b, "m": m, "nodes": sum(seen) - (b > a),
             "f_calls": len(seen),
             **_each({"old_s": lambda: nested_midpoint_integrate(f, params),
                      "new_s": lambda: hs.ortho_measure_integrate(f, params),
@@ -512,12 +510,13 @@ CURVES = {
 }
 
 
-def run_case(curve: str, case) -> dict:
-    """The row of one case, or its refusal."""
+def run_case(curve: str, case, **options) -> dict:
+    """The row of one case, or its refusal; options go to the curve's
+    function."""
     from hyperscheme.dtgraph import BallTooLarge
 
     try:
-        return CURVES[curve][1](*case)
+        return CURVES[curve][1](*case, **options)
     except (BallTooLarge, MemoryError) as exc:
         return {"case": [curve, *case], "refused": f"{type(exc).__name__}: {exc}"}
 
@@ -534,10 +533,9 @@ def _with_oracle(row: dict, first: dict) -> dict:
 
 
 def main(argv: list) -> None:
-    global TIME_ORACLE
     if argv[:1] == ["--one"]:
-        TIME_ORACLE = argv[3:] != ["--no-oracle"]
-        print(json.dumps(run_case(argv[1], json.loads(argv[2]))))
+        options = {"time_oracle": False} if argv[3:] == ["--no-oracle"] else {}
+        print(json.dumps(run_case(argv[1], json.loads(argv[2]), **options)))
         return
     if not argv or argv[0] not in CURVES:
         print(f"usage: scaling.py CURVE [SRC ...]; curves: {', '.join(CURVES)}",
@@ -547,7 +545,7 @@ def main(argv: list) -> None:
     out = {src: [] for src in srcs}
     for case in CURVES[curve][0]:
         for k, src in enumerate(srcs):
-            once = curve in ORACLE_ONCE and k > 0
+            once = curve == "verify_hypergroup" and k > 0
             env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(ROOT / "tests")]),
                    "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                    "MKL_NUM_THREADS": "1"}
