@@ -387,10 +387,11 @@ class CharacterTable:
 
 def _char_order(rows: np.ndarray) -> np.ndarray:
     """Stable order of the rows by -Re row[1], then by -Re, -Im of each
-    entry rounded to 9 decimals, entry by entry."""
+    entry, entry by entry, all rounded to 9 decimals, so that values that
+    agree but for the eigensolver's rounding tie whatever the seed."""
     m, n = rows.shape
     keys = np.empty((2 * n + 1, m))
-    keys[0] = -rows[:, 1].real if n > 1 else 0.0
+    keys[0] = -np.round(rows[:, 1].real, 9) if n > 1 else 0.0
     keys[1::2] = -np.round(rows.real, 9).T
     keys[2::2] = -np.round(rows.imag, 9).T
     return np.lexsort(keys[::-1])

@@ -440,15 +440,22 @@ def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
     closure, (4) identity kernel, (5) adjoint relation.  The checks run once
     per family, in gs.verified; each call returns a copy of p~ of its own.
 
-    Span closure, S_i S_j = sum_k p~[i, j, k] S_k within 1e-8 at every
-    entry, is checked on full products only for a generating set.  The i
-    whose S_i maps the span of the family into itself form an algebra, so
-    once S_y and S_z pass, so does S_x = (S_y S_z - sum_{k != x} p~[y, z, k]
-    S_k) / p~[y, z, x].  In doubles, a slice x derived so is skipped only
-    when a bound carried from the residuals of y, z and the other k proves
-    each of its residuals within 1e-8 (see _verify_kernels); otherwise it is
-    checked too.  So the verdict, and on a failure the first failing (i, j)
-    with its witness, are those of the check of all d^2 products.  p~ >= 0
+    A family within _CANONICAL_DEVIATION of the canonical one, W(x, y) =
+    (1 + eta) / valency_label(x,y) with |eta| <= 1e-9 and no stray entry,
+    passes (2) and (3) by the proof in _verify_kernels: only (4), (5) and
+    p~ are computed for it, and no kernel is built.  This is the finite
+    rigidity theorem's case: every family that passes is the canonical one.
+
+    On every other family span closure, S_i S_j = sum_k p~[i, j, k] S_k
+    within 1e-8 at every entry, is checked on full products only for a
+    generating set.  The i whose S_i maps the span of the family into
+    itself form an algebra, so once S_y and S_z pass, so does S_x = (S_y
+    S_z - sum_{k != x} p~[y, z, k] S_k) / p~[y, z, x].  In doubles, a slice
+    x derived so is skipped only when a bound carried from the residuals of
+    y, z and the other k proves each of its residuals within 1e-8 (see
+    _verify_kernels); otherwise it is checked too.  So the verdict, and on a
+    failure the first failing (i, j) with its witness, are those of the
+    check of all d^2 products, on either path.  p~ >= 0
     holds without a test: past (2) every kernel entry is a nonnegative
     double, and so are their products.  The kernels are built one at a time.
     """
@@ -486,14 +493,42 @@ def _support_failure(i: int, S_i: np.ndarray, lab: np.ndarray):
         return "2", (i, x, y), "negative kernel entry"
 
 
+# A family within this relative deviation of the canonical one on a
+# verified scheme, |W(x, y) k_label(x,y) - 1| <= _CANONICAL_DEVIATION at
+# every cell, passes axioms (2) and (3); the proof is in _verify_kernels.
+_CANONICAL_DEVIATION = 1e-9
+
+
 def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndarray:
     """Axioms (2)-(5) of verify_generalized for kernels on a partition that
     verify_scheme already turned into scheme; returns p~.  Only
     GeneralizedScheme.verified calls it.
 
-    (3) runs on the slices in the order of _generation(scheme.p); p~[y, z]
-    has the support of p[y, z].  r[x, j] bounds the residual |S_x S_j -
-    sum_k p~[x, j, k] S_k|: the largest one measured for a checked slice.
+    A family with no stray entry whose deviation delta = max |W(x, y)
+    k_label(x,y) - 1| from the canonical family A_i / k_i is at most
+    _CANONICAL_DEVIATION passes (2) and (3) without a test: write S_i =
+    (A_i / k_i)(1 + eta) with |eta| <= delta, u = 2^-53 and gamma_n = n u /
+    (1 - n u), below 1.87e-9 as n < 2^24.  (2): every entry on relation i
+    is at least (1 - delta) / n > KERNEL_TOL, none lies off it, and a row
+    sum of k_i nonnegative terms is within delta + gamma_n (1 + delta) of 1
+    in any order.  (3): for (x, y) in relation k, (S_i S_j)(x, y) sums
+    p[i, j, k] terms (1 + eta)(1 + eta') / (k_i k_j), so it is c (1 + theta)
+    with c = p[i, j, k] / (k_i k_j) <= 1 (sum_k p[i, j, k] k_k = k_i k_j)
+    and |theta| <= 2 delta + delta^2, and any BLAS sum of these
+    nonnegative terms, the full product's or _gathered's, is within gamma_n
+    of it.  The fit p~[i, j, k] W(x, y) is c (1 + theta_k)(1 + eta) /
+    (1 + eta_k), theta_k and eta_k read at (rx_k, ry_k), up to gamma_n and
+    the division and product that round it; the subtraction rounds once
+    more.  So every residual is at most c (6 delta + 2 gamma_n + 3u +
+    O(delta^2)) < 9.8e-9 < 1e-8, and delta is measured within 2^-52.  Such
+    a family skips the axiom (2) scan, _generation and every span-closure
+    product; (4), (5) and p~ run as on every family, so p~ is the same bit
+    for bit, and a failure, which only (4) or (5) can give, the same one.
+
+    Every other family takes the checks below.  (3) runs on the slices in
+    the order of _generation(scheme.p); p~[y, z] has the support of
+    p[y, z].  r[x, j] bounds the residual |S_x S_j - sum_k p~[x, j, k] S_k|:
+    the largest one measured for a checked slice.
     For x generated by (y, z), S_x S_j = (S_y S_z S_j - sum_{k done}
     p~[y, z, k] S_k S_j) / p~[y, z, x] up to the error E, whose entries are
     at most g_j = (sum_l p~[z, j, l] r[y, l] + (1 + 1e-8) r[z, j]
@@ -507,19 +542,24 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     The first failing checked slice runs the ordered scan of all (i, j)."""
     part = gs.partition
     n, d = part.n_points, part.n_relations
-    order = list(_generation(scheme.p))     # its d^3 bookkeeping is freed here
     lab, W = part.label, gs.W
+    # NaN fails the comparison, so a proved family is finite
+    proved = not gs._stray and bool(
+        np.abs(W * scheme.valency[lab] - 1.0).max() <= _CANONICAL_DEVIATION)
+    if not proved:
+        order = list(_generation(scheme.p))     # its d^3 bookkeeping is freed here
 
-    # (2) support condition and row-stochasticity; each test is written so
-    # that NaN fails it, which leaves every kernel finite after this loop.
-    # The recorded stray kernel fails here, so after it W holds every kernel
-    colmax = np.empty(d)
-    for i in range(d):
-        S_i = gs._kernel(i)
-        fail = gs._stray[1] if gs._stray[:1] == (i,) else _support_failure(i, S_i, lab)
-        if fail:
-            raise AxiomViolation(*fail)
-        colmax[i] = S_i.sum(axis=0).max()
+        # (2) support condition and row-stochasticity; each test is written
+        # so that NaN fails it, which leaves every kernel finite after this
+        # loop.  The recorded stray kernel fails here, so after it W holds
+        # every kernel
+        colmax = np.empty(d)
+        for i in range(d):
+            S_i = gs._kernel(i)
+            fail = gs._stray[1] if gs._stray[:1] == (i,) else _support_failure(i, S_i, lab)
+            if fail:
+                raise AxiomViolation(*fail)
+            colmax[i] = S_i.sum(axis=0).max()
 
     # (4) identity kernel, the diagonal of W
     e = part.identity_relation
@@ -545,6 +585,8 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     rx, ry = np.divmod(cells[[s + np.argmax(vals[s:t]) for s, t in zip(starts, starts[1:])]], n)
     ptilde = _gathered(lab, W, rx, ry)
     ptilde /= W[rx, ry]
+    if proved:
+        return ptilde
 
     def residuals(i):
         """|S_i S_j - sum_k p~[i, j, k] S_k| for j = 0, 1, ..., d - 1."""

@@ -311,7 +311,7 @@ def verify_hypergroup_slices(h):
 
 
 def _char_sort_key(row):
-    key = [-row[1].real] if row.size > 1 else [0.0]
+    key = [-round(row[1].real, 9)] if row.size > 1 else [0.0]
     for v in row:
         key.extend((-round(v.real, 9), -round(v.imag, 9)))
     return tuple(key)

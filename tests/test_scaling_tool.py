@@ -4,8 +4,12 @@ curve in-process, through the function its runner calls, makes a rename
 fail here instead of in a later measurement."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "scaling.py"
@@ -79,3 +83,44 @@ def test_missing_or_unknown_curve_is_a_usage_error(scaling, capsys, argv):
         scaling.main(argv)
     assert exc.value.code == 2
     assert "from_double_cosets" in capsys.readouterr().err
+
+
+def test_each_case_runs_three_times_per_tree_in_turn(scaling, monkeypatch, capsys):
+    """Trees A and B run one case A, B, A, B, A, B; each float field is the
+    median of a tree's three runs, other fields are the first run's, and
+    the verify_hypergroup oracle runs once, in A's first run."""
+    calls = []
+
+    def fake_run(cmd, env, **kwargs):
+        calls.append((env["PYTHONPATH"].split(os.pathsep)[0], cmd[5:]))
+        row = {"d": 6, "new_s": float(len(calls))}
+        if "--no-oracle" not in cmd:
+            row = {"d": 6, "old_s": 100.0, **row}
+        return SimpleNamespace(stdout=json.dumps(row))
+
+    monkeypatch.setattr(scaling.subprocess, "run", fake_run)
+    monkeypatch.setitem(scaling.CURVES, "verify_hypergroup", ([("dihedral", 6)], None))
+    scaling.main(["verify_hypergroup", "A", "B"])
+    assert [src for src, _ in calls] == ["A", "B"] * 3
+    assert [flags for _, flags in calls] == [[]] + [["--no-oracle"]] * 5
+    assert json.loads(capsys.readouterr().out) == {
+        "A": [{"d": 6, "old_s": 100.0, "new_s": 3.0}],
+        "B": [{"d": 6, "old_s": 100.0, "new_s": 4.0}]}
+
+
+def test_a_refusal_in_any_run_is_the_row(scaling):
+    refused = {"case": ["ball", 3, 2, 17], "refused": "MemoryError: "}
+    assert scaling._median_row([{"s": 1.0}, refused, {"s": 2.0}]) == refused
+
+
+def test_perturbed_cycles_take_the_full_check(scaling):
+    """The generalized curve's perturbed C100 lies past the canonical early
+    test of the kernel check, and passes the full check."""
+    import hyperscheme as hs
+    from hyperscheme.scheme import _CANONICAL_DEVIATION
+
+    scheme = hs.verify_scheme(scaling._cycle_partition(100))
+    gs = scaling._rectangle_perturbed(scheme)()
+    delta = np.abs(gs.W * scheme.valency[scheme.partition.label] - 1.0).max()
+    assert 1.5 * _CANONICAL_DEVIATION < delta < 2.5 * _CANONICAL_DEVIATION
+    hs.verify_generalized(gs)

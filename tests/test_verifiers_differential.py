@@ -14,8 +14,8 @@ import hyperscheme as hs
 import reference_verifiers as ref
 from hyperscheme.hypergroup import _generators
 from hyperscheme import scheme as scheme_module
-from hyperscheme.scheme import (KERNEL_TOL, _group_table, _representatives,
-                               _verify_kernels)
+from hyperscheme.scheme import (_CANONICAL_DEVIATION, KERNEL_TOL, _group_table,
+                               _representatives, _verify_kernels)
 
 
 def dihedral_table(m):
@@ -881,6 +881,102 @@ def test_ptilde_is_the_full_products_within_rounding(kind, m1, m2):
         assert outcome(ref.verify_generalized, gs)[0] == "ok"
     n = gs.partition.n_points
     assert (np.abs(got - want) <= 4 * n * 2.0 ** -53 * np.maximum(1.0, np.abs(want))).all()
+
+
+NEAR_CANONICAL = GENERALIZED + [canonical_cycle(m) for m in (8, 12)] + [
+    hs.direct_product_scheme(canonical_cycle(4), canonical_cycle(5)),
+    hs.join_scheme(canonical_cycle(5), canonical_cycle(6))]
+
+
+def relative_noise(gs, k, seed):
+    """gs with every W entry times 1 + E(x, y), E symmetric and uniform in
+    [-10^-k, 10^-k], then each kernel's rows renormalized.  The flow
+    omega(x) W(x, y) of these bases is symmetric; E keeps it so but for the
+    renormalization, whose first-order asymmetry would fail the adjoint test
+    (absolute, at 1e-9) below k = 10.  There omega_x is scaled by 10^(k - 10),
+    so that the adjoint relation holds and span closure decides."""
+    part = gs.partition
+    lab, n, d = part.label, part.n_points, part.n_relations
+    E = np.random.default_rng(seed).uniform(-10.0 ** -k, 10.0 ** -k, (n, n))
+    W = gs.W * (1 + (E + E.T) / 2)
+    rows = np.zeros((n, d))
+    np.add.at(rows, (np.arange(n)[:, None], lab), W)
+    W /= np.take_along_axis(rows, lab, axis=1)
+    kernels = np.where(np.arange(d)[:, None, None] == lab[None], W[None], 0.0)
+    return hs.GeneralizedScheme(part, kernels, gs.omega_x * min(1.0, 10.0 ** (k - 10)))
+
+
+def full_path_outcome(gs):
+    """The outcome of verify_generalized on a fresh copy of gs with the
+    canonical early test switched off, so every axiom is tested."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme_module, "_CANONICAL_DEVIATION", -1.0)
+        return outcome(hs.verify_generalized,
+                       hs.GeneralizedScheme(gs.partition, gs.kernels, gs.omega_x))
+
+
+@given(st.sampled_from(NEAR_CANONICAL), st.integers(7, 16), st.integers(0, 2 ** 16))
+def test_near_canonical_families_match_reference(base, k, seed):
+    """Canonical families with relative noise 10^-k on every cell: at k >= 10
+    the deviation from the canonical family is within _CANONICAL_DEVIATION
+    and the early test proves axioms (2) and (3); at k = 9 it lies on either
+    side; below it the full check runs, passes on some draws at k = 8 and
+    fails span closure (3) on the others.  The verdict, axiom and witness
+    are the reference's, and p~ is the full check's bit for bit.  The
+    reference's full products may sum in another order, so against it p~
+    agrees within 4 n 2^-53 max(1, |p~|)."""
+    gs = relative_noise(base, k, seed)
+    want = outcome(ref.verify_generalized, gs)
+    got = outcome(hs.verify_generalized, gs)
+    assert got == full_path_outcome(gs)
+    if want[0] == "fail":
+        assert got == want
+        return
+    assert got[0] == "ok"
+    ptilde, reference = hs.verify_generalized(gs), ref.verify_generalized(gs)
+    bound = 4 * gs.partition.n_points * 2.0 ** -53 * np.maximum(1.0, np.abs(reference))
+    assert (np.abs(ptilde - reference) <= bound).all()
+
+
+def _calls(gs):
+    """How often verifying gs builds a kernel and runs _generation; one
+    _generation is verify_scheme's."""
+    counts = {"_kernel": 0, "_generation": 0}
+    kernel, generation = hs.GeneralizedScheme._kernel, scheme_module._generation
+
+    def counting_kernel(self, i):
+        counts["_kernel"] += 1
+        return kernel(self, i)
+
+    def counting_generation(num):
+        counts["_generation"] += 1
+        return generation(num)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hs.GeneralizedScheme, "_kernel", counting_kernel)
+        mp.setattr(scheme_module, "_generation", counting_generation)
+        hs.verify_generalized(gs)
+    return counts
+
+
+def test_canonical_family_verifies_without_kernel_products():
+    """Canonical C20 passes the early test: the kernel check builds no
+    kernel and runs no _generation of its own.  A symmetric rectangle
+    perturbation on relation 5 that puts the deviation just past
+    _CANONICAL_DEVIATION takes the full check, which builds kernels and
+    runs _generation, and passes with the reference."""
+    base = canonical_cycle(20)
+    assert _calls(base) == {"_kernel": 0, "_generation": 1}
+    t = 0.55 * _CANONICAL_DEVIATION        # W = 1/2 there, so delta = 2t
+    past = hs.GeneralizedScheme(base.partition,
+                                symmetric_perturbation(base, (5, 0, 10, 5, 15), t),
+                                base.omega_x)
+    valency = hs.verify_scheme(base.partition).valency[base.partition.label]
+    delta = np.abs(past.W * valency - 1.0).max()
+    assert _CANONICAL_DEVIATION < delta < 1.2 * _CANONICAL_DEVIATION
+    counts = _calls(past)
+    assert counts["_kernel"] >= base.partition.n_relations and counts["_generation"] == 2
+    assert outcome(ref.verify_generalized, past)[0] == "ok"
 
 
 def test_verify_hypergroup_memory_is_cubic():

@@ -3,9 +3,10 @@ at a time.
 
     python3 tools/scaling.py CURVE [SRC ...]
 
-runs every case of CURVE under each SRC (default: the src directory of
-this checkout) in turn, case by case, so two source trees see the same
-machine state, and prints one JSON object, SRC -> list of rows.  Each case
+runs every case of CURVE RUNS = 3 times under each SRC (default: the src
+directory of this checkout), case by case and the trees in turn, so two
+source trees see the same machine state, and prints one JSON object, SRC
+-> list of rows, each float field the median of its three runs.  Each case
 runs in its own process, with BLAS on one thread and the address space
 capped at ADDRESS_LIMIT; a case that the library refuses (BallTooLarge) or
 that does not fit (MemoryError) gives a row with "refused" and the error.
@@ -40,8 +41,8 @@ Curves:
 - verify_hypergroup: D_m double-coset hypergroups, direct products of two,
   and iterated joins of Z_2 (whose greedy generating set is all of D),
   against verify_hypergroup_slices, the check of all d slices.  That oracle
-  is timed under the first SRC only; the other trees' rows repeat its old_*
-  fields.
+  is timed in the first run under the first SRC only; every other run
+  repeats its old_* fields.
 - characters: on the D_m hypergroups, and the character order by one
   np.lexsort against the reference's per-row sort key.
 - dumps: io.dumps against json.dumps(indent=1, default=encode_number).
@@ -55,8 +56,11 @@ Curves:
 - generalized: the canonical family of a product or join of two cycle
   schemes, its build from the factors, then verify_generalized and
   from_generalized on it; the first four cases are the float-spectral
-  benchmark's families.  The last cases are the canonical families of the
-  cycles C100 and C200 (m2 null), built from their verified schemes.
+  benchmark's families.  Then the canonical families of the cycles C100,
+  C200 and C400 (m2 null), built from their verified schemes, which pass
+  the canonical early test of the kernel check, and the "perturbed cycle"
+  families of C100 and C200: a symmetric rectangle of RECTANGLE_T on
+  relation m / 4 puts them past that test, so they take the full check.
 - gram_min_eig: as `dtgraph --report psd` runs it, build_ball, then the
   minimum Gram eigenvalue at s0, 0 and s1, on Gamma(3, 2) with R = 4..16
   and the path Gamma(2, 2) up to R = 1000, where the blocks are
@@ -91,6 +95,8 @@ MIN_ROUNDS, MIN_SECONDS = 3, 0.3
 TRIALS = 30_000
 WIDTH_RADIUS = 10
 DEFORM_C = 0.3
+RECTANGLE_T = 1e-9      # a relative deviation of 2e-9, past scheme._CANONICAL_DEVIATION
+RUNS = 3
 POWER_LAWS = {"exact": ({1: Fraction(3, 7), 2: Fraction(4, 7)}, None),
               "float delta_1": ({1: 1.0}, None),
               "deformed at x_c(0.1)": ({1: 1 / 3, 2: 2 / 3}, 0.1),
@@ -400,6 +406,22 @@ def from_double_cosets(m: int) -> dict:
 
 # generalized schemes and Gram spectra
 
+def _rectangle_perturbed(scheme):
+    """A builder of the canonical family of the m-cycle, 4 | m, with
+    RECTANGLE_T added to S_i at (0, i), (2i, 3i) and their transposes and
+    taken from (0, 3i), (2i, i) and theirs, i = m / 4: rows, columns and
+    symmetry are kept, and the deviation from the canonical family is
+    2 RECTANGLE_T."""
+    import hyperscheme as hs
+
+    m = scheme.n_points
+    i = m // 4
+    kernels = hs.canonical_generalized(scheme).kernels.copy()
+    for x, y, sign in ((0, i, 1), (2 * i, 3 * i, 1), (0, 3 * i, -1), (2 * i, i, -1)):
+        kernels[i, [x, y], [y, x]] += sign * RECTANGLE_T
+    return lambda: hs.GeneralizedScheme(scheme.partition, kernels, np.ones(m))
+
+
 def generalized(kind: str, m1: int, m2: int) -> dict:
     import hyperscheme as hs
     from hyperscheme.scheme import _generators
@@ -409,6 +431,8 @@ def generalized(kind: str, m1: int, m2: int) -> dict:
 
     if kind == "cycle":
         build, factors = hs.canonical_generalized, (hs.verify_scheme(_cycle_partition(m1)),)
+    elif kind == "perturbed cycle":
+        build, factors = _rectangle_perturbed(hs.verify_scheme(_cycle_partition(m1))), ()
     else:
         build = hs.direct_product_scheme if kind == "product" else hs.join_scheme
         factors = cycle_family(m1), cycle_family(m2)
@@ -501,7 +525,8 @@ CURVES = {
                     + [("product", 3, m) for m in (10, 20, 34)]
                     + [("product", 5, m) for m in (20, 30, 40)]
                     + [("join", *ms) for ms in ((5, 6), (10, 15), (12, 20), (16, 25))]
-                    + [("cycle", m, None) for m in (100, 200)], generalized),
+                    + [("cycle", m, None) for m in (100, 200, 400)]
+                    + [("perturbed cycle", m, None) for m in (100, 200)], generalized),
     "gram_min_eig": ([(3, 2, R) for R in range(4, 17)]
                      + [(2, 2, R) for R in (50, 100, 200, 500, 1000)], gram_min_eig),
     "from_double_cosets": ([(m,) for m in (50, 100, 200, 400)], from_double_cosets),
@@ -532,6 +557,16 @@ def _with_oracle(row: dict, first: dict) -> dict:
     return {k: first[k] if k.startswith("old_") else row[k] for k in first}
 
 
+def _median_row(rows: list) -> dict:
+    """Each float field's median over the runs of one case; every other
+    field as in the first run.  A refusal in any run is the row."""
+    refused = [row for row in rows if "refused" in row]
+    if refused:
+        return refused[0]
+    return {k: statistics.median(row[k] for row in rows) if isinstance(v, float) else v
+            for k, v in rows[0].items()}
+
+
 def main(argv: list) -> None:
     if argv[:1] == ["--one"]:
         options = {"time_oracle": False} if argv[3:] == ["--no-oracle"] else {}
@@ -543,18 +578,22 @@ def main(argv: list) -> None:
         sys.exit(2)
     curve, srcs = argv[0], argv[1:] or [str(ROOT / "src")]
     out = {src: [] for src in srcs}
+    envs = {src: {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(ROOT / "tests")]),
+                  "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                  "MKL_NUM_THREADS": "1"} for src in srcs}
     for case in CURVES[curve][0]:
-        for k, src in enumerate(srcs):
-            once = curve == "verify_hypergroup" and k > 0
-            env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(ROOT / "tests")]),
-                   "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-                   "MKL_NUM_THREADS": "1"}
-            res = subprocess.run([sys.executable, __file__, "--one", curve, json.dumps(case)]
-                                 + ["--no-oracle"] * once,
-                                 env=env, stdout=subprocess.PIPE, text=True, check=True,
-                                 preexec_fn=_limit_address_space)
-            row = json.loads(res.stdout)
-            out[src].append(_with_oracle(row, out[srcs[0]][-1]) if once else row)
+        runs = {src: [] for src in srcs}
+        for run in range(RUNS):
+            for k, src in enumerate(srcs):
+                once = curve == "verify_hypergroup" and (run, k) != (0, 0)
+                res = subprocess.run([sys.executable, __file__, "--one", curve,
+                                      json.dumps(case)] + ["--no-oracle"] * once,
+                                     env=envs[src], stdout=subprocess.PIPE, text=True,
+                                     check=True, preexec_fn=_limit_address_space)
+                row = json.loads(res.stdout)
+                runs[src].append(_with_oracle(row, runs[srcs[0]][0]) if once else row)
+        for src in srcs:
+            out[src].append(_median_row(runs[src]))
             print(src, out[src][-1], file=sys.stderr)
     print(json.dumps(out, indent=1))
 
