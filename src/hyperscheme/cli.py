@@ -96,7 +96,7 @@ def _load_hypergroup(path: str) -> hg.FiniteHypergroup:
 
 
 def cmd_characters(args):
-    table = hg.characters(_load_hypergroup(args.file), seed=args.seed)
+    table = hg.characters(_load_hypergroup(args.file))
     return "pass", {
         "chars": [[_complex_to_jsonable(z) for z in row] for row in table.chars],
         "haar": table.haar.tolist(),
@@ -106,8 +106,7 @@ def cmd_characters(args):
 
 def cmd_dual(args):
     h = _load_hypergroup(args.file)
-    table = hg.characters(h, seed=args.seed)
-    coeffs = hg.dual_convolution(h, table, args.i, args.j)
+    coeffs = hg.dual_convolution(h, hg.characters(h), args.i, args.j)
     nonneg = bool(coeffs.real.min() >= -1e-9)
     results = {"coefficients": [_complex_to_jsonable(z) for z in coeffs],
                "sum": float(coeffs.real.sum()), "nonnegative": nonneg}
@@ -313,12 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "graph deformations, and random walks.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help, seed=False):
+    def command(name, fn, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable JSON report")
-        if seed:
-            p.add_argument("--seed", type=int, default=hg.DEFAULT_SEED)
         p.set_defaults(fn=fn)
         return p
 
@@ -330,11 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subgroup", help="comma-separated element indices")
     p.add_argument("--out")
 
-    p = command("characters", cmd_characters, "character table of a hypergroup",
-                seed=True)
+    p = command("characters", cmd_characters, "character table of a hypergroup")
     p.add_argument("file")
 
-    p = command("dual", cmd_dual, "dual convolution of two characters", seed=True)
+    p = command("dual", cmd_dual, "dual convolution of two characters")
     p.add_argument("file")
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
@@ -359,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file2")
         p.add_argument("--out")
 
-    p = command("walk", cmd_walk, "random walk with projection check", seed=True)
+    p = command("walk", cmd_walk, "random walk with projection check")
+    p.add_argument("--seed", type=int, default=walks.DEFAULT_SEED)
     p.add_argument("scheme_file", nargs="?")
     p.add_argument("--dtgraph", help="a,b,R[,c]")
     p.add_argument("--mu", required=True, help="index:mass,... step law")

@@ -23,20 +23,15 @@ from .scheme import (AssociationScheme, AxiomViolation, CheckFailure,
 
 TOL = 1e-9
 PSD_FLOOR = 1e-8
-CHARACTER_RETRIES = 5
-DEFAULT_SEED = 0x5EED
+# characters tells apart eigenvalues of its Hermitian operators (norm at most
+# 1) that step by more than SPLIT_GAP, so eigh puts their eigenvectors within
+# about 2**-53 / SPLIT_GAP = 1.1e-10 of the true ones, below TOL
+SPLIT_GAP = 1e-6
+_RESIDUAL_BLOCK_BYTES = 1 << 24     # of B_i alpha per block of slices i
 
 
 class NotCommutative(CheckFailure):
     pass
-
-
-def _check_seed(seed) -> int:
-    """seed as an int, or ValueError unless it is a nonnegative integer: a
-    seed of None would draw OS entropy, and a run could not be repeated."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
-    return int(seed)
 
 
 class NotASemicharacter(CheckFailure):
@@ -67,6 +62,14 @@ def _not_a_semicharacter(top, bottom, message=None) -> NotASemicharacter:
 
 class DegenerateSpectrum(CheckFailure):
     pass
+
+
+class BochnerGramMismatch(CheckFailure):
+    """positive_definite_check's verdicts differ, as a coefficient just below
+    -TOL can make them; args[0] holds both margins and tolerances."""
+
+    def results(self) -> dict:
+        return {"message": "Bochner expansion and Gram criterion disagree", **self.args[0]}
 
 
 def _ratios(values):
@@ -379,16 +382,15 @@ class CharacterTable:
     Haar weight on D with omega(e) = 1 and plancherel the dual weights
     pi(alpha) = 1 / ||alpha||^2_omega (summing to 1)."""
 
-    chars: np.ndarray       # (n, n) complex
+    chars: np.ndarray       # (n, n) complex, or float for a symmetric hypergroup
     haar: np.ndarray        # (n,) float
     plancherel: np.ndarray  # (n,) float
-    seed: int = DEFAULT_SEED
 
 
 def _char_order(rows: np.ndarray) -> np.ndarray:
     """Stable order of the rows by -Re row[1], then by -Re, -Im of each
     entry, entry by entry, all rounded to 9 decimals, so that values that
-    agree but for the eigensolver's rounding tie whatever the seed."""
+    agree but for the eigensolver's rounding tie."""
     m, n = rows.shape
     keys = np.empty((2 * n + 1, m))
     keys[0] = -np.round(rows[:, 1].real, 9) if n > 1 else 0.0
@@ -397,59 +399,56 @@ def _char_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(keys[::-1])
 
 
-def characters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> CharacterTable:
-    """Characters of a commutative finite hypergroup via joint
-    diagonalization of the convolution operators.
+def characters(h: FiniteHypergroup) -> CharacterTable:
+    """Characters alpha of a commutative finite hypergroup: B_i alpha =
+    alpha(i) alpha, (B_i)_{jk} = c[i][j][k], alpha(e) = 1; float for a
+    symmetric hypergroup, else complex.
 
-    A character alpha solves B_i alpha = alpha(i) alpha where
-    (B_i)_{jk} = c[i][j][k]; generic random convex combinations of the B_i
-    separate the joint eigenspaces.  Deterministic for a fixed seed.
-    ValueError for a seed that is not a nonnegative integer, and for an
-    exact Haar weight past the doubles.
+    With S^2 the Haar weights, A = S B_g S^-1 has A^T = S B_{g bar} S^-1, so
+    the S alpha are the joint eigenvectors of (A + A^T) / 2 and (A - A^T) / 2i
+    over the generators g != e.  From one cluster, V = I, eigh of each one
+    compressed to each cluster (V_c^H G V_c) rotates it and cuts it where the
+    eigenvalues step by more than SPLIT_GAP.  The semisimple algebra the B_g
+    generate has lines as joint eigenspaces, so a cluster left raises
+    DegenerateSpectrum, as does a residual past TOL against any B_i.
+    ValueError for a Haar weight past the doubles.
     """
-    seed = _check_seed(seed)
     if not h.is_commutative():
         raise NotCommutative("character theory requires a commutative hypergroup")
-    n, e = h.n, h.identity
-    c = h.conv_f  # B_i = c[i], (B_i)_{jk} = c[i][j][k]
-
-    rng = np.random.Generator(np.random.Philox(seed))
-    last_err = None
-    for _ in range(CHARACTER_RETRIES):
-        wts = rng.dirichlet(np.ones(n))
-        M = sum(wt * Bi for wt, Bi in zip(wts, c))
-        vals, vecs = np.linalg.eig(M)
-        order = np.argsort(-vals.real)
-        # every pair: neighbours in sort_complex order can hide a close pair
-        gaps = np.abs(vals[:, None] - vals)
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < 1e-8:
-            last_err = DegenerateSpectrum("eigenvalue gap below 1e-8")
-            continue
-        V = vecs[:, order]
-        if (np.abs(V[e]) < 1e-12).any():
-            last_err = DegenerateSpectrum("eigenvector refinement failed")
-            continue
-        alphas = V / V[e]
-        # refine alpha(i) against each B_i and check multiplicativity, for
-        # every eigenvector at once: BA[i, j, m] = (B_i alpha_m)_j
-        BA = c @ alphas
-        avals = BA[:, e, :].T                    # avals[m, i] = alpha_m(i)
-        resid = np.abs(BA - avals.T[:, None, :] * alphas[None, :, :]).max()
-        if resid > TOL:
-            last_err = DegenerateSpectrum("eigenvector refinement failed")
-            continue
-        chars = avals[_char_order(avals)]
-        left, _, _ = haar(h)
-        omega = np.array([_double(v, "Haar weights") for v in left])
-        omega = omega / omega[e]
-        norms = (omega[None, :] * np.abs(chars) ** 2).sum(axis=1)
-        plancherel = 1.0 / norms
-        table = CharacterTable(chars=chars, haar=omega, plancherel=plancherel,
-                               seed=seed)
-        _check_table(h, table)
-        return table
-    raise last_err or DegenerateSpectrum("joint diagonalization failed")
+    n, e, c = h.n, h.identity, h.conv_f
+    omega = np.array([_double(v, "Haar weights") for v in haar(h)[0]])
+    omega = omega / omega[e]
+    s = np.sqrt(omega)
+    parts = (G for g in _generators(h.num) if g != e for A in [s[:, None] * c[g] / s]
+             for G in [(A + A.T) / 2, (A - A.T) / 2j][:1 + (h.involution[g] != g)])
+    V = np.eye(n, dtype=float if h.is_symmetric() else complex)
+    clusters = [np.arange(n)] if n > 1 else []
+    while clusters and (G := next(parts, None)) is not None:
+        split = []
+        for k in {c.size for c in clusters}:    # one stacked eigh per cluster size
+            idx = np.array([c for c in clusters if c.size == k])
+            W = V[:, idx].transpose(1, 0, 2)    # W[c] = V_c
+            vals, U = np.linalg.eigh(W.conj().transpose(0, 2, 1) @ G @ W)
+            V[:, idx] = (W @ U).transpose(1, 0, 2)
+            for row, v in zip(idx, vals):
+                cuts = [0, *(np.flatnonzero(np.diff(v) > SPLIT_GAP) + 1).tolist(), k]
+                split += [row[a:b] for a, b in zip(cuts, cuts[1:]) if b - a > 1]
+        clusters = split
+    if clusters:
+        raise DegenerateSpectrum(f"{clusters[0].size} characters agree on every generator")
+    alphas = V / s[:, None]
+    alphas /= alphas[e]          # alphas[x, m] = alpha_m(x)
+    # the worst |B_i alpha_m - alpha_m(i) alpha_m| over blocks of slices i
+    block = max(1, _RESIDUAL_BLOCK_BYTES // (n * n * alphas.itemsize))
+    resid = max(float(np.abs(c[lo:lo + block] @ alphas - alphas[lo:lo + block, None, :]
+                             * alphas).max()) for lo in range(0, n, block))
+    if not resid <= TOL:        # NaN fails too
+        raise DegenerateSpectrum(f"characters miss multiplicativity by {resid:.3e}")
+    chars = alphas.T[_char_order(alphas.T)]
+    norms = (omega[None, :] * np.abs(chars) ** 2).sum(axis=1)
+    table = CharacterTable(chars=chars, haar=omega, plancherel=1.0 / norms)
+    _check_table(h, table)
+    return table
 
 
 def _check_table(h: FiniteHypergroup, table: CharacterTable):
@@ -486,28 +485,26 @@ def plancherel_invert(f_hat, table: CharacterTable) -> np.ndarray:
     return inverse_fourier(np.asarray(f_hat, dtype=complex) * table.plancherel, table)
 
 
-def positive_definite_check(h: FiniteHypergroup, f, table: CharacterTable | None = None,
-                            seed: int = DEFAULT_SEED):
+def positive_definite_check(h: FiniteHypergroup, f, table: CharacterTable | None = None):
     """Bochner test: expand f over the characters and require nonnegative
     coefficients; cross-checked against the Gram matrix
     F_{kl} = (delta_{x_k} * delta_{bar x_l})(f) being PSD.
 
-    Returns (is_pd, mu) with mu the character coefficients.
+    Returns (is_pd, mu) with mu the character coefficients, or raises
+    BochnerGramMismatch.
     """
     if table is None:
-        table = characters(h, seed=seed)
+        table = characters(h)
     f = np.asarray(f, dtype=complex)
     mu = table.plancherel * fourier(f, table)
-    is_pd = bool(mu.real.min() >= -TOL and np.abs(mu.imag).max() <= TOL)
+    worst = float(np.max([-mu.real.min(), np.abs(mu.imag).max()]))   # NaN stays
+    is_pd = worst <= TOL
 
     gram = h.conv_f[:, h.involution] @ f
-    herm = (gram + np.conj(gram.T)) / 2
-    min_eig = float(np.linalg.eigvalsh(herm).min())
-    gram_pd = min_eig >= -PSD_FLOOR
-    if is_pd != gram_pd:
-        raise AssertionError(
-            f"Bochner expansion ({is_pd}) and Gram criterion ({gram_pd}, "
-            f"min eig {min_eig:.3e}) disagree")
+    min_eig = float(np.linalg.eigvalsh((gram + np.conj(gram.T)) / 2).min())
+    if is_pd != (min_eig >= -PSD_FLOOR):
+        raise BochnerGramMismatch({"worst_coefficient": worst, "coefficient_tol": TOL,
+                                   "min_eig": min_eig, "psd_floor": -PSD_FLOOR})
     return is_pd, mu
 
 
@@ -525,18 +522,13 @@ def dual_convolution(h: FiniteHypergroup, table: CharacterTable,
     return table.plancherel * fourier(prod, table)
 
 
-def semicharacters(h: FiniteHypergroup, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
+def semicharacters(h: FiniteHypergroup) -> list[np.ndarray]:
     """All real multiplicative involution-compatible vectors with alpha(e)=1.
 
     For finite D every such solution is a character, so these are the real
     rows of the character table.
     """
-    table = characters(h, seed=seed)
-    out = []
-    for row in table.chars:
-        if np.abs(row.imag).max() <= 1e-9:
-            out.append(row.real.copy())
-    return out
+    return [row.real.copy() for row in characters(h).chars if np.abs(row.imag).max() <= 1e-9]
 
 
 def _double(v, what: str) -> float:

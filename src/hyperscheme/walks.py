@@ -12,18 +12,27 @@ run with fewer without changing its first trials.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dtgraph import KernelFamily, _expand
-from .hypergroup import _check_seed
 from .scheme import CheckFailure
 
 # simulate_walk draws its uniforms in blocks of about this many (128 KiB);
 # the block size bounds the per-step temporaries, and does not change the
 # stream
 _BLOCK_UNIFORMS = 1 << 14
+DEFAULT_SEED = 0x5EED
+
+
+def _check_seed(seed) -> int:
+    """seed as an int, or ValueError unless it is a nonnegative integer: a
+    seed of None would draw OS entropy, and a run could not be repeated."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
+    return int(seed)
 
 
 class WalkWouldExitBall(CheckFailure):

@@ -11,9 +11,9 @@ operator, and a per-row Python sort key for the character order.
 import numpy as np
 import scipy.linalg
 
-from hyperscheme.hypergroup import (DEFAULT_SEED, TOL, CharacterTable,
-                                    DegenerateSpectrum, HypergroupReport,
-                                    NotCommutative, _absmax, _int_dtype, haar)
+from hyperscheme.hypergroup import (TOL, CharacterTable, DegenerateSpectrum,
+                                    HypergroupReport, NotCommutative, _absmax,
+                                    _int_dtype, haar)
 from hyperscheme.scheme import (AssociationScheme, AxiomViolation, NotAGroup,
                                 NotASubgroup, RelationPartition)
 
@@ -317,9 +317,10 @@ def _char_sort_key(row):
     return tuple(key)
 
 
-def characters(h, seed=DEFAULT_SEED, max_retries=5):
-    """One refinement matvec per (eigenvector, B_i), as before the batched
-    product."""
+def characters(h, seed=0x5EED, max_retries=5):
+    """The library's characters before the Hermitian split: eig of seeded
+    random mixtures of the B_i, retried on a close pair, and one refinement
+    matvec per (eigenvector, B_i)."""
     if not h.is_commutative():
         raise NotCommutative("character theory requires a commutative hypergroup")
     n, e = h.n, h.identity
@@ -359,8 +360,7 @@ def characters(h, seed=DEFAULT_SEED, max_retries=5):
         omega = np.array([float(v) for v in left])
         omega = omega / omega[e]
         norms = (omega[None, :] * np.abs(chars) ** 2).sum(axis=1)
-        return CharacterTable(chars=chars, haar=omega, plancherel=1.0 / norms,
-                              seed=seed)
+        return CharacterTable(chars=chars, haar=omega, plancherel=1.0 / norms)
     raise last_err or DegenerateSpectrum("joint diagonalization failed")
 
 

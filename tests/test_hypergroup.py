@@ -255,33 +255,89 @@ def test_characters_z4(z4_scheme):
                 assert row[i] * row[j] == pytest.approx(row[(i + j) % 4], abs=1e-8)
 
 
-def test_close_eigenvalues_apart_in_sorted_order_are_degenerate(monkeypatch):
-    """x - 1e-10 + iy and x + iy are 1e-10 apart, but x - iy sorts between
-    them, so neighbours in sort_complex order are all 2y apart; every pair
-    is compared, and each retry is refused for the gap."""
-    z3 = np.array([[(i + j) % 3 for j in range(3)] for i in range(3)])
-    h = hs.from_scheme(hs.from_double_cosets(z3, [0])[1])
-    x, y = 0.5, 0.25
-    vals = np.array([x - 1e-10 + 1j * y, x - 1j * y, x + 1j * y])
-    monkeypatch.setattr(hs.hypergroup.np.linalg, "eig",
-                        lambda M: (vals, np.eye(3, dtype=complex)))
-    with pytest.raises(hs.DegenerateSpectrum, match="^eigenvalue gap below 1e-8$"):
+def _cycle_hypergroup(m):
+    """The m-cycle's distance hypergroup: element j is distance j."""
+    x = np.arange(m)
+    dist = np.abs(x[:, None] - x[None, :])
+    return hs.from_scheme(hs.verify_scheme(
+        hs.RelationPartition(m, m // 2 + 1, np.minimum(dist, m - dist))))
+
+
+def _group_hypergroup(m):
+    """Z_m as the double-coset hypergroup of its trivial subgroup: element j
+    is j, and the involution j -> -j."""
+    z = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
+    return hs.from_scheme(hs.from_double_cosets(z, [0])[1])
+
+
+def _ordered(rows):
+    return rows[hs.hypergroup._char_order(rows)]
+
+
+@pytest.mark.parametrize("m", [2, 5, 12, 101, 400, 600])
+def test_cycle_characters_are_the_cosines(m):
+    """alpha_k(j) = cos(2 pi k j / m), k = 0 .. m // 2, within 1e-11 up to
+    d = 301 (the random eig mixture missed by 4.5e-10 there), in float64."""
+    h = _cycle_hypergroup(m)
+    k = np.arange(h.n)
+    chars = hs.characters(h).chars
+    assert chars.dtype == np.float64
+    assert np.abs(chars - _ordered(np.cos(2 * np.pi * np.outer(k, k) / m))).max() <= 1e-11
+
+
+@pytest.mark.parametrize("m", [3, 7, 12, 64, 301])
+def test_group_characters_are_the_roots_of_unity(m):
+    """Z_m is not symmetric: each (A + A^T) / 2 pairs k with m - k, and
+    (A - A^T) / 2i splits the pair into alpha_k(j) = exp(2 pi i k j / m)."""
+    k = np.arange(m)
+    chars = hs.characters(_group_hypergroup(m)).chars
+    assert chars.dtype == np.complex128
+    assert np.abs(chars - _ordered(np.exp(2j * np.pi * np.outer(k, k) / m))).max() <= 1e-11
+
+
+@pytest.mark.parametrize("m1, m2", [(5, 6), (12, 12), (20, 33)])
+def test_product_characters_are_the_factors_products(m1, m2):
+    """Every eigenvalue of the first generator (0, 1) of C_m1 x C_m2 is
+    shared by all m1 // 2 + 1 characters of the first factor, so the later
+    generators split every cluster; the table is the factors' products."""
+    h1, h2 = _cycle_hypergroup(m1), _cycle_hypergroup(m2)
+    want = np.kron(hs.characters(h1).chars, hs.characters(h2).chars)
+    chars = hs.characters(hs.direct_product(h1, h2)).chars
+    assert np.abs(chars - _ordered(want)).max() <= 1e-11
+
+
+def test_a_cluster_no_generator_splits_is_degenerate(monkeypatch):
+    """With a generating set cut to C_6's element 1 on C_5 x C_6, the
+    clusters of the first factor's characters are never split."""
+    h = hs.direct_product(_cycle_hypergroup(5), _cycle_hypergroup(6))
+    monkeypatch.setattr(hs.hypergroup, "_generators", lambda num: [0, 1])
+    with pytest.raises(hs.DegenerateSpectrum, match="^3 characters agree on every generator$"):
         hs.characters(h)
 
 
 def test_characters_deterministic(k3_hypergroup):
-    t1 = hs.characters(k3_hypergroup, seed=99)
-    t2 = hs.characters(k3_hypergroup, seed=99)
-    assert np.array_equal(t1.chars, t2.chars)
+    """Nothing is drawn: two calls give bit-identical tables, on the complex
+    path and with the identity away from 0."""
+    hgs = [k3_hypergroup, _group_hypergroup(12),
+           *_relabeled_dihedral_hypergroups(20, 5, 0)]
+    for h in hgs:
+        t1, t2 = hs.characters(h), hs.characters(h)
+        for a, b in ((t1.chars, t2.chars), (t1.plancherel, t2.plancherel)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _dihedral_table(m):
+    """Cayley table of D_m: r^k is k and s r^k is m + k."""
+    idx = np.arange(2 * m)
+    k, e = idx % m, idx // m
+    return (k[:, None] + np.where(e[:, None] == 1, -k[None, :], k[None, :])) % m \
+        + m * (e[:, None] ^ e[None, :])
 
 
 def _relabeled_dihedral_hypergroups(m, count, seed):
     """Double-coset hypergroups of D_m on {e, s r^j} for a random j, each
     under a random renaming of the group elements."""
-    idx = np.arange(2 * m)
-    k, e = idx % m, idx // m
-    table = (k[:, None] + np.where(e[:, None] == 1, -k[None, :], k[None, :])) % m \
-        + m * (e[:, None] ^ e[None, :])
+    table = _dihedral_table(m)
     rng = np.random.default_rng(seed)
     for _ in range(count):
         pi = rng.permutation(2 * m)
@@ -291,26 +347,19 @@ def _relabeled_dihedral_hypergroups(m, count, seed):
         yield hs.from_scheme(hs.from_double_cosets(renamed, sub)[1])
 
 
-def test_character_order_does_not_depend_on_the_seed():
-    """Characters of D_20 whose values at element 1 agree tie on the first
-    sort key whatever the eigensolver's rounding; unrounded, that key
-    ordered the rows by ulp noise, and seeds 0-4 gave more than one order
-    on most of these 40 hypergroups.  The values may move by about 1e-11."""
-    for h in _relabeled_dihedral_hypergroups(20, 40, 0):
-        first = hs.characters(h, seed=0).chars
-        for seed in range(1, 5):
-            assert np.allclose(hs.characters(h, seed=seed).chars, first, rtol=0, atol=1e-9)
-
-
-@pytest.mark.parametrize("seed", [None, False, 99.0, 0.5, -1])
-def test_characters_refuse_a_seed_that_is_not_a_nonnegative_integer(
-        k3_hypergroup, seed, monkeypatch):
-    """A seed of None drew OS entropy, so two tables could differ; a bool, a
-    float or a negative number is refused as well, before any work."""
-    monkeypatch.setattr(hs.FiniteHypergroup, "is_commutative",
-                        lambda self: pytest.fail("characters ran"))
-    with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
-        hs.characters(k3_hypergroup, seed=seed)
+def test_characters_check_multiplicativity_in_blocks():
+    """D_400 (d = 201): the residual against every B_i is taken a block of
+    slices at a time, so the peak, conv_f included, stays within twice
+    conv_f's bytes (it was 4.0 times them, 250 MiB, with the d^3 products
+    whole)."""
+    h = hs.from_scheme(hs.from_double_cosets(_dihedral_table(400), [0, 400])[1])
+    tracemalloc.start()
+    try:
+        hs.characters(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.n == 201 and peak <= 2 * h.conv_f.nbytes
 
 
 def test_characters_require_commutative(k3_hypergroup):
@@ -369,6 +418,23 @@ def test_positive_definite(k3_hypergroup):
     # without a table, the check builds the default one
     ok_default, mu_default = hs.positive_definite_check(k3_hypergroup, [1, -1])
     assert not ok_default and np.array_equal(mu_default, mu)
+
+
+def test_positive_definite_verdicts_that_disagree_fail_as_a_check(k3_hypergroup):
+    """A coefficient of -5e-9 lies between TOL on the coefficients and
+    PSD_FLOOR on the Gram eigenvalues (least -5.6e-9), so the Bochner
+    verdict says no and the Gram verdict yes; that was a bare
+    AssertionError, and is a CheckFailure with both margins."""
+    table = hs.characters(k3_hypergroup)
+    f = table.chars.T @ np.array([1.0, -5e-9])
+    with pytest.raises(hs.BochnerGramMismatch) as caught:
+        hs.positive_definite_check(k3_hypergroup, f, table)
+    assert isinstance(caught.value, hs.CheckFailure)
+    results = caught.value.results()
+    assert results["worst_coefficient"] == pytest.approx(5e-9, rel=1e-6)
+    assert results["min_eig"] == pytest.approx(-5.6e-9, rel=0.05)
+    assert (results["coefficient_tol"], results["psd_floor"]) == (hs.hypergroup.TOL,
+                                                                  -hs.hypergroup.PSD_FLOOR)
 
 
 def test_schur_product_positive_definite(k3_hypergroup, z4_scheme):

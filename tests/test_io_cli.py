@@ -493,7 +493,7 @@ def test_characters_cmd(files, capsys):
     assert main(["characters", files["k3hg"], "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["plancherel"] == pytest.approx([1 / 3, 2 / 3])
-    assert report["seed"] is not None
+    assert "seed" not in report
 
 
 def test_dual_cmd(files, capsys):
@@ -806,7 +806,6 @@ CONTRACT_CASES = [
     # a negative seed, refused by the library before any work
     (["walk", "--dtgraph", "3,2,4", "--mu", "1:1", "--steps", "2", "--seed", "-1"], 2,
      "seed must be a nonnegative integer"),
-    (["characters", "k3hg", "--seed", "-1"], 2, "seed must be a nonnegative integer"),
     # integer fields hold JSON integers in int64, never truncated or overflowed
     (["verify", "label_half"], 2, "relations must hold JSON integers in int64, not 1.5"),
     (["verify", "label_huge"], 2,
@@ -879,7 +878,7 @@ def test_exit_code_contract(files, argv, code, message, capsys):
                 assert math.isfinite(results["residual"])
             else:
                 assert results["axiom"] and results["witness"]
-    assert ("seed" in report) == (argv[0] in ("characters", "dual", "walk"))
+    assert ("seed" in report) == (argv[0] == "walk")
 
 
 # every integer field of each file kind, as a path into the file's data
@@ -927,9 +926,10 @@ def test_bad_integer_fields_are_refused(files, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "k3"], ["cosets", "s3", "0,1"], ["deform", "k3hg", "--alpha", "1,1"],
     ["dtgraph", "--a", "3", "--b", "2"], ["product", "k3hg", "k3hg"],
-    ["join", "k3hg", "k3hg"],
+    ["join", "k3hg", "k3hg"], ["characters", "k3hg"], ["dual", "k3hg", "1", "1"],
 ])
 def test_seed_only_where_randomness_is_involved(files, argv, capsys):
+    """Only a walk draws random numbers; --seed elsewhere is a usage error."""
     argv = [files.get(a, a) for a in argv]
     assert main([*argv, "--json"]) == 0
     assert "seed" not in json.loads(capsys.readouterr().out)

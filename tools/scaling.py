@@ -43,8 +43,9 @@ Curves:
   against verify_hypergroup_slices, the check of all d slices.  That oracle
   is timed in the first run under the first SRC only; every other run
   repeats its old_* fields.
-- characters: on the D_m hypergroups, and the character order by one
-  np.lexsort against the reference's per-row sort key.
+- characters: on the D_m hypergroups up to D_800 (d = 401), and the
+  character order by one np.lexsort against the reference's per-row sort
+  key.
 - dumps: io.dumps against json.dumps(indent=1, default=encode_number).
 - io: the exact tensor across the JSON boundary, as `product --json --out`
   moves it, on direct products of two cycle hypergroups, d = 12..110:
@@ -511,7 +512,7 @@ CURVES = {
                           + [("product", *ms) for ms in ((8, 10), (12, 14), (12, 22), (14, 28))]
                           # past 26, join-chain products leave exact float64
                           + [("join-chain", d) for d in (10, 18, 26)], verify_hypergroup),
-    "characters": ([(m,) for m in (6, 20, 40, 60, 100, 140, 200)], characters),
+    "characters": ([(m,) for m in (6, 20, 40, 60, 100, 140, 200, 400, 800)], characters),
     "dumps": ([("dihedral", m) for m in (6, 20, 40, 60, 100)]
               + [("product", 8, 10), ("product", 12, 14)], dumps),
     # d = k (k + 1): C_2(k-1) has k relations, C_2k has k + 1
