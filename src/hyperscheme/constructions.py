@@ -68,7 +68,9 @@ def direct_product(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergro
 
 def direct_product_scheme(gs1: GeneralizedScheme,
                           gs2: GeneralizedScheme) -> GeneralizedScheme:
-    """Kernels K_{(h1,h2)} = K_{h1} (x) K_{h2} on X1 x X2."""
+    """Kernels K_{(h1,h2)} = K_{h1} (x) K_{h2} on X1 x X2.  Nothing is
+    checked here; the product of two schemes is a scheme, so its partition
+    verifies from the factors' (see GeneralizedScheme._scheme)."""
     p1, p2 = gs1.partition, gs2.partition
     px = ProductIndex(p1.n_points, p2.n_points)
     pd = ProductIndex(p1.n_relations, p2.n_relations)
@@ -77,7 +79,7 @@ def direct_product_scheme(gs1: GeneralizedScheme,
     partition = RelationPartition(n_points=px.size, n_relations=pd.size,
                                   label=label)
     return GeneralizedScheme._adopt(partition, np.kron(gs1._weights(), gs2._weights()),
-                                    np.kron(gs1.omega_x, gs2.omega_x))
+                                    np.kron(gs1.omega_x, gs2.omega_x), factors=(gs1, gs2))
 
 
 def join(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergroup:
@@ -125,6 +127,8 @@ def join_scheme(gs1: GeneralizedScheme, gs2: GeneralizedScheme) -> GeneralizedSc
     Relations follow the JoinIndex layout; kernels are delta-preserving in
     the first coordinate for h in D2 and spread the second coordinate over
     the normalized point weights of the second factor for h in D1 - {e1}.
+    The partition is the wreath product of the factors' partitions, a
+    scheme when both are, so it verifies as a product does.
     """
     p1, p2 = gs1.partition, gs2.partition
     e1 = p1.identity_relation
@@ -140,4 +144,5 @@ def join_scheme(gs1: GeneralizedScheme, gs2: GeneralizedScheme) -> GeneralizedSc
                                   label=label)
     W = np.where(same1[:, None, :, None], gs2._weights()[None, :, None, :],
                  gs1._weights()[:, None, :, None] * wx2).reshape(px.size, px.size)
-    return GeneralizedScheme._adopt(partition, W, np.kron(gs1.omega_x, wx2))
+    return GeneralizedScheme._adopt(partition, W, np.kron(gs1.omega_x, wx2),
+                                    factors=(gs1, gs2))

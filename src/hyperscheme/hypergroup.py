@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .scheme import (AssociationScheme, AxiomViolation, CheckFailure,
-                     GeneralizedScheme, _generators)
+                     GeneralizedScheme, _generation, _generators)
 
 TOL = 1e-9
 PSD_FLOOR = 1e-8
@@ -222,6 +222,11 @@ class FiniteHypergroup:
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.involution, np.arange(self.n)))
 
+    @cached_property
+    def _order(self) -> tuple:
+        """_generation(num) in full, computed once; see _generators."""
+        return tuple(_generation(self.num))
+
 
 def _lowest(num: np.ndarray, den: int) -> tuple:
     """(num, den) in lowest terms: as given when float or already reduced,
@@ -255,8 +260,10 @@ def from_scheme(scheme: AssociationScheme) -> FiniteHypergroup:
     """Bose-Mesner convolution c[i][j][k] = (w_k / (w_i w_j)) p_{i,j}^k,
     exact rationals."""
     num, den = _rescaled(scheme.p, 1, scheme.valency)
-    return FiniteHypergroup._adopt(num, den, scheme.partition.identity_relation,
-                                   scheme.involution.copy(), scheme_derived=True)
+    h = FiniteHypergroup._adopt(num, den, scheme.partition.identity_relation,
+                                scheme.involution.copy(), scheme_derived=True)
+    vars(h)["_order"] = scheme._order   # c has the support of p, as every w > 0
+    return h
 
 
 def from_generalized(gs: GeneralizedScheme) -> FiniteHypergroup:
@@ -343,7 +350,7 @@ def verify_hypergroup(h: FiniteHypergroup,
     a = h.num.astype(np.float32 if bound < 2 ** 24 else float) if exact_gemm else h.conv_f
     skip_e = np.array_equal(c[e], eye)
     rows, cols = a.reshape(n, n * n), a.reshape(n * n, n)
-    for i in _generators(h.num) if exact_gemm else range(n):
+    for i in _generators(h) if exact_gemm else range(n):
         if i == e and skip_e:
             continue
         lhs = (a[i] @ rows).reshape(n, n, n)     # [j, (l, k)]
@@ -419,7 +426,7 @@ def characters(h: FiniteHypergroup) -> CharacterTable:
     omega = np.array([_double(v, "Haar weights") for v in haar(h)[0]])
     omega = omega / omega[e]
     s = np.sqrt(omega)
-    parts = (G for g in _generators(h.num) if g != e for A in [s[:, None] * c[g] / s]
+    parts = (G for g in _generators(h) if g != e for A in [s[:, None] * c[g] / s]
              for G in [(A + A.T) / 2, (A - A.T) / 2j][:1 + (h.involution[g] != g)])
     V = np.eye(n, dtype=float if h.is_symmetric() else complex)
     clusters = [np.arange(n)] if n > 1 else []

@@ -124,6 +124,12 @@ class AssociationScheme:
     def is_unimodular(self) -> bool:
         return bool(np.array_equal(self.valency, self.valency[self.involution]))
 
+    @cached_property
+    def _order(self) -> tuple:
+        """_generation(p) in full, kept: it reads only the support of p, which
+        from_scheme's tensor shares, so that hypergroup keeps it too."""
+        return tuple(_generation(self.p))
+
 
 @dataclass(frozen=True, init=False)
 class GeneralizedScheme:
@@ -139,6 +145,8 @@ class GeneralizedScheme:
     # W holds no entry of S_i off relation i.  For the first S_i given one
     # outside +-KERNEL_TOL, or NaN: (i, the args of its axiom (2) AxiomViolation)
     _stray: tuple = field(repr=False)
+    # the two families a product or join was built from (see _scheme), or ()
+    _factors: tuple = field(repr=False)
 
     def __init__(self, partition: RelationPartition, kernels, omega_x):
         k = np.asarray(kernels, dtype=float)
@@ -151,21 +159,27 @@ class GeneralizedScheme:
                    np.array(omega_x, dtype=float), stray)
 
     @classmethod
-    def _adopt(cls, partition: RelationPartition, W: np.ndarray,
-               omega_x: np.ndarray) -> "GeneralizedScheme":
+    def _adopt(cls, partition: RelationPartition, W: np.ndarray, omega_x: np.ndarray,
+               scheme: AssociationScheme | None = None,
+               factors: tuple = ()) -> "GeneralizedScheme":
         """The family of float64 arrays that the library has just built and
-        no one else holds, taken over without a copy."""
+        no one else holds, taken over without a copy; with the verified
+        scheme of partition, or the factors it was built from (see _scheme)."""
         gs = object.__new__(cls)
-        gs._hold(partition, W, omega_x, ())
+        gs._hold(partition, W, omega_x, (), factors)
+        if scheme is not None:
+            vars(gs)["_scheme"] = scheme
         return gs
 
-    def _hold(self, partition: RelationPartition, W: np.ndarray, w: np.ndarray, stray):
+    def _hold(self, partition: RelationPartition, W: np.ndarray, w: np.ndarray, stray,
+              factors=()):
         """Check the shape of w and keep the arrays, read-only."""
         if w.shape != (partition.n_points,):
             raise ValueError(f"omega_x must have shape ({partition.n_points},)")
         for a in (W, w):
             a.setflags(write=False)
-        vars(self).update(partition=partition, W=W, omega_x=w, _stray=stray)
+        vars(self).update(partition=partition, W=W, omega_x=w, _stray=stray,
+                          _factors=factors)
 
     def _weights(self) -> np.ndarray:
         """W; a family given a stray entry (see _stray) raises its first verified failure."""
@@ -189,13 +203,28 @@ class GeneralizedScheme:
         return S.reshape(self.W.shape)
 
     @cached_property
+    def _scheme(self) -> AssociationScheme:
+        """The partition's verified scheme, kept apart from p~.  A canonical
+        family holds the scheme it was built from.  A product or join of two
+        families whose partitions are schemes is a scheme (Bannai and Ito,
+        Algebraic Combinatorics I, 1984), so it takes the structural pass of
+        verify_scheme alone: the counting check is proved.  Every other
+        family, and one whose factor fails, runs verify_scheme, whose
+        failure it raises."""
+        try:
+            for factor in self._factors:
+                factor._scheme
+        except (CheckFailure, ValueError):
+            return verify_scheme(self.partition)
+        return _structure(self.partition) if self._factors else verify_scheme(self.partition)
+
+    @cached_property
     def verified(self) -> tuple[AssociationScheme, np.ndarray]:
-        """(scheme, p~): the partition's scheme from verify_scheme and the
+        """(scheme, p~): the partition's scheme (see _scheme) and the
         read-only deformed tensor of _verify_kernels; see verify_generalized."""
-        scheme = verify_scheme(self.partition)
+        scheme = self._scheme
         ptilde = _verify_kernels(self, scheme)
-        for a in (scheme.involution, scheme.p, scheme.valency, ptilde):
-            a.setflags(write=False)
+        ptilde.setflags(write=False)
         return scheme, ptilde
 
 
@@ -269,29 +298,22 @@ def _generation(num: np.ndarray):
             x, pair = int((support[yz] & fresh).argmax()), divmod(yz, n)
 
 
-def _generators(num: np.ndarray) -> list:
-    """The i whose slices num[i] must be checked (see _generation), in
-    increasing order; the caller stops at the first that fails.  A list, so
-    the closure's 3 d^3 bytes are freed before any slice product is made."""
-    return [x for x, pair in _generation(num) if pair is None]
+def _generators(of) -> list:
+    """The i whose slices must be checked (see _generation), in increasing
+    order; the caller stops at the first that fails.  of is a tensor, or an
+    AssociationScheme or FiniteHypergroup, whose kept _order is read.  A
+    list, so a closure's 3 d^3 bytes are freed before any slice product is
+    made."""
+    order = _generation(of) if isinstance(of, np.ndarray) else of._order
+    return [x for x, pair in order if pair is None]
 
 
-def verify_scheme(partition: RelationPartition) -> AssociationScheme:
-    """Check the association scheme axioms and compute p-tensor and valencies.
-
-    p[i, j, k] = #{z : label(rx_k, z) = i, label(z, ry_k) = j} is read at the
-    first row-major cell (rx_k, ry_k) of each relation k.  The counting axiom
-    A_i A_j = sum_k p[i, j, k] A_k is checked, one float32 BLAS product of
-    0/1 matrices per j != e, exact as its counts stay below n < 2^24, only
-    on the slices i != e that _generators(p) lists (A_e = I); they prove
-    the rest.  Once the diagonal axiom holds, p[i, e, k] =
-    delta_ik, so A_i A_e = A_i = p[i, e][lab] needs no product.  Memory is
-    O(n^2 + d^3): ValueError, before p is allocated, when its 8 d^3 bytes
-    and the 3 d^3 of _generators exceed the physical memory, or when
-    3d + 1 >= 2^16 would overflow _generators' uint16 scores.  Raises
-    AxiomViolation (with axiom id and witness) if the partition is not a
-    scheme.
-    """
+def _structure(partition: RelationPartition) -> AssociationScheme:
+    """verify_scheme without its counting check: the size guards, the
+    diagonal, relation-empty and involution axioms, and p and the
+    valencies, read-only, at each relation's representative.  p is a
+    scheme's intersection numbers only once the counting check passes, or
+    is proved."""
     lab = partition.label
     n, d = partition.n_points, partition.n_relations
     e = partition.identity_relation
@@ -319,7 +341,35 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
                          f"check, more than the {have / 2**30:.3g} GiB of memory")
     keys = (lab[rx] * d + lab[:, ry].T) * d + np.arange(d)[:, None]   # z's bin, per k
     p = np.bincount(keys.ravel(), minlength=d ** 3).reshape(d, d, d)
-    for i in _generators(p):
+    valency = p[np.arange(d), inv, e]
+    for a in (inv, p, valency):
+        a.setflags(write=False)
+    return AssociationScheme(partition=partition, involution=inv, p=p, valency=valency)
+
+
+def verify_scheme(partition: RelationPartition) -> AssociationScheme:
+    """Check the association scheme axioms and compute p-tensor and valencies.
+
+    The structural pass (_structure) checks the diagonal, that every
+    relation occurs and the involution, and reads p[i, j, k] = #{z :
+    label(rx_k, z) = i, label(z, ry_k) = j} at the first row-major cell
+    (rx_k, ry_k) of each relation k, in O(n^2 + d n).  The counting axiom
+    A_i A_j = sum_k p[i, j, k] A_k is then checked, one float32 BLAS
+    product of 0/1 matrices per j != e, exact as its counts stay below n <
+    2^24, only on the slices i != e that _generators lists (A_e = I); they
+    prove the rest.  The scheme keeps that generating order (_order).  Once
+    the diagonal axiom holds, p[i, e, k] = delta_ik, so A_i A_e = A_i =
+    p[i, e][lab] needs no product.  Memory is O(n^2 + d^3): ValueError,
+    before p is allocated, when its 8 d^3 bytes and the 3 d^3 of
+    _generators exceed the physical memory, or when 3d + 1 >= 2^16 would
+    overflow _generators' uint16 scores.  Raises AxiomViolation (with axiom
+    id and witness) if the partition is not a scheme.  p, the involution
+    and the valencies are read-only.
+    """
+    scheme = _structure(partition)
+    lab, p, d = partition.label, scheme.p, partition.n_relations
+    e = partition.identity_relation
+    for i in _generators(scheme):
         if i == e:
             continue
         a_i = (lab == i).astype(np.float32)
@@ -331,15 +381,14 @@ def verify_scheme(partition: RelationPartition) -> AssociationScheme:
             if bad.any():
                 k = int(lab[bad].min())
                 xb, yb = map(int, np.argwhere(bad & (lab == k))[0])
+                rx, ry = _representatives(partition)
                 x0, y0 = int(rx[k]), int(ry[k])
                 raise AxiomViolation(
                     "counting", (i, j, k, x0, y0, xb, yb),
                     f"p_({i},{j})^{k} is not constant: "
                     f"{int(p[i, j, k])} at ({x0},{y0}) vs {int(prod[xb, yb])} "
                     f"at ({xb},{yb})")
-
-    valency = p[np.arange(d), inv, e]
-    return AssociationScheme(partition=partition, involution=inv, p=p, valency=valency)
+    return scheme
 
 
 def _group_table(cayley: np.ndarray) -> tuple[int, np.ndarray]:
@@ -396,8 +445,10 @@ def from_double_cosets(cayley: np.ndarray, subgroup) -> tuple[np.ndarray, Associ
     if ident not in H:
         raise NotASubgroup("identity not in subgroup")
     inverse = np.argmax(t == ident, axis=1)
-    inv_out = ~np.isin(inverse[H], H)
-    prod_out = ~np.isin(t[np.ix_(H, H)], H)
+    member = np.zeros(len(t), dtype=bool)      # not np.isin: its sort path
+    member[H] = True                           # imports numpy.ma on first use
+    inv_out = ~member[inverse[H]]
+    prod_out = ~member[t[np.ix_(H, H)]]
     bad = inv_out | prod_out.any(axis=1)
     if bad.any():
         a = int(np.argmax(bad))
@@ -424,12 +475,13 @@ def from_double_cosets(cayley: np.ndarray, subgroup) -> tuple[np.ndarray, Associ
 
 
 def canonical_generalized(scheme: AssociationScheme) -> GeneralizedScheme:
-    """The canonical kernel family S_i = A_i / valency_i with counting omega_x."""
+    """The canonical kernel family S_i = A_i / valency_i with counting omega_x,
+    on the partition of scheme, which it keeps as verified."""
     if not scheme.is_unimodular():
         raise NotUnimodular("canonical kernels need a unimodular scheme")
     return GeneralizedScheme._adopt(scheme.partition,
                                     1.0 / scheme.valency[scheme.partition.label],
-                                    np.ones(scheme.n_points))
+                                    np.ones(scheme.n_points), scheme=scheme)
 
 
 def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
@@ -439,6 +491,10 @@ def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
     counting on the partition, (2) support matching, (3) nonnegative span
     closure, (4) identity kernel, (5) adjoint relation.  The checks run once
     per family, in gs.verified; each call returns a copy of p~ of its own.
+    (1) is verify_scheme on the partition, unless the family took its
+    scheme from verified inputs: canonical_generalized's scheme, or a
+    product or join of families whose partitions are schemes, which is one
+    by theorem, so only the structural pass runs (see GeneralizedScheme._scheme).
 
     A family within _CANONICAL_DEVIATION of the canonical one, W(x, y) =
     (1 + eta) / valency_label(x,y) with |eta| <= 1e-9 and no stray entry,
@@ -501,7 +557,7 @@ _CANONICAL_DEVIATION = 1e-9
 
 def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndarray:
     """Axioms (2)-(5) of verify_generalized for kernels on a partition that
-    verify_scheme already turned into scheme; returns p~.  Only
+    is already proved a scheme (GeneralizedScheme._scheme); returns p~.  Only
     GeneralizedScheme.verified calls it.
 
     A family with no stray entry whose deviation delta = max |W(x, y)
@@ -526,7 +582,7 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     for bit, and a failure, which only (4) or (5) can give, the same one.
 
     Every other family takes the checks below.  (3) runs on the slices in
-    the order of _generation(scheme.p); p~[y, z] has the support of
+    the order scheme keeps, _generation(scheme.p); p~[y, z] has the support of
     p[y, z].  r[x, j] bounds the residual |S_x S_j - sum_k p~[x, j, k] S_k|:
     the largest one measured for a checked slice.
     For x generated by (y, z), S_x S_j = (S_y S_z S_j - sum_{k done}
@@ -547,7 +603,7 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     proved = not gs._stray and bool(
         np.abs(W * scheme.valency[lab] - 1.0).max() <= _CANONICAL_DEVIATION)
     if not proved:
-        order = list(_generation(scheme.p))     # its d^3 bookkeeping is freed here
+        order = scheme._order
 
         # (2) support condition and row-stochasticity; each test is written
         # so that NaN fails it, which leaves every kernel finite after this

@@ -1028,12 +1028,19 @@ print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
-def test_cli_runs_do_not_import_numpy_ma(files):
+def test_cli_runs_do_not_import_numpy_ma(files, tmp_path):
     """numpy imports numpy.ma on the first plain np.unique of a process,
-    about 8 ms of a cold CLI run; verify, cosets, product, join and deform
-    never call it, so a fresh process running them all has not loaded it."""
+    about 8 ms of a cold CLI run, and np.isin calls one on its sort path,
+    taken when the indices it looks up spread past its table limit.
+    verify, cosets, product, join and deform call neither, so a fresh
+    process running them all has not loaded it; the cosets run of Z_208
+    over its subgroup 13 Z_208 is one that np.isin sorts."""
+    z208 = tmp_path / "z208.json"
+    hio.save(z208, {"n": 208, "table": ((np.arange(208)[:, None] + np.arange(208))
+                                        % 208).tolist()})
     runs = [["verify", "k3", "--json"], ["verify", "k3gs", "--json"],
             ["cosets", "s3", "0,1", "--json"],
+            ["cosets", str(z208), ",".join(map(str, range(0, 208, 13))), "--json"],
             ["product", "k3hg", "k3hg", "--json"], ["join", "k3hg", "k3hg", "--json"],
             ["product", "k3gs", "k3gs", "--json"], ["join", "k3gs", "k3gs", "--json"],
             ["deform", "k3hg", "--alpha", "1,1", "--json"]]

@@ -268,7 +268,9 @@ def test_rigidity_randomized_search(k3_scheme, z4_scheme):
 
 def test_generalized_scheme_verifies_once(z4_scheme, monkeypatch):
     """verify_generalized, from_generalized and KernelFamily.from_generalized
-    on one family run verify_scheme and the kernel check once between them."""
+    on one family run the kernel check once between them.  A canonical
+    family keeps the scheme it was built from and runs no verify_scheme;
+    the same kernels given to GeneralizedScheme run it once."""
     from hyperscheme import scheme as mod
     calls = []
 
@@ -282,12 +284,16 @@ def test_generalized_scheme_verifies_once(z4_scheme, monkeypatch):
 
     for name in ("verify_scheme", "_verify_kernels"):
         monkeypatch.setattr(mod, name, counted(name))
-    gs = hs.canonical_generalized(z4_scheme)
-    ptilde = hs.verify_generalized(gs)
-    h = hs.from_generalized(gs)
-    hs.KernelFamily.from_generalized(gs)
-    assert calls == ["verify_scheme", "_verify_kernels"]
-    assert h.conv_f.tobytes() == ptilde.tobytes()
+    canonical = hs.canonical_generalized(z4_scheme)
+    given = hs.GeneralizedScheme(z4_scheme.partition, canonical.kernels, canonical.omega_x)
+    for gs, want in ((canonical, ["_verify_kernels"]),
+                     (given, ["verify_scheme", "_verify_kernels"])):
+        calls.clear()
+        ptilde = hs.verify_generalized(gs)
+        h = hs.from_generalized(gs)
+        hs.KernelFamily.from_generalized(gs)
+        assert calls == want
+        assert h.conv_f.tobytes() == ptilde.tobytes()
 
 
 def test_failing_family_raises_the_same_on_every_call(k3_scheme):

@@ -939,8 +939,9 @@ def test_near_canonical_families_match_reference(base, k, seed):
 
 
 def _calls(gs):
-    """How often verifying gs builds a kernel and runs _generation; one
-    _generation is verify_scheme's."""
+    """How often verifying gs builds a kernel and runs _generation; a family
+    that runs verify_scheme runs one _generation there, and its kernel check
+    reads the order that scheme keeps."""
     counts = {"_kernel": 0, "_generation": 0}
     kernel, generation = hs.GeneralizedScheme._kernel, scheme_module._generation
 
@@ -960,13 +961,14 @@ def _calls(gs):
 
 
 def test_canonical_family_verifies_without_kernel_products():
-    """Canonical C20 passes the early test: the kernel check builds no
-    kernel and runs no _generation of its own.  A symmetric rectangle
-    perturbation on relation 5 that puts the deviation just past
-    _CANONICAL_DEVIATION takes the full check, which builds kernels and
-    runs _generation, and passes with the reference."""
+    """Canonical C20 passes the early test and keeps the scheme it was
+    built from: verifying it builds no kernel and runs no _generation.  A
+    symmetric rectangle perturbation on relation 5 that puts the deviation
+    just past _CANONICAL_DEVIATION takes the full check, which builds
+    kernels and reads the order of verify_scheme's one _generation, and
+    passes with the reference."""
     base = canonical_cycle(20)
-    assert _calls(base) == {"_kernel": 0, "_generation": 1}
+    assert _calls(base) == {"_kernel": 0, "_generation": 0}
     t = 0.55 * _CANONICAL_DEVIATION        # W = 1/2 there, so delta = 2t
     past = hs.GeneralizedScheme(base.partition,
                                 symmetric_perturbation(base, (5, 0, 10, 5, 15), t),
@@ -975,7 +977,7 @@ def test_canonical_family_verifies_without_kernel_products():
     delta = np.abs(past.W * valency - 1.0).max()
     assert _CANONICAL_DEVIATION < delta < 1.2 * _CANONICAL_DEVIATION
     counts = _calls(past)
-    assert counts["_kernel"] >= base.partition.n_relations and counts["_generation"] == 2
+    assert counts["_kernel"] >= base.partition.n_relations and counts["_generation"] == 1
     assert outcome(ref.verify_generalized, past)[0] == "ok"
 
 
@@ -1008,3 +1010,172 @@ def test_verify_hypergroup_memory_is_a_small_multiple_of_num():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * prod.num.nbytes
+
+
+# families built from verified inputs keep their scheme
+
+def _canonical_factors():
+    s3_perms, s3 = symmetric_table(3)
+    s4_perms, s4 = symmetric_table(4)
+    z5 = (np.arange(5)[:, None] + np.arange(5)) % 5
+    schemes = [hs.verify_scheme(cycle_partition(m)) for m in (3, 4, 6)]
+    schemes += [hs.from_double_cosets(dihedral_table(m), [0, m])[1] for m in (4, 5)]
+    schemes += [hs.from_double_cosets(s4, young_subgroup(s4_perms, 2))[1],   # J(4, 2)
+                hs.from_double_cosets(z5, [0])[1],     # thin, not symmetric
+                hs.from_double_cosets(s3, [0])[1]]     # thin, not commutative
+    return [hs.canonical_generalized(s) for s in schemes]
+
+
+CANONICAL_FACTORS = _canonical_factors()
+BUILDS = {"product": hs.direct_product_scheme, "join": hs.join_scheme}
+
+
+def _verified_afresh(gs):
+    """p~ as a family that kept no scheme computes it: verify_scheme on its
+    partition, then the kernel check on that scheme."""
+    return _verify_kernels(gs, hs.verify_scheme(gs.partition))
+
+
+@given(st.sampled_from(sorted(BUILDS)), st.sampled_from(CANONICAL_FACTORS),
+       st.sampled_from(CANONICAL_FACTORS))
+def test_inherited_scheme_is_verify_schemes(kind, gs1, gs2):
+    """A product or join of canonical families keeps, without the counting
+    check, the scheme verify_scheme gives its partition, field by field and
+    dtype by dtype, read-only, with the same generating order; its p~ is
+    bit-identical to the one computed from that fresh scheme."""
+    gs = BUILDS[kind](gs1, gs2)
+    ptilde = hs.verify_generalized(gs)
+    kept, want = gs.verified[0], hs.verify_scheme(gs.partition)
+    assert kept.partition is gs.partition
+    for name in ("involution", "p", "valency"):
+        got, expected = getattr(kept, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected) and not got.flags.writeable
+    assert kept._order == want._order == tuple(scheme_module._generation(want.p))
+    fresh = _verified_afresh(gs)
+    assert ptilde.dtype == fresh.dtype and ptilde.tobytes() == fresh.tobytes()
+
+
+def _not_a_scheme(label):
+    """A family on a partition that is not a scheme: each S_i the rows of
+    A_i normalized, zero rows left zero."""
+    lab = np.asarray(label)
+    d = int(lab.max()) + 1
+    A = (lab[None] == np.arange(d)[:, None, None]).astype(float)
+    rows = A.sum(axis=2, keepdims=True)
+    return hs.GeneralizedScheme(hs.RelationPartition(len(lab), d, lab),
+                                np.divide(A, rows, out=np.zeros_like(A), where=rows > 0),
+                                np.ones(len(lab)))
+
+
+PATH_4 = _not_a_scheme(np.abs(np.arange(4)[:, None] - np.arange(4)))
+K3 = CANONICAL_FACTORS[0]
+
+# the failures that the full verify_scheme of the product or join's
+# partition raised before families kept their scheme
+INHERITED_FAILURES = [
+    ("product", (PATH_4, K3), ("counting", (2, 2, 0, 0, 0, 3, 3),
+                               "p_(2,2)^0 is not constant: 1 at (0,0) vs 2 at (3,3)")),
+    ("product", (K3, PATH_4), ("counting", (1, 1, 0, 0, 0, 1, 1),
+                               "p_(1,1)^0 is not constant: 1 at (0,0) vs 2 at (1,1)")),
+    ("join", (PATH_4, K3), ("counting", (2, 2, 0, 0, 0, 3, 3),
+                            "p_(2,2)^0 is not constant: 3 at (0,0) vs 6 at (3,3)")),
+    ("join", (K3, PATH_4), ("counting", (1, 1, 0, 0, 0, 1, 1),
+                            "p_(1,1)^0 is not constant: 1 at (0,0) vs 2 at (1,1)")),
+]
+
+
+@pytest.mark.parametrize("kind, factors, failure", INHERITED_FAILURES)
+def test_a_factor_that_is_not_a_scheme_fails_as_before(kind, factors, failure):
+    """With the path P_4's distance partition, not a scheme, as a factor,
+    verifying the product or join runs verify_scheme on its own partition
+    and raises what it raised before, on every use."""
+    gs = BUILDS[kind](*factors)
+    for fn in (hs.verify_generalized, hs.from_generalized, hs.verify_generalized):
+        with pytest.raises(hs.AxiomViolation) as exc:
+            fn(gs)
+        assert (exc.value.axiom_id, exc.value.witness, str(exc.value)) == failure
+
+
+def _counted(names, run):
+    """{name: calls} of the scheme-module functions names while run() runs;
+    _generation is counted under both modules that call it."""
+    from hyperscheme import hypergroup as hypergroup_module
+    counts = dict.fromkeys(names, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            def wrapper(*args, _fn=getattr(scheme_module, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            mp.setattr(scheme_module, name, wrapper)
+            if name == "_generation":
+                mp.setattr(hypergroup_module, name, wrapper)
+        run()
+    return counts
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_families_of_canonical_families_run_no_counting_products(kind):
+    """A product or join of two canonical families, itself canonical, runs
+    the structural pass once and no verify_scheme, so no counting slice
+    product and no _generation; a family given the same kernels runs
+    verify_scheme once."""
+    gs1, gs2 = CANONICAL_FACTORS[3], CANONICAL_FACTORS[4]
+    names = ("verify_scheme", "_structure", "_generation")
+    built = BUILDS[kind](gs1, gs2)
+    assert _counted(names, lambda: hs.from_generalized(built)) == {
+        "verify_scheme": 0, "_structure": 1, "_generation": 0}
+    given_ = hs.GeneralizedScheme(built.partition, built.kernels, built.omega_x)
+    assert _counted(names, lambda: hs.verify_generalized(given_)) == {
+        "verify_scheme": 1, "_structure": 1, "_generation": 1}
+
+
+def test_scheme_pipeline_runs_one_closure():
+    """verify_scheme, from_scheme, verify_hypergroup and characters on one
+    double-coset scheme run _generation once: the hypergroup keeps the
+    order of the scheme it was made from."""
+    table, sub = GROUP_CASES[0]
+
+    def pipeline():
+        h = hs.from_scheme(hs.from_double_cosets(table, sub)[1])
+        assert hs.verify_hypergroup(h).ok
+        hs.characters(h)
+
+    assert _counted(("_generation",), pipeline) == {"_generation": 1}
+
+
+def test_kept_orders_are_their_own_tensors_closures(k3_scheme, z4_scheme, s3_table):
+    """On every fixture scheme, its hypergroup, and the products, joins and
+    generalized hypergroups of canonical fixtures, the kept order is
+    _generation of the object's own tensor."""
+    schemes = [k3_scheme, z4_scheme] + [hs.verify_scheme(p) for p in BASE_PARTITIONS]
+    schemes += [hs.from_double_cosets(s3_table, h)[1] for h in ([0], [0, 1])]
+    hypergroups = [hs.from_scheme(s) for s in schemes]
+    for s, h in zip(schemes, hypergroups):
+        assert s._order == tuple(scheme_module._generation(s.p))
+        assert h._order == tuple(scheme_module._generation(h.num))
+    gs = [hs.canonical_generalized(s) for s in schemes if s.is_unimodular()][:6]
+    hypergroups = [hs.direct_product(*pair) for pair in zip(hypergroups, hypergroups[1:])]
+    hypergroups += [hs.join(*pair) for pair in zip(hypergroups, hypergroups[1:])]
+    hypergroups += [hs.from_generalized(build(a, b)) for build in BUILDS.values()
+                    for a, b in zip(gs, gs[1:])]
+    for h in hypergroups:
+        assert h._order == tuple(scheme_module._generation(h.num))
+
+
+def test_characters_after_verify_hypergroup_run_no_closure(monkeypatch):
+    """D_400 (d = 201): characters reads the order verify_hypergroup kept,
+    so no 3 d^3-byte closure runs.  With the residual's blocks cut to
+    1 MiB, the traced peak is below half a closure's bytes (it read 23.4
+    MiB with the closure, 7.8 MiB without)."""
+    h = hs.from_scheme(hs.from_double_cosets(dihedral_table(400), [0, 400])[1])
+    assert hs.verify_hypergroup(h).ok
+    h.conv_f
+    monkeypatch.setattr(hs.hypergroup, "_RESIDUAL_BLOCK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        hs.characters(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * h.n ** 3 / 2

@@ -37,7 +37,8 @@ Curves:
   delta_1 walk of 30 000 trials on the deformed family, each with its
   tracemalloc peak.
 - verify_scheme: the m-cycles and the D_m double-coset schemes (both
-  d = m // 2 + 1), with |G| the slices of scheme._generators.
+  d = m // 2 + 1), with |G| the checked slices of the generating order
+  the verified scheme keeps.
 - verify_hypergroup: D_m double-coset hypergroups, direct products of two,
   and iterated joins of Z_2 (whose greedy generating set is all of D),
   against verify_hypergroup_slices, the check of all d slices.  That oracle
@@ -56,8 +57,9 @@ Curves:
   equal; then the library alone on exact, float, deformed and sparse laws.
 - generalized: the canonical family of a product or join of two cycle
   schemes, its build from the factors, then verify_generalized and
-  from_generalized on it; the first four cases are the float-spectral
-  benchmark's families.  Then the canonical families of the cycles C100,
+  from_generalized on it, with |G| the slices of the generating order its
+  verified scheme keeps; the first four cases are the float-spectral
+  benchmark's families, and C5 x C80 and C20 x C20 have n = 400.  Then the canonical families of the cycles C100,
   C200 and C400 (m2 null), built from their verified schemes, which pass
   the canonical early test of the kernel check, and the "perturbed cycle"
   families of C100 and C200: a symmetric rectangle of RECTANGLE_T on
@@ -283,15 +285,25 @@ def _hypergroup(family: str, *ms: int) -> tuple:
     return f"Z2 joined {ms[0] - 1} times", h
 
 
+def _generator_count(of) -> int:
+    """|G|: the checked slices of the generating order that a scheme or
+    hypergroup keeps, or, under a source tree whose objects keep none, of
+    scheme._generators on its tensor."""
+    from hyperscheme.scheme import _generators
+
+    if hasattr(of, "_order"):
+        return sum(pair is None for _, pair in of._order)
+    return len(_generators(of.p if hasattr(of, "p") else of.num))
+
+
 def verify_scheme(family: str, m: int) -> dict:
     import hyperscheme as hs
-    from hyperscheme.scheme import _generators
 
     partition = _cycle_partition(m) if family == "cycle" else \
         hs.from_double_cosets(_dihedral_table(m), [0, m])[1].partition
     return {"family": family, "case": f"{family[0].upper()}{m}",
             "n": partition.n_points, "d": partition.n_relations,
-            "generators": len(list(_generators(hs.verify_scheme(partition).p))),
+            "generators": _generator_count(hs.verify_scheme(partition)),
             **_each({"s": lambda: hs.verify_scheme(partition)}, peaks=("s",))}
 
 
@@ -300,7 +312,6 @@ def verify_hypergroup(family: str, *ms: int, time_oracle: bool = True) -> dict:
     every SRC."""
     import hyperscheme as hs
     import reference_verifiers as ref
-    from hyperscheme.scheme import _generators
 
     case, h = _hypergroup(family, *ms)
     fns = {"new_s": lambda: hs.verify_hypergroup(h)}
@@ -309,7 +320,7 @@ def verify_hypergroup(family: str, *ms: int, time_oracle: bool = True) -> dict:
     if not all(fn().ok for fn in fns.values()):
         raise SystemExit(f"{case} fails the hypergroup axioms")
     return {"family": family, "case": case, "d": h.n,
-            "generators": len(list(_generators(h.num))), **_each(fns, peaks=tuple(fns))}
+            "generators": _generator_count(h), **_each(fns, peaks=tuple(fns))}
 
 
 def characters(m: int) -> dict:
@@ -425,7 +436,6 @@ def _rectangle_perturbed(scheme):
 
 def generalized(kind: str, m1: int, m2: int) -> dict:
     import hyperscheme as hs
-    from hyperscheme.scheme import _generators
 
     def cycle_family(m):
         return hs.canonical_generalized(hs.verify_scheme(_cycle_partition(m)))
@@ -437,7 +447,7 @@ def generalized(kind: str, m1: int, m2: int) -> dict:
     else:
         build = hs.direct_product_scheme if kind == "product" else hs.join_scheme
         factors = cycle_family(m1), cycle_family(m2)
-    partition = build(*factors).partition
+    gs = build(*factors)
 
     def run(clock):
         with clock("build_s"):
@@ -448,9 +458,8 @@ def generalized(kind: str, m1: int, m2: int) -> dict:
             hs.from_generalized(gs)
 
     row = timed(run, peaks=("build_s", "verify_generalized_s", "from_generalized_s"))
-    return {"kind": kind, "m1": m1, "m2": m2, "n": partition.n_points,
-            "d": partition.n_relations,
-            "generators": len(list(_generators(hs.verify_scheme(partition).p))),
+    return {"kind": kind, "m1": m1, "m2": m2, "n": gs.partition.n_points,
+            "d": gs.partition.n_relations, "generators": _generator_count(gs.verified[0]),
             **row, "total_s": row["verify_generalized_s"] + row["from_generalized_s"]}
 
 
@@ -524,7 +533,7 @@ CURVES = {
                           + [("sparse exact", 2, False)], convolution_power),
     "generalized": ([("product", 5, 6), ("product", 5, 8), ("join", 6, 12), ("join", 8, 10)]
                     + [("product", 3, m) for m in (10, 20, 34)]
-                    + [("product", 5, m) for m in (20, 30, 40)]
+                    + [("product", 5, m) for m in (20, 30, 40, 80)] + [("product", 20, 20)]
                     + [("join", *ms) for ms in ((5, 6), (10, 15), (12, 20), (16, 25))]
                     + [("cycle", m, None) for m in (100, 200, 400)]
                     + [("perturbed cycle", m, None) for m in (100, 200)], generalized),
