@@ -88,7 +88,9 @@ class RelationPartition:
         """(starts, order): relation i's flat cells are order[starts[i]:starts[i + 1]]."""
         flat = self.label.ravel()       # sorted stably, so each relation's cells ascend
         starts = np.concatenate(([0], np.bincount(flat, minlength=self.n_relations).cumsum()))
-        return starts, np.argsort(flat, kind="stable")
+        # in the narrowest unsigned dtype: a radix sort below 2**16 relations
+        keys = flat.astype(np.min_scalar_type(self.n_relations - 1))
+        return starts, np.argsort(keys, kind="stable")
 
     def adjacency(self, i: int) -> np.ndarray:
         return (self.label == i).astype(np.int64)
