@@ -216,7 +216,7 @@ class GeneralizedScheme:
         try:
             for factor in self._factors:
                 factor._scheme
-        except (CheckFailure, ValueError):
+        except (AxiomViolation, ValueError):
             return verify_scheme(self.partition)
         return _structure(self.partition) if self._factors else verify_scheme(self.partition)
 
