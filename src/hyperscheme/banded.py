@@ -9,7 +9,6 @@ convolve and every step of power, undeformed or deformed.
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -57,9 +56,22 @@ def g_coeffs(m: int, n: int, params: DTParams) -> dict:
             for k, p in intersection_numbers(m, n, params).items()}
 
 
-def _normals(v: np.ndarray) -> np.ndarray:
-    """Where v holds a finite positive normal double, as _normal accepts."""
-    return (v >= sys.float_info.min) & (v < math.inf)
+def _split(c) -> tuple:
+    """(y, s), c = y 2^s for a positive rational c: (float(c), 0) wherever
+    that is a normal double, else y = c / 2^s in (1/2, 2), rounded once."""
+    c = Fraction(c)
+    s = c.numerator.bit_length() - c.denominator.bit_length()
+    if -1022 <= s <= 1022 and (y := float(c)) >= sys.float_info.min:
+        return y, 0
+    return float(c / Fraction(2) ** s), s
+
+
+def _deformed(F, G, m, n, k, cs) -> np.ndarray:
+    """g(m, n, k) = alpha0(k) / (alpha0(m) alpha0(n)) c, alpha0 = F 2^G, for
+    the g_coeffs cs, c = y 2^s (_split): one ldexp of the mantissas' quotient
+    times y, so bit for bit the doubles' product where both are normal."""
+    y, s = np.array([_split(c) for c in cs]).T    # along the last axis of k
+    return np.ldexp(F[k] / (F[m] * F[n]), G[k] - G[m] - G[n] + s.astype(np.int64)) * y
 
 
 class Band:
@@ -78,89 +90,60 @@ class Band:
         self.top = max((n for n, _ in law), default=0)
         self.dtype = object if exact else float
         self.heads = {}
-        # deformed: T on the rows first .. first + ok.size - 1, all > top,
-        # and whether their checks pass
-        self.first, self.table, self.ok = 0, None, np.empty(0, dtype=bool)
+        # deformed: T on the rows first .., all > top, one column per row
+        self.first, self.table = 0, np.empty((0, 0))
 
     @cached_property
     def tail(self) -> tuple:
         """(offsets, C, labels) for the rows m > top: labels holds (n, w, d,
         c) with the offsets d = k - m of delta_m * delta_n and their
-        coefficients c, which do not depend on m there (p as Python ints,
-        or the undeformed g in doubles); C[i] = sum_n w c at offsets[i]."""
+        coefficients c, which do not depend on m there (p or the undeformed
+        g, exact); C[i] = sum_n w c at offsets[i], in doubles if not exact."""
         labels, C = [], {}
         for n, w in self.law:
             coeffs = (intersection_numbers if self.exact else g_coeffs)(
                 n + 1, n, self.hg.params)
             d = sorted(coeffs)
-            c = [coeffs[k] if self.exact else float(coeffs[k]) for k in d]
+            c = [coeffs[k] for k in d]
             labels.append((n, w, np.array(d) - (n + 1), c))
             for k, ck in zip(d, c):
-                C[k - n - 1] = C.get(k - n - 1, 0) + w * ck
+                C[k - n - 1] = C.get(k - n - 1, 0) + w * (ck if self.exact else float(ck))
         offsets = sorted(C)
         return offsets, [C[d] for d in offsets], labels
 
     def head(self, m: int) -> np.ndarray:
-        """Row m <= top of T on k = 0 .. m + top; deformed, the first label
-        whose _g(m, n) fails its checks raises its DomainError."""
+        """Row m <= top of T on k = 0 .. m + top."""
         row = self.heads.get(m)
         if row is None:
             vals = [0] * (m + self.top + 1)
             for n, w in self.law:
                 coeffs = intersection_numbers(m, n, self.hg.params) if self.exact \
-                    else self.hg._g(m, n)
+                    else self.hg.g(m, n)
                 for k, c in coeffs.items():
                     vals[k] += w * c
             row = self.heads[m] = np.array(vals, dtype=self.dtype)
         return row
 
-    def _grow(self, start: int, hi: int):
-        """Make the deformed table hold the rows start .. hi: extend it by a
-        block that at least doubles it, or begin it again at start when
-        start lies outside it.  table[i, m - first] = sum_n w alpha0(m + d_i)
-        / (alpha0(m) alpha0(n)) g(d_i), with the doubles of _g_doubles, and
-        ok[m - first] says whether every check of each _g_doubles(m, n)
-        passes."""
-        if not self.first <= start <= self.first + self.ok.size:
-            self.first, self.table, self.ok = start, None, np.empty(0, dtype=bool)
-        offsets, _, labels = self.tail
-        done = self.ok.size
-        m = np.arange(self.first + done, max(hi + 1, self.first + 2 * done))
-        A = self.hg._alpha_row(m[-1] + self.top)
-        block = np.zeros((len(offsets), m.size))
-        Am = A[m]
-        ok = _normals(Am)
-        for n, w, d, c in labels:
-            Ak = A[m + d[:, None]]
-            with np.errstate(all="ignore"):   # a value out of range fails ok
-                den = Am * A[n]
-                ratio = Ak / den
-                block[np.searchsorted(offsets, d)] += w * (ratio * np.array(c)[:, None])
-            ok &= _normals(den) & (_normals(Ak) & _normals(ratio)).all(axis=0) \
-                & bool(_normals(A[n]))
-        self.table = block if self.table is None else np.concatenate((self.table, block), axis=1)
-        self.ok = np.concatenate((self.ok, ok))
-
     def diagonals(self, start: int, x: np.ndarray):
         """(d, T[m, m + d]) for the rows m = start .., all > top, with masses
-        x: one number per offset undeformed, one double per row deformed,
-        where the first row with a mass that fails a check raises the
-        DomainError of _g."""
-        offsets, C, _ = self.tail
+        x: one number per offset undeformed, one double per row deformed, from
+        table[i, m - first] = sum_n w g(m, n, m + d_i) on the rows first ..,
+        grown by at least doubling (while alpha0 > 0) or begun again at start."""
+        offsets, C, labels = self.tail
         if self.hg.x0 is None:
             return zip(offsets, C)
-        if not (self.first <= start and start + x.size <= self.first + self.ok.size):
-            self._grow(start, start + x.size - 1)
-        rows = slice(start - self.first, start - self.first + x.size)
-        coef, ok = self.table[:, rows], self.ok[rows]
-        if not ok.all():
-            bad = ~ok & (x != 0)
-            if bad.any():
-                m = start + int(np.argmax(bad))
-                for n, _ in self.law:
-                    self.hg._g(m, n)
-            coef = np.where(ok, coef, 0.0)  # rows without a mass meet no coefficient
-        return zip(offsets, coef)
+        hi, done = start + x.size - 1, self.table.shape[1]
+        if not self.first <= start <= hi < self.first + done:
+            if not self.first <= start <= self.first + done:
+                self.first, self.table, done = start, np.empty((len(offsets), 0)), 0
+            F, G = self.hg._alpha_row(hi + self.top)
+            m = np.arange(self.first + done, max(
+                hi + 1, min(self.first + 2 * done, F.size - self.top)))[:, None]
+            block = np.zeros((len(offsets), m.size))
+            for n, w, d, c in labels:
+                block[np.searchsorted(offsets, d)] += w * _deformed(F, G, m, n, m + d, c).T
+            self.table = np.concatenate((self.table, block), axis=1)
+        return zip(offsets, self.table[:, start - self.first:hi + 1 - self.first])
 
     def step(self, x: np.ndarray, lo: int) -> tuple:
         """(y, lo'): y = x T on the rows lo' .., for the masses x on the rows

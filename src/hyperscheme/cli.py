@@ -176,13 +176,13 @@ def cmd_dtgraph(args):
         results["x_c"] = dk.x_c
         results["max_row_sum_error"] = dk.max_row_sum_error
         results["skipped_rows"] = {str(k): v for k, v in dk.skipped.items()}
-        if dk.max_row_sum_error > 1e-12:
+        if dk.max_row_sum_error > dtgraph.DEFORM_ROW_SUM_TOL:
             status = "fail"
     elif args.report == "pushforward":
         pf1, haar1 = dtgraph.pushforward_vs_haar(params, args.deform_c)
         results["pushforward_1"] = pf1
         results["haar_1"] = haar1
-        results["equal"] = abs(pf1 - haar1) <= 1e-10
+        results["equal"] = abs(pf1 - haar1) <= dtgraph.PUSHFORWARD_TOL
     else:
         # default: evaluate the polynomials on the requested points
         if xs:

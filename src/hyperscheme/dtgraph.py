@@ -15,11 +15,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
 
 import numpy as np
 
-from .banded import Band, g_coeffs, haar_weight
+from .banded import Band, _deformed, _split, g_coeffs, haar_weight
 from .hypergroup import _check_law, _ratios
 from .scheme import CheckFailure, GeneralizedScheme, _physical_memory
 
@@ -29,6 +28,8 @@ BALL_CAP = 200_000
 QUAD_TOL = 1e-10
 QUAD_MAX_NODES = 1 << 14
 SUPPORT_CAP = 10_000     # atoms a PolyHypergroup.power may reach
+DEFORM_ROW_SUM_TOL = 1e-12   # a deformed kernel row sums to 1 up to rounding
+PUSHFORWARD_TOL = 1e-10      # pushforward_vs_haar: a few roundings of e^{2c}
 # DeformedKernels.max_row_sum_error scatters kernel rows in blocks of at most
 # this many bytes (one row at least)
 _ROW_BLOCK_BYTES = 1 << 18
@@ -79,25 +80,24 @@ class DTParams:
             raise DomainError("parameters must satisfy a, b >= 2")
 
 
-def _poly_sequence(x, params: DTParams):
-    """P_0(x), P_1(x), ... by the three-term recurrence, without end."""
+def _recurrence(x, params: DTParams) -> tuple:
+    """(P_1(x), step), step(P_{k-1}, P_k) = P_{k+1}: P_1 P_k = P_{k-1}/(a(b-1))
+    + (b-2)/(a(b-1)) P_k + (a-1)/a P_{k+1}, homogeneous in (P_{k-1}, P_k)."""
     a, b = params.a, params.b
     p1 = (2.0 / a) * math.sqrt((a - 1) / (b - 1)) * x + (b - 2) / (a * (b - 1))
-    prev, cur = 1.0, p1
-    yield prev
-    # P_1 P_k = P_{k-1}/(a(b-1)) + (b-2)/(a(b-1)) P_k + (a-1)/a P_{k+1}
-    while True:
-        yield cur
-        prev, cur = cur, (a / (a - 1)) * (
-            p1 * cur - (b - 2) / (a * (b - 1)) * cur - prev / (a * (b - 1)))
+    r, c, d = a / (a - 1), (b - 2) / (a * (b - 1)), a * (b - 1)
+    return p1, lambda prev, cur: r * (p1 * cur - c * cur - prev / d)
 
 
 def poly_values(n: int, x, params: DTParams) -> np.ndarray:
     """P_0(x), ..., P_n(x) in float64, from one pass of the recurrence; for
     an array x, P_k(x) is row k of an array of shape (n + 1, *x.shape)."""
-    terms = islice(_poly_sequence(x, params), n + 1)
+    p1, step = _recurrence(x, params)
+    terms = [1.0, p1][:n + 1]
+    for _ in range(n - 1):
+        terms.append(step(terms[-2], terms[-1]))
     if np.ndim(x) == 0:
-        return np.fromiter(terms, float, n + 1)
+        return np.array(terms)
     P = np.empty((n + 1, *np.shape(x)))
     for k, term in enumerate(terms):
         P[k] = term
@@ -109,7 +109,11 @@ def poly_eval(n: int, x, params: DTParams):
     P_1(x) = (2/a) sqrt((a-1)/(b-1)) x + (b-2)/(a(b-1))."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    return next(islice(_poly_sequence(x, params), n, None))
+    p1, step = _recurrence(x, params)
+    prev, cur = 1.0, p1
+    for _ in range(n - 1):
+        prev, cur = cur, step(prev, cur)
+    return cur if n else prev
 
 
 def closed_form_eval(n: int, z: complex, params: DTParams) -> complex:
@@ -228,57 +232,69 @@ class PolyHypergroup:
     g(m, n, k) = p_{m,n}^k s(k) / (s(m) s(n)), s(h) = alpha0(h) h(h).  Every
     convolution runs one banded right-convolution operator, banded.Band.
     Exact laws over h(m) run it on Python integers with p; deformed or float
-    ones on float64 with g, as masses over s(m) would leave double range.  A
-    deformed value that leaves the normal double range raises DomainError.
+    ones on float64 with g, as masses over s(m) would leave double range.
+    Deformed, alpha0(h) = P_h(x0) is a mantissa and an exponent (_scaled_row).
     """
 
     def __init__(self, params: DTParams, x0: float | None = None):
-        self.params = params
-        self.x0 = x0
-        self._g = lru_cache(maxsize=None)(self._g_doubles)
-        self._alphas = np.empty(0)     # P_0(x0), P_1(x0), ...; grows by doubling
+        self.params, self.x0 = params, x0
+        self._F, self._G = np.empty(0), np.empty(0, dtype=np.int64)    # P_h(x0) = F[h] 2^G[h]
 
     @property
     def identity(self) -> int:
         return 0
 
-    def _alpha_row(self, h: int) -> np.ndarray:
-        """P_0(x0), P_1(x0), ..., at least to P_h(x0), unchecked."""
-        if h >= self._alphas.size:
-            self._alphas = poly_values(max(h, 2 * self._alphas.size), self.x0,
-                                       self.params)
-        return self._alphas
+    def _scaled_row(self, h: int) -> tuple:
+        """(F, G) = frexp(P_j(x0)), j = 0 .. h or twice as far, by poly_values'
+        recurrence run on its last two values times 2^-s, s carried in G: that
+        is exact, so P_j is poly_values' bit for bit wherever those stay normal."""
+        if h >= self._F.size:
+            p1, step = _recurrence(self.x0, self.params)
+            prev, cur, e, FG = 1.0, p1, 0, [(0.5, 1)]
+            for _ in range(max(h, 2 * self._F.size)):
+                f, s = math.frexp(cur)
+                FG.append((f, s + e))
+                s = math.frexp(max(abs(prev), abs(cur)))[1]
+                prev, cur = math.ldexp(prev, -s), math.ldexp(cur, -s)
+                prev, cur, e = cur, step(prev, cur), e + s
+            self._F, self._G = map(np.array, zip(*FG))
+        return self._F, self._G
+
+    def _alpha_row(self, h: int) -> tuple:
+        """_scaled_row cut before its first alpha0(j) that is not finite and
+        positive; alpha0(j)'s DomainError if j <= h (no hypergroup there)."""
+        F, G = self._scaled_row(h)
+        j = int(np.append((F > 0) & (F < math.inf), False).argmin())
+        if h >= j:
+            self.alpha0(j)
+        return F[:j], G[:j]
 
     def alpha0(self, h: int) -> float:
         """P_h(x0), 1.0 undeformed; DomainError unless a normal double."""
         if self.x0 is None:
             return 1.0
-        return _normal(float(self._alpha_row(h)[h]),
-                       f"alpha0({h}) = P_{h}(x0) at x0 = {self.x0!r}")
+        F, G = self._scaled_row(h)
+        value = math.ldexp(F[h], int(G[h])) if G[h] <= 1024 else float(F[h]) * math.inf
+        return _normal(value, f"alpha0({h}) = P_{h}(x0) at x0 = {self.x0!r}")
 
     def haar(self, n: int):
         w = haar_weight(n, self.params)
         if self.x0 is None:
             return w
-        what = f"haar({n}) = alpha0({n})^2 h({n}) at x0 = {self.x0!r}"
-        a2 = _normal(self.alpha0(n) ** 2, what)
-        try:
-            return _normal(a2 * w, what)
-        except OverflowError:       # h(n) itself is past the double range
-            raise DomainError(f"{what} leaves double range") from None
-
-    def _g_doubles(self, m: int, n: int) -> dict:
-        """g(m, n, .) in doubles, alpha0(k) / (alpha0(m) alpha0(n)) times
-        g_coeffs; DomainError where that factor or its denominator is not a
-        normal double."""
-        what = f"alpha0({m}) alpha0({n}) at x0 = {self.x0!r}"
-        den = _normal(self.alpha0(m) * self.alpha0(n), what)
-        return {k: _normal(self.alpha0(k) / den, f"alpha0({k}) / ({what})") * float(c)
-                for k, c in g_coeffs(m, n, self.params).items()}
+        F, G = self._alpha_row(n)
+        # alpha0(n) = a 2^e, a = alpha0(n) wherever a^2 is a normal double
+        e, (y, s) = G[n] - np.clip(G[n], -510, 512), _split(w)
+        with np.errstate(over="ignore"):
+            value = float(np.ldexp(np.ldexp(F[n], G[n] - e) ** 2, 2 * e + s) * y)
+        return _normal(value, f"haar({n}) = alpha0({n})^2 h({n}) at x0 = {self.x0!r}")
 
     def g(self, m: int, n: int) -> dict:
-        """g(m, n, .): Fractions undeformed, doubles deformed."""
-        return g_coeffs(m, n, self.params) if self.x0 is None else self._g(m, n)
+        """g(m, n, .): Fractions undeformed, doubles deformed (_deformed)."""
+        coeffs = g_coeffs(m, n, self.params)
+        if self.x0 is None:
+            return coeffs
+        return dict(zip(coeffs, _deformed(*self._alpha_row(m + n), m, n, list(coeffs),
+                                          coeffs.values()).tolist()))
 
     def _scaled(self, masses: dict):
         """(v, den) with masses[m] / h(m) = v[m] / den over the integers, or
@@ -319,10 +335,6 @@ class PolyHypergroup:
             rows = {m: float(v) for m, v in mu.items()}
             law = {n: float(v) for n, v in nu.items()}
             dtype, den = float, None
-            if self.x0 is not None:     # a zero mass still meets its coefficients
-                for m in (m for m, v in mu.items() if v == 0):
-                    for n in nu:
-                        self._g(m, n)
         keys, band = sorted(rows), Band(self, list(law.items()), dtype is object)
         cuts = [i for i in range(1, len(keys)) if keys[i] - keys[i - 1] > 2 * band.top]
         bounds = [0, *cuts, len(keys)] if keys else [0]
@@ -903,6 +915,7 @@ def pushforward_vs_haar(params: DTParams, c: float):
     ray = BoundaryRay(ball)
     pf1_ball = sum(math.exp(2 * c * d) for d in ray.horocycle[ball.depths == 1])
     haar1_hg = PolyHypergroup(params, x0=deformation_point(c, params)).haar(1)
-    if abs(pf1_ball - pf1) > 1e-10 * pf1 or abs(haar1_hg - haar1) > 1e-10 * haar1:
+    if abs(pf1_ball - pf1) > PUSHFORWARD_TOL * pf1 or \
+            abs(haar1_hg - haar1) > PUSHFORWARD_TOL * haar1:
         raise AssertionError("closed forms disagree with direct recomputation")
     return pf1, haar1

@@ -639,8 +639,9 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
 
     # (3) span closure; p~ is _gathered's, at each relation's largest W entry
     starts, cells = part._index
-    vals = W.ravel()[cells]     # one pass: each relation's first largest W
-    rx, ry = np.divmod(cells[[s + np.argmax(vals[s:t]) for s, t in zip(starts, starts[1:])]], n)
+    vals = W.ravel()[cells]     # W is finite and no relation is empty here
+    hits = np.flatnonzero(vals == np.maximum.reduceat(vals, starts[:-1]).repeat(np.diff(starts)))
+    rx, ry = np.divmod(cells[hits[np.searchsorted(hits, starts[:-1])]], n)  # first maxima
     ptilde = _gathered(lab, W, rx, ry)
     ptilde /= W[rx, ry]
     if proved:

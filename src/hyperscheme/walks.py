@@ -25,6 +25,8 @@ from .scheme import CheckFailure
 # stream
 _BLOCK_UNIFORMS = 1 << 14
 DEFAULT_SEED = 0x5EED
+STEP_SUM_TOL = 1e-12        # a step law in decimals sums to 1 up to their rounding
+PROPAGATION_TOL = 1e-10     # propagation and convolution power: rounding apart
 
 
 def _check_seed(seed) -> int:
@@ -56,7 +58,7 @@ class StepDistribution:
             raise ValueError("step probabilities must be finite")
         if any(float(v) < 0 for v in w.values()):
             raise ValueError("negative step probability")
-        if abs(float(sum(w.values())) - 1.0) > 1e-12:
+        if abs(float(sum(w.values())) - 1.0) > STEP_SUM_TOL:
             raise ValueError("step probabilities must sum to 1")
         object.__setattr__(self, "weights", w)
 
@@ -242,8 +244,8 @@ def projection_check(walk: WalkResult, fam: KernelFamily, hg, mu: StepDistributi
     """Compare the projected walk with the hypergroup convolution power.
 
     Returns the TV distance between the projected empirical law and
-    convolution_power(hg, mu, steps).  The exact projected law from matrix
-    propagation must agree with the convolution power to within 1e-10 (the
+    convolution_power(hg, mu, steps).  The law from matrix propagation must
+    agree with the convolution power within PROPAGATION_TOL in TV (the
     deterministic form of the projection theorem); a mismatch raises.
     """
     if steps != walk.steps:
@@ -258,7 +260,7 @@ def _projected_laws(walk: WalkResult, fam: KernelFamily, hg, mu: StepDistributio
     exact = {k: float(v) for k, v in
              convolution_power(hg, mu, walk.steps).items()}
     propagated = propagate_and_project(fam, mu, walk.steps)
-    if tv_distance(exact, propagated) > 1e-10:
+    if tv_distance(exact, propagated) > PROPAGATION_TOL:
         raise ParameterMismatch(
             "matrix propagation disagrees with the convolution power: "
             f"TV = {tv_distance(exact, propagated):.3e}")

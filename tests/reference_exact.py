@@ -1,6 +1,8 @@
 """Reference oracle: the nested-Fraction exact algebra the integer
-numerator tensors replaced, and the g-coefficient path of deformed and
-float-mass polynomial hypergroups.
+numerator tensors replaced, the g-coefficient path of deformed and
+float-mass polynomial hypergroups, and the deformed coefficients as plain
+doubles, as the library formed them before it held alpha0 as a mantissa and
+an exponent.
 
 The old code is kept as it was, operating on nested [i][j][k] tuples of
 Fraction (or float), so the differential tests can assert that the new
@@ -9,7 +11,10 @@ byte-identical "p/q" JSON.  Hypergroup arguments only need the attributes
 n, conv, identity and involution.  Not part of the library.
 """
 
+import math
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,7 +160,43 @@ def poly_g(a, b, m, n, alpha=None):
     return {k: alpha(k) / (am * an) * float(c) for k, c in g.items()}
 
 
+def _rational(masses):
+    return all(isinstance(v, (int, Fraction)) for v in masses.values())
+
+
+def _over_one_denominator(masses):
+    """(numerators, D): masses[k] = numerators[k] / D with integers."""
+    D = math.lcm(*(Fraction(v).denominator for v in masses.values()))
+    return {k: int(Fraction(v) * D) for k, v in masses.items()}, D
+
+
+@lru_cache(maxsize=None)
+def _integer_g(m, n, a, b):
+    """g(m, n, .) a q^min(m, n), q = (a-1)(b-1): integers, by the closed
+    forms of g_coeffs."""
+    scale = a * ((a - 1) * (b - 1)) ** min(m, n)
+    return tuple((k, int(g * scale)) for k, g in g_coeffs(m, n, a, b).items())
+
+
+def _integer_convolve(a, b, mu, D, nu, E):
+    """mu / D * nu / E for integer masses, as (numerators, denominator) over
+    the one denominator D E a q^K, K the largest min(m, n)."""
+    q = (a - 1) * (b - 1)
+    K = min(max(mu), max(nu))
+    out = {}
+    for m, cm in mu.items():
+        for n, cn in nu.items():
+            lift = cm * cn * q ** (K - min(m, n))
+            for k, g in _integer_g(m, n, a, b):
+                out[k] = out.get(k, 0) + lift * g
+    return {k: v for k, v in out.items() if v != 0}, D * E * a * q ** K
+
+
 def poly_convolve(a, b, mu, nu, alpha=None):
+    if alpha is None and _rational(mu) and _rational(nu) and mu and nu:
+        out, den = _integer_convolve(a, b, *_over_one_denominator(mu),
+                                     *_over_one_denominator(nu))
+        return {k: Fraction(v, den) for k, v in out.items()}
     out = {}
     for m, cm in mu.items():
         for n, cn in nu.items():
@@ -175,10 +216,66 @@ def finite_power(conv, identity, mu, t):
 
 
 def poly_power(a, b, mu, t, alpha=None):
+    if alpha is None and _rational(mu) and mu:
+        law, E = _over_one_denominator(mu)
+        dist, den = {0: 1}, 1
+        for _ in range(t):
+            dist, den = _integer_convolve(a, b, dist, den, law, E)
+        return {k: Fraction(v, den) for k, v in dist.items()}
     dist = {0: Fraction(1)}
     for _ in range(t):
         dist = poly_convolve(a, b, dist, mu, alpha)
     return dist
+
+
+def _normal(v):
+    return sys.float_info.min <= v < math.inf
+
+
+def plain_alpha0s(a, b, x0, n):
+    """P_0(x0) .. P_n(x0) by the three-term recurrence on plain doubles, and
+    whether each one's recurrence kept every intermediate value a normal
+    double or zero (past the first that did not, P_h may differ from the
+    exactly rescaled recurrence in its last bits)."""
+    p1 = (2.0 / a) * math.sqrt((a - 1) / (b - 1)) * x0 + (b - 2) / (a * (b - 1))
+    P, clean = [1.0, p1], [True, True]
+    while len(P) <= n:
+        prev, cur = P[-2], P[-1]
+        parts = [p1 * cur, (b - 2) / (a * (b - 1)) * cur, prev / (a * (b - 1))]
+        parts += [parts[0] - parts[1], parts[0] - parts[1] - parts[2]]
+        P.append((a / (a - 1)) * parts[-1])
+        clean.append(clean[-1] and all(v == 0 or _normal(abs(v)) for v in parts + P[-1:]))
+    return P[:n + 1], clean[:n + 1]
+
+
+def plain_g(a, b, x0, m, n):
+    """(g, clean): the deformed g(m, n, .) as alpha0(k) / (alpha0(m)
+    alpha0(n)) float(c) on plain doubles, or None where alpha0(m),
+    alpha0(n), an alpha0(k), the product or a quotient is not a normal
+    double; clean says whether every alpha0 read came from a clean
+    recurrence (plain_alpha0s)."""
+    P, ok = plain_alpha0s(a, b, x0, m + n)
+    g = g_coeffs(m, n, a, b)
+    clean = ok[m] and ok[n] and all(ok[k] for k in g)
+    den = P[m] * P[n]
+    if not (_normal(P[m]) and _normal(P[n]) and _normal(den)):
+        return None, clean
+    if not all(_normal(P[k]) and _normal(P[k] / den) for k in g):
+        return None, clean
+    return {k: P[k] / den * float(c) for k, c in g.items()}, clean
+
+
+def plain_haar(a, b, x0, n):
+    """(alpha0(n) ** 2 * h(n) on plain doubles, or None where alpha0(n), its
+    square or the product is not a normal double or overflows, clean)."""
+    P, ok = plain_alpha0s(a, b, x0, n)
+    w = 1 if n == 0 else a * (a - 1) ** (n - 1) * (b - 1) ** n
+    try:
+        a2 = P[n] ** 2
+        value = a2 * w
+    except OverflowError:
+        return None, ok[n]
+    return (value if _normal(P[n]) and _normal(a2) and _normal(value) else None), ok[n]
 
 
 def encode_number(v):

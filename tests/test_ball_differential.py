@@ -213,14 +213,12 @@ def test_deform_refuses_an_alpha0_out_of_range_when_called(monkeypatch):
     before any kernel is read."""
     ball = hs.build_ball(hs.DTParams(3, 2), 3)
     ray = hs.BoundaryRay(ball)
-    poly_values = hs.dtgraph.poly_values
+    recurrence = hs.dtgraph._recurrence
 
-    def overflowing(n, x, params):
-        values = poly_values(n, x, params)
-        values[2:] = np.inf
-        return values
+    def overflowing(x, params):     # the recurrence the alpha0 row is built by
+        return recurrence(x, params)[0], lambda prev, cur: np.inf
 
-    monkeypatch.setattr(hs.dtgraph, "poly_values", overflowing)
+    monkeypatch.setattr(hs.dtgraph, "_recurrence", overflowing)
     x_c = hs.deformation_point(0.3, ball.params)
     with pytest.raises(hs.DomainError) as want:
         hs.PolyHypergroup(ball.params, x0=x_c).alpha0(2)

@@ -133,25 +133,24 @@ def test_poly_values_of_an_array_are_its_entries_values():
 
 
 def test_each_polynomial_sequence_is_evaluated_once(monkeypatch):
-    """A deformed exact walk of t steps reads alpha0 up to 2t, and dtgraph
-    --x reads P_0..P_R: both cost a number of recurrence steps linear in
-    that length, not its square."""
+    """A deformed exact walk of t steps reads alpha0 up to 2t (the rescaled
+    recurrence of its alpha0 row), and dtgraph --x reads P_0..P_R: both cost
+    a number of recurrence steps linear in that length, not its square."""
     steps = []
 
     def counted(x, params):
-        for v in sequence(x, params):
-            steps.append(v)
-            yield v
+        p1, step = recurrence(x, params)
+        return p1, lambda prev, cur: steps.append(prev) or step(prev, cur)
 
-    sequence = dtgraph._poly_sequence
-    monkeypatch.setattr(dtgraph, "_poly_sequence", counted)
+    recurrence = dtgraph._recurrence
+    monkeypatch.setattr(dtgraph, "_recurrence", counted)
     assert main(["walk", "--dtgraph", "3,2,3,0.1", "--mu", "1:1/3,2:2/3",
                  "--steps", "200", "--exact"]) == 0
-    assert len(steps) <= 4 * (2 * 200 + 1)
+    assert 2 * 200 < len(steps) <= 4 * (2 * 200 + 1)
     steps.clear()
     assert main(["dtgraph", "--a", "3", "--b", "2", "--x", "0.5",
                  "--radius", "500"]) == 0
-    assert len(steps) == 501
+    assert len(steps) == 500 - 1        # P_2 .. P_500
 
 
 def test_product_formula():

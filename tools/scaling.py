@@ -8,8 +8,9 @@ directory of this checkout), case by case and the trees in turn, so two
 source trees see the same machine state, and prints one JSON object, SRC
 -> list of rows, each float field the median of its three runs.  Each case
 runs in its own process, with BLAS on one thread and the address space
-capped at ADDRESS_LIMIT; a case that the library refuses (BallTooLarge) or
-that does not fit (MemoryError) gives a row with "refused" and the error.
+capped at ADDRESS_LIMIT; a case that the library refuses (BallTooLarge,
+DomainError) or that does not fit (MemoryError) gives a row with "refused"
+and the error.
 
 Timing: a case's blocks are timed in turn, interleaved, in at least three
 rounds and for at least 0.3 s, and each time is the median over the rounds;
@@ -54,7 +55,9 @@ Curves:
   hypergroup_from_dict of the saved file, each with its tracemalloc peak.
 - convolution_power: on Gamma(3, 2) against t, the exact law
   {1: 3/7, 2: 4/7} against reference_exact.poly_power, results checked
-  equal; then the library alone on exact, float, deformed and sparse laws.
+  equal; then the library alone on exact, float, deformed and sparse laws,
+  the deformed ones at x_c(0.1) and at x0 = 1, where alpha0(h) falls below
+  the normal doubles at h = 2063.
 - generalized: the canonical family of a product or join of two cycle
   schemes, its build from the factors, then verify_generalized and
   from_generalized on it, with |G| the slices of the generating order its
@@ -80,6 +83,7 @@ Curves:
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import statistics
@@ -103,6 +107,8 @@ RUNS = 3
 POWER_LAWS = {"exact": ({1: Fraction(3, 7), 2: Fraction(4, 7)}, None),
               "float delta_1": ({1: 1.0}, None),
               "deformed at x_c(0.1)": ({1: 1 / 3, 2: 2 / 3}, 0.1),
+              # deformation_point(-log sqrt 2) = 1.0 on Gamma(3, 2)
+              "deformed at x0 = 1": ({1: 1.0}, -math.log(math.sqrt(2))),
               "sparse exact": ({0: Fraction(1, 2), 5000: Fraction(1, 2)}, None)}
 
 
@@ -530,6 +536,7 @@ CURVES = {
                           + [("exact", t, False) for t in (75, 300, 1000)]
                           + [("float delta_1", t, False) for t in (1000, 3000)]
                           + [("deformed at x_c(0.1)", t, False) for t in (300, 1000)]
+                          + [("deformed at x0 = 1", t, False) for t in (1000, 3000)]
                           + [("sparse exact", 2, False)], convolution_power),
     "generalized": ([("product", 5, 6), ("product", 5, 8), ("join", 6, 12), ("join", 8, 10)]
                     + [("product", 3, m) for m in (10, 20, 34)]
@@ -548,11 +555,11 @@ CURVES = {
 def run_case(curve: str, case, **options) -> dict:
     """The row of one case, or its refusal; options go to the curve's
     function."""
-    from hyperscheme.dtgraph import BallTooLarge
+    from hyperscheme.dtgraph import BallTooLarge, DomainError
 
     try:
         return CURVES[curve][1](*case, **options)
-    except (BallTooLarge, MemoryError) as exc:
+    except (BallTooLarge, DomainError, MemoryError) as exc:
         return {"case": [curve, *case], "refused": f"{type(exc).__name__}: {exc}"}
 
 
