@@ -505,17 +505,13 @@ def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
     rigidity theorem's case: every family that passes is the canonical one.
 
     On every other family span closure, S_i S_j = sum_k p~[i, j, k] S_k
-    within 1e-8 at every entry, is checked on full products only for a
-    generating set.  The i whose S_i maps the span of the family into
-    itself form an algebra, so once S_y and S_z pass, so does S_x = (S_y
-    S_z - sum_{k != x} p~[y, z, k] S_k) / p~[y, z, x].  In doubles, a slice
-    x derived so is skipped only when a bound carried from the residuals of
-    y, z and the other k proves each of its residuals within 1e-8 (see
-    _verify_kernels); otherwise it is checked too.  So the verdict, and on a
-    failure the first failing (i, j) with its witness, are those of the
-    check of all d^2 products, on either path.  p~ >= 0
-    holds without a test: past (2) every kernel entry is a nonnegative
-    double, and so are their products.  The kernels are built one at a time.
+    within SPAN_TOL at every entry, is checked for every (i, j) without a
+    product of kernels: each entry of S_i S_j on the support of p[i, j] is
+    summed from the k_i cells of relation i in its row (see _verify_kernels),
+    and every other entry is 0.  On a failure the witness is the first
+    failing (i, j), then the row-major first (x, y).  p~ >= 0 holds without
+    a test: past (2) every kernel entry is a nonnegative double, and so are
+    their products.  The kernels are built one at a time, for (2) alone.
     """
     return gs.verified[1].copy()
 
@@ -556,6 +552,14 @@ def _support_failure(i: int, S_i: np.ndarray, lab: np.ndarray):
 # every cell, passes axioms (2) and (3); the proof is in _verify_kernels.
 _CANONICAL_DEVIATION = 1e-9
 
+# Span closure's absolute tolerance: entries of S_i S_j are at most 1, and
+# any sum of n < 2**24 of their terms rounds by less than 1.87e-9 of it.
+SPAN_TOL = 1e-8
+
+# The bytes one block of rows of span closure's scan may take, at about 40
+# per term: rows * k_i * n terms.
+_SPAN_BLOCK_BYTES = 2 ** 21
+
 
 def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndarray:
     """Axioms (2)-(5) of verify_generalized for kernels on a partition that
@@ -572,32 +576,26 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     in any order.  (3): for (x, y) in relation k, (S_i S_j)(x, y) sums
     p[i, j, k] terms (1 + eta)(1 + eta') / (k_i k_j), so it is c (1 + theta)
     with c = p[i, j, k] / (k_i k_j) <= 1 (sum_k p[i, j, k] k_k = k_i k_j)
-    and |theta| <= 2 delta + delta^2, and any BLAS sum of these
-    nonnegative terms, the full product's or _gathered's, is within gamma_n
-    of it.  The fit p~[i, j, k] W(x, y) is c (1 + theta_k)(1 + eta) /
-    (1 + eta_k), theta_k and eta_k read at (rx_k, ry_k), up to gamma_n and
-    the division and product that round it; the subtraction rounds once
-    more.  So every residual is at most c (6 delta + 2 gamma_n + 3u +
-    O(delta^2)) < 9.8e-9 < 1e-8, and delta is measured within 2^-52.  Such
-    a family skips the axiom (2) scan, _generation and every span-closure
-    product; (4), (5) and p~ run as on every family, so p~ is the same bit
-    for bit, and a failure, which only (4) or (5) can give, the same one.
+    and |theta| <= 2 delta + delta^2, and any sum of these nonnegative
+    terms, in any order, _gathered's included, is within gamma_n of it.  The
+    fit p~[i, j, k] W(x, y) is c (1 + theta_k)(1 + eta) / (1 + eta_k),
+    theta_k and eta_k read at (rx_k, ry_k), up to gamma_n and the division
+    and product that round it; the subtraction rounds once more.  So every
+    residual is at most c (6 delta + 2 gamma_n + 3u + O(delta^2)) < 9.8e-9
+    < SPAN_TOL, and delta is measured within 2^-52.  Such a family skips
+    the axiom (2) scan and span closure's scan; (4), (5) and p~ run as on
+    every family, so p~ is the same bit for bit, and a failure, which only
+    (4) or (5) can give, the same one.
 
-    Every other family takes the checks below.  (3) runs on the slices in
-    the order scheme keeps, _generation(scheme.p); p~[y, z] has the support of
-    p[y, z].  r[x, j] bounds the residual |S_x S_j - sum_k p~[x, j, k] S_k|:
-    the largest one measured for a checked slice.
-    For x generated by (y, z), S_x S_j = (S_y S_z S_j - sum_{k done}
-    p~[y, z, k] S_k S_j) / p~[y, z, x] up to the error E, whose entries are
-    at most g_j = (sum_l p~[z, j, l] r[y, l] + (1 + 1e-8) r[z, j]
-    + sum_{k done} p~[y, z, k] r[k, j] + r[y, z] colmax_j) / p~[y, z, x],
-    as p~ >= 0, the rows of S_y sum to at most 1 + 1e-8 and colmax_j is the
-    largest column sum of S_j.  The coefficients read at the largest entry
-    of each relation move by at most E there, so a residual is at most
-    2 g_j, plus 8 (n + 2) 2^-52 max(1, colmax_j) for the doubles, whatever
-    the order of the sums: _gathered's products round like the full ones.  x is
-    skipped, with that sum as r[x, j], when it is within 1e-8 for every j.
-    The first failing checked slice runs the ordered scan of all (i, j)."""
+    Every other family takes the checks below.  (3) scans every slice i in
+    order, in blocks of rows x: the k_i cells z of relation i in row x, read
+    in order from the partition index, put W(x, z) W(z, y) into the bin
+    (x, y, j = label(z, y)), so that bin holds (S_i S_j)(x, y), summed in z
+    order, and is compared with p~[i, j, label(x, y)] W(x, y).  On the
+    verified scheme the bins of (x, y) are exactly the j of the support of
+    p[i, :, label(x, y)], where p~ has its support; every other entry of S_i
+    S_j, and of its fit, is 0.  The witness is the smallest failing (i, j),
+    then the row-major first (x, y), as in the check of all d^2 products."""
     part = gs.partition
     n, d = part.n_points, part.n_relations
     lab, W = part.label, gs.W
@@ -605,19 +603,15 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     proved = not gs._stray and bool(
         np.abs(W * scheme.valency[lab] - 1.0).max() <= _CANONICAL_DEVIATION)
     if not proved:
-        order = scheme._order
-
         # (2) support condition and row-stochasticity; each test is written
         # so that NaN fails it, which leaves every kernel finite after this
         # loop.  The recorded stray kernel fails here, so after it W holds
         # every kernel
-        colmax = np.empty(d)
         for i in range(d):
-            S_i = gs._kernel(i)
-            fail = gs._stray[1] if gs._stray[:1] == (i,) else _support_failure(i, S_i, lab)
+            fail = (gs._stray[1] if gs._stray[:1] == (i,)
+                    else _support_failure(i, gs._kernel(i), lab))
             if fail:
                 raise AxiomViolation(*fail)
-            colmax[i] = S_i.sum(axis=0).max()
 
     # (4) identity kernel, the diagonal of W
     e = part.identity_relation
@@ -647,44 +641,44 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     if proved:
         return ptilde
 
-    def residuals(i):
-        """|S_i S_j - sum_k p~[i, j, k] S_k| for j = 0, 1, ..., d - 1."""
-        S_i = gs._kernel(i)
-        for j in range(d):
-            prod = S_i @ gs._kernel(j)
-            fit = ptilde[i, j][lab]     # in place: one n x n temporary, not two
-            fit *= W
-            prod -= fit
-            yield np.abs(prod, out=prod)
+    for i in range(d):
+        # bin s of a cell of relation h holds the s-th j with p[i, j, h] > 0
+        support = scheme.p[i] != 0                  # [j, h]
+        slot = support.cumsum(axis=0) - 1
+        hs, js = np.nonzero(support.T)
+        m = int(slot[-1].max()) + 1
+        bin_j, bin_fit = np.zeros((d, m), dtype=np.intp), np.zeros((d, m))
+        at = hs, slot[js, hs]
+        bin_j[at], bin_fit[at] = js, ptilde[i, js, hs]
 
-    def first_failure():
-        """The failure of the first (i, j), in order, whose residual exceeds 1e-8."""
-        for i in range(d):
-            for j, resid in enumerate(residuals(i)):
-                if resid.max() > 1e-8:
-                    x, y = map(int, np.argwhere(resid > 1e-8)[0])
-                    return AxiomViolation("3", (i, j, int(lab[x, y]), x, y),
-                                          "kernel product leaves the span of the family")
-
-    # the generating-set check of the docstring; a slice not yet reached
-    # has r = 0 and, but for x, p~[y, z] = 0 on it
-    slack = 8 * (n + 2) * 2.0 ** -52 * np.maximum(1.0, colmax)
-    r = np.zeros((d, d))
-    for x, pair in order:
-        if pair is not None:
-            y, z = pair
-            done = ptilde[y, z].copy()
-            done[x] = 0.0
-            g = (ptilde[z] @ r[y] + (1 + 1e-8) * r[z] + done @ r
-                 + r[y, z] * colmax) / ptilde[y, z, x]
-            bound = 2 * g + slack
-            if (bound <= 1e-8).all():
-                r[x] = bound
-                continue
-        for j, resid in enumerate(residuals(x)):
-            r[x, j] = resid.max()
-            if r[x, j] > 1e-8:
-                raise first_failure()
+        z = cells[starts[i]:starts[i + 1]]          # row-major, k cells in each row
+        k = z.size // n
+        w_xz = W.ravel()[z].reshape(n, k, 1)
+        z = (z % n).reshape(n, k)
+        rows = max(1, _SPAN_BLOCK_BYTES // (40 * k * n))
+        worst = (d,)        # (j, x, y) of the smallest failing j, first row-major
+        for x0 in range(0, n, rows):
+            zb, lab_xy = z[x0:x0 + rows], lab[x0:x0 + rows]
+            b = len(zb)
+            key = slot[lab[zb], lab_xy[:, None]]    # [x, z, y] -> bin of label(z, y)
+            key += (np.arange(b * n) * m).reshape(b, 1, n)
+            terms = W[zb]
+            terms *= w_xz[x0:x0 + b]
+            bins = np.bincount(key.ravel(), terms.ravel(), b * n * m).reshape(b, n, m)
+            fit = bin_fit[lab_xy]
+            fit *= W[x0:x0 + b, :, None]
+            bins -= fit
+            bad = np.abs(bins, out=bins) > SPAN_TOL
+            if bad.any():
+                j_bad = np.where(bad, bin_j[lab_xy], d)
+                j = int(j_bad.min())
+                if j < worst[0]:
+                    x, y = map(int, np.argwhere((j_bad == j).any(axis=2))[0])
+                    worst = (j, x0 + x, y)
+        if worst[0] < d:
+            j, x, y = worst
+            raise AxiomViolation("3", (i, j, int(lab[x, y]), x, y),
+                                 "kernel product leaves the span of the family")
     return ptilde
 
 

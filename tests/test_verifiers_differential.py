@@ -14,7 +14,7 @@ import hyperscheme as hs
 import reference_verifiers as ref
 from hyperscheme.hypergroup import _generators
 from hyperscheme import scheme as scheme_module
-from hyperscheme.scheme import (_CANONICAL_DEVIATION, KERNEL_TOL, _group_table,
+from hyperscheme.scheme import (_CANONICAL_DEVIATION, KERNEL_TOL, SPAN_TOL, _group_table,
                                _representatives, _verify_kernels)
 
 
@@ -727,9 +727,9 @@ def _span_residuals(gs):
 def test_span_defect_off_the_generating_set_is_found():
     """On the 8-cycle (generating set [0, 1]) a symmetric perturbation of S_2
     of size 4e-9 keeps the residuals of slices 0 and 1 below 1e-8 and puts
-    those above it in slices 2 and 4, which closure derives.  The residuals
-    of the checked slices are too large for the carried bound to skip
-    slice 2, so it is checked, and the failure is that of the full scan."""
+    those above it in slices 2 and 4, which closure derives from 0 and 1:
+    a check of the generating set alone would pass it.  The scan of every
+    slice finds the failure of the full scan, in slice 2."""
     base = canonical_cycle(8)
     assert list(_generators(hs.verify_scheme(base.partition).p)) == [0, 1]
     gs = hs.GeneralizedScheme(base.partition,
@@ -746,9 +746,9 @@ def test_span_defect_off_the_generating_set_is_found():
 @pytest.mark.parametrize("case", range(0, len(NON_GENERATING), 7))
 def test_span_residuals_near_the_tolerance_match_reference(case):
     """Families that keep axioms (2), (4) and (5), with residuals from 1e-9
-    to 1e-8 on the checked slices, so that the carried bound cannot skip a
-    derived slice: the outcome, pass or fail, is the reference's, p~ bit
-    for bit."""
+    to 1e-8 on the generating slices and a perturbation on a slice that
+    closure derives from them: the outcome, pass or fail, is the
+    reference's, p~ bit for bit."""
     gs, rectangle = NON_GENERATING[case]
     gens = list(_generators(hs.verify_scheme(gs.partition).p))
     unit = _span_residuals(hs.GeneralizedScheme(
@@ -760,6 +760,89 @@ def test_span_residuals_near_the_tolerance_match_reference(case):
         assert 1e-9 <= _span_residuals(fam)[gens].max() <= 1e-8
         want = outcome(ref.verify_generalized, fam)
         assert outcome(hs.verify_generalized, fam) == want
+
+
+JOIN_C4_C6 = hs.join_scheme(canonical_cycle(4), canonical_cycle(6))
+
+
+@pytest.mark.parametrize("target", [0.9e-8, 0.99e-8, 1.01e-8, 1.1e-8])
+def test_span_bins_of_many_terms_near_the_tolerance_match_reference(target):
+    """The join of C4 and C6 (n = 24) has p[4, 5, 4] = 6, so the scan sums
+    six terms into one bin there.  A symmetric rectangle perturbation of
+    S_4, scaled so that the largest residual as the reference reads it is
+    target, passes below SPAN_TOL and fails above it with the reference's
+    witness, in a bin of at least three terms; p~ is the reference's bit
+    for bit."""
+    gs, rectangle = JOIN_C4_C6, (4, 0, 12, 6, 23)
+    scheme = hs.verify_scheme(gs.partition)
+    unit = _span_residuals(hs.GeneralizedScheme(
+        gs.partition, symmetric_perturbation(gs, rectangle, 1e-9), gs.omega_x)).max()
+    fam = hs.GeneralizedScheme(
+        gs.partition, symmetric_perturbation(gs, rectangle, 1e-9 * target / unit), gs.omega_x)
+    valency = scheme.valency[gs.partition.label]
+    assert np.abs(fam.W * valency - 1.0).max() > _CANONICAL_DEVIATION
+    want = outcome(ref.verify_generalized, fam)
+    assert want[0] == ("ok" if target < SPAN_TOL else "fail")
+    if want[0] == "fail":
+        i, j, k = want[2][:3]
+        assert want[1] == "3" and scheme.p[i, j, k] >= 3
+    assert outcome(hs.verify_generalized, fam) == want
+
+
+def _first_failing_rows(gs, i):
+    """{j: the first row of S_i S_j with a residual past SPAN_TOL}, as the
+    reference reads the residuals."""
+    lab, S, W, d = gs.partition.label, gs.kernels, gs.W, gs.partition.n_relations
+    rx, ry = np.unravel_index([np.argmax(np.where(lab == k, W, -np.inf))
+                               for k in range(d)], lab.shape)
+    rows = {}
+    for j in range(d):
+        prod = S[i] @ S[j]
+        bad = np.abs(prod - (prod[rx, ry] / W[rx, ry])[lab] * W) > SPAN_TOL
+        if bad.any():
+            rows[j] = int(np.argwhere(bad)[0][0])
+    return rows
+
+
+@pytest.mark.parametrize("block_bytes", [1, scheme_module._SPAN_BLOCK_BYTES])
+def test_span_witness_is_the_smallest_j_across_row_blocks(block_bytes, monkeypatch):
+    """C4 x C8 with symmetric rectangles on relations 12 and 5: slice 1
+    fails first, at j = 5 from row 2 on and at j = 6 already in row 0.
+    With one row per block the scan meets j = 6 first, and still reports
+    the smallest failing j, in its first row-major cell, as the reference
+    does; so it does with the rows in one block."""
+    base = hs.direct_product_scheme(canonical_cycle(4), canonical_cycle(8))
+    kernels = symmetric_perturbation(base, (12, 0, 4, 18, 22), 1e-6)
+    kernels[5] = symmetric_perturbation(base, (5, 3, 19, 11, 27), 1e-6)[5]
+    gs = hs.GeneralizedScheme(base.partition, kernels, base.omega_x)
+    want = outcome(ref.verify_generalized, gs)
+    assert want[:2] == ("fail", "3") and want[2][:2] == (1, 5)
+    rows = _first_failing_rows(gs, 1)
+    assert rows[5] > rows[6] == 0
+    monkeypatch.setattr(scheme_module, "_SPAN_BLOCK_BYTES", block_bytes)
+    assert outcome(hs.verify_generalized, gs) == want
+
+
+def test_span_scan_memory_is_n_squared_and_one_block():
+    """Perturbed C200 (n = 200, d = 101), a 1e-9 rectangle on relation 50
+    past the canonical early test, passes the scan of every slice.  Past
+    p~ (d^3 doubles, 7.9 MiB), the check holds a few n x n arrays and one
+    block of rows within _SPAN_BLOCK_BYTES: the peak read 11.0 MiB.  A scan
+    that bins all d labels j for every cell, (n, n, d) doubles, takes
+    31 MiB more."""
+    base = canonical_cycle(200)
+    gs = hs.GeneralizedScheme(base.partition,
+                              symmetric_perturbation(base, (50, 0, 100, 50, 150), 1e-9),
+                              base.omega_x)
+    scheme = hs.verify_scheme(gs.partition)
+    tracemalloc.start()
+    try:
+        ptilde = _verify_kernels(gs, scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = gs.partition.n_points
+    assert peak < ptilde.nbytes + 8 * (8 * n * n) + scheme_module._SPAN_BLOCK_BYTES
 
 
 @given(st.sampled_from(GENERALIZED + [canonical_cycle(8)]), st.integers(0, 2 ** 16),
@@ -941,7 +1024,7 @@ def test_near_canonical_families_match_reference(base, k, seed):
 def _calls(gs):
     """How often verifying gs builds a kernel and runs _generation; a family
     that runs verify_scheme runs one _generation there, and its kernel check
-    reads the order that scheme keeps."""
+    runs none."""
     counts = {"_kernel": 0, "_generation": 0}
     kernel, generation = hs.GeneralizedScheme._kernel, scheme_module._generation
 
@@ -965,8 +1048,8 @@ def test_canonical_family_verifies_without_kernel_products():
     built from: verifying it builds no kernel and runs no _generation.  A
     symmetric rectangle perturbation on relation 5 that puts the deviation
     just past _CANONICAL_DEVIATION takes the full check, which builds
-    kernels and reads the order of verify_scheme's one _generation, and
-    passes with the reference."""
+    kernels for axiom (2) and runs no _generation past verify_scheme's one,
+    and passes with the reference."""
     base = canonical_cycle(20)
     assert _calls(base) == {"_kernel": 0, "_generation": 0}
     t = 0.55 * _CANONICAL_DEVIATION        # W = 1/2 there, so delta = 2t

@@ -62,11 +62,13 @@ Curves:
   schemes, its build from the factors, then verify_generalized and
   from_generalized on it, with |G| the slices of the generating order its
   verified scheme keeps; the first four cases are the float-spectral
-  benchmark's families, and C5 x C80 and C20 x C20 have n = 400.  Then the canonical families of the cycles C100,
-  C200 and C400 (m2 null), built from their verified schemes, which pass
-  the canonical early test of the kernel check, and the "perturbed cycle"
-  families of C100 and C200: a symmetric rectangle of RECTANGLE_T on
-  relation m / 4 puts them past that test, so they take the full check.
+  benchmark's families, and C5 x C80 and C20 x C20 have n = 400.  Then
+  the canonical families of the cycles C100, C200 and C400 (m2 null),
+  built from their verified schemes, which pass the canonical early test
+  of the kernel check, and the "perturbed cycle" families of C100, C200
+  and C400, built as given, so that verify_scheme runs on their
+  partitions: a symmetric rectangle of RECTANGLE_T on relation m / 4
+  puts them past that test, so their kernel check scans every slice.
 - gram_min_eig: as `dtgraph --report psd` runs it, build_ball, then the
   minimum Gram eigenvalue at s0, 0 and s1, on Gamma(3, 2) with R = 4..16
   and the path Gamma(2, 2) up to R = 1000, where the blocks are
@@ -543,7 +545,7 @@ CURVES = {
                     + [("product", 5, m) for m in (20, 30, 40, 80)] + [("product", 20, 20)]
                     + [("join", *ms) for ms in ((5, 6), (10, 15), (12, 20), (16, 25))]
                     + [("cycle", m, None) for m in (100, 200, 400)]
-                    + [("perturbed cycle", m, None) for m in (100, 200)], generalized),
+                    + [("perturbed cycle", m, None) for m in (100, 200, 400)], generalized),
     "gram_min_eig": ([(3, 2, R) for R in range(4, 17)]
                      + [(2, 2, R) for R in (50, 100, 200, 500, 1000)], gram_min_eig),
     "from_double_cosets": ([(m,) for m in (50, 100, 200, 400)], from_double_cosets),
