@@ -556,8 +556,8 @@ _CANONICAL_DEVIATION = 1e-9
 # any sum of n < 2**24 of their terms rounds by less than 1.87e-9 of it.
 SPAN_TOL = 1e-8
 
-# The bytes one block of rows of span closure's scan may take, at about 40
-# per term: rows * k_i * n terms.
+# The bytes one block of span closure's scan may take, at about 40 per
+# term: rows * k_i * n terms, or one row's cells z in parts of cols * n.
 _SPAN_BLOCK_BYTES = 2 ** 21
 
 
@@ -591,7 +591,8 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     order, in blocks of rows x: the k_i cells z of relation i in row x, read
     in order from the partition index, put W(x, z) W(z, y) into the bin
     (x, y, j = label(z, y)), so that bin holds (S_i S_j)(x, y), summed in z
-    order, and is compared with p~[i, j, label(x, y)] W(x, y).  On the
+    order (a row past the block budget in parts of cells z, whose sums
+    add), and is compared with p~[i, j, label(x, y)] W(x, y).  On the
     verified scheme the bins of (x, y) are exactly the j of the support of
     p[i, :, label(x, y)], where p~ has its support; every other entry of S_i
     S_j, and of its fit, is 0.  The witness is the smallest failing (i, j),
@@ -655,16 +656,20 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
         k = z.size // n
         w_xz = W.ravel()[z].reshape(n, k, 1)
         z = (z % n).reshape(n, k)
-        rows = max(1, _SPAN_BLOCK_BYTES // (40 * k * n))
+        rows = _SPAN_BLOCK_BYTES // (40 * k * n)    # 0: a row past the budget, cols cells z at a time
+        rows, cols = (rows, k) if rows else (1, max(1, _SPAN_BLOCK_BYTES // (40 * n)))
         worst = (d,)        # (j, x, y) of the smallest failing j, first row-major
         for x0 in range(0, n, rows):
-            zb, lab_xy = z[x0:x0 + rows], lab[x0:x0 + rows]
-            b = len(zb)
-            key = slot[lab[zb], lab_xy[:, None]]    # [x, z, y] -> bin of label(z, y)
-            key += (np.arange(b * n) * m).reshape(b, 1, n)
-            terms = W[zb]
-            terms *= w_xz[x0:x0 + b]
-            bins = np.bincount(key.ravel(), terms.ravel(), b * n * m).reshape(b, n, m)
+            lab_xy = lab[x0:x0 + rows]
+            b = len(lab_xy)
+            bins = np.zeros((b, n, m))
+            for c0 in range(0, k, cols):
+                zb = z[x0:x0 + b, c0:c0 + cols]
+                key = slot[lab[zb], lab_xy[:, None]]    # [x, z, y] -> bin of label(z, y)
+                key += (np.arange(b * n) * m).reshape(b, 1, n)
+                terms = W[zb]
+                terms *= w_xz[x0:x0 + b, c0:c0 + cols]
+                bins += np.bincount(key.ravel(), terms.ravel(), b * n * m).reshape(b, n, m)
             fit = bin_fit[lab_xy]
             fit *= W[x0:x0 + b, :, None]
             bins -= fit

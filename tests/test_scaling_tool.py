@@ -120,7 +120,25 @@ def test_perturbed_cycles_take_the_full_check(scaling):
     from hyperscheme.scheme import _CANONICAL_DEVIATION
 
     scheme = hs.verify_scheme(scaling._cycle_partition(100))
-    gs = scaling._rectangle_perturbed(scheme)()
+    gs = scaling._rectangle_perturbed(scheme, 25)()
     delta = np.abs(gs.W * scheme.valency[scheme.partition.label] - 1.0).max()
     assert 1.5 * _CANONICAL_DEVIATION < delta < 2.5 * _CANONICAL_DEVIATION
+    hs.verify_generalized(gs)
+
+
+def test_rectangle_perturbs_a_relation_of_any_valency(scaling):
+    """The rectangle on C100's relation 25 moves the cells (0, 25),
+    (50, 75), (0, 75), (50, 25) and their transposes; on K_12's relation 1
+    (k = 11) it puts the family 11 RECTANGLE_T from the canonical one, and
+    that family passes the full check."""
+    import hyperscheme as hs
+
+    scheme = hs.verify_scheme(scaling._cycle_partition(100))
+    moved = scaling._rectangle_perturbed(scheme, 25)().W != hs.canonical_generalized(scheme).W
+    assert sorted(map(tuple, np.argwhere(moved).tolist())) == sorted(
+        [(0, 25), (50, 75), (0, 75), (50, 25), (25, 0), (75, 50), (75, 0), (25, 50)])
+    scheme = hs.verify_scheme(scaling._complete_partition(12))
+    gs = scaling._rectangle_perturbed(scheme, 1)()
+    delta = np.abs(gs.W * scheme.valency[scheme.partition.label] - 1.0).max()
+    assert delta == pytest.approx(11 * scaling.RECTANGLE_T, rel=1e-3)
     hs.verify_generalized(gs)

@@ -845,6 +845,31 @@ def test_span_scan_memory_is_n_squared_and_one_block():
     assert peak < ptilde.nbytes + 8 * (8 * n * n) + scheme_module._SPAN_BLOCK_BYTES
 
 
+def test_span_scan_splits_a_row_past_the_block_budget(monkeypatch):
+    """Perturbed K_200 (n = 200, d = 2, k_1 = 199), a 1e-9 rectangle on
+    relation 1, under a 64 KiB block budget: one row of slice 1 is 199 n
+    terms, about 1.6 MB, so the scan takes it in parts of cells z.  The
+    peak read 1.37 MB, about 4.3 (8 n^2) past the budget; a scan whose
+    block is at least one whole row read 2.63 MB.  The verdict is the
+    reference's."""
+    n = 200
+    label = (np.arange(n)[:, None] != np.arange(n)[None, :]).astype(int)
+    scheme = hs.verify_scheme(hs.RelationPartition(n, 2, label))
+    base = hs.canonical_generalized(scheme)
+    gs = hs.GeneralizedScheme(base.partition,
+                              symmetric_perturbation(base, (1, 0, 3, 1, 2), 1e-9),
+                              base.omega_x)
+    monkeypatch.setattr(scheme_module, "_SPAN_BLOCK_BYTES", 2 ** 16)
+    assert outcome(hs.verify_generalized, gs) == outcome(ref.verify_generalized, gs)
+    tracemalloc.start()
+    try:
+        _verify_kernels(gs, scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * (8 * n * n) + scheme_module._SPAN_BLOCK_BYTES
+
+
 @given(st.sampled_from(GENERALIZED + [canonical_cycle(8)]), st.integers(0, 2 ** 16),
        st.sampled_from([0.0, -0.0, KERNEL_TOL, -KERNEL_TOL]))
 def test_span_coefficients_past_axiom_2_are_nonnegative(base, seed, stray):

@@ -69,6 +69,10 @@ Curves:
   and C400, built as given, so that verify_scheme runs on their
   partitions: a symmetric rectangle of RECTANGLE_T on relation m / 4
   puts them past that test, so their kernel check scans every slice.
+  Last, perturbed families of larger valency, built the same way from
+  their verified schemes: C5 x C80 (k <= 4) and the join of C16 and C25
+  (k <= 50), each on its first relation of largest valency, and the
+  complete graph K_400 (k = 399) on relation 1.
 - gram_min_eig: as `dtgraph --report psd` runs it, build_ball, then the
   minimum Gram eigenvalue at s0, 0 and s1, on Gamma(3, 2) with R = 4..16
   and the path Gamma(2, 2) up to R = 1000, where the blocks are
@@ -229,9 +233,7 @@ def width(h: int) -> dict:
 def complete(m: int) -> dict:
     import hyperscheme as hs
 
-    label = (np.arange(m)[:, None] != np.arange(m)[None, :]).astype(int)
-    gs = hs.canonical_generalized(hs.verify_scheme(
-        hs.RelationPartition(n_points=m, n_relations=2, label=label)))
+    gs = hs.canonical_generalized(hs.verify_scheme(_complete_partition(m)))
     return _walk_only(lambda: hs.KernelFamily.from_generalized(gs),
                       hs.StepDistribution({1: 1}), 2, {"complete": m, "width": m - 1})
 
@@ -273,6 +275,13 @@ def _cycle_partition(m: int):
     x = np.arange(m)
     dist = np.abs(x[:, None] - x[None, :])
     return hs.RelationPartition(m, m // 2 + 1, np.minimum(dist, m - dist))
+
+
+def _complete_partition(m: int):
+    import hyperscheme as hs
+
+    label = (np.arange(m)[:, None] != np.arange(m)[None, :]).astype(int)
+    return hs.RelationPartition(n_points=m, n_relations=2, label=label)
 
 
 def _hypergroup(family: str, *ms: int) -> tuple:
@@ -426,20 +435,25 @@ def from_double_cosets(m: int) -> dict:
 
 # generalized schemes and Gram spectra
 
-def _rectangle_perturbed(scheme):
-    """A builder of the canonical family of the m-cycle, 4 | m, with
-    RECTANGLE_T added to S_i at (0, i), (2i, 3i) and their transposes and
-    taken from (0, 3i), (2i, i) and theirs, i = m / 4: rows, columns and
-    symmetry are kept, and the deviation from the canonical family is
-    2 RECTANGLE_T."""
+def _rectangle_perturbed(scheme, i: int):
+    """A builder of the canonical family of scheme, whose omega_x is
+    uniform, with RECTANGLE_T added to S_i at (0, y), (x, y2) and their
+    transposes and taken from (0, y2), (x, y) and theirs, where y < y2 are
+    the first two cells of relation i in row 0 and x the next row that holds
+    both; i is self-paired, so rows, columns and symmetry are kept.  On the
+    m-cycle with i = m / 4 the cells are (0, i), (2i, 3i), (0, 3i) and
+    (2i, i), and the deviation from the canonical family is 2 RECTANGLE_T;
+    on relation i of valency k it is k RECTANGLE_T."""
     import hyperscheme as hs
 
-    m = scheme.n_points
-    i = m // 4
-    kernels = hs.canonical_generalized(scheme).kernels.copy()
-    for x, y, sign in ((0, i, 1), (2 * i, 3 * i, 1), (0, 3 * i, -1), (2 * i, i, -1)):
-        kernels[i, [x, y], [y, x]] += sign * RECTANGLE_T
-    return lambda: hs.GeneralizedScheme(scheme.partition, kernels, np.ones(m))
+    gs = hs.canonical_generalized(scheme)
+    on_i = scheme.partition.label == i
+    y, y2 = np.flatnonzero(on_i[0])[:2]
+    x = np.flatnonzero(on_i[:, y] & on_i[:, y2])[1]
+    kernels = gs.kernels.copy()
+    for a, b, sign in ((0, y, 1), (x, y2, 1), (0, y2, -1), (x, y, -1)):
+        kernels[i, [a, b], [b, a]] += sign * RECTANGLE_T
+    return lambda: hs.GeneralizedScheme(scheme.partition, kernels, gs.omega_x)
 
 
 def generalized(kind: str, m1: int, m2: int) -> dict:
@@ -448,13 +462,23 @@ def generalized(kind: str, m1: int, m2: int) -> dict:
     def cycle_family(m):
         return hs.canonical_generalized(hs.verify_scheme(_cycle_partition(m)))
 
+    def factors_build(kind):
+        build = hs.direct_product_scheme if kind == "product" else hs.join_scheme
+        return build, (cycle_family(m1), cycle_family(m2))
+
     if kind == "cycle":
         build, factors = hs.canonical_generalized, (hs.verify_scheme(_cycle_partition(m1)),)
     elif kind == "perturbed cycle":
-        build, factors = _rectangle_perturbed(hs.verify_scheme(_cycle_partition(m1))), ()
+        build, factors = _rectangle_perturbed(
+            hs.verify_scheme(_cycle_partition(m1)), m1 // 4), ()
+    elif kind == "perturbed complete":
+        build, factors = _rectangle_perturbed(hs.verify_scheme(_complete_partition(m1)), 1), ()
+    elif kind.startswith("perturbed "):
+        build, factors = factors_build(kind.removeprefix("perturbed "))
+        scheme = hs.verify_scheme(build(*factors).partition)
+        build, factors = _rectangle_perturbed(scheme, int(np.argmax(scheme.valency))), ()
     else:
-        build = hs.direct_product_scheme if kind == "product" else hs.join_scheme
-        factors = cycle_family(m1), cycle_family(m2)
+        build, factors = factors_build(kind)
     gs = build(*factors)
 
     def run(clock):
@@ -545,7 +569,9 @@ CURVES = {
                     + [("product", 5, m) for m in (20, 30, 40, 80)] + [("product", 20, 20)]
                     + [("join", *ms) for ms in ((5, 6), (10, 15), (12, 20), (16, 25))]
                     + [("cycle", m, None) for m in (100, 200, 400)]
-                    + [("perturbed cycle", m, None) for m in (100, 200, 400)], generalized),
+                    + [("perturbed cycle", m, None) for m in (100, 200, 400)]
+                    + [("perturbed product", 5, 80), ("perturbed join", 16, 25),
+                       ("perturbed complete", 400, None)], generalized),
     "gram_min_eig": ([(3, 2, R) for R in range(4, 17)]
                      + [(2, 2, R) for R in (50, 100, 200, 500, 1000)], gram_min_eig),
     "from_double_cosets": ([(m,) for m in (50, 100, 200, 400)], from_double_cosets),
