@@ -53,7 +53,12 @@ class JoinIndex:
 
 def direct_product(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergroup:
     """Tensor-product convolution c[(i1,i2)][(j1,j2)][(k1,k2)] = c1 c2, over
-    the denominator den1 den2 when both factors are exact."""
+    the denominator den1 den2 when both factors are exact.
+
+    The result keeps h1 and h2 as its _factors: verify_hypergroup proves it
+    from their checks while its full check would be exact, and characters
+    takes its rows alpha (x) beta from their tables; where a factor fails,
+    both run on the product's tensor as on any other."""
     pi = ProductIndex(h1.n, h2.n)
     if h1.is_exact and h2.is_exact:
         dt = _int_dtype(_absmax(h1.num) * _absmax(h2.num))
@@ -62,8 +67,10 @@ def direct_product(h1: FiniteHypergroup, h2: FiniteHypergroup) -> FiniteHypergro
         t1, t2, den = h1.conv_f, h2.conv_f, 1
     num = np.einsum("ijk,abc->iajbkc", t1, t2).reshape((pi.size,) * 3)
     involution = (h1.involution[:, None] * pi.n2 + h2.involution[None, :]).ravel()
-    return FiniteHypergroup._of(num, den, pi.flat(h1.identity, h2.identity),
-                                involution, h1.scheme_derived and h2.scheme_derived)
+    h = FiniteHypergroup._of(num, den, pi.flat(h1.identity, h2.identity),
+                             involution, h1.scheme_derived and h2.scheme_derived)
+    vars(h)["_factors"] = (h1, h2)
+    return h
 
 
 def direct_product_scheme(gs1: GeneralizedScheme,

@@ -4,7 +4,8 @@ convolution, and semicharacter deformations.
 
 Convolution tensors built from counting data are exact: integer numerators
 over one common denominator.  Everything spectral runs in double precision
-with an absolute tolerance of 1e-9 and a PSD eigenvalue floor of -1e-8.
+with an absolute tolerance of TOL = 1e-9, a PSD eigenvalue floor of -1e-8
+and the named tolerances below.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ PSD_FLOOR = 1e-8
 # 1) that step by more than SPLIT_GAP, so eigh puts their eigenvectors within
 # about 2**-53 / SPLIT_GAP = 1.1e-10 of the true ones, below TOL
 SPLIT_GAP = 1e-6
+# a float row sum or slice product adds d rounded terms of at most 1
+NORMALIZATION_TOL = ASSOCIATIVITY_TOL = 1e-8
+# a character table's modulus, involution and Plancherel sum, on entries
+# that eigh puts about 1.1e-10 from the true ones (see SPLIT_GAP)
+TABLE_TOL = 1e-8
+# an off-diagonal Gram entry of the table sums d products of such entries,
+# each weighted by a Haar weight of 1 or more
+ORTHOGONALITY_TOL = 1e-7
+# semicharacters: a row is real when eigh left its imaginary parts within TOL
+REAL_TOL = 1e-9
 _RESIDUAL_BLOCK_BYTES = 1 << 24     # of B_i alpha per block of slices i
 
 
@@ -115,7 +126,13 @@ class FiniteHypergroup:
     scheme_derived records whether the hypergroup came from a (generalized)
     scheme, which is what licenses the dual-convolution nonnegativity test.
     The constructor takes conv as nested [i][j][k] rationals or floats.
+    num and involution are read-only.  A direct_product keeps its two
+    factors as _factors, from which verify_hypergroup and characters work
+    (see there); any other hypergroup, a product read back from a file
+    included, has none.
     """
+
+    _factors = None
 
     def __init__(self, n: int, conv, identity: int, involution,
                  scheme_derived: bool = False):
@@ -149,7 +166,8 @@ class FiniteHypergroup:
         num.setflags(write=False)
         self.n, self.num, self.den = int(num.shape[0]), num, int(den)
         self.identity = int(identity)
-        self.involution = np.asarray(involution, dtype=np.int64)
+        self.involution = np.array(involution, dtype=np.int64)
+        self.involution.setflags(write=False)
         self.scheme_derived = bool(scheme_derived)
 
     @cached_property
@@ -261,7 +279,7 @@ def from_scheme(scheme: AssociationScheme) -> FiniteHypergroup:
     exact rationals."""
     num, den = _rescaled(scheme.p, 1, scheme.valency)
     h = FiniteHypergroup._adopt(num, den, scheme.partition.identity_relation,
-                                scheme.involution.copy(), scheme_derived=True)
+                                scheme.involution, scheme_derived=True)
     vars(h)["_order"] = scheme._order   # c has the support of p, as every w > 0
     return h
 
@@ -271,7 +289,7 @@ def from_generalized(gs: GeneralizedScheme) -> FiniteHypergroup:
     verified as in verify_generalized, by the same one check (gs.verified)."""
     scheme, ptilde = gs.verified
     return FiniteHypergroup._of(ptilde, 1, gs.partition.identity_relation,
-                                scheme.involution.copy(), scheme_derived=True)
+                                scheme.involution, scheme_derived=True)
 
 
 @dataclass
@@ -282,11 +300,46 @@ class HypergroupReport:
     failures: list
 
 
+def _of_factors(h: FiniteHypergroup, fn):
+    """[fn(h1), fn(h2)] on the factors of a direct product h, or None when h
+    has none or fn raises a check failure or an input error on either."""
+    if h._factors is None:
+        return None
+    try:
+        return [fn(f) for f in h._factors]
+    except (CheckFailure, ValueError):
+        return None
+
+
+def _proved_product(h: FiniteHypergroup):
+    """The report of a direct product of exact factors that both pass
+    verify_hypergroup, or None.  Each axiom of the Kronecker product tensor
+    holds exactly when it holds in both factors, so the product passes, and
+    it commutes when both do.  This stands for the full check only where
+    that check is exact.  d * (max|num1| max|num2|)^2 < 2^53 ensures it, as
+    the product's num is num1 (x) num2 reduced, and ensures that the
+    factors' own checks are exact too."""
+    f = h._factors
+    if f is None or not (f[0].is_exact and f[1].is_exact) or \
+            h.n * (_absmax(f[0].num) * _absmax(f[1].num)) ** 2 >= 2 ** 53:
+        return None
+    reports = _of_factors(h, lambda g: verify_hypergroup(g, raise_on_failure=False))
+    if reports is None or not all(r.ok for r in reports):
+        return None
+    return HypergroupReport(ok=True, commutative=all(r.commutative for r in reports),
+                            symmetric=h.is_symmetric(), failures=[])
+
+
 def verify_hypergroup(h: FiniteHypergroup,
                       raise_on_failure: bool = True) -> HypergroupReport:
     """Check finiteness, identity, support-of-identity, involution
     compatibility, associativity, nonnegativity and normalization of the
     tensor.
+
+    A direct product of exact factors that pass this check is proved from
+    them (see _proved_product) while the full check below would be exact,
+    and no product tensor is read; otherwise, a factor failing included,
+    the product's tensor is checked as any other.
 
     Exact tensors are checked on the integers num, against den in place of
     1.  Associativity is exact too while d * max|num|^2, which bounds every
@@ -295,9 +348,12 @@ def verify_hypergroup(h: FiniteHypergroup,
     generating set (see _generators); beyond that it is checked within 1e-8
     on conv_f, slice by slice.  The identity slice is skipped when num[e] =
     den * I, where it passes by algebra.  Float tensors are compared with
-    TOL, and with 1e-8 for normalization and associativity.  A symmetric
-    tensor reads its involution image as a transposed view of itself.
+    TOL, NORMALIZATION_TOL and ASSOCIATIVITY_TOL.  A symmetric tensor reads
+    its involution image as a transposed view of itself.
     """
+    proved = _proved_product(h)
+    if proved is not None:
+        return proved
     exact = h.is_exact
     c, one = (h.num, h.den) if exact else (h.conv_f, 1.0)
     n, e, inv = h.n, h.identity, h.involution
@@ -316,7 +372,7 @@ def verify_hypergroup(h: FiniteHypergroup,
         failures.append(AxiomViolation("nonnegative", (i, j, k)))
     # exact row sums in a dtype that cannot wrap
     sums = c.sum(axis=2, dtype=_int_dtype(n * _absmax(c)) if exact else None)
-    bad_sums = far(sums, one, 1e-8)
+    bad_sums = far(sums, one, NORMALIZATION_TOL)
     if bad_sums.any():
         i, j = map(int, np.argwhere(bad_sums)[0])
         failures.append(AxiomViolation("normalization", (i, j)))
@@ -355,7 +411,7 @@ def verify_hypergroup(h: FiniteHypergroup,
             continue
         lhs = (a[i] @ rows).reshape(n, n, n)     # [j, (l, k)]
         rhs = (cols @ a[i]).reshape(n, n, n)     # [(j, l), k]
-        bad = lhs != rhs if exact_gemm else np.abs(lhs - rhs) > 1e-8
+        bad = lhs != rhs if exact_gemm else np.abs(lhs - rhs) > ASSOCIATIVITY_TOL
         if bad.any():
             j, l, k = map(int, np.argwhere(bad)[0])
             failures.append(AxiomViolation("associativity", (i, j, l, k)))
@@ -372,9 +428,14 @@ def haar(h: FiniteHypergroup):
 
     Returns (left, right, unimodular); exact Fractions when the tensor is,
     and then unimodular compares them exactly, else within TOL.
+    AxiomViolation("support-of-identity", (xbar, x)) for the first x whose
+    e-mass is zero.
     """
     inv = h.involution
     e_mass = h.num[inv, np.arange(h.n), h.identity].tolist()
+    if 0 in e_mass:
+        x = e_mass.index(0)
+        raise AxiomViolation("support-of-identity", (int(inv[x]), x))
     left = ([Fraction(h.den, v) for v in e_mass] if h.is_exact
             else [1.0 / v for v in e_mass])
     right = [left[int(inv[x])] for x in range(h.n)]
@@ -419,12 +480,59 @@ def characters(h: FiniteHypergroup) -> CharacterTable:
     generate has lines as joint eigenspaces, so a cluster left raises
     DegenerateSpectrum, as does a residual past TOL against any B_i.
     ValueError for a Haar weight past the doubles.
+
+    The characters of a direct product are the alpha (x) beta of its
+    factors' (see _product_rows), which then need no eigh; where a factor
+    has no table, or the rows miss TOL, the product's tensor is split as
+    any other.  Either way the rows are ordered and checked alike.
     """
+    return _characters(h)[0]
+
+
+def _characters(h: FiniteHypergroup) -> tuple:
+    """(characters(h), resid): the worst |B_i alpha - alpha(i) alpha| over i
+    and the rows, or a bound on it."""
     if not h.is_commutative():
         raise NotCommutative("character theory requires a commutative hypergroup")
-    n, e, c = h.n, h.identity, h.conv_f
     omega = np.array([_double(v, "Haar weights") for v in haar(h)[0]])
-    omega = omega / omega[e]
+    omega = omega / omega[h.identity]
+    made = _product_rows(h)
+    if made is None:
+        alphas = _split(h, omega)
+        resid = _residual(h, alphas)
+        if not resid <= TOL:        # NaN fails too
+            raise DegenerateSpectrum(f"characters miss multiplicativity by {resid:.3e}")
+        made = alphas.T, resid
+    rows, resid = made
+    chars = rows[_char_order(rows)]
+    norms = (omega[None, :] * np.abs(chars) ** 2).sum(axis=1)
+    table = CharacterTable(chars=chars, haar=omega, plancherel=1.0 / norms)
+    _check_table(h, table)
+    return table, resid
+
+
+def _product_rows(h: FiniteHypergroup):
+    """(rows alpha (x) beta, resid) of a direct product from its factors'
+    tables, or None.  With E = B alpha - alpha(i) alpha in each factor, the
+    product's residual is E1 (x) B2 beta + alpha1(i) alpha1 (x) E2, where
+    |B2 beta| <= max|beta|^2 + resid2, so it is at most resid1 (max|beta|^2
+    + resid2) + max|alpha|^2 resid2: no product of slices is made.  Only a
+    bound past TOL is computed on the product."""
+    made = _of_factors(h, _characters)
+    if made is None:
+        return None
+    (t1, resid1), (t2, resid2) = made
+    rows = np.kron(t1.chars, t2.chars)
+    top1, top2 = (float(np.abs(t.chars).max()) ** 2 for t in (t1, t2))
+    resid = resid1 * (top2 + resid2) + top1 * resid2
+    if not resid <= TOL:
+        resid = _residual(h, rows.T)
+    return (rows, resid) if resid <= TOL else None
+
+
+def _split(h: FiniteHypergroup, omega: np.ndarray) -> np.ndarray:
+    """alphas[x, m] = alpha_m(x) by the Hermitian split (see characters)."""
+    n, e, c = h.n, h.identity, h.conv_f
     s = np.sqrt(omega)
     parts = (G for g in _generators(h) if g != e for A in [s[:, None] * c[g] / s]
              for G in [(A + A.T) / 2, (A - A.T) / 2j][:1 + (h.involution[g] != g)])
@@ -445,17 +553,15 @@ def characters(h: FiniteHypergroup) -> CharacterTable:
         raise DegenerateSpectrum(f"{clusters[0].size} characters agree on every generator")
     alphas = V / s[:, None]
     alphas /= alphas[e]          # alphas[x, m] = alpha_m(x)
-    # the worst |B_i alpha_m - alpha_m(i) alpha_m| over blocks of slices i
+    return alphas
+
+
+def _residual(h: FiniteHypergroup, alphas: np.ndarray) -> float:
+    """The worst |B_i alpha_m - alpha_m(i) alpha_m| over blocks of slices i."""
+    n, c = h.n, h.conv_f
     block = max(1, _RESIDUAL_BLOCK_BYTES // (n * n * alphas.itemsize))
-    resid = max(float(np.abs(c[lo:lo + block] @ alphas - alphas[lo:lo + block, None, :]
-                             * alphas).max()) for lo in range(0, n, block))
-    if not resid <= TOL:        # NaN fails too
-        raise DegenerateSpectrum(f"characters miss multiplicativity by {resid:.3e}")
-    chars = alphas.T[_char_order(alphas.T)]
-    norms = (omega[None, :] * np.abs(chars) ** 2).sum(axis=1)
-    table = CharacterTable(chars=chars, haar=omega, plancherel=1.0 / norms)
-    _check_table(h, table)
-    return table
+    return max(float(np.abs(c[lo:lo + block] @ alphas - alphas[lo:lo + block, None, :]
+                            * alphas).max()) for lo in range(0, n, block))
 
 
 def _check_table(h: FiniteHypergroup, table: CharacterTable):
@@ -463,15 +569,15 @@ def _check_table(h: FiniteHypergroup, table: CharacterTable):
     n, e, inv = h.n, h.identity, h.involution
     if np.abs(chars[:, e] - 1.0).max() > TOL:
         raise DegenerateSpectrum("character not normalized at e")
-    if (np.abs(chars) > 1 + 1e-8).any():
+    if (np.abs(chars) > 1 + TABLE_TOL).any():
         raise DegenerateSpectrum("character exceeds modulus 1")
-    if np.abs(chars[:, inv] - np.conj(chars)).max() > 1e-8:
+    if np.abs(chars[:, inv] - np.conj(chars)).max() > TABLE_TOL:
         raise DegenerateSpectrum("character not involution-compatible")
     gram = (chars * omega[None, :]) @ np.conj(chars.T)
     off = gram - np.diag(np.diag(gram))
-    if np.abs(off).max() > 1e-7:
+    if np.abs(off).max() > ORTHOGONALITY_TOL:
         raise DegenerateSpectrum("characters not orthogonal")
-    if abs(pl.sum() - 1.0) > 1e-8:
+    if abs(pl.sum() - 1.0) > TABLE_TOL:
         raise DegenerateSpectrum("Plancherel weights do not sum to 1")
 
 
@@ -535,7 +641,8 @@ def semicharacters(h: FiniteHypergroup) -> list[np.ndarray]:
     For finite D every such solution is a character, so these are the real
     rows of the character table.
     """
-    return [row.real.copy() for row in characters(h).chars if np.abs(row.imag).max() <= 1e-9]
+    return [row.real.copy() for row in characters(h).chars
+            if np.abs(row.imag).max() <= REAL_TOL]
 
 
 def _double(v, what: str) -> float:
@@ -591,5 +698,5 @@ def semicharacter_deform(h: FiniteHypergroup, alpha0) -> FiniteHypergroup:
         num, den = s / (s[:, None, None] * s[None, :, None]) * h.conv_f, 1
     else:   # c~ = S c s_k / (s_i s_j)
         num, den = _rescaled(h.num, h.den, ratios[0], scale=ratios[1])
-    return FiniteHypergroup._adopt(num, den, h.identity, h.involution.copy(),
+    return FiniteHypergroup._adopt(num, den, h.identity, h.involution,
                                    scheme_derived=False)

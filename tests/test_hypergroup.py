@@ -8,6 +8,13 @@ import numpy as np
 import pytest
 
 import hyperscheme as hs
+from hyperscheme import io
+
+
+def _without_factors(h):
+    """h's tensor read back from its file form: a direct product loses its
+    factors, so verify_hypergroup and characters run on the tensor."""
+    return io.hypergroup_from_dict(io.hypergroup_to_dict(h))
 
 
 def test_from_scheme_k3(k3_hypergroup):
@@ -197,6 +204,37 @@ def test_haar_weight_past_the_doubles():
         hs.characters(h)
 
 
+def test_involution_is_a_read_only_copy(k3_hypergroup):
+    """What verify_hypergroup proves a product from cannot change after:
+    num and involution refuse writes, and the caller's involution array
+    stays its own."""
+    inv = np.array([0, 1])
+    h = hs.FiniteHypergroup._of(k3_hypergroup.num.copy(), k3_hypergroup.den, 0, inv, True)
+    for a in (h.num, h.involution, hs.direct_product(h, h).involution):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    inv[0] = 0
+    assert h.involution is not inv
+
+
+@pytest.mark.parametrize("one", [1, 1.0])
+def test_haar_refuses_a_zero_e_mass(k3_hypergroup, one):
+    """Z_3 with delta_1 * delta_2 = delta_2 * delta_1 = delta_1: x = 1 is
+    the first x with no e-mass in delta_xbar * delta_x, and haar,
+    characters and a join onto it raise the support-of-identity violation
+    at (xbar, x) = (2, 1) where the exact and the float tensor divided by
+    zero."""
+    conv = [[[one if k == (i + j) % 3 else 0 for k in range(3)] for j in range(3)]
+            for i in range(3)]
+    conv[1][2] = conv[2][1] = [0, one, 0]
+    bad = hs.FiniteHypergroup(3, conv, 0, [0, 2, 1])
+    assert bad.is_exact == isinstance(one, int)
+    for call in (hs.haar, hs.characters, lambda h: hs.join(k3_hypergroup, h)):
+        with pytest.raises(hs.AxiomViolation) as exc:
+            call(bad)
+        assert (exc.value.axiom_id, exc.value.witness) == ("support-of-identity", (2, 1))
+
+
 def test_float_convolve_matches_exact(k3_hypergroup):
     """A float tensor, or float weights on an exact one, convolve in doubles."""
     hf = hs.FiniteHypergroup(2, k3_hypergroup.conv_f.tolist(), 0, [0, 1])
@@ -302,14 +340,14 @@ def test_product_characters_are_the_factors_products(m1, m2):
     generators split every cluster; the table is the factors' products."""
     h1, h2 = _cycle_hypergroup(m1), _cycle_hypergroup(m2)
     want = np.kron(hs.characters(h1).chars, hs.characters(h2).chars)
-    chars = hs.characters(hs.direct_product(h1, h2)).chars
+    chars = hs.characters(_without_factors(hs.direct_product(h1, h2))).chars
     assert np.abs(chars - _ordered(want)).max() <= 1e-11
 
 
 def test_a_cluster_no_generator_splits_is_degenerate(monkeypatch):
     """With a generating set cut to C_6's element 1 on C_5 x C_6, the
     clusters of the first factor's characters are never split."""
-    h = hs.direct_product(_cycle_hypergroup(5), _cycle_hypergroup(6))
+    h = _without_factors(hs.direct_product(_cycle_hypergroup(5), _cycle_hypergroup(6)))
     monkeypatch.setattr(hs.hypergroup, "_generators", lambda num: [0, 1])
     with pytest.raises(hs.DegenerateSpectrum, match="^3 characters agree on every generator$"):
         hs.characters(h)

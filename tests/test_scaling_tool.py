@@ -64,6 +64,20 @@ def test_first_case_gives_a_row(scaling, monkeypatch, curve):
     assert measured and all(isinstance(v, float) and v >= 0 for v in measured)
 
 
+@pytest.mark.parametrize("curve, case", [("verify_hypergroup", ("product", 8, 10)),
+                                         ("characters", (12, 14))])
+def test_first_product_case_times_the_tensor_without_factors(scaling, monkeypatch,
+                                                             curve, case):
+    """A product row also times the product's tensor read back without its
+    factors."""
+    monkeypatch.setattr(scaling, "MIN_SECONDS", 0)
+    assert case in scaling.CURVES[curve][0]
+    row = scaling.run_case(curve, case)
+    extra = ["plain_s", "plain_peak_mib"]
+    assert sorted(row) == sorted(FIELDS[curve] + extra)
+    assert all(isinstance(row[k], float) and row[k] >= 0 for k in extra)
+
+
 def test_oracle_once_rows_repeat_the_first_trees_old_fields(scaling, monkeypatch):
     """Under a later SRC a verify_hypergroup case times the library alone, and
     its row takes the old_* fields of the first SRC's row."""

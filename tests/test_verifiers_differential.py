@@ -3,15 +3,17 @@ reference in reference_verifiers.py, on fixtures, double-coset schemes of
 D_m and S_k, and hypothesis-corrupted inputs."""
 
 import itertools
+from fractions import Fraction
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import hyperscheme as hs
 import reference_verifiers as ref
+from hyperscheme import io
 from hyperscheme.hypergroup import _generators
 from hyperscheme import scheme as scheme_module
 from hyperscheme.scheme import (_CANONICAL_DEVIATION, KERNEL_TOL, SPAN_TOL, _group_table,
@@ -332,11 +334,17 @@ def dihedral_hypergroup(m, seed=None):
     return hs.from_scheme(hs.from_double_cosets(table, sub)[1])
 
 
+def without_factors(h):
+    """h's tensor read back from its file form: a direct product loses its
+    factors, so verify_hypergroup and characters run on the tensor."""
+    return io.hypergroup_from_dict(io.hypergroup_to_dict(h))
+
+
 def _exact_bases():
     perms, s5 = symmetric_table(5)
     johnson = hs.from_scheme(hs.from_double_cosets(s5, young_subgroup(perms, 2))[1])
     return BASE_HYPERGROUPS + [
-        hs.direct_product(dihedral_hypergroup(12), dihedral_hypergroup(14)),
+        without_factors(hs.direct_product(dihedral_hypergroup(12), dihedral_hypergroup(14))),
         hs.join(BASE_HYPERGROUPS[4], BASE_HYPERGROUPS[0]), johnson]
 
 
@@ -344,11 +352,11 @@ EXACT_BASES = _exact_bases()
 
 
 @st.composite
-def corrupted_exact_hypergroups(draw):
+def corrupted_exact_hypergroups(draw, bases=EXACT_BASES):
     """One to three corruptions of an exact tensor: a numerator unit moved
     between two k of a row, two planes swapped, or two involution entries
     swapped."""
-    h = draw(st.sampled_from(EXACT_BASES))
+    h = draw(st.sampled_from(bases))
     n, num, inv = h.n, h.num.copy(), h.involution.copy()
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["move", "planes", "involution"]))
@@ -518,11 +526,205 @@ def test_dihedral_generating_sets_stay_small(m):
 @pytest.mark.parametrize("m1, m2", [(8, 10), (10, 12), (12, 14)])
 def test_product_generating_sets_stay_small(m1, m2):
     for seed in range(5):
-        h = hs.direct_product(dihedral_hypergroup(m1, seed),
-                              dihedral_hypergroup(m2, seed + 5))
+        h = without_factors(hs.direct_product(dihedral_hypergroup(m1, seed),
+                                              dihedral_hypergroup(m2, seed + 5)))
         assert len(list(_generators(h.num))) <= 8
         assert _report_key(hs.verify_hypergroup(h)) == \
             _report_key(ref.verify_hypergroup_slices(h))
+
+
+# direct products verify and diagonalize through their factors
+
+def _product_factors():
+    """Factors for products: D_m double cosets under renamings, J(4, 2) of
+    S_4's Young double cosets, the cycles C_5 and C_8, Z_5 (thin, not
+    symmetric), S_3 (thin, not commutative), and last the float
+    hypergroup of C_6's canonical family."""
+    perms, s4 = symmetric_table(4)
+    z5 = (np.arange(5)[:, None] + np.arange(5)) % 5
+    return ([dihedral_hypergroup(m, seed) for m, seed in ((5, 0), (6, 1), (8, 2))]
+            + [hs.from_scheme(hs.from_double_cosets(s4, young_subgroup(perms, 2))[1])]
+            + [hs.from_scheme(hs.verify_scheme(cycle_partition(m))) for m in (5, 8)]
+            + [hs.from_scheme(hs.from_double_cosets(z5, [0])[1]),
+               hs.from_scheme(hs.from_double_cosets(symmetric_table(3)[1], [0])[1]),
+               hs.from_generalized(hs.canonical_generalized(
+                   hs.verify_scheme(cycle_partition(6))))])
+
+
+PRODUCT_FACTORS = _product_factors()
+EXACT_FACTORS = PRODUCT_FACTORS[:-1]
+
+
+@st.composite
+def factor_products(draw):
+    """A product of two factors, or of a product of two with d <= 3 and a
+    factor with d <= 4; d <= 36."""
+    if draw(st.booleans()):
+        return hs.direct_product(*(draw(st.sampled_from(PRODUCT_FACTORS)) for _ in range(2)))
+    small = [h for h in PRODUCT_FACTORS if h.n <= 3]
+    first = hs.direct_product(draw(st.sampled_from(small)), draw(st.sampled_from(small)))
+    return hs.direct_product(first, draw(st.sampled_from([h for h in PRODUCT_FACTORS
+                                                          if h.n <= 4])))
+
+
+def _table_or_failure(h):
+    try:
+        return hs.characters(h)
+    except hs.CheckFailure as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=50)
+@given(factor_products())
+def test_products_verify_through_their_factors(p):
+    """The report of the factors' proof is that of the product's tensor
+    checked as any other, and of the reference; an exact product reads
+    neither a generating order nor a float view of its tensor."""
+    q = without_factors(p)
+    rep = hs.verify_hypergroup(p)
+    assert _report_key(rep) == _report_key(hs.verify_hypergroup(q)) == \
+        _report_key(ref.verify_hypergroup(q))
+    if p.is_exact:
+        assert "_order" not in vars(p) and "conv_f" not in vars(p)
+
+
+@given(factor_products())
+def test_product_characters_come_from_their_factors(p):
+    """The rows alpha (x) beta are those of the product's tensor split by
+    eigh, in the same order and within 1e-12; NotCommutative is raised as
+    there."""
+    got, want = _table_or_failure(p), _table_or_failure(without_factors(p))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.chars.dtype == want.chars.dtype and got.haar.tolist() == want.haar.tolist()
+    for a, b in ((got.chars, want.chars), (got.plancherel, want.plancherel)):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+@given(corrupted_exact_hypergroups(bases=EXACT_FACTORS), st.sampled_from(EXACT_FACTORS),
+       st.booleans())
+def test_a_corrupted_factor_gives_the_full_check(bad, good, bad_first):
+    """A factor that fails leaves the product to the full check: the same
+    failures as the product's tensor without factors, and the same first
+    witness raised."""
+    p = hs.direct_product(*((bad, good) if bad_first else (good, bad)))
+    q = without_factors(p)
+    rep = hs.verify_hypergroup(p, raise_on_failure=False)
+    assert _report_key(rep) == _report_key(hs.verify_hypergroup(q, raise_on_failure=False)) \
+        == _report_key(ref.verify_hypergroup(q))
+    if not rep.ok:
+        with pytest.raises(hs.AxiomViolation) as exc:
+            hs.verify_hypergroup(p)
+        assert (exc.value.axiom_id, exc.value.witness) == \
+            (rep.failures[0].axiom_id, rep.failures[0].witness)
+
+
+@pytest.mark.parametrize("k", [6888, 6889])
+def test_products_past_two_to_the_53_take_the_full_check(monkeypatch, k):
+    """delta_1 * delta_1 = delta_0 / k + (1 - 1 / k) delta_1 has max|num| =
+    k, so its square has d (max|num1| max|num2|)^2 = 4 k^4: below 2^53 at
+    k = 6888, where the factors are checked in place of the product, and
+    above it at k = 6889, where the product's tensor is checked in floats."""
+    a = hs.FiniteHypergroup(2, [[[1, 0], [0, 1]], [[0, 1], [Fraction(1, k), 1 - Fraction(1, k)]]],
+                            0, [0, 1])
+    p = hs.direct_product(a, a)
+    proved = 4 * k ** 4 < 2 ** 53
+    assert proved == (k == 6888)
+    verify, seen = hs.hypergroup.verify_hypergroup, []
+    monkeypatch.setattr(hs.hypergroup, "verify_hypergroup",
+                        lambda h, raise_on_failure=True: seen.append(h) or verify(h, raise_on_failure))
+    rep = hs.hypergroup.verify_hypergroup(p)
+    assert seen == ([p, a, a] if proved else [p])
+    assert _report_key(rep) == _report_key(verify(without_factors(p))) == \
+        (True, True, True, [])
+
+
+def test_a_degenerate_factor_leaves_the_product_to_eigh():
+    """D_8 with a unit of delta_3 * delta_4 and of delta_4 * delta_3 moved
+    commutes but is no hypergroup: its characters miss multiplicativity,
+    so its products with D_5 and with Z_5 are split as tensors and raise
+    what those raise."""
+    h = dihedral_hypergroup(8)
+    num = h.num.copy()
+    num[[3, 4], [4, 3], 1] -= 1
+    num[[3, 4], [4, 3], 2] += 1
+    bad = hs.FiniteHypergroup._of(num, h.den, h.identity, h.involution, False)
+    assert isinstance(_table_or_failure(bad), tuple)
+    z5 = hs.from_scheme(hs.from_double_cosets((np.arange(5)[:, None] + np.arange(5)) % 5,
+                                              [0])[1])
+    for p in (hs.direct_product(bad, dihedral_hypergroup(5)), hs.direct_product(z5, bad)):
+        got = _table_or_failure(p)
+        assert got == _table_or_failure(without_factors(p))
+        assert got[0] is hs.DegenerateSpectrum and got[1].startswith("characters miss")
+
+
+def test_a_factor_that_raises_leaves_the_product_to_eigh(monkeypatch):
+    """With the generating sets of d <= 8 cut to the identity, C_5 and C_6
+    split none of their characters and raise DegenerateSpectrum; their
+    product (d = 12) keeps every element as a generator, and eigh splits
+    its tensor."""
+    monkeypatch.setattr(hs.hypergroup, "_generators",
+                        lambda h: range(h.n) if h.n > 8 else [h.identity])
+    c5, c6 = (hs.from_scheme(hs.verify_scheme(cycle_partition(m))) for m in (5, 6))
+    assert _table_or_failure(c5) == (hs.DegenerateSpectrum,
+                                     "3 characters agree on every generator")
+    p = hs.direct_product(c5, c6)
+    got, want = hs.characters(p), hs.characters(without_factors(p))
+    assert np.abs(got.chars - want.chars).max() <= 1e-12
+
+
+def _off_multiplicativity(h, i, j, src, dst, eps):
+    """h in floats with eps of delta_i * delta_j and of delta_j * delta_i
+    moved from src to dst: commutative still, its characters off
+    multiplicativity by 2 eps."""
+    c = h.conv_f.copy()
+    c[[i, j], [j, i], src] -= eps
+    c[[i, j], [j, i], dst] += eps
+    return hs.FiniteHypergroup._of(c, 1, h.identity, h.involution, True)
+
+
+def test_a_bound_past_tol_is_computed_on_the_product(monkeypatch):
+    """Factors off by 8e-10 and 2.8e-10 (D_8 and C_8 with 4e-10 and 2e-10
+    of a product moved) bound their product's residual by 1.08e-9, past
+    TOL; computed on the product it is 8e-10, and the rows alpha (x) beta
+    stand, within 1e-12 of eigh's.  D_8 off by 6e-10, squared, bounds and
+    computes 1.2e-9, so eigh splits the product and raises as it would."""
+    d8 = _off_multiplicativity(dihedral_hypergroup(8), 3, 4, 1, 2, 4e-10)
+    c8 = _off_multiplicativity(hs.from_scheme(hs.verify_scheme(cycle_partition(8))),
+                               2, 3, 1, 3, 2e-10)
+    (t1, r1), (t2, r2) = (hs.hypergroup._characters(h) for h in (d8, c8))
+    top1, top2 = (np.abs(t.chars).max() ** 2 for t in (t1, t2))
+    assert hs.hypergroup.TOL < r1 * (top2 + r2) + top1 * r2
+    residual, seen = hs.hypergroup._residual, []
+    monkeypatch.setattr(hs.hypergroup, "_residual",
+                        lambda h, alphas: seen.append(h) or residual(h, alphas))
+    p = hs.direct_product(d8, c8)
+    got = hs.characters(p)
+    assert seen[2:] == [p] and "_order" not in vars(p)      # no eigh split ran
+    want = hs.characters(without_factors(p))
+    assert np.abs(got.chars - want.chars).max() <= 1e-12
+    square = hs.direct_product(*[_off_multiplicativity(dihedral_hypergroup(8), 3, 4, 1, 2,
+                                                       3e-10)] * 2)
+    assert _table_or_failure(square) == _table_or_failure(without_factors(square)) == \
+        (hs.DegenerateSpectrum, "characters miss multiplicativity by 1.200e-09")
+
+
+def test_d20_x_d40_reads_no_product_tensor():
+    """d = 231: verify_hypergroup reads the factors alone (the full check
+    peaked at 201 MiB), and characters only the product's commutativity and
+    Haar weights (the eigh split peaked at 34 MiB)."""
+    p = hs.direct_product(dihedral_hypergroup(20), dihedral_hypergroup(40))
+    assert p.n == 231
+    peaks = []
+    for fn in (hs.verify_hypergroup, hs.characters):
+        tracemalloc.start()
+        try:
+            fn(p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2 ** 20 and peaks[1] < 2 * p.n ** 3
 
 
 def _group_verdict(fn, table):
@@ -1094,7 +1296,7 @@ def test_verify_hypergroup_memory_is_cubic():
     tensors needed about 300 MiB; per-slice checks stay below 16 MiB."""
     h1, h2 = (hs.from_scheme(hs.from_double_cosets(dihedral_table(m), [0, m])[1])
               for m in (12, 14))
-    prod = hs.direct_product(h1, h2)
+    prod = without_factors(hs.direct_product(h1, h2))
     assert prod.n == 56
     tracemalloc.start()
     try:
@@ -1110,7 +1312,7 @@ def test_verify_hypergroup_memory_is_a_small_multiple_of_num():
     generating set listed before any product keep the peak near 2.2 times
     num's int64 bytes; float64 products and the closure's bookkeeping held
     through the loop took 5.8 times."""
-    prod = hs.direct_product(dihedral_hypergroup(12), dihedral_hypergroup(14))
+    prod = without_factors(hs.direct_product(dihedral_hypergroup(12), dihedral_hypergroup(14)))
     tracemalloc.start()
     try:
         assert hs.verify_hypergroup(prod).ok

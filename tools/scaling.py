@@ -44,10 +44,15 @@ Curves:
   and iterated joins of Z_2 (whose greedy generating set is all of D),
   against verify_hypergroup_slices, the check of all d slices.  That oracle
   is timed in the first run under the first SRC only; every other run
-  repeats its old_* fields.
-- characters: on the D_m hypergroups up to D_800 (d = 401), and the
-  character order by one np.lexsort against the reference's per-row sort
-  key.
+  repeats its old_* fields.  A product row times new_s on the product as
+  direct_product returns it, which a source tree whose products keep their
+  factors verifies from them, and plain_s on the same tensor read back
+  from its file form, which has no factors.
+- characters: on the D_m hypergroups up to D_800 (d = 401) and the
+  products D_12 x D_14 up to D_20 x D_40 (d = 231), and the character
+  order by one np.lexsort against the reference's per-row sort key.  A
+  product row times characters_s and plain_s as verify_hypergroup's
+  product rows time new_s and plain_s.
 - dumps: io.dumps against json.dumps(indent=1, default=encode_number).
 - io: the exact tensor across the JSON boundary, as `product --json --out`
   moves it, on direct products of two cycle hypergroups, d = 12..110:
@@ -334,24 +339,38 @@ def verify_hypergroup(family: str, *ms: int, time_oracle: bool = True) -> dict:
     fns = {"new_s": lambda: hs.verify_hypergroup(h)}
     if time_oracle:
         fns = {"old_s": lambda: ref.verify_hypergroup_slices(h), **fns}
+    if family == "product":
+        plain = _without_factors(h)
+        fns["plain_s"] = lambda: hs.verify_hypergroup(plain)
     if not all(fn().ok for fn in fns.values()):
         raise SystemExit(f"{case} fails the hypergroup axioms")
     return {"family": family, "case": case, "d": h.n,
             "generators": _generator_count(h), **_each(fns, peaks=tuple(fns))}
 
 
-def characters(m: int) -> dict:
+def _without_factors(h):
+    """h's tensor read back from its file form, which keeps no factors."""
+    from hyperscheme import io as hio
+
+    return hio.hypergroup_from_dict(hio.hypergroup_to_dict(h))
+
+
+def characters(*ms: int) -> dict:
     import hyperscheme as hs
     import reference_verifiers as ref
     from hyperscheme.hypergroup import _char_order
 
-    case, h = _hypergroup("dihedral", m)
+    case, h = _hypergroup("dihedral" if len(ms) == 1 else "product", *ms)
     rows = hs.characters(h).chars[::-1].copy()
-    return {"case": case, "d": h.n,
-            **_each({"characters_s": lambda: hs.characters(h),
-                     "order_old_s": lambda: np.array(sorted(rows, key=ref._char_sort_key)),
-                     "order_new_s": lambda: rows[_char_order(rows)]},
-                    peaks=("characters_s",))}
+    fns = {"characters_s": lambda: hs.characters(h),
+           "order_old_s": lambda: np.array(sorted(rows, key=ref._char_sort_key)),
+           "order_new_s": lambda: rows[_char_order(rows)]}
+    peaks = ("characters_s",)
+    if len(ms) == 2:
+        plain = _without_factors(h)
+        fns["plain_s"] = lambda: hs.characters(plain)
+        peaks += ("plain_s",)
+    return {"case": case, "d": h.n, **_each(fns, peaks=peaks)}
 
 
 def dumps(family: str, *ms: int) -> dict:
@@ -553,7 +572,8 @@ CURVES = {
                           + [("product", *ms) for ms in ((8, 10), (12, 14), (12, 22), (14, 28))]
                           # past 26, join-chain products leave exact float64
                           + [("join-chain", d) for d in (10, 18, 26)], verify_hypergroup),
-    "characters": ([(m,) for m in (6, 20, 40, 60, 100, 140, 200, 400, 800)], characters),
+    "characters": ([(m,) for m in (6, 20, 40, 60, 100, 140, 200, 400, 800)]
+                   + [(12, 14), (12, 22), (14, 28), (20, 40)], characters),
     "dumps": ([("dihedral", m) for m in (6, 20, 40, 60, 100)]
               + [("product", 8, 10), ("product", 12, 14)], dumps),
     # d = k (k + 1): C_2(k-1) has k relations, C_2k has k + 1
