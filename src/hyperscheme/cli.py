@@ -20,6 +20,7 @@ from . import hypergroup as hg
 from .hypergroup import TOL, PSD_FLOOR
 
 EXIT = {"pass": 0, "fail": 1, "error": 2}
+IMAG_PRINT_TOL = 1e-12   # a smaller imaginary part is eigensolver rounding: printed as real
 
 
 def _number(text: str) -> Fraction:
@@ -47,7 +48,7 @@ def _human_lines(obj, indent=""):
 
 
 def _complex_to_jsonable(z):
-    if abs(z.imag) < 1e-12:
+    if abs(z.imag) < IMAG_PRINT_TOL:
         return float(z.real)
     return {"re": float(z.real), "im": float(z.imag)}
 
@@ -107,7 +108,7 @@ def cmd_characters(args):
 def cmd_dual(args):
     h = _load_hypergroup(args.file)
     coeffs = hg.dual_convolution(h, hg.characters(h), args.i, args.j)
-    nonneg = bool(coeffs.real.min() >= -1e-9)
+    nonneg = bool(coeffs.real.min() >= -hg.DUAL_TOL)
     results = {"coefficients": [_complex_to_jsonable(z) for z in coeffs],
                "sum": float(coeffs.real.sum()), "nonnegative": nonneg}
     return ("pass" if (not h.scheme_derived or nonneg) else "fail"), results
@@ -167,7 +168,7 @@ def cmd_dtgraph(args):
         errs = [abs(val - (1.0 / dtgraph.haar_weight(n, params) if m == n else 0.0))
                 for val, m, n in zip(vals.tolist(), ms.tolist(), ns.tolist())]
         results["max_orthogonality_error"] = max(errs)
-        if max(errs) > 1e-6:
+        if max(errs) > dtgraph.ORTHO_TOL:
             status = "fail"
     elif args.report == "deform":
         ball = dtgraph.build_ball(params, args.radius)
@@ -299,7 +300,7 @@ def cmd_walk(args):
         }
     results["params"] = {"mu": args.mu, "steps": args.steps,
                          "trials": args.trials}
-    return ("pass" if tv <= 0.02 else "fail"), results
+    return ("pass" if tv <= walks.TV_TOL else "fail"), results
 
 
 @functools.cache

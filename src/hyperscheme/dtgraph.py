@@ -30,6 +30,8 @@ QUAD_MAX_NODES = 1 << 14
 SUPPORT_CAP = 10_000     # atoms a PolyHypergroup.power may reach
 DEFORM_ROW_SUM_TOL = 1e-12   # a deformed kernel row sums to 1 up to rounding
 PUSHFORWARD_TOL = 1e-10      # pushforward_vs_haar: a few roundings of e^{2c}
+ORTHO_TOL = 1e-6             # --report ortho: int P_m P_n vs delta_mn / h(n), 1e4 QUAD_TOL
+_POLE_GAP, _ZERO_GAP = 1e-12, 1e-300    # closed_form_eval: z off c's poles +-1, 1/z finite
 # DeformedKernels.max_row_sum_error scatters kernel rows in blocks of at most
 # this many bytes (one row at least)
 _ROW_BLOCK_BYTES = 1 << 18
@@ -120,7 +122,7 @@ def closed_form_eval(n: int, z: complex, params: DTParams) -> complex:
     """P_n((z + 1/z)/2) = (c(z) z^n + c(1/z) z^{-n}) / ((a-1)(b-1))^{n/2}."""
     a, b = params.a, params.b
     z = complex(z)
-    if abs(z) < 1e-300 or abs(z - 1) < 1e-12 or abs(z + 1) < 1e-12:
+    if abs(z) < _ZERO_GAP or abs(z - 1) < _POLE_GAP or abs(z + 1) < _POLE_GAP:
         raise DomainError("z must avoid 0 and +/-1")
 
     def cfun(w):

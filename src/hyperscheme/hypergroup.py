@@ -38,6 +38,7 @@ TABLE_TOL = 1e-8
 ORTHOGONALITY_TOL = 1e-7
 # semicharacters: a row is real when eigh left its imaginary parts within TOL
 REAL_TOL = 1e-9
+DUAL_TOL = 1e-9     # dual coefficients pass at >= -DUAL_TOL; cycles to d = 501 read -6.1e-12
 _RESIDUAL_BLOCK_BYTES = 1 << 24     # of B_i alpha per block of slices i
 
 
@@ -429,12 +430,12 @@ def haar(h: FiniteHypergroup):
     Returns (left, right, unimodular); exact Fractions when the tensor is,
     and then unimodular compares them exactly, else within TOL.
     AxiomViolation("support-of-identity", (xbar, x)) for the first x whose
-    e-mass is zero.
+    e-mass is zero or negative.
     """
     inv = h.involution
     e_mass = h.num[inv, np.arange(h.n), h.identity].tolist()
-    if 0 in e_mass:
-        x = e_mass.index(0)
+    x = next((x for x, v in enumerate(e_mass) if v <= 0), None)
+    if x is not None:
         raise AxiomViolation("support-of-identity", (int(inv[x]), x))
     left = ([Fraction(h.den, v) for v in e_mass] if h.is_exact
             else [1.0 / v for v in e_mass])

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 KERNEL_TOL = 1e-9
+ROW_SUM_TOL = 1e-8      # a kernel row adds up to n entries, each given with its own rounding
 
 
 def _physical_memory() -> int:
@@ -310,6 +311,16 @@ def _generators(of) -> list:
     return [x for x, pair in order if pair is None]
 
 
+def _intersections(lab: np.ndarray, rx: np.ndarray, ry: np.ndarray,
+                   weights: np.ndarray | None = None) -> np.ndarray:
+    """[i, j, k] -> the sum of weights[k * n + z] (1 if None) over the z with
+    label(rx_k, z) = i and label(z, ry_k) = j, in ascending z, by one
+    bincount: p at the first cells, p~ W(rx_k, ry_k) at the first maxima."""
+    d = len(rx)
+    keys = (lab[rx] * d + lab[:, ry].T) * d + np.arange(d)[:, None]   # z's bin, per k
+    return np.bincount(keys.ravel(), weights, minlength=d ** 3).reshape(d, d, d)
+
+
 def _structure(partition: RelationPartition) -> AssociationScheme:
     """verify_scheme without its counting check: the size guards, the
     diagonal, relation-empty and involution axioms, and p and the
@@ -341,8 +352,7 @@ def _structure(partition: RelationPartition) -> AssociationScheme:
     if need > have:
         raise ValueError(f"{d} relations: p needs {need / 2**30:.3g} GiB with its "
                          f"check, more than the {have / 2**30:.3g} GiB of memory")
-    keys = (lab[rx] * d + lab[:, ry].T) * d + np.arange(d)[:, None]   # z's bin, per k
-    p = np.bincount(keys.ravel(), minlength=d ** 3).reshape(d, d, d)
+    p = _intersections(lab, rx, ry)
     valency = p[np.arange(d), inv, e]
     for a in (inv, p, valency):
         a.setflags(write=False)
@@ -492,7 +502,8 @@ def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
     Axiom ids follow the five conditions of the definition: (1) constant
     counting on the partition, (2) support matching, (3) nonnegative span
     closure, (4) identity kernel, (5) adjoint relation.  The checks run once
-    per family, in gs.verified; each call returns a copy of p~ of its own.
+    per family, in gs.verified; each call returns a copy of p~ of its own,
+    read as p is (_intersections) at each relation's first largest W.
     (1) is verify_scheme on the partition, unless the family took its
     scheme from verified inputs: canonical_generalized's scheme, or a
     product or join of families whose partitions are schemes, which is one
@@ -516,22 +527,6 @@ def verify_generalized(gs: GeneralizedScheme) -> np.ndarray:
     return gs.verified[1].copy()
 
 
-def _gathered(lab: np.ndarray, W: np.ndarray, rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """[i, j, k] -> (S_i S_j)(rx_k, ry_k), for the kernels S_i that W holds
-    on the partition lab, from one d x n by n x d product per relation k:
-    the rows S_i(rx_k, .) by the columns S_j(., ry_k), row rx_k and column
-    ry_k of W spread over their labels.  d^3 n flops in O(dn) memory, on the
-    terms of the full products' entries, which BLAS may sum in another order."""
-    n, d = W.shape[0], len(rx)
-    at, out = np.arange(n), np.empty((d, d, d))
-    for k, (x, y) in enumerate(zip(rx, ry)):
-        rows, cols = np.zeros((n, d)), np.zeros((n, d))
-        rows[at, lab[x]] = W[x]
-        cols[at, lab[:, y]] = W[:, y]
-        out[:, :, k] = rows.T @ cols
-    return out
-
-
 def _support_failure(i: int, S_i: np.ndarray, lab: np.ndarray):
     """The AxiomViolation arguments of kernel i's first axiom (2) failure, or None."""
     off = ~(S_i <= KERNEL_TOL) != (lab == i)
@@ -539,7 +534,7 @@ def _support_failure(i: int, S_i: np.ndarray, lab: np.ndarray):
         x, y = map(int, np.argwhere(off)[0])
         return "2", (i, x, y), f"support of kernel {i} does not match relation {i}"
     rows = np.abs(S_i.sum(axis=1) - 1.0)
-    if not rows.max() <= 1e-8:
+    if not rows.max() <= ROW_SUM_TOL:
         x = int(np.argmax(rows))
         return "2", (i, x), f"kernel {i} row {x} not stochastic"
     if S_i.min() < -KERNEL_TOL:
@@ -551,6 +546,12 @@ def _support_failure(i: int, S_i: np.ndarray, lab: np.ndarray):
 # verified scheme, |W(x, y) k_label(x,y) - 1| <= _CANONICAL_DEVIATION at
 # every cell, passes axioms (2) and (3); the proof is in _verify_kernels.
 _CANONICAL_DEVIATION = 1e-9
+
+
+def _canonical(W: np.ndarray, count: np.ndarray) -> bool:
+    """|W count - 1| <= _CANONICAL_DEVIATION at every cell; NaN fails it."""
+    return bool(np.abs(W * count - 1.0).max() <= _CANONICAL_DEVIATION)
+
 
 # Span closure's absolute tolerance: entries of S_i S_j are at most 1, and
 # any sum of n < 2**24 of their terms rounds by less than 1.87e-9 of it.
@@ -577,15 +578,15 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     p[i, j, k] terms (1 + eta)(1 + eta') / (k_i k_j), so it is c (1 + theta)
     with c = p[i, j, k] / (k_i k_j) <= 1 (sum_k p[i, j, k] k_k = k_i k_j)
     and |theta| <= 2 delta + delta^2, and any sum of these nonnegative
-    terms, in any order, _gathered's included, is within gamma_n of it.  The
-    fit p~[i, j, k] W(x, y) is c (1 + theta_k)(1 + eta) / (1 + eta_k),
-    theta_k and eta_k read at (rx_k, ry_k), up to gamma_n and the division
-    and product that round it; the subtraction rounds once more.  So every
-    residual is at most c (6 delta + 2 gamma_n + 3u + O(delta^2)) < 9.8e-9
-    < SPAN_TOL, and delta is measured within 2^-52.  Such a family skips
-    the axiom (2) scan and span closure's scan; (4), (5) and p~ run as on
-    every family, so p~ is the same bit for bit, and a failure, which only
-    (4) or (5) can give, the same one.
+    terms, in any order, p~'s bincount in ascending z included, is within
+    gamma_n of it.  The fit p~[i, j, k] W(x, y) is c (1 + theta_k)(1 +
+    eta) / (1 + eta_k), theta_k and eta_k read at (rx_k, ry_k), up to
+    gamma_n and the division and product that round it; the subtraction
+    rounds once more.  So every residual is at most c (6 delta + 2 gamma_n
+    + 3u + O(delta^2)) < 9.8e-9 < SPAN_TOL, and delta is measured within
+    2^-52.  Such a family skips the axiom (2) scan and span closure's
+    scan; (4), (5) and p~ run as on every family, so p~ is the same bit
+    for bit, and a failure, which only (4) or (5) can give, the same one.
 
     Every other family takes the checks below.  (3) scans every slice i in
     order, in blocks of rows x: the k_i cells z of relation i in row x, read
@@ -600,9 +601,7 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
     part = gs.partition
     n, d = part.n_points, part.n_relations
     lab, W = part.label, gs.W
-    # NaN fails the comparison, so a proved family is finite
-    proved = not gs._stray and bool(
-        np.abs(W * scheme.valency[lab] - 1.0).max() <= _CANONICAL_DEVIATION)
+    proved = not gs._stray and _canonical(W, scheme.valency[lab])
     if not proved:
         # (2) support condition and row-stochasticity; each test is written
         # so that NaN fails it, which leaves every kernel finite after this
@@ -632,12 +631,12 @@ def _verify_kernels(gs: GeneralizedScheme, scheme: AssociationScheme) -> np.ndar
         y, x = map(int, np.argwhere(bad & (lab.T == i))[0])
         raise AxiomViolation("5", (i, x, y), "adjoint relation fails")
 
-    # (3) span closure; p~ is _gathered's, at each relation's largest W entry
+    # (3) span closure; p~ is read at each relation's largest W entry
     starts, cells = part._index
     vals = W.ravel()[cells]     # W is finite and no relation is empty here
     hits = np.flatnonzero(vals == np.maximum.reduceat(vals, starts[:-1]).repeat(np.diff(starts)))
     rx, ry = np.divmod(cells[hits[np.searchsorted(hits, starts[:-1])]], n)  # first maxima
-    ptilde = _gathered(lab, W, rx, ry)
+    ptilde = _intersections(lab, rx, ry, (W[rx] * W[:, ry].T).ravel())
     ptilde /= W[rx, ry]
     if proved:
         return ptilde
@@ -691,14 +690,15 @@ def finite_rigidity_check(gs: GeneralizedScheme) -> bool:
     """True iff every kernel equals the renormalized adjacency of its relation.
 
     The finite rigidity theorem predicts this holds for every input accepted
-    by verify_generalized, which verifies the partition.  W(x, y) is compared
-    with 1 / #{z : label(x, z) = label(x, y)}, the valency on a scheme, in
-    O(n^2) as d <= n there; a family given a stray entry fails.
+    by verify_generalized, which verifies the partition.  W(x, y) is
+    compared with 1 / #{z : label(x, z) = label(x, y)}, the valency on a
+    scheme, by the kernel check's early test (_canonical), in O(n^2) as d
+    <= n there; a family given a stray entry fails.
     """
     lab = gs.partition.label
     key = np.arange(lab.shape[0])[:, None] * gs.partition.n_relations + lab
     count = np.bincount(key.ravel())[key]
-    return not gs._stray and bool((np.abs(gs.W - 1.0 / count) <= 1e-8).all())
+    return not gs._stray and _canonical(gs.W, count)
 
 
 def translation_property_check(scheme: AssociationScheme) -> tuple[bool, bool]:

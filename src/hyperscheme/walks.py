@@ -27,6 +27,7 @@ _BLOCK_UNIFORMS = 1 << 14
 DEFAULT_SEED = 0x5EED
 STEP_SUM_TOL = 1e-12        # a step law in decimals sums to 1 up to their rounding
 PROPAGATION_TOL = 1e-10     # propagation and convolution power: rounding apart
+TV_TOL = 0.02               # a walk's Monte Carlo TV to the exact law, whatever the trials
 
 
 def _check_seed(seed) -> int:

@@ -213,6 +213,22 @@ def verify_generalized(gs, tol=1e-9):
     return ptilde
 
 
+def gathered(lab, W, rx, ry):
+    """[i, j, k] -> (S_i S_j)(rx_k, ry_k), for the kernels S_i that W holds
+    on the partition lab, from one d x n by n x d product per relation k:
+    the rows S_i(rx_k, .) by the columns S_j(., ry_k), row rx_k and column
+    ry_k of W spread over their labels.  The BLAS fill that p~ came from
+    before one bincount read it; d^3 n flops, in an order BLAS chooses."""
+    n, d = W.shape[0], len(rx)
+    at, out = np.arange(n), np.empty((d, d, d))
+    for k, (x, y) in enumerate(zip(rx, ry)):
+        rows, cols = np.zeros((n, d)), np.zeros((n, d))
+        rows[at, lab[x]] = W[x]
+        cols[at, lab[:, y]] = W[:, y]
+        out[:, :, k] = rows.T @ cols
+    return out
+
+
 def verify_hypergroup(h, tol=1e-9):
     """Never raises; returns the report with every failure."""
     c = h.conv_f

@@ -235,6 +235,24 @@ def test_haar_refuses_a_zero_e_mass(k3_hypergroup, one):
         assert (exc.value.axiom_id, exc.value.witness) == ("support-of-identity", (2, 1))
 
 
+@pytest.mark.parametrize("half", [Fraction(1, 2), 0.5])
+def test_haar_refuses_a_negative_e_mass(half):
+    """delta_1 * delta_1 = -1/2 delta_0 + 3/2 delta_1 has e-mass -1/2 at
+    x = 1, as has its direct square at x = (0, 1), numbered 1: haar and
+    characters raise the support-of-identity violation at (xbar, x) =
+    (1, 1), on the exact and the float tensor, where characters took the
+    square root of a negative Haar weight."""
+    one, zero = 2 * half, 0 * half
+    bad = hs.FiniteHypergroup(2, [[[one, zero], [zero, one]], [[zero, one], [-half, 3 * half]]],
+                              0, [0, 1])
+    assert bad.is_exact == isinstance(half, Fraction)
+    for h in (bad, hs.direct_product(bad, bad)):
+        for call in (hs.haar, hs.characters):
+            with pytest.raises(hs.AxiomViolation) as exc:
+                call(h)
+            assert (exc.value.axiom_id, exc.value.witness) == ("support-of-identity", (1, 1))
+
+
 def test_float_convolve_matches_exact(k3_hypergroup):
     """A float tensor, or float weights on an exact one, convolve in doubles."""
     hf = hs.FiniteHypergroup(2, k3_hypergroup.conv_f.tolist(), 0, [0, 1])

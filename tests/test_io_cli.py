@@ -1,5 +1,6 @@
 """File round-trips and CLI subcommand behavior (exit codes, JSON reports)."""
 
+import ast
 import contextlib
 import io
 import json
@@ -988,6 +989,23 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
+
+
+def test_no_comparison_has_a_float_literal():
+    """Every threshold the library compares with is a named constant: no
+    comparison in src/hyperscheme has a float literal operand, negated or
+    not."""
+    found = []
+    for path in sorted((ROOT / "src" / "hyperscheme").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            for side in (node.left, *node.comparators):
+                if isinstance(side, ast.UnaryOp) and isinstance(side.op, (ast.USub, ast.UAdd)):
+                    side = side.operand
+                if isinstance(side, ast.Constant) and isinstance(side.value, float):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 def test_library_and_cli_run_without_scipy(files):
